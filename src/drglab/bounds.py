@@ -7,12 +7,11 @@ G is the square of 4b^5 + 4b^4 + 4b^3 + 1, so its leading term is 16*b^10.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 from typing import Tuple
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .polys import eval_poly
-from .scalars import ExactScalar, exact_cmp
+from .scalars import ExactScalar, as_exact, exact_cmp
 
 # ascending coefficients
 F_COEFFS = (1, 0, 8, 24, 20, 72, 192, 256, 192, 80, 16)
@@ -24,21 +23,14 @@ PHI_COEFFS = (
 )
 
 
-def _as_exact(x):
-    if isinstance(x, (int, Rational)):
-        f = Fraction(x)
-        return int(f) if f.denominator == 1 else f
-    return x
-
-
 def F_bound(b: ExactScalar):
     """F(b) = 16b^10 + 80b^9 + 192b^8 + 256b^7 + 192b^6 + 72b^5 + 20b^4 + 24b^3 + 8b^2 + 1."""
-    return _as_exact(eval_poly(F_COEFFS, b))
+    return as_exact(eval_poly(F_COEFFS, b))
 
 
 def G_bound(b: ExactScalar):
     """G(b) = (4b^5 + 4b^4 + 4b^3 + 1)^2, expanded."""
-    return _as_exact(eval_poly(G_COEFFS, b))
+    return as_exact(eval_poly(G_COEFFS, b))
 
 
 def homogeneity_bounds(b) -> Tuple[ExactScalar, ExactScalar]:
@@ -46,7 +38,7 @@ def homogeneity_bounds(b) -> Tuple[ExactScalar, ExactScalar]:
     if exact_cmp(b, 1) < 0:
         raise DomainError(f"homogeneity bounds require b >= 1, got {b}")
     F, G = F_bound(b), G_bound(b)
-    assert exact_cmp(G, F) < 0
+    require(exact_cmp(G, F) < 0, "G(b) < F(b) must hold for b >= 1")
     return F, G
 
 
@@ -61,7 +53,7 @@ def claw_f(m: int, mu: int):
     """f(m, mu) = m(m-1)(mu+1)/2 + m - 1."""
     if m < 2:
         raise DomainError("claw bound requires m >= 2")
-    return _as_exact(Fraction(m * (m - 1), 2) * (mu + 1) + m - 1)
+    return as_exact(Fraction(m * (m - 1), 2) * (mu + 1) + m - 1)
 
 
 def phi(m: int) -> int:
@@ -76,7 +68,7 @@ def phi(m: int) -> int:
         + (2 * m - 1 + m ** 2 * (m - 1) ** 2)
         * (Fraction(m * (m - 1), 2) * (mb + 1) - 1)
     )
-    assert simplified == unsimplified, "phi evaluation forms disagree"
+    require(simplified == unsimplified, "phi evaluation forms disagree")
     return int(simplified)
 
 

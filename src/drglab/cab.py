@@ -19,24 +19,18 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, InputError, PreconditionError, SingularityError
+from .errors import (DomainError, InputError, PreconditionError, SingularityError,
+                     require)
 from .graph import Graph
 from .polys import real_roots
-from .scalars import ExactScalar, exact_eq
-
-
-def _as_exact(x):
-    if isinstance(x, Rational):
-        f = Fraction(x)
-        return int(f) if f.denominator == 1 else f
-    return x
+from .scalars import ExactScalar, as_exact, exact_eq
 
 
 def _div(a, b):
     """Exact division: rational operands stay rational (never float)."""
     if isinstance(a, Rational) and isinstance(b, Rational):
-        return _as_exact(Fraction(a) / Fraction(b))
-    return _as_exact(a / b)
+        return as_exact(Fraction(a) / Fraction(b))
+    return as_exact(a / b)
 
 
 @dataclass(frozen=True)
@@ -87,13 +81,13 @@ class LocalSrgData:
     def from_eigenvalues(cls, a1: int, r, s) -> "LocalSrgData":
         """mu' = a1 + rs, lam' = mu' + r + s, k = (a1 - r)(a1 - s)/mu'."""
         if isinstance(r, Rational):
-            r = _as_exact(Fraction(r))
+            r = as_exact(Fraction(r))
         if isinstance(s, Rational):
-            s = _as_exact(Fraction(s))
-        mu = _as_exact(a1 + r * s)
+            s = as_exact(Fraction(s))
+        mu = as_exact(a1 + r * s)
         if exact_eq(mu, 0):
             raise SingularityError("mu' = a1 + rs vanishes; local graph is not coedge-regular")
-        lam = _as_exact(mu + r + s)
+        lam = as_exact(mu + r + s)
         k = _div((a1 - r) * (a1 - s), mu)
         return cls(k, a1, lam, mu, r, s)
 
@@ -104,7 +98,7 @@ class LocalSrgData:
         if len(roots) != 2:
             raise InputError("local parameters do not give two distinct eigenvalues")
         (r, _), (s, _) = roots
-        return cls(k, a1, _as_exact(Fraction(lam)), _as_exact(Fraction(mu)), r, s)
+        return cls(k, a1, as_exact(Fraction(lam)), as_exact(Fraction(mu)), r, s)
 
 
 # -- empirical check --------------------------------------------------------
@@ -216,29 +210,29 @@ def cab_formula_params(local: LocalSrgData, c: Sequence[int],
         levels = len(c)
     if levels > len(c):
         raise InputError("more levels requested than c-values supplied")
-    trace = _as_exact(a1 - r - s)
+    trace = as_exact(a1 - r - s)
     delta_prev: ExactScalar = 0
     out = []
     b_pred: List[ExactScalar] = []
     for i in range(1, levels + 1):
         ci = c[i - 1]
         d = delta_prev
-        ad = _as_exact(a1 - d)
+        ad = as_exact(a1 - d)
         if exact_eq(ad, 0):
             raise SingularityError(f"level {i}: a_1 - delta_{i-1} vanishes")
-        den = _as_exact(ad * (trace + d) - mu * (k - ci))
+        den = as_exact(ad * (trace + d) - mu * (k - ci))
         if exact_eq(den, 0):
             raise SingularityError(f"level {i}: quadratic denominator vanishes")
-        bi = _as_exact(k - ci - _div(ci * ad * ad, den))
-        kb = _as_exact(k - ci - bi)
+        bi = as_exact(k - ci - _div(ci * ad * ad, den))
+        kb = as_exact(k - ci - bi)
         if exact_eq(kb, 0):
             raise SingularityError(f"level {i}: a-cell size k - c_i - b_i vanishes")
         alpha = _div(ci * ad, kb)
         beta = _div(mu * bi, ad)
-        delta = _as_exact(_div(mu * (k - ci), ad) - beta)
+        delta = as_exact(_div(mu * (k - ci), ad) - beta)
         # row sums of the quotient matrix force this trace identity
-        assert exact_eq(_as_exact(alpha + beta + delta - d), trace), \
-            f"trace identity fails at level {i}"
+        require(exact_eq(as_exact(alpha + beta + delta - d), trace),
+                f"trace identity fails at level {i}")
         out.append(CabLevelParams(i, d, alpha, beta, delta))
         b_pred.append(bi)
         delta_prev = delta
@@ -251,9 +245,9 @@ def quotient_matrix(a1: int, p: CabLevelParams) -> Tuple[Tuple[ExactScalar, ...]
         raise DomainError(f"level {p.level} has an empty cell; no 3x3 quotient")
     g_, al, be, de = p.gamma, p.alpha, p.beta, p.delta
     return (
-        (_as_exact(g_), _as_exact(a1 - g_), 0),
-        (_as_exact(al), _as_exact(a1 - al - be), _as_exact(be)),
-        (0, _as_exact(de), _as_exact(a1 - de)),
+        (as_exact(g_), as_exact(a1 - g_), 0),
+        (as_exact(al), as_exact(a1 - al - be), as_exact(be)),
+        (0, as_exact(de), as_exact(a1 - de)),
     )
 
 
@@ -300,7 +294,7 @@ def predict_cab2(kind: str, m: int, n: int) -> Cab2Prediction:
         b2 = Fraction((m - 1) * (n - m) * (n - m * m + 1), m)
         return Cab2Prediction(
             m + 1, (m - 1) * (n - m * m + 1), m ** 3,
-            m * m * (n - m), _as_exact(b2), m * (m + 1))
+            m * m * (n - m), as_exact(b2), m * (m + 1))
     raise InputError(f"unknown level-2 shape {kind!r}")
 
 
@@ -314,7 +308,7 @@ def cab2_closed_form(local: LocalSrgData, c2) -> Tuple[ExactScalar, ...]:
 
 def c2_bound(b: ExactScalar, mu: ExactScalar) -> ExactScalar:
     """c_2 <= (4b^2 + 1)(mu' + 1)."""
-    return _as_exact((4 * b * b + 1) * (mu + 1))
+    return as_exact((4 * b * b + 1) * (mu + 1))
 
 
 def triple_intersection_number(g: Graph) -> Optional[int]:

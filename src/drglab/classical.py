@@ -7,13 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .arrays import IntersectionArray, basic_feasibility
+from .arrays import IntersectionArray
 from .bounds import F_bound
 from .eigen import EigenvalueList, b_parameter, eigenvalues
-from .errors import InputError, PreconditionError, ScopeError
+from .errors import InputError, PreconditionError, ScopeError, require
 from .homogeneous import (ClassificationOutcome, Evidence,
                           recognize_named_family)
 from .scalars import ExactScalar, exact_cmp, exact_eq
@@ -72,7 +71,7 @@ def a1_zero_criterion(cp: ClassicalParams) -> dict:
     ia = classical_array(cp)
     threshold = 1 - cp.alpha * cp.b * gaussian_binomial(cp.D - 1, cp.b)
     crit = cp.beta == threshold
-    assert (ia.a_at(1) == 0) == crit
+    require((ia.a_at(1) == 0) == crit, "a_1 = 0 criterion disagrees with the array")
     return {"a1": ia.a_at(1), "a1_zero": ia.a_at(1) == 0,
             "beta_threshold": threshold, "criterion": crit}
 
@@ -84,7 +83,7 @@ def classical_eigenvalues(cp: ClassicalParams) -> EigenvalueList:
     thetas = [gb[D - i] * (be - al * gb[i]) - gb[i] for i in range(D + 1)]
     ordered = sorted(thetas, reverse=True)
     if b > 0:
-        assert thetas == ordered, "natural ordering must hold for b > 0"
+        require(thetas == ordered, "natural ordering must hold for b > 0")
     vals = tuple(int(t) if t.denominator == 1 else t for t in ordered)
     return EigenvalueList(vals)
 
@@ -122,7 +121,7 @@ def beta_bound_check(cp: ClassicalParams) -> dict:
     ia = classical_array(cp)
     aD = ia.a_at(cp.D)
     eq = cp.beta == bound
-    assert eq == (aD == 0)
+    require(eq == (aD == 0), "beta-bound equality must match a_D = 0")
     return {"ok": cp.beta >= bound, "equality": eq, "a_D": aD,
             "bound": bound}
 
@@ -139,7 +138,8 @@ class TightReport:
 
     def __post_init__(self):
         if self.tight:
-            assert not self.bipartite and exact_eq(self.lhs, self.rhs)
+            require(not self.bipartite and exact_eq(self.lhs, self.rhs),
+                    "a tight array is non-bipartite with lhs = rhs")
 
 
 def fundamental_bound(ia: IntersectionArray) -> TightReport:
@@ -154,7 +154,7 @@ def fundamental_bound(ia: IntersectionArray) -> TightReport:
     shift = Fraction(k, a1 + 1)
     lhs = (theta1 + shift) * (thetaD + shift)
     rhs = Fraction(-k * a1 * b1, (a1 + 1) ** 2)
-    assert exact_cmp(lhs, rhs) >= 0, "fundamental bound violated"
+    require(exact_cmp(lhs, rhs) >= 0, "fundamental bound violated")
     tight = (not ia.is_bipartite) and exact_eq(lhs, rhs)
     r = s = None
     if not exact_eq(thetaD + 1, 0):
@@ -209,7 +209,7 @@ def classify_classical(cp: ClassicalParams) -> ClassificationOutcome:
         evidence.append(Evidence(
             "valency-growth", "k lower bound vs F(b) forces D <= 9",
             (lower, F, lower > F)))
-        assert cp.D <= 9, "D <= 9 must hold in the alpha>0, b>=2 branch"
+        require(cp.D <= 9, "D <= 9 must hold in the alpha>0, b>=2 branch")
         evidence.sort(key=lambda e: e.rule)
         return ClassificationOutcome(
             "classical", "vi", "D <= 9, alpha > 0, b >= 2", ("vi",),
@@ -234,7 +234,7 @@ def classify_tight(ia: IntersectionArray) -> ClassificationOutcome:
         Evidence("local-eigs", "predicted local eigenvalues (r, s)",
                  (rep.r, rep.s)),
     ]
-    assert rep.a_D == 0
+    require(rep.a_D == 0, "a tight array must have a_D = 0")
     tags = recognize_named_family(ia)
     if tags:
         evidence.append(Evidence("family", "named-family array match",
@@ -250,7 +250,7 @@ def classify_tight(ia: IntersectionArray) -> ClassificationOutcome:
                                          tuple(evidence))
     b = b_parameter(ia)
     F = F_bound(b)
-    assert exact_cmp(ia.k, F) <= 0, "k <= F(b) must hold in the fallback branch"
+    require(exact_cmp(ia.k, F) <= 0, "k <= F(b) must hold in the fallback branch")
     return ClassificationOutcome(
         "tight", "iii", "locally connected with k <= F(b)", ("iii",),
         tuple(evidence) + (Evidence("F-bound", "k <= F(b)", (ia.k, F)),))

@@ -25,7 +25,7 @@ from .graph import Graph, check_distance_regular
 from .homogeneous import (ClassifierBundle, check_i_homogeneous,
                           classify_main, near_polygon_analysis,
                           recognize_named_family, small_diameter_lookup)
-from .scalars import scalar_str
+from .scalars import scalar_json
 from .srg import SrgParams, check_bounds, recognize_srg_family, sims_classify, \
     srg_eigenvalues, srg_from_graph
 
@@ -33,18 +33,11 @@ SCHEMA = "drg-lab-v1"
 
 
 def _emit(payload: dict, code: int) -> int:
+    """Write the payload, exact scalars as strings, and return the exit code."""
     payload["schema"] = SCHEMA
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    json.dump(scalar_json(payload), sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
     return code
-
-
-def _str(x):
-    if x is None or isinstance(x, (str, bool, int)):
-        return x
-    if isinstance(x, (list, tuple)):
-        return [_str(v) for v in x]
-    return scalar_str(x)
 
 
 def _load_graph(path: str) -> Graph:
@@ -90,9 +83,9 @@ def cmd_analyze(args) -> int:
     out = {"distance_regular": True, "ia": str(ia), "v": g.n,
            "diameter": ia.D, "k": ia.k, "a": list(ia.a),
            "k_i": list(rep.k_i), "bipartite": ia.is_bipartite,
-           "eigenvalues": _str(list(eigenvalues(ia).values))}
+           "eigenvalues": list(eigenvalues(ia).values)}
     if ia.D >= 2:
-        out["b_parameter"] = _str(b_parameter(ia))
+        out["b_parameter"] = b_parameter(ia)
     out["named_families"] = recognize_named_family(ia) + small_diameter_lookup(ia)
     return _emit(out, 0)
 
@@ -110,7 +103,7 @@ def cmd_homog(args) -> int:
         out["cells"] = [list(l) for l in rep.labels]
         out["quotient"] = [list(r) for r in rep.matrix]
         return _emit(out, 0)
-    out["witness"] = _str(list(rep.witness))
+    out["witness"] = rep.witness
     return _emit(out, 1)
 
 
@@ -118,9 +111,8 @@ def cmd_cab(args) -> int:
     g = _load_graph(args.file)
     rep = cab_partition_check(g, i_max=args.upto)
     out = {"holds": rep.holds, "pairs_checked": rep.pairs_checked,
-           "levels": [{"level": p.level, "gamma": _str(p.gamma),
-                       "alpha": _str(p.alpha), "beta": _str(p.beta),
-                       "delta": _str(p.delta)} for p in rep.levels]}
+           "levels": [{"level": p.level, "gamma": p.gamma, "alpha": p.alpha,
+                       "beta": p.beta, "delta": p.delta} for p in rep.levels]}
     if rep.holds:
         return _emit(out, 0)
     d = rep.deviation
@@ -145,17 +137,17 @@ def cmd_classify(args) -> int:
         homogeneity = "asserted"
     out: dict = {"ia": str(ia), "homogeneity": homogeneity}
     out["named_families"] = recognize_named_family(ia) + small_diameter_lookup(ia)
-    out["near_polygon"] = _np_json(near_polygon_analysis(ia))
+    out["near_polygon"] = near_polygon_analysis(ia)
     cps = recognize_classical(ia) if ia.D >= 3 else []
     out["classical_parameters"] = [
-        {"D": cp.D, "b": cp.b, "alpha": _str(cp.alpha), "beta": _str(cp.beta)}
+        {"D": cp.D, "b": cp.b, "alpha": cp.alpha, "beta": cp.beta}
         for cp in cps]
     if ia.D >= 3:
         rep = fundamental_bound(ia)
         out["fundamental_bound"] = {
-            "lhs": _str(rep.lhs), "rhs": _str(rep.rhs), "tight": rep.tight,
+            "lhs": rep.lhs, "rhs": rep.rhs, "tight": rep.tight,
             "bipartite": rep.bipartite, "a_D": rep.a_D,
-            "r": _str(rep.r), "s": _str(rep.s)}
+            "r": rep.r, "s": rep.s}
     classifications = []
     if ia.D >= 5 and ia.a_at(1) > 0:
         classifications.append(classify_main(
@@ -167,13 +159,6 @@ def cmd_classify(args) -> int:
             classifications.append(classify_tight(ia).as_json())
     out["classifications"] = classifications
     return _emit(out, 0)
-
-
-def _np_json(npa: dict) -> dict:
-    out = dict(npa)
-    if out.get("order") is not None:
-        out["order"] = list(out["order"])
-    return out
 
 
 def cmd_srg(args) -> int:
@@ -188,37 +173,30 @@ def cmd_srg(args) -> int:
     else:
         p, _ = srg_from_graph(_load_graph(args.file))
     eig = srg_eigenvalues(p)
-    out = {"params": list(p.as_tuple()), "r": _str(eig.r), "s": _str(eig.s),
+    out = {"params": list(p.as_tuple()), "r": eig.r, "s": eig.s,
            "tags": recognize_srg_family(p)}
     try:
-        out["sims"] = _str_dict(sims_classify(p))
-        out["bounds"] = _str_dict(check_bounds(p))
+        out["sims"] = sims_classify(p)
+        out["bounds"] = check_bounds(p)
     except DrgError as exc:
         out["classification_note"] = str(exc)
     return _emit(out, 0)
 
 
-def _str_dict(d: dict) -> dict:
-    return {k: _str(v) if not isinstance(v, dict) else _str_dict(v)
-            for k, v in d.items()}
-
-
 def cmd_bounds(args) -> int:
     b = Fraction(args.b)
-    out = {"F": _str(F_bound(b)), "G": _str(G_bound(b))}
+    out = {"F": F_bound(b), "G": G_bound(b)}
     if args.m is not None:
         mu = args.mu if args.mu is not None else 1
         mb, cf, ph = srg_bounds(args.m, mu)
         out["mu_bound"] = mb
-        out["claw_f"] = _str(cf)
+        out["claw_f"] = cf
         out["phi"] = ph
     return _emit(out, 0)
 
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="drglab")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker cap (accepted for compatibility)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("build", help="construct a named family")

@@ -8,7 +8,7 @@ from numbers import Rational
 from typing import Tuple
 
 from .arrays import IntersectionArray, basic_feasibility
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, require
 from .polys import charpoly_tridiagonal, real_roots
 from .scalars import ExactScalar, Interval, Surd, exact_cmp
 
@@ -80,7 +80,7 @@ def b_parameter(ia: IntersectionArray, precision: int = 9) -> ExactScalar:
         return Fraction(b1) / den
     if isinstance(theta1, Surd):
         return b1 / (theta1 + 1)
-    assert isinstance(theta1, Interval)
+    require(isinstance(theta1, Interval), "theta_1 must be rational, surd or interval")
 
     def refiner(width):
         # d/dt of b1/(t+1) is bounded near theta_1 > 0, so matching the

@@ -35,3 +35,10 @@ class UndecidableComparison(DrgError):
 
 class InternalError(DrgError):
     """A condition the theory forbids was observed; inputs are suspect."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise InternalError unless ``condition`` holds (unlike ``assert``, the
+    check survives ``python -O``)."""
+    if not condition:
+        raise InternalError(message)

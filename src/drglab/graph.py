@@ -2,25 +2,28 @@
 equitable quotients, distance-regularity testing, local and mu-graphs, and
 exact small-graph spectra.
 
-Adjacency is kept both as sorted neighbor tuples and (lazily) as per-vertex
-bitset rows; dense numpy kernels back the all-pairs work.  Integer numpy
-arithmetic and Python bigints keep every verdict exact; the only float
-operation is a 0/1 reachability matmul whose entries stay far below 2**53.
+Adjacency is kept as sorted neighbor tuples, with three lazily built views:
+arc arrays, which feed the one per-cell neighbour-counting kernel behind
+equitable quotients, 1-homogeneity and distance-regularity; bitset rows for
+the clique and mu-graph searches; and dense matrices (at most ``_DENSE_CAP``
+vertices) for all-pairs distances and spectra.  Integer numpy arithmetic and
+Python bigints keep every verdict exact; the only float operation is a 0/1
+reachability matmul whose entries stay far below 2**53.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .arrays import IntersectionArray
-from .errors import InputError, PreconditionError, ResourceError
+from .errors import InputError, ResourceError
 from .polys import charpoly_dense, rational_nullity, real_roots
 from .scalars import ExactScalar, Surd, exact_cmp
 
@@ -34,7 +37,7 @@ _DENSE_CAP = 6000
 class Graph:
     """Immutable simple graph with sorted neighbor lists and bitset rows."""
 
-    __slots__ = ("n", "_adj", "_rows", "_np_adj", "_dm")
+    __slots__ = ("n", "_adj", "_rows", "_np_adj", "_dm", "_arcs")
 
     def __init__(self, adjacency: Sequence[Sequence[int]], validate: bool = True):
         self.n = len(adjacency)
@@ -44,6 +47,7 @@ class Graph:
         self._rows = None
         self._np_adj = None
         self._dm = None
+        self._arcs = None
 
     def _validate(self):
         seen = set()
@@ -90,6 +94,16 @@ class Graph:
                 rows.append(r)
             self._rows = rows
         return self._rows
+
+    def _arc_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(source, target) of every arc, grouped by source in vertex order."""
+        if self._arcs is None:
+            deg = np.fromiter(map(len, self._adj), dtype=np.int32, count=self.n)
+            src = np.repeat(np.arange(self.n, dtype=np.int32), deg)
+            dst = np.fromiter(chain.from_iterable(self._adj), dtype=np.int32,
+                              count=len(src))
+            self._arcs = (src, dst)
+        return self._arcs
 
     def adjacency_matrix(self) -> np.ndarray:
         if self._np_adj is None:
@@ -246,33 +260,50 @@ def distance_partition(g: Graph, x: int, y: int) -> VertexPartition:
     return VertexPartition(tuple(tuple(cells[k]) for k in keys), tuple(keys))
 
 
+def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
+    """Row v holds the number of neighbours of v in each cell; cell[u] is the
+    cell index of vertex u, or -1 when u lies in no cell."""
+    src, dst = g._arc_arrays()
+    target = cell[dst]
+    if target.min(initial=0) < 0:
+        inside = target >= 0
+        src, target = src[inside], target[inside]
+    return np.bincount(src * ncells + target,
+                       minlength=g.n * ncells).reshape(g.n, ncells)
+
+
+def _equitable(g: Graph, cell: np.ndarray, labels: Tuple[object, ...]
+               ) -> Union[QuotientParameters, EquitabilityWitness]:
+    """Quotient of the partition given by ``cell`` (one index per vertex,
+    -1 outside the ground set; every cell non-empty), or the witness of its
+    first inequitable cell: the cell's smallest vertex and the smallest
+    vertex in it whose count row differs."""
+    counts = _cell_counts(g, cell, len(labels))
+    members = np.flatnonzero(cell >= 0)
+    member_cell = cell[members]
+    _, first = np.unique(member_cell, return_index=True)
+    first = members[first]
+    ref = counts[first]
+    bad = (counts[members] != ref[member_cell]).any(axis=1)
+    if bad.any():
+        ci = int(member_cell[bad].min())
+        v = int(members[bad & (member_cell == ci)][0])
+        return EquitabilityWitness(ci, int(first[ci]), v,
+                                   tuple(ref[ci].tolist()), tuple(counts[v].tolist()))
+    return QuotientParameters(tuple(map(tuple, ref.tolist())), labels)
+
+
 def equitable_quotient(g: Graph, p: VertexPartition
                        ) -> Union[QuotientParameters, EquitabilityWitness]:
     """Quotient parameters of p within the induced subgraph on its ground set,
     or the lexicographically smallest witness of inequitability."""
-    ground = 0
-    for cell in p.cells:
-        for v in cell:
-            ground |= 1 << v
-    masks = []
-    for cell in p.cells:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        masks.append(m)
-    rows = g.bitrows()
-    matrix = []
-    for ci, cell in enumerate(p.cells):
-        ordered = sorted(cell)
-        ref = None
-        for v in ordered:
-            counts = tuple((rows[v] & mask).bit_count() for mask in masks)
-            if ref is None:
-                ref = counts
-            elif counts != ref:
-                return EquitabilityWitness(ci, ordered[0], v, ref, counts)
-        matrix.append(ref)
-    return QuotientParameters(tuple(matrix), p.labels)
+    ground = p.ground_set
+    if ground and (ground[0] < 0 or ground[-1] >= g.n):
+        raise InputError("partition has a vertex outside the graph")
+    cell = np.full(g.n, -1, dtype=np.intp)
+    for ci, members in enumerate(p.cells):
+        cell[list(members)] = ci
+    return _equitable(g, cell, p.labels)
 
 
 # -- distance-regularity ----------------------------------------------------
@@ -298,45 +329,39 @@ def check_distance_regular(g: Graph
     D = int(dm.max())
     if D == 0:
         raise InputError("single-vertex graph has no intersection array")
-    A = g.adjacency_matrix()
-    d0 = dm[0]
-    # propose the array from vertex 0
-    onehot = np.zeros((n, D + 2), dtype=np.int64)
-    onehot[np.arange(n), d0] = 1
-    M0 = A @ onehot
-    b = []
-    c = []
-    a = []
-    for i in range(D + 1):
-        ys = np.flatnonzero(d0 == i)
-        y = int(ys[0])
-        ci = int(M0[y, i - 1]) if i > 0 else 0
-        ai = int(M0[y, i])
-        bi = int(M0[y, i + 1])
-        c.append(ci)
-        a.append(ai)
-        b.append(bi)
-    idx = np.arange(n)
+    every = np.arange(n)
+
+    def layer_counts(x):
+        """d(x, .) and each vertex's neighbour counts one layer down, in its
+        own layer, and one layer up."""
+        dx = dm[x].astype(np.intp)
+        counts = _cell_counts(g, dx, D + 2)
+        return (dx, counts[every, np.maximum(dx - 1, 0)], counts[every, dx],
+                counts[every, dx + 1])
+
+    # propose the array from the first vertex of each layer around vertex 0;
+    # when ecc(0) < D, b at level ecc(0) is 0 here but positive on a geodesic
+    # to a diametral vertex, so the scan below finds a violation
+    d0, c0, a0, b0 = layer_counts(0)
+    ecc0 = int(d0.max())
+    first = [int(np.flatnonzero(d0 == i)[0]) for i in range(ecc0 + 1)]
+    c, a, b = c0[first], a0[first], b0[first]
+    c[0] = 0
     for x in range(n):
-        dx = dm[x].astype(np.int64)
-        oh = np.zeros((n, D + 2), dtype=np.int64)
-        oh[idx, dx] = 1
-        M = A @ oh
-        cvals = M[idx, np.maximum(dx - 1, 0)]
-        avals = M[idx, dx]
-        bvals = M[idx, dx + 1]
-        exp_c = np.array(c, dtype=np.int64)[dx]
-        exp_a = np.array(a, dtype=np.int64)[dx]
-        exp_b = np.array(b, dtype=np.int64)[dx]
-        ok = (avals == exp_a) & (bvals == exp_b) & ((dx == 0) | (cvals == exp_c))
+        dx, cvals, avals, bvals = layer_counts(x)
+        level = np.minimum(dx, ecc0)
+        ok = (avals == a[level]) & (bvals == b[level]) & ((dx == 0) | (cvals == c[level]))
+        # vertices farther from x than ecc(0) have no proposed counts
+        ok |= dx > ecc0
         ok[x] = True
         if not ok.all():
             y = int(np.flatnonzero(~ok)[0])
             i = int(dx[y])
             got = (int(cvals[y]) if i > 0 else 0, int(avals[y]), int(bvals[y]))
-            want = (c[i], a[i], b[i])
+            want = (int(c[i]), int(a[i]), int(b[i]))
             return DistanceRegularityWitness(x, y, i, got, want,
                                              "intersection numbers depend on the pair")
+    b, c = b.tolist(), c.tolist()
     try:
         return IntersectionArray(tuple(b[:D]), tuple(c[1:]))
     except InputError as exc:  # pragma: no cover - structurally impossible

@@ -2,6 +2,11 @@
 recognition from intersection arrays, and the diameter-5 classifier for
 graphs whose pi(x, y) partitions are equitable with pair-independent
 parameters ("1-homogeneous" graphs).
+
+Every pair goes through the per-cell counting kernel of ``graph``.  The size
+policy follows from the mode: exhaustive checks read both distance rows from
+the dense distance matrix (at most ``graph._DENSE_CAP`` vertices); sampled checks
+take them from two breadth-first searches and work at any size.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from .arrays import IntersectionArray
 from .bounds import F_bound, G_bound
 from .cab import cab_partition_check
 from .eigen import b_parameter, eigenvalues
-from .errors import (InputError, PreconditionError, ResourceError,
-                     ScopeError)
-from .graph import (Graph, check_distance_regular, graph_spectrum, local_graph)
-from .scalars import exact_cmp, scalar_str
+from .errors import InputError, ScopeError, require
+from .graph import (EquitabilityWitness, Graph, _equitable, check_distance_regular,
+                    graph_spectrum, local_graph)
+from .scalars import exact_cmp, scalar_json
 
 
 @dataclass(frozen=True)
@@ -33,82 +38,38 @@ class HomogeneityReport:
     pairs_checked: int = 0
 
     def __post_init__(self):
-        assert (self.witness is not None) == (not self.holds)
+        require((self.witness is not None) == (not self.holds),
+                "a report carries a witness exactly when it fails")
 
 
-def _pair_table(Af, dm, x, y, span):
-    """Cell labels and per-vertex neighbour counts into each cell of pi(x,y)."""
-    dx = dm[x]
-    dy = dm[y]
-    keys = dx * span + dy
-    labels, cells = np.unique(keys, return_inverse=True)
-    onehot = np.zeros((len(keys), len(labels)))
-    onehot[np.arange(len(keys)), cells] = 1.0
-    counts = (Af @ onehot).astype(np.int64)
-    return labels, cells, counts
-
-
-# above this many vertices the dense distance matrix is unaffordable and
-# sampled checks run pair-by-pair from per-vertex breadth-first searches
-SPARSE_HOMOGENEITY_THRESHOLD = 20_000
-
-
-def _check_pair_sparse(g: Graph, src, dst, x: int, y: int):
-    """Cell labels and the per-cell count rows for pi(x, y), or an
-    inequitability witness, computed without any n-by-n matrices."""
-    dx = np.asarray(g.distances_from(x), dtype=np.int64)
-    dy = np.asarray(g.distances_from(y), dtype=np.int64)
+def _pair_quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
+    """Equitability of pi(x, y) from the distance rows of x and y: the cells
+    are labelled (d(x, v), d(y, v)) and ordered lexicographically."""
     span = int(max(dx.max(), dy.max())) + 1
     keys = dx * span + dy
-    labels, cells = np.unique(keys, return_inverse=True)
-    ncells = len(labels)
-    flat = src.astype(np.int64) * ncells + cells[dst]
-    counts = np.bincount(flat, minlength=g.n * ncells).reshape(g.n, ncells)
-    rows = []
-    for ci in range(ncells):
-        members = np.flatnonzero(cells == ci)
-        block = counts[members]
-        same = (block == block[0]).all(axis=1)
-        if not same.all():
-            bad = int(members[np.flatnonzero(~same)[0]])
-            lab = (int(labels[ci]) // span, int(labels[ci]) % span)
-            return None, (x, y, lab, int(members[0]), bad)
-        rows.append(tuple(int(v) for v in block[0]))
-    lab_tuples = tuple((int(l) // span, int(l) % span) for l in labels)
-    return (lab_tuples, tuple(rows)), None
+    present = np.bincount(keys, minlength=span * span) > 0
+    labels = tuple(divmod(int(key), span) for key in np.flatnonzero(present))
+    return _equitable(g, (np.cumsum(present) - 1)[keys], labels)
 
 
-def _check_i_homogeneous_sparse(g: Graph, i: int, seed: int, count: int
-                                ) -> HomogeneityReport:
+def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
+    """``count`` pairs at distance i, drawn with replacement: x uniformly,
+    then y uniformly in Gamma_i(x); each yields (x, y, d(x, .))."""
     rng = random.Random(seed)
-    src = np.fromiter((u for u in range(g.n) for _ in g.neighbors(u)),
-                      dtype=np.int64)
-    dst = np.fromiter((v for u in range(g.n) for v in g.neighbors(u)),
-                      dtype=np.int64)
-    ref = None
-    checked = 0
     attempts = 0
-    while checked < count:
-        attempts += 1
-        if attempts > 50 * count:
-            raise InputError(f"could not sample pairs at distance {i}")
-        x = rng.randrange(g.n)
-        dx = g.distances_from(x)
-        at_i = [v for v, d in enumerate(dx) if d == i]
-        if not at_i:
-            continue
-        y = rng.choice(at_i)
-        table, witness = _check_pair_sparse(g, src, dst, x, y)
-        if witness is not None:
-            return HomogeneityReport(i, False, witness=witness,
-                                     mode="sampled", pairs_checked=0)
-        if ref is None:
-            ref = table
-        elif table != ref:
-            return HomogeneityReport(i, False, witness=(x, y, None, None, None),
-                                     mode="sampled", pairs_checked=0)
-        checked += 1
-    return HomogeneityReport(i, True, ref[0], ref[1], None, "sampled", checked)
+    for _ in range(count):
+        while True:
+            attempts += 1
+            if attempts > 50 * count:
+                raise InputError(f"could not sample pairs at distance {i}")
+            x = rng.randrange(g.n)
+            dx = g.distances_from(x)
+            if min(dx) < 0:
+                raise InputError("homogeneity is defined for connected graphs")
+            at_i = [v for v, d in enumerate(dx) if d == i]
+            if at_i:
+                break
+        yield x, rng.choice(at_i), np.asarray(dx, dtype=np.intp)
 
 
 def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
@@ -117,57 +78,43 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     """Verify the joint distance partition pi(x, y) is equitable with the
     same parameters for every ordered pair at distance i.
 
-    Sampled mode draws ``count`` pairs with the given seed; it can refute but
-    only exhaustive mode confirms over all pairs.
+    Exhaustive mode reads every pair and both distance rows from the dense
+    distance matrix, so above its cap it raises ResourceError.  Sampled mode
+    draws ``count`` pairs with replacement with the given seed and costs two
+    breadth-first searches per pair at any n; it can refute but only
+    exhaustive mode confirms over all pairs.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
-    if mode == "sampled" and (seed is None or count is None):
-        raise InputError("sampled mode requires both seed and count")
-    if not g.is_connected():
-        raise InputError("homogeneity is defined for connected graphs")
-    if g.n > SPARSE_HOMOGENEITY_THRESHOLD:
-        if mode != "sampled":
-            raise ResourceError(
-                f"exhaustive check on {g.n} vertices is unaffordable; "
-                "use sampled mode")
-        return _check_i_homogeneous_sparse(g, i, seed, count)
-    dm = g.distance_matrix().astype(np.int64)
-    span = int(dm.max()) + 1
-    pairs = np.argwhere(dm == i)
-    if len(pairs) == 0:
-        raise InputError(f"no pair of vertices at distance {i}")
     if mode == "sampled":
-        rng = random.Random(seed)
-        idx = rng.sample(range(len(pairs)), min(count, len(pairs)))
-        pairs = pairs[sorted(idx)]
-    Af = g.adjacency_matrix().astype(np.float64)
-    ref_labels = None
-    ref_matrix = None
-    for x, y in pairs:
-        x, y = int(x), int(y)
-        labels, cells, counts = _pair_table(Af, dm, x, y, span)
-        rows = []
-        for ci in range(len(labels)):
-            members = np.flatnonzero(cells == ci)
-            block = counts[members]
-            same = (block == block[0]).all(axis=1)
-            if not same.all():
-                bad = int(members[np.flatnonzero(~same)[0]])
-                lab = (int(labels[ci]) // span, int(labels[ci]) % span)
-                return HomogeneityReport(
-                    i, False, witness=(x, y, lab, int(members[0]), bad),
-                    mode=mode, pairs_checked=0)
-            rows.append(tuple(int(v) for v in block[0]))
-        lab_tuples = tuple((int(l) // span, int(l) % span) for l in labels)
-        if ref_labels is None:
-            ref_labels, ref_matrix = lab_tuples, tuple(rows)
-        elif (lab_tuples, tuple(rows)) != (ref_labels, ref_matrix):
-            return HomogeneityReport(
-                i, False, witness=(x, y, None, None, None), mode=mode,
-                pairs_checked=0)
-    return HomogeneityReport(i, True, ref_labels, ref_matrix, None, mode,
-                             len(pairs))
+        if seed is None or count is None or count < 1:
+            raise InputError("sampled mode requires a seed and a positive count")
+        pairs = ((x, y, dx, np.asarray(g.distances_from(y), dtype=np.intp))
+                 for x, y, dx in _sampled_pairs(g, i, seed, count))
+    else:
+        dm = g.distance_matrix()
+        if dm.min() < 0:
+            raise InputError("homogeneity is defined for connected graphs")
+        at_i = np.argwhere(dm == i).tolist()
+        if not at_i:
+            raise InputError(f"no pair of vertices at distance {i}")
+        pairs = ((x, y, dm[x].astype(np.intp), dm[y].astype(np.intp))
+                 for x, y in at_i)
+    ref = None
+    checked = 0
+    for x, y, dx, dy in pairs:
+        quotient = _pair_quotient(g, dx, dy)
+        if isinstance(quotient, EquitabilityWitness):
+            a, b = quotient.vertex_a, quotient.vertex_b
+            lab = (int(dx[a]), int(dy[a]))
+            return HomogeneityReport(i, False, witness=(x, y, lab, a, b), mode=mode)
+        if ref is None:
+            ref = quotient
+        elif quotient != ref:
+            return HomogeneityReport(i, False, witness=(x, y, None, None, None),
+                                     mode=mode)
+        checked += 1
+    return HomogeneityReport(i, True, ref.labels, ref.matrix, None, mode, checked)
 
 
 def cab_equivalence_check(g: Graph) -> bool:
@@ -175,8 +122,8 @@ def cab_equivalence_check(g: Graph) -> bool:
     three-cell partition verdict, and return it."""
     homog = check_i_homogeneous(g, 1, "exhaustive")
     cab = cab_partition_check(g)
-    assert homog.holds == cab.holds, \
-        "1-homogeneity and CAB verdicts disagree"
+    require(homog.holds == cab.holds,
+            "1-homogeneity and CAB verdicts disagree")
     return homog.holds
 
 
@@ -363,13 +310,6 @@ class ClassificationOutcome:
     evidence: Tuple[Evidence, ...]
 
     def as_json(self) -> dict:
-        def conv(v):
-            if v is None or isinstance(v, (str, bool, int)):
-                return v
-            if isinstance(v, (tuple, list)):
-                return [conv(x) for x in v]
-            return scalar_str(v)
-
         return {
             "theorem": self.theorem,
             "branch": self.branch,
@@ -377,7 +317,7 @@ class ClassificationOutcome:
             "branches": list(self.branches),
             "evidence": [
                 {"rule": e.rule, "claim": e.claim,
-                 "values": conv(list(e.values))}
+                 "values": scalar_json(e.values)}
                 for e in self.evidence],
         }
 
@@ -408,7 +348,7 @@ def classify_main(bundle: ClassifierBundle) -> ClassificationOutcome:
                                      tuple(evidence))
     b = b_parameter(ia)
     evidence.append(Evidence("b-param", "b = b_1/(theta_1+1)", (b,)))
-    assert exact_cmp(b, 1) >= 0, "b >= 1 must hold when c_2 >= 2"
+    require(exact_cmp(b, 1) >= 0, "b >= 1 must hold when c_2 >= 2")
     theta1 = eigenvalues(ia)[1]
     # a quadrangle forces theta_1 <= b_1 - 1, i.e. b >= 1
     evidence.append(Evidence(

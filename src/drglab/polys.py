@@ -13,6 +13,7 @@ from typing import List, Sequence, Tuple
 
 import sympy
 
+from .errors import require
 from .scalars import ExactScalar, Interval, Surd, exact_cmp
 
 _X = sympy.Symbol("x")
@@ -143,7 +144,7 @@ def charpoly_dense(rows: Sequence[Sequence[int]]) -> List[int]:
             poly[i] += coeffs_newton[level] * c
         basis = [a - points[level] * b for a, b in
                  zip([Fraction(0)] + basis, basis + [Fraction(0)])]
-    assert all(c.denominator == 1 for c in poly)
+    require(all(c.denominator == 1 for c in poly), "charpoly must be integral")
     return [int(c) for c in poly]
 
 

@@ -318,3 +318,24 @@ def scalar_str(x: ExactScalar) -> str:
     if isinstance(x, (int, Fraction, Surd, Interval)):
         return str(x)
     raise DomainError(f"not an exact scalar: {x!r}")
+
+
+def scalar_json(x):
+    """JSON-ready copy of x: exact scalars become strings, sequences lists,
+    dicts are converted value by value; None, str, bool and int stay."""
+    if x is None or isinstance(x, (str, bool, int)):
+        return x
+    if isinstance(x, (list, tuple)):
+        return [scalar_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: scalar_json(v) for k, v in x.items()}
+    return scalar_str(x)
+
+
+def as_exact(x):
+    """A rational as an int when it is integral, else as a Fraction; other
+    exact scalars unchanged."""
+    if isinstance(x, Rational):
+        f = Fraction(x)
+        return int(f) if f.denominator == 1 else f
+    return x

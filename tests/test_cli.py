@@ -1,6 +1,7 @@
 """Command-line interface: JSON schema, exit codes, argument validation."""
 
 import json
+import os
 
 import pytest
 
@@ -105,3 +106,18 @@ def test_stdout_is_sorted_json(capsys):
     captured = capsys.readouterr()
     keys = list(json.loads(captured.out))
     assert keys == sorted(keys)
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")) as fh:
+    GOLDEN = json.load(fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_output_matches_golden(capsys, case):
+    code = main(case["argv"])
+    assert code == case["code"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_threads_flag_is_gone(capsys):
+    assert main(["--threads", "2", "bounds", "--b", "1"]) == 2

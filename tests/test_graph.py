@@ -45,6 +45,24 @@ def test_check_distance_regular_witness():
     assert res.reason
 
 
+@pytest.mark.parametrize("path", [
+    (1, 0, 2, 3),  # ecc(0) = 2 is below the diameter 3
+    (4, 2, 3, 0, 6, 1, 5),  # from x = 1, vertices 2 and 4 lie beyond ecc(0) = 3
+])
+def test_check_distance_regular_vertex_zero_not_diametral(path):
+    g = Graph.from_edges(len(path), zip(path, path[1:]))
+    w = check_distance_regular(g)
+    assert not isinstance(w, IntersectionArray)
+    assert g.distances_from(w.x)[w.y] == w.distance > 0
+    assert w.counts != w.expected
+    # expected holds the counts at the first vertex of that layer from 0
+    d0 = g.distances_from(0)
+    ref = d0.index(w.distance)
+    layer = [sum(1 for u in g.neighbors(ref) if d0[u] == w.distance + s)
+             for s in (-1, 0, 1)]
+    assert w.expected == tuple(layer)
+
+
 def test_distance_partition_cells():
     g = petersen()
     y = g.neighbors(0)[0]
@@ -76,6 +94,9 @@ def test_equitable_quotient_witness():
 def test_partition_validation():
     with pytest.raises(InputError):
         VertexPartition(((0, 1), (1, 2)), ("a", "b"))
+    for outside in (-1, 10):
+        with pytest.raises(InputError):
+            equitable_quotient(petersen(), VertexPartition(((outside,), (9,)), ("a", "b")))
     with pytest.raises(InputError):
         VertexPartition(((0,), ()), ("a", "b"))
 

@@ -1,7 +1,12 @@
 """Joint distance partitions, near polygons, recognition, main classifier."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import drglab
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError, ScopeError
 from drglab.families import cycle, hamming, petersen
@@ -31,9 +36,24 @@ def test_not_homogeneous_witness():
     assert rep.witness is not None
 
 
+def test_report_invariant_survives_optimized_python():
+    code = ("from drglab.errors import InternalError\n"
+            "from drglab.homogeneous import HomogeneityReport\n"
+            "try:\n"
+            "    HomogeneityReport(1, True, witness=(1,))\n"
+            "except InternalError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.dirname(os.path.dirname(drglab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
 def test_sampled_mode_needs_seed_and_count(pete):
     with pytest.raises(InputError):
         check_i_homogeneous(pete, 1, "sampled", seed=3)
+    with pytest.raises(InputError):
+        check_i_homogeneous(pete, 1, "sampled", seed=3, count=0)
     rep = check_i_homogeneous(pete, 1, "sampled", seed=3, count=5)
     assert rep.holds and rep.mode == "sampled" and rep.pairs_checked == 5
 
