@@ -37,11 +37,9 @@ CORPUS = [
 LARGE_EXHAUSTIVE_CAP = 600  # above this, homogeneity is sampled
 
 
-def analyze(spec_text: str, sample: int, seed: int) -> None:
-    t0 = time.time()
-    g = build_family(FamilySpec.parse(spec_text))
+def analyze(spec_text: str, g, built_s: float, sample: int, seed: int) -> None:
     ia = check_distance_regular(g)
-    print(f"== {spec_text}  (v={g.n}, built in {time.time() - t0:.1f}s)")
+    print(f"== {spec_text}  (v={g.n}, built in {built_s:.1f}s)")
     if not isinstance(ia, IntersectionArray):
         print(f"   NOT distance-regular: {ia}")
         return
@@ -83,16 +81,17 @@ def analyze(spec_text: str, sample: int, seed: int) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--skip-large", action="store_true",
-                    help="skip graphs above 600 vertices")
+                    help=f"skip graphs above {LARGE_EXHAUSTIVE_CAP} vertices")
     ap.add_argument("--sample", type=int, default=50)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     for spec_text in CORPUS:
-        g_size_hint = spec_text.startswith(("halved_cube:1", "johnson:10",
-                                            "folded_johnson"))
-        if args.skip_large and g_size_hint:
+        t0 = time.time()
+        g = build_family(FamilySpec.parse(spec_text))
+        if args.skip_large and g.n > LARGE_EXHAUSTIVE_CAP:
+            print(f"== {spec_text}  (v={g.n}, skipped)")
             continue
-        analyze(spec_text, args.sample, args.seed)
+        analyze(spec_text, g, time.time() - t0, args.sample, args.seed)
     return 0
 
 

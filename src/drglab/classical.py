@@ -13,7 +13,7 @@ from .arrays import IntersectionArray
 from .bounds import F_bound
 from .eigen import EigenvalueList, b_parameter, eigenvalues
 from .errors import InputError, PreconditionError, ScopeError, require
-from .homogeneous import (ClassificationOutcome, Evidence,
+from .homogeneous import (ClassificationOutcome, Evidence, family_branches,
                           recognize_named_family)
 from .scalars import ExactScalar, exact_cmp, exact_eq
 
@@ -184,20 +184,11 @@ def classify_classical(cp: ClassicalParams) -> ClassificationOutcome:
         return ClassificationOutcome("classical", "i", "alpha = 0", ("i",),
                                      tuple(evidence))
     tags = recognize_named_family(ia)
-    branch_of = {"Johnson": "ii", "halved": "iii",
-                 "folded Johnson": "iv", "folded halved": "v"}
-    branches = []
-    for t in tags:
-        for prefix in ("folded Johnson", "folded halved", "Johnson", "halved"):
-            if t.startswith(prefix):
-                branches.append((branch_of[prefix], t))
-                break
+    branches = family_branches(tags)
     if tags:
         evidence.append(Evidence("family", "named-family array match",
                                  tuple(tags)))
     if branches:
-        prio = {"ii": 2, "iii": 3, "iv": 4, "v": 5}
-        branches.sort(key=lambda t: prio[t[0]])
         evidence.sort(key=lambda e: e.rule)
         return ClassificationOutcome(
             "classical", branches[0][0], branches[0][1],

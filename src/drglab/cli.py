@@ -130,11 +130,14 @@ def cmd_classify(args) -> int:
         homogeneity = "asserted"
     else:
         g = _load_graph(args.file)
-        arr, witness = _require_array(g)
-        if arr is None:
+        ia, _ = _require_array(g)
+        if ia is None:
             return _emit({"error": "graph is not distance-regular"}, 1)
-        ia = arr
-        homogeneity = "asserted"
+        rep = check_i_homogeneous(g, 1)
+        if not rep.holds:
+            return _emit({"error": "graph is not 1-homogeneous", "ia": str(ia),
+                          "witness": rep.witness}, 1)
+        homogeneity = "verified"
     out: dict = {"ia": str(ia), "homogeneity": homogeneity}
     out["named_families"] = recognize_named_family(ia) + small_diameter_lookup(ia)
     out["near_polygon"] = near_polygon_analysis(ia)

@@ -1,24 +1,30 @@
 """Constructors for the concrete graph families, plus antipodal folding.
 
 Vertex numbering is always the lexicographic rank of the combinatorial label
-(subset, word, grid coordinate, ...), so golden files are stable.
+(subset, word, grid coordinate, ...), so golden files are stable.  Johnson,
+Hamming and halved-cube graphs come from one label builder on integer
+labels: a word is a base-q integer with coordinate 0 most significant, and a
+d-subset is a mask with bit n-1-i for element i, so descending masks are
+lexicographic subsets.  The folded Johnson and folded halved cubes come from
+the same builder with the complement as antipode: each antipodal pair is
+numbered by its first label, and the doubled parent is never built.  The
+vertex cap (``DRG_LAB_VERTEX_CAP``) applies to the graph that is returned.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from math import comb
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import InputError, ResourceError
 from .graph import Graph
 
 DEFAULT_VERTEX_CAP = 2_000_000
-#: above this size, folding constructors switch to label-derived antipodal
-#: classes with sampled distance verification
-EXHAUSTIVE_FOLD_CAP = 10_000
 
 
 def vertex_cap() -> int:
@@ -48,41 +54,81 @@ def _check_cap(n: int):
         raise ResourceError(f"construction of {n} vertices exceeds cap {vertex_cap()}")
 
 
+def _label_graph(labels: Iterable[Hashable], moves: Callable[[Hashable], Iterable],
+                 antipode: Optional[Callable[[Hashable], Hashable]] = None) -> Graph:
+    """Graph on ``labels``, numbered in the given order, where the neighbours
+    of a label are ``moves(label)``.
+
+    With ``antipode``, a label whose antipode is already numbered joins the
+    antipode's vertex, so each class is named by its first label.  Neighbour
+    lists are deduplicated and a class is not its own neighbour: this is the
+    antipodal quotient, without building the parent graph.
+    """
+    index: Dict[Hashable, int] = {}
+    kept = []
+    for lab in labels:
+        twin = index.get(antipode(lab)) if antipode else None
+        if twin is None:
+            index[lab] = len(kept)
+            kept.append(lab)
+        else:
+            index[lab] = twin
+    adj = []
+    for v, lab in enumerate(kept):
+        nbs = {index[m] for m in moves(lab)}
+        nbs.discard(v)
+        adj.append(sorted(nbs))
+    return Graph(adj, validate=False)
+
+
+def _subsets(n: int, d: int) -> List[int]:
+    """The d-subsets of range(n) as masks (bit n-1-i for element i), in
+    lexicographic order."""
+    return [sum(1 << (n - 1 - i) for i in c)
+            for c in itertools.combinations(range(n), d)]
+
+
+def _exchanges(n: int) -> Callable[[int], List[int]]:
+    """Johnson moves on subset masks: swap one element for a non-element."""
+    bits = [1 << i for i in range(n)]
+
+    def moves(mask: int) -> List[int]:
+        ones = [b for b in bits if mask & b]
+        zeros = [b for b in bits if not mask & b]
+        return [mask ^ a ^ b for a in ones for b in zeros]
+    return moves
+
+
+def _even_words(length: int) -> Tuple[List[int], Callable[[int], List[int]]]:
+    """Even-weight binary words as integers (coordinate 0 most significant),
+    in ascending order, and the moves that flip two coordinates."""
+    flips = [(1 << i) | (1 << j) for i, j in itertools.combinations(range(length), 2)]
+    words = [w for w in range(1 << length) if w.bit_count() % 2 == 0]
+    return words, lambda w: [w ^ f for f in flips]
+
+
 def johnson(n: int, d: int) -> Graph:
     if not 1 <= d <= n:
         raise InputError("Johnson graph needs 1 <= d <= n")
-    from math import comb
     _check_cap(comb(n, d))
-    labels = list(itertools.combinations(range(n), d))
-    index = {lab: i for i, lab in enumerate(labels)}
-    adj: List[List[int]] = []
-    full = set(range(n))
-    for lab in labels:
-        inside = set(lab)
-        nbs = []
-        for a in lab:
-            rest = inside - {a}
-            for b in full - inside:
-                nbs.append(index[tuple(sorted(rest | {b}))])
-        adj.append(sorted(nbs))
-    return Graph(adj, validate=False)
+    return _label_graph(_subsets(n, d), _exchanges(n))
 
 
 def hamming(D: int, q: int) -> Graph:
+    """Words of length D over range(q) as base-q integers, coordinate 0 most
+    significant; adjacent when they differ in one coordinate."""
     if D < 1 or q < 2:
         raise InputError("Hamming graph needs D >= 1, q >= 2")
     _check_cap(q ** D)
-    labels = list(itertools.product(range(q), repeat=D))
-    index = {lab: i for i, lab in enumerate(labels)}
-    adj = []
-    for lab in labels:
-        nbs = []
-        for pos in range(D):
-            for val in range(q):
-                if val != lab[pos]:
-                    nbs.append(index[lab[:pos] + (val,) + lab[pos + 1:]])
-        adj.append(sorted(nbs))
-    return Graph(adj, validate=False)
+    weights = [q ** (D - 1 - p) for p in range(D)]
+
+    def moves(x: int) -> List[int]:
+        out = []
+        for w in weights:
+            low = x - x // w % q * w
+            out.extend(y for y in range(low, low + q * w, w) if y != x)
+        return out
+    return _label_graph(range(q ** D), moves)
 
 
 def hypercube(length: int) -> Graph:
@@ -95,18 +141,7 @@ def halved_cube(length: int) -> Graph:
     if length < 2:
         raise InputError("halved cube needs length >= 2")
     _check_cap(2 ** (length - 1))
-    labels = [w for w in itertools.product((0, 1), repeat=length) if sum(w) % 2 == 0]
-    index = {lab: i for i, lab in enumerate(labels)}
-    adj = []
-    for lab in labels:
-        nbs = []
-        for i, j in itertools.combinations(range(length), 2):
-            flipped = list(lab)
-            flipped[i] ^= 1
-            flipped[j] ^= 1
-            nbs.append(index[tuple(flipped)])
-        adj.append(sorted(nbs))
-    return Graph(adj, validate=False)
+    return _label_graph(*_even_words(length))
 
 
 def grid(p: int, q: int) -> Graph:
@@ -273,106 +308,48 @@ def steiner_block_graph(blocks: Sequence[Sequence[int]]) -> Graph:
 # -- antipodal folding ------------------------------------------------------
 
 
-def _classes_from_distances(g: Graph) -> List[Tuple[int, ...]]:
+def antipodal_quotient(g: Graph) -> Graph:
+    """Quotient on the antipodal classes (each vertex with the vertices at
+    distance D from it), read from the dense distance matrix (at most 6000
+    vertices); classes are numbered by their smallest vertex and adjacent iff
+    some members are adjacent."""
     dm = g.distance_matrix()
-    D = int(dm.max())
-    classes: List[Tuple[int, ...]] = []
-    assigned = [None] * g.n
+    far = dm == dm.max()
+    first = [-1] * g.n
+    sizes = set()
     for v in range(g.n):
-        if assigned[v] is not None:
-            continue
-        cls = (v,) + tuple(int(u) for u in (dm[v] == D).nonzero()[0])
-        for u in cls:
-            if assigned[u] is not None:
-                raise InputError("not antipodal: distance-D relation is not an equivalence")
-            assigned[u] = len(classes)
-        classes.append(tuple(sorted(cls)))
-    # transitivity: each member must see exactly its own class
-    for cls in classes:
-        for u in cls:
-            far = {int(w) for w in (dm[u] == D).nonzero()[0]} | {u}
-            if far != set(cls):
-                raise InputError("not antipodal: distance-D relation is not an equivalence")
-    return classes
-
-
-def antipodal_quotient(g: Graph, classes: Optional[Sequence[Sequence[int]]] = None,
-                       sample_checks: int = 64, seed: int = 0) -> Graph:
-    """Quotient on antipodal classes; classes adjacent iff some
-    representatives are adjacent.
-
-    When ``classes`` is supplied (large parents), the partition is validated
-    structurally and distance-D membership is verified on a seeded sample of
-    classes instead of all of them.
-    """
-    if classes is None:
-        if g.n > EXHAUSTIVE_FOLD_CAP:
-            raise ResourceError(
-                "exhaustive antipodal class computation capped; supply classes")
-        classes = _classes_from_distances(g)
-    classes = [tuple(sorted(c)) for c in classes]
-    sizes = {len(c) for c in classes}
+        if first[v] < 0:
+            cls = [v] + np.flatnonzero(far[v]).tolist()
+            members = set(cls)
+            sizes.add(len(cls))
+            for u in cls:
+                # each member must see exactly its own class at distance D
+                if first[u] >= 0 or {u, *np.flatnonzero(far[u]).tolist()} != members:
+                    raise InputError(
+                        "not antipodal: distance-D relation is not an equivalence")
+                first[u] = v
     if len(sizes) != 1 or sizes == {1}:
         raise InputError("not antipodal: classes must have a common size >= 2")
-    seen = sorted(v for c in classes for v in c)
-    if seen != list(range(g.n)):
-        raise InputError("classes do not partition the vertex set")
-    rng = random.Random(seed)
-    check = classes if len(classes) <= sample_checks else rng.sample(classes, sample_checks)
-    for cls in check:
-        dist = g.distances_from(cls[0])
-        Dv = max(dist)
-        far = {u for u in range(g.n) if dist[u] == Dv} | {cls[0]}
-        if far != set(cls):
-            raise InputError("not antipodal: supplied class mismatches distance-D relation")
-    classes.sort(key=lambda c: c[0])
-    cls_of = [0] * g.n
-    for i, c in enumerate(classes):
-        for v in c:
-            cls_of[v] = i
-    adj = [set() for _ in classes]
-    for v in range(g.n):
-        cv = cls_of[v]
-        for u in g.neighbors(v):
-            cu = cls_of[u]
-            if cu != cv:
-                adj[cv].add(cu)
-    return Graph([sorted(s) for s in adj], validate=False)
+    return _label_graph(range(g.n), g.neighbors, first.__getitem__)
 
 
 def folded_johnson(n: int, d: int) -> Graph:
-    if n != 2 * d:
-        raise InputError("folded Johnson graph is defined for J(2d, d)")
-    parent = johnson(n, d)
-    from math import comb
-    if parent.n > EXHAUSTIVE_FOLD_CAP:
-        labels = list(itertools.combinations(range(n), d))
-        index = {lab: i for i, lab in enumerate(labels)}
-        full = set(range(n))
-        classes = []
-        for i, lab in enumerate(labels):
-            j = index[tuple(sorted(full - set(lab)))]
-            if i < j:
-                classes.append((i, j))
-        return antipodal_quotient(parent, classes)
-    return antipodal_quotient(parent)
+    """J(2d, d) with each d-set identified with its complement."""
+    if n != 2 * d or d < 1:
+        raise InputError("folded Johnson graph is defined for J(2d, d), d >= 1")
+    _check_cap(comb(n, d) // 2)
+    full = (1 << n) - 1
+    return _label_graph(_subsets(n, d), _exchanges(n), lambda m: m ^ full)
 
 
 def folded_halved_cube(length: int) -> Graph:
-    parent = halved_cube(length)
-    if parent.n > EXHAUSTIVE_FOLD_CAP:
-        labels = [w for w in itertools.product((0, 1), repeat=length)
-                  if sum(w) % 2 == 0]
-        index = {lab: i for i, lab in enumerate(labels)}
-        if length % 2:
-            raise InputError("folded halved cube needs even length")
-        classes = []
-        for i, lab in enumerate(labels):
-            j = index[tuple(1 - x for x in lab)]
-            if i < j:
-                classes.append((i, j))
-        return antipodal_quotient(parent, classes)
-    return antipodal_quotient(parent)
+    """Halved cube of even length with each word identified with its
+    complement."""
+    if length < 2 or length % 2:
+        raise InputError("folded halved cube needs even length >= 2")
+    _check_cap(2 ** (length - 2))
+    full = (1 << length) - 1
+    return _label_graph(*_even_words(length), lambda w: w ^ full)
 
 
 _BUILDERS = {

@@ -25,7 +25,7 @@ import numpy as np
 from .arrays import IntersectionArray
 from .errors import InputError, ResourceError
 from .polys import charpoly_dense, rational_nullity, real_roots
-from .scalars import ExactScalar, Surd, exact_cmp
+from .scalars import ExactScalar, Surd, sort_desc
 
 GRAPH_FORMAT = "drg-graph-v1"
 
@@ -560,8 +560,7 @@ def _spectrum_by_verification(g: Graph) -> Optional[List[Tuple[ExactScalar, int]
             return None
     if total != n:
         return None
-    import functools
-    out.sort(key=functools.cmp_to_key(lambda a, b: exact_cmp(a[0], b[0])), reverse=True)
+    sort_desc(out)
     return out
 
 

@@ -223,6 +223,20 @@ def recognize_named_family(ia: IntersectionArray) -> List[str]:
     return tags
 
 
+#: the branch of the main theorem that each named family lands in, keyed by
+#: the family words of its tag ("folded Johnson J(20,10)" -> "folded
+#: Johnson"); Hamming graphs are regular near polygons, branch (i)
+FAMILY_BRANCH = {"Johnson": "ii", "halved": "iii", "folded Johnson": "iv",
+                 "folded halved": "v"}
+BRANCH_ORDER = ("i", "ii", "iii", "iv", "v", "vi")
+
+
+def family_branches(tags: List[str]) -> List[Tuple[str, str]]:
+    """(branch, tag) for each tag naming a branch family, by branch order."""
+    found = ((FAMILY_BRANCH.get(t.rsplit(" ", 1)[0]), t) for t in tags)
+    return sorted((p for p in found if p[0]), key=lambda p: BRANCH_ORDER.index(p[0]))
+
+
 #: diameter-2/3 arrays from the classification of graphs whose c2-graphs are
 #: Cocktail Party graphs: K_{t x 2} itself, the Schlafli graph, the Gosset
 #: graph (the remaining branches are covered by recognize_named_family)
@@ -354,17 +368,8 @@ def classify_main(bundle: ClassifierBundle) -> ClassificationOutcome:
     evidence.append(Evidence(
         "quadrangle", "theta_1 <= b_1 - 1",
         (theta1, ia.b[1] - 1, exact_cmp(theta1, ia.b[1] - 1) <= 0)))
-    branches: List[Tuple[str, str]] = []
     tags = recognize_named_family(ia)
-    for t in tags:
-        if t.startswith("Johnson"):
-            branches.append(("ii", t))
-        elif t.startswith("halved"):
-            branches.append(("iii", t))
-        elif t.startswith("folded Johnson"):
-            branches.append(("iv", t))
-        elif t.startswith("folded halved"):
-            branches.append(("v", t))
+    branches = family_branches(tags)
     if tags:
         evidence.append(Evidence("family", "named-family array match",
                                  tuple(tags)))
@@ -383,11 +388,9 @@ def classify_main(bundle: ClassifierBundle) -> ClassificationOutcome:
     k_le_F = exact_cmp(ia.k, F) <= 0
     evidence.append(Evidence("F-bound", "k <= F(b)", (ia.k, F, k_le_F)))
     evidence.append(Evidence("G-bound", "G(b) < F(b)", (G_bound(b), F)))
+    # branch order: (i) first, the structural families, the bound (vi) last
     if k_le_F:
         branches.append(("vi", "k <= F(b)"))
-    # stable order: structural branches first, bound branch last
-    prio = {"i": 1, "ii": 2, "iii": 3, "iv": 4, "v": 5, "vi": 6}
-    branches.sort(key=lambda t: prio[t[0]])
     evidence.sort(key=lambda e: e.rule)
     if not branches:
         return ClassificationOutcome(

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 import sympy
 
 from .errors import require
-from .scalars import ExactScalar, Interval, Surd, exact_cmp
+from .scalars import ExactScalar, Interval, Surd, sort_desc
 
 _X = sympy.Symbol("x")
 
@@ -87,17 +87,8 @@ def real_roots(coeffs: Sequence, precision: int = 9) -> List[Tuple[ExactScalar, 
             for idx in range(fac.count_roots()):
                 r = sympy.CRootOf(fac.as_expr(), idx)
                 out.append((_interval_root(fac, r, precision), mult))
-    out.sort(key=_cmp_key(), reverse=True)
+    sort_desc(out)
     return out
-
-
-def _cmp_key():
-    import functools
-
-    def cmp(a, b):
-        return exact_cmp(a[0], b[0])
-
-    return functools.cmp_to_key(cmp)
 
 
 def charpoly_tridiagonal(diag: Sequence[int], lower: Sequence[int], upper: Sequence[int]) -> List[int]:

@@ -12,6 +12,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt
 from numbers import Rational
 from typing import Callable, Optional, Tuple, Union
@@ -312,6 +313,12 @@ def exact_cmp(a: ExactScalar, b: ExactScalar) -> int:
             return 0
         prec *= 2
     raise UndecidableComparison(f"cannot separate {a} and {b}")
+
+
+def sort_desc(pairs: list) -> None:
+    """Sort (exact scalar, payload) pairs in place, largest scalar first;
+    ties keep their order."""
+    pairs.sort(key=cmp_to_key(lambda a, b: exact_cmp(a[0], b[0])), reverse=True)
 
 
 def scalar_str(x: ExactScalar) -> str:

@@ -72,6 +72,29 @@ def test_classify_by_array(capsys):
     assert branches["tight"] == "i"
 
 
+def test_classify_file_verifies_homogeneity(capsys, tmp_path):
+    path = str(tmp_path / "j84.json")
+    run_cli(capsys, "build", "johnson:8,4", "--out", path)
+    code, out, _ = run_cli(capsys, "classify", path)
+    assert code == 0
+    assert out["ia"] == "16,9,4,1;1,4,9,16" and out["homogeneity"] == "verified"
+
+
+@pytest.mark.parametrize("family,ia", [("triangular:10", "16,7;1,4"),
+                                       ("johnson:7,3", "12,6,2;1,4,9")])
+def test_classify_file_not_homogeneous_exits_one(capsys, tmp_path, family, ia):
+    # distance-regular, but the common neighbours of an edge xy split into
+    # the sets that contain x & y and those that do not, with different
+    # counts inside the cell (J(n,d) is 1-homogeneous only for n = 2d)
+    path = str(tmp_path / "g.json")
+    run_cli(capsys, "build", family, "--out", path)
+    code, out, _ = run_cli(capsys, "classify", path)
+    assert code == 1
+    assert out["error"] == "graph is not 1-homogeneous" and out["ia"] == ia
+    x, y, cell, a, b = out["witness"]
+    assert cell == [1, 1]
+
+
 def test_classify_requires_exactly_one_input(capsys):
     code, _, err = run_cli(capsys, "classify")
     assert code == 2 and err

@@ -1,9 +1,12 @@
-"""Family constructors: vertex counts, intersection arrays, design inputs."""
+"""Family constructors: vertex counts, intersection arrays, design inputs,
+and the integer-label builder against the tuple-label oracle."""
 
 import pytest
 
+import family_oracle as oracle
+
 from drglab.arrays import IntersectionArray
-from drglab.errors import InputError
+from drglab.errors import InputError, ResourceError
 from drglab.families import (FamilySpec, antipodal_quotient, build_family,
                              complete_multipartite, cycle, folded_halved_cube,
                              folded_johnson, grid, halved_cube, hamming,
@@ -12,6 +15,7 @@ from drglab.families import (FamilySpec, antipodal_quotient, build_family,
                              validate_orthogonal_array,
                              validate_steiner_blocks)
 from drglab.graph import check_distance_regular
+from drglab.homogeneous import check_i_homogeneous
 
 
 def _array(g):
@@ -129,3 +133,86 @@ def test_build_family_with_design_data():
     spec = FamilySpec.parse("latin_square", data=oa)
     g = build_family(spec)
     assert g.n == 25
+
+
+# -- the label builder against the tuple-label oracle -------------------------
+
+
+SLOW = pytest.mark.slow
+
+
+def _case(name, *params, marks=()):
+    return pytest.param(name, params, marks=marks,
+                        id=f"{name}:{','.join(map(str, params))}")
+
+
+CASES = (
+    [_case("johnson", 2 * d, d) for d in range(2, 7)]
+    + [_case("johnson", 9, 4), _case("johnson", 7, 1)]
+    + [_case("folded_johnson", 2 * d, d) for d in range(1, 7)]
+    + [_case("halved_cube", L) for L in range(2, 13)]
+    + [_case("folded_halved_cube", L) for L in range(2, 13, 2)]
+    + [_case("hamming", *p) for p in ((1, 2), (3, 3), (4, 4), (6, 3), (7, 2))]
+    + [_case("folded_johnson", 2 * d, d, marks=SLOW) for d in (7, 9)]
+    + [_case(name, *p, marks=SLOW) for name, p in (
+        ("folded_halved_cube", (16,)), ("johnson", (14, 7)), ("johnson", (16, 8)),
+        ("halved_cube", (16,)), ("hamming", (10, 3)))])
+
+
+@pytest.mark.parametrize("name,params", CASES)
+def test_label_builder_matches_oracle(name, params):
+    g = getattr(oracle, name)(*params)
+    expected = g[0] if isinstance(g, tuple) else g
+    assert build_family(FamilySpec(name, params))._adj == expected._adj
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, pytest.param(7, marks=SLOW)])
+def test_folded_johnson_is_antipodal_quotient(d):
+    assert folded_johnson(2 * d, d)._adj == antipodal_quotient(johnson(2 * d, d))._adj
+
+
+@pytest.mark.parametrize("length", range(4, 13, 2))
+def test_folded_halved_cube_is_antipodal_quotient(length):
+    assert (folded_halved_cube(length)._adj
+            == antipodal_quotient(halved_cube(length))._adj)
+
+
+@pytest.mark.parametrize("length", [3, 5, 11])
+def test_folded_halved_cube_rejects_odd_length(length):
+    with pytest.raises(InputError):
+        folded_halved_cube(length)
+
+
+@pytest.mark.parametrize("n,d", [(9, 4), (3, 1), (12, 5)])
+def test_folded_johnson_rejects_n_not_2d(n, d):
+    with pytest.raises(InputError):
+        folded_johnson(n, d)
+
+
+def test_folded_halved_cube_beyond_dense_cap():
+    # the 8192-vertex parent is past the dense distance matrix; the fold is not
+    g = folded_halved_cube(14)
+    assert g.n == 4096
+    assert {g.degree(v) for v in range(g.n)} == {91}
+    # the parent's diameter 7 is odd, so the fold (diameter 3) is not
+    # 1-homogeneous, like folded halved 10-cube; the last cell splits
+    rep = check_i_homogeneous(g, 1, "sampled", seed=14, count=4)
+    assert not rep.holds and rep.witness[2] == (3, 3)
+    assert not check_i_homogeneous(folded_halved_cube(10), 1).holds
+
+
+def test_folded_halved_cube_16_sampled_homogeneous():
+    g = folded_halved_cube(16)
+    assert g.n == 16384
+    rep = check_i_homogeneous(g, 1, "sampled", seed=16, count=4)
+    assert rep.holds and rep.pairs_checked == 4
+
+
+@pytest.mark.parametrize("build,n", [(lambda: folded_johnson(12, 6), 462),
+                                     (lambda: folded_halved_cube(10), 256)])
+def test_vertex_cap_counts_folded_vertices(monkeypatch, build, n):
+    monkeypatch.setenv("DRG_LAB_VERTEX_CAP", str(n))
+    assert build().n == n
+    monkeypatch.setenv("DRG_LAB_VERTEX_CAP", str(n - 1))
+    with pytest.raises(ResourceError):
+        build()

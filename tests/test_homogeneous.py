@@ -12,6 +12,7 @@ from drglab.errors import InputError, ScopeError
 from drglab.families import cycle, hamming, petersen
 from drglab.homogeneous import (ClassifierBundle, cab_equivalence_check,
                                 check_i_homogeneous, classify_main,
+                                family_branches,
                                 local_spectral_checks, near_polygon_analysis,
                                 recognize_named_family, small_diameter_lookup)
 
@@ -158,3 +159,11 @@ def test_classifier_c2_equals_one():
 def test_classifier_never_contradicts_corpus():
     for ia in (J105, HC10, HC11, H53):
         assert classify_main(ClassifierBundle(ia)).branch != "contradiction"
+
+
+def test_family_branch_table():
+    tags = ["folded halved 20-cube", "Hamming H(5,3)", "Johnson J(10,5)",
+            "folded Johnson J(20,10)", "halved 11-cube"]
+    assert family_branches(tags) == [
+        ("ii", "Johnson J(10,5)"), ("iii", "halved 11-cube"),
+        ("iv", "folded Johnson J(20,10)"), ("v", "folded halved 20-cube")]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drglab.scalars import (Surd, exact_cmp, exact_eq, scalar_bounds,
-                            scalar_str)
+                            scalar_str, sort_desc)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 small_ints = st.integers(min_value=-20, max_value=20)
@@ -99,3 +99,12 @@ def test_scalar_str_forms():
     assert scalar_str(Fraction(3, 2)) == "3/2"
     assert scalar_str(7) == "7"
     assert "sqrt" in scalar_str(Surd(1, 1, 5, 2))
+
+
+def test_sort_desc_exact_and_stable():
+    root2 = Surd(0, 1, 2, 1)
+    pairs = [(Fraction(7, 5), "a"), (root2, "b"), (1, "c"), (Fraction(3, 2), "d"),
+             (Fraction(2, 2), "e"), (-root2, "f")]
+    sort_desc(pairs)
+    # 3/2 > sqrt(2) > 7/5 > 1 = 1 > -sqrt(2); the two 1s keep their order
+    assert [tag for _, tag in pairs] == ["d", "b", "a", "c", "e", "f"]
