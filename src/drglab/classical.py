@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import List, Optional
 
 from .arrays import IntersectionArray
@@ -88,15 +89,53 @@ def classical_eigenvalues(cp: ClassicalParams) -> EigenvalueList:
     return EigenvalueList(vals)
 
 
+def _bisect_root(f, lo: int, hi: int, sign: int) -> Optional[int]:
+    """The integer root in [lo, hi] of f, where sign * f is increasing there."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign * f(mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo == hi and f(lo) == 0 else None
+
+
+def _classical_bases(c2: int, c3: int, k: int) -> List[int]:
+    """The integer roots in [-k, k], ascending, of (b^2+b+1)(c_2-b) = c_3.
+
+    c_2 = (1+b)(1+alpha) and c_3 = (1+b+b^2)(1+alpha(1+b)) give this cubic
+    once alpha is eliminated (b != -1), so every classical base is among
+    its at most three roots.  g(b) = b^3 - m b^2 - m b + c_3 - c_2 with
+    m = c_2 - 1 rises, falls and rises again between its critical points
+    (m -+ sqrt(m^2+3m))/3; each monotone piece is bisected over the integers.
+    """
+    m = c2 - 1
+
+    def g(b):
+        return ((b - m) * b - m) * b + c3 - c2
+
+    disc = m * m + 3 * m
+    s = isqrt(disc)
+    ceil_s = s if s * s == disc else s + 1
+    # floors of the two critical points
+    t1, t2 = (m - ceil_s) // 3, (m + s) // 3
+    roots = []
+    for lo, hi, sign in ((-k, t1, 1), (t1 + 1, t2, -1), (t2 + 1, k, 1)):
+        root = _bisect_root(g, max(lo, -k), min(hi, k), sign)
+        if root is not None:
+            roots.append(root)
+    return roots
+
+
 def recognize_classical(ia: IntersectionArray) -> List[ClassicalParams]:
-    """All (D, b, alpha, beta) whose generated array equals ia, found by
-    enumerating the integer base b in [-k, k] \\ {0, -1} and solving
-    alpha from c_2, beta from k."""
+    """All (D, b, alpha, beta) whose generated array equals ia: each base b
+    in [-k, k] \\ {0, -1} that :func:`_classical_bases` admits, with alpha
+    solved from c_2 and beta from k."""
     if ia.D < 3:
         raise InputError("classical recognition needs D >= 3")
     out = []
     k = ia.k
-    for b in range(-k, k + 1):
+    for b in _classical_bases(ia.c_at(2), ia.c_at(3), k):
         if b in (0, -1):
             continue
         alpha = Fraction(ia.c_at(2)) / (1 + b) - 1

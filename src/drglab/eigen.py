@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Tuple
 
@@ -47,12 +48,13 @@ def intersection_matrix(ia: IntersectionArray):
     return rows
 
 
-def eigenvalues(ia: IntersectionArray, precision: int = 9) -> EigenvalueList:
-    """Exact spectrum of the tridiagonal intersection matrix.
+#: spectra kept by :func:`eigenvalues`; one ``drglab classify`` call asks
+#: for the spectrum of its array up to five times
+SPECTRUM_CACHE_SIZE = 16
 
-    Rational roots come back exact, quadratic irrationals as surds, the rest
-    as certified intervals of width <= 10**-precision.
-    """
+
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _spectrum(ia: IntersectionArray, precision: int) -> EigenvalueList:
     rep = basic_feasibility(ia)
     if not rep.passed:
         raise InputError(f"infeasible intersection array: {rep.witness}")
@@ -65,6 +67,20 @@ def eigenvalues(ia: IntersectionArray, precision: int = 9) -> EigenvalueList:
     if sum(m for _, m in roots) != D + 1 or any(m != 1 for _, m in roots):
         raise InternalError("tridiagonal intersection matrix must have D+1 simple roots")
     return EigenvalueList(tuple(r for r, _ in roots))
+
+
+def eigenvalues(ia: IntersectionArray, precision: int = 9) -> EigenvalueList:
+    """Exact spectrum of the tridiagonal intersection matrix.
+
+    Rational roots come back exact, quadratic irrationals as surds, the rest
+    as certified intervals of width <= 10**-precision.  The array and the
+    result are immutable, so the last ``SPECTRUM_CACHE_SIZE`` spectra are
+    kept and each array is factored once however many analyses read it.
+    """
+    return _spectrum(ia, precision)
+
+
+eigenvalues.cache_clear = _spectrum.cache_clear
 
 
 def b_parameter(ia: IntersectionArray, precision: int = 9) -> ExactScalar:

@@ -103,17 +103,18 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     ref = None
     checked = 0
     for x, y, dx, dy in pairs:
+        checked += 1  # a refutation counts its refuting pair
         quotient = _pair_quotient(g, dx, dy)
         if isinstance(quotient, EquitabilityWitness):
             a, b = quotient.vertex_a, quotient.vertex_b
             lab = (int(dx[a]), int(dy[a]))
-            return HomogeneityReport(i, False, witness=(x, y, lab, a, b), mode=mode)
+            return HomogeneityReport(i, False, witness=(x, y, lab, a, b),
+                                     mode=mode, pairs_checked=checked)
         if ref is None:
             ref = quotient
         elif quotient != ref:
             return HomogeneityReport(i, False, witness=(x, y, None, None, None),
-                                     mode=mode)
-        checked += 1
+                                     mode=mode, pairs_checked=checked)
     return HomogeneityReport(i, True, ref.labels, ref.matrix, None, mode, checked)
 
 

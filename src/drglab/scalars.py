@@ -19,8 +19,10 @@ from typing import Callable, Optional, Tuple, Union
 
 from .errors import DomainError, UndecidableComparison
 
-#: number of refinement rounds before a comparison is declared undecidable
-REFINEMENT_CAP = 256
+#: decimal digits an interval is refined to, at most, before a comparison
+#: is declared undecidable; precision doubles from 1 digit each round, so an
+#: operand is refined to 1 + 2 + ... + 1024 digits in all
+REFINEMENT_DIGITS = 1024
 
 
 def _squarefree_split(d: int) -> Tuple[int, int]:
@@ -293,7 +295,14 @@ def exact_eq(a: ExactScalar, b: ExactScalar) -> bool:
 
 
 def exact_cmp(a: ExactScalar, b: ExactScalar) -> int:
-    """Exact three-way comparison with adaptive interval refinement."""
+    """Exact three-way comparison with adaptive interval refinement.
+
+    A scalar equals itself.  Two distinct enclosures of one irrational value
+    never separate, so refinement stops at ``REFINEMENT_DIGITS`` digits and
+    raises :class:`UndecidableComparison`.
+    """
+    if a is b:
+        return 0
     if not isinstance(a, Interval) and not isinstance(b, Interval):
         if isinstance(a, Surd):
             return a._cmp(b)
@@ -302,7 +311,7 @@ def exact_cmp(a: ExactScalar, b: ExactScalar) -> int:
         fa, fb = Fraction(a), Fraction(b)
         return (fa > fb) - (fa < fb)
     prec = 1
-    for _ in range(REFINEMENT_CAP):
+    while prec <= REFINEMENT_DIGITS:
         alo, ahi = scalar_bounds(a, prec)
         blo, bhi = scalar_bounds(b, prec)
         if ahi < blo:

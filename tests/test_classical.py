@@ -3,13 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
+import classical_oracle as oracle
+import drglab.classical as classical
+import drglab.eigen
 from drglab.arrays import IntersectionArray
 from drglab.classical import (ClassicalParams, a1_zero_criterion,
                               beta_bound_check, classical_array,
                               classical_eigenvalues, classify_classical,
                               classify_tight, fundamental_bound,
                               gaussian_binomial, recognize_classical)
+from drglab.cli import main
 from drglab.eigen import eigenvalues
 from drglab.errors import InputError, PreconditionError
 
@@ -105,3 +111,164 @@ def test_classify_tight():
     assert classify_tight(HC10).branch == "ii"
     with pytest.raises(PreconditionError):
         classify_tight(H53)
+
+
+# -- recognition: the cubic-root search against the b-scan oracle ------------
+
+SETTINGS = settings(derandomize=True, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.filter_too_much])
+
+#: the oracle scans O(k) bases, so arrays stay small enough for it
+K_MAX = 3000
+
+#: Hermitian forms graphs: (D, -2, -3, -(-2)^D - 1)
+HERMITIAN = [classical_array(ClassicalParams(D, -2, -3, -(-2) ** D - 1))
+             for D in (3, 4, 5)]
+
+
+def _classical_near(D, b, c2, t0):
+    """The first array with classical parameters (D, b, alpha, beta) where
+    alpha comes from c_2 and b_{D-1} = t >= t0, or None within 60 steps."""
+    alpha = Fraction(c2, 1 + b) - 1
+    lead = alpha * gaussian_binomial(D - 1, b)
+    for t in range(t0, t0 + 60):
+        beta = lead + Fraction(t, b ** (D - 1))
+        try:
+            ia = classical_array(ClassicalParams(D, b, alpha, beta))
+        except InputError:
+            continue
+        return ia if ia.k <= K_MAX else None
+    return None
+
+
+classical_arrays = st.builds(
+    _classical_near, st.integers(3, 7), st.sampled_from([-4, -3, -2, 1, 2, 3, 4, 5]),
+    st.integers(1, 40), st.integers(1, 150))
+
+
+@st.composite
+def monotone_arrays(draw, c3_equals_c2=False):
+    """b_0 = k >= b_1 >= ... and 1 = c_1 <= c_2 <= ..., optionally c_3 = c_2."""
+    D = draw(st.integers(3, 7))
+    k = draw(st.integers(2, K_MAX))
+    bs = [k]
+    for _ in range(D - 1):
+        bs.append(draw(st.integers(1, bs[-1])))
+    cs = [1]
+    for i in range(1, D):
+        if c3_equals_c2 and i == 2:
+            cs.append(cs[-1])
+        else:
+            cs.append(draw(st.integers(cs[-1], max(cs[-1], k))))
+    return IntersectionArray(tuple(bs), tuple(cs))
+
+
+@st.composite
+def perturbed_classical(draw):
+    """A classical array with one of c_2, ..., c_D moved by +-1."""
+    ia = draw(classical_arrays)
+    assume(ia is not None)
+    i = draw(st.integers(1, ia.D - 1))
+    c = list(ia.c)
+    c[i] += draw(st.sampled_from([-1, 1]))
+    assume(c[i] > 0)
+    return IntersectionArray(ia.b, tuple(c))
+
+
+def _assert_matches_oracle(ia):
+    assume(ia is not None)
+    assert ([cp.as_tuple() for cp in recognize_classical(ia)]
+            == [cp.as_tuple() for cp in oracle.recognize_classical(ia)])
+
+
+#: classical arrays with fractional alpha and beta, one per base b != -2
+FRACTIONAL = ["230,210,261,27;1,1,28,190", "935,884,1072,64;1,1,65,833",
+              "50,30,15,5;1,7,18,34", "100,84,56,16;1,5,21,85",
+              "170,156,117,27;1,5,26,170", "442,420,336,64;1,6,42,442",
+              "962,930,775,125;1,7,62,962"]
+
+
+@settings(SETTINGS, max_examples=40)
+@given(classical_arrays)
+@example(IntersectionArray.parse("21,20,16;1,2,12"))
+def test_recognize_classical_arrays_matches_scan_oracle(ia):
+    _assert_matches_oracle(ia)
+
+
+@pytest.mark.parametrize("text", FRACTIONAL)
+def test_recognize_fractional_parameters(text):
+    ia = IntersectionArray.parse(text)
+    found = recognize_classical(ia)
+    assert len(found) == 1
+    assert found[0].alpha.denominator > 1 and found[0].beta.denominator > 1
+    assert ([cp.as_tuple() for cp in found]
+            == [cp.as_tuple() for cp in oracle.recognize_classical(ia)])
+
+
+@settings(SETTINGS, max_examples=20)
+@given(perturbed_classical())
+def test_recognize_perturbed_classical_matches_scan_oracle(ia):
+    _assert_matches_oracle(ia)
+
+
+@settings(SETTINGS, max_examples=10)
+@given(monotone_arrays(c3_equals_c2=True))
+def test_recognize_c3_equals_c2_matches_scan_oracle(ia):
+    # b = 0 is a root of the cubic and is skipped
+    _assert_matches_oracle(ia)
+
+
+@settings(SETTINGS, max_examples=15)
+@given(monotone_arrays())
+def test_recognize_monotone_arrays_matches_scan_oracle(ia):
+    _assert_matches_oracle(ia)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 200), st.integers(-10**4, 10**4), st.integers(1, 200),
+       st.integers(-200, 200))
+def test_classical_bases_are_all_integer_roots(c2, c3, k, b):
+    # every integer root of the cubic in [-k, k], ascending; half the
+    # examples plant a root b
+    if -k <= b <= k and b % 2:
+        c3 = (b * b + b + 1) * (c2 - b)
+    roots = [x for x in range(-k, k + 1) if (x * x + x + 1) * (c2 - x) == c3]
+    assert classical._classical_bases(c2, c3, k) == roots
+
+
+@pytest.mark.parametrize("D,ia", list(zip((3, 4, 5), HERMITIAN)), ids=str)
+def test_recognize_hermitian_forms(D, ia):
+    found = [cp.as_tuple() for cp in recognize_classical(ia)]
+    assert found == [(D, -2, -3, -(-2) ** D - 1)]
+    assert found == [cp.as_tuple() for cp in oracle.recognize_classical(ia)]
+
+
+def test_recognition_builds_at_most_three_candidates(monkeypatch):
+    # H(5, 1501): k = 7500, yet the cubic admits at most three bases
+    calls = []
+
+    def counted(cp):
+        calls.append(cp.b)
+        return classical_array(cp)
+
+    monkeypatch.setattr(classical, "classical_array", counted)
+    found = recognize_classical(IntersectionArray((7500, 6000, 4500, 3000, 1500),
+                                                  (1, 2, 3, 4, 5)))
+    assert [cp.as_tuple() for cp in found] == [(5, 1, 0, 1500)]
+    assert 1 <= len(calls) <= 3
+
+
+def test_classify_factors_the_spectrum_once(monkeypatch, capsys):
+    calls = []
+    real_roots = drglab.eigen.real_roots
+
+    def counted(*args):
+        calls.append(args)
+        return real_roots(*args)
+
+    eigenvalues.cache_clear()
+    monkeypatch.setattr(drglab.eigen, "real_roots", counted)
+    assert main(["classify", "--ia", "25,16,9,4,1;1,4,9,16,25"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -52,6 +52,14 @@ def test_homog_exit_codes(capsys, tmp_path):
     assert code == 2 and "seed" in err
 
 
+def test_homog_refutation_reports_pairs_checked(capsys, tmp_path):
+    path = str(tmp_path / "t10.json")
+    run_cli(capsys, "build", "triangular:10", "--out", path)
+    code, out, _ = run_cli(capsys, "homog", path)
+    assert code == 1 and not out["holds"]
+    assert out["pairs_checked"] >= 1 and len(out["witness"]) == 5
+
+
 def test_cab_command(capsys, tmp_path):
     path = str(tmp_path / "g.json")
     run_cli(capsys, "build", "icosahedron", "--out", path)

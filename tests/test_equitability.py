@@ -32,13 +32,14 @@ BASES = [petersen(), icosahedron(), johnson(6, 3), hamming(3, 3),
 
 
 def oracle_homogeneity(g: Graph, i: int) -> HomogeneityReport:
-    """Exhaustive 1-homogeneity from dense float64 products, pair by pair."""
+    """Exhaustive 1-homogeneity from dense float64 products, pair by pair;
+    a refutation counts the pairs read up to and including its own."""
     dm = g.distance_matrix().astype(np.int64)
     span = int(dm.max()) + 1
     Af = g.adjacency_matrix().astype(np.float64)
     ref = None
     pairs = np.argwhere(dm == i)
-    for x, y in pairs.tolist():
+    for checked, (x, y) in enumerate(pairs.tolist(), 1):
         keys = dm[x] * span + dm[y]
         labels, cells = np.unique(keys, return_inverse=True)
         onehot = np.zeros((g.n, len(labels)))
@@ -52,13 +53,15 @@ def oracle_homogeneity(g: Graph, i: int) -> HomogeneityReport:
             if not same.all():
                 bad = int(members[np.flatnonzero(~same)[0]])
                 lab = divmod(int(labels[ci]), span)
-                return HomogeneityReport(i, False, witness=(x, y, lab, int(members[0]), bad))
+                return HomogeneityReport(i, False, witness=(x, y, lab, int(members[0]), bad),
+                                         pairs_checked=checked)
             rows.append(tuple(int(v) for v in block[0]))
         table = (tuple(divmod(int(l), span) for l in labels), tuple(rows))
         if ref is None:
             ref = table
         elif table != ref:
-            return HomogeneityReport(i, False, witness=(x, y, None, None, None))
+            return HomogeneityReport(i, False, witness=(x, y, None, None, None),
+                                     pairs_checked=checked)
     return HomogeneityReport(i, True, ref[0], ref[1], None, "exhaustive", len(pairs))
 
 

@@ -4,12 +4,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import drglab
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError, ScopeError
-from drglab.families import cycle, hamming, petersen
+from drglab.families import (cycle, folded_halved_cube, hamming, johnson,
+                             petersen, triangular)
+from drglab.graph import Graph
 from drglab.homogeneous import (ClassifierBundle, cab_equivalence_check,
                                 check_i_homogeneous, classify_main,
                                 family_branches,
@@ -35,6 +38,37 @@ def test_not_homogeneous_witness():
     rep = check_i_homogeneous(g, 1)
     assert not rep.holds
     assert rep.witness is not None
+
+
+def chorded_c4():
+    return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+
+
+@pytest.mark.parametrize("build", [lambda: triangular(10), lambda: johnson(7, 3),
+                                   chorded_c4], ids=["T(10)", "J(7,3)", "chorded C4"])
+def test_exhaustive_refutation_counts_pairs_through_the_witness(build):
+    g = build()
+    rep = check_i_homogeneous(g, 1)
+    assert not rep.holds
+    # pairs are read in np.argwhere order, the refuting pair included
+    pairs = np.argwhere(g.distance_matrix() == 1).tolist()
+    assert rep.pairs_checked == pairs.index(list(rep.witness[:2])) + 1
+
+
+@pytest.mark.parametrize("build,seed,count", [
+    (lambda: folded_halved_cube(14), 14, 4),
+    (chorded_c4, 11, 10)],
+    ids=["folded halved 14-cube", "chorded C4"])
+def test_sampled_refutation_counts_pairs_through_the_witness(build, seed, count):
+    g = build()
+    rep = check_i_homogeneous(g, 1, "sampled", seed=seed, count=count)
+    assert not rep.holds and 1 <= rep.pairs_checked <= count
+    if rep.pairs_checked > 1:
+        # the same seed draws the same pairs, so the prefix before the
+        # refuting pair holds
+        prefix = check_i_homogeneous(g, 1, "sampled", seed=seed,
+                                     count=rep.pairs_checked - 1)
+        assert prefix.holds and prefix.pairs_checked == rep.pairs_checked - 1
 
 
 def test_report_invariant_survives_optimized_python():

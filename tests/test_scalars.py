@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drglab.scalars import (Surd, exact_cmp, exact_eq, scalar_bounds,
-                            scalar_str, sort_desc)
+from drglab.errors import UndecidableComparison
+from drglab.polys import real_roots
+from drglab.scalars import (REFINEMENT_DIGITS, Interval, Surd, exact_cmp,
+                            exact_eq, scalar_bounds, scalar_str, sort_desc)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 small_ints = st.integers(min_value=-20, max_value=20)
@@ -108,3 +111,22 @@ def test_sort_desc_exact_and_stable():
     sort_desc(pairs)
     # 3/2 > sqrt(2) > 7/5 > 1 = 1 > -sqrt(2); the two 1s keep their order
     assert [tag for _, tag in pairs] == ["d", "b", "a", "c", "e", "f"]
+
+
+def test_exact_cmp_stops_on_two_copies_of_one_root():
+    # two enclosures of the cube root of 2 never separate; precision doubles
+    # each round, so refinement stops at REFINEMENT_DIGITS digits
+    r = real_roots([-2, 0, 0, 1])[0][0]
+    other = real_roots([-2, 0, 0, 1])[0][0]
+    widths = []
+
+    def counted(width):
+        widths.append(width)
+        return other.refiner(width)
+
+    copy = Interval(other.lo, other.hi, counted)
+    assert exact_cmp(r, r) == 0 and exact_eq(r, r)
+    with pytest.raises(UndecidableComparison):
+        exact_cmp(r, copy)
+    assert len(widths) <= REFINEMENT_DIGITS.bit_length()
+    assert min(widths) == Fraction(1, 10 ** REFINEMENT_DIGITS)
