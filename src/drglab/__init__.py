@@ -9,7 +9,7 @@ from .bounds import (F_bound, G_bound, claw_f, homogeneity_bounds, mu_bound,
 from .cab import (Cab2Prediction, CabLevelParams, CabReport, LocalSrgData,
                   c2_bound, cab2_closed_form, cab_formula_params,
                   cab_partition_check, predict_cab2, quotient_matrix,
-                  quotient_spectrum, triple_intersection_number)
+                  quotient_spectrum)
 from .classical import (ClassicalParams, TightReport, a1_zero_criterion,
                         beta_bound_check, classical_array,
                         classical_eigenvalues, classify_classical,
@@ -23,7 +23,8 @@ from .families import FamilySpec, antipodal_quotient, build_family
 from .graph import (Graph, VertexPartition, c2_regularity_report,
                     check_distance_regular, clique_union_structure,
                     distance_partition, equitable_quotient, graph_spectrum,
-                    induced_subgraph, local_graph, max_coclique, mu_graph)
+                    induced_subgraph, local_graph, max_coclique, mu_graph,
+                    triple_intersection_number)
 from .homogeneous import (ClassificationOutcome, ClassifierBundle,
                           HomogeneityReport, cab_equivalence_check,
                           check_i_homogeneous, classify_main,

@@ -10,6 +10,11 @@ B = those at distance i+1.  The level-i parameters are
     alpha_i : neighbours inside C of an A-vertex,
     beta_i  : neighbours inside B of an A-vertex,
     delta_i : neighbours inside A of a B-vertex.
+
+The empirical check runs the counting kernel of ``graph`` on the triangle
+list (the arcs of every local graph) and reads the dense distance matrix, so
+it works up to ``graph._DENSE_CAP`` vertices.  Bitset rows serve only the
+mu-graph, coclique, c_2 and triple-intersection searches in ``graph``.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (DomainError, InputError, PreconditionError, SingularityError,
                      require)
-from .graph import Graph
+from .graph import Graph, _cell_counts
 from .polys import real_roots
 from .scalars import ExactScalar, as_exact, exact_eq
 
@@ -104,88 +111,76 @@ class LocalSrgData:
 # -- empirical check --------------------------------------------------------
 
 
-def _distance_masks(g: Graph, x: int, cache: Dict[int, List[int]]) -> List[int]:
-    if x not in cache:
-        dist = g.distances_from(x)
-        masks = [0] * (max(dist) + 2)
-        for v, d in enumerate(dist):
-            masks[d] |= 1 << v
-        cache[x] = masks
-    return cache[x]
-
-
 def cab_partition_check(g: Graph, i_max: Optional[int] = None,
                         max_pairs: Optional[int] = None) -> CabReport:
     """Check the three-cell local partitions are equitable with
     pair-independent parameters at every level 1..i_max.
 
-    ``i_max`` defaults to the diameter.  At the top level the B cell is empty
-    and only (gamma, alpha) are constrained.  ``max_pairs`` caps the ordered
-    pairs examined per level (lex order); None means exhaustive.
+    ``i_max`` (in 1..D) defaults to the diameter.  At the top level the B
+    cell is empty and only (gamma, alpha) are constrained.  ``max_pairs``
+    (at least 1) caps the ordered pairs examined per level (lex order); None
+    means exhaustive.  In scan order (level, x, y, cell C/A/B, v), a level's
+    parameters are the first count row seen in each cell, and the deviation
+    is the first row that differs.  One kernel call per base vertex x counts
+    the layers of d(x, .) over the local graphs of the pairs still open.
     """
-    rows = g.bitrows()
-    deg0 = g.degree(0)
-    if any(g.degree(v) != deg0 for v in range(g.n)):
+    if max_pairs is not None and max_pairs < 1:
+        raise InputError(f"max_pairs must be at least 1, got {max_pairs}")
+    k = g.degree(0) if g.n else 0
+    if any(g.degree(v) != k for v in range(g.n)):
         raise PreconditionError("graph is not regular")
-    a1 = (rows[0] & rows[g.neighbors(0)[0]]).bit_count()
-    if a1 == 0:
+    tri_arc, tri_w = g._triangle_arrays()
+    if np.searchsorted(tri_arc, 1) == 0:  # a_1 counted on the first arc
         raise PreconditionError("a_1 = 0: local graphs are edgeless, partition degenerates")
     D = g.diameter()
-    levels = list(range(1, (i_max if i_max is not None else D) + 1))
-    cache: Dict[int, List[int]] = {}
-    out_levels = []
-    pairs_total = 0
-    for i in levels:
-        if not 1 <= i <= D:
-            raise InputError(f"level {i} outside 1..{D}")
-        params = None
-        count = 0
-        for x in range(g.n):
-            masks = _distance_masks(g, x, cache)
-            sphere = masks[i]
-            y = -1
-            while True:
-                nxt = sphere >> (y + 1)
-                if nxt == 0:
-                    break
-                y += 1 + (nxt & -nxt).bit_length() - 1
-                count += 1
-                pairs_total += 1
-                ny = rows[y]
-                cmask = ny & masks[i - 1]
-                amask = ny & masks[i]
-                bmask = ny & (masks[i + 1] if i + 1 < len(masks) else 0)
-                if params is None:
-                    params = {}
-                for name, mask in (("C", cmask), ("A", amask), ("B", bmask)):
-                    m = mask
-                    while m:
-                        v = (m & -m).bit_length() - 1
-                        m &= m - 1
-                        nv = rows[v]
-                        counts = (
-                            (nv & cmask).bit_count(),
-                            (nv & amask).bit_count(),
-                            (nv & bmask).bit_count(),
-                        )
-                        prev = params.setdefault(name, counts)
-                        if prev != counts:
-                            return CabReport(
-                                False, tuple(out_levels),
-                                CabDeviation(i, x, y, v, counts, prev,
-                                             f"counts differ within cell {name}"),
-                                pairs_total)
-                if max_pairs is not None and count >= max_pairs:
-                    break
-            if max_pairs is not None and count >= max_pairs:
-                break
-        params = params or {}
-        gamma = params["C"][0] if "C" in params else 0
-        alpha = params["A"][0] if "A" in params else None
-        beta = params["A"][2] if "A" in params else None
-        delta = params["B"][1] if "B" in params else None
-        out_levels.append(CabLevelParams(i, gamma, alpha, beta, delta))
-    return CabReport(True, tuple(out_levels), None, pairs_total)
+    i_max = D if i_max is None else i_max
+    if not 1 <= i_max <= D:
+        raise InputError(f"level {i_max} outside 1..{D}")
+    dm, dst = g.distance_matrix(), g._arc_arrays()[1]
+    # the graph is regular, so the arcs out of y are y*k .. y*k + k - 1
+    tri_size = np.diff(np.searchsorted(tri_arc, np.arange(g.n + 1) * k))
+    cap = g.n * g.n if max_pairs is None else max_pairs
+    refs = np.zeros((i_max + 1, 3, 3), dtype=np.int64)  # C, A, B rows per level
+    seen = np.zeros((i_max + 1, 3), dtype=bool)
+    pairs = [0] * (i_max + 1)
+    deviation, top = None, i_max  # levels above top are not scanned further
+    for x in range(g.n):
+        levels = [i for i in range(1, top + 1) if pairs[i] < cap]
+        if not levels:
+            break
+        dx = dm[x].astype(np.intp)
+        ys = [np.flatnonzero(dx == i)[:cap - pairs[i]] for i in levels]
+        read = np.zeros(g.n, dtype=bool)
+        read[np.concatenate(ys)] = True
+        read = np.repeat(read, tri_size)
+        counts = _cell_counts((tri_arc[read], tri_w[read]), len(dst), dx, D + 2)
+        for i, ys_i in zip(levels, ys):
+            arcs = (ys_i[:, None] * k + np.arange(k)).ravel()
+            got, cell = counts[arcs, i - 1:i + 2], dx[dst[arcs]] - i + 1
+            names, first = np.unique(cell, return_index=True)
+            fresh = ~seen[i, names]
+            refs[i, names[fresh]], seen[i, names] = got[first[fresh]], True
+            bad = np.flatnonzero((got != refs[i][cell]).any(axis=1))
+            if len(bad) == 0:
+                pairs[i] += len(ys_i)
+                continue
+            # arcs run in (y, v) order; take the first bad one in (y, cell, v)
+            same_y = bad[bad // k == bad[0] // k]
+            j = int(same_y[np.argmin(cell[same_y])])
+            pairs[i] += j // k + 1
+            deviation = CabDeviation(i, x, int(ys_i[j // k]), int(dst[arcs[j]]),
+                                     tuple(got[j].tolist()),
+                                     tuple(refs[i, cell[j]].tolist()),
+                                     f"counts differ within cell {'CAB'[cell[j]]}")
+            top = i - 1
+            break
+    out_levels = tuple(CabLevelParams(
+        i, int(refs[i, 0, 0]) if seen[i, 0] else 0,
+        int(refs[i, 1, 0]) if seen[i, 1] else None,
+        int(refs[i, 1, 2]) if seen[i, 1] else None,
+        int(refs[i, 2, 1]) if seen[i, 2] else None) for i in range(1, top + 1))
+    checked = sum(pairs[1:top + 1]) + (pairs[deviation.level] if deviation else 0)
+    return CabReport(deviation is None, out_levels, deviation, checked)
 
 
 # -- closed-form recursion --------------------------------------------------
@@ -309,39 +304,3 @@ def cab2_closed_form(local: LocalSrgData, c2) -> Tuple[ExactScalar, ...]:
 def c2_bound(b: ExactScalar, mu: ExactScalar) -> ExactScalar:
     """c_2 <= (4b^2 + 1)(mu' + 1)."""
     return as_exact((4 * b * b + 1) * (mu + 1))
-
-
-def triple_intersection_number(g: Graph) -> Optional[int]:
-    """The number of common neighbours of (x, y, z) where x ~ y and z is at
-    distance 2 from both, if that count is constant over all such triples;
-    None when it varies.  Requires at least one such triple."""
-    rows = g.bitrows()
-    dist2 = []
-    for v in range(g.n):
-        d = g.distances_from(v)
-        m = 0
-        for u, du in enumerate(d):
-            if du == 2:
-                m |= 1 << u
-        dist2.append(m)
-    gamma = None
-    seen = False
-    for x in range(g.n):
-        for y in g.neighbors(x):
-            if y < x:
-                continue
-            zs = dist2[x] & dist2[y]
-            common_xy = rows[x] & rows[y]
-            m = zs
-            while m:
-                z = (m & -m).bit_length() - 1
-                m &= m - 1
-                seen = True
-                val = (common_xy & rows[z]).bit_count()
-                if gamma is None:
-                    gamma = val
-                elif gamma != val:
-                    return None
-    if not seen:
-        raise InputError("no triple (x~y, z at distance 2 from both) exists")
-    return gamma

@@ -4,8 +4,10 @@ exact small-graph spectra.
 
 Adjacency is kept as sorted neighbor tuples, with three lazily built views:
 arc arrays, which feed the one per-cell neighbour-counting kernel behind
-equitable quotients, 1-homogeneity and distance-regularity; bitset rows for
-the clique and mu-graph searches; and dense matrices (at most ``_DENSE_CAP``
+equitable quotients, 1-homogeneity, distance-regularity and (through the
+triangle list, the arcs of every local graph) the local (C, A, B)
+partitions; bitset rows, which serve only the mu-graph, coclique, c_2 and
+triple-intersection searches; and dense matrices (at most ``_DENSE_CAP``
 vertices) for all-pairs distances and spectra.  Integer numpy arithmetic and
 Python bigints keep every verdict exact; the only float operation is a 0/1
 reachability matmul whose entries stay far below 2**53.
@@ -32,6 +34,8 @@ GRAPH_FORMAT = "drg-graph-v1"
 #: default vertex cap for the exact characteristic polynomial path
 SPECTRUM_EXACT_CAP = 5000
 _DENSE_CAP = 6000
+#: candidate (arc, apex) pairs tested per block when listing triangles
+_TRIANGLE_BLOCK = 1 << 22
 
 
 class Graph:
@@ -104,6 +108,34 @@ class Graph:
                               count=len(src))
             self._arcs = (src, dst)
         return self._arcs
+
+    def _triangle_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(arc, apex) of every triangle, grouped by arc with apexes ascending:
+        the index of an arc (y, v) in ``_arc_arrays`` and each common
+        neighbour w of y and v.  Together these are the arcs of every local
+        graph.  Each (y, v) is paired with every arc (y, w) and (v, w) is
+        looked up in the sorted arc keys, ``_TRIANGLE_BLOCK`` pairs at a time."""
+        src, dst = self._arc_arrays()
+        m = len(src)
+        keys = src.astype(np.int64) * self.n + dst
+        width = np.bincount(src, minlength=self.n)[src]  # deg(y) candidates per arc
+        ends = np.cumsum(width, dtype=np.int64)
+        # candidate j of arc t is the arc first_out(y) + j - (ends[t] - width[t])
+        shift = np.searchsorted(src, src) - ends + width
+        arcs, apexes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
+        a = 0
+        while a < m:
+            b = max(a + 1, int(np.searchsorted(
+                ends, ends[a] - width[a] + _TRIANGLE_BLOCK, side="right")))
+            arc = np.repeat(np.arange(a, b, dtype=np.int32), width[a:b])
+            w = dst[np.arange(ends[a] - width[a], ends[b - 1]) + shift[arc]]
+            cand = dst[arc].astype(np.int64) * self.n + w
+            hit = keys[np.minimum(np.searchsorted(keys, cand), m - 1)] == cand
+            arcs.append(arc[hit])
+            apexes.append(w[hit])
+            a = b
+        # intp apexes index a cell array without a conversion per lookup
+        return np.concatenate(arcs), np.concatenate(apexes).astype(np.intp)
 
     def adjacency_matrix(self) -> np.ndarray:
         if self._np_adj is None:
@@ -260,16 +292,19 @@ def distance_partition(g: Graph, x: int, y: int) -> VertexPartition:
     return VertexPartition(tuple(tuple(cells[k]) for k in keys), tuple(keys))
 
 
-def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
-    """Row v holds the number of neighbours of v in each cell; cell[u] is the
-    cell index of vertex u, or -1 when u lies in no cell."""
-    src, dst = g._arc_arrays()
-    target = cell[dst]
+def _cell_counts(incidence: Tuple[np.ndarray, np.ndarray], nrows: int,
+                 cell: np.ndarray, ncells: int) -> np.ndarray:
+    """Row r counts the pairs (r, u) of ``incidence`` with u in each cell;
+    cell[u] is the cell of vertex u, or -1 when u lies in no cell.  Rows are
+    vertices with ``Graph._arc_arrays`` and arcs (y, v) with
+    ``Graph._triangle_arrays`` (u then runs over the local graph at y)."""
+    rows, targets = incidence
+    target = cell[targets]
     if target.min(initial=0) < 0:
         inside = target >= 0
-        src, target = src[inside], target[inside]
-    return np.bincount(src * ncells + target,
-                       minlength=g.n * ncells).reshape(g.n, ncells)
+        rows, target = rows[inside], target[inside]
+    return np.bincount(rows * ncells + target,
+                       minlength=nrows * ncells).reshape(nrows, ncells)
 
 
 def _equitable(g: Graph, cell: np.ndarray, labels: Tuple[object, ...]
@@ -278,7 +313,7 @@ def _equitable(g: Graph, cell: np.ndarray, labels: Tuple[object, ...]
     -1 outside the ground set; every cell non-empty), or the witness of its
     first inequitable cell: the cell's smallest vertex and the smallest
     vertex in it whose count row differs."""
-    counts = _cell_counts(g, cell, len(labels))
+    counts = _cell_counts(g._arc_arrays(), g.n, cell, len(labels))
     members = np.flatnonzero(cell >= 0)
     member_cell = cell[members]
     _, first = np.unique(member_cell, return_index=True)
@@ -335,7 +370,7 @@ def check_distance_regular(g: Graph
         """d(x, .) and each vertex's neighbour counts one layer down, in its
         own layer, and one layer up."""
         dx = dm[x].astype(np.intp)
-        counts = _cell_counts(g, dx, D + 2)
+        counts = _cell_counts(g._arc_arrays(), n, dx, D + 2)
         return (dx, counts[every, np.maximum(dx - 1, 0)], counts[every, dx],
                 counts[every, dx + 1])
 
@@ -398,6 +433,30 @@ def mu_graph(g: Graph, x: int, y: int) -> InducedSubgraph:
         raise InputError(f"vertices {x}, {y} are not at distance 2")
     verts = [v for v in range(g.n) if (common >> v) & 1]
     return induced_subgraph(g, verts)
+
+
+def triple_intersection_number(g: Graph) -> Optional[int]:
+    """The number of common neighbours of (x, y, z) where x ~ y and z is at
+    distance 2 from both, if that count is constant over all such triples;
+    None when it varies.  Requires at least one such triple."""
+    rows = g.bitrows()
+    dist2 = [sum(1 << u for u, d in enumerate(g.distances_from(v)) if d == 2)
+             for v in range(g.n)]
+    gamma = None
+    for x, y in g.edges():
+        common_xy = rows[x] & rows[y]
+        m = dist2[x] & dist2[y]
+        while m:
+            z = (m & -m).bit_length() - 1
+            m &= m - 1
+            val = (common_xy & rows[z]).bit_count()
+            if gamma is None:
+                gamma = val
+            elif gamma != val:
+                return None
+    if gamma is None:
+        raise InputError("no triple (x~y, z at distance 2 from both) exists")
+    return gamma
 
 
 # -- mu-graph regularity -----------------------------------------------------
@@ -475,16 +534,8 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
                 regular = False
             if d != size - 1:
                 terwilliger = False
-        # relabel the mu-graph onto bits 0..size-1 for the coclique search
-        pos = {v: i for i, v in enumerate(verts)}
-        small = [0] * size
-        for i, v in enumerate(verts):
-            mm = rows[v] & common
-            while mm:
-                u = (mm & -mm).bit_length() - 1
-                small[i] |= 1 << pos[u]
-                mm &= mm - 1
-        t_max = max(t_max, _max_coclique_rows(small, (1 << size) - 1))
+        # the graph's rows restricted to the universe are the mu-graph's rows
+        t_max = max(t_max, _max_coclique_rows(rows, common))
     if not regular:
         kappa = None
         terwilliger = False
@@ -594,29 +645,11 @@ def graph_spectrum(g: Graph, precision: int = 9, cap: int = SPECTRUM_EXACT_CAP,
 
 
 def clique_union_structure(g: Graph) -> Optional[Tuple[int, int]]:
-    """(s, t) if the graph is the disjoint union of t+1 cliques of size s."""
-    if g.n == 0:
+    """(s, t) if the graph is the disjoint union of t+1 cliques of size s:
+    then, and only then, all closed neighbourhoods have size s and each is
+    shared by all its members."""
+    closed = [frozenset(nbs) | {v} for v, nbs in enumerate(g._adj)]
+    s = len(closed[0]) if closed else 0
+    if s == 0 or any(len(c) != s or any(closed[u] != c for u in c) for c in closed):
         return None
-    seen = [False] * g.n
-    sizes = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        comp = [v]
-        seen[v] = True
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        s = len(comp)
-        for u in comp:
-            if g.degree(u) != s - 1:
-                return None
-        sizes.append(s)
-    if len(set(sizes)) != 1:
-        return None
-    return sizes[0], len(sizes) - 1
+    return s, g.n // s - 1

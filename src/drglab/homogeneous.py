@@ -144,7 +144,7 @@ def near_polygon_analysis(ia: IntersectionArray,
     gon = 2 * D if ia.a_at(D) == ia.c_at(D) * a1 else 2 * D + 1
     out["gon"] = gon
     s = a1 + 1
-    order = (s, ia.k // s - 1) if ia.k % s == 0 else None
+    order = (s, ia.k // s - 1) if s > 0 and ia.k % s == 0 else None
     if local_structure is not None and order != local_structure:
         order = None
     out["order"] = order
@@ -152,7 +152,7 @@ def near_polygon_analysis(ia: IntersectionArray,
     if gon == 2 * D:
         if ia.c_at(2) >= 3:
             refinement = "dual polar"
-        elif ia.c_at(2) == 2 and ia.c_at(3) == 3:
+        elif D >= 3 and ia.c_at(2) == 2 and ia.c_at(3) == 3:
             refinement = "Hamming"
     out["refinement"] = refinement
     return out

@@ -14,10 +14,6 @@ def pytest_addoption(parser):
                      help="run tests marked slow (large sampled checks)")
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: large sampled-verification runs")
-
-
 def pytest_collection_modifyitems(config, items):
     if config.getoption("--run-slow"):
         return

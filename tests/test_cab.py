@@ -1,16 +1,25 @@
 """Three-cell local partitions: empirical checks, recursion, closed forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import cab_oracle as oracle
 from drglab.cab import (CabLevelParams, LocalSrgData, c2_bound,
                         cab2_closed_form, cab_formula_params,
                         cab_partition_check, predict_cab2, quotient_matrix,
-                        quotient_spectrum, triple_intersection_number)
-from drglab.errors import DomainError, PreconditionError, SingularityError
-from drglab.families import complete, cycle
+                        quotient_spectrum)
+from drglab.errors import (DomainError, InputError, PreconditionError,
+                           SingularityError)
+from drglab.families import (complete, cycle, folded_johnson, halved_cube,
+                             hamming, icosahedron, johnson, triangular)
+from drglab.graph import Graph, triple_intersection_number
+from drglab.homogeneous import cab_equivalence_check
 from drglab.scalars import exact_eq
+from test_equitability import relabel, switch
 
 J105_LEVELS = [(0, 1, 4, 2), (2, 2, 3, 4), (4, 3, 2, 6), (6, 4, 1, 8)]
 
@@ -39,6 +48,70 @@ def test_icosahedron_cab_holds(icosa):
 def test_requires_positive_a1():
     with pytest.raises(PreconditionError):
         cab_partition_check(cycle(6))  # a1 = 0
+    with pytest.raises(PreconditionError):
+        cab_partition_check(Graph([]))  # no vertex, so no edge either
+
+
+@pytest.mark.parametrize("i_max", [0, -3, 5])
+def test_rejects_levels_outside_the_diameter(i_max):
+    with pytest.raises(InputError):
+        cab_partition_check(johnson(8, 4), i_max=i_max)
+
+
+def test_rejects_levels_above_the_diameter_before_any_pair(t10):
+    # level 1 fails on T(10), but i_max = 3 > D = 2 is an argument error
+    with pytest.raises(InputError):
+        cab_partition_check(t10, i_max=3)
+
+
+@pytest.mark.parametrize("max_pairs", [0, -5])
+def test_rejects_non_positive_pair_caps(max_pairs):
+    with pytest.raises(InputError):
+        cab_partition_check(johnson(8, 4), max_pairs=max_pairs)
+
+
+# -- differential test against the bitset scan ---------------------------------
+
+CAB_BASES = [johnson(8, 4), hamming(4, 3), folded_johnson(8, 4), icosahedron(),
+             halved_cube(8), triangular(10)]
+
+
+def switched(g, rng):
+    """An edge switch of g that keeps it connected."""
+    while True:
+        h = switch(g, rng)
+        if h.is_connected():
+            return h
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(range(len(CAB_BASES))), st.integers(0, 2 ** 32),
+       st.booleans(), st.data())
+def test_report_matches_bitset_oracle(index, seed, is_switched, data):
+    rng = random.Random(seed)
+    g = relabel(CAB_BASES[index], rng)
+    if is_switched:
+        g = switched(g, rng)
+    i_max = data.draw(st.integers(1, g.diameter()), label="i_max")
+    max_pairs = data.draw(st.sampled_from([None, 1, 7, 10 ** 4]), label="max_pairs")
+    assert cab_partition_check(g, i_max, max_pairs) == \
+        oracle.cab_partition_check(g, i_max, max_pairs)
+
+
+@pytest.mark.parametrize("index", range(len(CAB_BASES)))
+@pytest.mark.parametrize("is_switched", [False, True])
+def test_full_report_matches_bitset_oracle(index, is_switched):
+    rng = random.Random(index)
+    g = relabel(CAB_BASES[index], rng)
+    if is_switched:
+        g = switched(g, rng)
+    assert cab_partition_check(g) == oracle.cab_partition_check(g)
+
+
+def test_equivalence_check_refutes_a_switched_graph():
+    g = switched(relabel(johnson(8, 4), random.Random(2)), random.Random(3))
+    assert cab_equivalence_check(g) is False
 
 
 def test_local_srg_data_from_eigenvalues():

@@ -68,6 +68,40 @@ def test_cab_command(capsys, tmp_path):
     assert len(out["levels"]) >= 2
 
 
+def test_cab_rejects_levels_below_one(capsys, tmp_path):
+    path = str(tmp_path / "g.json")
+    run_cli(capsys, "build", "icosahedron", "--out", path)
+    code, out, err = run_cli(capsys, "cab", path, "--upto", "0")
+    assert code == 2 and out is None and "level 0" in err
+
+
+def test_cab_refutation_reports_the_first_deviation(capsys, tmp_path):
+    path = str(tmp_path / "t10.json")
+    run_cli(capsys, "build", "triangular:10", "--out", path)
+    code, out, _ = run_cli(capsys, "cab", path)
+    assert code == 1 and not out["holds"]
+    assert out["levels"] == [] and out["pairs_checked"] == 1
+    assert out["witness"] == {"level": 1, "x": 0, "y": 1, "vertex": 9,
+                              "counts": [1, 0, 7], "expected": [1, 6, 1],
+                              "reason": "counts differ within cell A"}
+
+
+@pytest.mark.parametrize("ia,gon,order", [("2,1;1,2", 4, [1, 1]),
+                                          ("8,8;1,2", 5, None)])
+def test_classify_near_polygon_of_small_or_negative_arrays(capsys, ia, gon, order):
+    # D = 2 has no c_3, and a_1 = -1 leaves no line size a_1 + 1 to divide by
+    code, out, err = run_cli(capsys, "classify", "--ia", ia)
+    assert code == 0 and "Traceback" not in err
+    assert out["near_polygon"] == {"near_polygon": True, "gon": gon,
+                                   "order": order, "refinement": None}
+
+
+def test_classify_infeasible_array_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "classify", "--ia", "4,4,4;1,2,2")
+    assert code == 2 and out is None
+    assert err.startswith("error: infeasible intersection array")
+
+
 def test_classify_by_array(capsys):
     code, out, _ = run_cli(capsys, "classify", "--ia",
                            "25,16,9,4,1;1,4,9,16,25")
