@@ -12,9 +12,9 @@ B = those at distance i+1.  The level-i parameters are
     delta_i : neighbours inside A of a B-vertex.
 
 The empirical check runs the counting kernel of ``graph`` on the triangle
-list (the arcs of every local graph) and reads the dense distance matrix, so
-it works up to ``graph._DENSE_CAP`` vertices.  Bitset rows serve only the
-mu-graph, coclique, c_2 and triple-intersection searches in ``graph``.
+list (the arcs of the local graphs it reads: all of them, or those of the
+first ``max_pairs`` pairs per level) and reads the dense distance matrix, so
+it works up to ``graph._DENSE_CAP`` vertices.
 """
 
 from __future__ import annotations
@@ -129,14 +129,19 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
     k = g.degree(0) if g.n else 0
     if any(g.degree(v) != k for v in range(g.n)):
         raise PreconditionError("graph is not regular")
-    tri_arc, tri_w = g._triangle_arrays()
-    if np.searchsorted(tri_arc, 1) == 0:  # a_1 counted on the first arc
+    if not k or not set(g.neighbors(0)).intersection(g.neighbors(g.neighbors(0)[0])):
         raise PreconditionError("a_1 = 0: local graphs are edgeless, partition degenerates")
     D = g.diameter()
     i_max = D if i_max is None else i_max
     if not 1 <= i_max <= D:
         raise InputError(f"level {i_max} outside 1..{D}")
     dm, dst = g.distance_matrix(), g._arc_arrays()[1]
+    # a capped scan reads only the y's of each level's first max_pairs pairs
+    listed = np.full(g.n, max_pairs is None)
+    for i in range(1, i_max + 1) if max_pairs else ():
+        x_end = np.searchsorted(np.cumsum((dm == i).sum(axis=1)), max_pairs) + 1
+        listed[np.flatnonzero(dm[:x_end] == i)[:max_pairs] % g.n] = True
+    tri_arc, tri_w = g._triangle_arrays(listed)
     # the graph is regular, so the arcs out of y are y*k .. y*k + k - 1
     tri_size = np.diff(np.searchsorted(tri_arc, np.arange(g.n + 1) * k))
     cap = g.n * g.n if max_pairs is None else max_pairs

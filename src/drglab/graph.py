@@ -1,22 +1,21 @@
-"""Graph representation and the empirical machinery: BFS, distance partitions,
-equitable quotients, distance-regularity testing, local and mu-graphs, and
-exact small-graph spectra.
+"""Graph representation and the empirical machinery: distances, distance
+partitions, equitable quotients, distance-regularity testing, local and
+mu-graphs, and exact small-graph spectra.
 
 Adjacency is kept as sorted neighbor tuples, with three lazily built views:
-arc arrays, which feed the one per-cell neighbour-counting kernel behind
-equitable quotients, 1-homogeneity, distance-regularity and (through the
-triangle list, the arcs of every local graph) the local (C, A, B)
-partitions; bitset rows, which serve only the mu-graph, coclique, c_2 and
-triple-intersection searches; and dense matrices (at most ``_DENSE_CAP``
-vertices) for all-pairs distances and spectra.  Integer numpy arithmetic and
-Python bigints keep every verdict exact; the only float operation is a 0/1
-reachability matmul whose entries stay far below 2**53.
+arc arrays, which feed the one distance engine (``Graph._distance_rows``, a
+bit-parallel breadth-first search behind every distance row and the dense
+distance matrix of at most ``_DENSE_CAP`` vertices) and the one per-cell
+neighbour-counting kernel behind equitable quotients, 1-homogeneity,
+distance-regularity and (on the triangle list, the arcs of every local graph)
+the local (C, A, B) partitions; bitset rows, which serve only the mu-graph,
+coclique, c_2 and triple-intersection searches; and the dense adjacency
+matrix, for spectra only.  Integer arithmetic keeps every verdict exact.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -109,28 +108,28 @@ class Graph:
             self._arcs = (src, dst)
         return self._arcs
 
-    def _triangle_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(arc, apex) of every triangle, grouped by arc with apexes ascending:
-        the index of an arc (y, v) in ``_arc_arrays`` and each common
-        neighbour w of y and v.  Together these are the arcs of every local
-        graph.  Each (y, v) is paired with every arc (y, w) and (v, w) is
-        looked up in the sorted arc keys, ``_TRIANGLE_BLOCK`` pairs at a time."""
+    def _triangle_arrays(self, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(arc, apex) of every triangle on an arc (y, v) with mask[y], grouped
+        by arc with apexes ascending: the arc's index in ``_arc_arrays`` and
+        each common neighbour w of y and v (with every y, the arcs of every
+        local graph).  Each (y, v) is paired with every arc (y, w) and (v, w)
+        is looked up in the sorted arc keys, ``_TRIANGLE_BLOCK`` pairs at a time."""
         src, dst = self._arc_arrays()
-        m = len(src)
         keys = src.astype(np.int64) * self.n + dst
-        width = np.bincount(src, minlength=self.n)[src]  # deg(y) candidates per arc
+        sel = np.flatnonzero(mask[src]).astype(np.int32)  # arcs out of masked y
+        width = np.bincount(src, minlength=self.n)[src[sel]]  # deg(y) candidates per arc
         ends = np.cumsum(width, dtype=np.int64)
-        # candidate j of arc t is the arc first_out(y) + j - (ends[t] - width[t])
-        shift = np.searchsorted(src, src) - ends + width
+        # candidate j of selected arc t is the arc first_out(y) + j - (ends[t] - width[t])
+        shift = np.searchsorted(src, src[sel]) - ends + width
         arcs, apexes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
         a = 0
-        while a < m:
+        while a < len(sel):
             b = max(a + 1, int(np.searchsorted(
                 ends, ends[a] - width[a] + _TRIANGLE_BLOCK, side="right")))
-            arc = np.repeat(np.arange(a, b, dtype=np.int32), width[a:b])
-            w = dst[np.arange(ends[a] - width[a], ends[b - 1]) + shift[arc]]
+            t = np.repeat(np.arange(a, b), width[a:b])
+            arc, w = sel[t], dst[np.arange(ends[a] - width[a], ends[b - 1]) + shift[t]]
             cand = dst[arc].astype(np.int64) * self.n + w
-            hit = keys[np.minimum(np.searchsorted(keys, cand), m - 1)] == cand
+            hit = keys[np.minimum(np.searchsorted(keys, cand), len(src) - 1)] == cand
             arcs.append(arc[hit])
             apexes.append(w[hit])
             a = b
@@ -150,52 +149,56 @@ class Graph:
 
     # -- distances ---------------------------------------------------------
 
+    def _distance_rows(self, sources) -> np.ndarray:
+        """int16 rows d(s, .), -1 where unreachable.  One breadth-first search
+        serves 64 sources: bit j of a vertex's word means "reached from source
+        j".  A level ORs the neighbours' words (``np.bitwise_or.reduceat`` over
+        ``_arc_arrays``) and decodes the new bits with ``np.unpackbits``."""
+        sources = np.asarray(sources, dtype=np.intp).reshape(-1)
+        for bad in sources[(sources < 0) | (sources >= self.n)][:1]:
+            raise InputError(f"vertex {bad} out of range")
+        dst = self._arc_arrays()[1]
+        deg = np.fromiter(map(len, self._adj), dtype=np.intp, count=self.n)
+        owners, starts = np.flatnonzero(deg), (np.cumsum(deg) - deg)[deg > 0]
+        rows = np.empty((len(sources), self.n), dtype=np.int16)
+        for lo in range(0, len(sources), 64):
+            block = sources[lo:lo + 64]
+            word = np.dtype(f"<u{1 << max(0, (len(block) - 1).bit_length() - 3)}")
+            bit = np.left_shift(np.ones(len(block), word), np.arange(len(block), dtype=word))
+            frontier = np.zeros(self.n, word)
+            np.bitwise_or.at(frontier, block, bit)
+            seen, every = frontier.copy(), np.bitwise_or.reduce(bit)
+            # column j of the vertex-major block holds d(block[j], .)
+            dist = np.full((self.n, 8 * word.itemsize), -1, dtype=np.int16)
+            for level in range((1 << 15) - 1):  # level + 1 must fit in int16
+                hit = np.flatnonzero(frontier)
+                bits = np.unpackbits(frontier[hit, None].view(np.uint8), axis=1, bitorder="little")
+                dist[hit] += bits * np.int16(level + 1)  # -1 becomes level
+                if not len(hit) or (seen == every).all():
+                    break
+                reach = np.zeros_like(frontier)
+                reach[owners] = np.bitwise_or.reduceat(frontier[dst], starts)
+                frontier = reach & ~seen
+                seen |= frontier
+            else:
+                raise ResourceError("distances above 32766 do not fit the int16 rows")
+            rows[lo:lo + len(block)] = dist[:, :len(block)].T
+        return rows
+
     def distances_from(self, x: int) -> List[int]:
-        """BFS distance vector; unreachable vertices get -1."""
-        if not (0 <= x < self.n):
-            raise InputError(f"vertex {x} out of range")
-        dist = [-1] * self.n
-        dist[x] = 0
-        queue = deque([x])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            for u in self._adj[v]:
-                if dist[u] < 0:
-                    dist[u] = dv + 1
-                    queue.append(u)
-        return dist
+        """Distance vector from x; unreachable vertices get -1."""
+        return self._distance_rows([x])[0].tolist()
 
     def distance_matrix(self) -> np.ndarray:
         """Dense all-pairs distance matrix (-1 for unreachable)."""
-        if self._dm is not None:
-            return self._dm
-        n = self.n
-        if n > _DENSE_CAP:
-            raise ResourceError(f"dense distance matrix capped at {_DENSE_CAP} vertices")
-        A = self.adjacency_matrix()
-        Ab = A.astype(bool)
-        # 0/1 reachability products are exact in float64 for n < 2**53
-        Af = A.astype(np.float64)
-        dist = np.full((n, n), -1, dtype=np.int16)
-        np.fill_diagonal(dist, 0)
-        dist[Ab] = 1
-        reach = Ab | np.eye(n, dtype=bool)
-        d = 1
-        while True:
-            new_reach = (reach.astype(np.float64) @ Af) > 0
-            new_reach |= reach
-            frontier = new_reach & ~reach
-            if not frontier.any():
-                break
-            d += 1
-            dist[frontier] = d
-            reach = new_reach
-        self._dm = dist
-        return dist
+        if self._dm is None:
+            if self.n > _DENSE_CAP:
+                raise ResourceError(f"dense distance matrix capped at {_DENSE_CAP} vertices")
+            self._dm = self._distance_rows(range(self.n))
+        return self._dm
 
     def is_connected(self) -> bool:
-        return self.n == 0 or min(self.distances_from(0)) >= 0
+        return self.n == 0 or self._distance_rows([0]).min() >= 0
 
     def diameter(self) -> int:
         dm = self.distance_matrix()
@@ -226,6 +229,8 @@ class Graph:
         n, adj = obj.get("n"), obj.get("adj")
         if not isinstance(n, int) or not isinstance(adj, list) or len(adj) != n:
             raise InputError('"n" must match the length of "adj"')
+        if n == 0:
+            raise InputError("graph has no vertices")
         return cls(adj)
 
     @classmethod
@@ -281,8 +286,7 @@ class EquitabilityWitness:
 
 def distance_partition(g: Graph, x: int, y: int) -> VertexPartition:
     """Cells D^h_j(x, y) = Gamma_j(x) n Gamma_h(y), ordered lex by (j, h)."""
-    dx = g.distances_from(x)
-    dy = g.distances_from(y)
+    dx, dy = g._distance_rows([x, y]).tolist()
     if min(dx) < 0:
         raise InputError("distance partition requires a connected graph")
     cells: Dict[Tuple[int, int], List[int]] = {}
@@ -440,8 +444,8 @@ def triple_intersection_number(g: Graph) -> Optional[int]:
     distance 2 from both, if that count is constant over all such triples;
     None when it varies.  Requires at least one such triple."""
     rows = g.bitrows()
-    dist2 = [sum(1 << u for u, d in enumerate(g.distances_from(v)) if d == 2)
-             for v in range(g.n)]
+    dist2 = [int.from_bytes(np.packbits(row == 2, bitorder="little").tobytes(), "little")
+             for row in g._distance_rows(range(g.n))]
     gamma = None
     for x, y in g.edges():
         common_xy = rows[x] & rows[y]

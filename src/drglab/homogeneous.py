@@ -5,8 +5,8 @@ parameters ("1-homogeneous" graphs).
 
 Every pair goes through the per-cell counting kernel of ``graph``.  The size
 policy follows from the mode: exhaustive checks read both distance rows from
-the dense distance matrix (at most ``graph._DENSE_CAP`` vertices); sampled checks
-take them from two breadth-first searches and work at any size.
+the dense distance matrix (at most ``graph._DENSE_CAP`` vertices); sampled
+checks take every row from one call of the distance engine, at any size.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _pair_quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
     """Equitability of pi(x, y) from the distance rows of x and y: the cells
     are labelled (d(x, v), d(y, v)) and ordered lexicographically."""
     span = int(max(dx.max(), dy.max())) + 1
-    keys = dx * span + dy
+    keys = dx.astype(np.intp) * span + dy
     present = np.bincount(keys, minlength=span * span) > 0
     labels = tuple(divmod(int(key), span) for key in np.flatnonzero(present))
     return _equitable(g, (np.cumsum(present) - 1)[keys], labels)
@@ -54,22 +54,25 @@ def _pair_quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
 
 def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     """``count`` pairs at distance i, drawn with replacement: x uniformly,
-    then y uniformly in Gamma_i(x); each yields (x, y, d(x, .))."""
+    then y uniformly in the sorted Gamma_i(x).  Each yields (x, y, d(x, .),
+    d(y, .)); all these rows come from one call of the distance engine."""
+    if not g.is_connected():
+        raise InputError("homogeneity is defined for connected graphs")
     rng = random.Random(seed)
-    attempts = 0
-    for _ in range(count):
-        while True:
-            attempts += 1
-            if attempts > 50 * count:
-                raise InputError(f"could not sample pairs at distance {i}")
-            x = rng.randrange(g.n)
-            dx = g.distances_from(x)
-            if min(dx) < 0:
-                raise InputError("homogeneity is defined for connected graphs")
-            at_i = [v for v, d in enumerate(dx) if d == i]
-            if at_i:
+    pairs: List[int] = []
+    for _ in range(50 * count):
+        x = rng.randrange(g.n)
+        # Gamma_1(x) is the sorted neighbour tuple, so level 1 draws need no row
+        at_i = g.neighbors(x) if i == 1 else np.flatnonzero(g._distance_rows([x])[0] == i).tolist()
+        if at_i:
+            pairs += (x, rng.choice(at_i))
+            if len(pairs) == 2 * count:
                 break
-        yield x, rng.choice(at_i), np.asarray(dx, dtype=np.intp)
+    else:
+        raise InputError(f"could not sample pairs at distance {i}")
+    rows = g._distance_rows(pairs)  # int16: 2 * count rows of n
+    for t in range(0, 2 * count, 2):
+        yield pairs[t], pairs[t + 1], rows[t], rows[t + 1]
 
 
 def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
@@ -80,17 +83,16 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
 
     Exhaustive mode reads every pair and both distance rows from the dense
     distance matrix, so above its cap it raises ResourceError.  Sampled mode
-    draws ``count`` pairs with replacement with the given seed and costs two
-    breadth-first searches per pair at any n; it can refute but only
-    exhaustive mode confirms over all pairs.
+    draws ``count`` pairs with replacement with the given seed and takes all
+    their rows from one bit-parallel search at any n (a draw above level 1
+    runs a one-source search); it can refute but only exhaustive mode confirms.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
     if mode == "sampled":
         if seed is None or count is None or count < 1:
             raise InputError("sampled mode requires a seed and a positive count")
-        pairs = ((x, y, dx, np.asarray(g.distances_from(y), dtype=np.intp))
-                 for x, y, dx in _sampled_pairs(g, i, seed, count))
+        pairs = _sampled_pairs(g, i, seed, count)
     else:
         dm = g.distance_matrix()
         if dm.min() < 0:
@@ -98,8 +100,7 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
         at_i = np.argwhere(dm == i).tolist()
         if not at_i:
             raise InputError(f"no pair of vertices at distance {i}")
-        pairs = ((x, y, dm[x].astype(np.intp), dm[y].astype(np.intp))
-                 for x, y in at_i)
+        pairs = ((x, y, dm[x], dm[y]) for x, y in at_i)
     ref = None
     checked = 0
     for x, y, dx, dy in pairs:

@@ -9,6 +9,7 @@ whole reports against it.
 
 from typing import Dict, List, Optional
 
+from bfs_oracle import bfs_distances
 from drglab.cab import CabDeviation, CabLevelParams, CabReport
 from drglab.errors import InputError, PreconditionError
 from drglab.graph import Graph
@@ -16,7 +17,7 @@ from drglab.graph import Graph
 
 def _distance_masks(g: Graph, x: int, cache: Dict[int, List[int]]) -> List[int]:
     if x not in cache:
-        dist = g.distances_from(x)
+        dist = bfs_distances(g, x)
         masks = [0] * (max(dist) + 2)
         for v, d in enumerate(dist):
             masks[d] |= 1 << v

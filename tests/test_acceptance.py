@@ -8,9 +8,12 @@ import random
 import sys
 from fractions import Fraction
 from functools import wraps
+from itertools import chain
 
+import numpy as np
 import pytest
 
+from bfs_oracle import bfs_distances
 from drglab.arrays import IntersectionArray
 from drglab.bounds import F_bound, G_bound, claw_f, mu_bound, phi
 from drglab.cab import (LocalSrgData, cab_formula_params, cab_partition_check,
@@ -175,13 +178,21 @@ def test_criterion_10():
     # close with c_5 = c_5 + b_5 = 50
     expected = {0: (0, 100), 1: (1, 81), 2: (4, 64), 3: (9, 49),
                 4: (16, 36), 5: (50, 0)}
+    # the arcs (v, u) of g, and for each root the queue-BFS oracle's rows,
+    # so that these counts do not rest on the distance engine
+    adj = [g.neighbors(v) for v in range(g.n)]
+    src = np.repeat(np.arange(g.n, dtype=np.int32), [len(nbs) for nbs in adj])
+    dst = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=len(src))
     rng = random.Random(1)
     for x in rng.sample(range(g.n), 3):
-        d = g.distances_from(x)
+        d = np.array(bfs_distances(g, x), dtype=np.int32)
+        step = d[dst] - d[src]
+        down = np.bincount(src[step == -1], minlength=g.n)
+        up = np.bincount(src[step == 1], minlength=g.n)
         seen = {}
-        for v in range(g.n):
-            down = sum(1 for u in g.neighbors(v) if d[u] == d[v] - 1)
-            up = sum(1 for u in g.neighbors(v) if d[u] == d[v] + 1)
-            ref = seen.setdefault(d[v], (down, up))
-            assert ref == (down, up)
+        for level in np.unique(d).tolist():
+            # every vertex of a layer has its layer's (down, up)
+            counts = set(zip(down[d == level].tolist(), up[d == level].tolist()))
+            assert len(counts) == 1
+            seen[level] = counts.pop()
         assert seen == expected

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -45,11 +46,18 @@ def test_icosahedron_cab_holds(icosa):
     assert rep.holds
 
 
+A1_ZERO = "a_1 = 0: local graphs are edgeless, partition degenerates"
+
+
 def test_requires_positive_a1():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=A1_ZERO):
         cab_partition_check(cycle(6))  # a1 = 0
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=A1_ZERO):
         cab_partition_check(Graph([]))  # no vertex, so no edge either
+    with pytest.raises(PreconditionError, match=A1_ZERO):
+        cab_partition_check(Graph([[], []]))  # regular of valency 0
+    with pytest.raises(PreconditionError, match=A1_ZERO):
+        cab_partition_check(cycle(6), max_pairs=1)
 
 
 @pytest.mark.parametrize("i_max", [0, -3, 5])
@@ -68,6 +76,28 @@ def test_rejects_levels_above_the_diameter_before_any_pair(t10):
 def test_rejects_non_positive_pair_caps(max_pairs):
     with pytest.raises(InputError):
         cab_partition_check(johnson(8, 4), max_pairs=max_pairs)
+
+
+def test_capped_check_lists_only_the_triangles_it_reads(j105, monkeypatch):
+    listed = []
+    triangles = Graph._triangle_arrays
+
+    def spy(g, mask):
+        listed.append(triangles(g, mask))
+        return listed[-1]
+
+    monkeypatch.setattr(Graph, "_triangle_arrays", spy)
+    rep = cab_partition_check(j105, max_pairs=1)
+    assert rep.holds and rep.pairs_checked == 5
+    # with one pair per level the scan reads the first vertex at each
+    # distance 1..5 from vertex 0, and lists only the arcs out of those
+    dist = j105.distance_matrix()[0]
+    read = {int(np.flatnonzero(dist == i)[0]) for i in range(1, 6)}
+    (tri_arc, _), = listed
+    src = j105._arc_arrays()[0]
+    assert set(src[tri_arc].tolist()) == read
+    # each of the 25 arcs out of each y lies on a_1 = 8 triangles
+    assert len(tri_arc) == len(read) * 25 * 8
 
 
 # -- differential test against the bitset scan ---------------------------------

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from drglab.cli import main
+from test_homogeneous import GOLDEN_GRAPHS
 
 
 def run_cli(capsys, *argv):
@@ -186,3 +187,27 @@ def test_output_matches_golden(capsys, case):
 
 def test_threads_flag_is_gone(capsys):
     assert main(["--threads", "2", "bounds", "--b", "1"]) == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "homog", "classify", "cab"])
+def test_empty_graph_file_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"format": "drg-graph-v1", "n": 0, "adj": []}))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out is None
+    assert "graph has no vertices" in err
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "sampled_golden.json")) as fh:
+    SAMPLED_CLI = json.load(fh)["cli"]
+
+
+@pytest.mark.parametrize("case", SAMPLED_CLI, ids=lambda c: "{graph} --i {level} "
+                         "--sample {sample} --seed {seed}".format(**c))
+def test_sampled_homog_output_matches_golden(capsys, tmp_path, case):
+    path = str(tmp_path / "g.json")
+    GOLDEN_GRAPHS[case["graph"]]().dump(path)
+    code = main(["homog", path, "--i", str(case["level"]), "--sample",
+                 str(case["sample"]), "--seed", str(case["seed"])])
+    assert code == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]

@@ -1,5 +1,7 @@
 """Joint distance partitions, near polygons, recognition, main classifier."""
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -10,8 +12,8 @@ import pytest
 import drglab
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError, ScopeError
-from drglab.families import (cycle, folded_halved_cube, hamming, johnson,
-                             petersen, triangular)
+from drglab.families import (cycle, folded_halved_cube, folded_johnson, hamming,
+                             johnson, petersen, triangular)
 from drglab.graph import Graph
 from drglab.homogeneous import (ClassifierBundle, cab_equivalence_check,
                                 check_i_homogeneous, classify_main,
@@ -96,6 +98,51 @@ def test_sampled_mode_needs_seed_and_count(pete):
 def test_no_pairs_at_distance(pete):
     with pytest.raises(InputError):
         check_i_homogeneous(pete, 3)  # diameter is 2
+
+
+# -- sampled reports pinned by a golden file -------------------------------------
+
+#: whole sampled reports, witnesses included, and the errors of edgeless graphs,
+#: recorded with the sampler that ran one queue breadth-first search per drawn
+#: x and per y; a sampler must keep its draws, and so these reports, per seed
+with open(os.path.join(os.path.dirname(__file__), "data", "sampled_golden.json")) as fh:
+    SAMPLED_GOLDEN = json.load(fh)
+
+GOLDEN_GRAPHS = {"J(8,4)": lambda: johnson(8, 4), "H(4,3)": lambda: hamming(4, 3),
+                 "folded J(10,5)": lambda: folded_johnson(10, 5),
+                 "T(10)": lambda: triangular(10), "chorded C4": chorded_c4}
+EDGELESS = {"n=1": [[]], "n=2": [[], []], "K2+K1": [[1], [0], []]}
+
+
+def outcome(check) -> dict:
+    """The report as JSON, or the error's type and message."""
+    try:
+        return {"report": json.loads(json.dumps(dataclasses.asdict(check())))}
+    except InputError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+@pytest.mark.parametrize("name", GOLDEN_GRAPHS)
+@pytest.mark.parametrize("level", [1, 2])
+def test_sampled_reports_match_golden(name, level):
+    g = GOLDEN_GRAPHS[name]()
+    cases = [c for c in SAMPLED_GOLDEN["reports"]
+             if c["graph"] == name and c["level"] == level]
+    assert len(cases) == 12
+    for case in cases:
+        got = outcome(lambda: check_i_homogeneous(g, level, "sampled", seed=case["seed"],
+                                                  count=case["count"]))
+        want = {k: case[k] for k in ("report", "error", "message") if k in case}
+        assert got == want, (case["seed"], case["count"])
+
+
+def test_edgeless_graphs_raise_golden_errors():
+    assert len(SAMPLED_GOLDEN["edgeless"]) == 12
+    for case in SAMPLED_GOLDEN["edgeless"]:
+        g = Graph(EDGELESS[case["graph"]])
+        kwargs = {"seed": 0, "count": 3} if case["mode"] == "sampled" else {}
+        got = outcome(lambda: check_i_homogeneous(g, case["level"], case["mode"], **kwargs))
+        assert got == {"error": case["error"], "message": case["message"]}, case
 
 
 def test_cab_equivalence_on_icosahedron(icosa):
