@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (DomainError, InputError, PreconditionError, SingularityError,
                      require)
 from .graph import Graph, _cell_counts
-from .polys import real_roots
+from .polys import charpoly, real_roots
 from .scalars import ExactScalar, as_exact, exact_eq
 
 
@@ -253,15 +253,7 @@ def quotient_matrix(a1: int, p: CabLevelParams) -> Tuple[Tuple[ExactScalar, ...]
 
 def quotient_spectrum(Q: Sequence[Sequence[ExactScalar]]) -> List[ExactScalar]:
     """Exact eigenvalues of a 3x3 rational matrix, descending."""
-    m = [[Fraction(x) for x in row] for row in Q]
-    tr = m[0][0] + m[1][1] + m[2][2]
-    c2 = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
-          + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-          + m[1][1] * m[2][2] - m[1][2] * m[2][1])
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    roots = real_roots((-det, c2, -tr, 1))
+    roots = real_roots(charpoly(Q))
     out = []
     for val, mult in roots:
         out.extend([val] * mult)

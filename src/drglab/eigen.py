@@ -10,7 +10,7 @@ from typing import Tuple
 
 from .arrays import IntersectionArray, basic_feasibility
 from .errors import InputError, InternalError, require
-from .polys import charpoly_tridiagonal, real_roots
+from .polys import ROOT_WIDTH, charpoly_tridiagonal, real_roots
 from .scalars import ExactScalar, Interval, Surd, exact_cmp
 
 
@@ -54,7 +54,7 @@ SPECTRUM_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _spectrum(ia: IntersectionArray, precision: int) -> EigenvalueList:
+def _spectrum(ia: IntersectionArray) -> EigenvalueList:
     rep = basic_feasibility(ia)
     if not rep.passed:
         raise InputError(f"infeasible intersection array: {rep.witness}")
@@ -63,31 +63,32 @@ def _spectrum(ia: IntersectionArray, precision: int) -> EigenvalueList:
     lower = [ia.c_at(i) for i in range(1, D + 1)]
     upper = [ia.b_at(i) for i in range(D)]
     coeffs = charpoly_tridiagonal(diag, lower, upper)
-    roots = real_roots(coeffs, precision)
+    roots = real_roots(coeffs)
     if sum(m for _, m in roots) != D + 1 or any(m != 1 for _, m in roots):
         raise InternalError("tridiagonal intersection matrix must have D+1 simple roots")
     return EigenvalueList(tuple(r for r, _ in roots))
 
 
-def eigenvalues(ia: IntersectionArray, precision: int = 9) -> EigenvalueList:
+def eigenvalues(ia: IntersectionArray) -> EigenvalueList:
     """Exact spectrum of the tridiagonal intersection matrix.
 
     Rational roots come back exact, quadratic irrationals as surds, the rest
-    as certified intervals of width <= 10**-precision.  The array and the
-    result are immutable, so the last ``SPECTRUM_CACHE_SIZE`` spectra are
-    kept and each array is factored once however many analyses read it.
+    as certified intervals of width ``polys.ROOT_WIDTH`` that refine on
+    demand.  The array and the result are immutable, so the last
+    ``SPECTRUM_CACHE_SIZE`` spectra are kept and each array is factored once
+    however many analyses read it.
     """
-    return _spectrum(ia, precision)
+    return _spectrum(ia)
 
 
 eigenvalues.cache_clear = _spectrum.cache_clear
 
 
-def b_parameter(ia: IntersectionArray, precision: int = 9) -> ExactScalar:
+def b_parameter(ia: IntersectionArray) -> ExactScalar:
     """b = b_1/(theta_1 + 1), exact whenever theta_1 is rational or a surd."""
     if ia.D < 2:
         raise InputError("b parameter needs diameter at least 2")
-    theta1 = eigenvalues(ia, precision)[1]
+    theta1 = eigenvalues(ia)[1]
     b1 = ia.b[1]
     if isinstance(theta1, (int, Rational)):
         den = Fraction(theta1) + 1
@@ -113,5 +114,5 @@ def b_parameter(ia: IntersectionArray, precision: int = 9) -> ExactScalar:
                 return blo, bhi
             w /= 2
 
-    lo, hi = refiner(Fraction(1, 10 ** precision))
+    lo, hi = refiner(ROOT_WIDTH)
     return Interval(lo, hi, refiner)

@@ -1,6 +1,7 @@
 """Graph representation and the empirical machinery: distances, distance
 partitions, equitable quotients, distance-regularity testing, local and
-mu-graphs, and exact small-graph spectra.
+mu-graphs, and exact spectra of graphs of at most ``SPECTRUM_EXACT_CAP``
+vertices.
 
 Adjacency is kept as sorted neighbor tuples, with three lazily built views:
 arc arrays, which feed the one distance engine (``Graph._distance_rows``, a
@@ -10,14 +11,15 @@ neighbour-counting kernel behind equitable quotients, 1-homogeneity,
 distance-regularity and (on the triangle list, the arcs of every local graph)
 the local (C, A, B) partitions; bitset rows, which serve only the mu-graph,
 coclique, c_2 and triple-intersection searches; and the dense adjacency
-matrix, for spectra only.  Integer arithmetic keeps every verdict exact.
+matrix, for spectra only: a spectrum is the real roots of its one integer
+characteristic polynomial (``polys.charpoly``), with no floating point on
+the way.  Integer arithmetic keeps every verdict exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -25,13 +27,14 @@ import numpy as np
 
 from .arrays import IntersectionArray
 from .errors import InputError, ResourceError
-from .polys import charpoly_dense, rational_nullity, real_roots
-from .scalars import ExactScalar, Surd, sort_desc
+from .polys import charpoly, real_roots
+from .scalars import ExactScalar
 
 GRAPH_FORMAT = "drg-graph-v1"
 
-#: default vertex cap for the exact characteristic polynomial path
-SPECTRUM_EXACT_CAP = 5000
+#: vertex cap for exact spectra: the characteristic polynomial of 256
+#: vertices takes about a minute
+SPECTRUM_EXACT_CAP = 256
 _DENSE_CAP = 6000
 #: candidate (arc, apex) pairs tested per block when listing triangles
 _TRIANGLE_BLOCK = 1 << 22
@@ -442,10 +445,12 @@ def mu_graph(g: Graph, x: int, y: int) -> InducedSubgraph:
 def triple_intersection_number(g: Graph) -> Optional[int]:
     """The number of common neighbours of (x, y, z) where x ~ y and z is at
     distance 2 from both, if that count is constant over all such triples;
-    None when it varies.  Requires at least one such triple."""
+    None when it varies.  Requires at least one such triple, and reads the
+    dense distance matrix, so at most ``_DENSE_CAP`` vertices."""
+    dm = g.distance_matrix()
     rows = g.bitrows()
     dist2 = [int.from_bytes(np.packbits(row == 2, bitorder="little").tobytes(), "little")
-             for row in g._distance_rows(range(g.n))]
+             for row in dm]
     gamma = None
     for x, y in g.edges():
         common_xy = rows[x] & rows[y]
@@ -552,97 +557,18 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
 @dataclass(frozen=True)
 class SpectrumReport:
     values: Tuple[Tuple[ExactScalar, int], ...]  # (eigenvalue, multiplicity), descending
-    exact: bool
-    tolerance: Optional[float] = None
+    exact: bool = True
 
 
-def _spectrum_by_verification(g: Graph) -> Optional[List[Tuple[ExactScalar, int]]]:
-    """Numeric hints + exact nullity verification.
-
-    Floats only generate candidates; every multiplicity is certified by an
-    exact rational rank computation, and the result is accepted only when the
-    certified multiplicities sum to n.
-    """
-    n = g.n
-    A = g.adjacency_matrix()
-    vals = np.linalg.eigvalsh(A.astype(np.float64))
-    clusters: List[float] = []
-    for v in sorted(vals.tolist()):
-        if not clusters or v - clusters[-1] > 1e-7:
-            clusters.append(v)
-    ints = [c for c in clusters if abs(c - round(c)) < 1e-6]
-    others = [c for c in clusters if abs(c - round(c)) >= 1e-6]
-    out: List[Tuple[ExactScalar, int]] = []
-    total = 0
-    Al = A.tolist()
-    for c in ints:
-        t = round(c)
-        m = [[Al[i][j] - (t if i == j else 0) for j in range(n)] for i in range(n)]
-        mult = rational_nullity(m)
-        if mult == 0:
-            return None
-        out.append((Fraction(t), mult))
-        total += mult
-    # pair leftover clusters into conjugate quadratics x^2 - s x + p
-    used = [False] * len(others)
-    A2 = (A @ A).tolist()
-    for i, ci in enumerate(others):
-        if used[i]:
-            continue
-        hit = False
-        for j in range(i + 1, len(others)):
-            if used[j]:
-                continue
-            s, p = ci + others[j], ci * others[j]
-            if abs(s - round(s)) < 1e-6 and abs(p - round(p)) < 1e-6:
-                si, pi = round(s), round(p)
-                disc = si * si - 4 * pi
-                if disc <= 0:
-                    continue
-                fmat = [[A2[r][col] - si * Al[r][col] + (pi if r == col else 0)
-                         for col in range(n)] for r in range(n)]
-                nullity = rational_nullity(fmat)
-                if nullity == 0 or nullity % 2:
-                    continue
-                mult = nullity // 2
-                out.append((Surd(si, 1, disc, 2), mult))
-                out.append((Surd(si, -1, disc, 2), mult))
-                total += nullity
-                used[i] = used[j] = True
-                hit = True
-                break
-        if not hit:
-            return None
-    if total != n:
-        return None
-    sort_desc(out)
-    return out
-
-
-def graph_spectrum(g: Graph, precision: int = 9, cap: int = SPECTRUM_EXACT_CAP,
-                   numeric_fallback: bool = False) -> SpectrumReport:
-    """Exact adjacency spectrum with multiplicities (descending)."""
-    if g.n > cap:
-        if not numeric_fallback:
-            raise ResourceError(
-                f"exact spectrum capped at {cap} vertices; enable numeric_fallback")
-        vals = np.linalg.eigvalsh(g.adjacency_matrix().astype(np.float64))
-        tol = 1e-8 * max(1.0, float(np.abs(vals).max()))
-        grouped: List[Tuple[float, int]] = []
-        for v in vals.tolist():
-            if grouped and abs(v - grouped[-1][0]) <= tol:
-                grouped[-1] = (grouped[-1][0], grouped[-1][1] + 1)
-            else:
-                grouped.append((v, 1))
-        grouped.reverse()
-        return SpectrumReport(tuple((Fraction(v).limit_denominator(10 ** 12), m)
-                                    for v, m in grouped), exact=False, tolerance=tol)
-    verified = _spectrum_by_verification(g)
-    if verified is not None:
-        return SpectrumReport(tuple(verified), exact=True)
-    coeffs = charpoly_dense(g.adjacency_matrix().tolist())
-    roots = real_roots(coeffs, precision)
-    return SpectrumReport(tuple(roots), exact=True)
+def graph_spectrum(g: Graph) -> SpectrumReport:
+    """Exact adjacency spectrum with multiplicities (descending): the real
+    roots of the integer characteristic polynomial of the adjacency matrix,
+    for graphs of at most ``SPECTRUM_EXACT_CAP`` vertices."""
+    if g.n > SPECTRUM_EXACT_CAP:
+        raise ResourceError(f"exact spectrum capped at {SPECTRUM_EXACT_CAP} vertices")
+    if g.n == 0:
+        return SpectrumReport(())
+    return SpectrumReport(tuple(real_roots(charpoly(g.adjacency_matrix().tolist()))))
 
 
 # -- clique unions -----------------------------------------------------------

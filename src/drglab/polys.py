@@ -1,8 +1,14 @@
-"""Exact real-root extraction for polynomials with rational coefficients.
+"""Exact characteristic polynomials and their real roots.
 
-Strategy: factor over Q (sympy), then read roots off the irreducible factors.
+A characteristic polynomial comes from one of two exact routes: the
+three-term recursion for tridiagonal matrices (the intersection matrices of
+the array layer), and Berkowitz's division-free algorithm (sympy
+``DomainMatrix.charpoly``) for any other square integer or rational matrix.
+
+Roots: factor over Q (sympy), then read roots off the irreducible factors.
 Linear factors give rationals, quadratic factors give surds, higher-degree
-factors are isolated into certified rational intervals.
+factors are isolated into certified rational intervals of width
+``ROOT_WIDTH`` that refine on demand.
 """
 
 from __future__ import annotations
@@ -12,11 +18,15 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 import sympy
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 
-from .errors import require
 from .scalars import ExactScalar, Interval, Surd, sort_desc
 
 _X = sympy.Symbol("x")
+
+#: width of the first enclosure of a root of degree 3 or more
+ROOT_WIDTH = Fraction(1, 10 ** 9)
 
 
 def eval_poly(coeffs: Sequence, x):
@@ -44,7 +54,7 @@ def _clear_denominators(coeffs: Sequence) -> List[int]:
     return [int(f * den) for f in fracs]
 
 
-def _interval_root(factor: "sympy.Poly", root, precision: int) -> Interval:
+def _interval_root(root) -> Interval:
     def refiner(width: Fraction) -> Tuple[Fraction, Fraction]:
         dx = sympy.Rational(width.numerator, 2 * width.denominator)
         mid = root.eval_rational(dx=dx)
@@ -52,11 +62,11 @@ def _interval_root(factor: "sympy.Poly", root, precision: int) -> Interval:
         half = width / 2
         return mid - half, mid + half
 
-    lo, hi = refiner(Fraction(1, 10 ** precision))
+    lo, hi = refiner(ROOT_WIDTH)
     return Interval(lo, hi, refiner)
 
 
-def real_roots(coeffs: Sequence, precision: int = 9) -> List[Tuple[ExactScalar, int]]:
+def real_roots(coeffs: Sequence) -> List[Tuple[ExactScalar, int]]:
     """All real roots of the polynomial with ascending ``coeffs``.
 
     Returns (root, multiplicity) pairs sorted strictly descending.
@@ -86,7 +96,7 @@ def real_roots(coeffs: Sequence, precision: int = 9) -> List[Tuple[ExactScalar, 
             # in increasing order, and supports exact rational refinement.
             for idx in range(fac.count_roots()):
                 r = sympy.CRootOf(fac.as_expr(), idx)
-                out.append((_interval_root(fac, r, precision), mult))
+                out.append((_interval_root(r), mult))
     sort_desc(out)
     return out
 
@@ -107,78 +117,19 @@ def charpoly_tridiagonal(diag: Sequence[int], lower: Sequence[int], upper: Seque
     return prev1
 
 
-def charpoly_dense(rows: Sequence[Sequence[int]]) -> List[int]:
-    """Exact characteristic polynomial of an integer matrix by interpolation.
+def charpoly(rows: Sequence[Sequence]) -> List:
+    """Characteristic polynomial det(xI - M) of a square integer or rational
+    matrix, ascending: ints for an integer matrix, else Fractions.
 
-    Evaluates det(tI - A) at t = 0..n via fraction-free elimination, then
-    interpolates.  O(n^4) big-integer work; intended for small matrices.
+    Berkowitz's division-free algorithm (sympy ``DomainMatrix.charpoly``),
+    over ZZ, or over QQ when some entry is not an integer.
     """
-    n = len(rows)
-    if n == 0:
-        return [1]
-    points = list(range(n + 1))
-    values = []
-    for t in points:
-        m = [[(t if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
-        values.append(_det_bareiss(m))
-    # Newton divided differences over the integer points 0..n
-    coeffs_newton: List[Fraction] = []
-    table = [Fraction(v) for v in values]
-    for level in range(n + 1):
-        coeffs_newton.append(table[0])
-        table = [(table[i + 1] - table[i]) / (points[i + 1 + level] - points[i])
-                 for i in range(len(table) - 1)]
-    poly: List[Fraction] = [Fraction(0)] * (n + 1)
-    basis = [Fraction(1)]
-    for level in range(n + 1):
-        for i, c in enumerate(basis):
-            poly[i] += coeffs_newton[level] * c
-        basis = [a - points[level] * b for a, b in
-                 zip([Fraction(0)] + basis, basis + [Fraction(0)])]
-    require(all(c.denominator == 1 for c in poly), "charpoly must be integral")
-    return [int(c) for c in poly]
-
-
-def _det_bareiss(m: List[List[int]]) -> int:
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def rational_nullity(rows: Sequence[Sequence[int]]) -> int:
-    """Nullity of an integer matrix over Q (Gaussian elimination)."""
-    n = len(rows)
-    if n == 0:
-        return 0
-    mat = [[Fraction(v) for v in row] for row in rows]
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                row_r, row_p = mat[r], mat[rank]
-                for j in range(col, ncols):
-                    row_r[j] -= factor * row_p[j]
-        rank += 1
-        if rank == n:
-            break
-    return ncols - rank
+    m = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in rows]
+    shape = (len(m), len(m))
+    if all(x.denominator == 1 for row in m for x in row):
+        mat = DomainMatrix([[ZZ(int(x)) for x in row] for row in m], shape, ZZ)
+        return [int(c) for c in reversed(mat.charpoly())]
+    mat = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m],
+                       shape, QQ)
+    return [Fraction(int(c.numerator), int(c.denominator))
+            for c in reversed(mat.charpoly())]

@@ -178,6 +178,15 @@ class Surd:
         return 1 if lhs > rhs else -1
 
     def _cmp(self, other) -> int:
+        if isinstance(other, Surd) and other.d != self.d:
+            # 1, sqrt(d) and sqrt(d') are independent over Q, so the values
+            # differ and their enclosures separate
+            prec = 1
+            while True:
+                (alo, ahi), (blo, bhi) = self.bounds(prec), other.bounds(prec)
+                if ahi < blo or bhi < alo:
+                    return -1 if ahi < blo else 1
+                prec *= 2
         diff = self - other
         if isinstance(diff, Surd):
             return diff.sign()

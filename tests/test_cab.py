@@ -14,7 +14,7 @@ from drglab.cab import (CabLevelParams, LocalSrgData, c2_bound,
                         cab_partition_check, predict_cab2, quotient_matrix,
                         quotient_spectrum)
 from drglab.errors import (DomainError, InputError, PreconditionError,
-                           SingularityError)
+                           ResourceError, SingularityError)
 from drglab.families import (complete, cycle, folded_johnson, halved_cube,
                              hamming, icosahedron, johnson, triangular)
 from drglab.graph import Graph, triple_intersection_number
@@ -211,6 +211,20 @@ def test_c2_bound_values():
 
 def test_triple_intersection_constant(j105):
     assert triple_intersection_number(j105) == 2
+
+
+def test_triple_intersection_follows_the_dense_size_policy(monkeypatch):
+    # the count reads the cached distance matrix and computes no rows of its
+    # own, so above the dense cap it raises before any search
+    def fail(self, sources):
+        raise AssertionError("distance rows recomputed")
+
+    g = johnson(10, 5)
+    g.distance_matrix()
+    monkeypatch.setattr(Graph, "_distance_rows", fail)
+    assert triple_intersection_number(g) == 2
+    with pytest.raises(ResourceError):
+        triple_intersection_number(cycle(6001))
 
 
 def test_singularity_reported_at_top_level():

@@ -5,8 +5,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drglab.polys import (charpoly_dense, charpoly_tridiagonal, eval_poly,
-                          poly_mul, real_roots)
+from drglab.polys import charpoly, charpoly_tridiagonal, eval_poly, poly_mul, real_roots
 from drglab.scalars import Surd, exact_eq, scalar_bounds
 
 coeff = st.integers(min_value=-9, max_value=9)
@@ -44,8 +43,10 @@ def test_charpoly_tridiagonal_path_graph():
 
 def test_charpoly_dense_matches_tridiagonal():
     rows = [[1, 2, 0], [3, 4, 5], [0, 6, 7]]
-    assert charpoly_dense(rows) == charpoly_tridiagonal(
-        [1, 4, 7], [3, 6], [2, 5])
+    assert charpoly(rows) == charpoly_tridiagonal([1, 4, 7], [3, 6], [2, 5])
+    half = [[Fraction(v, 2) for v in row] for row in rows]
+    assert charpoly(half) == charpoly_tridiagonal(
+        [Fraction(1, 2), 2, Fraction(7, 2)], [Fraction(3, 2), 3], [1, Fraction(5, 2)])
 
 
 @given(st.lists(coeff, min_size=2, max_size=3))

@@ -113,6 +113,17 @@ def test_sort_desc_exact_and_stable():
     assert [tag for _, tag in pairs] == ["d", "b", "a", "c", "e", "f"]
 
 
+def test_surds_over_distinct_radicals_compare():
+    # the switched icosahedron has both -sqrt(5) and -sqrt(3) as eigenvalues
+    r5, r3 = Surd(0, 1, 5, 1), Surd(0, 1, 3, 1)
+    assert -r5 < -r3 and r5 > r3 and not r5 <= r3
+    assert exact_cmp(Surd(1, 1, 2, 1), Surd(0, 1, 6, 1)) == -1  # 1 + sqrt(2) < sqrt(6)
+    assert not exact_eq(r5, r3)
+    pairs = [(-r5, "a"), (r3, "b"), (1, "c"), (-r3, "d")]
+    sort_desc(pairs)
+    assert [tag for _, tag in pairs] == ["b", "c", "d", "a"]
+
+
 def test_exact_cmp_stops_on_two_copies_of_one_root():
     # two enclosures of the cube root of 2 never separate; precision doubles
     # each round, so refinement stops at REFINEMENT_DIGITS digits
