@@ -2,7 +2,8 @@
 
 JSON (schema "drg-lab-v1", sorted keys) goes to stdout; diagnostics to
 stderr.  Exit codes: 0 = success / property holds, 1 = property fails
-(witness in the JSON), 2 = input error.
+(witness in the JSON), 2 = input error, 3 = internal error (a defect of
+drglab, not of the input).
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ def main(argv: Optional[list] = None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other exception is a defect of drglab
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

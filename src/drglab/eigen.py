@@ -5,13 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
 from typing import Tuple
 
 from .arrays import IntersectionArray, basic_feasibility
-from .errors import InputError, InternalError, require
-from .polys import ROOT_WIDTH, charpoly_tridiagonal, real_roots
-from .scalars import ExactScalar, Interval, Surd, exact_cmp
+from .errors import InputError, InternalError
+from .polys import charpoly_tridiagonal, real_roots
+from .scalars import ExactScalar, exact_cmp
 
 
 @dataclass(frozen=True)
@@ -85,34 +84,8 @@ eigenvalues.cache_clear = _spectrum.cache_clear
 
 
 def b_parameter(ia: IntersectionArray) -> ExactScalar:
-    """b = b_1/(theta_1 + 1), exact whenever theta_1 is rational or a surd."""
+    """b = b_1/(theta_1 + 1): rational, a surd, or an interval that refines
+    on demand, as theta_1 is."""
     if ia.D < 2:
         raise InputError("b parameter needs diameter at least 2")
-    theta1 = eigenvalues(ia)[1]
-    b1 = ia.b[1]
-    if isinstance(theta1, (int, Rational)):
-        den = Fraction(theta1) + 1
-        if den == 0:
-            raise InternalError("theta_1 = -1 cannot occur for a connected graph with D >= 2")
-        return Fraction(b1) / den
-    if isinstance(theta1, Surd):
-        return b1 / (theta1 + 1)
-    require(isinstance(theta1, Interval), "theta_1 must be rational, surd or interval")
-
-    def refiner(width):
-        # d/dt of b1/(t+1) is bounded near theta_1 > 0, so matching the
-        # input width after one extra halving is enough in practice; iterate
-        # to be safe.
-        w = width / 4
-        while True:
-            lo, hi = theta1.refined(w).lo, theta1.refined(w).hi
-            if lo + 1 <= 0:
-                w /= 2
-                continue
-            blo, bhi = Fraction(b1) / (hi + 1), Fraction(b1) / (lo + 1)
-            if bhi - blo <= width:
-                return blo, bhi
-            w /= 2
-
-    lo, hi = refiner(ROOT_WIDTH)
-    return Interval(lo, hi, refiner)
+    return Fraction(ia.b[1]) / (eigenvalues(ia)[1] + 1)

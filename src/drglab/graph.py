@@ -9,11 +9,13 @@ bit-parallel breadth-first search behind every distance row and the dense
 distance matrix of at most ``_DENSE_CAP`` vertices) and the one per-cell
 neighbour-counting kernel behind equitable quotients, 1-homogeneity,
 distance-regularity and (on the triangle list, the arcs of every local graph)
-the local (C, A, B) partitions; bitset rows, which serve only the mu-graph,
-coclique, c_2 and triple-intersection searches; and the dense adjacency
-matrix, for spectra only: a spectrum is the real roots of its one integer
-characteristic polynomial (``polys.charpoly``), with no floating point on
-the way.  Integer arithmetic keeps every verdict exact.
+the local (C, A, B) partitions; bitset rows, which serve only the one
+common-neighbourhood pass (the lambda- and mu-graph valencies behind the
+mu-graph report and the locally-SRG test) and the coclique and
+triple-intersection searches; and the dense adjacency matrix, for spectra
+only: a spectrum is the real roots of its one integer characteristic
+polynomial (``polys.charpoly``), with no floating point on the way.
+Integer arithmetic keeps every verdict exact.
 """
 
 from __future__ import annotations
@@ -215,6 +217,8 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         adj = [set() for _ in range(n)]
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise InputError(f"loop at vertex {u}")
             adj[u].add(v)
@@ -504,51 +508,47 @@ def max_coclique(g: Graph) -> int:
     return _max_coclique_rows(g.bitrows(), (1 << g.n) - 1)
 
 
+def _common_neighbourhoods(g: Graph, i: int) -> Tuple[int, Optional[int]]:
+    """(size, valency) over the unordered pairs {x, y} at distance i (1 or 2):
+    the common size |Gamma(x) n Gamma(y)|, and the valency of the graphs
+    induced on Gamma(x) n Gamma(y) (the lambda- or mu-graphs), None unless
+    they are all regular with one valency and have vertices.  Raises
+    InputError when the size varies; the valency scan stops at the first
+    irregular graph."""
+    rows = g.bitrows()
+    size = valency = None
+    regular = True
+    for x, y in np.argwhere(np.triu(g.distance_matrix() == i)).tolist():
+        common = rows[x] & rows[y]
+        if size is None:
+            size = common.bit_count()
+        elif common.bit_count() != size:
+            kind = ("lambda", "mu")[i - 1]
+            raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
+        m = common if regular else 0
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = (rows[v] & common).bit_count()
+            if valency is None:
+                valency = d
+            elif d != valency:
+                regular = False
+                break
+    return size, valency if regular else None
+
+
 def c2_regularity_report(g: Graph) -> C2RegularityReport:
     """mu-graph valency/completeness survey over all distance-2 pairs."""
     dm = g.distance_matrix()
     if int(dm.max()) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")
+    c2, kappa = _common_neighbourhoods(g, 2)
     rows = g.bitrows()
-    c2 = None
-    kappa: Optional[int] = None
-    regular = True
-    terwilliger = True
-    t_max = 0
-    xs, ys = np.nonzero(dm == 2)
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        if y <= x:
-            continue
-        common = rows[x] & rows[y]
-        size = common.bit_count()
-        if c2 is None:
-            c2 = size
-        elif size != c2:
-            raise InputError("graph is not distance-regular: |mu-graph| varies")
-        verts = []
-        m = common
-        while m:
-            v = (m & -m).bit_length() - 1
-            verts.append(v)
-            m &= m - 1
-        degs = {(rows[v] & common).bit_count() for v in verts}
-        if len(degs) > 1:
-            regular = False
-            terwilliger = False
-        else:
-            d = degs.pop()
-            if kappa is None:
-                kappa = d
-            elif kappa != d:
-                regular = False
-            if d != size - 1:
-                terwilliger = False
-        # the graph's rows restricted to the universe are the mu-graph's rows
-        t_max = max(t_max, _max_coclique_rows(rows, common))
-    if not regular:
-        kappa = None
-        terwilliger = False
-    return C2RegularityReport(c2, regular, kappa, terwilliger, t_max)
+    # the graph's rows restricted to the universe are the mu-graph's rows
+    t_max = max(_max_coclique_rows(rows, rows[x] & rows[y])
+                for x, y in np.argwhere(np.triu(dm == 2)).tolist())
+    return C2RegularityReport(c2, kappa is not None, kappa, kappa == c2 - 1, t_max)
 
 
 # -- spectra -----------------------------------------------------------------

@@ -22,9 +22,10 @@ from .bounds import F_bound, G_bound
 from .cab import cab_partition_check
 from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require
-from .graph import (EquitabilityWitness, Graph, _equitable, check_distance_regular,
-                    graph_spectrum, local_graph)
+from .graph import (EquitabilityWitness, Graph, _common_neighbourhoods, _equitable,
+                    check_distance_regular, graph_spectrum, local_graph)
 from .scalars import exact_cmp, scalar_json
+from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,10 @@ def small_diameter_lookup(ia: IntersectionArray) -> List[str]:
 def local_spectral_checks(g: Graph) -> dict:
     """Locally-SRG diagnostics: smallest local eigenvalue against -1-b,
     c_2 >= mu'+1 with the complete-mu-graph equality case, and the
-    conference-local and grid-local flags."""
+    conference-local and grid-local flags.  The local graphs are all
+    SRG(k, a_1, lambda', mu') exactly when every lambda-graph is
+    lambda'-regular and every mu-graph mu'-regular with mu' > 0 (BCN 1.1), so
+    no local graph is built unless the graph is not locally SRG."""
     ia = check_distance_regular(g)
     if not isinstance(ia, IntersectionArray):
         raise InputError("graph is not distance-regular")
@@ -269,24 +273,13 @@ def local_spectral_checks(g: Graph) -> dict:
         raise InputError("local spectral checks need diameter >= 3")
     b = b_parameter(ia)
     out: dict = {"b": b, "c2": ia.c_at(2)}
-    from .srg import recognize_srg_family, srg_from_graph
-    params = None
-    for x in range(g.n):
-        loc = local_graph(g, x).graph
-        try:
-            p, _ = srg_from_graph(loc)
-        except InputError:
-            params = None
-            break
-        if params is None:
-            params = p
-        elif params != p:
-            params = None
-            break
+    a1, lam = _common_neighbourhoods(g, 1)
+    # lambda' = a_1 - 1 makes the local graphs unions of cliques, with mu' = 0
+    mu = _common_neighbourhoods(g, 2)[1] if lam is not None and lam < a1 - 1 else None
+    params = SrgParams(ia.k, a1, lam, mu) if mu else None
     out["locally_srg"] = params is not None
-    loc0 = local_graph(g, 0).graph
-    spec = graph_spectrum(loc0)
-    smallest = spec.values[-1][0]
+    smallest = (srg_eigenvalues(params).s if params else
+                graph_spectrum(local_graph(g, 0).graph).values[-1][0])
     out["min_local_eig"] = smallest
     # smallest local eigenvalue >= -1 - b
     out["min_local_eig_ok"] = exact_cmp(smallest, -1 - b) >= 0
@@ -294,12 +287,10 @@ def local_spectral_checks(g: Graph) -> dict:
         out["reason"] = "not locally SRG"
         return out
     out["local_params"] = params.as_tuple()
-    mu_p = params.mu
-    out["mu_prime"] = mu_p
-    out["c2_ge_mu_plus_1"] = ia.c_at(2) >= mu_p + 1
-    out["terwilliger"] = ia.c_at(2) == mu_p + 1
-    out["conference_local"] = params.as_tuple() == (
-        4 * mu_p + 1, 2 * mu_p, mu_p - 1, mu_p)
+    out["mu_prime"] = mu
+    out["c2_ge_mu_plus_1"] = ia.c_at(2) >= mu + 1
+    out["terwilliger"] = ia.c_at(2) == mu + 1
+    out["conference_local"] = params.as_tuple() == (4 * mu + 1, 2 * mu, mu - 1, mu)
     tags = recognize_srg_family(params)
     grid_local = any(t.startswith("LatinSquare(m=2,") for t in tags)
     out["grid_local_with_c2_4"] = grid_local and ia.c_at(2) == 4

@@ -4,16 +4,18 @@ Every quantity that enters a verdict is one of:
 
 * a :class:`fractions.Fraction` (or plain ``int``),
 * a :class:`Surd` ``(p + q*sqrt(d))/e`` with integer components, or
-* an :class:`Interval` with rational endpoints and an optional refiner.
+* an :class:`Interval` with rational endpoints and an optional refiner;
+  intervals have arithmetic with every exact scalar, refined on demand.
 
 No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
 from numbers import Rational
 from typing import Callable, Optional, Tuple, Union
 
@@ -108,7 +110,7 @@ class Surd:
         return Surd(-self.p, -self.q, self.d, self.e)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Surd) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -269,6 +271,35 @@ class Interval:
         r = self.refined(Fraction(1, 10 ** prec))
         return r.lo, r.hi
 
+    # -- arithmetic with int, Fraction, Surd or Interval operands ---------
+
+    def __add__(self, other):
+        return _combine(operator.add, self, other)
+
+    def __radd__(self, other):
+        return _combine(operator.add, other, self)
+
+    def __sub__(self, other):
+        return _combine(operator.sub, self, other)
+
+    def __rsub__(self, other):
+        return _combine(operator.sub, other, self)
+
+    def __mul__(self, other):
+        return _combine(operator.mul, self, other)
+
+    def __rmul__(self, other):
+        return _combine(operator.mul, other, self)
+
+    def __truediv__(self, other):
+        return _combine(operator.truediv, self, other)
+
+    def __rtruediv__(self, other):
+        return _combine(operator.truediv, other, self)
+
+    def __neg__(self):
+        return _combine(operator.sub, 0, self)
+
     def __float__(self):
         return float((self.lo + self.hi) / 2)
 
@@ -280,6 +311,39 @@ class Interval:
 
 
 ExactScalar = Union[int, Fraction, Surd, Interval]
+
+
+def _combine(op, a, b):
+    """``op(a, b)`` as an Interval, for op one of + - * / and exact scalars a
+    and b: op over the ends of the operands' enclosures from
+    ``scalar_bounds``.  A refinement reads the operands at the precision of
+    the last one plus the digits the width must lose, doubling it until the
+    width is met, so nested results mostly refine in one pass each.  A
+    divisor is refined until its enclosure excludes 0; past
+    ``REFINEMENT_DIGITS`` digits that raises UndecidableComparison."""
+    if not all(isinstance(x, (int, Rational, Surd, Interval)) for x in (a, b)):
+        return NotImplemented
+    last = [1, Fraction(0)]  # precision and width of the last enclosure
+
+    def refiner(width=None):
+        # a width shrinks tenfold per digit of precision
+        prec = last[0] + (len(str(ceil(last[1] / width))) if width and last[1] > width else 0)
+        while True:
+            (alo, ahi), (blo, bhi) = scalar_bounds(a, prec), scalar_bounds(b, prec)
+            box = None
+            if op is not operator.truediv or not blo <= 0 <= bhi:
+                ends = [op(x, y) for x in (alo, ahi) for y in (blo, bhi)]
+                box = min(ends), max(ends)
+                last[:] = prec, box[1] - box[0]
+                if width is None or last[1] <= width:
+                    return box
+            if prec > REFINEMENT_DIGITS:
+                if box is None:
+                    raise UndecidableComparison(f"cannot separate the divisor {b} from 0")
+                return box  # an operand without a refiner bounds the width
+            prec *= 2
+
+    return Interval(*refiner(), refiner)
 
 
 def scalar_bounds(x: ExactScalar, prec: int) -> Tuple[Fraction, Fraction]:

@@ -211,3 +211,24 @@ def test_sampled_homog_output_matches_golden(capsys, tmp_path, case):
                  str(case["sample"]), "--seed", str(case["seed"])])
     assert code == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+def test_biggs_smith_array_classifies_with_intervals(capsys):
+    # theta_D has degree 3, so the fundamental bound is interval arithmetic;
+    # a_1 = 0 leaves no classifier in scope
+    code, out, err = run_cli(capsys, "classify", "--ia", "3,2,2,2,1,1,1;1,1,1,1,1,1,3")
+    assert code == 0 and err == ""
+    assert out["classifications"] == [] and not out["fundamental_bound"]["tight"]
+    assert out["fundamental_bound"]["r"].startswith("[")
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    import drglab.cli
+
+    def broken(args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(drglab.cli, "cmd_bounds", broken)
+    code, out, err = run_cli(capsys, "bounds", "--b", "1")
+    assert code == 3 and out is None
+    assert err == "error: internal: TypeError: unsupported operand\n"

@@ -26,6 +26,14 @@ def test_graph_json_roundtrip(tmp_path):
     assert h.n == g.n and sorted(h.edges()) == sorted(g.edges())
 
 
+def test_from_edges_rejects_endpoints_outside_the_graph():
+    # -1 used to wrap to vertex 2 in the arc arrays but not in the neighbour
+    # tuples, and 5 raised IndexError
+    for edges in ([(0, -1), (1, 2)], [(0, 5)]):
+        with pytest.raises(InputError, match="outside 0..2"):
+            Graph.from_edges(3, edges)
+
+
 def test_distances_and_diameter():
     g = cycle(6)
     assert g.diameter() == 3

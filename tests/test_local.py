@@ -1,0 +1,149 @@
+"""Local structure from common neighbourhoods: ``local_spectral_checks`` and
+``c2_regularity_report`` against the routes they replaced (``local_oracle``).
+
+Graphs: corpus graphs and their relabelled and edge-switched copies; Taylor
+graphs over Paley(q) (locally Paley, so conference-local; q = 5 gives the
+icosahedron); the Shrikhande graph, whose mu-graphs are not regular; and
+H(4,4), J(9,3) and the 4-cube, which are not locally strongly regular.
+Examples are derandomized, so runs are repeatable.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import drglab.graph
+import drglab.homogeneous
+import drglab.srg
+import local_oracle
+from drglab.errors import DrgError
+from drglab.families import (cycle, folded_johnson, halved_cube, hamming, hypercube,
+                             icosahedron, johnson, petersen, triangular)
+from drglab.graph import Graph, c2_regularity_report
+from drglab.homogeneous import local_spectral_checks
+from drglab.scalars import Interval, Surd, scalar_bounds
+from test_equitability import relabel, switch
+
+SETTINGS = settings(derandomize=True, max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def paley(q: int) -> Graph:
+    """Paley graph of prime order q = 1 mod 4: u ~ v when u - v is a square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
+                                if (v - u) % q in squares])
+
+
+def taylor(delta: Graph) -> Graph:
+    """Taylor double of a graph on m vertices: vertex 0 and 2m + 1 are joined
+    to the copies 1..m and m+1..2m of delta; u+ ~ v- when u, v are distinct
+    and not adjacent in delta."""
+    m = delta.n
+    edges = [(0, 1 + v) for v in range(m)] + [(2 * m + 1, m + 1 + v) for v in range(m)]
+    for u in range(m):
+        for v in range(u + 1, m):
+            if delta.is_adjacent(u, v):
+                edges += [(1 + u, 1 + v), (m + 1 + u, m + 1 + v)]
+            else:
+                edges += [(1 + u, m + 1 + v), (1 + v, m + 1 + u)]
+    return Graph.from_edges(2 * m + 2, edges)
+
+
+def shrikhande() -> Graph:
+    """Cayley graph of Z_4^2 with connection set {+-(1,0), +-(0,1), +-(1,1)}."""
+    steps = [(1, 0), (0, 1), (1, 1)]
+    return Graph.from_edges(16, {tuple(sorted((4 * a + b, 4 * ((a + s) % 4) + (b + t) % 4)))
+                                 for a in range(4) for b in range(4) for s, t in steps})
+
+
+BASES = {
+    "J(6,3)": johnson(6, 3), "J(7,3)": johnson(7, 3), "J(8,4)": johnson(8, 4),
+    "H(3,3)": hamming(3, 3), "halved 6-cube": halved_cube(6),
+    "icosahedron": icosahedron(), "Petersen": petersen(),
+    "folded J(8,4)": folded_johnson(8, 4), "T(6)": triangular(6), "C7": cycle(7),
+    "Taylor(Paley(5))": taylor(paley(5)), "Taylor(Paley(13))": taylor(paley(13)),
+    "Taylor(Paley(29))": taylor(paley(29)), "Shrikhande": shrikhande(),
+    "H(4,4)": hamming(4, 4), "J(9,3)": johnson(9, 3), "4-cube": hypercube(4),
+}
+CHECKS = [(local_spectral_checks, local_oracle.local_spectral_checks),
+          (c2_regularity_report, local_oracle.c2_regularity_report)]
+
+
+def outcome(check, g: Graph):
+    """The report, or the error's type and message."""
+    try:
+        return check(g)
+    except DrgError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same(got, want):
+    if isinstance(got, dict) and isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert_same(got[key], want[key])
+    elif isinstance(got, Interval) or isinstance(want, Interval):
+        # two enclosures of one value of degree >= 3 only have to overlap
+        (alo, ahi), (blo, bhi) = scalar_bounds(got, 12), scalar_bounds(want, 12)
+        assert alo <= bhi and blo <= ahi
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_reports_match_the_oracle(name):
+    for check, oracle in CHECKS:
+        # fresh copies, so that neither side reads the other's caches
+        g, h = (Graph(BASES[name]._adj) for _ in range(2))
+        assert_same(outcome(check, g), outcome(oracle, h))
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(BASES)), st.integers(0, 2 ** 32), st.booleans())
+def test_relabelled_and_switched_reports_match_the_oracle(name, seed, switched):
+    rng = random.Random(seed)
+    g = relabel(BASES[name], rng)
+    if switched:
+        g = switch(g, rng)
+    for check, oracle in CHECKS:
+        assert_same(outcome(check, g), outcome(oracle, Graph(g._adj)))
+
+
+def test_named_cases():
+    assert not c2_regularity_report(shrikhande()).regular
+    for name in ("H(4,4)", "J(9,3)", "4-cube", "C7"):
+        rep = local_spectral_checks(BASES[name])
+        assert not rep["locally_srg"] and rep["reason"] == "not locally SRG"
+    rep = local_spectral_checks(BASES["Taylor(Paley(13))"])
+    assert rep["local_params"] == (13, 6, 2, 3) and rep["conference_local"]
+    assert local_spectral_checks(BASES["Taylor(Paley(5))"]) == \
+        local_spectral_checks(icosahedron())
+
+
+@pytest.mark.parametrize("build", [lambda: johnson(10, 5), lambda: taylor(paley(29))],
+                         ids=["J(10,5)", "Taylor(Paley(29))"])
+def test_locally_srg_graphs_build_no_local_graph(monkeypatch, build):
+    g = build()
+    want = local_oracle.local_spectral_checks(Graph(g._adj))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a locally SRG graph needs no local graph or spectrum")
+
+    for module in (drglab.graph, drglab.homogeneous, drglab.srg):
+        for name in ("local_graph", "srg_from_graph", "graph_spectrum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert local_spectral_checks(g) == want
+
+
+@pytest.mark.slow
+def test_taylor_graph_over_paley_257_has_a_full_report():
+    # valency 257 is above the exact-spectrum cap, so the old route raised
+    # ResourceError after certifying all 516 local graphs
+    rep = local_spectral_checks(taylor(paley(257)))
+    assert rep["locally_srg"] and rep["local_params"] == (257, 128, 63, 64)
+    assert rep["conference_local"]
+    assert rep["min_local_eig"] == Surd(-1, -1, 257, 2)

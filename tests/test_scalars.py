@@ -141,3 +141,62 @@ def test_exact_cmp_stops_on_two_copies_of_one_root():
         exact_cmp(r, copy)
     assert len(widths) <= REFINEMENT_DIGITS.bit_length()
     assert min(widths) == Fraction(1, 10 ** REFINEMENT_DIGITS)
+
+
+# -- interval arithmetic -----------------------------------------------------------
+
+CBRT2 = real_roots([-2, 0, 0, 1])[0][0]  # the real cube root of 2, an Interval
+CBRT3 = real_roots([-3, 0, 0, 1])[0][0]
+OPERANDS = [3, Fraction(-7, 4), Surd(1, 2, 5, 3), CBRT3,
+            Interval(Fraction(1, 3), Fraction(1, 3))]
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("other", range(len(OPERANDS)))
+def test_interval_arithmetic_encloses_and_refines(op, other):
+    y = OPERANDS[other]
+    for a, b in ((CBRT2, y), (y, CBRT2)):
+        got = OPS[op](a, b)
+        assert isinstance(got, Interval)
+        lo, hi = scalar_bounds(got, 40)
+        assert hi - lo <= Fraction(1, 10 ** 40)
+        # op on points of the operands' enclosures at 30 digits is within
+        # 10^-25 of op(a, b), which the enclosure at 40 digits holds
+        want = OPS[op](scalar_bounds(a, 30)[0], scalar_bounds(b, 30)[0])
+        assert lo - Fraction(1, 10 ** 25) <= want <= hi + Fraction(1, 10 ** 25)
+
+
+def test_interval_negation_and_exact_consequences():
+    x = -CBRT2
+    assert exact_cmp(x, -1) == -1 and exact_cmp(x, Fraction(-13, 10)) == 1
+    # 2^(1/3) cubed is 2; the enclosures of the product separate it from
+    # any other rational
+    cube = CBRT2 * CBRT2 * CBRT2
+    assert exact_cmp(cube, Fraction(2000001, 1000000)) == -1
+    assert exact_cmp(cube, Fraction(1999999, 1000000)) == 1
+    assert exact_cmp((CBRT2 + 1) / (CBRT2 - 1), 8) == 1  # 8.69...
+
+
+def test_interval_division_by_zero_enclosure_is_undecidable():
+    with pytest.raises(UndecidableComparison):
+        CBRT2 / Interval(Fraction(-1, 10), Fraction(1, 10))
+    with pytest.raises(UndecidableComparison):
+        CBRT2 / 0
+    # sqrt(2) - 1.4142 = 1.356e-5 is refined until its enclosure excludes 0
+    q = CBRT2 / (Surd(0, 1, 2, 1) - Fraction(14142, 10000))  # 92898.27...
+    assert exact_cmp(q, 92898) == 1 and exact_cmp(q, 92899) == -1
+
+
+def test_b_parameter_of_an_irrational_cubic_theta1():
+    # the 7-gon: theta_1 = 2 cos(2 pi / 7), a root of x^3 + x^2 - 2x - 1
+    from drglab.arrays import IntersectionArray
+    from drglab.eigen import b_parameter
+    b = b_parameter(IntersectionArray((2, 1, 1), (1, 1, 1)))
+    assert isinstance(b, Interval)
+    lo, hi = scalar_bounds(b, 50)
+    assert hi - lo <= Fraction(1, 10 ** 50)
+    assert exact_cmp(b, Fraction(4450418679126, 10 ** 13)) == 1  # b = 0.44504186791262...
+    assert exact_cmp(b, Fraction(4450418679127, 10 ** 13)) == -1
+    assert exact_cmp(-1 - b, -1) == -1
