@@ -126,8 +126,9 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
     """
     if max_pairs is not None and max_pairs < 1:
         raise InputError(f"max_pairs must be at least 1, got {max_pairs}")
-    k = g.degree(0) if g.n else 0
-    if any(g.degree(v) != k for v in range(g.n)):
+    deg = g.degrees()
+    k = int(deg[0]) if g.n else 0
+    if (deg != k).any():
         raise PreconditionError("graph is not regular")
     if not k or not set(g.neighbors(0)).intersection(g.neighbors(g.neighbors(0)[0])):
         raise PreconditionError("a_1 = 0: local graphs are edgeless, partition degenerates")

@@ -2,13 +2,18 @@
 
 Vertex numbering is always the lexicographic rank of the combinatorial label
 (subset, word, grid coordinate, ...), so golden files are stable.  Johnson,
-Hamming and halved-cube graphs come from one label builder on integer
-labels: a word is a base-q integer with coordinate 0 most significant, and a
-d-subset is a mask with bit n-1-i for element i, so descending masks are
-lexicographic subsets.  The folded Johnson and folded halved cubes come from
-the same builder with the complement as antipode: each antipodal pair is
-numbered by its first label, and the doubled parent is never built.  The
-vertex cap (``DRG_LAB_VERTEX_CAP``) applies to the graph that is returned.
+Hamming and halved-cube graphs, their folds and antipodal quotients come from
+one numpy builder that writes the arc arrays of the ``Graph`` directly: for a
+block of vertices it computes the matrix of their neighbours' ranks, sorts
+each row and drops repeats and the vertex itself.  Ranks come from
+arithmetic: a word is a base-q integer with coordinate 0 most significant (a
+move shifts one digit), the even word of rank v is 2v plus the parity of v (a
+move flips two bits), and a d-subset's rank is a sum of binomial coefficients
+(a move exchanges an element for a non-element).  The folded Johnson and
+folded halved cubes map each rank to the first label of its antipodal class
+(complementation reverses the label order), so the doubled parent is never
+built.  The vertex cap (``DRG_LAB_VERTEX_CAP``) applies to the graph that is
+returned.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,69 +54,111 @@ class FamilySpec:
         return cls(name.strip().lower().replace("-", "_"), params, data)
 
 
+#: neighbour entries per block of rows while a family graph is built
+_BLOCK = 1 << 18
+
+
 def _check_cap(n: int):
     if n > vertex_cap():
         raise ResourceError(f"construction of {n} vertices exceeds cap {vertex_cap()}")
 
 
-def _label_graph(labels: Iterable[Hashable], moves: Callable[[Hashable], Iterable],
-                 antipode: Optional[Callable[[Hashable], Hashable]] = None) -> Graph:
-    """Graph on ``labels``, numbered in the given order, where the neighbours
-    of a label are ``moves(label)``.
+def _label_graph(n: int, width: int,
+                 neighbours: Callable[[np.ndarray], np.ndarray]) -> Graph:
+    """Graph on vertices 0..n-1 where ``neighbours(v)``, for an array v of
+    vertices, is the (len(v), width) matrix of the vertices their labels move
+    to, in any order.  Each row is sorted, and repeats and the vertex itself
+    are dropped: a folded builder may send several moves to one class, or a
+    move to the vertex's own class.  Rows go ``_BLOCK`` entries at a time."""
+    step = max(1, _BLOCK // max(width, 1))
+    deg = np.empty(n, dtype=np.int32)
+    dst = np.empty(n * width, dtype=np.int32)
+    m = 0
+    for lo in range(0, n, step):
+        v = np.arange(lo, min(n, lo + step))
+        nb = np.sort(neighbours(v), axis=1)
+        keep = nb != v[:, None]
+        keep[:, 1:] &= nb[:, 1:] != nb[:, :-1]
+        deg[v] = keep.sum(axis=1)
+        row = nb[keep]
+        dst[m:m + len(row)] = row
+        m += len(row)
+    return Graph._from_arcs(n, np.repeat(np.arange(n, dtype=np.int32), deg), dst[:m])
 
-    With ``antipode``, a label whose antipode is already numbered joins the
-    antipode's vertex, so each class is named by its first label.  Neighbour
-    lists are deduplicated and a class is not its own neighbour: this is the
-    antipodal quotient, without building the parent graph.
+
+def _fold(parent: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Complementation reverses the label order of J(2d, d) and of the halved
+    cubes of even length, so the class of the vertex of rank r among
+    ``parent`` is numbered by its first label, min(r, parent - 1 - r)."""
+    return lambda r: np.minimum(r, parent - 1 - r)
+
+
+def _exchanges(n: int, d: int, count: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Johnson moves on the first ``count`` d-subsets of range(n), numbered in
+    lexicographic order: each exchange of an element for a non-element, as
+    the rank of the subset it gives.
+
+    Element i is bit j = n-1-i of the subset's mask, and the lexicographic
+    rank of a subset is N-1 minus the colex rank sum_t C(s_t, t+1) of its
+    ascending bits s_0 < ... < s_{d-1} (N = C(n, d)).  Removing bit s_p and
+    adding bit b shifts the bits between them by one place, so the new rank
+    is a difference of row prefix sums plus C(b, .) for b's new place.
     """
-    index: Dict[Hashable, int] = {}
-    kept = []
-    for lab in labels:
-        twin = index.get(antipode(lab)) if antipode else None
-        if twin is None:
-            index[lab] = len(kept)
-            kept.append(lab)
-        else:
-            index[lab] = twin
-    adj = []
-    for v, lab in enumerate(kept):
-        nbs = {index[m] for m in moves(lab)}
-        nbs.discard(v)
-        adj.append(sorted(nbs))
-    return Graph(adj, validate=False)
+    N = comb(n, d)
+    labels = np.fromiter(itertools.chain.from_iterable(
+        itertools.islice(itertools.combinations(range(n), d), count)),
+        dtype=np.min_scalar_type(n), count=count * d).reshape(count, d)
+    # C(x, y) for y <= d + 1 by the hockey-stick sums; entries above N are
+    # clipped to N, which leaves every term of a rank below N exact
+    binom = np.zeros((n + 1, d + 2), dtype=np.int64)
+    binom[:, 0] = 1
+    for y in range(1, d + 2):
+        np.minimum(np.cumsum(binom[:-1, y - 1]), N, out=binom[1:, y])
+    t = np.arange(d)
+
+    def neighbours(v: np.ndarray) -> np.ndarray:
+        rows = np.arange(len(v))[:, None]
+        bits = (n - 1 - labels[v, ::-1]).astype(np.intp)  # ascending
+        member = np.zeros((len(v), n), dtype=bool)
+        member[rows, bits] = True
+        zeros = np.nonzero(~member)[1].reshape(len(v), n - d)
+        below = zeros - np.arange(n - d)  # bits below each non-element
+        term = binom[bits, t + 1]
+        # down[j]: sum over t < j of the change when bit t moves one place
+        # down; up[j] likewise one place up
+        down = np.zeros((len(v), d + 1), dtype=np.int64)
+        up = np.zeros((len(v), d + 1), dtype=np.int64)
+        np.cumsum(binom[bits, t] - term, axis=1, out=down[:, 1:])
+        np.cumsum(binom[bits, t + 2] - term, axis=1, out=up[:, 1:])
+        # (row, p, u): remove bits[p], add zeros[u]
+        colex = np.where(
+            zeros[:, None, :] > bits[:, :, None],
+            down[rows, below][:, None, :] - down[:, 1:, None]
+            + binom[zeros, below][:, None, :],
+            up[:, :-1, None] - up[rows, below][:, None, :]
+            + binom[zeros, below + 1][:, None, :])
+        colex += (N - 1 - v[:, None] - term)[:, :, None]
+        return N - 1 - colex.reshape(len(v), -1)
+    return neighbours
 
 
-def _subsets(n: int, d: int) -> List[int]:
-    """The d-subsets of range(n) as masks (bit n-1-i for element i), in
-    lexicographic order."""
-    return [sum(1 << (n - 1 - i) for i in c)
-            for c in itertools.combinations(range(n), d)]
-
-
-def _exchanges(n: int) -> Callable[[int], List[int]]:
-    """Johnson moves on subset masks: swap one element for a non-element."""
-    bits = [1 << i for i in range(n)]
-
-    def moves(mask: int) -> List[int]:
-        ones = [b for b in bits if mask & b]
-        zeros = [b for b in bits if not mask & b]
-        return [mask ^ a ^ b for a in ones for b in zeros]
-    return moves
-
-
-def _even_words(length: int) -> Tuple[List[int], Callable[[int], List[int]]]:
-    """Even-weight binary words as integers (coordinate 0 most significant),
-    in ascending order, and the moves that flip two coordinates."""
-    flips = [(1 << i) | (1 << j) for i, j in itertools.combinations(range(length), 2)]
-    words = [w for w in range(1 << length) if w.bit_count() % 2 == 0]
-    return words, lambda w: [w ^ f for f in flips]
+def _even_words(length: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Halved-cube moves: the even-weight words of the given length in
+    ascending order (coordinate 0 most significant), where the word of rank
+    v is 2v plus the parity of v, and each flip of two coordinates as the
+    rank w >> 1 of the word w it gives."""
+    flips = np.array([(1 << i) | (1 << j)
+                      for i, j in itertools.combinations(range(length), 2)],
+                     dtype=np.int64)
+    return lambda v: ((v << 1 | np.bitwise_count(v) & 1)[:, None] ^ flips) >> 1
 
 
 def johnson(n: int, d: int) -> Graph:
     if not 1 <= d <= n:
         raise InputError("Johnson graph needs 1 <= d <= n")
-    _check_cap(comb(n, d))
-    return _label_graph(_subsets(n, d), _exchanges(n))
+    N = comb(n, d)
+    _check_cap(N)
+    return _label_graph(N, d * (n - d), _exchanges(n, d, N))
 
 
 def hamming(D: int, q: int) -> Graph:
@@ -120,15 +167,14 @@ def hamming(D: int, q: int) -> Graph:
     if D < 1 or q < 2:
         raise InputError("Hamming graph needs D >= 1, q >= 2")
     _check_cap(q ** D)
-    weights = [q ** (D - 1 - p) for p in range(D)]
+    weights = q ** np.arange(D - 1, -1, -1, dtype=np.int64)
+    shifts = np.arange(1, q)
 
-    def moves(x: int) -> List[int]:
-        out = []
-        for w in weights:
-            low = x - x // w % q * w
-            out.extend(y for y in range(low, low + q * w, w) if y != x)
-        return out
-    return _label_graph(range(q ** D), moves)
+    def neighbours(x: np.ndarray) -> np.ndarray:
+        digit = (x[:, None] // weights % q)[:, :, None]
+        moved = x[:, None, None] + ((digit + shifts) % q - digit) * weights[:, None]
+        return moved.reshape(len(x), -1)
+    return _label_graph(q ** D, D * (q - 1), neighbours)
 
 
 def hypercube(length: int) -> Graph:
@@ -141,7 +187,7 @@ def halved_cube(length: int) -> Graph:
     if length < 2:
         raise InputError("halved cube needs length >= 2")
     _check_cap(2 ** (length - 1))
-    return _label_graph(*_even_words(length))
+    return _label_graph(2 ** (length - 1), comb(length, 2), _even_words(length))
 
 
 def grid(p: int, q: int) -> Graph:
@@ -314,32 +360,34 @@ def antipodal_quotient(g: Graph) -> Graph:
     vertices); classes are numbered by their smallest vertex and adjacent iff
     some members are adjacent."""
     dm = g.distance_matrix()
-    far = dm == dm.max()
-    first = [-1] * g.n
-    sizes = set()
-    for v in range(g.n):
-        if first[v] < 0:
-            cls = [v] + np.flatnonzero(far[v]).tolist()
-            members = set(cls)
-            sizes.add(len(cls))
-            for u in cls:
-                # each member must see exactly its own class at distance D
-                if first[u] >= 0 or {u, *np.flatnonzero(far[u]).tolist()} != members:
-                    raise InputError(
-                        "not antipodal: distance-D relation is not an equivalence")
-                first[u] = v
-    if len(sizes) != 1 or sizes == {1}:
+    closed = dm == dm.max()
+    np.fill_diagonal(closed, True)
+    first = closed.argmax(axis=1)
+    # each vertex must see exactly its first member's class at distance D
+    if not (closed == closed[first]).all():
+        raise InputError("not antipodal: distance-D relation is not an equivalence")
+    sizes = closed.sum(axis=1)
+    if sizes.min() != sizes.max() or sizes[0] == 1:
         raise InputError("not antipodal: classes must have a common size >= 2")
-    return _label_graph(range(g.n), g.neighbors, first.__getitem__)
+    is_first = first == np.arange(g.n)
+    cls = (np.cumsum(is_first) - 1)[first]
+    # the rows of the classes' first members, padded with the class itself
+    src, dst = g._arc_arrays()
+    width = int(g.degrees()[is_first].max())
+    moves = np.repeat(np.arange(is_first.sum()), width).reshape(-1, width)
+    arc = np.flatnonzero(is_first[src])
+    moves[cls[src[arc]], arc - g._starts[src[arc]]] = cls[dst[arc]]
+    return _label_graph(len(moves), width, moves.__getitem__)
 
 
 def folded_johnson(n: int, d: int) -> Graph:
     """J(2d, d) with each d-set identified with its complement."""
     if n != 2 * d or d < 1:
         raise InputError("folded Johnson graph is defined for J(2d, d), d >= 1")
-    _check_cap(comb(n, d) // 2)
-    full = (1 << n) - 1
-    return _label_graph(_subsets(n, d), _exchanges(n), lambda m: m ^ full)
+    N = comb(n, d)
+    _check_cap(N // 2)
+    moves, fold = _exchanges(n, d, N // 2), _fold(N)
+    return _label_graph(N // 2, d * d, lambda v: fold(moves(v)))
 
 
 def folded_halved_cube(length: int) -> Graph:
@@ -348,8 +396,8 @@ def folded_halved_cube(length: int) -> Graph:
     if length < 2 or length % 2:
         raise InputError("folded halved cube needs even length >= 2")
     _check_cap(2 ** (length - 2))
-    full = (1 << length) - 1
-    return _label_graph(*_even_words(length), lambda w: w ^ full)
+    moves, fold = _even_words(length), _fold(2 ** (length - 1))
+    return _label_graph(2 ** (length - 2), comb(length, 2), lambda v: fold(moves(v)))
 
 
 _BUILDERS = {

@@ -3,24 +3,28 @@ partitions, equitable quotients, distance-regularity testing, local and
 mu-graphs, and exact spectra of graphs of at most ``SPECTRUM_EXACT_CAP``
 vertices.
 
-Adjacency is kept as sorted neighbor tuples, with three lazily built views:
-arc arrays, which feed the one distance engine (``Graph._distance_rows``, a
-bit-parallel breadth-first search behind every distance row and the dense
-distance matrix of at most ``_DENSE_CAP`` vertices) and the one per-cell
-neighbour-counting kernel behind equitable quotients, 1-homogeneity,
-distance-regularity and (on the triangle list, the arcs of every local graph)
-the local (C, A, B) partitions; bitset rows, which serve only the one
-common-neighbourhood pass (the lambda- and mu-graph valencies behind the
-mu-graph report and the locally-SRG test) and the coclique and
-triple-intersection searches; and the dense adjacency matrix, for spectra
-only: a spectrum is the real roots of its one integer characteristic
-polynomial (``polys.charpoly``), with no floating point on the way.
-Integer arithmetic keeps every verdict exact.
+A graph is stored as its arc arrays: int32 ``src`` and ``dst``, grouped by
+source in vertex order with targets ascending, and the offsets ``starts`` of
+each vertex's arcs.  ``Graph(adjacency)`` converts the neighbour lists once
+and checks them on the arrays; family builders hand over arrays directly, and
+``neighbors(v)`` is a slice of ``dst``.  The arcs feed the one distance
+engine (``Graph._distance_rows``, a bit-parallel breadth-first search behind
+every distance row and the dense distance matrix of at most ``_DENSE_CAP``
+vertices) and the one per-cell neighbour-counting kernel behind equitable
+quotients, 1-homogeneity, distance-regularity and (on the triangle list, the
+arcs of every local graph) the local (C, A, B) partitions.  Two views are
+built lazily: bitset rows, which serve only the one common-neighbourhood pass
+(the lambda- and mu-graph valencies behind the mu-graph report and the
+locally-SRG test) and the coclique and triple-intersection searches; and the
+dense adjacency matrix, for spectra only: a spectrum is the real roots of its
+one integer characteristic polynomial (``polys.charpoly``), with no floating
+point on the way.  Integer arithmetic keeps every verdict exact.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -42,76 +46,96 @@ _DENSE_CAP = 6000
 _TRIANGLE_BLOCK = 1 << 22
 
 
-class Graph:
-    """Immutable simple graph with sorted neighbor lists and bitset rows."""
+def _validate_arcs(n: int, src: np.ndarray, dst: np.ndarray):
+    """Raise InputError unless the arcs (grouped by source) have targets in
+    range, no loops, strictly ascending rows and a reverse for every arc.
+    The first bad arc in arc order is named, as a scan of the neighbour
+    lists would find it."""
+    same_row = np.r_[False, src[1:] == src[:-1]]
+    bad = np.flatnonzero((dst < 0) | (dst >= n) | (dst == src)
+                         | same_row & (dst <= np.r_[-1, dst[:-1]]))
+    for t in bad[:1].tolist():
+        v, u = int(src[t]), int(dst[t])
+        if not 0 <= u < n:
+            raise InputError(f"neighbor {u} of {v} out of range")
+        if u == v:
+            raise InputError(f"loop at vertex {v}")
+        raise InputError(f"neighbor list of {v} not strictly ascending")
+    # rows ascend, so the keys of the arcs are sorted and distinct
+    keys = src.astype(np.int64) * n + dst
+    back = dst * n + src
+    found = keys[np.minimum(np.searchsorted(keys, back), len(keys) - 1)] == back
+    for t in np.flatnonzero(~found)[:1].tolist():
+        raise InputError(f"adjacency not symmetric: {src[t]}->{dst[t]}")
 
-    __slots__ = ("n", "_adj", "_rows", "_np_adj", "_dm", "_arcs")
+
+class Graph:
+    """Immutable simple graph stored as its arc arrays: int32 ``src`` and
+    ``dst`` grouped by source in vertex order with targets ascending, and
+    the n + 1 offsets ``starts`` of each vertex's arcs."""
+
+    __slots__ = ("n", "_src", "_dst", "_starts", "_rows", "_np_adj", "_dm")
 
     def __init__(self, adjacency: Sequence[Sequence[int]], validate: bool = True):
-        self.n = len(adjacency)
-        self._adj = tuple(tuple(nb) for nb in adjacency)
+        n = len(adjacency)
+        try:
+            deg = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
+            dst = np.fromiter(map(operator.index, chain.from_iterable(adjacency)),
+                              dtype=np.int64, count=int(deg.sum()))
+        except OverflowError:
+            raise InputError("neighbor out of range") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"adjacency must be lists of integers: {exc}") from None
+        src = np.repeat(np.arange(n, dtype=np.int32), deg)
         if validate:
-            self._validate()
+            _validate_arcs(n, src, dst)
+        self._set_arcs(n, src, dst.astype(np.int32))
+
+    @classmethod
+    def _from_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "Graph":
+        """The graph on arcs already grouped by source with targets ascending
+        and symmetric, with no check."""
+        g = cls.__new__(cls)
+        g._set_arcs(n, src.astype(np.int32, copy=False), dst.astype(np.int32, copy=False))
+        return g
+
+    def _set_arcs(self, n: int, src: np.ndarray, dst: np.ndarray):
+        self.n, self._src, self._dst = n, src, dst
+        self._starts = np.searchsorted(src, np.arange(n + 1, dtype=src.dtype))
         self._rows = None
         self._np_adj = None
         self._dm = None
-        self._arcs = None
-
-    def _validate(self):
-        seen = set()
-        for v, nbs in enumerate(self._adj):
-            last = -1
-            for u in nbs:
-                if not (0 <= u < self.n):
-                    raise InputError(f"neighbor {u} of {v} out of range")
-                if u == v:
-                    raise InputError(f"loop at vertex {v}")
-                if u <= last:
-                    raise InputError(f"neighbor list of {v} not strictly ascending")
-                last = u
-                seen.add((v, u))
-        for v, u in seen:
-            if (u, v) not in seen:
-                raise InputError(f"adjacency not symmetric: {v}->{u}")
 
     # -- accessors ---------------------------------------------------------
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self._adj[v]
+        return tuple(self._dst[self._starts[v]:self._starts[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self._starts[v + 1] - self._starts[v])
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self._starts)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self._adj) // 2
+        return len(self._dst) // 2
 
     def edges(self):
-        for v in range(self.n):
-            for u in self._adj[v]:
-                if u > v:
-                    yield (v, u)
+        up = self._dst > self._src
+        return zip(self._src[up].tolist(), self._dst[up].tolist())
 
     def bitrows(self) -> List[int]:
         if self._rows is None:
-            rows = []
-            for nbs in self._adj:
-                r = 0
-                for u in nbs:
-                    r |= 1 << u
-                rows.append(r)
-            self._rows = rows
+            packed = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
+            np.bitwise_or.at(packed, (self._src, self._dst >> 3),
+                             np.left_shift(1, self._dst & 7).astype(np.uint8))
+            self._rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return self._rows
 
     def _arc_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """(source, target) of every arc, grouped by source in vertex order."""
-        if self._arcs is None:
-            deg = np.fromiter(map(len, self._adj), dtype=np.int32, count=self.n)
-            src = np.repeat(np.arange(self.n, dtype=np.int32), deg)
-            dst = np.fromiter(chain.from_iterable(self._adj), dtype=np.int32,
-                              count=len(src))
-            self._arcs = (src, dst)
-        return self._arcs
+        return self._src, self._dst
 
     def _triangle_arrays(self, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(arc, apex) of every triangle on an arc (y, v) with mask[y], grouped
@@ -144,13 +168,14 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         if self._np_adj is None:
             a = np.zeros((self.n, self.n), dtype=np.int64)
-            for v, nbs in enumerate(self._adj):
-                a[v, list(nbs)] = 1
+            a[self._src, self._dst] = 1
             self._np_adj = a
         return self._np_adj
 
     def is_adjacent(self, u: int, v: int) -> bool:
-        return (self.bitrows()[u] >> v) & 1 == 1
+        row = self._dst[self._starts[u]:self._starts[u + 1]]
+        t = np.searchsorted(row, v)
+        return bool(t < len(row) and row[t] == v)
 
     # -- distances ---------------------------------------------------------
 
@@ -158,13 +183,13 @@ class Graph:
         """int16 rows d(s, .), -1 where unreachable.  One breadth-first search
         serves 64 sources: bit j of a vertex's word means "reached from source
         j".  A level ORs the neighbours' words (``np.bitwise_or.reduceat`` over
-        ``_arc_arrays``) and decodes the new bits with ``np.unpackbits``."""
+        the arcs) and decodes the new bits with ``np.unpackbits``."""
         sources = np.asarray(sources, dtype=np.intp).reshape(-1)
         for bad in sources[(sources < 0) | (sources >= self.n)][:1]:
             raise InputError(f"vertex {bad} out of range")
-        dst = self._arc_arrays()[1]
-        deg = np.fromiter(map(len, self._adj), dtype=np.intp, count=self.n)
-        owners, starts = np.flatnonzero(deg), (np.cumsum(deg) - deg)[deg > 0]
+        dst = self._dst
+        deg = self.degrees()
+        owners, starts = np.flatnonzero(deg), self._starts[:-1][deg > 0]
         rows = np.empty((len(sources), self.n), dtype=np.int16)
         for lo in range(0, len(sources), 64):
             block = sources[lo:lo + 64]
@@ -226,8 +251,9 @@ class Graph:
         return cls([sorted(s) for s in adj], validate=False)
 
     def to_json(self) -> dict:
+        dst, starts = self._dst.tolist(), self._starts.tolist()
         return {"format": GRAPH_FORMAT, "n": self.n,
-                "adj": [list(nb) for nb in self._adj]}
+                "adj": [dst[starts[v]:starts[v + 1]] for v in range(self.n)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
@@ -578,7 +604,7 @@ def clique_union_structure(g: Graph) -> Optional[Tuple[int, int]]:
     """(s, t) if the graph is the disjoint union of t+1 cliques of size s:
     then, and only then, all closed neighbourhoods have size s and each is
     shared by all its members."""
-    closed = [frozenset(nbs) | {v} for v, nbs in enumerate(g._adj)]
+    closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
     s = len(closed[0]) if closed else 0
     if s == 0 or any(len(c) != s or any(closed[u] != c for u in c) for c in closed):
         return None

@@ -56,24 +56,36 @@ def _pair_quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
 def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     """``count`` pairs at distance i, drawn with replacement: x uniformly,
     then y uniformly in the sorted Gamma_i(x).  Each yields (x, y, d(x, .),
-    d(y, .)); all these rows come from one call of the distance engine."""
+    d(y, .)).  A level-1 draw reads Gamma(x) from the arcs and the rows of
+    every x and y come from one call of the distance engine; a draw above
+    level 1 keeps the row of x it drew from, and the y rows come from one
+    call."""
     if not g.is_connected():
         raise InputError("homogeneity is defined for connected graphs")
     rng = random.Random(seed)
-    pairs: List[int] = []
+    dst, starts = g._arc_arrays()[1], g._starts
+    xs: List[int] = []
+    ys: List[int] = []
+    x_rows = []
     for _ in range(50 * count):
         x = rng.randrange(g.n)
-        # Gamma_1(x) is the sorted neighbour tuple, so level 1 draws need no row
-        at_i = g.neighbors(x) if i == 1 else np.flatnonzero(g._distance_rows([x])[0] == i).tolist()
-        if at_i:
-            pairs += (x, rng.choice(at_i))
-            if len(pairs) == 2 * count:
+        row = None if i == 1 else g._distance_rows([x])[0]
+        at_i = dst[starts[x]:starts[x + 1]] if i == 1 else np.flatnonzero(row == i)
+        if len(at_i):
+            xs.append(x)
+            ys.append(int(rng.choice(at_i)))
+            x_rows.append(row)
+            if len(xs) == count:
                 break
     else:
         raise InputError(f"could not sample pairs at distance {i}")
-    rows = g._distance_rows(pairs)  # int16: 2 * count rows of n
-    for t in range(0, 2 * count, 2):
-        yield pairs[t], pairs[t + 1], rows[t], rows[t + 1]
+    if i == 1:
+        rows = g._distance_rows(xs + ys)  # int16: 2 * count rows of n
+        x_rows, y_rows = rows[:count], rows[count:]
+    else:
+        y_rows = g._distance_rows(ys)
+    for t in range(count):
+        yield xs[t], ys[t], x_rows[t], y_rows[t]
 
 
 def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
@@ -84,9 +96,10 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
 
     Exhaustive mode reads every pair and both distance rows from the dense
     distance matrix, so above its cap it raises ResourceError.  Sampled mode
-    draws ``count`` pairs with replacement with the given seed and takes all
-    their rows from one bit-parallel search at any n (a draw above level 1
-    runs a one-source search); it can refute but only exhaustive mode confirms.
+    draws ``count`` pairs with replacement with the given seed and takes their
+    rows from one bit-parallel search at any n (a draw above level 1 runs a
+    one-source search, whose row it keeps); it can refute but only exhaustive
+    mode confirms.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")

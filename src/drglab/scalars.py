@@ -301,7 +301,8 @@ class Interval:
         return _combine(operator.sub, 0, self)
 
     def __float__(self):
-        return float((self.lo + self.hi) / 2)
+        lo, hi = self.bounds(17)
+        return float((lo + hi) / 2)
 
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"

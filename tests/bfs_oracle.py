@@ -1,6 +1,6 @@
 """Reference for the distance engine (``Graph._distance_rows``): the plain
-queue breadth-first search it replaced, one source at a time over the sorted
-neighbour tuples.  The differential test in ``test_distance_engine.py``
+queue breadth-first search it replaced, one source at a time over the neighbour
+lists.  The differential test in ``test_distance_engine.py``
 compares every distance row against it."""
 
 from collections import deque

@@ -136,6 +136,21 @@ def test_sampled_reports_match_golden(name, level):
         assert got == want, (case["seed"], case["count"])
 
 
+def test_large_sampled_check_builds_no_per_vertex_python_objects(monkeypatch):
+    # the check reads Gamma(x) and every distance row from the arc arrays;
+    # the per-vertex accessors would build a Python object per vertex
+    g = folded_halved_cube(14)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-vertex Python view was built")
+
+    for name in ("neighbors", "degree", "edges", "bitrows", "to_json", "adjacency_matrix"):
+        monkeypatch.setattr(Graph, name, forbidden)
+    rep = check_i_homogeneous(g, 1, "sampled", seed=14, count=4)
+    assert not rep.holds and rep.witness[2] == (3, 3)
+    assert g._rows is None and g._np_adj is None
+
+
 def test_edgeless_graphs_raise_golden_errors():
     assert len(SAMPLED_GOLDEN["edgeless"]) == 12
     for case in SAMPLED_GOLDEN["edgeless"]:

@@ -200,3 +200,14 @@ def test_b_parameter_of_an_irrational_cubic_theta1():
     assert exact_cmp(b, Fraction(4450418679126, 10 ** 13)) == 1  # b = 0.44504186791262...
     assert exact_cmp(b, Fraction(4450418679127, 10 ** 13)) == -1
     assert exact_cmp(-1 - b, -1) == -1
+
+
+def test_interval_float_is_refined_to_double_precision():
+    # the enclosure real_roots hands back is about 1e-9 wide; float() refines
+    # it the way it refines a surd, instead of returning its midpoint
+    import math
+    from drglab.arrays import IntersectionArray
+    from drglab.eigen import eigenvalues
+    theta1 = eigenvalues(IntersectionArray((2, 1, 1), (1, 1, 1)))[1]
+    assert isinstance(theta1, Interval)
+    assert abs(float(theta1) - 2 * math.cos(2 * math.pi / 7)) <= 1e-15
