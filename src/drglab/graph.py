@@ -11,13 +11,16 @@ and checks them on the arrays; family builders hand over arrays directly, and
 engine (``Graph._distance_rows``, a bit-parallel breadth-first search behind
 every distance row and the dense distance matrix of at most ``_DENSE_CAP``
 vertices) and the one per-cell neighbour-counting kernel behind equitable
-quotients, 1-homogeneity, distance-regularity and (on the triangle list, the
-arcs of every local graph) the local (C, A, B) partitions.  Two views are
-built lazily: bitset rows, which serve only the one common-neighbourhood pass
-(the lambda- and mu-graph valencies behind the mu-graph report and the
-locally-SRG test) and the coclique and triple-intersection searches; and the
-dense adjacency matrix, for spectra only: a spectrum is the real roots of its
-one integer characteristic polynomial (``polys.charpoly``), with no floating
+quotients, distance-regularity and (on the triangle list, the arcs of every
+local graph) the local (C, A, B) partitions; 1-homogeneity has its own pair
+kernel in ``homogeneous``.  The one common-neighbourhood pass (the lambda-
+and mu-graph valencies behind the mu-graph report and the locally-SRG test)
+takes a base vertex at a time: it unpacks rows of the packed adjacency
+bitsets and reads each valency from a float32 product of 0/1 rows, exact
+below 2**24.  Two views are built lazily: bitset rows as Python
+integers, for the coclique and triple-intersection searches; and the dense
+adjacency matrix, for spectra only: a spectrum is the real roots of its one
+integer characteristic polynomial (``polys.charpoly``), with no floating
 point on the way.  Integer arithmetic keeps every verdict exact.
 """
 
@@ -127,11 +130,17 @@ class Graph:
 
     def bitrows(self) -> List[int]:
         if self._rows is None:
-            packed = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
-            np.bitwise_or.at(packed, (self._src, self._dst >> 3),
-                             np.left_shift(1, self._dst & 7).astype(np.uint8))
-            self._rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+            self._rows = [int.from_bytes(row.tobytes(), "little")
+                          for row in self._packed_rows()]
         return self._rows
+
+    def _packed_rows(self) -> np.ndarray:
+        """(n, ceil(n / 8)) uint8 adjacency bitsets: bit u & 7 of byte u >> 3
+        of row v is set when u ~ v."""
+        packed = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
+        np.bitwise_or.at(packed, (self._src, self._dst >> 3),
+                         np.left_shift(1, self._dst & 7).astype(np.uint8))
+        return packed
 
     def _arc_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """(source, target) of every arc, grouped by source in vertex order."""
@@ -534,46 +543,105 @@ def max_coclique(g: Graph) -> int:
     return _max_coclique_rows(g.bitrows(), (1 << g.n) - 1)
 
 
-def _common_neighbourhoods(g: Graph, i: int) -> Tuple[int, Optional[int]]:
+#: bytes of adjacency bits one step of the common-neighbourhood pass may
+#: unpack: a step takes as many rows as fit, and at least one
+_COMMON_BUDGET = 1 << 18
+
+
+def _common_blocks(g: Graph, i: int):
+    """The common neighbourhoods Gamma(x) n Gamma(y) of the unordered pairs
+    {x, y} at distance i (1 or 2), lexicographically, a base vertex x and a
+    block of its y > x at a time.  Each block is (Gamma(x), member,
+    valencies): member[t, j] says whether the j-th neighbour of x is adjacent
+    to the t-th y, and valencies (one row per pair, members ascending) are
+    their valencies in the graph they induce (the lambda- or mu-graph).  A
+    valency |Gamma(v) n Gamma(x) n Gamma(y)| is one entry of the float32
+    product of the 0/1 rows of y and of the local graph at x, exact below
+    2**24.  Rows are unpacked from the packed adjacency bits
+    ``_COMMON_BUDGET`` bytes at a time.  Raises InputError when the size
+    varies."""
+    dm = g.distance_matrix()
+    packed = g._packed_rows()
+    dst, starts = g._arc_arrays()[1], g._starts
+    step = max(1, _COMMON_BUDGET // g.n)
+    size = None
+
+    def bits(vs, nb):
+        """0/1 adjacency of each vertex of vs to each vertex of nb."""
+        return np.take(np.unpackbits(packed[vs], axis=1, count=g.n, bitorder="little"),
+                       nb, axis=1)
+
+    for x in range(g.n):
+        far = np.flatnonzero(dm[x, x + 1:] == i) + (x + 1)
+        nb = dst[starts[x]:starts[x + 1]]
+        for lo in range(0, len(far), step):
+            member = bits(far[lo:lo + step], nb)
+            sizes = member.sum(axis=1)
+            size = int(sizes[0]) if size is None else size
+            if (sizes != size).any():
+                kind = ("lambda", "mu")[i - 1]
+                raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
+            counts = np.concatenate(
+                [member.astype(np.float32) @ bits(nb[a:a + step], nb).T.astype(np.float32)
+                 for a in range(0, len(nb), step)], axis=1)
+            member = member.astype(bool)
+            yield nb, member, counts[member].astype(np.int64).reshape(len(member), size)
+
+
+def _common_neighbourhoods(g: Graph, i: int) -> Tuple[Optional[int], Optional[int]]:
     """(size, valency) over the unordered pairs {x, y} at distance i (1 or 2):
     the common size |Gamma(x) n Gamma(y)|, and the valency of the graphs
     induced on Gamma(x) n Gamma(y) (the lambda- or mu-graphs), None unless
     they are all regular with one valency and have vertices.  Raises
-    InputError when the size varies; the valency scan stops at the first
-    irregular graph."""
-    rows = g.bitrows()
-    size = valency = None
-    regular = True
-    for x, y in np.argwhere(np.triu(g.distance_matrix() == i)).tolist():
-        common = rows[x] & rows[y]
-        if size is None:
-            size = common.bit_count()
-        elif common.bit_count() != size:
-            kind = ("lambda", "mu")[i - 1]
-            raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
-        m = common if regular else 0
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (rows[v] & common).bit_count()
-            if valency is None:
-                valency = d
-            elif d != valency:
-                regular = False
-                break
-    return size, valency if regular else None
+    InputError when the size varies."""
+    size, valencies = None, set()
+    for _, _, degs in _common_blocks(g, i):
+        size = degs.shape[1]
+        if degs.size:
+            valencies.update((int(degs.min()), int(degs.max())))
+    return size, valencies.pop() if len(valencies) == 1 else None
+
+
+def _induced_patterns(rows: np.ndarray, members: np.ndarray) -> set:
+    """The distinct adjacency matrices of the graphs induced on each row of
+    ``members`` (in member order), packed to bytes; ``rows`` are the packed
+    adjacency rows, and a few rows of members are read at a time so that a
+    block of bits stays within ``_COMMON_BUDGET``."""
+    p, c = members.shape
+    found = set()
+    step = max(1, _COMMON_BUDGET // max(1, c * c))
+    for lo in range(0, p, step):
+        block = members[lo:lo + step]
+        cols = block[:, None, :]
+        bits = (rows[block[:, :, None], cols >> 3] >> (cols & 7)) & 1
+        flat = np.packbits(bits.reshape(len(block), c * c) == 1, axis=1).tobytes()
+        width = len(flat) // len(block)
+        found.update(flat[t:t + width] for t in range(0, len(flat), width))
+    return found
 
 
 def c2_regularity_report(g: Graph) -> C2RegularityReport:
-    """mu-graph valency/completeness survey over all distance-2 pairs."""
+    """mu-graph valency/completeness survey over all distance-2 pairs.  The
+    largest coclique is searched once per distinct mu-graph adjacency
+    pattern (mu-graphs with equal patterns are equal up to relabelling)."""
     dm = g.distance_matrix()
     if int(dm.max()) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")
-    c2, kappa = _common_neighbourhoods(g, 2)
-    rows = g.bitrows()
-    # the graph's rows restricted to the universe are the mu-graph's rows
-    t_max = max(_max_coclique_rows(rows, rows[x] & rows[y])
-                for x, y in np.argwhere(np.triu(dm == 2)).tolist())
+    rows = g._packed_rows()
+    c2, valencies, patterns = None, set(), set()
+    for nb, member, degs in _common_blocks(g, 2):
+        c2 = degs.shape[1]
+        if degs.size:
+            valencies.update((int(degs.min()), int(degs.max())))
+        members = nb[np.nonzero(member)[1]].reshape(degs.shape)
+        patterns.update(_induced_patterns(rows, members))
+    kappa = valencies.pop() if len(valencies) == 1 else None
+    t_max = 0
+    for pattern in patterns:
+        bits = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8))[:c2 * c2]
+        local = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                 for row in bits.reshape(c2, c2)]
+        t_max = max(t_max, _max_coclique_rows(local, (1 << c2) - 1))
     return C2RegularityReport(c2, kappa is not None, kappa, kappa == c2 - 1, t_max)
 
 

@@ -3,10 +3,13 @@ recognition from intersection arrays, and the diameter-5 classifier for
 graphs whose pi(x, y) partitions are equitable with pair-independent
 parameters ("1-homogeneous" graphs).
 
-Every pair goes through the per-cell counting kernel of ``graph``.  The size
-policy follows from the mode: exhaustive checks read both distance rows from
-the dense distance matrix (at most ``graph._DENSE_CAP`` vertices); sampled
-checks take every row from one call of the distance engine, at any size.
+Every pair goes through one pair kernel, a block of pairs to a call: each
+vertex's neighbour counts over the cells of pi(x, y) are packed into exact
+int64 keys, summed over the arcs in one numpy pass for the whole block.  The
+size policy follows from the mode: exhaustive checks read both distance rows
+from the dense distance matrix (at most ``graph._DENSE_CAP`` vertices);
+sampled checks take every row from one call of the distance engine, at any
+size.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .bounds import F_bound, G_bound
 from .cab import cab_partition_check
 from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require
-from .graph import (EquitabilityWitness, Graph, _common_neighbourhoods, _equitable,
-                    check_distance_regular, graph_spectrum, local_graph)
+from .graph import (Graph, _common_neighbourhoods, check_distance_regular,
+                    graph_spectrum, local_graph)
 from .scalars import exact_cmp, scalar_json
 from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
 
@@ -43,25 +46,130 @@ class HomogeneityReport:
                 "a report carries a witness exactly when it fails")
 
 
-def _pair_quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
-    """Equitability of pi(x, y) from the distance rows of x and y: the cells
-    are labelled (d(x, v), d(y, v)) and ordered lexicographically."""
-    span = int(max(dx.max(), dy.max())) + 1
-    keys = dx.astype(np.intp) * span + dy
-    present = np.bincount(keys, minlength=span * span) > 0
-    labels = tuple(divmod(int(key), span) for key in np.flatnonzero(present))
-    return _equitable(g, (np.cumsum(present) - 1)[keys], labels)
+#: (pair, arc) entries one call of the pair kernel may hold: a block takes as
+#: many pairs as fit, and at least one
+_PAIR_BUDGET = 1 << 18
+
+
+def _digit_weights(g: Graph) -> np.ndarray:
+    """(words, 9) int64 weights that pack nine neighbour counts of a vertex
+    into exact int64 words: digit r counts the neighbours u with
+    3 d(x, u) + d(y, u) = r (mod 9), in base max degree + 1, as many digits
+    to a word as base**digits <= 2**63 allows.  The counts of a vertex sum
+    to its degree, so no digit carries and no word overflows."""
+    base = int(g.degrees().max(initial=0)) + 1
+    per_word = max(t for t in range(1, 10) if base ** t <= 1 << 63)
+    weights = np.zeros((-(-9 // per_word), 9), dtype=np.int64)
+    for r in range(9):
+        weights[r // per_word, r] = base ** (r % per_word)
+    return weights
+
+
+def _pair_block(g: Graph, weights: np.ndarray, dx: np.ndarray, dy: np.ndarray):
+    """The pair kernel: pi(x, y) for a block of p pairs from their (p, n)
+    distance rows.
+
+    A neighbour u of v has d(x, u) - d(x, v) and d(y, u) - d(y, v) in
+    {-1, 0, 1}, so 3 d(x, u) + d(y, u) mod 9 names the cell of u among the
+    nine around v, and v's count row is one key: its neighbours' digit
+    weights summed over its arcs.  Two vertices of one cell share their
+    residue, so equal keys are equal count rows.  Returns, with the vertices
+    of each pair sorted by cell (d(x, v), d(y, v)) and then by number: each
+    vertex's cell label (2, p * n), its key (words, p * n), the key of the
+    first vertex of its cell, whether it is that first vertex, and the
+    vertex itself (n t + v for v of pair t)."""
+    p, n = dx.shape
+    dst, starts = g._arc_arrays()[1], g._starts[:-1]
+    digit = (3 * dx.astype(np.int32) + dy) % 9
+    # every vertex has an arc (the graph is connected), so the segments of
+    # the reduction are the arcs of each vertex
+    seg = (np.arange(p)[:, None] * len(dst) + starts).ravel()
+    keys = np.stack([np.add.reduceat(np.take(w[digit], dst, axis=1).ravel(), seg)
+                     for w in weights])
+    order = (np.lexsort((dy, dx)) + (n * np.arange(p))[:, None]).ravel()
+    label = np.stack([dx.ravel()[order], dy.ravel()[order]])
+    head = np.ones(p * n, dtype=bool)
+    head[1:] = (label[:, 1:] != label[:, :-1]).any(axis=0)
+    head[::n] = True
+    first = order[np.maximum.accumulate(np.where(head, np.arange(p * n), 0))]
+    return label, keys[:, order], keys[:, first], head, order
+
+
+def _quotient(label: np.ndarray, keys: np.ndarray, weights: np.ndarray):
+    """(labels, matrix) of pi(x, y) from the labels (2, cells) and keys
+    (words, cells) of its cells, in order."""
+    labels = tuple(zip(*label.tolist()))
+    column = {lab: j for j, lab in enumerate(labels)}
+    # the first word holds at least two digits, so its second weight is the base
+    per_word, base = np.count_nonzero(weights[0]), int(weights[0, 1])
+    matrix = []
+    for c, (a, b) in enumerate(labels):
+        row = [0] * len(labels)
+        for r in range(9):
+            count = int(keys[r // per_word, c]) // int(weights[r // per_word, r]) % base
+            if count:
+                o = (r - 3 * a - b + 4) % 9  # 3 (d(x, u) - a + 1) + d(y, u) - b + 1
+                row[column[(a + o // 3 - 1, b + o % 3 - 1)]] = count
+        matrix.append(tuple(row))
+    return labels, tuple(matrix)
+
+
+def _check_pairs(g: Graph, i: int, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
+                 at_x: np.ndarray, at_y: np.ndarray, mode: str) -> HomogeneityReport:
+    """Run the pairs (xs[t], ys[t]), whose distance rows are rows[at_x[t]]
+    and rows[at_y[t]], through the pair kernel in order, ``_PAIR_BUDGET``
+    (pair, arc) entries at a time.  The first pair's quotient is the
+    reference; the first pair that is inequitable or has another quotient
+    refutes, and counts as checked.  Blocks start at one pair and double
+    up to the budget, so a refutation reads about as many pairs as it
+    needs."""
+    weights = _digit_weights(g)
+    n = g.n
+    most = max(1, _PAIR_BUDGET // len(g._arc_arrays()[1]))
+    ref = None
+    lo, step = 0, 1
+    while lo < len(xs):
+        label, keys, first_keys, head, order = _pair_block(
+            g, weights, rows[at_x[lo:lo + step]], rows[at_y[lo:lo + step]])
+        p = len(order) // n
+        # a pair's quotient is the label and key of each of its cells, in order
+        cells = np.flatnonzero(head)
+        sizes = np.bincount(cells // n, minlength=p)
+        if ref is None:
+            ref = label[:, cells[:sizes[0]]], keys[:, cells[:sizes[0]]]
+        same = sizes == ref[0].shape[1]
+        at = cells[(np.cumsum(sizes) - sizes)[same, None] + np.arange(ref[0].shape[1])]
+        other = np.ones(p, dtype=bool)
+        other[same] = ((label[:, at] != ref[0][:, None]).any(axis=(0, 2))
+                       | (keys[:, at] != ref[1][:, None]).any(axis=(0, 2)))
+        differs = (keys != first_keys).any(axis=0)
+        fails = differs.reshape(p, n).any(axis=1) | other
+        if fails.any():
+            t = int(np.argmax(fails))
+            x, y = int(xs[lo + t]), int(ys[lo + t])
+            witness = (x, y, None, None, None)
+            if differs[t * n:(t + 1) * n].any():
+                # the first vertex that differs, in (cell, vertex) order
+                j = t * n + int(np.argmax(differs[t * n:(t + 1) * n]))
+                a = int(order[j - np.argmax(head[j::-1])]) - t * n
+                witness = (x, y, tuple(label[:, j].tolist()), a, int(order[j]) - t * n)
+            return HomogeneityReport(i, False, witness=witness, mode=mode,
+                                     pairs_checked=lo + t + 1)
+        lo, step = lo + step, min(2 * step, most)
+    labels, matrix = _quotient(*ref, weights)
+    return HomogeneityReport(i, True, labels, matrix, None, mode, len(xs))
 
 
 def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     """``count`` pairs at distance i, drawn with replacement: x uniformly,
-    then y uniformly in the sorted Gamma_i(x).  Each yields (x, y, d(x, .),
-    d(y, .)).  A level-1 draw reads Gamma(x) from the arcs and the rows of
-    every x and y come from one call of the distance engine; a draw above
-    level 1 keeps the row of x it drew from, and the y rows come from one
-    call."""
-    if not g.is_connected():
-        raise InputError("homogeneity is defined for connected graphs")
+    then y uniformly in the sorted Gamma_i(x).  Returns xs, ys and their
+    distance rows (row t of x, then row count + t of y).  A level-1 draw
+    reads Gamma(x) from the arcs and the rows of every x and y come from one
+    call of the distance engine; a draw above level 1 keeps the row of x it
+    drew from, and the y rows come from one call.  A row with an unreachable
+    vertex shows the graph is disconnected; only when no draw succeeds does
+    a one-source search tell that apart from a lack of pairs."""
+    disconnected = InputError("homogeneity is defined for connected graphs")
     rng = random.Random(seed)
     dst, starts = g._arc_arrays()[1], g._starts
     xs: List[int] = []
@@ -70,6 +178,8 @@ def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     for _ in range(50 * count):
         x = rng.randrange(g.n)
         row = None if i == 1 else g._distance_rows([x])[0]
+        if row is not None and row.min() < 0:
+            raise disconnected
         at_i = dst[starts[x]:starts[x + 1]] if i == 1 else np.flatnonzero(row == i)
         if len(at_i):
             xs.append(x)
@@ -78,14 +188,16 @@ def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
             if len(xs) == count:
                 break
     else:
+        if not g.is_connected():
+            raise disconnected
         raise InputError(f"could not sample pairs at distance {i}")
     if i == 1:
         rows = g._distance_rows(xs + ys)  # int16: 2 * count rows of n
-        x_rows, y_rows = rows[:count], rows[count:]
     else:
-        y_rows = g._distance_rows(ys)
-    for t in range(count):
-        yield xs[t], ys[t], x_rows[t], y_rows[t]
+        rows = np.concatenate([np.array(x_rows), g._distance_rows(ys)])
+    if rows.min() < 0:
+        raise disconnected
+    return np.array(xs), np.array(ys), rows
 
 
 def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
@@ -94,43 +206,30 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     """Verify the joint distance partition pi(x, y) is equitable with the
     same parameters for every ordered pair at distance i.
 
-    Exhaustive mode reads every pair and both distance rows from the dense
-    distance matrix, so above its cap it raises ResourceError.  Sampled mode
-    draws ``count`` pairs with replacement with the given seed and takes their
-    rows from one bit-parallel search at any n (a draw above level 1 runs a
-    one-source search, whose row it keeps); it can refute but only exhaustive
-    mode confirms.
+    Exhaustive mode reads every pair, in lexicographic order, and both
+    distance rows from the dense distance matrix, so above its cap it raises
+    ResourceError.  Sampled mode draws ``count`` pairs with replacement with
+    the given seed and takes their rows from one bit-parallel search at any
+    n (a draw above level 1 runs a one-source search, whose row it keeps);
+    it can refute but only exhaustive mode confirms.  Both run their pairs
+    through the one pair kernel, as many to a call as ``_PAIR_BUDGET``
+    allows.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
     if mode == "sampled":
         if seed is None or count is None or count < 1:
             raise InputError("sampled mode requires a seed and a positive count")
-        pairs = _sampled_pairs(g, i, seed, count)
-    else:
-        dm = g.distance_matrix()
-        if dm.min() < 0:
-            raise InputError("homogeneity is defined for connected graphs")
-        at_i = np.argwhere(dm == i).tolist()
-        if not at_i:
-            raise InputError(f"no pair of vertices at distance {i}")
-        pairs = ((x, y, dm[x], dm[y]) for x, y in at_i)
-    ref = None
-    checked = 0
-    for x, y, dx, dy in pairs:
-        checked += 1  # a refutation counts its refuting pair
-        quotient = _pair_quotient(g, dx, dy)
-        if isinstance(quotient, EquitabilityWitness):
-            a, b = quotient.vertex_a, quotient.vertex_b
-            lab = (int(dx[a]), int(dy[a]))
-            return HomogeneityReport(i, False, witness=(x, y, lab, a, b),
-                                     mode=mode, pairs_checked=checked)
-        if ref is None:
-            ref = quotient
-        elif quotient != ref:
-            return HomogeneityReport(i, False, witness=(x, y, None, None, None),
-                                     mode=mode, pairs_checked=checked)
-    return HomogeneityReport(i, True, ref.labels, ref.matrix, None, mode, checked)
+        xs, ys, rows = _sampled_pairs(g, i, seed, count)
+        return _check_pairs(g, i, xs, ys, rows, np.arange(count),
+                            count + np.arange(count), mode)
+    dm = g.distance_matrix()
+    if dm.min() < 0:
+        raise InputError("homogeneity is defined for connected graphs")
+    xs, ys = np.nonzero(dm == i)
+    if not len(xs):
+        raise InputError(f"no pair of vertices at distance {i}")
+    return _check_pairs(g, i, xs, ys, dm, xs, ys, mode)
 
 
 def cab_equivalence_check(g: Graph) -> bool:

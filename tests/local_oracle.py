@@ -7,13 +7,17 @@
   graph at vertex 0, so it raises ResourceError above valency
   ``SPECTRUM_EXACT_CAP``.
 - ``c2_regularity_report`` lists each mu-graph's vertices and collects their
-  degrees in the mu-graph with Python integers as bitsets.
+  degrees in the mu-graph with Python integers as bitsets, and searches a
+  largest coclique of every mu-graph.
+- ``common_neighbourhoods`` is the pair-by-pair lambda- and mu-graph survey
+  that ``graph._common_neighbourhoods`` replaced: one Python popcount per
+  vertex of every common neighbourhood.
 
-The differential test in ``test_local.py`` compares whole reports against
+The differential tests in ``test_local.py`` compare whole reports against
 them.
 """
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -113,3 +117,27 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
         kappa = None
         terwilliger = False
     return C2RegularityReport(c2, regular, kappa, terwilliger, t_max)
+
+
+def common_neighbourhoods(g: Graph, i: int) -> Tuple[Optional[int], Optional[int]]:
+    rows = g.bitrows()
+    size = valency = None
+    regular = True
+    for x, y in np.argwhere(np.triu(g.distance_matrix() == i)).tolist():
+        common = rows[x] & rows[y]
+        if size is None:
+            size = common.bit_count()
+        elif common.bit_count() != size:
+            kind = ("lambda", "mu")[i - 1]
+            raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
+        m = common if regular else 0
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = (rows[v] & common).bit_count()
+            if valency is None:
+                valency = d
+            elif d != valency:
+                regular = False
+                break
+    return size, valency if regular else None

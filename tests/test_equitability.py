@@ -1,9 +1,11 @@
-"""Differential tests of the per-cell counting kernel behind
-``check_i_homogeneous`` and ``equitable_quotient``.
+"""Differential tests of the pair kernel behind ``check_i_homogeneous`` and
+the per-cell counting kernel behind ``equitable_quotient``.
 
 The oracles are the earlier, independent implementations: a dense
-adjacency-times-one-hot product per pair for 1-homogeneity, and a bitset loop
-for equitable quotients.  Examples are derandomized, so runs are repeatable.
+adjacency-times-one-hot product per pair for 1-homogeneity, the
+pair-by-pair counting route (``homogeneity_oracle``) for both modes, and a
+bitset loop for equitable quotients.  Examples are derandomized, so runs are
+repeatable.
 """
 
 import random
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from drglab.errors import ResourceError
-from drglab.families import (folded_johnson, hamming, hypercube, icosahedron,
-                             johnson, petersen, triangular)
+import drglab.homogeneous as homogeneous
+import homogeneity_oracle
+from drglab.errors import InputError, ResourceError
+from drglab.families import (cocktail_party, cycle, folded_johnson, hamming, hypercube,
+                             icosahedron, johnson, petersen, triangular)
 from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
                           VertexPartition, distance_partition,
                           equitable_quotient)
@@ -144,3 +148,77 @@ def test_size_policy_between_the_dense_cap_and_twenty_thousand():
     assert rep.holds and rep.pairs_checked == 2
     assert rep.labels[:3] == ((0, 1), (1, 0), (1, 1))
     assert all(sum(row) == 18 for row in rep.matrix)
+
+
+def outcome(check):
+    """The report, or the error's type and message."""
+    try:
+        return check()
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@SETTINGS
+@given(st.sampled_from(range(len(BASES))), st.integers(0, 2 ** 32), st.booleans(),
+       st.sampled_from([1, 2]), st.integers(1, 12))
+def test_both_modes_match_the_pair_by_pair_oracle(index, seed, switched, level, count):
+    rng = random.Random(seed)
+    g = relabel(BASES[index], rng)
+    if switched:
+        g = switch(g, rng)
+    assert outcome(lambda: check_i_homogeneous(g, level)) == \
+        outcome(lambda: homogeneity_oracle.check_i_homogeneous(g, level))
+    assert outcome(lambda: check_i_homogeneous(g, level, "sampled", seed=seed, count=count)) == \
+        outcome(lambda: homogeneity_oracle.check_i_homogeneous(
+            g, level, "sampled", seed=seed, count=count))
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["K_65x2", "K_65x2 less an edge"])
+def test_keys_of_two_words_match_dense_oracle(cut):
+    # valency 128 needs base 129, and 129**9 > 2**63: each key takes two words
+    rng = random.Random(65)
+    g = relabel(cocktail_party(65), rng)
+    assert homogeneous._digit_weights(g).shape == (2, 9)
+    if cut:
+        edges = sorted(g.edges())
+        edges.remove(rng.choice(edges))
+        g = Graph.from_edges(g.n, edges)
+    for i in (1, 2):
+        assert check_i_homogeneous(g, i) == oracle_homogeneity(g, i)
+
+
+def test_long_cycle_is_one_homogeneous():
+    # its pair partitions have about n cells each
+    rep = check_i_homogeneous(cycle(1000), 1)
+    assert rep.holds and rep.pairs_checked == 2000
+
+
+def test_cycles_match_the_pair_by_pair_oracle():
+    for n in range(5, 41):
+        g = relabel(cycle(n), random.Random(n))
+        for i in range(1, n // 2 + 1):
+            assert check_i_homogeneous(g, i) == homogeneity_oracle.check_i_homogeneous(g, i)
+
+
+def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
+    calls = []
+    kernel = homogeneous._pair_block
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(homogeneous, "_pair_block", counted)
+    g = relabel(johnson(8, 4), random.Random(8))
+    rep = check_i_homogeneous(g, 1)
+    assert rep.holds and rep.pairs_checked == 1120
+    assert 1 <= len(calls) <= g.n and sum(calls) == 1120
+
+
+@pytest.mark.parametrize("index", range(len(BASES)))
+def test_one_pair_per_kernel_call_gives_the_same_reports(monkeypatch, index):
+    rng = random.Random(index)
+    graphs = [relabel(BASES[index], rng), switch(relabel(BASES[index], rng), rng)]
+    want = [outcome(lambda: check_i_homogeneous(g, 1)) for g in graphs]
+    monkeypatch.setattr(homogeneous, "_PAIR_BUDGET", 1)
+    assert [outcome(lambda: check_i_homogeneous(g, 1)) for g in graphs] == want

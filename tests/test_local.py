@@ -1,5 +1,6 @@
-"""Local structure from common neighbourhoods: ``local_spectral_checks`` and
-``c2_regularity_report`` against the routes they replaced (``local_oracle``).
+"""Local structure from common neighbourhoods: ``local_spectral_checks``,
+``c2_regularity_report`` and the common-neighbourhood pass behind them
+against the routes they replaced (``local_oracle``).
 
 Graphs: corpus graphs and their relabelled and edge-switched copies; Taylor
 graphs over Paley(q) (locally Paley, so conference-local; q = 5 gives the
@@ -21,7 +22,8 @@ import local_oracle
 from drglab.errors import DrgError
 from drglab.families import (cycle, folded_johnson, halved_cube, hamming, hypercube,
                              icosahedron, johnson, petersen, triangular)
-from drglab.graph import Graph, c2_regularity_report
+from drglab.graph import (Graph, _common_blocks, _common_neighbourhoods, _induced_patterns,
+                          c2_regularity_report)
 from drglab.homogeneous import local_spectral_checks
 from drglab.scalars import Interval, Surd, scalar_bounds
 from test_equitability import relabel, switch
@@ -139,7 +141,6 @@ def test_locally_srg_graphs_build_no_local_graph(monkeypatch, build):
     assert local_spectral_checks(g) == want
 
 
-@pytest.mark.slow
 def test_taylor_graph_over_paley_257_has_a_full_report():
     # valency 257 is above the exact-spectrum cap, so the old route raised
     # ResourceError after certifying all 516 local graphs
@@ -147,3 +148,44 @@ def test_taylor_graph_over_paley_257_has_a_full_report():
     assert rep["locally_srg"] and rep["local_params"] == (257, 128, 63, 64)
     assert rep["conference_local"]
     assert rep["min_local_eig"] == Surd(-1, -1, 257, 2)
+
+
+def mu_patterns(g: Graph) -> set:
+    rows = g._packed_rows()
+    found = set()
+    for nb, member, degs in _common_blocks(g, 2):
+        found |= _induced_patterns(rows, nb[member.nonzero()[1]].reshape(degs.shape))
+    return found
+
+
+@SETTINGS
+@given(st.sampled_from(["folded J(8,4)", "Shrikhande", "J(7,3)", "H(3,3)", "4-cube"]),
+       st.integers(0, 2 ** 32), st.booleans())
+def test_common_neighbourhoods_match_the_pair_by_pair_oracle(name, seed, switched):
+    rng = random.Random(seed)
+    g = relabel(BASES[name], rng)
+    if switched:
+        g = switch(g, rng)
+    for i in (1, 2):
+        assert outcome(lambda h: _common_neighbourhoods(h, i), g) == \
+            outcome(lambda h: local_oracle.common_neighbourhoods(h, i), g)
+    assert outcome(c2_regularity_report, g) == \
+        outcome(local_oracle.c2_regularity_report, Graph.from_json(g.to_json()))
+
+
+@pytest.mark.parametrize("name", ["folded J(8,4)", "Shrikhande"])
+def test_mu_graphs_with_several_patterns_match_the_oracle(name):
+    # the largest coclique is searched once per pattern, so the report must
+    # not depend on which pair shows a pattern first
+    g = relabel(BASES[name], random.Random(7))
+    assert len(mu_patterns(g)) > 1
+    assert c2_regularity_report(g) == local_oracle.c2_regularity_report(g)
+
+
+@pytest.mark.parametrize("name", ["folded J(8,4)", "Shrikhande", "Taylor(Paley(13))"])
+def test_one_row_per_step_gives_the_same_reports(monkeypatch, name):
+    g = relabel(BASES[name], random.Random(3))
+    want = [_common_neighbourhoods(g, 1), _common_neighbourhoods(g, 2), c2_regularity_report(g)]
+    monkeypatch.setattr(drglab.graph, "_COMMON_BUDGET", 1)
+    assert [_common_neighbourhoods(g, 1), _common_neighbourhoods(g, 2),
+            c2_regularity_report(g)] == want
