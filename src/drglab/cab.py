@@ -11,10 +11,11 @@ B = those at distance i+1.  The level-i parameters are
     beta_i  : neighbours inside B of an A-vertex,
     delta_i : neighbours inside A of a B-vertex.
 
-The empirical check runs the counting kernel of ``graph`` on the triangle
-list (the arcs of the local graphs it reads: all of them, or those of the
-first ``max_pairs`` pairs per level) and reads the dense distance matrix, so
-it works up to ``graph._DENSE_CAP`` vertices.
+The empirical check reads the dense distance matrix (at most
+``graph._DENSE_CAP`` vertices).  For a block of base vertices x, one batched
+float32 product of the neighbours' cell weights (C 1, A 0, B k + 1) with the
+0/1 adjacency of each local graph read gives C + (k + 1) B for every (x, y,
+v), exact as every entry is below k^2 <= 2^24; v's local degree gives A.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DomainError, InputError, PreconditionError, SingularityError,
-                     require)
-from .graph import Graph, _cell_counts
+from .errors import (DomainError, InputError, PreconditionError, ResourceError,
+                     SingularityError, require)
+from .graph import Graph
 from .polys import charpoly, real_roots
 from .scalars import ExactScalar, as_exact, exact_eq
 
@@ -111,6 +112,11 @@ class LocalSrgData:
 # -- empirical check --------------------------------------------------------
 
 
+#: (base vertex, pair, neighbour) entries one block of the empirical check
+#: may hold: a block takes as many base vertices as fit, and at least one
+_CAB_BUDGET = 1 << 16
+
+
 def cab_partition_check(g: Graph, i_max: Optional[int] = None,
                         max_pairs: Optional[int] = None) -> CabReport:
     """Check the three-cell local partitions are equitable with
@@ -121,8 +127,8 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
     (at least 1) caps the ordered pairs examined per level (lex order); None
     means exhaustive.  In scan order (level, x, y, cell C/A/B, v), a level's
     parameters are the first count row seen in each cell, and the deviation
-    is the first row that differs.  One kernel call per base vertex x counts
-    the layers of d(x, .) over the local graphs of the pairs still open.
+    is the first row that differs.  Base vertices x go in blocks that start
+    at one and double up to ``_CAB_BUDGET`` entries, one product per block.
     """
     if max_pairs is not None and max_pairs < 1:
         raise InputError(f"max_pairs must be at least 1, got {max_pairs}")
@@ -132,61 +138,71 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
         raise PreconditionError("graph is not regular")
     if not k or not set(g.neighbors(0)).intersection(g.neighbors(g.neighbors(0)[0])):
         raise PreconditionError("a_1 = 0: local graphs are edgeless, partition degenerates")
+    if k > 1 << 12:
+        raise ResourceError("valency above 4096: float32 cell counts are no longer exact")
     D = g.diameter()
     i_max = D if i_max is None else i_max
     if not 1 <= i_max <= D:
         raise InputError(f"level {i_max} outside 1..{D}")
-    dm, dst = g.distance_matrix(), g._arc_arrays()[1]
-    # a capped scan reads only the y's of each level's first max_pairs pairs
-    listed = np.full(g.n, max_pairs is None)
-    for i in range(1, i_max + 1) if max_pairs else ():
-        x_end = np.searchsorted(np.cumsum((dm == i).sum(axis=1)), max_pairs) + 1
-        listed[np.flatnonzero(dm[:x_end] == i)[:max_pairs] % g.n] = True
-    tri_arc, tri_w = g._triangle_arrays(listed)
-    # the graph is regular, so the arcs out of y are y*k .. y*k + k - 1
-    tri_size = np.diff(np.searchsorted(tri_arc, np.arange(g.n + 1) * k))
-    cap = g.n * g.n if max_pairs is None else max_pairs
-    refs = np.zeros((i_max + 1, 3, 3), dtype=np.int64)  # C, A, B rows per level
-    seen = np.zeros((i_max + 1, 3), dtype=bool)
-    pairs = [0] * (i_max + 1)
+    n, dm, nbr = g.n, g.distance_matrix(), g._arc_arrays()[1].reshape(g.n, k)
+    base = k + 1  # a count row (C, A, B) is the key C + base B + base^2 (C + A + B)
+    key_type = np.int32 if base ** 3 <= np.iinfo(np.int32).max else np.int64
+    # the weight of a C, A, B neighbour, for each row 3 level + cell of refs
+    weight = np.tile(np.array([1, 0, base], dtype=np.float32), i_max + 1)
+    refs = np.full(3 * (i_max + 1), -1, dtype=key_type)  # -1 until seen
+    local = np.zeros((n, k, k), dtype=np.float32)  # built for the y's read
+    local_deg = np.zeros((n, k), dtype=key_type)  # base^2 (local degree of v)
+    built = np.zeros(n, dtype=bool)
+    cap = n * n if max_pairs is None else max_pairs
+    pairs = np.zeros(i_max + 1, dtype=np.int64)
     deviation, top = None, i_max  # levels above top are not scanned further
-    for x in range(g.n):
-        levels = [i for i in range(1, top + 1) if pairs[i] < cap]
-        if not levels:
-            break
-        dx = dm[x].astype(np.intp)
-        ys = [np.flatnonzero(dx == i)[:cap - pairs[i]] for i in levels]
-        read = np.zeros(g.n, dtype=bool)
-        read[np.concatenate(ys)] = True
-        read = np.repeat(read, tri_size)
-        counts = _cell_counts((tri_arc[read], tri_w[read]), len(dst), dx, D + 2)
-        for i, ys_i in zip(levels, ys):
-            arcs = (ys_i[:, None] * k + np.arange(k)).ravel()
-            got, cell = counts[arcs, i - 1:i + 2], dx[dst[arcs]] - i + 1
-            names, first = np.unique(cell, return_index=True)
-            fresh = ~seen[i, names]
-            refs[i, names[fresh]], seen[i, names] = got[first[fresh]], True
-            bad = np.flatnonzero((got != refs[i][cell]).any(axis=1))
-            if len(bad) == 0:
-                pairs[i] += len(ys_i)
-                continue
-            # arcs run in (y, v) order; take the first bad one in (y, cell, v)
-            same_y = bad[bad // k == bad[0] // k]
-            j = int(same_y[np.argmin(cell[same_y])])
-            pairs[i] += j // k + 1
-            deviation = CabDeviation(i, x, int(ys_i[j // k]), int(dst[arcs[j]]),
-                                     tuple(got[j].tolist()),
-                                     tuple(refs[i, cell[j]].tolist()),
-                                     f"counts differ within cell {'CAB'[cell[j]]}")
+    lo, step, most = 0, 1, max(1, _CAB_BUDGET // (n * k))
+    while lo < n and (pairs[1:top + 1] < cap).any():
+        d = dm[lo:lo + step]
+        # the level of each pair (x, y) still open, 0 for the others
+        level = np.where((d > 0) & (d <= top), d, 0)
+        for i in range(1, top + 1) if max_pairs else ():
+            on = level == i
+            level[on & (np.cumsum(on).reshape(on.shape) > cap - pairs[i])] = 0
+        new = np.flatnonzero(level.any(axis=0) & ~built)
+        if len(new):
+            local[new] = adjacency = g._local_adjacency(new)
+            local_deg[new] = adjacency.sum(axis=2).astype(key_type) * base ** 2
+            built[new] = True
+        # v = nbr[y, a] has cell d(x, v) - d(x, y) + 1 (0, 1, 2 for C, A, B);
+        # every y takes part in the product, a local graph not read being 0
+        at = d[:, nbr] + (3 * level - d + 1)[:, :, None]
+        counts = np.matmul(weight[at].transpose(1, 0, 2), local)
+        key = counts.transpose(1, 0, 2).astype(key_type, order="C") + local_deg
+        for j in np.flatnonzero((np.bincount(at.ravel(), minlength=len(refs)) > 0) & (refs < 0)):
+            refs[j] = key.ravel()[np.argmax(at.ravel() == j)]
+        bad = (key != refs[at]).any(axis=2) * level
+        pairs += np.bincount(level.ravel(), minlength=i_max + 1)
+        if bad.any():
+            i = int(bad[bad > 0].min())
+            t = int(np.argmax(bad.ravel() == i))
+            pairs[i] -= np.count_nonzero(level.ravel()[t + 1:] == i)
+            x, y = divmod(t, n)
+            # the pair's first bad row in (cell, v) order
+            wrong = np.flatnonzero(key[x, y] != refs[at[x, y]])
+            a = int(wrong[np.argmin(at[x, y, wrong])])
+            deviation = CabDeviation(i, lo + x, y, int(nbr[y, a]), _unpack(key[x, y, a], base),
+                                     _unpack(refs[at[x, y, a]], base),
+                                     f"counts differ within cell {'CAB'[at[x, y, a] % 3]}")
             top = i - 1
-            break
-    out_levels = tuple(CabLevelParams(
-        i, int(refs[i, 0, 0]) if seen[i, 0] else 0,
-        int(refs[i, 1, 0]) if seen[i, 1] else None,
-        int(refs[i, 1, 2]) if seen[i, 1] else None,
-        int(refs[i, 2, 1]) if seen[i, 2] else None) for i in range(1, top + 1))
-    checked = sum(pairs[1:top + 1]) + (pairs[deviation.level] if deviation else 0)
+        lo, step = lo + step, min(2 * step, most)
+    rows = [_unpack(r, base) if r >= 0 else (None,) * 3 for r in refs]
+    out_levels = tuple(CabLevelParams(i, rows[3 * i][0] or 0, rows[3 * i + 1][0],
+                                      rows[3 * i + 1][2], rows[3 * i + 2][1])
+                       for i in range(1, top + 1))
+    checked = int(pairs[1:top + 1].sum()) + (int(pairs[deviation.level]) if deviation else 0)
     return CabReport(deviation is None, out_levels, deviation, checked)
+
+
+def _unpack(key, base: int) -> Tuple[int, int, int]:
+    """The count row (C, A, B) of the key C + base B + base^2 (C + A + B)."""
+    c, b, size = int(key) % base, int(key) // base % base, int(key) // base ** 2
+    return c, size - c - b, b
 
 
 # -- closed-form recursion --------------------------------------------------

@@ -11,17 +11,18 @@ and checks them on the arrays; family builders hand over arrays directly, and
 engine (``Graph._distance_rows``, a bit-parallel breadth-first search behind
 every distance row and the dense distance matrix of at most ``_DENSE_CAP``
 vertices) and the one per-cell neighbour-counting kernel behind equitable
-quotients, distance-regularity and (on the triangle list, the arcs of every
-local graph) the local (C, A, B) partitions; 1-homogeneity has its own pair
-kernel in ``homogeneous``.  The one common-neighbourhood pass (the lambda-
-and mu-graph valencies behind the mu-graph report and the locally-SRG test)
-takes a base vertex at a time: it unpacks rows of the packed adjacency
-bitsets and reads each valency from a float32 product of 0/1 rows, exact
-below 2**24.  Two views are built lazily: bitset rows as Python
-integers, for the coclique and triple-intersection searches; and the dense
-adjacency matrix, for spectra only: a spectrum is the real roots of its one
-integer characteristic polynomial (``polys.charpoly``), with no floating
-point on the way.  Integer arithmetic keeps every verdict exact.
+quotients and distance-regularity; 1-homogeneity has its own pair kernel in
+``homogeneous``, and the local (C, A, B) check in ``cab`` its own products
+over the local graphs' adjacency (``Graph._local_adjacency``).  The one
+common-neighbourhood pass (the lambda- and mu-graph valencies behind the
+mu-graph report and the locally-SRG test) takes a base vertex at a time: it
+unpacks rows of the packed adjacency bitsets and reads each valency from a
+float32 product of 0/1 rows, exact below 2**24.  Two views are built lazily:
+bitset rows as Python integers, for the coclique and triple-intersection
+searches; and the dense adjacency matrix, for spectra only: a spectrum is
+the real roots of its one integer characteristic polynomial
+(``polys.charpoly``), with no floating point on the way.  Integer arithmetic
+keeps every verdict exact.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ GRAPH_FORMAT = "drg-graph-v1"
 #: vertices takes about a minute
 SPECTRUM_EXACT_CAP = 256
 _DENSE_CAP = 6000
-#: candidate (arc, apex) pairs tested per block when listing triangles
-_TRIANGLE_BLOCK = 1 << 22
+#: a frontier with under 1 / _PUSH_SHARE of all arcs pushes (~30 bytes per arc it holds)
+_PUSH_SHARE = 16
 
 
 def _validate_arcs(n: int, src: np.ndarray, dst: np.ndarray):
@@ -146,33 +147,14 @@ class Graph:
         """(source, target) of every arc, grouped by source in vertex order."""
         return self._src, self._dst
 
-    def _triangle_arrays(self, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(arc, apex) of every triangle on an arc (y, v) with mask[y], grouped
-        by arc with apexes ascending: the arc's index in ``_arc_arrays`` and
-        each common neighbour w of y and v (with every y, the arcs of every
-        local graph).  Each (y, v) is paired with every arc (y, w) and (v, w)
-        is looked up in the sorted arc keys, ``_TRIANGLE_BLOCK`` pairs at a time."""
-        src, dst = self._arc_arrays()
-        keys = src.astype(np.int64) * self.n + dst
-        sel = np.flatnonzero(mask[src]).astype(np.int32)  # arcs out of masked y
-        width = np.bincount(src, minlength=self.n)[src[sel]]  # deg(y) candidates per arc
-        ends = np.cumsum(width, dtype=np.int64)
-        # candidate j of selected arc t is the arc first_out(y) + j - (ends[t] - width[t])
-        shift = np.searchsorted(src, src[sel]) - ends + width
-        arcs, apexes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
-        a = 0
-        while a < len(sel):
-            b = max(a + 1, int(np.searchsorted(
-                ends, ends[a] - width[a] + _TRIANGLE_BLOCK, side="right")))
-            t = np.repeat(np.arange(a, b), width[a:b])
-            arc, w = sel[t], dst[np.arange(ends[a] - width[a], ends[b - 1]) + shift[t]]
-            cand = dst[arc].astype(np.int64) * self.n + w
-            hit = keys[np.minimum(np.searchsorted(keys, cand), len(src) - 1)] == cand
-            arcs.append(arc[hit])
-            apexes.append(w[hit])
-            a = b
-        # intp apexes index a cell array without a conversion per lookup
-        return np.concatenate(arcs), np.concatenate(apexes).astype(np.intp)
+    def _local_adjacency(self, ys: np.ndarray) -> np.ndarray:
+        """float32 (len(ys), k, k) 0/1 adjacency of the local graph at each y
+        of a k-regular graph, in neighbour order: entry (a, b) is 1 when the
+        a-th and b-th neighbours of y are adjacent."""
+        nb = self._dst.reshape(self.n, -1)[ys]
+        cols = nb[:, None, :]
+        bits = self._packed_rows()[nb[:, :, None], cols >> 3] >> (cols & 7).astype(np.uint8)
+        return (bits & 1).astype(np.float32)
 
     def adjacency_matrix(self) -> np.ndarray:
         if self._np_adj is None:
@@ -191,8 +173,10 @@ class Graph:
     def _distance_rows(self, sources) -> np.ndarray:
         """int16 rows d(s, .), -1 where unreachable.  One breadth-first search
         serves 64 sources: bit j of a vertex's word means "reached from source
-        j".  A level ORs the neighbours' words (``np.bitwise_or.reduceat`` over
-        the arcs) and decodes the new bits with ``np.unpackbits``."""
+        j".  A level with few frontier arcs pushes the frontier's words along
+        them (``np.bitwise_or.at``); any other level ORs every vertex's
+        neighbours' words (``np.bitwise_or.reduceat`` over all arcs).  The new
+        bits are decoded with ``np.unpackbits``."""
         sources = np.asarray(sources, dtype=np.intp).reshape(-1)
         for bad in sources[(sources < 0) | (sources >= self.n)][:1]:
             raise InputError(f"vertex {bad} out of range")
@@ -206,19 +190,31 @@ class Graph:
             bit = np.left_shift(np.ones(len(block), word), np.arange(len(block), dtype=word))
             frontier = np.zeros(self.n, word)
             np.bitwise_or.at(frontier, block, bit)
-            seen, every = frontier.copy(), np.bitwise_or.reduce(bit)
+            seen, every, hit = frontier.copy(), np.bitwise_or.reduce(bit), np.flatnonzero(frontier)
             # column j of the vertex-major block holds d(block[j], .)
             dist = np.full((self.n, 8 * word.itemsize), -1, dtype=np.int16)
             for level in range((1 << 15) - 1):  # level + 1 must fit in int16
-                hit = np.flatnonzero(frontier)
                 bits = np.unpackbits(frontier[hit, None].view(np.uint8), axis=1, bitorder="little")
                 dist[hit] += bits * np.int16(level + 1)  # -1 becomes level
-                if not len(hit) or (seen == every).all():
+                out = deg[hit]
+                push = out.sum() * _PUSH_SHARE < len(dst)
+                # a push past the last level is cheap (it finds no vertex), a pull is not
+                if not len(hit) or not push and (seen == every).all():
                     break
-                reach = np.zeros_like(frontier)
-                reach[owners] = np.bitwise_or.reduceat(frontier[dst], starts)
-                frontier = reach & ~seen
-                seen |= frontier
+                if push:
+                    ends = np.cumsum(out)
+                    to = dst[np.repeat(self._starts[hit] - ends + out, out) + np.arange(ends[-1])]
+                    words = np.repeat(frontier[hit], out) & ~seen[to]
+                    frontier[hit] = 0
+                    np.bitwise_or.at(frontier, to, words)
+                    to = np.sort(to[words != 0])
+                    hit = to[np.diff(to, prepend=-1) != 0]  # the new vertices, once each
+                else:
+                    reach = np.zeros_like(frontier)
+                    reach[owners] = np.bitwise_or.reduceat(frontier[dst], starts)
+                    frontier = reach & ~seen
+                    hit = np.flatnonzero(frontier)
+                seen[hit] |= frontier[hit]
             else:
                 raise ResourceError("distances above 32766 do not fit the int16 rows")
             rows[lo:lo + len(block)] = dist[:, :len(block)].T
@@ -338,19 +334,16 @@ def distance_partition(g: Graph, x: int, y: int) -> VertexPartition:
     return VertexPartition(tuple(tuple(cells[k]) for k in keys), tuple(keys))
 
 
-def _cell_counts(incidence: Tuple[np.ndarray, np.ndarray], nrows: int,
-                 cell: np.ndarray, ncells: int) -> np.ndarray:
-    """Row r counts the pairs (r, u) of ``incidence`` with u in each cell;
-    cell[u] is the cell of vertex u, or -1 when u lies in no cell.  Rows are
-    vertices with ``Graph._arc_arrays`` and arcs (y, v) with
-    ``Graph._triangle_arrays`` (u then runs over the local graph at y)."""
-    rows, targets = incidence
+def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
+    """Row v counts the neighbours of v in each cell; cell[u] is the cell of
+    vertex u, or -1 when u lies in no cell."""
+    rows, targets = g._arc_arrays()
     target = cell[targets]
     if target.min(initial=0) < 0:
         inside = target >= 0
         rows, target = rows[inside], target[inside]
     return np.bincount(rows * ncells + target,
-                       minlength=nrows * ncells).reshape(nrows, ncells)
+                       minlength=g.n * ncells).reshape(g.n, ncells)
 
 
 def _equitable(g: Graph, cell: np.ndarray, labels: Tuple[object, ...]
@@ -359,7 +352,7 @@ def _equitable(g: Graph, cell: np.ndarray, labels: Tuple[object, ...]
     -1 outside the ground set; every cell non-empty), or the witness of its
     first inequitable cell: the cell's smallest vertex and the smallest
     vertex in it whose count row differs."""
-    counts = _cell_counts(g._arc_arrays(), g.n, cell, len(labels))
+    counts = _cell_counts(g, cell, len(labels))
     members = np.flatnonzero(cell >= 0)
     member_cell = cell[members]
     _, first = np.unique(member_cell, return_index=True)
@@ -416,7 +409,7 @@ def check_distance_regular(g: Graph
         """d(x, .) and each vertex's neighbour counts one layer down, in its
         own layer, and one layer up."""
         dx = dm[x].astype(np.intp)
-        counts = _cell_counts(g._arc_arrays(), n, dx, D + 2)
+        counts = _cell_counts(g, dx, D + 2)
         return (dx, counts[every, np.maximum(dx - 1, 0)], counts[every, dx],
                 counts[every, dx + 1])
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cab_oracle as oracle
+from drglab import cab
 from drglab.cab import (CabLevelParams, LocalSrgData, c2_bound,
                         cab2_closed_form, cab_formula_params,
                         cab_partition_check, predict_cab2, quotient_matrix,
@@ -78,26 +79,23 @@ def test_rejects_non_positive_pair_caps(max_pairs):
         cab_partition_check(johnson(8, 4), max_pairs=max_pairs)
 
 
-def test_capped_check_lists_only_the_triangles_it_reads(j105, monkeypatch):
-    listed = []
-    triangles = Graph._triangle_arrays
+def test_capped_check_builds_only_the_local_graphs_it_reads(j105, monkeypatch):
+    built = []
+    local_adjacency = Graph._local_adjacency
 
-    def spy(g, mask):
-        listed.append(triangles(g, mask))
-        return listed[-1]
+    def spy(g, ys):
+        built.append(np.array(ys))
+        return local_adjacency(g, ys)
 
-    monkeypatch.setattr(Graph, "_triangle_arrays", spy)
+    monkeypatch.setattr(Graph, "_local_adjacency", spy)
     rep = cab_partition_check(j105, max_pairs=1)
     assert rep.holds and rep.pairs_checked == 5
     # with one pair per level the scan reads the first vertex at each
-    # distance 1..5 from vertex 0, and lists only the arcs out of those
+    # distance 1..5 from vertex 0, and builds only the local graphs at those
     dist = j105.distance_matrix()[0]
     read = {int(np.flatnonzero(dist == i)[0]) for i in range(1, 6)}
-    (tri_arc, _), = listed
-    src = j105._arc_arrays()[0]
-    assert set(src[tri_arc].tolist()) == read
-    # each of the 25 arcs out of each y lies on a_1 = 8 triangles
-    assert len(tri_arc) == len(read) * 25 * 8
+    ys = np.concatenate(built)
+    assert len(ys) == len(read) and set(ys.tolist()) == read
 
 
 # -- differential test against the bitset scan ---------------------------------
@@ -137,6 +135,47 @@ def test_full_report_matches_bitset_oracle(index, is_switched):
     if is_switched:
         g = switched(g, rng)
     assert cab_partition_check(g) == oracle.cab_partition_check(g)
+
+
+def cocktail_party(m: int) -> Graph:
+    """K_{m x 2}: 2m vertices, each adjacent to all but itself and its twin."""
+    return Graph([[u for u in range(2 * m) if u // 2 != v // 2] for v in range(2 * m)])
+
+
+@pytest.mark.parametrize("is_switched", [False, True])
+def test_widest_key_matches_bitset_oracle(is_switched):
+    # k = 128 gives the widest packed key of the corpus, (k + 1)^3 > 2^21
+    rng = random.Random(65)
+    g = relabel(cocktail_party(65), rng)
+    if is_switched:
+        g = switched(g, rng)
+    assert g.degree(0) == 128
+    for max_pairs in (None, 3):
+        assert cab_partition_check(g, max_pairs=max_pairs) == \
+            oracle.cab_partition_check(g, max_pairs=max_pairs)
+
+
+@pytest.mark.parametrize("index", range(len(CAB_BASES)))
+def test_one_base_vertex_per_block_gives_the_same_reports(index, monkeypatch):
+    rng = random.Random(100 + index)
+    graphs = [relabel(CAB_BASES[index], rng)]
+    graphs.append(switched(graphs[0], rng))
+    wide = [cab_partition_check(g) for g in graphs]
+    monkeypatch.setattr(cab, "_CAB_BUDGET", 1)
+    assert [cab_partition_check(g) for g in graphs] == wide
+    assert wide == [oracle.cab_partition_check(g) for g in graphs]
+
+
+@pytest.mark.parametrize("index", range(len(CAB_BASES)))
+@pytest.mark.parametrize("is_switched", [False, True])
+def test_every_level_cap_matches_bitset_oracle(index, is_switched):
+    # a higher level may fail first while the lower levels scan on
+    rng = random.Random(200 + index)
+    g = relabel(CAB_BASES[index], rng)
+    if is_switched:
+        g = switched(g, rng)
+    for i_max in range(1, g.diameter() + 1):
+        assert cab_partition_check(g, i_max) == oracle.cab_partition_check(g, i_max)
 
 
 def test_equivalence_check_refutes_a_switched_graph():

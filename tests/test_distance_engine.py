@@ -3,8 +3,9 @@ its callers ``distances_from`` and ``distance_matrix`` against the queue
 breadth-first search in ``bfs_oracle``.
 
 Graphs are relabelled and edge-switched corpus graphs, disconnected unions,
-graphs with isolated vertices and the one-vertex graph; source lists repeat
-vertices in any order and cross the 64-source block boundary.  Examples are
+graphs with isolated vertices and the one-vertex graph, long paths and cycles
+(whose small frontiers take the push step) and sparse random graphs; source
+lists repeat vertices in any order and cross the 64-source block boundary.  Examples are
 derandomized, so runs are repeatable.
 """
 
@@ -86,6 +87,41 @@ def test_distance_matrix_of_corpus_graphs_matches_the_oracle(build):
     dm = g.distance_matrix()
     assert dm.dtype == np.int16
     assert (dm == oracle_rows(g, range(g.n))).all()
+
+
+def path(n: int) -> Graph:
+    return Graph.from_edges(n, zip(range(n - 1), range(1, n)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: path(2), lambda: path(700), lambda: cycle(3), lambda: cycle(2001),
+    lambda: union(path(300), cycle(400), path(1))],
+    ids=["path 2", "path 700", "cycle 3", "cycle 2001", "path + cycle + vertex"])
+def test_long_thin_graphs_match_the_oracle(build):
+    # frontiers of one or two vertices per source: every level pushes
+    g = relabel(build(), random.Random(11))
+    for sources in ([0, g.n // 2, g.n - 1], range(0, g.n, 11)):
+        assert (g._distance_rows(sources) == oracle_rows(g, sources)).all()
+
+
+@st.composite
+def sparse_graphs(draw) -> Graph:
+    """Random graphs with n vertices and about n * degree / 2 edges; below
+    mean degree 2 most are disconnected."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32), label="seed"))
+    n = draw(st.integers(2, 600), label="n")
+    degree = draw(st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.0]), label="mean degree")
+    edges = [rng.sample(range(n), 2) for _ in range(int(n * degree / 2))]
+    return Graph.from_edges(n, edges)
+
+
+@SETTINGS
+@given(sparse_graphs(), st.data())
+def test_sparse_random_graphs_match_the_oracle(g, data):
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=70),
+                        label="sources")
+    assert (g._distance_rows(sources) == oracle_rows(g, sources)).all()
+    assert g.is_connected() == (min(bfs_distances(g, 0)) >= 0)
 
 
 def test_empty_source_list_and_empty_graph():
