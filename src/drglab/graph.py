@@ -6,23 +6,25 @@ vertices.
 A graph is stored as its arc arrays: int32 ``src`` and ``dst``, grouped by
 source in vertex order with targets ascending, and the offsets ``starts`` of
 each vertex's arcs.  ``Graph(adjacency)`` converts the neighbour lists once
-and checks them on the arrays; family builders hand over arrays directly, and
-``neighbors(v)`` is a slice of ``dst``.  The arcs feed the one distance
+and checks them on the arrays; family builders hand over arrays directly,
+and ``neighbors(v)`` is a slice of ``dst``.  The arcs feed the one distance
 engine (``Graph._distance_rows``, a bit-parallel breadth-first search behind
 every distance row and the dense distance matrix of at most ``_DENSE_CAP``
-vertices) and the one per-cell neighbour-counting kernel behind equitable
-quotients and distance-regularity; 1-homogeneity has its own pair kernel in
-``homogeneous``, and the local (C, A, B) check in ``cab`` its own products
-over the local graphs' adjacency (``Graph._local_adjacency``).  The one
-common-neighbourhood pass (the lambda- and mu-graph valencies behind the
-mu-graph report and the locally-SRG test) takes a base vertex at a time: it
-unpacks rows of the packed adjacency bitsets and reads each valency from a
-float32 product of 0/1 rows, exact below 2**24.  Two views are built lazily:
-bitset rows as Python integers, for the coclique and triple-intersection
-searches; and the dense adjacency matrix, for spectra only: a spectrum is
-the real roots of its one integer characteristic polynomial
-(``polys.charpoly``), with no floating point on the way.  Integer arithmetic
-keeps every verdict exact.
+vertices) and two counting kernels: the per-cell kernel (``_cell_counts``)
+behind equitable quotients, and the pair kernel (``_pair_block``, driven by
+``_check_pairs``), which tests the joint distance partitions pi(x, y) of a
+block of pairs at once, for 1-homogeneity in ``homogeneous`` and for
+distance-regularity, its case x = y.  The local (C, A, B) check in ``cab``
+has its own products over the local graphs' adjacency
+(``Graph._local_adjacency``).  The one common-neighbourhood pass (the
+lambda- and mu-graph valencies behind the mu-graph report and the
+locally-SRG test) takes a base vertex at a time: it unpacks rows of the
+packed adjacency bitsets and reads each valency from a float32 product of
+0/1 rows, exact below 2**24.  Two views are built lazily: bitset rows as
+Python integers, for the coclique and triple-intersection searches; and the
+dense adjacency matrix, for spectra only: a spectrum is the real roots of
+its one integer characteristic polynomial (``polys.charpoly``), with no
+floating point on the way.  Integer arithmetic keeps every verdict exact.
 """
 
 from __future__ import annotations
@@ -380,6 +382,123 @@ def equitable_quotient(g: Graph, p: VertexPartition
     return _equitable(g, cell, p.labels)
 
 
+# -- the pair kernel -------------------------------------------------------
+
+
+#: (pair, arc) entries one call of the pair kernel may hold: a block takes as
+#: many pairs as fit, and at least one
+_PAIR_BUDGET = 1 << 18
+
+
+def _digit_weights(g: Graph) -> np.ndarray:
+    """(words, 9) int64 weights that pack nine neighbour counts of a vertex
+    into exact int64 words: digit r counts the neighbours u with
+    3 d(x, u) + d(y, u) = r (mod 9), in base max degree + 1, as many digits
+    to a word as base**digits <= 2**63 allows.  The counts of a vertex sum
+    to its degree, so no digit carries and no word overflows."""
+    base = int(g.degrees().max(initial=0)) + 1
+    per_word = max(t for t in range(1, 10) if base ** t <= 1 << 63)
+    weights = np.zeros((-(-9 // per_word), 9), dtype=np.int64)
+    for r in range(9):
+        weights[r // per_word, r] = base ** (r % per_word)
+    return weights
+
+
+def _pair_block(g: Graph, weights: np.ndarray, dx: np.ndarray, dy: np.ndarray):
+    """The pair kernel: pi(x, y) for a block of p pairs from their (p, n)
+    distance rows.
+
+    A neighbour u of v has d(x, u) - d(x, v) and d(y, u) - d(y, v) in
+    {-1, 0, 1}, so 3 d(x, u) + d(y, u) mod 9 names the cell of u among the
+    nine around v, and v's count row is one key: its neighbours' digit
+    weights summed over its arcs.  Two vertices of one cell share their
+    residue, so equal keys are equal count rows.  Returns, with the vertices
+    of each pair sorted by cell (d(x, v), d(y, v)) and then by number: each
+    vertex's cell label (2, p * n), its key (words, p * n), the key of the
+    first vertex of its cell, whether it is that first vertex, and the
+    vertex itself (n t + v for v of pair t)."""
+    p, n = dx.shape
+    dst, starts = g._arc_arrays()[1], g._starts[:-1]
+    digit = (3 * dx.astype(np.int32) + dy) % 9
+    # every vertex has an arc (the graph is connected), so the segments of
+    # the reduction are the arcs of each vertex
+    seg = (np.arange(p)[:, None] * len(dst) + starts).ravel()
+    keys = np.stack([np.add.reduceat(np.take(w[digit], dst, axis=1).ravel(), seg)
+                     for w in weights])
+    order = (np.lexsort((dy, dx)) + (n * np.arange(p))[:, None]).ravel()
+    label = np.stack([dx.ravel()[order], dy.ravel()[order]])
+    head = np.ones(p * n, dtype=bool)
+    head[1:] = (label[:, 1:] != label[:, :-1]).any(axis=0)
+    head[::n] = True
+    first = order[np.maximum.accumulate(np.where(head, np.arange(p * n), 0))]
+    return label, keys[:, order], keys[:, first], head, order
+
+
+def _quotient(label: np.ndarray, keys: np.ndarray, weights: np.ndarray):
+    """(labels, matrix) of pi(x, y) from the labels (2, cells) and keys
+    (words, cells) of its cells, in order."""
+    labels = tuple(zip(*label.tolist()))
+    column = {lab: j for j, lab in enumerate(labels)}
+    # the first word holds at least two digits, so its second weight is the base
+    per_word, base = np.count_nonzero(weights[0]), int(weights[0, 1])
+    matrix = []
+    for c, (a, b) in enumerate(labels):
+        row = [0] * len(labels)
+        for r in range(9):
+            count = int(keys[r // per_word, c]) // int(weights[r // per_word, r]) % base
+            if count:
+                o = (r - 3 * a - b + 4) % 9  # 3 (d(x, u) - a + 1) + d(y, u) - b + 1
+                row[column[(a + o // 3 - 1, b + o % 3 - 1)]] = count
+        matrix.append(tuple(row))
+    return labels, tuple(matrix)
+
+
+def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
+                 at_x: np.ndarray, at_y: np.ndarray):
+    """Run the pairs (xs[t], ys[t]), whose distance rows are rows[at_x[t]]
+    and rows[at_y[t]], through the pair kernel in order, ``_PAIR_BUDGET``
+    (pair, arc) entries at a time.  The first pair's quotient is the
+    reference; the first pair that is inequitable or has another quotient
+    refutes, and counts as checked.  Blocks start at one pair and double
+    up to the budget, so a refutation reads about as many pairs as it
+    needs.  Returns the pairs checked, the witness (x, y, cell label,
+    vertex_a, vertex_b) of the refuting pair (None in the last three when
+    only its quotient differs) or None, and the reference (labels, matrix)."""
+    weights = _digit_weights(g)
+    n = g.n
+    most = max(1, _PAIR_BUDGET // len(g._arc_arrays()[1]))
+    ref = None
+    lo, step = 0, 1
+    while lo < len(xs):
+        label, keys, first_keys, head, order = _pair_block(
+            g, weights, rows[at_x[lo:lo + step]], rows[at_y[lo:lo + step]])
+        p = len(order) // n
+        # a pair's quotient is the label and key of each of its cells, in order
+        cells = np.flatnonzero(head)
+        sizes = np.bincount(cells // n, minlength=p)
+        if ref is None:
+            ref = label[:, cells[:sizes[0]]], keys[:, cells[:sizes[0]]]
+        same = sizes == ref[0].shape[1]
+        at = cells[(np.cumsum(sizes) - sizes)[same, None] + np.arange(ref[0].shape[1])]
+        other = np.ones(p, dtype=bool)
+        other[same] = ((label[:, at] != ref[0][:, None]).any(axis=(0, 2))
+                       | (keys[:, at] != ref[1][:, None]).any(axis=(0, 2)))
+        differs = (keys != first_keys).any(axis=0)
+        fails = differs.reshape(p, n).any(axis=1) | other
+        if fails.any():
+            t = int(np.argmax(fails))
+            x, y = int(xs[lo + t]), int(ys[lo + t])
+            witness = (x, y, None, None, None)
+            if differs[t * n:(t + 1) * n].any():
+                # the first vertex that differs, in (cell, vertex) order
+                j = t * n + int(np.argmax(differs[t * n:(t + 1) * n]))
+                a = int(order[j - np.argmax(head[j::-1])]) - t * n
+                witness = (x, y, tuple(label[:, j].tolist()), a, int(order[j]) - t * n)
+            return lo + t + 1, witness, _quotient(*ref, weights)
+        lo, step = lo + step, min(2 * step, most)
+    return len(xs), None, _quotient(*ref, weights)
+
+
 # -- distance-regularity ----------------------------------------------------
 
 
@@ -395,51 +514,40 @@ class DistanceRegularityWitness:
 
 def check_distance_regular(g: Graph
                            ) -> Union[IntersectionArray, DistanceRegularityWitness]:
-    """The intersection array, or the first (lex smallest) violating pair."""
+    """The intersection array, or the first (lex smallest) violating pair.
+
+    The pair test of 1-homogeneity at x = y: pi(x, x) is the distance
+    partition from x, its cells the layers (j, j), so the pairs (x, x) run
+    through the pair kernel, and the array is read from the quotient of
+    pi(0, 0): b_j = matrix[j][j + 1], c_j = matrix[j][j - 1].  When x
+    refutes, y is the first vertex whose counts one layer down, in its own
+    layer and one layer up differ from those of the first vertex of its
+    layer around vertex 0; vertices farther from x than ecc(0) are skipped."""
     if not g.is_connected():
         raise InputError("distance-regularity is defined for connected graphs")
-    n = g.n
     dm = g.distance_matrix()
     D = int(dm.max())
     if D == 0:
         raise InputError("single-vertex graph has no intersection array")
-    every = np.arange(n)
-
-    def layer_counts(x):
-        """d(x, .) and each vertex's neighbour counts one layer down, in its
-        own layer, and one layer up."""
-        dx = dm[x].astype(np.intp)
-        counts = _cell_counts(g, dx, D + 2)
-        return (dx, counts[every, np.maximum(dx - 1, 0)], counts[every, dx],
-                counts[every, dx + 1])
-
-    # propose the array from the first vertex of each layer around vertex 0;
-    # when ecc(0) < D, b at level ecc(0) is 0 here but positive on a geodesic
-    # to a diametral vertex, so the scan below finds a violation
-    d0, c0, a0, b0 = layer_counts(0)
-    ecc0 = int(d0.max())
-    first = [int(np.flatnonzero(d0 == i)[0]) for i in range(ecc0 + 1)]
-    c, a, b = c0[first], a0[first], b0[first]
-    c[0] = 0
-    for x in range(n):
-        dx, cvals, avals, bvals = layer_counts(x)
-        level = np.minimum(dx, ecc0)
-        ok = (avals == a[level]) & (bvals == b[level]) & ((dx == 0) | (cvals == c[level]))
-        # vertices farther from x than ecc(0) have no proposed counts
-        ok |= dx > ecc0
-        ok[x] = True
-        if not ok.all():
-            y = int(np.flatnonzero(~ok)[0])
-            i = int(dx[y])
-            got = (int(cvals[y]) if i > 0 else 0, int(avals[y]), int(bvals[y]))
-            want = (int(c[i]), int(a[i]), int(b[i]))
-            return DistanceRegularityWitness(x, y, i, got, want,
-                                             "intersection numbers depend on the pair")
-    b, c = b.tolist(), c.tolist()
-    try:
-        return IntersectionArray(tuple(b[:D]), tuple(c[1:]))
-    except InputError as exc:  # pragma: no cover - structurally impossible
-        raise InputError(f"inconsistent counts: {exc}") from exc
+    every = np.arange(g.n)
+    checked, witness, (labels, matrix) = _check_pairs(g, every, every, dm, every, every)
+    # row j + 1 of q holds the counts of layer j around vertex 0 in layers
+    # j - 1, j and j + 1; when ecc(0) < D, b at level ecc(0) is 0 here but
+    # positive on a geodesic to a diametral vertex, so some pair refutes
+    q = np.pad(np.array(matrix), 1)
+    c, a, b = q.diagonal(-1)[:-1], q.diagonal()[1:-1], q.diagonal(1)[1:]
+    if witness is None:
+        return IntersectionArray(tuple(b[:D].tolist()), tuple(c[1:].tolist()))
+    x, ecc0 = checked - 1, len(labels) - 1
+    dx = dm[x].astype(np.intp)
+    got = _cell_counts(g, dx, D + 2)[every[:, None], np.maximum(dx[:, None] + [-1, 0, 1], 0)]
+    want = np.stack([c, a, b], axis=1)[np.minimum(dx, ecc0)]
+    ok = (got == want).all(axis=1) | (dx > ecc0)
+    ok[x] = True
+    y = int(np.argmin(ok))
+    return DistanceRegularityWitness(x, y, int(dx[y]), tuple(got[y].tolist()),
+                                     tuple(want[y].tolist()),
+                                     "intersection numbers depend on the pair")
 
 
 # -- induced subgraphs -------------------------------------------------------

@@ -3,13 +3,15 @@ recognition from intersection arrays, and the diameter-5 classifier for
 graphs whose pi(x, y) partitions are equitable with pair-independent
 parameters ("1-homogeneous" graphs).
 
-Every pair goes through one pair kernel, a block of pairs to a call: each
-vertex's neighbour counts over the cells of pi(x, y) are packed into exact
-int64 keys, summed over the arcs in one numpy pass for the whole block.  The
-size policy follows from the mode: exhaustive checks read both distance rows
-from the dense distance matrix (at most ``graph._DENSE_CAP`` vertices);
-sampled checks take every row from one call of the distance engine, at any
-size.
+Every pair goes through the pair kernel of ``graph`` (``_check_pairs``), a
+block of pairs to a call: each vertex's neighbour counts over the cells of
+pi(x, y) are packed into exact int64 keys, summed over the arcs in one numpy
+pass for the whole block.  ``graph.check_distance_regular`` runs the same
+kernel on the pairs (x, x), whose partitions are the distance partitions.
+The size policy follows from the mode: exhaustive checks read both distance
+rows from the dense distance matrix (at most ``graph._DENSE_CAP``
+vertices); sampled checks take every row from one call of the distance
+engine, at any size.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .bounds import F_bound, G_bound
 from .cab import cab_partition_check
 from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require
-from .graph import (Graph, _common_neighbourhoods, check_distance_regular,
-                    graph_spectrum, local_graph)
+from .graph import (Graph, _check_pairs, _common_neighbourhoods,
+                    check_distance_regular, graph_spectrum, local_graph)
 from .scalars import exact_cmp, scalar_json
 from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
 
@@ -44,120 +46,6 @@ class HomogeneityReport:
     def __post_init__(self):
         require((self.witness is not None) == (not self.holds),
                 "a report carries a witness exactly when it fails")
-
-
-#: (pair, arc) entries one call of the pair kernel may hold: a block takes as
-#: many pairs as fit, and at least one
-_PAIR_BUDGET = 1 << 18
-
-
-def _digit_weights(g: Graph) -> np.ndarray:
-    """(words, 9) int64 weights that pack nine neighbour counts of a vertex
-    into exact int64 words: digit r counts the neighbours u with
-    3 d(x, u) + d(y, u) = r (mod 9), in base max degree + 1, as many digits
-    to a word as base**digits <= 2**63 allows.  The counts of a vertex sum
-    to its degree, so no digit carries and no word overflows."""
-    base = int(g.degrees().max(initial=0)) + 1
-    per_word = max(t for t in range(1, 10) if base ** t <= 1 << 63)
-    weights = np.zeros((-(-9 // per_word), 9), dtype=np.int64)
-    for r in range(9):
-        weights[r // per_word, r] = base ** (r % per_word)
-    return weights
-
-
-def _pair_block(g: Graph, weights: np.ndarray, dx: np.ndarray, dy: np.ndarray):
-    """The pair kernel: pi(x, y) for a block of p pairs from their (p, n)
-    distance rows.
-
-    A neighbour u of v has d(x, u) - d(x, v) and d(y, u) - d(y, v) in
-    {-1, 0, 1}, so 3 d(x, u) + d(y, u) mod 9 names the cell of u among the
-    nine around v, and v's count row is one key: its neighbours' digit
-    weights summed over its arcs.  Two vertices of one cell share their
-    residue, so equal keys are equal count rows.  Returns, with the vertices
-    of each pair sorted by cell (d(x, v), d(y, v)) and then by number: each
-    vertex's cell label (2, p * n), its key (words, p * n), the key of the
-    first vertex of its cell, whether it is that first vertex, and the
-    vertex itself (n t + v for v of pair t)."""
-    p, n = dx.shape
-    dst, starts = g._arc_arrays()[1], g._starts[:-1]
-    digit = (3 * dx.astype(np.int32) + dy) % 9
-    # every vertex has an arc (the graph is connected), so the segments of
-    # the reduction are the arcs of each vertex
-    seg = (np.arange(p)[:, None] * len(dst) + starts).ravel()
-    keys = np.stack([np.add.reduceat(np.take(w[digit], dst, axis=1).ravel(), seg)
-                     for w in weights])
-    order = (np.lexsort((dy, dx)) + (n * np.arange(p))[:, None]).ravel()
-    label = np.stack([dx.ravel()[order], dy.ravel()[order]])
-    head = np.ones(p * n, dtype=bool)
-    head[1:] = (label[:, 1:] != label[:, :-1]).any(axis=0)
-    head[::n] = True
-    first = order[np.maximum.accumulate(np.where(head, np.arange(p * n), 0))]
-    return label, keys[:, order], keys[:, first], head, order
-
-
-def _quotient(label: np.ndarray, keys: np.ndarray, weights: np.ndarray):
-    """(labels, matrix) of pi(x, y) from the labels (2, cells) and keys
-    (words, cells) of its cells, in order."""
-    labels = tuple(zip(*label.tolist()))
-    column = {lab: j for j, lab in enumerate(labels)}
-    # the first word holds at least two digits, so its second weight is the base
-    per_word, base = np.count_nonzero(weights[0]), int(weights[0, 1])
-    matrix = []
-    for c, (a, b) in enumerate(labels):
-        row = [0] * len(labels)
-        for r in range(9):
-            count = int(keys[r // per_word, c]) // int(weights[r // per_word, r]) % base
-            if count:
-                o = (r - 3 * a - b + 4) % 9  # 3 (d(x, u) - a + 1) + d(y, u) - b + 1
-                row[column[(a + o // 3 - 1, b + o % 3 - 1)]] = count
-        matrix.append(tuple(row))
-    return labels, tuple(matrix)
-
-
-def _check_pairs(g: Graph, i: int, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
-                 at_x: np.ndarray, at_y: np.ndarray, mode: str) -> HomogeneityReport:
-    """Run the pairs (xs[t], ys[t]), whose distance rows are rows[at_x[t]]
-    and rows[at_y[t]], through the pair kernel in order, ``_PAIR_BUDGET``
-    (pair, arc) entries at a time.  The first pair's quotient is the
-    reference; the first pair that is inequitable or has another quotient
-    refutes, and counts as checked.  Blocks start at one pair and double
-    up to the budget, so a refutation reads about as many pairs as it
-    needs."""
-    weights = _digit_weights(g)
-    n = g.n
-    most = max(1, _PAIR_BUDGET // len(g._arc_arrays()[1]))
-    ref = None
-    lo, step = 0, 1
-    while lo < len(xs):
-        label, keys, first_keys, head, order = _pair_block(
-            g, weights, rows[at_x[lo:lo + step]], rows[at_y[lo:lo + step]])
-        p = len(order) // n
-        # a pair's quotient is the label and key of each of its cells, in order
-        cells = np.flatnonzero(head)
-        sizes = np.bincount(cells // n, minlength=p)
-        if ref is None:
-            ref = label[:, cells[:sizes[0]]], keys[:, cells[:sizes[0]]]
-        same = sizes == ref[0].shape[1]
-        at = cells[(np.cumsum(sizes) - sizes)[same, None] + np.arange(ref[0].shape[1])]
-        other = np.ones(p, dtype=bool)
-        other[same] = ((label[:, at] != ref[0][:, None]).any(axis=(0, 2))
-                       | (keys[:, at] != ref[1][:, None]).any(axis=(0, 2)))
-        differs = (keys != first_keys).any(axis=0)
-        fails = differs.reshape(p, n).any(axis=1) | other
-        if fails.any():
-            t = int(np.argmax(fails))
-            x, y = int(xs[lo + t]), int(ys[lo + t])
-            witness = (x, y, None, None, None)
-            if differs[t * n:(t + 1) * n].any():
-                # the first vertex that differs, in (cell, vertex) order
-                j = t * n + int(np.argmax(differs[t * n:(t + 1) * n]))
-                a = int(order[j - np.argmax(head[j::-1])]) - t * n
-                witness = (x, y, tuple(label[:, j].tolist()), a, int(order[j]) - t * n)
-            return HomogeneityReport(i, False, witness=witness, mode=mode,
-                                     pairs_checked=lo + t + 1)
-        lo, step = lo + step, min(2 * step, most)
-    labels, matrix = _quotient(*ref, weights)
-    return HomogeneityReport(i, True, labels, matrix, None, mode, len(xs))
 
 
 def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
@@ -212,8 +100,8 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     the given seed and takes their rows from one bit-parallel search at any
     n (a draw above level 1 runs a one-source search, whose row it keeps);
     it can refute but only exhaustive mode confirms.  Both run their pairs
-    through the one pair kernel, as many to a call as ``_PAIR_BUDGET``
-    allows.
+    through the one pair kernel, as many to a call as
+    ``graph._PAIR_BUDGET`` allows.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
@@ -221,15 +109,18 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
         if seed is None or count is None or count < 1:
             raise InputError("sampled mode requires a seed and a positive count")
         xs, ys, rows = _sampled_pairs(g, i, seed, count)
-        return _check_pairs(g, i, xs, ys, rows, np.arange(count),
-                            count + np.arange(count), mode)
-    dm = g.distance_matrix()
-    if dm.min() < 0:
-        raise InputError("homogeneity is defined for connected graphs")
-    xs, ys = np.nonzero(dm == i)
-    if not len(xs):
-        raise InputError(f"no pair of vertices at distance {i}")
-    return _check_pairs(g, i, xs, ys, dm, xs, ys, mode)
+        at_x, at_y = np.arange(count), count + np.arange(count)
+    else:
+        rows = g.distance_matrix()
+        if rows.min() < 0:
+            raise InputError("homogeneity is defined for connected graphs")
+        xs, ys = at_x, at_y = np.nonzero(rows == i)
+        if not len(xs):
+            raise InputError(f"no pair of vertices at distance {i}")
+    checked, witness, (labels, matrix) = _check_pairs(g, xs, ys, rows, at_x, at_y)
+    if witness is not None:
+        return HomogeneityReport(i, False, witness=witness, mode=mode, pairs_checked=checked)
+    return HomogeneityReport(i, True, labels, matrix, None, mode, checked)
 
 
 def cab_equivalence_check(g: Graph) -> bool:

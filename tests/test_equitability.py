@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import drglab.homogeneous as homogeneous
+import drglab.graph as graph
 import homogeneity_oracle
 from drglab.errors import InputError, ResourceError
 from drglab.families import (cocktail_party, cycle, folded_johnson, hamming, hypercube,
@@ -178,7 +178,7 @@ def test_keys_of_two_words_match_dense_oracle(cut):
     # valency 128 needs base 129, and 129**9 > 2**63: each key takes two words
     rng = random.Random(65)
     g = relabel(cocktail_party(65), rng)
-    assert homogeneous._digit_weights(g).shape == (2, 9)
+    assert graph._digit_weights(g).shape == (2, 9)
     if cut:
         edges = sorted(g.edges())
         edges.remove(rng.choice(edges))
@@ -202,13 +202,13 @@ def test_cycles_match_the_pair_by_pair_oracle():
 
 def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
     calls = []
-    kernel = homogeneous._pair_block
+    kernel = graph._pair_block
 
     def counted(*args):
         calls.append(len(args[2]))
         return kernel(*args)
 
-    monkeypatch.setattr(homogeneous, "_pair_block", counted)
+    monkeypatch.setattr(graph, "_pair_block", counted)
     g = relabel(johnson(8, 4), random.Random(8))
     rep = check_i_homogeneous(g, 1)
     assert rep.holds and rep.pairs_checked == 1120
@@ -220,5 +220,5 @@ def test_one_pair_per_kernel_call_gives_the_same_reports(monkeypatch, index):
     rng = random.Random(index)
     graphs = [relabel(BASES[index], rng), switch(relabel(BASES[index], rng), rng)]
     want = [outcome(lambda: check_i_homogeneous(g, 1)) for g in graphs]
-    monkeypatch.setattr(homogeneous, "_PAIR_BUDGET", 1)
+    monkeypatch.setattr(graph, "_PAIR_BUDGET", 1)
     assert [outcome(lambda: check_i_homogeneous(g, 1)) for g in graphs] == want
