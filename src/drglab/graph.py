@@ -23,8 +23,10 @@ packed adjacency bitsets and reads each valency from a float32 product of
 0/1 rows, exact below 2**24.  Two views are built lazily: bitset rows as
 Python integers, for the coclique and triple-intersection searches; and the
 dense adjacency matrix, for spectra only: a spectrum is the real roots of
-its one integer characteristic polynomial (``polys.charpoly``), with no
-floating point on the way.  Integer arithmetic keeps every verdict exact.
+its one integer characteristic polynomial (``polys.charpoly``: Hessenberg
+reduction modulo word-size primes, as many as Hadamard's bound on the
+coefficients asks, joined by Chinese remaindering), with no floating point
+on the way.  Integer arithmetic keeps every verdict exact.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .scalars import ExactScalar
 GRAPH_FORMAT = "drg-graph-v1"
 
 #: vertex cap for exact spectra: the characteristic polynomial of 256
-#: vertices takes about a minute
+#: vertices takes about 2 s
 SPECTRUM_EXACT_CAP = 256
 _DENSE_CAP = 6000
 #: a frontier with under 1 / _PUSH_SHARE of all arcs pushes (~30 bytes per arc it holds)
@@ -758,7 +760,10 @@ class SpectrumReport:
 def graph_spectrum(g: Graph) -> SpectrumReport:
     """Exact adjacency spectrum with multiplicities (descending): the real
     roots of the integer characteristic polynomial of the adjacency matrix,
-    for graphs of at most ``SPECTRUM_EXACT_CAP`` vertices."""
+    for graphs of at most ``SPECTRUM_EXACT_CAP`` vertices.  ``charpoly``
+    finds it modulo primes of at most (63 - bitlength(n)) / 2 bits, enough
+    of them that their product exceeds twice the Hadamard bound
+    prod_v (1 + ceil(sqrt(deg v))), so the coefficients are exact."""
     if g.n > SPECTRUM_EXACT_CAP:
         raise ResourceError(f"exact spectrum capped at {SPECTRUM_EXACT_CAP} vertices")
     if g.n == 0:

@@ -2,8 +2,12 @@
 
 A characteristic polynomial comes from one of two exact routes: the
 three-term recursion for tridiagonal matrices (the intersection matrices of
-the array layer), and Berkowitz's division-free algorithm (sympy
-``DomainMatrix.charpoly``) for any other square integer or rational matrix.
+the array layer), and, for any other square integer or rational matrix,
+Hessenberg reduction modulo word-size primes joined by Chinese remaindering
+(``charpoly``; Cohen, *A Course in Computational Algebraic Number Theory*,
+1993, ch. 2).  The number of primes follows from Hadamard's bound on the
+coefficients, so the result is exact, not probable; a rational matrix is
+scaled by its common denominator first.
 
 Roots: factor over Q (sympy), then read roots off the irreducible factors.
 Linear factors give rationals, quadratic factors give surds, higher-degree
@@ -14,13 +18,14 @@ factors are isolated into certified rational intervals of width
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import List, Sequence, Tuple
+from itertools import count
+from math import gcd, isqrt, lcm
+from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
 import sympy
-from sympy import QQ, ZZ
-from sympy.polys.matrices import DomainMatrix
 
+from .errors import require
 from .scalars import ExactScalar, Interval, Surd, sort_desc
 
 _X = sympy.Symbol("x")
@@ -121,15 +126,87 @@ def charpoly(rows: Sequence[Sequence]) -> List:
     """Characteristic polynomial det(xI - M) of a square integer or rational
     matrix, ascending: ints for an integer matrix, else Fractions.
 
-    Berkowitz's division-free algorithm (sympy ``DomainMatrix.charpoly``),
-    over ZZ, or over QQ when some entry is not an integer.
+    One exact route: with d the common denominator of the entries, the
+    coefficients c_j(dM) of the integer matrix dM are found modulo primes
+    (``_charpoly_mod``) and joined by Chinese remaindering, and
+    c_j(M) = c_j(dM) / d^(n - j).  The coefficient of x^(n - j) is +- the sum
+    of the j x j principal minors, so by Hadamard's inequality it is at most
+    B = prod_i (1 + ceil(|row_i|_2)) in absolute value; primes are taken until
+    their product exceeds 2B, and each coefficient is the symmetric residue.
+    The primes are the largest below 2^b, with b = (63 - bitlength(n)) // 2,
+    so that n (p - 1)^2 < 2^63: every int64 intermediate, the n-term dot
+    products included, stays below 2^63.
     """
     m = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in rows]
-    shape = (len(m), len(m))
-    if all(x.denominator == 1 for row in m for x in row):
-        mat = DomainMatrix([[ZZ(int(x)) for x in row] for row in m], shape, ZZ)
-        return [int(c) for c in reversed(mat.charpoly())]
-    mat = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m],
-                       shape, QQ)
-    return [Fraction(int(c.numerator), int(c.denominator))
-            for c in reversed(mat.charpoly())]
+    n = len(m)
+    if n == 0:
+        return [1]
+    den = lcm(*(x.denominator for row in m for x in row if not isinstance(x, int)))
+    big = np.array([[int(x * den) for x in row] for row in m], dtype=object)
+    bound = 1
+    for sq in (big * big).sum(axis=1):
+        if sq:
+            bound *= isqrt(sq - 1) + 2  # 1 + ceil(sqrt(sq))
+    bits = (63 - n.bit_length()) // 2
+    coeffs, modulus = np.zeros(n + 1, dtype=object), 1
+    for i in count():
+        if modulus > 2 * bound:
+            break
+        p = _prime(bits, i)
+        require(n * (p - 1) ** 2 < 1 << 63, "int64 overflow in the modular charpoly")
+        residues = _charpoly_mod(np.remainder(big, p).astype(np.int64), p).astype(object)
+        coeffs += modulus * ((residues - coeffs) * pow(modulus, -1, p) % p)
+        modulus *= p
+    half = modulus // 2
+    ints = [int(c) - modulus if c > half else int(c) for c in coeffs]
+    if den == 1:
+        return ints
+    return [Fraction(c, den ** (n - j)) for j, c in enumerate(ints)]
+
+
+#: the largest primes below 2^bits, by bits, found as they are first needed
+_PRIMES: Dict[int, List[int]] = {}
+
+
+def _prime(bits: int, i: int) -> int:
+    """The (i + 1)-th largest prime below 2^bits."""
+    found = _PRIMES.setdefault(bits, [])
+    while len(found) <= i:
+        found.append(int(sympy.prevprime(found[-1] if found else 1 << bits)))
+    return found[i]
+
+
+def _charpoly_mod(h: np.ndarray, p: int) -> np.ndarray:
+    """det(xI - H) mod p, ascending, of an int64 matrix with entries in
+    [0, p), which it overwrites.
+
+    H is reduced to upper Hessenberg form by similarity: for each column j
+    a nonzero pivot below the diagonal moves to row j + 1 (a column that is
+    zero there is skipped), and the rows beneath subtract multiples of it.
+    Then P_m = det(xI - H[:m, :m]) satisfies
+    P_m = (x - h[m-1, m-1]) P_{m-1}
+          - sum_{i < m-1} h[i, m-1] h[i+1, i] ... h[m-1, m-2] P_i,
+    whose subdiagonal products are one vector, updated per column.
+    """
+    n = len(h)
+    for j in range(n - 2):
+        below = np.flatnonzero(h[j + 1:, j])
+        if below.size == 0:
+            continue
+        r = j + 1 + int(below[0])
+        if r != j + 1:
+            h[[j + 1, r]] = h[[r, j + 1]]
+            h[:, [j + 1, r]] = h[:, [r, j + 1]]
+        u = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, p) % p
+        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(u, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ u) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    prods = np.ones(n, dtype=np.int64)  # prods[i] = h[i+1, i] ... h[m-1, m-2]
+    for m in range(1, n + 1):
+        if m >= 2:
+            prods[:m - 1] = prods[:m - 1] * h[m - 1, m - 2] % p
+        tail = (h[:m - 1, m - 1] * prods[:m - 1] % p) @ polys[:m - 1, :m] % p
+        polys[m, 1:m + 1] = polys[m - 1, :m]
+        polys[m, :m] = (polys[m, :m] - h[m - 1, m - 1] * polys[m - 1, :m] - tail) % p
+    return polys[n]

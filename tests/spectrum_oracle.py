@@ -6,6 +6,9 @@ the two routes they replaced.
   multiplicities sum to n.
 - ``charpoly_dense``: the characteristic polynomial by interpolation of
   fraction-free (Bareiss) determinants at t = 0..n.
+- ``charpoly_berkowitz``: Berkowitz's division-free algorithm (sympy
+  ``DomainMatrix.charpoly``) over ZZ, or over QQ when some entry is not an
+  integer; ``polys.charpoly`` before its modular route.
 
 ``oracle_spectrum`` is the old ``graph_spectrum``: verification first, the
 interpolated characteristic polynomial when it fails.  The differential test
@@ -16,6 +19,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from drglab.graph import Graph
 from drglab.polys import real_roots
@@ -95,6 +100,20 @@ def charpoly_dense(rows: Sequence[Sequence[int]]) -> List[int]:
                  zip([Fraction(0)] + basis, basis + [Fraction(0)])]
     assert all(c.denominator == 1 for c in poly), "charpoly must be integral"
     return [int(c) for c in poly]
+
+
+def charpoly_berkowitz(rows: Sequence[Sequence]) -> List:
+    """Characteristic polynomial det(xI - M) of a square integer or rational
+    matrix, ascending: ints for an integer matrix, else Fractions."""
+    m = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in rows]
+    shape = (len(m), len(m))
+    if all(x.denominator == 1 for row in m for x in row):
+        mat = DomainMatrix([[ZZ(int(x)) for x in row] for row in m], shape, ZZ)
+        return [int(c) for c in reversed(mat.charpoly())]
+    mat = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m],
+                       shape, QQ)
+    return [Fraction(int(c.numerator), int(c.denominator))
+            for c in reversed(mat.charpoly())]
 
 
 def spectrum_by_verification(g: Graph) -> Optional[List[Tuple[ExactScalar, int]]]:
