@@ -11,10 +11,17 @@ and ``neighbors(v)`` is a slice of ``dst``.  The arcs feed the one distance
 engine (``Graph._distance_rows``, a bit-parallel breadth-first search behind
 every distance row and the dense distance matrix of at most ``_DENSE_CAP``
 vertices) and two counting kernels: the per-cell kernel (``_cell_counts``)
-behind equitable quotients, and the pair kernel (``_pair_block``, driven by
+behind equitable quotients, and the pair kernel (``_pair_keys``, driven by
 ``_check_pairs``), which tests the joint distance partitions pi(x, y) of a
 block of pairs at once, for 1-homogeneity in ``homogeneous`` and for
-distance-regularity, its case x = y.  The local (C, A, B) check in ``cab``
+distance-regularity, its case x = y.  It packs each vertex's neighbour
+counts over the cells of pi(x, y) into exact keys by one of two routes,
+chosen by ``_dense_keys`` from the graph and the number of pairs: on a
+dense graph checked at enough pairs (n <= 1024, n^2 <= 32 arcs and
+4 n^2 <= pairs x arcs) one float64 product per key word with the 0/1
+adjacency matrix, exact as every key stays below 2**53 (timed with one BLAS
+thread); otherwise int64 sums over the arcs, below 2**63.  A pair holds
+when every vertex's key is the first pair's key for its cell.  The local (C, A, B) check in ``cab``
 has its own products over the local graphs' adjacency
 (``Graph._local_adjacency``).  The one common-neighbourhood pass (the
 lambda- and mu-graph valencies behind the mu-graph report and the
@@ -387,59 +394,70 @@ def equitable_quotient(g: Graph, p: VertexPartition
 # -- the pair kernel -------------------------------------------------------
 
 
-#: (pair, arc) entries one call of the pair kernel may hold: a block takes as
-#: many pairs as fit, and at least one
+#: entries one block of the pair kernel may hold: (pair, arc) entries on the
+#: sparse route; on the dense one, (pair, vertex) entries count four each, for
+#: its labels, weights, keys and reference keys.  A block takes as many pairs
+#: as fit, and at least one
 _PAIR_BUDGET = 1 << 18
+#: vertex cap of the dense route: its float64 adjacency takes 8 n^2 bytes
+_DENSE_KEYS_CAP = 1024
+#: cap on span^2 (span = largest distance + 1) for the pair kernel's label tables
+_LABEL_TABLE_CAP = 1 << 18
 
 
-def _digit_weights(g: Graph) -> np.ndarray:
+def _dense_keys(g: Graph, pairs: int) -> bool:
+    """Whether the pair kernel sums the keys of ``pairs`` pairs by a float64
+    product with the adjacency matrix (an n^2 fill, then n^2 work per pair)
+    rather than over the arcs (one gather per arc and pair): when the
+    matrix is at most 8 MB, the graph has at least n / 32 neighbours per
+    vertex on average, and the pairs would gather at least four times as
+    many arcs as the matrix has entries."""
+    n, arcs = g.n, len(g._arc_arrays()[1])
+    return n <= _DENSE_KEYS_CAP and n * n <= 32 * arcs and 4 * n * n <= pairs * arcs
+
+
+def _digit_weights(g: Graph, limit: int) -> np.ndarray:
     """(words, 9) int64 weights that pack nine neighbour counts of a vertex
-    into exact int64 words: digit r counts the neighbours u with
+    into exact words: digit r counts the neighbours u with
     3 d(x, u) + d(y, u) = r (mod 9), in base max degree + 1, as many digits
-    to a word as base**digits <= 2**63 allows.  The counts of a vertex sum
-    to its degree, so no digit carries and no word overflows."""
+    to a word as base**digits <= limit allows (2**53 for float64 keys, 2**63
+    for int64 ones).  The counts of a vertex sum to its degree, so no digit
+    carries and every key and partial sum stays below the limit."""
     base = int(g.degrees().max(initial=0)) + 1
-    per_word = max(t for t in range(1, 10) if base ** t <= 1 << 63)
+    per_word = max(t for t in range(1, 10) if base ** t <= limit)
     weights = np.zeros((-(-9 // per_word), 9), dtype=np.int64)
     for r in range(9):
         weights[r // per_word, r] = base ** (r % per_word)
     return weights
 
 
-def _pair_block(g: Graph, weights: np.ndarray, dx: np.ndarray, dy: np.ndarray):
-    """The pair kernel: pi(x, y) for a block of p pairs from their (p, n)
-    distance rows.
+def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """The pair kernel: the keys (words, p, n) of the count rows of every
+    vertex in pi(x, y) for a block of p pairs, from the digit weight
+    w (words, p, n) of every vertex.
 
     A neighbour u of v has d(x, u) - d(x, v) and d(y, u) - d(y, v) in
     {-1, 0, 1}, so 3 d(x, u) + d(y, u) mod 9 names the cell of u among the
-    nine around v, and v's count row is one key: its neighbours' digit
-    weights summed over its arcs.  Two vertices of one cell share their
-    residue, so equal keys are equal count rows.  Returns, with the vertices
-    of each pair sorted by cell (d(x, v), d(y, v)) and then by number: each
-    vertex's cell label (2, p * n), its key (words, p * n), the key of the
-    first vertex of its cell, whether it is that first vertex, and the
-    vertex itself (n t + v for v of pair t)."""
-    p, n = dx.shape
+    nine around v, and v's count row is one key per word: the digit weights
+    of its neighbours, summed.  On the dense route (``adj`` the float64
+    adjacency) that is one product per word, w @ adj; on the sparse route
+    (``adj`` None) an int64 gather over every arc and a reduction over each
+    vertex's arcs."""
+    if adj is not None:
+        return w @ adj
     dst, starts = g._arc_arrays()[1], g._starts[:-1]
-    digit = (3 * dx.astype(np.int32) + dy) % 9
+    p, n = w.shape[1:]
     # every vertex has an arc (the graph is connected), so the segments of
     # the reduction are the arcs of each vertex
     seg = (np.arange(p)[:, None] * len(dst) + starts).ravel()
-    keys = np.stack([np.add.reduceat(np.take(w[digit], dst, axis=1).ravel(), seg)
-                     for w in weights])
-    order = (np.lexsort((dy, dx)) + (n * np.arange(p))[:, None]).ravel()
-    label = np.stack([dx.ravel()[order], dy.ravel()[order]])
-    head = np.ones(p * n, dtype=bool)
-    head[1:] = (label[:, 1:] != label[:, :-1]).any(axis=0)
-    head[::n] = True
-    first = order[np.maximum.accumulate(np.where(head, np.arange(p * n), 0))]
-    return label, keys[:, order], keys[:, first], head, order
+    return np.stack([np.add.reduceat(np.take(word, dst, axis=1).ravel(), seg).reshape(p, n)
+                     for word in w])
 
 
-def _quotient(label: np.ndarray, keys: np.ndarray, weights: np.ndarray):
-    """(labels, matrix) of pi(x, y) from the labels (2, cells) and keys
-    (words, cells) of its cells, in order."""
-    labels = tuple(zip(*label.tolist()))
+def _quotient(cells: np.ndarray, span: int, keys: np.ndarray, weights: np.ndarray):
+    """(labels, matrix) of pi(x, y) from its cell labels a * span + b in
+    order and their keys (words, cells)."""
+    labels = tuple(divmod(s, span) for s in cells.tolist())
     column = {lab: j for j, lab in enumerate(labels)}
     # the first word holds at least two digits, so its second weight is the base
     per_word, base = np.count_nonzero(weights[0]), int(weights[0, 1])
@@ -455,50 +473,85 @@ def _quotient(label: np.ndarray, keys: np.ndarray, weights: np.ndarray):
     return labels, tuple(matrix)
 
 
+def _witness(x: int, y: int, lab: np.ndarray, keys: np.ndarray, span: int):
+    """The witness of a refuting pair from its labels (n,) and keys (words,
+    n): the first vertex, in (cell, vertex) order, whose key differs from
+    that of the first vertex of its cell, named with its cell label and that
+    first vertex; (x, y, None, None, None) when the pair is equitable and
+    only its quotient differs."""
+    order = np.argsort(lab, kind="stable")
+    head = np.r_[True, lab[order[1:]] != lab[order[:-1]]]
+    first = order[np.maximum.accumulate(np.where(head, np.arange(len(lab)), 0))]
+    differs = (keys[:, order] != keys[:, first]).any(axis=0)
+    if not differs.any():
+        return x, y, None, None, None
+    j = int(np.argmax(differs))
+    return x, y, divmod(int(lab[order[j]]), span), int(first[j]), int(order[j])
+
+
 def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
                  at_x: np.ndarray, at_y: np.ndarray):
     """Run the pairs (xs[t], ys[t]), whose distance rows are rows[at_x[t]]
-    and rows[at_y[t]], through the pair kernel in order, ``_PAIR_BUDGET``
-    (pair, arc) entries at a time.  The first pair's quotient is the
-    reference; the first pair that is inequitable or has another quotient
-    refutes, and counts as checked.  Blocks start at one pair and double
-    up to the budget, so a refutation reads about as many pairs as it
-    needs.  Returns the pairs checked, the witness (x, y, cell label,
-    vertex_a, vertex_b) of the refuting pair (None in the last three when
-    only its quotient differs) or None, and the reference (labels, matrix)."""
-    weights = _digit_weights(g)
+    and rows[at_y[t]], through the pair kernel in order, blocks of
+    ``_PAIR_BUDGET`` entries at a time.  The first pair's quotient is the
+    reference: for each of its cells, the key of the cell's first vertex.
+    A pair refutes when some vertex's key differs from the reference key
+    of its label (a label the first pair lacks has none, so it differs
+    too), and counts as checked.  Equal keys under equal labels are equal
+    count rows, and the quotient is connected, so a pair that does not
+    refute is equitable with the reference quotient.  Blocks start at one
+    pair and double up to the budget, so a refutation reads about as many
+    pairs as it needs.  Returns the pairs checked, the witness (x, y, cell
+    label, vertex_a, vertex_b) of the refuting pair (None in the last three
+    when only its quotient differs) or None, and the reference (labels,
+    matrix)."""
     n = g.n
-    most = max(1, _PAIR_BUDGET // len(g._arc_arrays()[1]))
-    ref = None
+    dense = _dense_keys(g, len(xs))
+    weights = _digit_weights(g, 1 << 53 if dense else 1 << 63)
+    wf = weights.astype(np.float64) if dense else weights
+    span = int(rows.max()) + 1
+    # while span^2 is small, a label a * span + b reads its digit weight and
+    # its reference key from tables of every label (one read per entry, a
+    # third of a binary search's cost); past that the tables would grow with
+    # the square of the diameter, so the digit is computed and the reference
+    # found among the first pair's cells
+    table = span * span <= _LABEL_TABLE_CAP
+    if table:
+        a, b = np.divmod(np.arange(span * span), span)
+        wl = wf[:, (3 * a + b) % 9]
+    if dense:
+        adj = np.zeros((n, n))
+        adj[g._arc_arrays()] = 1
+        most = max(1, _PAIR_BUDGET // (4 * n))
+    else:
+        adj = None
+        most = max(1, _PAIR_BUDGET // len(g._arc_arrays()[1]))
+    cells = quotient = None
     lo, step = 0, 1
     while lo < len(xs):
-        label, keys, first_keys, head, order = _pair_block(
-            g, weights, rows[at_x[lo:lo + step]], rows[at_y[lo:lo + step]])
-        p = len(order) // n
-        # a pair's quotient is the label and key of each of its cells, in order
-        cells = np.flatnonzero(head)
-        sizes = np.bincount(cells // n, minlength=p)
-        if ref is None:
-            ref = label[:, cells[:sizes[0]]], keys[:, cells[:sizes[0]]]
-        same = sizes == ref[0].shape[1]
-        at = cells[(np.cumsum(sizes) - sizes)[same, None] + np.arange(ref[0].shape[1])]
-        other = np.ones(p, dtype=bool)
-        other[same] = ((label[:, at] != ref[0][:, None]).any(axis=(0, 2))
-                       | (keys[:, at] != ref[1][:, None]).any(axis=(0, 2)))
-        differs = (keys != first_keys).any(axis=0)
-        fails = differs.reshape(p, n).any(axis=1) | other
+        dx = rows[at_x[lo:lo + step]].astype(np.intp)
+        dy = rows[at_y[lo:lo + step]]
+        lab = dx * span + dy
+        keys = _pair_keys(g, adj, wl[:, lab] if table else wf[:, (3 * dx + dy) % 9])
+        if cells is None:
+            cells, first = np.unique(lab[0], return_index=True)
+            ref = keys[:, 0, first]
+            quotient = _quotient(cells, span, ref, weights)
+            if table:
+                ref = np.full(wl.shape, -1, dtype=wl.dtype)
+                ref[:, cells] = keys[:, 0, first]
+        if table:
+            fails = keys != ref[:, lab]
+        else:
+            at = np.minimum(np.searchsorted(cells, lab), len(cells) - 1)
+            fails = keys != np.where(cells[at] == lab, ref[:, at], -1)
+        fails = fails.any(axis=(0, 2))
         if fails.any():
             t = int(np.argmax(fails))
-            x, y = int(xs[lo + t]), int(ys[lo + t])
-            witness = (x, y, None, None, None)
-            if differs[t * n:(t + 1) * n].any():
-                # the first vertex that differs, in (cell, vertex) order
-                j = t * n + int(np.argmax(differs[t * n:(t + 1) * n]))
-                a = int(order[j - np.argmax(head[j::-1])]) - t * n
-                witness = (x, y, tuple(label[:, j].tolist()), a, int(order[j]) - t * n)
-            return lo + t + 1, witness, _quotient(*ref, weights)
+            witness = _witness(int(xs[lo + t]), int(ys[lo + t]), lab[t], keys[:, t], span)
+            return lo + t + 1, witness, quotient
         lo, step = lo + step, min(2 * step, most)
-    return len(xs), None, _quotient(*ref, weights)
+    return len(xs), None, quotient
 
 
 # -- distance-regularity ----------------------------------------------------

@@ -5,8 +5,12 @@ parameters ("1-homogeneous" graphs).
 
 Every pair goes through the pair kernel of ``graph`` (``_check_pairs``), a
 block of pairs to a call: each vertex's neighbour counts over the cells of
-pi(x, y) are packed into exact int64 keys, summed over the arcs in one numpy
-pass for the whole block.  ``graph.check_distance_regular`` runs the same
+pi(x, y) are packed into exact keys for the whole block at once.  On a dense
+graph checked at enough pairs (n <= 1024, n^2 <= 32 arcs and
+4 n^2 <= pairs x arcs) the keys are one float64 product per key word of the
+cells' digit weights with the 0/1 adjacency matrix, exact since every key
+stays below 2**53; otherwise they are int64 sums over the arcs.  A pair holds when each vertex's key is the first pair's key
+for its cell, with no sort.  ``graph.check_distance_regular`` runs the same
 kernel on the pairs (x, x), whose partitions are the distance partitions.
 The size policy follows from the mode: exhaustive checks read both distance
 rows from the dense distance matrix (at most ``graph._DENSE_CAP``
@@ -101,7 +105,12 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     n (a draw above level 1 runs a one-source search, whose row it keeps);
     it can refute but only exhaustive mode confirms.  Both run their pairs
     through the one pair kernel, as many to a call as
-    ``graph._PAIR_BUDGET`` allows.
+    ``graph._PAIR_BUDGET`` allows: float64 products with the adjacency
+    matrix on a dense graph checked at enough pairs (n <= 1024,
+    n^2 <= 32 arcs and 4 n^2 <= pairs x arcs; keys below 2**53, so exact),
+    int64 sums over the arcs otherwise.  Both routes give the same report,
+    witness and pair count.  The products were timed with one BLAS thread;
+    set ``OPENBLAS_NUM_THREADS=1`` on a machine whose cores are busy.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")

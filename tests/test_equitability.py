@@ -3,9 +3,12 @@ the per-cell counting kernel behind ``equitable_quotient``.
 
 The oracles are the earlier, independent implementations: a dense
 adjacency-times-one-hot product per pair for 1-homogeneity, the
-pair-by-pair counting route (``homogeneity_oracle``) for both modes, and a
-bitset loop for equitable quotients.  Examples are derandomized, so runs are
-repeatable.
+pair-by-pair counting route (``homogeneity_oracle``) for both modes, the
+per-vertex layer scan (``dr_oracle``), and a bitset loop for equitable
+quotients.  The pair kernel's two key routes (float64 products with the
+adjacency matrix, int64 sums over the arcs) are each forced in turn and
+held to the same oracles, at and across the float64 word boundary.
+Examples are derandomized, so runs are repeatable.
 """
 
 import random
@@ -15,14 +18,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import dr_oracle
 import drglab.graph as graph
 import homogeneity_oracle
 from drglab.errors import InputError, ResourceError
-from drglab.families import (cocktail_party, cycle, folded_johnson, hamming, hypercube,
-                             icosahedron, johnson, petersen, triangular)
+from drglab.families import (cocktail_party, cycle, folded_johnson, halved_cube, hamming,
+                             hypercube, icosahedron, johnson, petersen, triangular)
 from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
-                          VertexPartition, distance_partition,
-                          equitable_quotient)
+                          VertexPartition, check_distance_regular,
+                          distance_partition, equitable_quotient)
 from drglab.homogeneous import HomogeneityReport, check_i_homogeneous
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None,
@@ -175,16 +179,130 @@ def test_both_modes_match_the_pair_by_pair_oracle(index, seed, switched, level, 
 
 @pytest.mark.parametrize("cut", [False, True], ids=["K_65x2", "K_65x2 less an edge"])
 def test_keys_of_two_words_match_dense_oracle(cut):
-    # valency 128 needs base 129, and 129**9 > 2**63: each key takes two words
+    # valency 128 needs base 129, and 129**9 > 2**63 > 2**53: each key takes
+    # two words on either route
     rng = random.Random(65)
     g = relabel(cocktail_party(65), rng)
-    assert graph._digit_weights(g).shape == (2, 9)
+    assert graph._digit_weights(g, 1 << 63).shape == (2, 9)
+    assert graph._digit_weights(g, 1 << 53).shape == (2, 9)
     if cut:
         edges = sorted(g.edges())
         edges.remove(rng.choice(edges))
         g = Graph.from_edges(g.n, edges)
     for i in (1, 2):
         assert check_i_homogeneous(g, i) == oracle_homogeneity(g, i)
+
+
+# -- the two key routes ----------------------------------------------------------
+
+
+ROUTES = pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+
+
+@pytest.fixture
+def route(monkeypatch, dense):
+    """Force the pair kernel's route, and record the digit weights of every
+    check with the word limit it asked for."""
+    monkeypatch.setattr(graph, "_dense_keys", lambda g, pairs: dense)
+    seen = []
+    weights = graph._digit_weights
+
+    def recorded(g, limit):
+        w = weights(g, limit)
+        seen.append((int(g.degrees().max()) + 1, limit, w))
+        return w
+
+    monkeypatch.setattr(graph, "_digit_weights", recorded)
+    return seen
+
+
+def assert_words_exact(seen, dense):
+    """Every key word stays below the route's exactness bound: 2**53 for
+    float64 products, 2**63 for int64 sums.  A word of t digits holds keys
+    below base**t, its largest weight times the base."""
+    limit = 1 << (53 if dense else 63)
+    assert seen
+    for base, asked, w in seen:
+        assert asked == limit
+        assert all(int(top) * base <= limit for top in w.max(axis=1))
+
+
+def assert_base_matches_the_oracles(index):
+    """BASES[index], relabelled and switched: exhaustive and sampled
+    1-homogeneity at levels 1-2 and distance-regularity equal the oracles."""
+    rng = random.Random(index)
+    for g in (relabel(BASES[index], rng), switch(relabel(BASES[index], rng), rng)):
+        for level in (1, 2):
+            assert outcome(lambda: check_i_homogeneous(g, level)) == \
+                outcome(lambda: homogeneity_oracle.check_i_homogeneous(g, level))
+            assert outcome(lambda: check_i_homogeneous(g, level, "sampled", seed=index, count=7)) \
+                == outcome(lambda: homogeneity_oracle.check_i_homogeneous(
+                    g, level, "sampled", seed=index, count=7))
+        assert outcome(lambda: check_distance_regular(g)) == \
+            outcome(lambda: dr_oracle.check_distance_regular(g))
+
+
+@ROUTES
+@pytest.mark.parametrize("index", range(len(BASES)))
+def test_both_routes_match_the_oracles(route, dense, index):
+    assert_base_matches_the_oracles(index)
+    assert_words_exact(route, dense)
+
+
+@ROUTES
+@pytest.mark.parametrize("index", [1, 2, 4])
+def test_cell_search_matches_the_oracles(monkeypatch, route, dense, index):
+    # past _LABEL_TABLE_CAP (diameter 512 or more) each vertex's label is
+    # found among the first pair's cells by binary search; forced here
+    monkeypatch.setattr(graph, "_LABEL_TABLE_CAP", 0)
+    assert_base_matches_the_oracles(index)
+
+
+@ROUTES
+@pytest.mark.parametrize("parts,words", [(30, 1), (31, 2)], ids=["K_30x2", "K_31x2"])
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "less an edge"])
+def test_keys_at_the_float64_word_boundary(route, dense, parts, words, cut):
+    # valency 58 has base 59 and 59**9 < 2**53: nine digits fit one float64
+    # word; valency 60 has base 61 and 61**9 > 2**53: two words
+    rng = random.Random(parts)
+    g = relabel(cocktail_party(parts), rng)
+    if cut:
+        edges = sorted(g.edges())
+        edges.remove(rng.choice(edges))
+        g = Graph.from_edges(g.n, edges)
+    for i in (1, 2):
+        assert check_i_homogeneous(g, i) == oracle_homogeneity(g, i)
+        assert check_i_homogeneous(g, i, "sampled", seed=parts, count=9) == \
+            homogeneity_oracle.check_i_homogeneous(g, i, "sampled", seed=parts, count=9)
+    assert check_distance_regular(g) == dr_oracle.check_distance_regular(g)
+    assert_words_exact(route, dense)
+    assert {w.shape for _, _, w in route} == {(words if dense else 1, 9)}
+
+
+def test_long_cycles_look_labels_up_among_the_first_pair_cells():
+    # span 516: a table of every label a * span + b would pass the cap
+    rng = random.Random(1030)
+    g = relabel(cycle(1030), rng)
+    assert 516 * 516 > graph._LABEL_TABLE_CAP
+    chorded = Graph.from_edges(g.n, sorted(g.edges()) + [(0, 500)])
+    for h in (g, chorded):
+        for i in (1, 2):
+            assert check_i_homogeneous(h, i, "sampled", seed=i, count=6) == \
+                homogeneity_oracle.check_i_homogeneous(h, i, "sampled", seed=i, count=6)
+
+
+def test_route_rule():
+    # an exhaustive check (one pair per arc) goes dense on every graph of
+    # at most 1024 vertices and n / 32 average valency; a few sampled pairs
+    # do not pay for the adjacency matrix
+    for g in (johnson(10, 5), hamming(5, 3), petersen(), cocktail_party(65),
+              halved_cube(11)):
+        arcs = 2 * g.edge_count
+        assert graph._dense_keys(g, arcs)
+        assert not graph._dense_keys(g, 4)
+    # thin or large graphs keep the sums over the arcs
+    for g in (cycle(1000), hypercube(10), hamming(6, 3), hamming(7, 3), halved_cube(12)):
+        assert not graph._dense_keys(g, 2 * g.edge_count)
 
 
 def test_long_cycle_is_one_homogeneous():
@@ -201,18 +319,26 @@ def test_cycles_match_the_pair_by_pair_oracle():
 
 
 def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
-    calls = []
-    kernel = graph._pair_block
-
-    def counted(*args):
-        calls.append(len(args[2]))
-        return kernel(*args)
-
-    monkeypatch.setattr(graph, "_pair_block", counted)
+    kernel, budget = graph._pair_keys, graph._PAIR_BUDGET
     g = relabel(johnson(8, 4), random.Random(8))
-    rep = check_i_homogeneous(g, 1)
-    assert rep.holds and rep.pairs_checked == 1120
-    assert 1 <= len(calls) <= g.n and sum(calls) == 1120
+    for dense in (True, False):
+        calls = []
+
+        def counted(g, adj, w):
+            assert (adj is not None) == dense
+            calls.append(w.shape[1])
+            return kernel(g, adj, w)
+
+        monkeypatch.setattr(graph, "_pair_keys", counted)
+        monkeypatch.setattr(graph, "_dense_keys", lambda g, pairs: dense)
+        monkeypatch.setattr(graph, "_PAIR_BUDGET", budget)
+        rep = check_i_homogeneous(g, 1)
+        assert rep.holds and rep.pairs_checked == 1120
+        assert 1 <= len(calls) <= g.n and sum(calls) == 1120
+        calls.clear()
+        monkeypatch.setattr(graph, "_PAIR_BUDGET", 1)
+        assert check_i_homogeneous(g, 1) == rep
+        assert calls == [1] * 1120
 
 
 @pytest.mark.parametrize("index", range(len(BASES)))
