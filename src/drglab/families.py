@@ -1,19 +1,20 @@
 """Constructors for the concrete graph families, plus antipodal folding.
 
 Vertex numbering is always the lexicographic rank of the combinatorial label
-(subset, word, grid coordinate, ...), so golden files are stable.  Johnson,
-Hamming and halved-cube graphs, their folds and antipodal quotients come from
-one numpy builder that writes the arc arrays of the ``Graph`` directly: for a
+(subset, word, grid coordinate, ...), so golden files are stable.  Every
+builder but the two fixed graphs (icosahedron, Petersen) goes through one
+numpy builder that writes the arc arrays of the ``Graph`` directly: for a
 block of vertices it computes the matrix of their neighbours' ranks, sorts
 each row and drops repeats and the vertex itself.  Ranks come from
 arithmetic: a word is a base-q integer with coordinate 0 most significant (a
-move shifts one digit), the even word of rank v is 2v plus the parity of v (a
-move flips two bits), and a d-subset's rank is a sum of binomial coefficients
-(a move exchanges an element for a non-element).  The folded Johnson and
-folded halved cubes map each rank to the first label of its antipodal class
-(complementation reverses the label order), so the doubled parent is never
-built.  The vertex cap (``DRG_LAB_VERTEX_CAP``) applies to the graph that is
-returned.
+move shifts one digit), the even word of rank v is 2v plus the parity of v
+(a move flips two bits), a d-subset's rank is a sum of binomial coefficients
+(a move exchanges an element for a non-element), and the block graphs of
+designs read the columns that share a symbol, or the blocks through a point,
+off one argsort.  The folded Johnson and folded halved cubes map each rank
+to the first label of its antipodal class (complementation reverses the
+label order), so the doubled parent is never built.  The vertex cap
+(``DRG_LAB_VERTEX_CAP``) applies to the graph that is returned.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import comb, isqrt
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +70,8 @@ def _label_graph(n: int, width: int,
     vertices, is the (len(v), width) matrix of the vertices their labels move
     to, in any order.  Each row is sorted, and repeats and the vertex itself
     are dropped: a folded builder may send several moves to one class, or a
-    move to the vertex's own class.  Rows go ``_BLOCK`` entries at a time."""
+    move to the vertex's own class, and a grid or design lists the vertex in
+    each of its lines.  Rows go ``_BLOCK`` entries at a time."""
     step = max(1, _BLOCK // max(width, 1))
     deg = np.empty(n, dtype=np.int32)
     dst = np.empty(n * width, dtype=np.int32)
@@ -191,25 +193,23 @@ def halved_cube(length: int) -> Graph:
 
 
 def grid(p: int, q: int) -> Graph:
+    """The p x q grid: vertex i q + j is adjacent to the rest of row i and
+    of column j."""
     if p < 1 or q < 1:
         raise InputError("grid needs positive side lengths")
     _check_cap(p * q)
-    adj = []
-    for i in range(p):
-        for j in range(q):
-            nbs = [i * q + jj for jj in range(q) if jj != j]
-            nbs += [ii * q + j for ii in range(p) if ii != i]
-            adj.append(sorted(nbs))
-    return Graph(adj, validate=False)
+    return _label_graph(p * q, p + q, lambda v: np.hstack(
+        [(v // q * q)[:, None] + np.arange(q), np.arange(p) * q + (v % q)[:, None]]))
 
 
 def complete_multipartite(t: int, m: int) -> Graph:
+    """K_{t x m}: every vertex, with the part of v (v // m) replaced by v."""
     if t < 2 or m < 1:
         raise InputError("complete multipartite needs t >= 2, m >= 1")
     _check_cap(t * m)
-    n = t * m
-    adj = [[u for u in range(n) if u // m != v // m] for v in range(n)]
-    return Graph(adj, validate=False)
+    every = np.arange(t * m)
+    return _label_graph(t * m, t * m, lambda v: np.where(
+        every // m == (v // m)[:, None], v[:, None], every))
 
 
 def cocktail_party(t: int) -> Graph:
@@ -223,21 +223,20 @@ def triangular(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise InputError("complete graph needs n >= 1")
-    return Graph([[u for u in range(n) if u != v] for v in range(n)], validate=False)
+    return _label_graph(n, n, lambda v: np.broadcast_to(np.arange(n), (len(v), n)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs n >= 3")
-    return Graph([sorted({(v - 1) % n, (v + 1) % n}) for v in range(n)], validate=False)
+    return _label_graph(n, 2, lambda v: (v[:, None] + [-1, 1]) % n)
 
 
 def petersen() -> Graph:
     """Kneser graph K(5, 2)."""
     labels = list(itertools.combinations(range(5), 2))
-    adj = [[j for j, other in enumerate(labels) if not set(lab) & set(other)]
-           for lab in labels]
-    return Graph(adj, validate=False)
+    return Graph([[j for j, other in enumerate(labels) if not set(lab) & set(other)]
+                  for lab in labels])
 
 
 _ICOSAHEDRON_ADJ = [
@@ -262,12 +261,11 @@ def validate_orthogonal_array(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise InputError("orthogonal array rows have unequal length")
-    import math
-    n = math.isqrt(ncols)
+    n = isqrt(ncols)
     if n * n != ncols:
         raise InputError("orthogonal array must have n^2 columns")
     for r in rows:
-        if any(not (0 <= v < n) for v in r):
+        if any(v not in range(n) for v in r):
             raise InputError("orthogonal array entries must lie in 0..n-1")
     for i in range(m):
         for j in range(i + 1, m):
@@ -299,16 +297,13 @@ def latin_square_graph(m: int = None, n: int = None,
             oa.append([(x + y) % n for x, y in cols])
     m, n = validate_orthogonal_array(oa)
     _check_cap(n * n)
-    ncols = n * n
-    cols = list(zip(*oa))
-    adj: List[List[int]] = [[] for _ in range(ncols)]
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            agree = sum(1 for a, b in zip(cols[i], cols[j]) if a == b)
-            if agree == 1:
-                adj[i].append(j)
-                adj[j].append(i)
-    return Graph([sorted(x) for x in adj], validate=False)
+    # two columns agree in at most one row of an OA, and each symbol fills n
+    # columns of a row: the neighbours of v are, row by row, the columns
+    # that share v's symbol
+    rows = np.array(oa, dtype=np.intp)
+    share = np.argsort(rows, axis=1, kind="stable").reshape(m, n, n)
+    return _label_graph(n * n, m * n, lambda v: np.hstack(
+        [share[r, rows[r, v]] for r in range(m)]))
 
 
 def validate_steiner_blocks(blocks: Sequence[Sequence[int]]) -> Tuple[int, int]:
@@ -338,17 +333,16 @@ def validate_steiner_blocks(blocks: Sequence[Sequence[int]]) -> Tuple[int, int]:
 
 def steiner_block_graph(blocks: Sequence[Sequence[int]]) -> Graph:
     """Block graph of a Steiner system: blocks adjacent iff they share a point."""
-    validate_steiner_blocks(blocks)
-    bsets = [frozenset(b) for b in blocks]
-    _check_cap(len(bsets))
-    nb = len(bsets)
-    adj: List[List[int]] = [[] for _ in range(nb)]
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            if len(bsets[i] & bsets[j]) == 1:
-                adj[i].append(j)
-                adj[j].append(i)
-    return Graph([sorted(x) for x in adj], validate=False)
+    m, _ = validate_steiner_blocks(blocks)
+    _check_cap(len(blocks))
+    # two blocks share at most one point, and each point lies on the same
+    # number r of blocks: the neighbours of v are the blocks through its
+    # points, with points ranked by value
+    _, point = np.unique(np.array(blocks), return_inverse=True)
+    point = point.reshape(len(blocks), m)
+    through = (np.argsort(point.ravel(), kind="stable") // m).reshape(point.max() + 1, -1)
+    return _label_graph(len(blocks), m * through.shape[1],
+                        lambda v: through[point[v]].reshape(len(v), -1))
 
 
 # -- antipodal folding ------------------------------------------------------
@@ -405,7 +399,6 @@ _BUILDERS = {
     "hamming": lambda spec: hamming(*spec.params),
     "hypercube": lambda spec: hypercube(*spec.params),
     "halved_cube": lambda spec: halved_cube(*spec.params),
-    "halvedcube": lambda spec: halved_cube(*spec.params),
     "folded_johnson": lambda spec: folded_johnson(*spec.params),
     "folded_halved_cube": lambda spec: folded_halved_cube(*spec.params),
     "grid": lambda spec: grid(*spec.params),

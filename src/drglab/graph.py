@@ -5,9 +5,11 @@ vertices.
 
 A graph is stored as its arc arrays: int32 ``src`` and ``dst``, grouped by
 source in vertex order with targets ascending, and the offsets ``starts`` of
-each vertex's arcs.  ``Graph(adjacency)`` converts the neighbour lists once
-and checks them on the arrays; family builders hand over arrays directly,
-and ``neighbors(v)`` is a slice of ``dst``.  The arcs feed the one distance
+each vertex's arcs.  ``Graph(adjacency)`` is the checked entry point for
+outside input: it converts the neighbour lists once and checks them on the
+arrays.  Every graph drglab builds (the families, ``Graph.from_edges``,
+induced subgraphs) is handed over as arc arrays (``Graph._from_arcs``), and
+``neighbors(v)`` is a slice of ``dst``.  The arcs feed the one distance
 engine (``Graph._distance_rows``, a bit-parallel breadth-first search behind
 every distance row and the dense distance matrix of at most ``_DENSE_CAP``
 vertices) and two counting kernels: the per-cell kernel (``_cell_counts``)
@@ -16,15 +18,13 @@ behind equitable quotients, and the pair kernel (``_pair_keys``, driven by
 block of pairs at once, for 1-homogeneity in ``homogeneous`` and for
 distance-regularity, its case x = y.  It packs each vertex's neighbour
 counts over the cells of pi(x, y) into exact keys by one of two routes,
-chosen by ``_dense_keys`` from the graph and the number of pairs: on a
-dense graph checked at enough pairs (n <= 1024, n^2 <= 32 arcs and
-4 n^2 <= pairs x arcs) one float64 product per key word with the 0/1
-adjacency matrix, exact as every key stays below 2**53 (timed with one BLAS
-thread); otherwise int64 sums over the arcs, below 2**63.  A pair holds
-when every vertex's key is the first pair's key for its cell.  The local (C, A, B) check in ``cab``
-has its own products over the local graphs' adjacency
-(``Graph._local_adjacency``).  The one common-neighbourhood pass (the
-lambda- and mu-graph valencies behind the mu-graph report and the
+chosen by ``_dense_keys`` from the graph and the number of pairs: one
+float64 product per key word with the 0/1 adjacency matrix, exact as every
+key stays below 2**53, or int64 sums over the arcs, below 2**63.  A pair
+holds when every vertex's key is the first pair's key for its cell.  The
+local (C, A, B) check in ``cab`` has its own products over the local graphs'
+adjacency (``Graph._local_adjacency``).  The one common-neighbourhood pass
+(the lambda- and mu-graph valencies behind the mu-graph report and the
 locally-SRG test) takes a base vertex at a time: it unpacks rows of the
 packed adjacency bitsets and reads each valency from a float32 product of
 0/1 rows, exact below 2**24.  Two views are built lazily: bitset rows as
@@ -91,7 +91,7 @@ class Graph:
 
     __slots__ = ("n", "_src", "_dst", "_starts", "_rows", "_np_adj", "_dm")
 
-    def __init__(self, adjacency: Sequence[Sequence[int]], validate: bool = True):
+    def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
         try:
             deg = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
@@ -102,8 +102,7 @@ class Graph:
         except (TypeError, ValueError) as exc:
             raise InputError(f"adjacency must be lists of integers: {exc}") from None
         src = np.repeat(np.arange(n, dtype=np.int32), deg)
-        if validate:
-            _validate_arcs(n, src, dst)
+        _validate_arcs(n, src, dst)
         self._set_arcs(n, src, dst.astype(np.int32))
 
     @classmethod
@@ -174,6 +173,13 @@ class Graph:
             self._np_adj = a
         return self._np_adj
 
+    def _vertices(self, vs) -> np.ndarray:
+        """vs as an intp array; InputError names the first vertex out of range."""
+        vs = np.asarray(vs, dtype=np.intp).reshape(-1)
+        for bad in vs[(vs < 0) | (vs >= self.n)][:1].tolist():
+            raise InputError(f"vertex {bad} out of range")
+        return vs
+
     def is_adjacent(self, u: int, v: int) -> bool:
         row = self._dst[self._starts[u]:self._starts[u + 1]]
         t = np.searchsorted(row, v)
@@ -188,9 +194,7 @@ class Graph:
         them (``np.bitwise_or.at``); any other level ORs every vertex's
         neighbours' words (``np.bitwise_or.reduceat`` over all arcs).  The new
         bits are decoded with ``np.unpackbits``."""
-        sources = np.asarray(sources, dtype=np.intp).reshape(-1)
-        for bad in sources[(sources < 0) | (sources >= self.n)][:1]:
-            raise InputError(f"vertex {bad} out of range")
+        sources = self._vertices(sources)
         dst = self._dst
         deg = self.degrees()
         owners, starts = np.flatnonzero(deg), self._starts[:-1][deg > 0]
@@ -256,15 +260,19 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
+        """The graph on 0..n-1 with the given edges; repeats and reversed
+        pairs count once.  The first bad edge is named."""
+        e = np.array(list(edges) or np.empty((0, 2), dtype=np.int64))
+        if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+            raise InputError("edges must be pairs of integers")
+        outside = ((e < 0) | (e >= n)).any(axis=1)
+        for u, v in e[outside | (e[:, 0] == e[:, 1])][:1].tolist():
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise InputError(f"loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls([sorted(s) for s in adj], validate=False)
+            raise InputError(f"loop at vertex {u}")
+        u, v = e.astype(np.int64).T
+        arcs = np.unique(np.concatenate([u * n + v, v * n + u]))
+        return cls._from_arcs(n, arcs // n, arcs % n)
 
     def to_json(self) -> dict:
         dst, starts = self._dst.tolist(), self._starts.tolist()
@@ -408,10 +416,13 @@ _LABEL_TABLE_CAP = 1 << 18
 def _dense_keys(g: Graph, pairs: int) -> bool:
     """Whether the pair kernel sums the keys of ``pairs`` pairs by a float64
     product with the adjacency matrix (an n^2 fill, then n^2 work per pair)
-    rather than over the arcs (one gather per arc and pair): when the
-    matrix is at most 8 MB, the graph has at least n / 32 neighbours per
-    vertex on average, and the pairs would gather at least four times as
-    many arcs as the matrix has entries."""
+    rather than over the arcs (one gather per arc and pair).  The dense
+    route is taken when n <= 1024, n^2 <= 32 arcs and
+    4 n^2 <= pairs x arcs: the matrix is at most 8 MB, the graph has at
+    least n / 32 neighbours per vertex on average, and the pairs would
+    gather at least four times as many arcs as the matrix has entries.  The
+    rule was timed with one BLAS thread; on a machine whose cores are busy,
+    set ``OPENBLAS_NUM_THREADS=1``."""
     n, arcs = g.n, len(g._arc_arrays()[1])
     return n <= _DENSE_KEYS_CAP and n * n <= 32 * arcs and 4 * n * n <= pairs * arcs
 
@@ -615,26 +626,30 @@ class InducedSubgraph:
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> InducedSubgraph:
-    vs = sorted(vertices)
-    index = {v: i for i, v in enumerate(vs)}
-    adj = [[index[u] for u in g.neighbors(v) if u in index] for v in vs]
-    return InducedSubgraph(Graph(adj, validate=False), tuple(vs))
+    """Subgraph induced on the given vertices, numbered in ascending order."""
+    vs = np.unique(g._vertices(vertices))
+    inside = np.zeros(g.n, dtype=bool)
+    inside[vs] = True
+    src, dst = g._arc_arrays()
+    keep = inside[src] & inside[dst]
+    rank = np.cumsum(inside) - 1  # monotone, so rows stay grouped and ascending
+    return InducedSubgraph(Graph._from_arcs(len(vs), rank[src[keep]], rank[dst[keep]]),
+                           tuple(vs.tolist()))
 
 
 def local_graph(g: Graph, x: int) -> InducedSubgraph:
     """Subgraph induced on Gamma(x)."""
+    (x,) = g._vertices(x)
     return induced_subgraph(g, g.neighbors(x))
 
 
 def mu_graph(g: Graph, x: int, y: int) -> InducedSubgraph:
     """Subgraph induced on Gamma(x) n Gamma(y); requires d(x, y) = 2."""
-    if g.is_adjacent(x, y) or x == y:
+    x, y = g._vertices([x, y]).tolist()
+    common = np.intersect1d(g.neighbors(x), g.neighbors(y), assume_unique=True)
+    if g.is_adjacent(x, y) or x == y or not len(common):
         raise InputError(f"vertices {x}, {y} are not at distance 2")
-    common = g.bitrows()[x] & g.bitrows()[y]
-    if common == 0:
-        raise InputError(f"vertices {x}, {y} are not at distance 2")
-    verts = [v for v in range(g.n) if (common >> v) & 1]
-    return induced_subgraph(g, verts)
+    return induced_subgraph(g, common)
 
 
 def triple_intersection_number(g: Graph) -> Optional[int]:

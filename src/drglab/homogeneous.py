@@ -5,17 +5,15 @@ parameters ("1-homogeneous" graphs).
 
 Every pair goes through the pair kernel of ``graph`` (``_check_pairs``), a
 block of pairs to a call: each vertex's neighbour counts over the cells of
-pi(x, y) are packed into exact keys for the whole block at once.  On a dense
-graph checked at enough pairs (n <= 1024, n^2 <= 32 arcs and
-4 n^2 <= pairs x arcs) the keys are one float64 product per key word of the
-cells' digit weights with the 0/1 adjacency matrix, exact since every key
-stays below 2**53; otherwise they are int64 sums over the arcs.  A pair holds when each vertex's key is the first pair's key
-for its cell, with no sort.  ``graph.check_distance_regular`` runs the same
-kernel on the pairs (x, x), whose partitions are the distance partitions.
-The size policy follows from the mode: exhaustive checks read both distance
-rows from the dense distance matrix (at most ``graph._DENSE_CAP``
-vertices); sampled checks take every row from one call of the distance
-engine, at any size.
+pi(x, y) are packed into exact keys for the whole block at once, by float64
+products with the adjacency matrix or by int64 sums over the arcs, as
+``graph._dense_keys`` chooses.  A pair holds when each vertex's key is the
+first pair's key for its cell, with no sort.
+``graph.check_distance_regular`` runs the same kernel on the pairs (x, x),
+whose partitions are the distance partitions.  The size policy follows from
+the mode: exhaustive checks read both distance rows from the dense distance
+matrix (at most ``graph._DENSE_CAP`` vertices); sampled checks take every
+row from one call of the distance engine, at any size.
 """
 
 from __future__ import annotations
@@ -105,12 +103,8 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     n (a draw above level 1 runs a one-source search, whose row it keeps);
     it can refute but only exhaustive mode confirms.  Both run their pairs
     through the one pair kernel, as many to a call as
-    ``graph._PAIR_BUDGET`` allows: float64 products with the adjacency
-    matrix on a dense graph checked at enough pairs (n <= 1024,
-    n^2 <= 32 arcs and 4 n^2 <= pairs x arcs; keys below 2**53, so exact),
-    int64 sums over the arcs otherwise.  Both routes give the same report,
-    witness and pair count.  The products were timed with one BLAS thread;
-    set ``OPENBLAS_NUM_THREADS=1`` on a machine whose cores are busy.
+    ``graph._PAIR_BUDGET`` allows, on the route ``graph._dense_keys``
+    chooses; both routes give the same report, witness and pair count.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
@@ -145,8 +139,7 @@ def cab_equivalence_check(g: Graph) -> bool:
 # -- near polygons ----------------------------------------------------------
 
 
-def near_polygon_analysis(ia: IntersectionArray,
-                          local_structure: Optional[Tuple[int, int]] = None) -> dict:
+def near_polygon_analysis(ia: IntersectionArray) -> dict:
     """Test a_i = c_i * a1 for i < D, decide 2D- vs (2D+1)-gon by the i = D
     case, derive the order (s, t), and name the refinement when it applies."""
     a1 = ia.a_at(1)
@@ -158,10 +151,7 @@ def near_polygon_analysis(ia: IntersectionArray,
     gon = 2 * D if ia.a_at(D) == ia.c_at(D) * a1 else 2 * D + 1
     out["gon"] = gon
     s = a1 + 1
-    order = (s, ia.k // s - 1) if s > 0 and ia.k % s == 0 else None
-    if local_structure is not None and order != local_structure:
-        order = None
-    out["order"] = order
+    out["order"] = (s, ia.k // s - 1) if s > 0 and ia.k % s == 0 else None
     refinement = None
     if gon == 2 * D:
         if ia.c_at(2) >= 3:
@@ -343,12 +333,11 @@ class ClassificationOutcome:
 
 @dataclass(frozen=True)
 class ClassifierBundle:
-    """Inputs for the classifier: the array, how homogeneity was established,
-    and (optionally) whether the local graphs are connected."""
+    """Inputs for the classifier: the array and how homogeneity was
+    established."""
 
     ia: IntersectionArray
     homogeneity: str = "asserted"  # "verified" | "asserted"
-    locally_connected: Optional[bool] = None
 
 
 def classify_main(bundle: ClassifierBundle) -> ClassificationOutcome:
@@ -383,9 +372,7 @@ def classify_main(bundle: ClassifierBundle) -> ClassificationOutcome:
         name = f"regular near {2 * ia.D}-gon"
         if npa.get("refinement"):
             name += f" ({npa['refinement']})"
-        locally_ok = bundle.locally_connected is not True
-        if locally_ok:
-            branches.insert(0, ("i", name))
+        branches.insert(0, ("i", name))
         evidence.append(Evidence(
             "near-polygon", "a_i = c_i a_1 for all i",
             (npa.get("order"), npa.get("refinement"))))

@@ -1,5 +1,7 @@
 """Family constructors: vertex counts, intersection arrays, design inputs,
-and the integer-label builder against the tuple-label oracle."""
+and the numpy arc builder against the list builders of ``family_oracle``."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ import family_oracle as oracle
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError, ResourceError
 from drglab.families import (FamilySpec, antipodal_quotient, build_family,
-                             complete_multipartite, cycle, folded_halved_cube,
-                             folded_johnson, grid, halved_cube, hamming,
-                             hypercube, johnson, latin_square_graph,
-                             steiner_block_graph, triangular,
-                             validate_orthogonal_array,
+                             complete, complete_multipartite, cycle,
+                             folded_halved_cube, folded_johnson, grid,
+                             halved_cube, hamming, hypercube, johnson,
+                             latin_square_graph, steiner_block_graph,
+                             triangular, validate_orthogonal_array,
                              validate_steiner_blocks)
 from drglab.graph import check_distance_regular
 from drglab.homogeneous import check_i_homogeneous
@@ -99,6 +101,11 @@ def test_orthogonal_array_validation():
     assert (m, n) == (2, 4)
     with pytest.raises(InputError):
         validate_orthogonal_array([[0, 0, 1, 1], [0, 0, 1, 1]])
+    # symbols are the integers 0..n-1; 1.0 is the symbol 1, 0.5 is none
+    with pytest.raises(InputError, match="lie in 0..n-1"):
+        validate_orthogonal_array([[0, 0.5, 1, 1.5], [0, 1, 0, 1]])
+    assert latin_square_graph(oa=[[float(s) for s in oa[0]], oa[1]]).to_json() == \
+        latin_square_graph(oa=oa).to_json()
 
 
 def test_latin_square_graph_parameters():
@@ -175,6 +182,51 @@ def test_label_builder_matches_oracle(name, params):
     g = getattr(oracle, name)(*params)
     expected = g[0] if isinstance(g, tuple) else g
     assert_same_graph(build_family(FamilySpec(name, params)), expected)
+
+
+#: OA(4, 3): rows, columns and the two orthogonal Latin squares x + y, x + 2y
+OA43 = [[c // 3 for c in range(9)], [c % 3 for c in range(9)],
+        [(c // 3 + c % 3) % 3 for c in range(9)], [(c // 3 + 2 * (c % 3)) % 3 for c in range(9)]]
+FANO = [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]]
+#: the lines of AG(2, 3) on the points 3 x + y, in descending order
+AG23 = sorted({tuple(sorted(3 * ((x + t * dx) % 3) + (y + t * dy) % 3 for t in range(3)))
+               for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2))
+               for x in range(3) for y in range(3)}, reverse=True)
+
+ARC_CASES = (
+    [pytest.param(grid, oracle.grid, p, id=f"grid:{p[0]},{p[1]}")
+     for p in ((1, 1), (1, 5), (5, 1), (2, 2), (3, 4), (4, 3))]
+    + [pytest.param(complete_multipartite, oracle.complete_multipartite, p,
+                    id=f"complete_multipartite:{p[0]},{p[1]}")
+       for p in ((2, 1), (2, 3), (3, 2), (4, 3))]
+    + [pytest.param(complete, oracle.complete, (n,), id=f"complete:{n}") for n in (1, 2, 5)]
+    + [pytest.param(cycle, oracle.cycle, (n,), id=f"cycle:{n}") for n in (3, 4, 7)]
+    + [pytest.param(lambda oa: latin_square_graph(oa=oa), oracle.latin_square_graph, (oa,),
+                    id=name)
+       for name, oa in (("OA(4,3)", OA43), ("OA(2,1)", [[0], [0]]),
+                        ("OA(3,2)", [[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]))]
+    + [pytest.param(steiner_block_graph, oracle.steiner_block_graph, (blocks,), id=name)
+       for name, blocks in (
+           ("Fano", FANO),
+           ("Fano, points 10 p + 3", [[10 * p + 3 for p in b] for b in FANO]),
+           ("Fano, blocks reversed", [b[::-1] for b in FANO[::-1]]),
+           ("AG(2,3)", AG23),
+           ("K4 edges, points -1..2", [[u - 1, v - 1] for u, v in
+                                       itertools.combinations(range(4), 2)]),
+           ("one block", [[7, 3]]))])
+
+
+@pytest.mark.parametrize("build,reference,args", ARC_CASES)
+def test_arc_builder_matches_list_oracle(build, reference, args):
+    assert_same_graph(build(*args), reference(*args))
+
+
+def test_latin_square_cyclic_tables_match_oracle():
+    for m, n in ((2, 2), (2, 5), (3, 4), (3, 5)):
+        g = latin_square_graph(m, n)
+        cols = list(itertools.product(range(n), repeat=2))
+        oa = [[x for x, _ in cols], [y for _, y in cols], [(x + y) % n for x, y in cols]]
+        assert_same_graph(g, oracle.latin_square_graph(oa[:m]))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, pytest.param(7, marks=SLOW)])

@@ -4,18 +4,25 @@ import ast
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import family_oracle as oracle
 
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError
 from drglab.families import (cocktail_party, complete, cycle, grid, hypercube,
-                             johnson, petersen, triangular)
+                             icosahedron, johnson, petersen, triangular)
 from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
                           VertexPartition, c2_regularity_report,
                           check_distance_regular, clique_union_structure,
                           distance_partition, equitable_quotient,
-                          graph_spectrum, local_graph, max_coclique, mu_graph)
+                          graph_spectrum, induced_subgraph, local_graph,
+                          max_coclique, mu_graph)
 from drglab.scalars import exact_eq
+from test_families import assert_same_graph
 
 
 def test_graph_json_roundtrip(tmp_path):
@@ -32,6 +39,85 @@ def test_from_edges_rejects_endpoints_outside_the_graph():
     for edges in ([(0, -1), (1, 2)], [(0, 5)]):
         with pytest.raises(InputError, match="outside 0..2"):
             Graph.from_edges(3, edges)
+
+
+def _built(build, *args):
+    """The graph built, or the message of the InputError raised."""
+    try:
+        return build(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+@st.composite
+def edge_lists(draw):
+    """n, and edges on 0..n-1, some of them repeated or reversed, with up to
+    two more whose endpoints lie in -2..n+1 (a loop or an endpoint outside,
+    or a good edge)."""
+    n = draw(st.integers(1, 9))
+    inside = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(inside, inside).filter(lambda e: e[0] != e[1]),
+                          max_size=20)) if n > 1 else []
+    extra = draw(st.lists(st.tuples(st.sampled_from(edges), st.booleans()),
+                          max_size=10)) if edges else []
+    edges += [(v, u) if flip else (u, v) for (u, v), flip in extra]
+    end = st.integers(-2, n + 1)
+    edges += draw(st.lists(st.tuples(end, end), max_size=2))
+    return n, draw(st.permutations(edges))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(edge_lists())
+@example((3, [(0, 1), (1, 0), (0, 1)]))  # one edge, three times
+@example((5, [(3, 1)]))  # three isolated vertices
+@example((4, [(0, 1), (2, 2), (0, 9)]))  # the loop comes first
+@example((4, [(0, 1), (-1, 2), (3, 3)]))  # the endpoint outside comes first
+@example((0, []))
+def test_from_edges_matches_oracle(case):
+    n, edges = case
+    got, want = _built(Graph.from_edges, n, edges), _built(oracle.from_edges, n, edges)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_graph(got, want)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0.5, 1)], [0, 1]])
+def test_from_edges_rejects_what_is_not_integer_pairs(edges):
+    with pytest.raises(InputError, match="pairs of integers"):
+        Graph.from_edges(4, edges)
+
+
+@pytest.mark.parametrize("vertices", [[], [5], [0, 1, 2, 3, 4, 5], [11, 0, 6, 5, 7],
+                                      range(12), [3, 9, 8, 2]])
+def test_induced_subgraph_matches_oracle(vertices):
+    g = icosahedron()
+    got, want = induced_subgraph(g, vertices), oracle.induced_subgraph(g, vertices)
+    assert got.vertex_map == want.vertex_map
+    assert_same_graph(got.graph, want.graph)
+
+
+def test_local_and_mu_graphs_match_oracle():
+    g = johnson(7, 3)
+    for x in (0, 17, 34):
+        assert_same_graph(local_graph(g, x).graph,
+                         oracle.induced_subgraph(g, g.neighbors(x)).graph)
+    dm = g.distance_matrix()
+    for x, y in zip(*np.nonzero(dm == 2)):
+        common = set(g.neighbors(x)) & set(g.neighbors(y))
+        mu = mu_graph(g, x, y)
+        want = oracle.induced_subgraph(g, common)
+        assert mu.vertex_map == want.vertex_map
+        assert_same_graph(mu.graph, want.graph)
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+def test_vertices_out_of_range_raise(bad):
+    g = icosahedron()
+    for call in (lambda: induced_subgraph(g, [bad, 0, 1]), lambda: local_graph(g, bad),
+                 lambda: mu_graph(g, bad, 3), lambda: mu_graph(g, 3, bad)):
+        with pytest.raises(InputError, match=rf"^vertex {bad} out of range$"):
+            call()
 
 
 def test_distances_and_diameter():
