@@ -25,15 +25,18 @@ holds when every vertex's key is the first pair's key for its cell.  The
 local (C, A, B) check in ``cab`` has its own products over the local graphs'
 adjacency (``Graph._local_adjacency``).  The one common-neighbourhood pass
 (the lambda- and mu-graph valencies behind the mu-graph report and the
-locally-SRG test) takes a base vertex at a time: it unpacks rows of the
-packed adjacency bitsets and reads each valency from a float32 product of
-0/1 rows, exact below 2**24.  Two views are built lazily: bitset rows as
-Python integers, for the coclique and triple-intersection searches; and the
-dense adjacency matrix, for spectra only: a spectrum is the real roots of
-its one integer characteristic polynomial (``polys.charpoly``: Hessenberg
-reduction modulo word-size primes, as many as Hadamard's bound on the
-coefficients asks, joined by Chinese remaindering), with no floating point
-on the way.  Integer arithmetic keeps every verdict exact.
+locally-SRG test) takes a block of base vertices x at a time: from a uint8
+0/1 adjacency with an extra vertex adjacent to none, which pads short rows
+so that every degree takes one route, it gathers the rows of each x's y
+against Gamma(x) and the local graph at x, and reads every valency from one
+stacked float32 product, exact below 2**24.  Two views are built lazily:
+bitset rows as Python integers, for the coclique and triple-intersection
+searches; and the dense adjacency matrix, for spectra only: a spectrum is
+the real roots of its one integer characteristic polynomial
+(``polys.charpoly``: Hessenberg reduction modulo word-size primes, as many
+as Hadamard's bound on the coefficients asks, joined by Chinese
+remaindering), with no floating point on the way.  Integer arithmetic keeps
+every verdict exact.
 """
 
 from __future__ import annotations
@@ -122,10 +125,18 @@ class Graph:
 
     # -- accessors ---------------------------------------------------------
 
+    def _vertex(self, v: int) -> int:
+        """v itself; InputError unless 0 <= v < n."""
+        if not 0 <= v < self.n:
+            raise InputError(f"vertex {v} out of range")
+        return v
+
     def neighbors(self, v: int) -> Tuple[int, ...]:
+        v = self._vertex(v)
         return tuple(self._dst[self._starts[v]:self._starts[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
+        v = self._vertex(v)
         return int(self._starts[v + 1] - self._starts[v])
 
     def degrees(self) -> np.ndarray:
@@ -181,6 +192,7 @@ class Graph:
         return vs
 
     def is_adjacent(self, u: int, v: int) -> bool:
+        u, v = self._vertex(u), self._vertex(v)
         row = self._dst[self._starts[u]:self._starts[u + 1]]
         t = np.searchsorted(row, v)
         return bool(t < len(row) and row[t] == v)
@@ -714,49 +726,71 @@ def max_coclique(g: Graph) -> int:
     return _max_coclique_rows(g.bitrows(), (1 << g.n) - 1)
 
 
-#: bytes of adjacency bits one step of the common-neighbourhood pass may
-#: unpack: a step takes as many rows as fit, and at least one
+#: entries one block of the common-neighbourhood pass may hold: a base vertex
+#: x takes one per (y, neighbour of x) and k * k for its local graph, and a
+#: block takes as many x as fit, and at least one
 _COMMON_BUDGET = 1 << 18
 
 
-def _common_blocks(g: Graph, i: int):
+def _padded_adjacency(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
+    """The uint8 (n + 1, n + 1) 0/1 adjacency, whose row and column n (a
+    vertex adjacent to none) are zero, and the (n + 1, k) neighbour table, k
+    the largest degree: row v is Gamma(v) ascending, padded with n."""
+    n = g.n
+    src, dst = g._arc_arrays()
+    adj = np.zeros((n + 1, n + 1), dtype=np.uint8)
+    adj[src, dst] = 1
+    nb = np.full((n + 1, int(g.degrees().max(initial=0))), n, dtype=np.intp)
+    nb[src, np.arange(len(dst)) - g._starts[src]] = dst
+    return adj, nb
+
+
+def _common_blocks(g: Graph, i: int, adj: np.ndarray, nb: np.ndarray):
     """The common neighbourhoods Gamma(x) n Gamma(y) of the unordered pairs
-    {x, y} at distance i (1 or 2), lexicographically, a base vertex x and a
-    block of its y > x at a time.  Each block is (Gamma(x), member,
-    valencies): member[t, j] says whether the j-th neighbour of x is adjacent
-    to the t-th y, and valencies (one row per pair, members ascending) are
-    their valencies in the graph they induce (the lambda- or mu-graph).  A
-    valency |Gamma(v) n Gamma(x) n Gamma(y)| is one entry of the float32
-    product of the 0/1 rows of y and of the local graph at x, exact below
-    2**24.  Rows are unpacked from the packed adjacency bits
-    ``_COMMON_BUDGET`` bytes at a time.  Raises InputError when the size
-    varies."""
+    {x, y} at distance i (1 or 2), lexicographically, a block of base
+    vertices x at a time; ``adj`` and ``nb`` are ``_padded_adjacency(g)``.
+    Each x's y > x at distance i are padded with n to the block's longest
+    list.  Each block is (size, nbx, member, counts): nbx (B, k) are the
+    neighbour rows of its x; member[b, t, a] (uint8) is 1 when the a-th
+    neighbour v of x_b is adjacent to its t-th y; and counts = member @
+    local, local[b] the 0/1 adjacency of the local graph at x_b in neighbour
+    order, so counts[b, t, a] = |Gamma(v) n Gamma(x) n Gamma(y)|, at a
+    member its valency in the lambda- or mu-graph.  Every count is at most
+    k < 2**24, so the one stacked float32 ``np.matmul`` is exact.  Raises
+    InputError when the size |Gamma(x) n Gamma(y)| varies."""
     dm = g.distance_matrix()
-    packed = g._packed_rows()
-    dst, starts = g._arc_arrays()[1], g._starts
-    step = max(1, _COMMON_BUDGET // g.n)
-    size = None
+    n, k = g.n, nb.shape[1]
+    flat = adj.reshape(-1)
+    ahead = np.triu(dm == i, 1)
+    count = np.count_nonzero(ahead, axis=1)
+    # the longest list at or after x bounds the lists of a block from x
+    reach = np.maximum.accumulate(count[::-1])[::-1]
+    size, x0 = None, 0
+    while x0 < n and reach[x0]:
+        x1 = min(n, x0 + max(1, _COMMON_BUDGET // max(1, (int(reach[x0]) + k) * k)))
+        cnt, nbx = count[x0:x1], nb[x0:x1]
+        rows, ys = np.nonzero(ahead[x0:x1])
+        x0 = x1
+        if not len(ys):
+            continue
+        y = np.full((len(cnt), int(cnt.max())), n, dtype=np.intp)
+        y[rows, np.arange(len(ys)) - (np.cumsum(cnt) - cnt)[rows]] = ys
+        member = np.take(flat, y[:, :, None] * (n + 1) + nbx[:, None, :])
+        sizes = np.count_nonzero(member.view(bool), axis=2)[y < n]
+        size = int(sizes[0]) if size is None else size
+        if (sizes != size).any():
+            kind = ("lambda", "mu")[i - 1]
+            raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
+        local = np.take(flat, nbx[:, :, None] * (n + 1) + nbx[:, None, :])
+        yield size, nbx, member, np.matmul(member.astype(np.float32), local.astype(np.float32))
 
-    def bits(vs, nb):
-        """0/1 adjacency of each vertex of vs to each vertex of nb."""
-        return np.take(np.unpackbits(packed[vs], axis=1, count=g.n, bitorder="little"),
-                       nb, axis=1)
 
-    for x in range(g.n):
-        far = np.flatnonzero(dm[x, x + 1:] == i) + (x + 1)
-        nb = dst[starts[x]:starts[x + 1]]
-        for lo in range(0, len(far), step):
-            member = bits(far[lo:lo + step], nb)
-            sizes = member.sum(axis=1)
-            size = int(sizes[0]) if size is None else size
-            if (sizes != size).any():
-                kind = ("lambda", "mu")[i - 1]
-                raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
-            counts = np.concatenate(
-                [member.astype(np.float32) @ bits(nb[a:a + step], nb).T.astype(np.float32)
-                 for a in range(0, len(nb), step)], axis=1)
-            member = member.astype(bool)
-            yield nb, member, counts[member].astype(np.int64).reshape(len(member), size)
+def _valency_bounds(member: np.ndarray, counts: np.ndarray) -> Tuple[int, int]:
+    """The least and largest count at the member entries of a block that has
+    members, by two masked reductions: a count is at most k, so it less
+    k + 1 is negative at every member and the masked entries are 0."""
+    top = counts.shape[-1] + 1
+    return int(((counts - top) * member).min()) + top, int((counts * member).max())
 
 
 def _common_neighbourhoods(g: Graph, i: int) -> Tuple[Optional[int], Optional[int]]:
@@ -766,29 +800,17 @@ def _common_neighbourhoods(g: Graph, i: int) -> Tuple[Optional[int], Optional[in
     they are all regular with one valency and have vertices.  Raises
     InputError when the size varies."""
     size, valencies = None, set()
-    for _, _, degs in _common_blocks(g, i):
-        size = degs.shape[1]
-        if degs.size:
-            valencies.update((int(degs.min()), int(degs.max())))
+    for size, _, member, counts in _common_blocks(g, i, *_padded_adjacency(g)):
+        if size:
+            valencies.update(_valency_bounds(member, counts))
     return size, valencies.pop() if len(valencies) == 1 else None
 
 
-def _induced_patterns(rows: np.ndarray, members: np.ndarray) -> set:
-    """The distinct adjacency matrices of the graphs induced on each row of
-    ``members`` (in member order), packed to bytes; ``rows`` are the packed
-    adjacency rows, and a few rows of members are read at a time so that a
-    block of bits stays within ``_COMMON_BUDGET``."""
-    p, c = members.shape
-    found = set()
-    step = max(1, _COMMON_BUDGET // max(1, c * c))
-    for lo in range(0, p, step):
-        block = members[lo:lo + step]
-        cols = block[:, None, :]
-        bits = (rows[block[:, :, None], cols >> 3] >> (cols & 7)) & 1
-        flat = np.packbits(bits.reshape(len(block), c * c) == 1, axis=1).tobytes()
-        width = len(flat) // len(block)
-        found.update(flat[t:t + width] for t in range(0, len(flat), width))
-    return found
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array, sorted (by a sort, since
+    ``np.unique`` imports ``numpy.ma`` on its first call)."""
+    v = np.sort(v)
+    return v[np.r_[True, v[1:] != v[:-1]]]
 
 
 def c2_regularity_report(g: Graph) -> C2RegularityReport:
@@ -798,20 +820,29 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
     dm = g.distance_matrix()
     if int(dm.max()) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")
-    rows = g._packed_rows()
-    c2, valencies, patterns = None, set(), set()
-    for nb, member, degs in _common_blocks(g, 2):
-        c2 = degs.shape[1]
-        if degs.size:
-            valencies.update((int(degs.min()), int(degs.max())))
-        members = nb[np.nonzero(member)[1]].reshape(degs.shape)
-        patterns.update(_induced_patterns(rows, members))
+    adj, nb = _padded_adjacency(g)
+    flat = adj.reshape(-1)
+    c2, valencies, patterns = None, set(), []
+    for c2, nbx, member, counts in _common_blocks(g, 2, adj, nb):
+        valencies.update(_valency_bounds(member, counts))
+        p, k = member.shape[1:]
+        at = np.flatnonzero(member.view(bool))
+        members = nbx.reshape(-1)[at // (p * k) * k + at % k].reshape(-1, c2)
+        # a pattern is its bits above the diagonal (on it when c2 = 1, so
+        # that it has one), packed; at most _COMMON_BUDGET bits at a time
+        a, b = np.triu_indices(c2, c2 > 1)
+        step = max(1, _COMMON_BUDGET // len(a))
+        for lo in range(0, len(members), step):
+            m = members[lo:lo + step]
+            packed = np.packbits(np.take(flat, m[:, a] * len(adj) + m[:, b]), axis=1)
+            patterns.append(_distinct(packed.view(np.dtype((np.void, packed.shape[1]))).ravel()))
     kappa = valencies.pop() if len(valencies) == 1 else None
     t_max = 0
-    for pattern in patterns:
-        bits = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8))[:c2 * c2]
+    for pattern in _distinct(np.concatenate(patterns)):
+        bits = np.zeros((c2, c2), dtype=np.uint8)
+        bits[a, b] = np.unpackbits(np.frombuffer(pattern.tobytes(), dtype=np.uint8))[:len(a)]
         local = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                 for row in bits.reshape(c2, c2)]
+                 for row in bits | bits.T]
         t_max = max(t_max, _max_coclique_rows(local, (1 << c2) - 1))
     return C2RegularityReport(c2, kappa is not None, kappa, kappa == c2 - 1, t_max)
 

@@ -120,6 +120,18 @@ def test_vertices_out_of_range_raise(bad):
             call()
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda g: g.neighbors(-1), -1), (lambda g: g.degree(-1), -1),
+    (lambda g: g.neighbors(12), 12), (lambda g: g.degree(12), 12),
+    (lambda g: g.is_adjacent(12, 0), 12), (lambda g: g.is_adjacent(0, -1), -1)],
+    ids=["neighbors(-1)", "degree(-1)", "neighbors(12)", "degree(12)",
+         "is_adjacent(12, 0)", "is_adjacent(0, -1)"])
+def test_accessors_reject_vertices_out_of_range(call, bad):
+    # -1 used to read the empty slice or wrap, and 12 raised IndexError
+    with pytest.raises(InputError, match=rf"^vertex {bad} out of range$"):
+        call(icosahedron())
+
+
 def test_distances_and_diameter():
     g = cycle(6)
     assert g.diameter() == 3

@@ -5,14 +5,17 @@ against the routes they replaced (``local_oracle``).
 Graphs: corpus graphs and their relabelled and edge-switched copies; Taylor
 graphs over Paley(q) (locally Paley, so conference-local; q = 5 gives the
 icosahedron); the Shrikhande graph, whose mu-graphs are not regular; and
-H(4,4), J(9,3) and the 4-cube, which are not locally strongly regular.
-Examples are derandomized, so runs are repeatable.
+H(4,4), J(9,3) and the 4-cube, which are not locally strongly regular; and
+random graphs of at most 16 vertices whose degrees vary, with isolated
+vertices and several components.  Examples are derandomized, so runs are
+repeatable.
 """
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import drglab.graph
@@ -22,7 +25,7 @@ import local_oracle
 from drglab.errors import DrgError
 from drglab.families import (cycle, folded_johnson, halved_cube, hamming, hypercube,
                              icosahedron, johnson, petersen, triangular)
-from drglab.graph import (Graph, _common_blocks, _common_neighbourhoods, _induced_patterns,
+from drglab.graph import (Graph, _common_blocks, _common_neighbourhoods, _padded_adjacency,
                           c2_regularity_report)
 from drglab.homogeneous import local_spectral_checks
 from drglab.scalars import Interval, Surd, scalar_bounds
@@ -151,10 +154,12 @@ def test_taylor_graph_over_paley_257_has_a_full_report():
 
 
 def mu_patterns(g: Graph) -> set:
-    rows = g._packed_rows()
+    """The distinct adjacency matrices of the mu-graphs, members ascending."""
+    adj, nb = _padded_adjacency(g)
     found = set()
-    for nb, member, degs in _common_blocks(g, 2):
-        found |= _induced_patterns(rows, nb[member.nonzero()[1]].reshape(degs.shape))
+    for c2, nbx, member, _ in _common_blocks(g, 2, adj, nb):
+        b, _, a = np.nonzero(member)
+        found |= {adj[np.ix_(m, m)].tobytes() for m in nbx[b, a].reshape(-1, c2)}
     return found
 
 
@@ -166,6 +171,36 @@ def test_common_neighbourhoods_match_the_pair_by_pair_oracle(name, seed, switche
     g = relabel(BASES[name], rng)
     if switched:
         g = switch(g, rng)
+    for i in (1, 2):
+        assert outcome(lambda h: _common_neighbourhoods(h, i), g) == \
+            outcome(lambda h: local_oracle.common_neighbourhoods(h, i), g)
+    assert outcome(c2_regularity_report, g) == \
+        outcome(local_oracle.c2_regularity_report, Graph.from_json(g.to_json()))
+
+
+SMALL = [name for name in BASES if BASES[name].n <= 16]
+
+
+@st.composite
+def varying_degree_graphs(draw) -> Graph:
+    """At most 16 vertices: a random graph of some density beside, at times,
+    a small base graph; isolated vertices and several components allowed."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    base = draw(st.sampled_from([None] + SMALL))
+    edges = list(BASES[base].edges()) if base else []
+    m = BASES[base].n if base else 0
+    n = m + draw(st.integers(0 if base else 1, 16 - m))
+    density = draw(st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.8, 1.0]))
+    edges += [(u, v) for u in range(m, n) for v in range(u + 1, n) if rng.random() < density]
+    return relabel(Graph.from_edges(n, edges), rng)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(varying_degree_graphs())
+@example(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]))  # K_{1,3} and a vertex
+def test_graphs_of_varying_degree_match_the_oracle(g):
+    # vertices of smaller degree pad their neighbour rows with vertex n
     for i in (1, 2):
         assert outcome(lambda h: _common_neighbourhoods(h, i), g) == \
             outcome(lambda h: local_oracle.common_neighbourhoods(h, i), g)
