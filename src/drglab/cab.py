@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (DomainError, InputError, PreconditionError, ResourceError,
                      SingularityError, require)
 from .graph import Graph
-from .polys import charpoly, real_roots
+from .polys import charpoly, quadratic_roots, real_roots
 from .scalars import ExactScalar, as_exact, exact_eq
 
 
@@ -102,10 +102,10 @@ class LocalSrgData:
     @classmethod
     def from_params(cls, k: int, a1: int, lam: int, mu: int) -> "LocalSrgData":
         """Recover r > s from x^2 - (lam - mu)x - (a1 - mu)."""
-        roots = real_roots((-(a1 - mu), -(lam - mu), 1))
-        if len(roots) != 2:
+        roots = quadratic_roots(lam - mu, a1 - mu)
+        if roots is None or roots[0] == roots[1]:
             raise InputError("local parameters do not give two distinct eigenvalues")
-        (r, _), (s, _) = roots
+        r, s = roots
         return cls(k, a1, as_exact(Fraction(lam)), as_exact(Fraction(mu)), r, s)
 
 

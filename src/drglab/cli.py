@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .arrays import IntersectionArray, basic_feasibility
@@ -199,7 +200,10 @@ def cmd_bounds(args) -> int:
     return _emit(out, 0)
 
 
+@lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``main`` finds the handler of
+    command NAME as ``cmd_NAME`` when it runs it."""
     ap = argparse.ArgumentParser(prog="drglab")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -207,50 +211,42 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="e.g. johnson:10,5 or halved_cube:10")
     p.add_argument("--data", help="JSON block/OA data for design-backed families")
     p.add_argument("--out", help="write graph JSON here instead of stdout")
-    p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("analyze", help="distance-regularity and spectra")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("homog", help="joint distance partition equitability")
     p.add_argument("file")
     p.add_argument("--i", type=int, default=1)
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_homog)
 
     p = sub.add_parser("cab", help="local three-cell partition check")
     p.add_argument("file")
     p.add_argument("--upto", type=int, default=None)
-    p.set_defaults(fn=cmd_cab)
 
     p = sub.add_parser("classify", help="run the classifiers")
     p.add_argument("file", nargs="?")
     p.add_argument("--ia", help="intersection array 'b0,..;c1,..'")
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("srg", help="strongly regular parameter analysis")
     p.add_argument("file", nargs="?")
     p.add_argument("--params", help="v,k,lambda,mu")
-    p.set_defaults(fn=cmd_srg)
 
     p = sub.add_parser("bounds", help="evaluate the bound polynomials")
     p.add_argument("--b", required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--mu", type=int)
-    p.set_defaults(fn=cmd_bounds)
     return ap
 
 
 def main(argv: Optional[list] = None) -> int:
-    ap = make_parser()
     try:
-        args = ap.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.cmd}"](args)
     except DrgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

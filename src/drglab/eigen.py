@@ -9,7 +9,7 @@ from typing import Tuple
 
 from .arrays import IntersectionArray, basic_feasibility
 from .errors import InputError, InternalError
-from .polys import charpoly_tridiagonal, real_roots
+from .polys import tridiagonal_roots
 from .scalars import ExactScalar, exact_cmp
 
 
@@ -61,8 +61,7 @@ def _spectrum(ia: IntersectionArray) -> EigenvalueList:
     diag = [ia.a_at(i) for i in range(D + 1)]
     lower = [ia.c_at(i) for i in range(1, D + 1)]
     upper = [ia.b_at(i) for i in range(D)]
-    coeffs = charpoly_tridiagonal(diag, lower, upper)
-    roots = real_roots(coeffs)
+    roots = tridiagonal_roots(diag, lower, upper)
     if sum(m for _, m in roots) != D + 1 or any(m != 1 for _, m in roots):
         raise InternalError("tridiagonal intersection matrix must have D+1 simple roots")
     return EigenvalueList(tuple(r for r, _ in roots))
@@ -73,9 +72,11 @@ def eigenvalues(ia: IntersectionArray) -> EigenvalueList:
 
     Rational roots come back exact, quadratic irrationals as surds, the rest
     as certified intervals of width ``polys.ROOT_WIDTH`` that refine on
-    demand.  The array and the result are immutable, so the last
-    ``SPECTRUM_CACHE_SIZE`` spectra are kept and each array is factored once
-    however many analyses read it.
+    demand.  Integer eigenvalues are found by exact Sturm bisection
+    (``polys.tridiagonal_roots``), and only the irrational ones are left to
+    factoring.  The array and the result are immutable, so the last
+    ``SPECTRUM_CACHE_SIZE`` spectra are kept and each array's spectrum is
+    computed once however many analyses read it.
     """
     return _spectrum(ia)
 

@@ -12,7 +12,11 @@ scaled by its common denominator first.
 Roots: factor over Q (sympy), then read roots off the irreducible factors.
 Linear factors give rationals, quadratic factors give surds, higher-degree
 factors are isolated into certified rational intervals of width
-``ROOT_WIDTH`` that refine on demand.
+``ROOT_WIDTH`` that refine on demand.  A tridiagonal matrix with positive
+off-diagonal products, such as an intersection matrix, skips the factoring
+for its integer roots (``tridiagonal_roots``): they are found by exact Sturm
+bisection on the three-term recursion, and only the charpoly divided by them
+is factored, when some root is irrational.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy
@@ -106,6 +110,19 @@ def real_roots(coeffs: Sequence) -> List[Tuple[ExactScalar, int]]:
     return out
 
 
+def quadratic_roots(t: int, c: int) -> Optional[Tuple[ExactScalar, ExactScalar]]:
+    """The real roots r >= s of x^2 - t x - c, exact: rationals when the
+    discriminant t^2 + 4c is a square, else conjugate surds; None when it is
+    negative."""
+    disc = t * t + 4 * c
+    if disc < 0:
+        return None
+    root = isqrt(disc)
+    if root * root == disc:
+        return Fraction(t + root, 2), Fraction(t - root, 2)
+    return Surd(t, 1, disc, 2), Surd(t, -1, disc, 2)
+
+
 def charpoly_tridiagonal(diag: Sequence[int], lower: Sequence[int], upper: Sequence[int]) -> List[int]:
     """Characteristic polynomial det(xI - T) of a tridiagonal matrix.
 
@@ -120,6 +137,82 @@ def charpoly_tridiagonal(diag: Sequence[int], lower: Sequence[int], upper: Seque
         cur = [a - off * b for a, b in zip(term, prev2 + [0] * (len(term) - len(prev2)))]
         prev2, prev1 = prev1, cur
     return prev1
+
+
+def tridiagonal_roots(diag: Sequence[int], lower: Sequence[int],
+                      upper: Sequence[int]) -> List[Tuple[ExactScalar, int]]:
+    """``real_roots(charpoly_tridiagonal(diag, lower, upper))`` of an integer
+    tridiagonal matrix whose products ``lower[i] * upper[i]`` are all
+    positive, such as an intersection matrix, factoring only what is left
+    once the integer roots are found.
+
+    Such a matrix is similar to an unreduced symmetric one, so its roots are
+    real and simple and those of its leading minors q_0 = 1, ..., q_n
+    interlace.  The sign changes in (q_0(x), ..., q_n(x)) at an integer x
+    count the roots above x (``_roots_above``).  Bisection over the integers
+    in (-R - 1, R], with R the largest absolute row sum, so that every root
+    lies in [-R, R], puts the roots in unit intervals (m - 1, m]; m is a
+    root exactly when q_n(m) = 0.  Every other root is irrational, as the
+    rational roots of a monic integer polynomial are integers, and only the
+    charpoly divided by the integer roots goes to ``real_roots``.
+    """
+    n = len(diag)
+    offs = [lo * up for lo, up in zip(lower, upper)]
+    if len(offs) != n - 1 or any(off <= 0 for off in offs):
+        raise ValueError("Sturm bisection needs n - 1 positive off-diagonal products")
+    bound = max(abs(a) + abs(lo) + abs(up)
+                for a, lo, up in zip(diag, [0, *lower], [*upper, 0]))
+    integers: List[int] = []
+    # (lo, roots above lo, hi, (roots above hi, q_n(hi))); no root is above R
+    stack = [(-bound - 1, n, bound, _roots_above(diag, offs, bound))]
+    while stack:
+        lo, above_lo, hi, at_hi = stack.pop()
+        if above_lo == at_hi[0]:
+            continue
+        if hi - lo == 1:
+            if at_hi[1] == 0:
+                integers.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        at_mid = _roots_above(diag, offs, mid)
+        stack += [(lo, above_lo, mid, at_mid), (mid, at_mid[0], hi, at_hi)]
+    found: List[Tuple[ExactScalar, int]] = [(Fraction(m), 1) for m in integers]
+    if len(integers) < n:
+        quotient = charpoly_tridiagonal(diag, lower, upper)
+        for m in integers:
+            quotient = _divide_linear(quotient, m)
+        found += real_roots(quotient)
+    sort_desc(found)
+    return found
+
+
+def _roots_above(diag: Sequence[int], offs: Sequence[int], x: int) -> Tuple[int, int]:
+    """(number of roots above x, q_n(x)) for the leading minors
+    q_{i+1}(x) = (x - diag[i]) q_i(x) - offs[i-1] q_{i-1}(x) with positive
+    ``offs``, in exact integers.
+
+    Zeros are dropped before the sign changes are counted.  An inner zero
+    q_i(x) = 0 then makes one change, which is right whatever sign it is
+    given, as q_{i+1}(x) = -offs[i-1] q_{i-1}(x) has the opposite sign of
+    q_{i-1}(x).  A zero q_n(x), x a root, makes none: just above x, q_n has
+    the sign of q_{n-1}(x) by interlacing.
+    """
+    minors = [1, x - diag[0]]
+    for a, off in zip(diag[1:], offs):
+        minors.append((x - a) * minors[-1] - off * minors[-2])
+    signs = [q > 0 for q in minors if q]
+    return sum(s != t for s, t in zip(signs, signs[1:])), minors[-1]
+
+
+def _divide_linear(coeffs: Sequence[int], m: int) -> List[int]:
+    """The ascending quotient of ``coeffs`` by (x - m), a factor of it."""
+    out = [0] * (len(coeffs) - 1)
+    acc = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = acc * m + coeffs[i]
+        out[i - 1] = acc
+    require(acc * m + coeffs[0] == 0, "divided by a linear factor that does not divide")
+    return out
 
 
 def charpoly(rows: Sequence[Sequence]) -> List:

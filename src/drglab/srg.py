@@ -4,7 +4,6 @@ the classification of SRGs by smallest eigenvalue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -13,7 +12,8 @@ from .bounds import claw_f, mu_bound, phi
 from .arrays import IntersectionArray
 from .errors import InputError, PreconditionError
 from .graph import Graph, check_distance_regular
-from .scalars import ExactScalar, Surd, exact_cmp
+from .polys import quadratic_roots
+from .scalars import ExactScalar, exact_cmp
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,10 @@ class SrgEigen:
 
 
 def srg_eigenvalues(p: SrgParams) -> SrgEigen:
-    """Roots of x^2 - (lam - mu)x - (k - mu); exact (rational or conjugate surds)."""
-    if p.mu == 0:
-        # disjoint cliques: spectrum {k, -1}
-        return SrgEigen(Fraction(p.k), Fraction(-1))
-    tr = p.lam - p.mu
-    disc = tr * tr + 4 * (p.k - p.mu)
-    root = math.isqrt(disc)
-    if root * root == disc:
-        return SrgEigen(Fraction(tr + root, 2), Fraction(tr - root, 2))
-    return SrgEigen(Surd(tr, 1, disc, 2), Surd(tr, -1, disc, 2))
+    """Roots of x^2 - (lam - mu)x - (k - mu); exact (rational or conjugate
+    surds).  The parameter identity keeps the discriminant nonnegative; with
+    mu = 0 (disjoint cliques, lam = k - 1) the roots are k and -1."""
+    return SrgEigen(*quadratic_roots(p.lam - p.mu, p.k - p.mu))
 
 
 def srg_from_eigenvalues(r: int, s: int, mu: int) -> SrgParams:

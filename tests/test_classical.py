@@ -1,8 +1,10 @@
 """Classical parameters, the valency bound, and the tight classifier."""
 
+import json
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -261,14 +263,27 @@ def test_recognition_builds_at_most_three_candidates(monkeypatch):
 
 def test_classify_factors_the_spectrum_once(monkeypatch, capsys):
     calls = []
-    real_roots = drglab.eigen.real_roots
+    tridiagonal_roots = drglab.eigen.tridiagonal_roots
 
     def counted(*args):
         calls.append(args)
-        return real_roots(*args)
+        return tridiagonal_roots(*args)
 
     eigenvalues.cache_clear()
-    monkeypatch.setattr(drglab.eigen, "real_roots", counted)
+    monkeypatch.setattr(drglab.eigen, "tridiagonal_roots", counted)
     assert main(["classify", "--ia", "25,16,9,4,1;1,4,9,16,25"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", ["25,16,9,4,1;1,4,9,16,25",  # J(10,5)
+                                  "6,5,4,3,2,1;1,2,3,4,5,6"])  # 6-cube: -k is a root
+def test_classify_an_integral_spectrum_without_factoring(monkeypatch, capsys, text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_list called on an integral spectrum")
+
+    eigenvalues.cache_clear()
+    monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
+    monkeypatch.setattr(sympy, "factor_list", refuse)
+    assert main(["classify", "--ia", text]) == 0
+    assert json.loads(capsys.readouterr().out)["ia"] == text
