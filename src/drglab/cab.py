@@ -12,10 +12,13 @@ B = those at distance i+1.  The level-i parameters are
     delta_i : neighbours inside A of a B-vertex.
 
 The empirical check reads the dense distance matrix (at most
-``graph._DENSE_CAP`` vertices).  For a block of base vertices x, one batched
-float32 product of the neighbours' cell weights (C 1, A 0, B k + 1) with the
-0/1 adjacency of each local graph read gives C + (k + 1) B for every (x, y,
-v), exact as every entry is below k^2 <= 2^24; v's local degree gives A.
+``graph._DENSE_CAP`` vertices), and the neighbour table and the local graphs
+from the graph's one dense view (``Graph._padded``,
+``Graph._local_adjacency``), each local graph only when a pair reads it.
+For a block of base vertices x, one batched float32 product of the
+neighbours' cell weights (C 1, A 0, B k + 1) with the 0/1 adjacency of each
+local graph read gives C + (k + 1) B for every (x, y, v), exact as every
+entry is below k^2 <= 2^24; v's local degree gives A.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
     i_max = D if i_max is None else i_max
     if not 1 <= i_max <= D:
         raise InputError(f"level {i_max} outside 1..{D}")
-    n, dm, nbr = g.n, g.distance_matrix(), g._arc_arrays()[1].reshape(g.n, k)
+    n, dm, nbr = g.n, g.distance_matrix(), g._padded()[1][:g.n]
     base = k + 1  # a count row (C, A, B) is the key C + base B + base^2 (C + A + B)
     key_type = np.int32 if base ** 3 <= np.iinfo(np.int32).max else np.int64
     # the weight of a C, A, B neighbour, for each row 3 level + cell of refs

@@ -366,7 +366,7 @@ def antipodal_quotient(g: Graph) -> Graph:
     is_first = first == np.arange(g.n)
     cls = (np.cumsum(is_first) - 1)[first]
     # the rows of the classes' first members, padded with the class itself
-    src, dst = g._arc_arrays()
+    src, dst = g._src, g._dst
     width = int(g.degrees()[is_first].max())
     moves = np.repeat(np.arange(is_first.sum()), width).reshape(-1, width)
     arc = np.flatnonzero(is_first[src])

@@ -21,21 +21,25 @@ counts over the cells of pi(x, y) into exact keys by one of two routes,
 chosen by ``_dense_keys`` from the graph and the number of pairs: one
 float64 product per key word with the 0/1 adjacency matrix, exact as every
 key stays below 2**53, or int64 sums over the arcs, below 2**63.  A pair
-holds when every vertex's key is the first pair's key for its cell.  The
-local (C, A, B) check in ``cab`` has its own products over the local graphs'
-adjacency (``Graph._local_adjacency``).  The one common-neighbourhood pass
-(the lambda- and mu-graph valencies behind the mu-graph report and the
-locally-SRG test) takes a block of base vertices x at a time: from a uint8
-0/1 adjacency with an extra vertex adjacent to none, which pads short rows
-so that every degree takes one route, it gathers the rows of each x's y
-against Gamma(x) and the local graph at x, and reads every valency from one
-stacked float32 product, exact below 2**24.  Two views are built lazily:
-bitset rows as Python integers, for the coclique and triple-intersection
-searches; and the dense adjacency matrix, for spectra only: a spectrum is
-the real roots of its one integer characteristic polynomial
-(``polys.charpoly``: Hessenberg reduction modulo word-size primes, as many
-as Hadamard's bound on the coefficients asks, joined by Chinese
-remaindering), with no floating point on the way.  Integer arithmetic keeps
+holds when every vertex's key is the first pair's key for its cell.  Every
+dense reader derives from one view, built lazily and read-only
+(``Graph._padded``): the uint8 0/1 adjacency with an extra vertex n adjacent
+to none, and the neighbour table with short rows padded with n, so that
+every degree takes one route.  From it come the float64 matrix of the dense
+key route, the local graphs' adjacency in neighbour order
+(``Graph._local_adjacency``) for the local (C, A, B) check in ``cab``, the
+bitset rows as Python integers (``bitrows``, packed by ``_row_ints``) for
+the coclique and triple-intersection searches, and a fresh int64
+``adjacency_matrix`` for spectra.  The one common-neighbourhood pass (the
+lambda- and mu-graph valencies behind the mu-graph report and the
+locally-SRG test) takes a block of base vertices x at a time: it gathers the
+rows of each x's y against Gamma(x) and the local graph at x from the view,
+and reads every valency from one stacked float32 product, exact below
+2**24.  A spectrum is the real roots of the one integer characteristic
+polynomial of the adjacency matrix (``polys.charpoly``: Hessenberg reduction
+modulo word-size primes, as many as Hadamard's bound on the coefficients
+asks, joined by Chinese remaindering), with no floating point on the way.
+The cached distance matrix is read-only too.  Integer arithmetic keeps
 every verdict exact.
 """
 
@@ -87,12 +91,18 @@ def _validate_arcs(n: int, src: np.ndarray, dst: np.ndarray):
         raise InputError(f"adjacency not symmetric: {src[t]}->{dst[t]}")
 
 
+def _row_ints(bits: np.ndarray) -> List[int]:
+    """Each row of a 0/1 matrix as a Python int: bit u is set when entry u is."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(bits, axis=-1, bitorder="little")]
+
+
 class Graph:
     """Immutable simple graph stored as its arc arrays: int32 ``src`` and
     ``dst`` grouped by source in vertex order with targets ascending, and
     the n + 1 offsets ``starts`` of each vertex's arcs."""
 
-    __slots__ = ("n", "_src", "_dst", "_starts", "_rows", "_np_adj", "_dm")
+    __slots__ = ("n", "_src", "_dst", "_starts", "_adj", "_dm")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
@@ -119,8 +129,7 @@ class Graph:
     def _set_arcs(self, n: int, src: np.ndarray, dst: np.ndarray):
         self.n, self._src, self._dst = n, src, dst
         self._starts = np.searchsorted(src, np.arange(n + 1, dtype=src.dtype))
-        self._rows = None
-        self._np_adj = None
+        self._adj = None
         self._dm = None
 
     # -- accessors ---------------------------------------------------------
@@ -150,39 +159,36 @@ class Graph:
         up = self._dst > self._src
         return zip(self._src[up].tolist(), self._dst[up].tolist())
 
+    def _padded(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The dense view, built once and read-only: the uint8 (n + 1, n + 1)
+        0/1 adjacency, whose row and column n (a vertex adjacent to none) are
+        zero, and the (n + 1, k) neighbour table, k the largest degree: row v
+        is Gamma(v) ascending, padded with n."""
+        if self._adj is None:
+            n, src, dst = self.n, self._src, self._dst
+            adj = np.zeros((n + 1, n + 1), dtype=np.uint8)
+            adj[src, dst] = 1
+            nb = np.full((n + 1, int(self.degrees().max(initial=0))), n, dtype=np.intp)
+            nb[src, np.arange(len(dst)) - self._starts[src]] = dst
+            adj.flags.writeable = nb.flags.writeable = False
+            self._adj = adj, nb
+        return self._adj
+
     def bitrows(self) -> List[int]:
-        if self._rows is None:
-            self._rows = [int.from_bytes(row.tobytes(), "little")
-                          for row in self._packed_rows()]
-        return self._rows
-
-    def _packed_rows(self) -> np.ndarray:
-        """(n, ceil(n / 8)) uint8 adjacency bitsets: bit u & 7 of byte u >> 3
-        of row v is set when u ~ v."""
-        packed = np.zeros((self.n, (self.n + 7) // 8), dtype=np.uint8)
-        np.bitwise_or.at(packed, (self._src, self._dst >> 3),
-                         np.left_shift(1, self._dst & 7).astype(np.uint8))
-        return packed
-
-    def _arc_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(source, target) of every arc, grouped by source in vertex order."""
-        return self._src, self._dst
-
-    def _local_adjacency(self, ys: np.ndarray) -> np.ndarray:
-        """float32 (len(ys), k, k) 0/1 adjacency of the local graph at each y
-        of a k-regular graph, in neighbour order: entry (a, b) is 1 when the
-        a-th and b-th neighbours of y are adjacent."""
-        nb = self._dst.reshape(self.n, -1)[ys]
-        cols = nb[:, None, :]
-        bits = self._packed_rows()[nb[:, :, None], cols >> 3] >> (cols & 7).astype(np.uint8)
-        return (bits & 1).astype(np.float32)
+        """Row v of the adjacency as a Python int: bit u is set when u ~ v."""
+        return _row_ints(self._padded()[0][:self.n, :self.n])
 
     def adjacency_matrix(self) -> np.ndarray:
-        if self._np_adj is None:
-            a = np.zeros((self.n, self.n), dtype=np.int64)
-            a[self._src, self._dst] = 1
-            self._np_adj = a
-        return self._np_adj
+        """A fresh int64 (n, n) 0/1 adjacency matrix."""
+        return self._padded()[0][:self.n, :self.n].astype(np.int64)
+
+    def _local_adjacency(self, vs) -> np.ndarray:
+        """uint8 (len(vs), k, k) 0/1 adjacency of the local graph at each v, k
+        the largest degree, in neighbour order: entry (a, b) is 1 when the
+        a-th and b-th neighbours of v are adjacent, and 0 past deg v."""
+        adj, nb = self._padded()
+        nbv = nb[vs]
+        return np.take(adj.reshape(-1), nbv[:, :, None] * (self.n + 1) + nbv[:, None, :])
 
     def _vertices(self, vs) -> np.ndarray:
         """vs as an intp array; InputError names the first vertex out of range."""
@@ -252,11 +258,12 @@ class Graph:
         return self._distance_rows([x])[0].tolist()
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense all-pairs distance matrix (-1 for unreachable)."""
+        """Dense all-pairs distance matrix (-1 for unreachable), read-only."""
         if self._dm is None:
             if self.n > _DENSE_CAP:
                 raise ResourceError(f"dense distance matrix capped at {_DENSE_CAP} vertices")
             self._dm = self._distance_rows(range(self.n))
+            self._dm.flags.writeable = False
         return self._dm
 
     def is_connected(self) -> bool:
@@ -368,8 +375,7 @@ def distance_partition(g: Graph, x: int, y: int) -> VertexPartition:
 def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
     """Row v counts the neighbours of v in each cell; cell[u] is the cell of
     vertex u, or -1 when u lies in no cell."""
-    rows, targets = g._arc_arrays()
-    target = cell[targets]
+    rows, target = g._src, cell[g._dst]
     if target.min(initial=0) < 0:
         inside = target >= 0
         rows, target = rows[inside], target[inside]
@@ -435,7 +441,7 @@ def _dense_keys(g: Graph, pairs: int) -> bool:
     gather at least four times as many arcs as the matrix has entries.  The
     rule was timed with one BLAS thread; on a machine whose cores are busy,
     set ``OPENBLAS_NUM_THREADS=1``."""
-    n, arcs = g.n, len(g._arc_arrays()[1])
+    n, arcs = g.n, len(g._dst)
     return n <= _DENSE_KEYS_CAP and n * n <= 32 * arcs and 4 * n * n <= pairs * arcs
 
 
@@ -468,7 +474,7 @@ def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray
     vertex's arcs."""
     if adj is not None:
         return w @ adj
-    dst, starts = g._arc_arrays()[1], g._starts[:-1]
+    dst, starts = g._dst, g._starts[:-1]
     p, n = w.shape[1:]
     # every vertex has an arc (the graph is connected), so the segments of
     # the reduction are the arcs of each vertex
@@ -543,12 +549,11 @@ def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
         a, b = np.divmod(np.arange(span * span), span)
         wl = wf[:, (3 * a + b) % 9]
     if dense:
-        adj = np.zeros((n, n))
-        adj[g._arc_arrays()] = 1
+        adj = g._padded()[0][:n, :n].astype(np.float64)
         most = max(1, _PAIR_BUDGET // (4 * n))
     else:
         adj = None
-        most = max(1, _PAIR_BUDGET // len(g._arc_arrays()[1]))
+        most = max(1, _PAIR_BUDGET // len(g._dst))
     cells = quotient = None
     lo, step = 0, 1
     while lo < len(xs):
@@ -642,7 +647,7 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> InducedSubgraph:
     vs = np.unique(g._vertices(vertices))
     inside = np.zeros(g.n, dtype=bool)
     inside[vs] = True
-    src, dst = g._arc_arrays()
+    src, dst = g._src, g._dst
     keep = inside[src] & inside[dst]
     rank = np.cumsum(inside) - 1  # monotone, so rows stay grouped and ascending
     return InducedSubgraph(Graph._from_arcs(len(vs), rank[src[keep]], rank[dst[keep]]),
@@ -671,8 +676,7 @@ def triple_intersection_number(g: Graph) -> Optional[int]:
     dense distance matrix, so at most ``_DENSE_CAP`` vertices."""
     dm = g.distance_matrix()
     rows = g.bitrows()
-    dist2 = [int.from_bytes(np.packbits(row == 2, bitorder="little").tobytes(), "little")
-             for row in dm]
+    dist2 = _row_ints(dm == 2)
     gamma = None
     for x, y in g.edges():
         common_xy = rows[x] & rows[y]
@@ -732,35 +736,23 @@ def max_coclique(g: Graph) -> int:
 _COMMON_BUDGET = 1 << 18
 
 
-def _padded_adjacency(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """The uint8 (n + 1, n + 1) 0/1 adjacency, whose row and column n (a
-    vertex adjacent to none) are zero, and the (n + 1, k) neighbour table, k
-    the largest degree: row v is Gamma(v) ascending, padded with n."""
-    n = g.n
-    src, dst = g._arc_arrays()
-    adj = np.zeros((n + 1, n + 1), dtype=np.uint8)
-    adj[src, dst] = 1
-    nb = np.full((n + 1, int(g.degrees().max(initial=0))), n, dtype=np.intp)
-    nb[src, np.arange(len(dst)) - g._starts[src]] = dst
-    return adj, nb
-
-
-def _common_blocks(g: Graph, i: int, adj: np.ndarray, nb: np.ndarray):
+def _common_blocks(g: Graph, i: int):
     """The common neighbourhoods Gamma(x) n Gamma(y) of the unordered pairs
     {x, y} at distance i (1 or 2), lexicographically, a block of base
-    vertices x at a time; ``adj`` and ``nb`` are ``_padded_adjacency(g)``.
+    vertices x at a time, read from the dense view (``Graph._padded``).
     Each x's y > x at distance i are padded with n to the block's longest
     list.  Each block is (size, nbx, member, counts): nbx (B, k) are the
     neighbour rows of its x; member[b, t, a] (uint8) is 1 when the a-th
     neighbour v of x_b is adjacent to its t-th y; and counts = member @
     local, local[b] the 0/1 adjacency of the local graph at x_b in neighbour
-    order, so counts[b, t, a] = |Gamma(v) n Gamma(x) n Gamma(y)|, at a
-    member its valency in the lambda- or mu-graph.  Every count is at most
-    k < 2**24, so the one stacked float32 ``np.matmul`` is exact.  Raises
-    InputError when the size |Gamma(x) n Gamma(y)| varies."""
+    order (``Graph._local_adjacency``), so counts[b, t, a] =
+    |Gamma(v) n Gamma(x) n Gamma(y)|, at a member its valency in the lambda-
+    or mu-graph.  Every count is at most k < 2**24, so the one stacked
+    float32 ``np.matmul`` is exact.  Raises InputError when the size
+    |Gamma(x) n Gamma(y)| varies."""
     dm = g.distance_matrix()
+    adj, nb = g._padded()
     n, k = g.n, nb.shape[1]
-    flat = adj.reshape(-1)
     ahead = np.triu(dm == i, 1)
     count = np.count_nonzero(ahead, axis=1)
     # the longest list at or after x bounds the lists of a block from x
@@ -770,19 +762,19 @@ def _common_blocks(g: Graph, i: int, adj: np.ndarray, nb: np.ndarray):
         x1 = min(n, x0 + max(1, _COMMON_BUDGET // max(1, (int(reach[x0]) + k) * k)))
         cnt, nbx = count[x0:x1], nb[x0:x1]
         rows, ys = np.nonzero(ahead[x0:x1])
-        x0 = x1
+        xs, x0 = np.arange(x0, x1), x1
         if not len(ys):
             continue
         y = np.full((len(cnt), int(cnt.max())), n, dtype=np.intp)
         y[rows, np.arange(len(ys)) - (np.cumsum(cnt) - cnt)[rows]] = ys
-        member = np.take(flat, y[:, :, None] * (n + 1) + nbx[:, None, :])
+        member = np.take(adj.reshape(-1), y[:, :, None] * (n + 1) + nbx[:, None, :])
         sizes = np.count_nonzero(member.view(bool), axis=2)[y < n]
         size = int(sizes[0]) if size is None else size
         if (sizes != size).any():
             kind = ("lambda", "mu")[i - 1]
             raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
-        local = np.take(flat, nbx[:, :, None] * (n + 1) + nbx[:, None, :])
-        yield size, nbx, member, np.matmul(member.astype(np.float32), local.astype(np.float32))
+        local = g._local_adjacency(xs).astype(np.float32)
+        yield size, nbx, member, np.matmul(member.astype(np.float32), local)
 
 
 def _valency_bounds(member: np.ndarray, counts: np.ndarray) -> Tuple[int, int]:
@@ -800,7 +792,7 @@ def _common_neighbourhoods(g: Graph, i: int) -> Tuple[Optional[int], Optional[in
     they are all regular with one valency and have vertices.  Raises
     InputError when the size varies."""
     size, valencies = None, set()
-    for size, _, member, counts in _common_blocks(g, i, *_padded_adjacency(g)):
+    for size, _, member, counts in _common_blocks(g, i):
         if size:
             valencies.update(_valency_bounds(member, counts))
     return size, valencies.pop() if len(valencies) == 1 else None
@@ -820,10 +812,9 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
     dm = g.distance_matrix()
     if int(dm.max()) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")
-    adj, nb = _padded_adjacency(g)
-    flat = adj.reshape(-1)
+    flat = g._padded()[0].reshape(-1)
     c2, valencies, patterns = None, set(), []
-    for c2, nbx, member, counts in _common_blocks(g, 2, adj, nb):
+    for c2, nbx, member, counts in _common_blocks(g, 2):
         valencies.update(_valency_bounds(member, counts))
         p, k = member.shape[1:]
         at = np.flatnonzero(member.view(bool))
@@ -834,16 +825,14 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
         step = max(1, _COMMON_BUDGET // len(a))
         for lo in range(0, len(members), step):
             m = members[lo:lo + step]
-            packed = np.packbits(np.take(flat, m[:, a] * len(adj) + m[:, b]), axis=1)
+            packed = np.packbits(np.take(flat, m[:, a] * (g.n + 1) + m[:, b]), axis=1)
             patterns.append(_distinct(packed.view(np.dtype((np.void, packed.shape[1]))).ravel()))
     kappa = valencies.pop() if len(valencies) == 1 else None
     t_max = 0
     for pattern in _distinct(np.concatenate(patterns)):
         bits = np.zeros((c2, c2), dtype=np.uint8)
         bits[a, b] = np.unpackbits(np.frombuffer(pattern.tobytes(), dtype=np.uint8))[:len(a)]
-        local = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                 for row in bits | bits.T]
-        t_max = max(t_max, _max_coclique_rows(local, (1 << c2) - 1))
+        t_max = max(t_max, _max_coclique_rows(_row_ints(bits | bits.T), (1 << c2) - 1))
     return C2RegularityReport(c2, kappa is not None, kappa, kappa == c2 - 1, t_max)
 
 

@@ -61,7 +61,7 @@ def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     a one-source search tell that apart from a lack of pairs."""
     disconnected = InputError("homogeneity is defined for connected graphs")
     rng = random.Random(seed)
-    dst, starts = g._arc_arrays()[1], g._starts
+    dst, starts = g._dst, g._starts
     xs: List[int] = []
     ys: List[int] = []
     x_rows = []

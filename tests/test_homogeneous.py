@@ -148,7 +148,7 @@ def test_large_sampled_check_builds_no_per_vertex_python_objects(monkeypatch):
         monkeypatch.setattr(Graph, name, forbidden)
     rep = check_i_homogeneous(g, 1, "sampled", seed=14, count=4)
     assert not rep.holds and rep.witness[2] == (3, 3)
-    assert g._rows is None and g._np_adj is None
+    assert g._adj is None
 
 
 def test_edgeless_graphs_raise_golden_errors():

@@ -25,8 +25,7 @@ import local_oracle
 from drglab.errors import DrgError
 from drglab.families import (cycle, folded_johnson, halved_cube, hamming, hypercube,
                              icosahedron, johnson, petersen, triangular)
-from drglab.graph import (Graph, _common_blocks, _common_neighbourhoods, _padded_adjacency,
-                          c2_regularity_report)
+from drglab.graph import Graph, _common_blocks, _common_neighbourhoods, c2_regularity_report
 from drglab.homogeneous import local_spectral_checks
 from drglab.scalars import Interval, Surd, scalar_bounds
 from test_equitability import relabel, switch
@@ -155,9 +154,9 @@ def test_taylor_graph_over_paley_257_has_a_full_report():
 
 def mu_patterns(g: Graph) -> set:
     """The distinct adjacency matrices of the mu-graphs, members ascending."""
-    adj, nb = _padded_adjacency(g)
+    adj = g._padded()[0]
     found = set()
-    for c2, nbx, member, _ in _common_blocks(g, 2, adj, nb):
+    for c2, nbx, member, _ in _common_blocks(g, 2):
         b, _, a = np.nonzero(member)
         found |= {adj[np.ix_(m, m)].tobytes() for m in nbx[b, a].reshape(-1, c2)}
     return found

@@ -233,7 +233,7 @@ def test_size_guard_comes_before_any_arithmetic(monkeypatch):
     g = Graph([[] for _ in range(SPECTRUM_EXACT_CAP + 1)])
     with pytest.raises(ResourceError):
         graph_spectrum(g)
-    assert g._np_adj is None
+    assert g._adj is None
 
 
 def test_no_floating_point_linear_algebra_in_the_library():
