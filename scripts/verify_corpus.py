@@ -20,9 +20,8 @@ from drglab.classical import classify_tight, fundamental_bound, \
 from drglab.eigen import b_parameter, eigenvalues
 from drglab.families import FamilySpec, build_family
 from drglab.graph import check_distance_regular
-from drglab.homogeneous import (ClassifierBundle, check_i_homogeneous,
-                                classify_main, near_polygon_analysis,
-                                recognize_named_family)
+from drglab.homogeneous import (check_i_homogeneous, classify_main,
+                                near_polygon_analysis, recognize_named_family)
 from drglab.scalars import scalar_str
 
 CORPUS = [
@@ -74,7 +73,7 @@ def analyze(spec_text: str, g, built_s: float, sample: int, seed: int) -> None:
         print(f"   classical (D,b,alpha,beta) = ({cp.D}, {cp.b}, "
               f"{scalar_str(cp.alpha)}, {scalar_str(cp.beta)})")
     if ia.D >= 5 and ia.a_at(1) > 0:
-        out = classify_main(ClassifierBundle(ia))
+        out = classify_main(ia)
         print(f"   main classifier: branch {out.branch} ({out.name})")
 
 

@@ -270,14 +270,15 @@ def classify_tight(ia: IntersectionArray) -> ClassificationOutcome:
         evidence.append(Evidence("family", "named-family array match",
                                  tuple(tags)))
     evidence.sort(key=lambda e: e.rule)
-    for t in tags:
-        if t == f"Johnson J({2 * ia.D},{ia.D})":
-            return ClassificationOutcome("tight", "i", t, ("i",),
-                                         tuple(evidence))
-    for t in tags:
-        if t == f"halved {2 * ia.D}-cube":
-            return ClassificationOutcome("tight", "ii", t, ("ii",),
-                                         tuple(evidence))
+    # with a_D = 0 the only branch families left are J(2D, D) (main branch
+    # ii) and the halved 2D-cube (iii): J(n, D) has a_D = D(n - 2D), the
+    # halved (2D+1)-cube 2D and the folded families 2D^2 and 4D^2
+    branches = family_branches(tags)
+    if branches:
+        branch, t = branches[0]
+        require(branch in ("ii", "iii"), "a tight family is J(2D,D) or a halved 2D-cube")
+        tight = "i" if branch == "ii" else "ii"
+        return ClassificationOutcome("tight", tight, t, (tight,), tuple(evidence))
     b = b_parameter(ia)
     F = F_bound(b)
     require(exact_cmp(ia.k, F) <= 0, "k <= F(b) must hold in the fallback branch")

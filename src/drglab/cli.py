@@ -2,8 +2,9 @@
 
 JSON (schema "drg-lab-v1", sorted keys) goes to stdout; diagnostics to
 stderr.  Exit codes: 0 = success / property holds, 1 = property fails
-(witness in the JSON), 2 = input error, 3 = internal error (a defect of
-drglab, not of the input).
+(witness in the JSON), 2 = input error (a ``DrgError`` or an ``OSError``;
+each parse site turns bad text into ``InputError``), 3 = internal error (any
+other exception: a defect of drglab, not of the input).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .eigen import b_parameter, eigenvalues
 from .errors import DrgError, InputError
 from .families import FamilySpec, build_family
 from .graph import Graph, check_distance_regular
-from .homogeneous import (ClassifierBundle, check_i_homogeneous,
-                          classify_main, near_polygon_analysis,
-                          recognize_named_family, small_diameter_lookup)
+from .homogeneous import (check_i_homogeneous, classify_main,
+                          near_polygon_analysis, recognize_named_family,
+                          small_diameter_lookup)
 from .scalars import scalar_json
 from .srg import SrgParams, check_bounds, recognize_srg_family, sims_classify, \
     srg_eigenvalues, srg_from_graph
@@ -49,17 +50,11 @@ def _load_graph(path: str) -> Graph:
         raise InputError(f"cannot load graph from {path}: {exc}") from exc
 
 
-def _require_array(g: Graph):
-    res = check_distance_regular(g)
-    if isinstance(res, IntersectionArray):
-        return res, None
-    return None, res
-
-
 def cmd_build(args) -> int:
-    data = None
-    if args.data:
-        data = json.loads(args.data)
+    try:
+        data = json.loads(args.data) if args.data else None
+    except ValueError as exc:
+        raise InputError(f"bad --data JSON: {exc}") from None
     spec = FamilySpec.parse(args.family, data=data)
     g = build_family(spec)
     summary = {"family": spec.name, "params": list(spec.params),
@@ -74,13 +69,12 @@ def cmd_build(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = _load_graph(args.file)
-    ia, witness = _require_array(g)
-    if ia is None:
+    ia = check_distance_regular(g)
+    if not isinstance(ia, IntersectionArray):  # the witness of a failure
         return _emit({"distance_regular": False,
-                      "witness": {"x": witness.x, "y": witness.y,
-                                  "distance": witness.distance,
-                                  "counts": list(witness.counts),
-                                  "expected": list(witness.expected)}}, 1)
+                      "witness": {"x": ia.x, "y": ia.y, "distance": ia.distance,
+                                  "counts": list(ia.counts),
+                                  "expected": list(ia.expected)}}, 1)
     rep = basic_feasibility(ia)
     out = {"distance_regular": True, "ia": str(ia), "v": g.n,
            "diameter": ia.D, "k": ia.k, "a": list(ia.a),
@@ -113,14 +107,10 @@ def cmd_cab(args) -> int:
     g = _load_graph(args.file)
     rep = cab_partition_check(g, i_max=args.upto)
     out = {"holds": rep.holds, "pairs_checked": rep.pairs_checked,
-           "levels": [{"level": p.level, "gamma": p.gamma, "alpha": p.alpha,
-                       "beta": p.beta, "delta": p.delta} for p in rep.levels]}
+           "levels": rep.levels}
     if rep.holds:
         return _emit(out, 0)
-    d = rep.deviation
-    out["witness"] = {"level": d.level, "x": d.x, "y": d.y, "vertex": d.vertex,
-                      "counts": list(d.counts), "expected": list(d.expected),
-                      "reason": d.reason}
+    out["witness"] = rep.deviation
     return _emit(out, 1)
 
 
@@ -132,8 +122,8 @@ def cmd_classify(args) -> int:
         homogeneity = "asserted"
     else:
         g = _load_graph(args.file)
-        ia, _ = _require_array(g)
-        if ia is None:
+        ia = check_distance_regular(g)
+        if not isinstance(ia, IntersectionArray):
             return _emit({"error": "graph is not distance-regular"}, 1)
         rep = check_i_homogeneous(g, 1)
         if not rep.holds:
@@ -144,24 +134,15 @@ def cmd_classify(args) -> int:
     out["named_families"] = recognize_named_family(ia) + small_diameter_lookup(ia)
     out["near_polygon"] = near_polygon_analysis(ia)
     cps = recognize_classical(ia) if ia.D >= 3 else []
-    out["classical_parameters"] = [
-        {"D": cp.D, "b": cp.b, "alpha": cp.alpha, "beta": cp.beta}
-        for cp in cps]
+    out["classical_parameters"] = cps
     if ia.D >= 3:
-        rep = fundamental_bound(ia)
-        out["fundamental_bound"] = {
-            "lhs": rep.lhs, "rhs": rep.rhs, "tight": rep.tight,
-            "bipartite": rep.bipartite, "a_D": rep.a_D,
-            "r": rep.r, "s": rep.s}
+        out["fundamental_bound"] = fundamental_bound(ia)
     classifications = []
     if ia.D >= 5 and ia.a_at(1) > 0:
-        classifications.append(classify_main(
-            ClassifierBundle(ia, homogeneity)).as_json())
-        for cp in cps:
-            if cp.b >= 1:
-                classifications.append(classify_classical(cp).as_json())
-        if out.get("fundamental_bound", {}).get("tight"):
-            classifications.append(classify_tight(ia).as_json())
+        classifications.append(classify_main(ia))
+        classifications += [classify_classical(cp) for cp in cps if cp.b >= 1]
+        if out["fundamental_bound"].tight:
+            classifications.append(classify_tight(ia))
     out["classifications"] = classifications
     return _emit(out, 0)
 
@@ -189,7 +170,10 @@ def cmd_srg(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    b = Fraction(args.b)
+    try:
+        b = Fraction(args.b)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad --b: {exc}") from None
     out = {"F": F_bound(b), "G": G_bound(b)}
     if args.m is not None:
         mu = args.mu if args.mu is not None else 1
@@ -247,10 +231,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return globals()[f"cmd_{args.cmd}"](args)
-    except DrgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (DrgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # any other exception is a defect of drglab

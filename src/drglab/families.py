@@ -14,7 +14,9 @@ designs read the columns that share a symbol, or the blocks through a point,
 off one argsort.  The folded Johnson and folded halved cubes map each rank
 to the first label of its antipodal class (complementation reverses the
 label order), so the doubled parent is never built.  The vertex cap
-(``DRG_LAB_VERTEX_CAP``) applies to the graph that is returned.
+(``DRG_LAB_VERTEX_CAP``) applies to the graph that is returned, and is
+checked against a lower bound from the parameters before an exponential
+count is computed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ DEFAULT_VERTEX_CAP = 2_000_000
 
 def vertex_cap() -> int:
     env = os.environ.get("DRG_LAB_VERTEX_CAP")
-    return int(env) if env else DEFAULT_VERTEX_CAP
+    try:
+        return int(env) if env else DEFAULT_VERTEX_CAP
+    except ValueError:
+        raise InputError(f"DRG_LAB_VERTEX_CAP must be an integer, not {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -49,9 +54,12 @@ class FamilySpec:
     @classmethod
     def parse(cls, text: str, data=None) -> "FamilySpec":
         name, _, rest = text.partition(":")
-        params = tuple(int(t) for t in rest.split(",") if t) if rest else ()
-        if data is not None:
-            data = tuple(tuple(row) for row in data)
+        try:
+            params = tuple(int(t) for t in rest.split(",") if t)
+            if data is not None:
+                data = tuple(tuple(row) for row in data)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad parameters or data for {text!r}: {exc}") from None
         return cls(name.strip().lower().replace("-", "_"), params, data)
 
 
@@ -59,9 +67,15 @@ class FamilySpec:
 _BLOCK = 1 << 18
 
 
-def _check_cap(n: int):
-    if n > vertex_cap():
-        raise ResourceError(f"construction of {n} vertices exceeds cap {vertex_cap()}")
+def _check_cap(spec: str, count: Callable[[], int], min_bits: int = 0) -> int:
+    """The vertex count ``count()`` of the family graph ``spec``, once it is
+    known to be within the cap.  2 ** min_bits is a lower bound on the count,
+    so a count far above the cap is refused before it is computed."""
+    cap = vertex_cap()
+    n = count() if min_bits < cap.bit_length() else cap + 1
+    if n > cap:
+        raise ResourceError(f"{spec} has more vertices than the cap {cap}")
+    return n
 
 
 def _label_graph(n: int, width: int,
@@ -158,8 +172,7 @@ def _even_words(length: int) -> Callable[[np.ndarray], np.ndarray]:
 def johnson(n: int, d: int) -> Graph:
     if not 1 <= d <= n:
         raise InputError("Johnson graph needs 1 <= d <= n")
-    N = comb(n, d)
-    _check_cap(N)
+    N = _check_cap(f"johnson:{n},{d}", lambda: comb(n, d), min(d, n - d))
     return _label_graph(N, d * (n - d), _exchanges(n, d, N))
 
 
@@ -168,7 +181,7 @@ def hamming(D: int, q: int) -> Graph:
     significant; adjacent when they differ in one coordinate."""
     if D < 1 or q < 2:
         raise InputError("Hamming graph needs D >= 1, q >= 2")
-    _check_cap(q ** D)
+    N = _check_cap(f"hamming:{D},{q}", lambda: q ** D, D)
     weights = q ** np.arange(D - 1, -1, -1, dtype=np.int64)
     shifts = np.arange(1, q)
 
@@ -176,7 +189,7 @@ def hamming(D: int, q: int) -> Graph:
         digit = (x[:, None] // weights % q)[:, :, None]
         moved = x[:, None, None] + ((digit + shifts) % q - digit) * weights[:, None]
         return moved.reshape(len(x), -1)
-    return _label_graph(q ** D, D * (q - 1), neighbours)
+    return _label_graph(N, D * (q - 1), neighbours)
 
 
 def hypercube(length: int) -> Graph:
@@ -188,8 +201,8 @@ def halved_cube(length: int) -> Graph:
     distance 2."""
     if length < 2:
         raise InputError("halved cube needs length >= 2")
-    _check_cap(2 ** (length - 1))
-    return _label_graph(2 ** (length - 1), comb(length, 2), _even_words(length))
+    N = _check_cap(f"halved_cube:{length}", lambda: 2 ** (length - 1), length - 1)
+    return _label_graph(N, comb(length, 2), _even_words(length))
 
 
 def grid(p: int, q: int) -> Graph:
@@ -197,8 +210,8 @@ def grid(p: int, q: int) -> Graph:
     of column j."""
     if p < 1 or q < 1:
         raise InputError("grid needs positive side lengths")
-    _check_cap(p * q)
-    return _label_graph(p * q, p + q, lambda v: np.hstack(
+    N = _check_cap(f"grid:{p},{q}", lambda: p * q)
+    return _label_graph(N, p + q, lambda v: np.hstack(
         [(v // q * q)[:, None] + np.arange(q), np.arange(p) * q + (v % q)[:, None]]))
 
 
@@ -206,9 +219,9 @@ def complete_multipartite(t: int, m: int) -> Graph:
     """K_{t x m}: every vertex, with the part of v (v // m) replaced by v."""
     if t < 2 or m < 1:
         raise InputError("complete multipartite needs t >= 2, m >= 1")
-    _check_cap(t * m)
-    every = np.arange(t * m)
-    return _label_graph(t * m, t * m, lambda v: np.where(
+    N = _check_cap(f"complete_multipartite:{t},{m}", lambda: t * m)
+    every = np.arange(N)
+    return _label_graph(N, N, lambda v: np.where(
         every // m == (v // m)[:, None], v[:, None], every))
 
 
@@ -223,12 +236,14 @@ def triangular(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise InputError("complete graph needs n >= 1")
+    _check_cap(f"complete:{n}", lambda: n)
     return _label_graph(n, n, lambda v: np.broadcast_to(np.arange(n), (len(v), n)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs n >= 3")
+    _check_cap(f"cycle:{n}", lambda: n)
     return _label_graph(n, 2, lambda v: (v[:, None] + [-1, 1]) % n)
 
 
@@ -291,12 +306,13 @@ def latin_square_graph(m: int = None, n: int = None,
                 "cyclic construction only covers m in {2, 3}; supply OA data for larger m")
         if n < 2:
             raise InputError("latin square graph needs n >= 2")
+        _check_cap(f"latin_square:{m},{n}", lambda: n * n)
         cols = list(itertools.product(range(n), repeat=2))
         oa = [[x for x, _ in cols], [y for _, y in cols]]
         if m == 3:
             oa.append([(x + y) % n for x, y in cols])
     m, n = validate_orthogonal_array(oa)
-    _check_cap(n * n)
+    _check_cap(f"latin_square:{m},{n}", lambda: n * n)
     # two columns agree in at most one row of an OA, and each symbol fills n
     # columns of a row: the neighbours of v are, row by row, the columns
     # that share v's symbol
@@ -334,7 +350,7 @@ def validate_steiner_blocks(blocks: Sequence[Sequence[int]]) -> Tuple[int, int]:
 def steiner_block_graph(blocks: Sequence[Sequence[int]]) -> Graph:
     """Block graph of a Steiner system: blocks adjacent iff they share a point."""
     m, _ = validate_steiner_blocks(blocks)
-    _check_cap(len(blocks))
+    _check_cap("steiner_block_graph", lambda: len(blocks))
     # two blocks share at most one point, and each point lies on the same
     # number r of blocks: the neighbours of v are the blocks through its
     # points, with points ranked by value
@@ -378,10 +394,9 @@ def folded_johnson(n: int, d: int) -> Graph:
     """J(2d, d) with each d-set identified with its complement."""
     if n != 2 * d or d < 1:
         raise InputError("folded Johnson graph is defined for J(2d, d), d >= 1")
-    N = comb(n, d)
-    _check_cap(N // 2)
-    moves, fold = _exchanges(n, d, N // 2), _fold(N)
-    return _label_graph(N // 2, d * d, lambda v: fold(moves(v)))
+    half = _check_cap(f"folded_johnson:{n},{d}", lambda: comb(n, d) // 2, d - 1)
+    moves, fold = _exchanges(n, d, half), _fold(2 * half)
+    return _label_graph(half, d * d, lambda v: fold(moves(v)))
 
 
 def folded_halved_cube(length: int) -> Graph:
@@ -389,9 +404,9 @@ def folded_halved_cube(length: int) -> Graph:
     complement."""
     if length < 2 or length % 2:
         raise InputError("folded halved cube needs even length >= 2")
-    _check_cap(2 ** (length - 2))
-    moves, fold = _even_words(length), _fold(2 ** (length - 1))
-    return _label_graph(2 ** (length - 2), comb(length, 2), lambda v: fold(moves(v)))
+    N = _check_cap(f"folded_halved_cube:{length}", lambda: 2 ** (length - 2), length - 2)
+    moves, fold = _even_words(length), _fold(2 * N)
+    return _label_graph(N, comb(length, 2), lambda v: fold(moves(v)))
 
 
 _BUILDERS = {

@@ -31,7 +31,7 @@ from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require
 from .graph import (Graph, _check_pairs, _common_neighbourhoods,
                     check_distance_regular, graph_spectrum, local_graph)
-from .scalars import exact_cmp, scalar_json
+from .scalars import exact_cmp
 from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
 
 
@@ -318,32 +318,10 @@ class ClassificationOutcome:
     branches: Tuple[str, ...]
     evidence: Tuple[Evidence, ...]
 
-    def as_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "branch": self.branch,
-            "name": self.name,
-            "branches": list(self.branches),
-            "evidence": [
-                {"rule": e.rule, "claim": e.claim,
-                 "values": scalar_json(e.values)}
-                for e in self.evidence],
-        }
 
-
-@dataclass(frozen=True)
-class ClassifierBundle:
-    """Inputs for the classifier: the array and how homogeneity was
-    established."""
-
-    ia: IntersectionArray
-    homogeneity: str = "asserted"  # "verified" | "asserted"
-
-
-def classify_main(bundle: ClassifierBundle) -> ClassificationOutcome:
+def classify_main(ia: IntersectionArray) -> ClassificationOutcome:
     """Decide which branch of the diameter >= 5 classification a verified
     (or asserted) 1-homogeneous array falls into, with reproducible evidence."""
-    ia = bundle.ia
     if ia.D < 5:
         raise ScopeError(f"classifier requires diameter >= 5, got {ia.D}")
     a1 = ia.a_at(1)

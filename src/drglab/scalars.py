@@ -13,6 +13,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import operator
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, gcd, isqrt
@@ -412,13 +413,16 @@ def scalar_str(x: ExactScalar) -> str:
 
 def scalar_json(x):
     """JSON-ready copy of x: exact scalars become strings, sequences lists,
-    dicts are converted value by value; None, str, bool and int stay."""
+    dicts are converted value by value and dataclass instances (the reports)
+    field by field, keyed by field name; None, str, bool and int stay."""
     if x is None or isinstance(x, (str, bool, int)):
         return x
     if isinstance(x, (list, tuple)):
         return [scalar_json(v) for v in x]
     if isinstance(x, dict):
         return {k: scalar_json(v) for k, v in x.items()}
+    if is_dataclass(x) and not isinstance(x, type):
+        return {f.name: scalar_json(getattr(x, f.name)) for f in fields(x)}
     return scalar_str(x)
 
 

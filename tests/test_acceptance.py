@@ -25,8 +25,8 @@ from drglab.classical import (ClassicalParams, beta_bound_check,
 from drglab.eigen import eigenvalues
 from drglab.families import folded_johnson
 from drglab.graph import check_distance_regular
-from drglab.homogeneous import (ClassifierBundle, cab_equivalence_check,
-                                check_i_homogeneous, classify_main)
+from drglab.homogeneous import (cab_equivalence_check, check_i_homogeneous,
+                                classify_main)
 from drglab.srg import SrgParams, recognize_srg_family, sims_classify
 
 J105 = IntersectionArray((25, 16, 9, 4, 1), (1, 4, 9, 16, 25))
@@ -147,13 +147,13 @@ def test_criterion_07():
 
 @criterion(8, "main classifier branches")
 def test_criterion_08():
-    assert classify_main(ClassifierBundle(J105)).branch == "ii"
-    out = classify_main(ClassifierBundle(H53))
+    assert classify_main(J105).branch == "ii"
+    out = classify_main(H53)
     assert out.branch == "i" and "Hamming" in (out.name or "")
-    out = classify_main(ClassifierBundle(HC11))
+    out = classify_main(HC11)
     assert out.branch == "iii" and "11" in (out.name or "")
     for ia in (J105, HC10, HC11, H53):
-        assert classify_main(ClassifierBundle(ia)).branch != "contradiction"
+        assert classify_main(ia).branch != "contradiction"
 
 
 @criterion(9, "strongly regular recognition and classification")

@@ -2,10 +2,14 @@
 
 import json
 import os
+import runpy
+import subprocess
+import sys
 
 import pytest
 
 from drglab.cli import main
+from drglab.families import FamilySpec, build_family
 from test_homogeneous import GOLDEN_GRAPHS
 
 
@@ -178,9 +182,14 @@ with open(os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")) as
     GOLDEN = json.load(fh)
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
-def test_output_matches_golden(capsys, case):
-    code = main(case["argv"])
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"] + c.get("graph", "").split()))
+def test_output_matches_golden(capsys, tmp_path, case):
+    # a case with a "graph" family spec runs on that graph, built to a file
+    argv = list(case["argv"])
+    if "graph" in case:
+        argv.append(str(tmp_path / "g.json"))
+        build_family(FamilySpec.parse(case["graph"])).dump(argv[-1])
+    code = main(argv)
     assert code == case["code"]
     assert capsys.readouterr().out == case["stdout"]
 
@@ -223,12 +232,41 @@ def test_biggs_smith_array_classifies_with_intervals(capsys):
 
 
 def test_internal_errors_exit_three(capsys, monkeypatch):
+    # a ValueError is a defect too: every parse site turns bad input into
+    # InputError, so main maps only DrgError and OSError to exit 2
     import drglab.cli
 
-    def broken(args):
-        raise TypeError("unsupported operand")
+    for exc in (TypeError("unsupported operand"),
+                ValueError("assignment destination is read-only")):
+        def broken(args):
+            raise exc
 
-    monkeypatch.setattr(drglab.cli, "cmd_bounds", broken)
-    code, out, err = run_cli(capsys, "bounds", "--b", "1")
-    assert code == 3 and out is None
-    assert err == "error: internal: TypeError: unsupported operand\n"
+        monkeypatch.setattr(drglab.cli, "cmd_bounds", broken)
+        code, out, err = run_cli(capsys, "bounds", "--b", "1")
+        assert code == 3 and out is None
+        assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["build", "steiner_block_graph", "--data", "[1]"], "bad parameters or data"),
+    (["build", "latin_square", "--data", "5"], "bad parameters or data"),
+    (["build", "johnson:8,x"], "bad parameters or data"),
+    (["build", "latin_square", "--data", "[[0, 1"], "bad --data JSON"),
+    (["bounds", "--b", "1/0"], "bad --b"),
+    (["bounds", "--b", "one"], "bad --b")])
+def test_malformed_input_is_an_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out is None
+    assert err.startswith(f"error: {message}")
+
+
+def test_verify_corpus_script_runs():
+    # one "==" header per corpus graph, skipped or not
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    script = os.path.join(root, "scripts", "verify_corpus.py")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, script, "--skip-large"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    heads = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("== ")]
+    assert heads == runpy.run_path(script)["CORPUS"]

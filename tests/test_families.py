@@ -2,6 +2,9 @@
 and the numpy arc builder against the list builders of ``family_oracle``."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -271,10 +274,49 @@ def test_folded_halved_cube_16_sampled_homogeneous():
 
 
 @pytest.mark.parametrize("build,n", [(lambda: folded_johnson(12, 6), 462),
-                                     (lambda: folded_halved_cube(10), 256)])
+                                     (lambda: folded_halved_cube(10), 256),
+                                     (lambda: hypercube(4), 16),
+                                     (lambda: hamming(3, 3), 27),
+                                     (lambda: johnson(8, 4), 70),
+                                     (lambda: halved_cube(6), 32),
+                                     (lambda: folded_johnson(4, 2), 3)])
 def test_vertex_cap_counts_folded_vertices(monkeypatch, build, n):
+    # the lower bound 2^min_bits on a count must not refuse a graph of
+    # exactly cap vertices (C(4, 2)/2 = 3 < 2^2), and the count itself must
+    # refuse one more
     monkeypatch.setenv("DRG_LAB_VERTEX_CAP", str(n))
     assert build().n == n
     monkeypatch.setenv("DRG_LAB_VERTEX_CAP", str(n - 1))
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=f"cap {n - 1}$"):
         build()
+
+
+@pytest.mark.parametrize("spec", [
+    "hamming:99999999999999999999,2", "johnson:3000000,1500000",
+    "folded_johnson:100000000,50000000", "halved_cube:100000000",
+    "folded_halved_cube:100000000", "latin_square:3,100000000",
+    "cycle:3000000", "complete:3000000"])
+def test_oversized_family_is_refused_before_it_is_counted(spec):
+    # the cap is checked from the parameters, before a count with millions
+    # of digits, C(n, n/2) or a list of n^2 columns is computed; the timeout
+    # catches a builder that computes it first
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys\n"
+            "from drglab.errors import ResourceError\n"
+            "from drglab.families import FamilySpec, build_family\n"
+            "try:\n"
+            "    build_family(FamilySpec.parse(sys.argv[1]))\n"
+            "except ResourceError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("DRG_LAB_VERTEX_CAP", None)
+    done = subprocess.run([sys.executable, "-c", code, spec], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{spec} has more vertices than the cap 2000000\n"
+
+
+def test_malformed_vertex_cap_is_an_input_error(monkeypatch):
+    monkeypatch.setenv("DRG_LAB_VERTEX_CAP", "lots")
+    with pytest.raises(InputError, match="DRG_LAB_VERTEX_CAP"):
+        cycle(5)

@@ -15,9 +15,8 @@ from drglab.errors import InputError, ScopeError
 from drglab.families import (cycle, folded_halved_cube, folded_johnson, hamming,
                              johnson, petersen, triangular)
 from drglab.graph import Graph
-from drglab.homogeneous import (ClassifierBundle, cab_equivalence_check,
-                                check_i_homogeneous, classify_main,
-                                family_branches,
+from drglab.homogeneous import (cab_equivalence_check, check_i_homogeneous,
+                                classify_main, family_branches,
                                 local_spectral_checks, near_polygon_analysis,
                                 recognize_named_family, small_diameter_lookup)
 
@@ -219,28 +218,27 @@ def test_local_spectral_checks_icosahedron(icosa):
 
 def test_classifier_scope():
     with pytest.raises(ScopeError):
-        classify_main(ClassifierBundle(IntersectionArray((3, 2), (1, 1))))
+        classify_main(IntersectionArray((3, 2), (1, 1)))
     with pytest.raises(ScopeError):
         # a1 = 0
-        classify_main(ClassifierBundle(
-            IntersectionArray((5, 4, 3, 2, 1), (1, 2, 3, 4, 5))))
+        classify_main(IntersectionArray((5, 4, 3, 2, 1), (1, 2, 3, 4, 5)))
 
 
 def test_classifier_branches():
-    assert classify_main(ClassifierBundle(J105)).branch == "ii"
-    out = classify_main(ClassifierBundle(H53))
+    assert classify_main(J105).branch == "ii"
+    out = classify_main(H53)
     assert out.branch == "i" and "Hamming" in (out.name or "")
-    out = classify_main(ClassifierBundle(HC11))
+    out = classify_main(HC11)
     assert out.branch == "iii" and "11" in (out.name or "")
-    assert classify_main(ClassifierBundle(HC10)).branch == "iii"
+    assert classify_main(HC10).branch == "iii"
 
 
 def test_classifier_folded_branches():
     fj = IntersectionArray((100, 81, 64, 49, 36), (1, 4, 9, 16, 50))
-    out = classify_main(ClassifierBundle(fj))
+    out = classify_main(fj)
     assert out.branch == "iv"
     fh = IntersectionArray((190, 153, 120, 91, 66), (1, 6, 15, 28, 90))
-    out = classify_main(ClassifierBundle(fh))
+    out = classify_main(fh)
     assert out.branch == "v"
 
 
@@ -248,13 +246,13 @@ def test_classifier_c2_equals_one():
     # flag graph of the generalized hexagon of order (2,2): a near
     # 12-gon of order (2,1) with c2 = 1 and a1 = 1
     flag = IntersectionArray((4, 2, 2, 2, 2, 2), (1, 1, 1, 1, 1, 2))
-    out = classify_main(ClassifierBundle(flag))
+    out = classify_main(flag)
     assert out.branch == "c2=1"
 
 
 def test_classifier_never_contradicts_corpus():
     for ia in (J105, HC10, HC11, H53):
-        assert classify_main(ClassifierBundle(ia)).branch != "contradiction"
+        assert classify_main(ia).branch != "contradiction"
 
 
 def test_family_branch_table():

@@ -1,15 +1,18 @@
 """Exact scalar arithmetic: surds, intervals, and decidable comparisons."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Tuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drglab.errors import UndecidableComparison
+from drglab.errors import DomainError, UndecidableComparison
 from drglab.polys import real_roots
 from drglab.scalars import (REFINEMENT_DIGITS, Interval, Surd, exact_cmp,
-                            exact_eq, scalar_bounds, scalar_str, sort_desc)
+                            exact_eq, scalar_bounds, scalar_json, scalar_str,
+                            sort_desc)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 small_ints = st.integers(min_value=-20, max_value=20)
@@ -211,3 +214,32 @@ def test_interval_float_is_refined_to_double_precision():
     theta1 = eigenvalues(IntersectionArray((2, 1, 1), (1, 1, 1)))[1]
     assert isinstance(theta1, Interval)
     assert abs(float(theta1) - 2 * math.cos(2 * math.pi / 7)) <= 1e-15
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    value: Fraction
+    root: Surd
+    missing: Optional[int]
+
+
+@dataclass(frozen=True)
+class _Report:
+    name: str
+    leaves: Tuple[_Leaf, ...]
+    pair: Tuple[int, Fraction]
+    holds: bool
+
+
+def test_scalar_json_encodes_nested_dataclasses_field_by_field():
+    rep = _Report("r", (_Leaf(Fraction(-3, 4), Surd(1, 2, 5, 3), None),
+                        _Leaf(Fraction(2), Surd(0, -1, 2), 7)),
+                  (1, Fraction(1, 2)), True)
+    assert scalar_json(rep) == {
+        "name": "r",
+        "leaves": [{"value": "-3/4", "root": "(1+2*sqrt(5))/3", "missing": None},
+                   {"value": "2", "root": "0-1*sqrt(2)", "missing": 7}],
+        "pair": [1, "1/2"], "holds": True}
+    # a dataclass type is not a report
+    with pytest.raises(DomainError):
+        scalar_json(_Leaf)
