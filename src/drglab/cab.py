@@ -11,14 +11,11 @@ B = those at distance i+1.  The level-i parameters are
     beta_i  : neighbours inside B of an A-vertex,
     delta_i : neighbours inside A of a B-vertex.
 
-The empirical check reads the dense distance matrix (at most
-``graph._DENSE_CAP`` vertices), and the neighbour table and the local graphs
-from the graph's one dense view (``Graph._padded``,
-``Graph._local_adjacency``), each local graph only when a pair reads it.
-For a block of base vertices x, one batched float32 product of the
-neighbours' cell weights (C 1, A 0, B k + 1) with the 0/1 adjacency of each
-local graph read gives C + (k + 1) B for every (x, y, v), exact as every
-entry is below k^2 <= 2^24; v's local degree gives A.
+The empirical check reads the local-partition pass of ``graph``
+(``graph._local_blocks``), a few centres y at a time.  One stacked float32
+product of the neighbours' cell weights (C 1, A 0, B k + 1) with the local
+graphs gives C + (k + 1) B for every (x, y, v), exact as every entry is below
+k^2 <= 2^24, so the valency is at most 4096; v's local degree gives A.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy as np
 
 from .errors import (DomainError, InputError, PreconditionError, ResourceError,
                      SingularityError, require)
-from .graph import Graph
+from .graph import Graph, _local_blocks
 from .polys import charpoly, quadratic_roots, real_roots
 from .scalars import ExactScalar, as_exact, exact_eq
 
@@ -115,11 +112,6 @@ class LocalSrgData:
 # -- empirical check --------------------------------------------------------
 
 
-#: (base vertex, pair, neighbour) entries one block of the empirical check
-#: may hold: a block takes as many base vertices as fit, and at least one
-_CAB_BUDGET = 1 << 16
-
-
 def cab_partition_check(g: Graph, i_max: Optional[int] = None,
                         max_pairs: Optional[int] = None) -> CabReport:
     """Check the three-cell local partitions are equitable with
@@ -130,8 +122,10 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
     (at least 1) caps the ordered pairs examined per level (lex order); None
     means exhaustive.  In scan order (level, x, y, cell C/A/B, v), a level's
     parameters are the first count row seen in each cell, and the deviation
-    is the first row that differs.  Base vertices x go in blocks that start
-    at one and double up to ``_CAB_BUDGET`` entries, one product per block.
+    is the first row that differs.  A level fails when one of its cells
+    holds two different rows, in any order, so one pass of growing blocks of
+    centres y finds the lowest failing level, and only that level is read
+    again, one x at a time, for its first deviation.
     """
     if max_pairs is not None and max_pairs < 1:
         raise InputError(f"max_pairs must be at least 1, got {max_pairs}")
@@ -147,59 +141,74 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
     i_max = D if i_max is None else i_max
     if not 1 <= i_max <= D:
         raise InputError(f"level {i_max} outside 1..{D}")
-    n, dm, nbr = g.n, g.distance_matrix(), g._padded()[1][:g.n]
+    dm, nb = g.distance_matrix(), g._padded()[1]
+    # the pairs (x, y) read at [y, x]: all, or the first max_pairs of each
+    # level in (x, y) order, found in the fewest leading rows x
+    select = ((dm > 0) & (dm <= i_max)).view(np.int8)
+    if max_pairs is not None:
+        rows, select = 1, np.zeros_like(select)
+        while rows < g.n and (np.bincount(dm[:rows].ravel(), minlength=i_max + 1)[1:i_max + 1]
+                              < max_pairs).any():
+            rows *= 2
+        for i in range(1, i_max + 1):
+            at = np.flatnonzero(dm[:rows] == i)[:max_pairs]
+            select[at % g.n, at // g.n] = 1
     base = k + 1  # a count row (C, A, B) is the key C + base B + base^2 (C + A + B)
     key_type = np.int32 if base ** 3 <= np.iinfo(np.int32).max else np.int64
-    # the weight of a C, A, B neighbour, for each row 3 level + cell of refs
-    weight = np.tile(np.array([1, 0, base], dtype=np.float32), i_max + 1)
-    refs = np.full(3 * (i_max + 1), -1, dtype=key_type)  # -1 until seen
-    local = np.zeros((n, k, k), dtype=np.float32)  # built for the y's read
-    local_deg = np.zeros((n, k), dtype=key_type)  # base^2 (local degree of v)
-    built = np.zeros(n, dtype=bool)
-    cap = n * n if max_pairs is None else max_pairs
-    pairs = np.zeros(i_max + 1, dtype=np.int64)
-    deviation, top = None, i_max  # levels above top are not scanned further
-    lo, step, most = 0, 1, max(1, _CAB_BUDGET // (n * k))
-    while lo < n and (pairs[1:top + 1] < cap).any():
-        d = dm[lo:lo + step]
-        # the level of each pair (x, y) still open, 0 for the others
-        level = np.where((d > 0) & (d <= top), d, 0)
-        for i in range(1, top + 1) if max_pairs else ():
-            on = level == i
-            level[on & (np.cumsum(on).reshape(on.shape) > cap - pairs[i])] = 0
-        new = np.flatnonzero(level.any(axis=0) & ~built)
-        if len(new):
-            local[new] = adjacency = g._local_adjacency(new)
-            local_deg[new] = adjacency.sum(axis=2).astype(key_type) * base ** 2
-            built[new] = True
-        # v = nbr[y, a] has cell d(x, v) - d(x, y) + 1 (0, 1, 2 for C, A, B);
-        # every y takes part in the product, a local graph not read being 0
-        at = d[:, nbr] + (3 * level - d + 1)[:, :, None]
-        counts = np.matmul(weight[at].transpose(1, 0, 2), local)
-        key = counts.transpose(1, 0, 2).astype(key_type, order="C") + local_deg
-        for j in np.flatnonzero((np.bincount(at.ravel(), minlength=len(refs)) > 0) & (refs < 0)):
-            refs[j] = key.ravel()[np.argmax(at.ravel() == j)]
-        bad = (key != refs[at]).any(axis=2) * level
-        pairs += np.bincount(level.ravel(), minlength=i_max + 1)
+    weight = np.tile(np.array([1, 0, base], dtype=np.float32), i_max + 1)  # C, A, B by level
+    refs = np.full(len(weight), -1, dtype=key_type)  # -1 until seen
+
+    def check(dist, local, top: int):
+        """(level, at, key, bad): each pair's level (0 at padding), 3 level +
+        cell and key of each (v, pair), and the pairs at levels 1..top with a
+        key not their cell's, whose first (y, v) sets it when still unseen."""
+        level = dist.min(axis=1) + 1  # a neighbour of y on a geodesic to x
+        at = np.add(dist, (2 * level + 1)[:, None, :], out=dist)
+        # np.take reads a small table faster than indexing does
+        key = np.matmul(local.astype(np.float32), np.take(weight, at)).astype(key_type)
+        key += (local.sum(axis=2, dtype=key_type) * key_type(base ** 2))[:, :, None]
+        on = (level > 0) & (level <= top)
+        bad = (key != np.take(refs, at)).any(axis=1) & on
         if bad.any():
-            i = int(bad[bad > 0].min())
-            t = int(np.argmax(bad.ravel() == i))
-            pairs[i] -= np.count_nonzero(level.ravel()[t + 1:] == i)
-            x, y = divmod(t, n)
-            # the pair's first bad row in (cell, v) order
-            wrong = np.flatnonzero(key[x, y] != refs[at[x, y]])
-            a = int(wrong[np.argmin(at[x, y, wrong])])
-            deviation = CabDeviation(i, lo + x, y, int(nbr[y, a]), _unpack(key[x, y, a], base),
-                                     _unpack(refs[at[x, y, a]], base),
-                                     f"counts differ within cell {'CAB'[at[x, y, a] % 3]}")
-            top = i - 1
-        lo, step = lo + step, min(2 * step, most)
+            met = (np.bincount(at.ravel(), minlength=len(refs)) > 0) & (refs < 0)
+            for j in np.flatnonzero(met[3:]) + 3:
+                refs[j] = key.ravel()[np.argmax(at.ravel() == j)]
+            bad = (key != np.take(refs, at)).any(axis=1) & on
+        return level, at, key, bad
+
+    pairs = np.bincount(dm[select.view(bool)], minlength=i_max + 1)
+    top = i_max  # the levels above top fail
+    for _, _, dist, local in _local_blocks(g, select, grow=True):
+        level, _, _, bad = check(dist, local, top)
+        if bad.any():
+            top = int(level[bad].min()) - 1
+            if not top:
+                break
     rows = [_unpack(r, base) if r >= 0 else (None,) * 3 for r in refs]
     out_levels = tuple(CabLevelParams(i, rows[3 * i][0] or 0, rows[3 * i + 1][0],
                                       rows[3 * i + 1][2], rows[3 * i + 2][1])
                        for i in range(1, top + 1))
-    checked = int(pairs[1:top + 1].sum()) + (int(pairs[deviation.level]) if deviation else 0)
-    return CabReport(deviation is None, out_levels, deviation, checked)
+    checked = int(pairs[1:top + 1].sum())
+    if top == i_max:
+        return CabReport(True, out_levels, None, checked)
+    # level i fails: its references go by scan order, one x at a time
+    i = top + 1
+    refs[3 * i:3 * i + 3] = -1
+    on = (select != 0) & (dm == i)
+    for x in np.flatnonzero(on.any(axis=0)).tolist():
+        for ys, _, dist, local in _local_blocks(g, on[:, x:x + 1].view(np.int8), x):
+            _, at, key, bad = check(dist, local, i)
+            if bad.any():
+                b, at, key = int(np.argmax(bad[:, 0])), at[:, :, 0], key[:, :, 0]
+                # the pair's first bad row in (cell, v) order
+                a = int(np.argmin(np.where(key[b] != refs[at[b]], at[b], len(refs))))
+                j = at[b, a]
+                return CabReport(False, out_levels, CabDeviation(
+                    i, x, int(ys[b]), int(nb[ys[b], a]), _unpack(key[b, a], base),
+                    _unpack(refs[j], base), f"counts differ within cell {'CAB'[j % 3]}"),
+                    checked + b + 1)
+            checked += len(ys)
+    raise AssertionError("a failing level has a deviation")
 
 
 def _unpack(key, base: int) -> Tuple[int, int, int]:

@@ -1,46 +1,27 @@
 """Graph representation and the empirical machinery: distances, distance
 partitions, equitable quotients, distance-regularity testing, local and
-mu-graphs, and exact spectra of graphs of at most ``SPECTRUM_EXACT_CAP``
-vertices.
+mu-graphs, and exact spectra of at most ``SPECTRUM_EXACT_CAP`` vertices.
 
-A graph is stored as its arc arrays: int32 ``src`` and ``dst``, grouped by
-source in vertex order with targets ascending, and the offsets ``starts`` of
-each vertex's arcs.  ``Graph(adjacency)`` is the checked entry point for
-outside input: it converts the neighbour lists once and checks them on the
-arrays.  Every graph drglab builds (the families, ``Graph.from_edges``,
-induced subgraphs) is handed over as arc arrays (``Graph._from_arcs``), and
-``neighbors(v)`` is a slice of ``dst``.  The arcs feed the one distance
-engine (``Graph._distance_rows``, a bit-parallel breadth-first search behind
-every distance row and the dense distance matrix of at most ``_DENSE_CAP``
-vertices) and two counting kernels: the per-cell kernel (``_cell_counts``)
-behind equitable quotients, and the pair kernel (``_pair_keys``, driven by
-``_check_pairs``), which tests the joint distance partitions pi(x, y) of a
-block of pairs at once, for 1-homogeneity in ``homogeneous`` and for
-distance-regularity, its case x = y.  It packs each vertex's neighbour
-counts over the cells of pi(x, y) into exact keys by one of two routes,
-chosen by ``_dense_keys`` from the graph and the number of pairs: one
-float64 product per key word with the 0/1 adjacency matrix, exact as every
-key stays below 2**53, or int64 sums over the arcs, below 2**63.  A pair
-holds when every vertex's key is the first pair's key for its cell.  Every
-dense reader derives from one view, built lazily and read-only
-(``Graph._padded``): the uint8 0/1 adjacency with an extra vertex n adjacent
-to none, and the neighbour table with short rows padded with n, so that
-every degree takes one route.  From it come the float64 matrix of the dense
-key route, the local graphs' adjacency in neighbour order
-(``Graph._local_adjacency``) for the local (C, A, B) check in ``cab``, the
-bitset rows as Python integers (``bitrows``, packed by ``_row_ints``) for
-the coclique and triple-intersection searches, and a fresh int64
-``adjacency_matrix`` for spectra.  The one common-neighbourhood pass (the
-lambda- and mu-graph valencies behind the mu-graph report and the
-locally-SRG test) takes a block of base vertices x at a time: it gathers the
-rows of each x's y against Gamma(x) and the local graph at x from the view,
-and reads every valency from one stacked float32 product, exact below
-2**24.  A spectrum is the real roots of the one integer characteristic
-polynomial of the adjacency matrix (``polys.charpoly``: Hessenberg reduction
-modulo word-size primes, as many as Hadamard's bound on the coefficients
-asks, joined by Chinese remaindering), with no floating point on the way.
-The cached distance matrix is read-only too.  Integer arithmetic keeps
-every verdict exact.
+A graph is stored as its arc arrays (``Graph(adjacency)`` checks outside
+input).  The arcs feed the one distance engine (``Graph._distance_rows``, a
+bit-parallel breadth-first search behind every distance row and the dense
+distance matrix of at most ``_DENSE_CAP`` vertices), the per-cell kernel
+(``_cell_counts``) behind equitable quotients, and the pair kernel
+(``_check_pairs``), which tests the joint distance partitions pi(x, y) of a
+block of pairs at once, for 1-homogeneity and for distance-regularity, its
+case x = y, by exact keys: float64 products with the adjacency matrix (below
+2**53) or int64 sums over the arcs (below 2**63), as ``_dense_keys``
+chooses.  Every dense reader derives from one read-only view
+(``Graph._padded``): the uint8 adjacency and the neighbour table, padded
+with a vertex n adjacent to none.  The one local-partition pass
+(``_local_blocks``) reads the pairs (x, y) that an (n, n) selection marks,
+in blocks of centres y: the distances from x to Gamma(y), which split it
+into the cells C, A and B, and the local graphs at y, by which each caller
+counts cells in one stacked float32 product, exact below 2**24.  It is
+behind the local (C, A, B) check in ``cab``, the lambda- and mu-graph
+valencies, the mu-graph report and the triple intersection number.  A
+spectrum is the real roots of the integer characteristic polynomial
+(``polys.charpoly``), with no floating point.
 """
 
 from __future__ import annotations
@@ -669,31 +650,6 @@ def mu_graph(g: Graph, x: int, y: int) -> InducedSubgraph:
     return induced_subgraph(g, common)
 
 
-def triple_intersection_number(g: Graph) -> Optional[int]:
-    """The number of common neighbours of (x, y, z) where x ~ y and z is at
-    distance 2 from both, if that count is constant over all such triples;
-    None when it varies.  Requires at least one such triple, and reads the
-    dense distance matrix, so at most ``_DENSE_CAP`` vertices."""
-    dm = g.distance_matrix()
-    rows = g.bitrows()
-    dist2 = _row_ints(dm == 2)
-    gamma = None
-    for x, y in g.edges():
-        common_xy = rows[x] & rows[y]
-        m = dist2[x] & dist2[y]
-        while m:
-            z = (m & -m).bit_length() - 1
-            m &= m - 1
-            val = (common_xy & rows[z]).bit_count()
-            if gamma is None:
-                gamma = val
-            elif gamma != val:
-                return None
-    if gamma is None:
-        raise InputError("no triple (x~y, z at distance 2 from both) exists")
-    return gamma
-
-
 # -- mu-graph regularity -----------------------------------------------------
 
 
@@ -730,110 +686,144 @@ def max_coclique(g: Graph) -> int:
     return _max_coclique_rows(g.bitrows(), (1 << g.n) - 1)
 
 
-#: entries one block of the common-neighbourhood pass may hold: a base vertex
-#: x takes one per (y, neighbour of x) and k * k for its local graph, and a
-#: block takes as many x as fit, and at least one
-_COMMON_BUDGET = 1 << 18
+# -- local partitions --------------------------------------------------------
 
 
-def _common_blocks(g: Graph, i: int):
-    """The common neighbourhoods Gamma(x) n Gamma(y) of the unordered pairs
-    {x, y} at distance i (1 or 2), lexicographically, a block of base
-    vertices x at a time, read from the dense view (``Graph._padded``).
-    Each x's y > x at distance i are padded with n to the block's longest
-    list.  Each block is (size, nbx, member, counts): nbx (B, k) are the
-    neighbour rows of its x; member[b, t, a] (uint8) is 1 when the a-th
-    neighbour v of x_b is adjacent to its t-th y; and counts = member @
-    local, local[b] the 0/1 adjacency of the local graph at x_b in neighbour
-    order (``Graph._local_adjacency``), so counts[b, t, a] =
-    |Gamma(v) n Gamma(x) n Gamma(y)|, at a member its valency in the lambda-
-    or mu-graph.  Every count is at most k < 2**24, so the one stacked
-    float32 ``np.matmul`` is exact.  Raises InputError when the size
-    |Gamma(x) n Gamma(y)| varies."""
-    dm = g.distance_matrix()
-    adj, nb = g._padded()
-    n, k = g.n, nb.shape[1]
-    ahead = np.triu(dm == i, 1)
-    count = np.count_nonzero(ahead, axis=1)
-    # the longest list at or after x bounds the lists of a block from x
-    reach = np.maximum.accumulate(count[::-1])[::-1]
-    size, x0 = None, 0
-    while x0 < n and reach[x0]:
-        x1 = min(n, x0 + max(1, _COMMON_BUDGET // max(1, (int(reach[x0]) + k) * k)))
-        cnt, nbx = count[x0:x1], nb[x0:x1]
-        rows, ys = np.nonzero(ahead[x0:x1])
-        xs, x0 = np.arange(x0, x1), x1
-        if not len(ys):
-            continue
-        y = np.full((len(cnt), int(cnt.max())), n, dtype=np.intp)
-        y[rows, np.arange(len(ys)) - (np.cumsum(cnt) - cnt)[rows]] = ys
-        member = np.take(adj.reshape(-1), y[:, :, None] * (n + 1) + nbx[:, None, :])
-        sizes = np.count_nonzero(member.view(bool), axis=2)[y < n]
+#: entries a block of the local-partition pass may hold: k per partner, k^2 per centre
+_LOCAL_BUDGET = 1 << 17
+
+
+def _local_blocks(g: Graph, select: np.ndarray, first: int = 0, grow: bool = False):
+    """The pairs (x, y) that ``select``, int8 (n, m), marks nonzero at
+    [y, x - first], in blocks of centres y ascending: (ys, xs, dist,
+    local), the centres ys (B,) with partners; their partners xs (B, p),
+    ascending, a short list repeating its last; dist (B, k, p) int16,
+    d(xs[b, t], v) at [b, a, t] for v the a-th neighbour of ys[b] (-1 for
+    padding v), so that the v at distance i - 1, i and i + 1 from x are the
+    cells C, A and B of d(x, y) = i; and the uint8 local graphs at ys.  A
+    block reading nearly every column copies distance-matrix rows; a column
+    it does not read has x = n and -1.  A block holds ``_LOCAL_BUDGET``
+    entries, or one centre; ``grow`` starts at one centre and doubles."""
+    dm, nb = g.distance_matrix(), g._padded()[1]
+    n, k, m = g.n, nb.shape[1], select.shape[1]
+    count = np.count_nonzero(select, axis=1)
+    centres = np.flatnonzero(count)
+    # the longest list from a centre on bounds the lists of a block from it
+    reach = np.maximum.accumulate(count[centres][::-1])[::-1]
+    lo, step = 0, 1 if grow else len(centres)
+    while lo < len(centres):
+        step = min(step, max(1, _LOCAL_BUDGET // ((int(reach[lo]) + k) * k)))
+        ys = centres[lo:lo + step]
+        lo, step = lo + step, 2 * step
+        rows, nby, cnt = select[ys] != 0, nb[ys], count[ys]
+        if 8 * int(cnt.sum()) >= 7 * len(ys) * m:
+            xs = np.where(rows, np.arange(first, first + m), n)
+            dist = np.take(dm[:, first:first + m], nby, axis=0, mode="clip")
+            dist.transpose(0, 2, 1)[~rows] = -1
+        else:
+            at = np.minimum(np.arange(int(cnt.max())), cnt[:, None] - 1)
+            xs = np.nonzero(rows)[1][at + (np.cumsum(cnt) - cnt)[:, None]] + first
+            dist = np.take(dm.reshape(-1), (nby * n)[:, :, None] + xs[:, None, :], mode="clip")
+        if (nby == n).any():
+            np.copyto(dist, -1, where=(nby == n)[:, :, None])
+        yield ys, xs, dist, g._local_adjacency(ys)
+
+
+def _bounds(local: np.ndarray, cell: np.ndarray, where: np.ndarray) -> tuple:
+    """Each pair's cell size in a block (``cell``, bool (B, k, p)), and the
+    least and largest count of a v's neighbours in the cell where ``where``
+    holds, by one stacked product of the local graphs and a row of ones."""
+    weights = np.concatenate([local, np.ones_like(local[:, :1])], axis=1).astype(np.float32)
+    buf = cell.astype(np.float32)
+    counts = np.matmul(weights, buf)
+    inside, top = counts[:, :-1], local.shape[1] + 1  # a count less top is negative
+    hi = int(np.multiply(inside, where, out=buf).max())
+    inside -= top
+    return counts[:, -1], int(np.multiply(inside, where, out=buf).min()) + top, hi
+
+
+def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
+                           ) -> Tuple[Optional[int], Optional[int]]:
+    """(size, valency) over the unordered pairs {x, y} at distance i (1 or 2):
+    the common size |Gamma(x) n Gamma(y)|, and the valency of the graphs
+    induced on it (the lambda- or mu-graphs), None unless they are all
+    regular with one valency and have vertices.  At y it is the A cell at
+    level 1 and the C cell at level 2.  Raises InputError when the size
+    varies.  A list ``patterns`` gets each block's distinct patterns."""
+    size, valencies = None, set()
+    for _, xs, dist, local in _local_blocks(g, np.triu(g.distance_matrix() == i, 1).view(np.int8)):
+        member = dist == 1
+        sizes, *bounds = _bounds(local, member, member)
+        sizes = sizes[xs < g.n]
         size = int(sizes[0]) if size is None else size
         if (sizes != size).any():
             kind = ("lambda", "mu")[i - 1]
             raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
-        local = g._local_adjacency(xs).astype(np.float32)
-        yield size, nbx, member, np.matmul(member.astype(np.float32), local)
-
-
-def _valency_bounds(member: np.ndarray, counts: np.ndarray) -> Tuple[int, int]:
-    """The least and largest count at the member entries of a block that has
-    members, by two masked reductions: a count is at most k, so it less
-    k + 1 is negative at every member and the masked entries are 0."""
-    top = counts.shape[-1] + 1
-    return int(((counts - top) * member).min()) + top, int((counts * member).max())
-
-
-def _common_neighbourhoods(g: Graph, i: int) -> Tuple[Optional[int], Optional[int]]:
-    """(size, valency) over the unordered pairs {x, y} at distance i (1 or 2):
-    the common size |Gamma(x) n Gamma(y)|, and the valency of the graphs
-    induced on Gamma(x) n Gamma(y) (the lambda- or mu-graphs), None unless
-    they are all regular with one valency and have vertices.  Raises
-    InputError when the size varies."""
-    size, valencies = None, set()
-    for size, _, member, counts in _common_blocks(g, i):
         if size:
-            valencies.update(_valency_bounds(member, counts))
+            valencies.update(bounds)
+            if patterns is not None:
+                patterns.extend(_patterns(local, dist, size))
     return size, valencies.pop() if len(valencies) == 1 else None
+
+
+def _patterns(local: np.ndarray, dist: np.ndarray, size: int):
+    """The distinct adjacency patterns of the graphs on the members (the v
+    at distance 1 from x) of a block's pairs: the bits above the diagonal
+    (on it when size = 1), packed, as one integer, which sorts faster, when
+    they fit in 8 bytes; at most ``_LOCAL_BUDGET`` bits at a time."""
+    _, k, p = dist.shape
+    at = np.flatnonzero(dist.transpose(0, 2, 1) == 1)  # (b, t, a) order
+    col = (at % k).reshape(-1, size)  # each pair's members, ascending
+    row = col * k + (at[::size] // (p * k) * k * k)[:, None]
+    u, w = np.triu_indices(size, size > 1)
+    step = max(1, _LOCAL_BUDGET // len(u))
+    for lo in range(0, len(col), step):
+        keys = np.packbits(np.take(local, row[lo:lo + step, u] + col[lo:lo + step, w]), axis=1)
+        width = keys.shape[1]
+        keys = (np.concatenate([keys, np.zeros((len(keys), 8 - width), np.uint8)], 1).view("<u8")
+                if width <= 8 else keys.view(np.dtype((np.void, width))))
+        yield _distinct(keys.ravel())
 
 
 def _distinct(v: np.ndarray) -> np.ndarray:
     """The distinct entries of a 1-d array, sorted (by a sort, since
     ``np.unique`` imports ``numpy.ma`` on its first call)."""
     v = np.sort(v)
-    return v[np.r_[True, v[1:] != v[:-1]]]
+    return v[np.r_[True, v[1:] != v[:-1]][:len(v)]]
 
 
 def c2_regularity_report(g: Graph) -> C2RegularityReport:
     """mu-graph valency/completeness survey over all distance-2 pairs.  The
     largest coclique is searched once per distinct mu-graph adjacency
     pattern (mu-graphs with equal patterns are equal up to relabelling)."""
-    dm = g.distance_matrix()
-    if int(dm.max()) < 2:
+    if int(g.distance_matrix().max()) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")
-    flat = g._padded()[0].reshape(-1)
-    c2, valencies, patterns = None, set(), []
-    for c2, nbx, member, counts in _common_blocks(g, 2):
-        valencies.update(_valency_bounds(member, counts))
-        p, k = member.shape[1:]
-        at = np.flatnonzero(member.view(bool))
-        members = nbx.reshape(-1)[at // (p * k) * k + at % k].reshape(-1, c2)
-        # a pattern is its bits above the diagonal (on it when c2 = 1, so
-        # that it has one), packed; at most _COMMON_BUDGET bits at a time
-        a, b = np.triu_indices(c2, c2 > 1)
-        step = max(1, _COMMON_BUDGET // len(a))
-        for lo in range(0, len(members), step):
-            m = members[lo:lo + step]
-            packed = np.packbits(np.take(flat, m[:, a] * (g.n + 1) + m[:, b]), axis=1)
-            patterns.append(_distinct(packed.view(np.dtype((np.void, packed.shape[1]))).ravel()))
-    kappa = valencies.pop() if len(valencies) == 1 else None
+    patterns: list = []
+    c2, kappa = _common_neighbourhoods(g, 2, patterns)
+    a, b = np.triu_indices(c2, c2 > 1)
     t_max = 0
     for pattern in _distinct(np.concatenate(patterns)):
         bits = np.zeros((c2, c2), dtype=np.uint8)
         bits[a, b] = np.unpackbits(np.frombuffer(pattern.tobytes(), dtype=np.uint8))[:len(a)]
         t_max = max(t_max, _max_coclique_rows(_row_ints(bits | bits.T), (1 << c2) - 1))
     return C2RegularityReport(c2, kappa is not None, kappa, kappa == c2 - 1, t_max)
+
+
+def triple_intersection_number(g: Graph) -> Optional[int]:
+    """The number of common neighbours of (x, y, z) where x ~ y and z is at
+    distance 2 from both, if that count is constant over all such triples;
+    None when it varies: at x against z, y's neighbours in the C cell, for y
+    in the A cell at level 2.  Requires at least one such triple, and reads
+    the dense distance matrix, so at most ``_DENSE_CAP`` vertices."""
+    found = set()
+    for _, _, dist, local in _local_blocks(g, (g.distance_matrix() == 2).view(np.int8)):
+        if (dist == 2).any():
+            found.update(_bounds(local, dist == 1, dist == 2)[1:])
+            if len(found) > 1:
+                return None
+    if not found:
+        raise InputError("no triple (x~y, z at distance 2 from both) exists")
+    return found.pop()
 
 
 # -- spectra -----------------------------------------------------------------

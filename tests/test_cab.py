@@ -1,6 +1,7 @@
 """Three-cell local partitions: empirical checks, recursion, closed forms."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,19 +10,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cab_oracle as oracle
-from drglab import cab
+import drglab.graph
 from drglab.cab import (CabLevelParams, LocalSrgData, c2_bound,
                         cab2_closed_form, cab_formula_params,
                         cab_partition_check, predict_cab2, quotient_matrix,
                         quotient_spectrum)
 from drglab.errors import (DomainError, InputError, PreconditionError,
                            ResourceError, SingularityError)
-from drglab.families import (complete, cycle, folded_johnson, halved_cube,
-                             hamming, icosahedron, johnson, triangular)
-from drglab.graph import Graph, triple_intersection_number
+from drglab.families import (complete, complete_multipartite, cycle,
+                             folded_johnson, halved_cube, hamming, icosahedron,
+                             johnson, triangular)
+from drglab.graph import (Graph, _common_neighbourhoods, c2_regularity_report,
+                          triple_intersection_number)
 from drglab.homogeneous import cab_equivalence_check
 from drglab.scalars import exact_eq
 from test_equitability import relabel, switch
+from test_local import outcome, paley, shrikhande, taylor
 
 J105_LEVELS = [(0, 1, 4, 2), (2, 2, 3, 4), (4, 3, 2, 6), (6, 4, 1, 8)]
 
@@ -98,6 +102,20 @@ def test_capped_check_builds_only_the_local_graphs_it_reads(j105, monkeypatch):
     assert len(ys) == len(read) and set(ys.tolist()) == read
 
 
+def test_large_valency_check_runs_in_bounded_memory():
+    # K_{3 x 100}: n = 300, k = 200.  An array of every local graph peaked at
+    # 149 MiB here; the local-partition pass holds a few centres at a time
+    g = complete_multipartite(3, 100)
+    tracemalloc.start()
+    try:
+        rep = cab_partition_check(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.holds and rep.pairs_checked == 300 * 299
+    assert peak < 32 << 20
+
+
 # -- differential test against the bitset scan ---------------------------------
 
 CAB_BASES = [johnson(8, 4), hamming(4, 3), folded_johnson(8, 4), icosahedron(),
@@ -155,15 +173,25 @@ def test_widest_key_matches_bitset_oracle(is_switched):
             oracle.cab_partition_check(g, max_pairs=max_pairs)
 
 
-@pytest.mark.parametrize("index", range(len(CAB_BASES)))
+LOCAL_BASES = CAB_BASES + [shrikhande(), taylor(paley(13))]
+LOCAL_CHECKS = [cab_partition_check, lambda g: _common_neighbourhoods(g, 1),
+                lambda g: _common_neighbourhoods(g, 2), c2_regularity_report,
+                triple_intersection_number]
+
+
+@pytest.mark.parametrize("index", range(len(LOCAL_BASES)))
 def test_one_base_vertex_per_block_gives_the_same_reports(index, monkeypatch):
+    # the CAB check, the lambda- and mu-graph passes, the c2 report and the
+    # triple intersection number all read graph._local_blocks; a budget of
+    # one entry puts one base vertex (a centre y, whose local graph is read)
+    # in every block and one pair in every pattern step
     rng = random.Random(100 + index)
-    graphs = [relabel(CAB_BASES[index], rng)]
+    graphs = [relabel(LOCAL_BASES[index], rng)]
     graphs.append(switched(graphs[0], rng))
-    wide = [cab_partition_check(g) for g in graphs]
-    monkeypatch.setattr(cab, "_CAB_BUDGET", 1)
-    assert [cab_partition_check(g) for g in graphs] == wide
-    assert wide == [oracle.cab_partition_check(g) for g in graphs]
+    wide = [[outcome(check, g) for check in LOCAL_CHECKS] for g in graphs]
+    monkeypatch.setattr(drglab.graph, "_LOCAL_BUDGET", 1)
+    assert [[outcome(check, g) for check in LOCAL_CHECKS] for g in graphs] == wide
+    assert [reports[0] for reports in wide] == [oracle.cab_partition_check(g) for g in graphs]
 
 
 @pytest.mark.parametrize("index", range(len(CAB_BASES)))

@@ -1,6 +1,7 @@
 """Local structure from common neighbourhoods: ``local_spectral_checks``,
-``c2_regularity_report`` and the common-neighbourhood pass behind them
-against the routes they replaced (``local_oracle``).
+``c2_regularity_report``, the lambda- and mu-graph survey behind them and
+``triple_intersection_number``, all read from the local-partition pass,
+against the routes they replaced (``local_oracle``, ``triple_oracle``).
 
 Graphs: corpus graphs and their relabelled and edge-switched copies; Taylor
 graphs over Paley(q) (locally Paley, so conference-local; q = 5 gives the
@@ -22,10 +23,12 @@ import drglab.graph
 import drglab.homogeneous
 import drglab.srg
 import local_oracle
+import triple_oracle
 from drglab.errors import DrgError
 from drglab.families import (cycle, folded_johnson, halved_cube, hamming, hypercube,
                              icosahedron, johnson, petersen, triangular)
-from drglab.graph import Graph, _common_blocks, _common_neighbourhoods, c2_regularity_report
+from drglab.graph import (Graph, _common_neighbourhoods, _distinct, _local_blocks,
+                          c2_regularity_report, triple_intersection_number)
 from drglab.homogeneous import local_spectral_checks
 from drglab.scalars import Interval, Surd, scalar_bounds
 from test_equitability import relabel, switch
@@ -153,12 +156,15 @@ def test_taylor_graph_over_paley_257_has_a_full_report():
 
 
 def mu_patterns(g: Graph) -> set:
-    """The distinct adjacency matrices of the mu-graphs, members ascending."""
-    adj = g._padded()[0]
+    """The distinct adjacency matrices of the mu-graphs, members ascending,
+    read from the local-partition pass: the members of a pair are the
+    neighbours of its centre y at distance 1 from its partner x."""
+    adj, nb = g._padded()
     found = set()
-    for c2, nbx, member, _ in _common_blocks(g, 2):
-        b, _, a = np.nonzero(member)
-        found |= {adj[np.ix_(m, m)].tobytes() for m in nbx[b, a].reshape(-1, c2)}
+    for ys, xs, dist, _ in _local_blocks(g, np.triu(g.distance_matrix() == 2, 1).view(np.int8)):
+        for b, t in zip(*np.nonzero(xs < g.n)):
+            m = nb[ys[b], dist[b, :, t] == 1]
+            found.add(adj[np.ix_(m, m)].tobytes())
     return found
 
 
@@ -205,6 +211,25 @@ def test_graphs_of_varying_degree_match_the_oracle(g):
             outcome(lambda h: local_oracle.common_neighbourhoods(h, i), g)
     assert outcome(c2_regularity_report, g) == \
         outcome(local_oracle.c2_regularity_report, Graph.from_json(g.to_json()))
+    assert outcome(triple_intersection_number, g) == \
+        outcome(triple_oracle.triple_intersection_number, g)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(BASES)), st.integers(0, 2 ** 32), st.booleans())
+def test_triple_intersection_number_matches_the_bitset_oracle(name, seed, switched):
+    rng = random.Random(seed)
+    g = relabel(BASES[name], rng)
+    if switched:
+        g = switch(g, rng)
+    assert outcome(triple_intersection_number, g) == \
+        outcome(triple_oracle.triple_intersection_number, Graph.from_json(g.to_json()))
+
+
+def test_distinct_accepts_an_empty_array():
+    # an empty array has no first entry to keep, and no distinct entries
+    assert _distinct(np.array([], dtype=np.int64)).tolist() == []
+    assert _distinct(np.array([3, 1, 3, 2])).tolist() == [1, 2, 3]
 
 
 @pytest.mark.parametrize("name", ["folded J(8,4)", "Shrikhande"])
@@ -214,12 +239,3 @@ def test_mu_graphs_with_several_patterns_match_the_oracle(name):
     g = relabel(BASES[name], random.Random(7))
     assert len(mu_patterns(g)) > 1
     assert c2_regularity_report(g) == local_oracle.c2_regularity_report(g)
-
-
-@pytest.mark.parametrize("name", ["folded J(8,4)", "Shrikhande", "Taylor(Paley(13))"])
-def test_one_row_per_step_gives_the_same_reports(monkeypatch, name):
-    g = relabel(BASES[name], random.Random(3))
-    want = [_common_neighbourhoods(g, 1), _common_neighbourhoods(g, 2), c2_regularity_report(g)]
-    monkeypatch.setattr(drglab.graph, "_COMMON_BUDGET", 1)
-    assert [_common_neighbourhoods(g, 1), _common_neighbourhoods(g, 2),
-            c2_regularity_report(g)] == want
