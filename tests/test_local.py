@@ -239,3 +239,21 @@ def test_mu_graphs_with_several_patterns_match_the_oracle(name):
     g = relabel(BASES[name], random.Random(7))
     assert len(mu_patterns(g)) > 1
     assert c2_regularity_report(g) == local_oracle.c2_regularity_report(g)
+
+
+@pytest.mark.parametrize("name", ["folded J(8,4)", "Shrikhande", "Taylor(Paley(13))"])
+def test_one_row_per_step_gives_the_same_reports(monkeypatch, name):
+    # a budget of one entry reads one pair per block and packs one mu-graph
+    # pattern per step, so the patterns are merged across many blocks; the
+    # budget test in test_cab compares the reports of the other callers
+    g = relabel(BASES[name], random.Random(3))
+
+    def reports():
+        patterns: list = []
+        _common_neighbourhoods(g, 2, patterns)
+        return (mu_patterns(g), _distinct(np.concatenate(patterns)).tobytes(),
+                outcome(local_spectral_checks, g))
+
+    want = reports()
+    monkeypatch.setattr(drglab.graph, "_LOCAL_BUDGET", 1)
+    assert reports() == want
