@@ -159,19 +159,19 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
     refs = np.full(len(weight), -1, dtype=key_type)  # -1 until seen
 
     def check(dist, local, top: int):
-        """(level, at, key, bad): each pair's level (0 at padding), 3 level +
-        cell and key of each (v, pair), and the pairs at levels 1..top with a
-        key not their cell's, whose first (y, v) sets it when still unseen."""
+        """(level, at, key, bad): each pair's level, 3 level + cell and key
+        of each (v, pair), and the pairs at levels 1..top with a key not
+        their cell's, whose first (y, v) sets it when still unseen."""
         level = dist.min(axis=1) + 1  # a neighbour of y on a geodesic to x
         at = np.add(dist, (2 * level + 1)[:, None, :], out=dist)
         # np.take reads a small table faster than indexing does
         key = np.matmul(local.astype(np.float32), np.take(weight, at)).astype(key_type)
         key += (local.sum(axis=2, dtype=key_type) * key_type(base ** 2))[:, :, None]
-        on = (level > 0) & (level <= top)
+        on = level <= top
         bad = (key != np.take(refs, at)).any(axis=1) & on
         if bad.any():
             met = (np.bincount(at.ravel(), minlength=len(refs)) > 0) & (refs < 0)
-            for j in np.flatnonzero(met[3:]) + 3:
+            for j in np.flatnonzero(met):
                 refs[j] = key.ravel()[np.argmax(at.ravel() == j)]
             bad = (key != np.take(refs, at)).any(axis=1) & on
         return level, at, key, bad

@@ -701,11 +701,10 @@ def _local_blocks(g: Graph, select: np.ndarray, first: int = 0, grow: bool = Fal
     d(xs[b, t], v) at [b, a, t] for v the a-th neighbour of ys[b] (-1 for
     padding v), so that the v at distance i - 1, i and i + 1 from x are the
     cells C, A and B of d(x, y) = i; and the uint8 local graphs at ys.  A
-    block reading nearly every column copies distance-matrix rows; a column
-    it does not read has x = n and -1.  A block holds ``_LOCAL_BUDGET``
-    entries, or one centre; ``grow`` starts at one centre and doubles."""
+    block holds ``_LOCAL_BUDGET`` entries, or one centre; ``grow`` starts
+    at one centre and doubles."""
     dm, nb = g.distance_matrix(), g._padded()[1]
-    n, k, m = g.n, nb.shape[1], select.shape[1]
+    n, k = g.n, nb.shape[1]
     count = np.count_nonzero(select, axis=1)
     centres = np.flatnonzero(count)
     # the longest list from a centre on bounds the lists of a block from it
@@ -715,15 +714,10 @@ def _local_blocks(g: Graph, select: np.ndarray, first: int = 0, grow: bool = Fal
         step = min(step, max(1, _LOCAL_BUDGET // ((int(reach[lo]) + k) * k)))
         ys = centres[lo:lo + step]
         lo, step = lo + step, 2 * step
-        rows, nby, cnt = select[ys] != 0, nb[ys], count[ys]
-        if 8 * int(cnt.sum()) >= 7 * len(ys) * m:
-            xs = np.where(rows, np.arange(first, first + m), n)
-            dist = np.take(dm[:, first:first + m], nby, axis=0, mode="clip")
-            dist.transpose(0, 2, 1)[~rows] = -1
-        else:
-            at = np.minimum(np.arange(int(cnt.max())), cnt[:, None] - 1)
-            xs = np.nonzero(rows)[1][at + (np.cumsum(cnt) - cnt)[:, None]] + first
-            dist = np.take(dm.reshape(-1), (nby * n)[:, :, None] + xs[:, None, :], mode="clip")
+        nby, cnt = nb[ys], count[ys]
+        at = np.minimum(np.arange(int(cnt.max())), cnt[:, None] - 1)
+        xs = np.nonzero(select[ys])[1][at + (np.cumsum(cnt) - cnt)[:, None]] + first
+        dist = np.take(dm.reshape(-1), (nby * n)[:, :, None] + xs[:, None, :], mode="clip")
         if (nby == n).any():
             np.copyto(dist, -1, where=(nby == n)[:, :, None])
         yield ys, xs, dist, g._local_adjacency(ys)
@@ -751,11 +745,10 @@ def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
     level 1 and the C cell at level 2.  Raises InputError when the size
     varies.  A list ``patterns`` gets each block's distinct patterns."""
     size, valencies = None, set()
-    for _, xs, dist, local in _local_blocks(g, np.triu(g.distance_matrix() == i, 1).view(np.int8)):
+    for _, _, dist, local in _local_blocks(g, np.triu(g.distance_matrix() == i, 1).view(np.int8)):
         member = dist == 1
         sizes, *bounds = _bounds(local, member, member)
-        sizes = sizes[xs < g.n]
-        size = int(sizes[0]) if size is None else size
+        size = int(sizes.flat[0]) if size is None else size
         if (sizes != size).any():
             kind = ("lambda", "mu")[i - 1]
             raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")

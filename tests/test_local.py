@@ -162,7 +162,7 @@ def mu_patterns(g: Graph) -> set:
     adj, nb = g._padded()
     found = set()
     for ys, xs, dist, _ in _local_blocks(g, np.triu(g.distance_matrix() == 2, 1).view(np.int8)):
-        for b, t in zip(*np.nonzero(xs < g.n)):
+        for b, t in np.ndindex(xs.shape):
             m = nb[ys[b], dist[b, :, t] == 1]
             found.add(adj[np.ix_(m, m)].tobytes())
     return found
