@@ -178,6 +178,7 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
 
     pairs = np.bincount(dm[select.view(bool)], minlength=i_max + 1)
     top = i_max  # the levels above top fail
+    # blocks grow from one centre, so a bad centre early in the order stops the pass early
     for _, _, dist, local in _local_blocks(g, select, grow=True):
         level, _, _, bad = check(dist, local, top)
         if bad.any():
