@@ -112,23 +112,20 @@ class LocalSrgData:
 # -- empirical check --------------------------------------------------------
 
 
-def cab_partition_check(g: Graph, i_max: Optional[int] = None,
-                        max_pairs: Optional[int] = None) -> CabReport:
+def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     """Check the three-cell local partitions are equitable with
     pair-independent parameters at every level 1..i_max.
 
     ``i_max`` (in 1..D) defaults to the diameter.  At the top level the B
-    cell is empty and only (gamma, alpha) are constrained.  ``max_pairs``
-    (at least 1) caps the ordered pairs examined per level (lex order); None
-    means exhaustive.  In scan order (level, x, y, cell C/A/B, v), a level's
-    parameters are the first count row seen in each cell, and the deviation
-    is the first row that differs.  A level fails when one of its cells
-    holds two different rows, in any order, so one pass of growing blocks of
-    centres y finds the lowest failing level, and only that level is read
-    again, one x at a time, for its first deviation.
+    cell is empty and only (gamma, alpha) are constrained.  Every ordered
+    pair at distance 1..i_max is read.  In scan order (level, x, y, cell
+    C/A/B, v), a level's parameters are the first count row seen in each
+    cell, and the deviation is the first row that differs.  A level fails
+    when one of its cells holds two different rows, in any order, so one
+    pass of growing blocks of centres y finds the lowest failing level, and
+    only that level is read again, one x at a time, for its first
+    deviation.
     """
-    if max_pairs is not None and max_pairs < 1:
-        raise InputError(f"max_pairs must be at least 1, got {max_pairs}")
     deg = g.degrees()
     k = int(deg[0]) if g.n else 0
     if (deg != k).any():
@@ -142,17 +139,8 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
     if not 1 <= i_max <= D:
         raise InputError(f"level {i_max} outside 1..{D}")
     dm, nb = g.distance_matrix(), g._padded()[1]
-    # the pairs (x, y) read at [y, x]: all, or the first max_pairs of each
-    # level in (x, y) order, found in the fewest leading rows x
+    # every pair (x, y) at distance 1..i_max, read at [y, x]
     select = ((dm > 0) & (dm <= i_max)).view(np.int8)
-    if max_pairs is not None:
-        rows, select = 1, np.zeros_like(select)
-        while rows < g.n and (np.bincount(dm[:rows].ravel(), minlength=i_max + 1)[1:i_max + 1]
-                              < max_pairs).any():
-            rows *= 2
-        for i in range(1, i_max + 1):
-            at = np.flatnonzero(dm[:rows] == i)[:max_pairs]
-            select[at % g.n, at // g.n] = 1
     base = k + 1  # a count row (C, A, B) is the key C + base B + base^2 (C + A + B)
     key_type = np.int32 if base ** 3 <= np.iinfo(np.int32).max else np.int64
     weight = np.tile(np.array([1, 0, base], dtype=np.float32), i_max + 1)  # C, A, B by level
@@ -176,7 +164,7 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
             bad = (key != np.take(refs, at)).any(axis=1) & on
         return level, at, key, bad
 
-    pairs = np.bincount(dm[select.view(bool)], minlength=i_max + 1)
+    pairs = np.bincount(dm.ravel(), minlength=i_max + 1)
     top = i_max  # the levels above top fail
     # blocks grow from one centre, so a bad centre early in the order stops the pass early
     for _, _, dist, local in _local_blocks(g, select, grow=True):
@@ -195,7 +183,7 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
     # level i fails: its references go by scan order, one x at a time
     i = top + 1
     refs[3 * i:3 * i + 3] = -1
-    on = (select != 0) & (dm == i)
+    on = dm == i
     for x in np.flatnonzero(on.any(axis=0)).tolist():
         for ys, _, dist, local in _local_blocks(g, on[:, x:x + 1].view(np.int8), x):
             _, at, key, bad = check(dist, local, i)

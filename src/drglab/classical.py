@@ -5,7 +5,7 @@ tightness, and the classifiers for classical / tight arrays of diameter >= 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 from typing import List, Optional
@@ -14,8 +14,7 @@ from .arrays import IntersectionArray
 from .bounds import F_bound
 from .eigen import EigenvalueList, b_parameter, eigenvalues
 from .errors import InputError, PreconditionError, ScopeError, require
-from .homogeneous import (ClassificationOutcome, Evidence, family_branches,
-                          recognize_named_family)
+from .homogeneous import ClassificationOutcome, Evidence, _named_branches, _outcome
 from .scalars import ExactScalar, exact_cmp, exact_eq
 
 
@@ -219,19 +218,10 @@ def classify_classical(cp: ClassicalParams) -> ClassificationOutcome:
                              "alpha(1+b) is a nonnegative integer",
                              (ab, ab.denominator == 1 and ab >= 0)))
     if cp.alpha == 0:
-        evidence.sort(key=lambda e: e.rule)
-        return ClassificationOutcome("classical", "i", "alpha = 0", ("i",),
-                                     tuple(evidence))
-    tags = recognize_named_family(ia)
-    branches = family_branches(tags)
-    if tags:
-        evidence.append(Evidence("family", "named-family array match",
-                                 tuple(tags)))
+        return _outcome("classical", [("i", "alpha = 0")], evidence)
+    branches = _named_branches(ia, evidence)
     if branches:
-        evidence.sort(key=lambda e: e.rule)
-        return ClassificationOutcome(
-            "classical", branches[0][0], branches[0][1],
-            tuple(bid for bid, _ in branches), tuple(evidence))
+        return _outcome("classical", branches, evidence)
     if cp.b >= 2:
         lower = Fraction((cp.b ** cp.D - 1) * (cp.b ** (cp.D - 1) - 1),
                          (cp.b + 1) * (cp.b - 1) ** 2)
@@ -240,14 +230,8 @@ def classify_classical(cp: ClassicalParams) -> ClassificationOutcome:
             "valency-growth", "k lower bound vs F(b) forces D <= 9",
             (lower, F, lower > F)))
         require(cp.D <= 9, "D <= 9 must hold in the alpha>0, b>=2 branch")
-        evidence.sort(key=lambda e: e.rule)
-        return ClassificationOutcome(
-            "classical", "vi", "D <= 9, alpha > 0, b >= 2", ("vi",),
-            tuple(evidence))
-    evidence.sort(key=lambda e: e.rule)
-    return ClassificationOutcome(
-        "classical", "contradiction", "contradiction -- check inputs", (),
-        tuple(evidence))
+        return _outcome("classical", [("vi", "D <= 9, alpha > 0, b >= 2")], evidence)
+    return _outcome("classical", [], evidence)
 
 
 def classify_tight(ia: IntersectionArray) -> ClassificationOutcome:
@@ -265,23 +249,18 @@ def classify_tight(ia: IntersectionArray) -> ClassificationOutcome:
                  (rep.r, rep.s)),
     ]
     require(rep.a_D == 0, "a tight array must have a_D = 0")
-    tags = recognize_named_family(ia)
-    if tags:
-        evidence.append(Evidence("family", "named-family array match",
-                                 tuple(tags)))
-    evidence.sort(key=lambda e: e.rule)
     # with a_D = 0 the only branch families left are J(2D, D) (main branch
     # ii) and the halved 2D-cube (iii): J(n, D) has a_D = D(n - 2D), the
     # halved (2D+1)-cube 2D and the folded families 2D^2 and 4D^2
-    branches = family_branches(tags)
+    branches = _named_branches(ia, evidence)
     if branches:
         branch, t = branches[0]
         require(branch in ("ii", "iii"), "a tight family is J(2D,D) or a halved 2D-cube")
         tight = "i" if branch == "ii" else "ii"
-        return ClassificationOutcome("tight", tight, t, (tight,), tuple(evidence))
+        return _outcome("tight", [(tight, t)], evidence)
     b = b_parameter(ia)
     F = F_bound(b)
     require(exact_cmp(ia.k, F) <= 0, "k <= F(b) must hold in the fallback branch")
-    return ClassificationOutcome(
-        "tight", "iii", "locally connected with k <= F(b)", ("iii",),
-        tuple(evidence) + (Evidence("F-bound", "k <= F(b)", (ia.k, F)),))
+    out = _outcome("tight", [("iii", "locally connected with k <= F(b)")], evidence)
+    # the F-bound evidence follows the sorted list
+    return replace(out, evidence=out.evidence + (Evidence("F-bound", "k <= F(b)", (ia.k, F)),))

@@ -76,7 +76,10 @@ def eigenvalues(ia: IntersectionArray) -> EigenvalueList:
     (``polys.tridiagonal_roots``), and only the irrational ones are left to
     factoring.  The array and the result are immutable, so the last
     ``SPECTRUM_CACHE_SIZE`` spectra are kept and each array's spectrum is
-    computed once however many analyses read it.
+    computed once however many analyses read it.  The cache sits on
+    ``_spectrum`` and this stays a plain function: perfbench's tracer wraps
+    only plain functions (``inspect.isfunction``), so an ``lru_cache`` object
+    here would leave ``eigen.eigenvalues`` untimed and uncounted.
     """
     return _spectrum(ia)
 

@@ -267,7 +267,9 @@ def local_spectral_checks(g: Graph) -> dict:
     conference-local and grid-local flags.  The local graphs are all
     SRG(k, a_1, lambda', mu') exactly when every lambda-graph is
     lambda'-regular and every mu-graph mu'-regular with mu' > 0 (BCN 1.1), so
-    no local graph is built unless the graph is not locally SRG."""
+    no local graph is built unless the graph is not locally SRG.  On a graph
+    that is not locally SRG, ``min_local_eig`` and ``min_local_eig_ok`` come
+    from the local graph of vertex 0 only."""
     ia = check_distance_regular(g)
     if not isinstance(ia, IntersectionArray):
         raise InputError("graph is not distance-regular")
@@ -319,6 +321,27 @@ class ClassificationOutcome:
     evidence: Tuple[Evidence, ...]
 
 
+def _outcome(theorem: str, ranked: List[Tuple[str, str]],
+             evidence: List[Evidence]) -> ClassificationOutcome:
+    """The first of the ranked (branch, name) pairs, with every branch and
+    the evidence sorted by rule; no pair at all is a contradiction."""
+    evidence = tuple(sorted(evidence, key=lambda e: e.rule))
+    if not ranked:
+        return ClassificationOutcome(theorem, "contradiction",
+                                     "contradiction -- check inputs", (), evidence)
+    return ClassificationOutcome(theorem, ranked[0][0], ranked[0][1],
+                                 tuple(bid for bid, _ in ranked), evidence)
+
+
+def _named_branches(ia: IntersectionArray, evidence: List[Evidence]) -> List[Tuple[str, str]]:
+    """The family branches of ia's named-family tags, which join the
+    evidence when there are any."""
+    tags = recognize_named_family(ia)
+    if tags:
+        evidence.append(Evidence("family", "named-family array match", tuple(tags)))
+    return family_branches(tags)
+
+
 def classify_main(ia: IntersectionArray) -> ClassificationOutcome:
     """Decide which branch of the diameter >= 5 classification a verified
     (or asserted) 1-homogeneous array falls into, with reproducible evidence."""
@@ -330,8 +353,7 @@ def classify_main(ia: IntersectionArray) -> ClassificationOutcome:
     evidence = []
     if ia.c_at(2) == 1:
         evidence.append(Evidence("c2", "c_2 = 1 branch", (1,)))
-        return ClassificationOutcome("main", "c2=1", "c_2 = 1", ("c2=1",),
-                                     tuple(evidence))
+        return _outcome("main", [("c2=1", "c_2 = 1")], evidence)
     b = b_parameter(ia)
     evidence.append(Evidence("b-param", "b = b_1/(theta_1+1)", (b,)))
     require(exact_cmp(b, 1) >= 0, "b >= 1 must hold when c_2 >= 2")
@@ -340,11 +362,7 @@ def classify_main(ia: IntersectionArray) -> ClassificationOutcome:
     evidence.append(Evidence(
         "quadrangle", "theta_1 <= b_1 - 1",
         (theta1, ia.b[1] - 1, exact_cmp(theta1, ia.b[1] - 1) <= 0)))
-    tags = recognize_named_family(ia)
-    branches = family_branches(tags)
-    if tags:
-        evidence.append(Evidence("family", "named-family array match",
-                                 tuple(tags)))
+    branches = _named_branches(ia, evidence)
     npa = near_polygon_analysis(ia)
     if npa["near_polygon"] and npa.get("gon") == 2 * ia.D:
         name = f"regular near {2 * ia.D}-gon"
@@ -361,13 +379,5 @@ def classify_main(ia: IntersectionArray) -> ClassificationOutcome:
     # branch order: (i) first, the structural families, the bound (vi) last
     if k_le_F:
         branches.append(("vi", "k <= F(b)"))
-    evidence.sort(key=lambda e: e.rule)
-    if not branches:
-        return ClassificationOutcome(
-            "main", "contradiction", "contradiction -- check inputs", (),
-            tuple(evidence))
     # primary = most specific structural branch; (vi) only as fallback
-    primary = branches[0]
-    return ClassificationOutcome(
-        "main", primary[0], primary[1], tuple(bid for bid, _ in branches),
-        tuple(evidence))
+    return _outcome("main", branches, evidence)

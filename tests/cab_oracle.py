@@ -25,14 +25,12 @@ def _distance_masks(g: Graph, x: int, cache: Dict[int, List[int]]) -> List[int]:
     return cache[x]
 
 
-def cab_partition_check(g: Graph, i_max: Optional[int] = None,
-                        max_pairs: Optional[int] = None) -> CabReport:
+def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     """Check the three-cell local partitions are equitable with
     pair-independent parameters at every level 1..i_max.
 
     ``i_max`` defaults to the diameter.  At the top level the B cell is empty
-    and only (gamma, alpha) are constrained.  ``max_pairs`` caps the ordered
-    pairs examined per level (lex order); None means exhaustive.
+    and only (gamma, alpha) are constrained.
     """
     rows = g.bitrows()
     deg0 = g.degree(0)
@@ -50,7 +48,6 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
         if not 1 <= i <= D:
             raise InputError(f"level {i} outside 1..{D}")
         params = None
-        count = 0
         for x in range(g.n):
             masks = _distance_masks(g, x, cache)
             sphere = masks[i]
@@ -60,7 +57,6 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
                 if nxt == 0:
                     break
                 y += 1 + (nxt & -nxt).bit_length() - 1
-                count += 1
                 pairs_total += 1
                 ny = rows[y]
                 cmask = ny & masks[i - 1]
@@ -86,10 +82,6 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None,
                                 CabDeviation(i, x, y, v, counts, prev,
                                              f"counts differ within cell {name}"),
                                 pairs_total)
-                if max_pairs is not None and count >= max_pairs:
-                    break
-            if max_pairs is not None and count >= max_pairs:
-                break
         params = params or {}
         gamma = params["C"][0] if "C" in params else 0
         alpha = params["A"][0] if "A" in params else None

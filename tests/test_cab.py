@@ -61,8 +61,6 @@ def test_requires_positive_a1():
         cab_partition_check(Graph([]))  # no vertex, so no edge either
     with pytest.raises(PreconditionError, match=A1_ZERO):
         cab_partition_check(Graph([[], []]))  # regular of valency 0
-    with pytest.raises(PreconditionError, match=A1_ZERO):
-        cab_partition_check(cycle(6), max_pairs=1)
 
 
 @pytest.mark.parametrize("i_max", [0, -3, 5])
@@ -75,31 +73,6 @@ def test_rejects_levels_above_the_diameter_before_any_pair(t10):
     # level 1 fails on T(10), but i_max = 3 > D = 2 is an argument error
     with pytest.raises(InputError):
         cab_partition_check(t10, i_max=3)
-
-
-@pytest.mark.parametrize("max_pairs", [0, -5])
-def test_rejects_non_positive_pair_caps(max_pairs):
-    with pytest.raises(InputError):
-        cab_partition_check(johnson(8, 4), max_pairs=max_pairs)
-
-
-def test_capped_check_builds_only_the_local_graphs_it_reads(j105, monkeypatch):
-    built = []
-    local_adjacency = Graph._local_adjacency
-
-    def spy(g, ys):
-        built.append(np.array(ys))
-        return local_adjacency(g, ys)
-
-    monkeypatch.setattr(Graph, "_local_adjacency", spy)
-    rep = cab_partition_check(j105, max_pairs=1)
-    assert rep.holds and rep.pairs_checked == 5
-    # with one pair per level the scan reads the first vertex at each
-    # distance 1..5 from vertex 0, and builds only the local graphs at those
-    dist = j105.distance_matrix()[0]
-    read = {int(np.flatnonzero(dist == i)[0]) for i in range(1, 6)}
-    ys = np.concatenate(built)
-    assert len(ys) == len(read) and set(ys.tolist()) == read
 
 
 def test_large_valency_check_runs_in_bounded_memory():
@@ -140,9 +113,12 @@ def test_report_matches_bitset_oracle(index, seed, is_switched, data):
     if is_switched:
         g = switched(g, rng)
     i_max = data.draw(st.integers(1, g.diameter()), label="i_max")
-    max_pairs = data.draw(st.sampled_from([None, 1, 7, 10 ** 4]), label="max_pairs")
-    assert cab_partition_check(g, i_max, max_pairs) == \
-        oracle.cab_partition_check(g, i_max, max_pairs)
+    rep = cab_partition_check(g, i_max)
+    assert rep == oracle.cab_partition_check(g, i_max)
+    if rep.holds:
+        # a holding report covers every ordered pair at distance 1..i_max
+        dm = g.distance_matrix()
+        assert rep.pairs_checked == np.count_nonzero((dm > 0) & (dm <= i_max))
 
 
 @pytest.mark.parametrize("index", range(len(CAB_BASES)))
@@ -168,9 +144,7 @@ def test_widest_key_matches_bitset_oracle(is_switched):
     if is_switched:
         g = switched(g, rng)
     assert g.degree(0) == 128
-    for max_pairs in (None, 3):
-        assert cab_partition_check(g, max_pairs=max_pairs) == \
-            oracle.cab_partition_check(g, max_pairs=max_pairs)
+    assert cab_partition_check(g) == oracle.cab_partition_check(g)
 
 
 LOCAL_BASES = CAB_BASES + [shrikhande(), taylor(paley(13))]
@@ -203,7 +177,12 @@ def test_every_level_cap_matches_bitset_oracle(index, is_switched):
     if is_switched:
         g = switched(g, rng)
     for i_max in range(1, g.diameter() + 1):
-        assert cab_partition_check(g, i_max) == oracle.cab_partition_check(g, i_max)
+        rep = cab_partition_check(g, i_max)
+    assert rep == oracle.cab_partition_check(g, i_max)
+    if rep.holds:
+        # a holding report covers every ordered pair at distance 1..i_max
+        dm = g.distance_matrix()
+        assert rep.pairs_checked == np.count_nonzero((dm > 0) & (dm <= i_max))
 
 
 def test_equivalence_check_refutes_a_switched_graph():

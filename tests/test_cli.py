@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from drglab.cli import main
-from drglab.families import FamilySpec, build_family
-from test_homogeneous import GOLDEN_GRAPHS
+from drglab.families import FamilySpec, build_family, triangular
+from test_homogeneous import GOLDEN_GRAPHS, chorded_c4
 
 
 def run_cli(capsys, *argv):
@@ -260,13 +260,30 @@ def test_malformed_input_is_an_input_error(capsys, argv, message):
     assert err.startswith(f"error: {message}")
 
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CORPUS_SCRIPT = os.path.join(ROOT, "scripts", "verify_corpus.py")
+
+
 def test_verify_corpus_script_runs():
-    # one "==" header per corpus graph, skipped or not
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    script = os.path.join(root, "scripts", "verify_corpus.py")
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    done = subprocess.run([sys.executable, script, "--skip-large"], env=env,
+    # one "==" header per corpus graph, every verdict exhaustive and holding
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, CORPUS_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    heads = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("== ")]
-    assert heads == runpy.run_path(script)["CORPUS"]
+    lines = done.stdout.splitlines()
+    heads = [line.split()[1] for line in lines if line.startswith("== ")]
+    corpus = runpy.run_path(CORPUS_SCRIPT)["CORPUS"]
+    assert heads == corpus
+    homog = [line for line in lines if line.lstrip().startswith("1-homogeneous:")]
+    assert len(homog) == len(corpus)
+    assert all(line.split()[1:3] == ["True", "(exhaustive,"] for line in homog)
+
+
+@pytest.mark.parametrize("build", [lambda: triangular(10), chorded_c4],
+                         ids=["T(10)", "chorded C4"])
+def test_verify_corpus_flags_a_failing_verdict(build, capsys):
+    # T(10) is distance-regular but neither 1-homogeneous nor CAB-regular;
+    # the chorded 4-cycle is not distance-regular
+    analyze = runpy.run_path(CORPUS_SCRIPT)["analyze"]
+    assert analyze("g", build(), 0.0) is False
+    assert capsys.readouterr().out.startswith("== g")
