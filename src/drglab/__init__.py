@@ -19,17 +19,16 @@ from .eigen import EigenvalueList, b_parameter, eigenvalues, intersection_matrix
 from .errors import (DomainError, DrgError, InputError, InternalError,
                      PreconditionError, ResourceError, ScopeError,
                      SingularityError, UndecidableComparison)
-from .families import FamilySpec, antipodal_quotient, build_family
+from .families import FamilySpec, build_family
 from .graph import (Graph, VertexPartition, c2_regularity_report,
-                    check_distance_regular, clique_union_structure,
-                    distance_partition, equitable_quotient, graph_spectrum,
-                    induced_subgraph, local_graph, max_coclique, mu_graph,
+                    check_distance_regular, distance_partition,
+                    equitable_quotient, graph_spectrum, induced_subgraph,
+                    local_graph, max_coclique, mu_graph,
                     triple_intersection_number)
 from .homogeneous import (ClassificationOutcome, HomogeneityReport,
-                          cab_equivalence_check, check_i_homogeneous,
-                          classify_main, local_spectral_checks,
-                          near_polygon_analysis, recognize_named_family,
-                          small_diameter_lookup)
+                          check_i_homogeneous, classify_main,
+                          local_spectral_checks, near_polygon_analysis,
+                          recognize_named_family, small_diameter_lookup)
 from .scalars import ExactScalar, Interval, Surd, exact_cmp, exact_eq
 from .srg import (SrgEigen, SrgParams, check_bounds, recognize_srg_family,
                   sims_classify, srg_eigenvalues, srg_from_graph)

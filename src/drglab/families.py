@@ -1,31 +1,39 @@
-"""Constructors for the concrete graph families, plus antipodal folding.
+"""Constructors for the concrete graph families.
 
 Vertex numbering is always the lexicographic rank of the combinatorial label
 (subset, word, grid coordinate, ...), so golden files are stable.  Every
 builder but the two fixed graphs (icosahedron, Petersen) goes through one
 numpy builder that writes the arc arrays of the ``Graph`` directly: for a
 block of vertices it computes the matrix of their neighbours' ranks, sorts
-each row and drops repeats and the vertex itself.  Ranks come from
-arithmetic: a word is a base-q integer with coordinate 0 most significant (a
-move shifts one digit), the even word of rank v is 2v plus the parity of v
-(a move flips two bits), a d-subset's rank is a sum of binomial coefficients
-(a move exchanges an element for a non-element), and the block graphs of
-designs read the columns that share a symbol, or the blocks through a point,
-off one argsort.  The folded Johnson and folded halved cubes map each rank
-to the first label of its antipodal class (complementation reverses the
-label order), so the doubled parent is never built.  The vertex cap
-(``DRG_LAB_VERTEX_CAP``) applies to the graph that is returned, and is
+each row and drops repeats and the vertex itself.
+
+Hamming graphs, halved and folded halved cubes, grids, complete multipartite
+and complete graphs and cycles are Cayley graphs on a finite abelian group
+Z_{r_0} x ... x Z_{r_{k-1}}: a vertex is a word of digits, ranked as a
+mixed-radix integer with coordinate 0 most significant, and it is adjacent
+to v + s, added digit by digit, for each word s of a connection set S.  The
+halved L-cube is Z_2^{L-1} (the even word of rank v is 2v plus the parity of
+v), and its fold identifies each word with its complement, which leaves
+Z_2^{L-2}: a move that flips coordinate 0 is complemented back.  Johnson
+ranks are sums of binomial coefficients (a move exchanges an element for a
+non-element), the folded Johnson graph maps each rank to the first label of
+its antipodal class (complementation reverses the label order), and the
+block graphs of designs read the columns that share a symbol, or the blocks
+through a point, off one argsort.  No doubled parent is built.  The vertex
+cap (``DRG_LAB_VERTEX_CAP``) applies to the graph that is returned, and is
 checked against a lower bound from the parameters before an exponential
-count is computed.
+count is computed; arc arrays larger than the memory of the machine are
+refused before they are allocated.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import resource
 from dataclasses import dataclass
-from math import comb, isqrt
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from math import comb, isqrt, prod
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,15 +91,26 @@ def _label_graph(n: int, width: int,
     """Graph on vertices 0..n-1 where ``neighbours(v)``, for an array v of
     vertices, is the (len(v), width) matrix of the vertices their labels move
     to, in any order.  Each row is sorted, and repeats and the vertex itself
-    are dropped: a folded builder may send several moves to one class, or a
-    move to the vertex's own class, and a grid or design lists the vertex in
-    each of its lines.  Rows go ``_BLOCK`` entries at a time."""
+    are dropped: a fold may send several moves to one class, or a move to
+    the vertex's own class, and a design lists the vertex in each of its
+    lines.  Rows go ``_BLOCK`` entries at a time.  The int32
+    sources and targets of n * width arcs are refused before they are
+    allocated when they would not fit in physical memory, or in this
+    process's address-space limit if that is lower."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        memory = min(memory, limit)
+    need = 8 * n * width
+    if need > memory:
+        raise ResourceError(f"{n} vertices of width {width} need {need / 2**30:.1f} GiB "
+                            f"of arcs, more than the {memory / 2**30:.1f} GiB of memory")
     step = max(1, _BLOCK // max(width, 1))
     deg = np.empty(n, dtype=np.int32)
     dst = np.empty(n * width, dtype=np.int32)
     m = 0
     for lo in range(0, n, step):
-        v = np.arange(lo, min(n, lo + step))
+        v = np.arange(lo, min(n, lo + step), dtype=np.int32)
         nb = np.sort(neighbours(v), axis=1)
         keep = nb != v[:, None]
         keep[:, 1:] &= nb[:, 1:] != nb[:, :-1]
@@ -100,13 +119,6 @@ def _label_graph(n: int, width: int,
         dst[m:m + len(row)] = row
         m += len(row)
     return Graph._from_arcs(n, np.repeat(np.arange(n, dtype=np.int32), deg), dst[:m])
-
-
-def _fold(parent: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Complementation reverses the label order of J(2d, d) and of the halved
-    cubes of even length, so the class of the vertex of rank r among
-    ``parent`` is numbered by its first label, min(r, parent - 1 - r)."""
-    return lambda r: np.minimum(r, parent - 1 - r)
 
 
 def _exchanges(n: int, d: int, count: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -158,17 +170,6 @@ def _exchanges(n: int, d: int, count: int) -> Callable[[np.ndarray], np.ndarray]
     return neighbours
 
 
-def _even_words(length: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Halved-cube moves: the even-weight words of the given length in
-    ascending order (coordinate 0 most significant), where the word of rank
-    v is 2v plus the parity of v, and each flip of two coordinates as the
-    rank w >> 1 of the word w it gives."""
-    flips = np.array([(1 << i) | (1 << j)
-                      for i, j in itertools.combinations(range(length), 2)],
-                     dtype=np.int64)
-    return lambda v: ((v << 1 | np.bitwise_count(v) & 1)[:, None] ^ flips) >> 1
-
-
 def johnson(n: int, d: int) -> Graph:
     if not 1 <= d <= n:
         raise InputError("Johnson graph needs 1 <= d <= n")
@@ -176,20 +177,51 @@ def johnson(n: int, d: int) -> Graph:
     return _label_graph(N, d * (n - d), _exchanges(n, d, N))
 
 
+def _cayley(radices: Sequence[int], moves: Iterable[Sequence[int]]) -> Graph:
+    """Cayley graph of Z_{r_0} x ... x Z_{r_{k-1}}: vertex v is the word of
+    digits v_i, ranked with coordinate 0 most significant (digit i weighs the
+    product p_i of the radices after it), and is adjacent to v + s, added
+    digit by digit, for each word s of ``moves``.  Per block, each distinct
+    (digit i, shift s) of the set is one int32 column of rank offsets,
+    s p_i where v_i + s < r_i and (s - r_i) p_i where it wraps, and v + s is
+    v plus the columns of the nonzero digits of s."""
+    # each word as its (digit, shift) terms, the words with most terms
+    # first; the zero word is the vertex itself, which no row lists
+    words = sorted(filter(None, (tuple((i, s % r) for i, (s, r) in enumerate(zip(word, radices))
+                                       if s % r) for word in moves)), key=len, reverse=True)
+    column = {term: j for j, term in enumerate(dict.fromkeys(itertools.chain(*words)))}
+    digit, shift = np.array(list(column), dtype=np.int32).reshape(-1, 2).T
+    place = np.array([prod(radices[i + 1:]) for i in range(len(radices))], dtype=np.int32)
+    radix = np.array(radices, dtype=np.int32)
+    wrap = radix[digit] - shift
+    up, down = shift * place[digit], -wrap * place[digit]
+    # picks[j]: the column of term j of each word with more than j terms
+    picks = [np.array([column[w[j]] for w in words if len(w) > j], dtype=np.intp)
+             for j in range(max(map(len, words), default=1))]
+
+    def neighbours(v: np.ndarray) -> np.ndarray:
+        offset = np.where((v[:, None] // place % radix)[:, digit] >= wrap, down, up)
+        nb = v[:, None] + offset[:, picks[0]]
+        for pick in picks[1:]:
+            nb[:, :len(pick)] += offset[:, pick]
+        return nb
+    return _label_graph(prod(radices), len(words), neighbours)
+
+
+def _of_weight(radices: Sequence[int], *weights: int) -> Iterator[Tuple[int, ...]]:
+    """The words with the given numbers of nonzero digits."""
+    for t in sorted(set(weights) & set(range(len(radices) + 1))):
+        for at in itertools.combinations(range(len(radices)), t):
+            yield from itertools.product(*(range(1, r) if i in at else (0,)
+                                           for i, r in enumerate(radices)))
+
+
 def hamming(D: int, q: int) -> Graph:
-    """Words of length D over range(q) as base-q integers, coordinate 0 most
-    significant; adjacent when they differ in one coordinate."""
+    """Z_q^D; adjacent when the words differ in one coordinate."""
     if D < 1 or q < 2:
         raise InputError("Hamming graph needs D >= 1, q >= 2")
-    N = _check_cap(f"hamming:{D},{q}", lambda: q ** D, D)
-    weights = q ** np.arange(D - 1, -1, -1, dtype=np.int64)
-    shifts = np.arange(1, q)
-
-    def neighbours(x: np.ndarray) -> np.ndarray:
-        digit = (x[:, None] // weights % q)[:, :, None]
-        moved = x[:, None, None] + ((digit + shifts) % q - digit) * weights[:, None]
-        return moved.reshape(len(x), -1)
-    return _label_graph(N, D * (q - 1), neighbours)
+    _check_cap(f"hamming:{D},{q}", lambda: q ** D, D)
+    return _cayley((q,) * D, _of_weight((q,) * D, 1))
 
 
 def hypercube(length: int) -> Graph:
@@ -198,31 +230,40 @@ def hypercube(length: int) -> Graph:
 
 def halved_cube(length: int) -> Graph:
     """Even-weight binary words of the given length, adjacent at Hamming
-    distance 2."""
+    distance 2: Z_2^{length-1}, the words of weight 1 and 2."""
     if length < 2:
         raise InputError("halved cube needs length >= 2")
-    N = _check_cap(f"halved_cube:{length}", lambda: 2 ** (length - 1), length - 1)
-    return _label_graph(N, comb(length, 2), _even_words(length))
+    _check_cap(f"halved_cube:{length}", lambda: 2 ** (length - 1), length - 1)
+    return _cayley((2,) * (length - 1), _of_weight((2,) * (length - 1), 1, 2))
+
+
+def folded_halved_cube(length: int) -> Graph:
+    """Halved cube of even length with each word identified with its
+    complement: Z_2^{length-2}, the words of weight 1, 2, length - 3 and
+    length - 2."""
+    if length < 2 or length % 2:
+        raise InputError("folded halved cube needs even length >= 2")
+    _check_cap(f"folded_halved_cube:{length}", lambda: 2 ** (length - 2), length - 2)
+    radices = (2,) * (length - 2)
+    return _cayley(radices, _of_weight(radices, 1, 2, length - 3, length - 2))
 
 
 def grid(p: int, q: int) -> Graph:
-    """The p x q grid: vertex i q + j is adjacent to the rest of row i and
-    of column j."""
+    """The p x q grid Z_p x Z_q: vertex i q + j is adjacent to the rest of
+    row i and of column j."""
     if p < 1 or q < 1:
         raise InputError("grid needs positive side lengths")
-    N = _check_cap(f"grid:{p},{q}", lambda: p * q)
-    return _label_graph(N, p + q, lambda v: np.hstack(
-        [(v // q * q)[:, None] + np.arange(q), np.arange(p) * q + (v % q)[:, None]]))
+    _check_cap(f"grid:{p},{q}", lambda: p * q)
+    return _cayley((p, q), _of_weight((p, q), 1))
 
 
 def complete_multipartite(t: int, m: int) -> Graph:
-    """K_{t x m}: every vertex, with the part of v (v // m) replaced by v."""
+    """K_{t x m} on Z_t x Z_m: vertex v is in part v // m, and adjacent to
+    every vertex of the other parts."""
     if t < 2 or m < 1:
         raise InputError("complete multipartite needs t >= 2, m >= 1")
-    N = _check_cap(f"complete_multipartite:{t},{m}", lambda: t * m)
-    every = np.arange(N)
-    return _label_graph(N, N, lambda v: np.where(
-        every // m == (v // m)[:, None], v[:, None], every))
+    _check_cap(f"complete_multipartite:{t},{m}", lambda: t * m)
+    return _cayley((t, m), itertools.product(range(1, t), range(m)))
 
 
 def cocktail_party(t: int) -> Graph:
@@ -237,14 +278,14 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise InputError("complete graph needs n >= 1")
     _check_cap(f"complete:{n}", lambda: n)
-    return _label_graph(n, n, lambda v: np.broadcast_to(np.arange(n), (len(v), n)))
+    return _cayley((n,), _of_weight((n,), 1))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs n >= 3")
     _check_cap(f"cycle:{n}", lambda: n)
-    return _label_graph(n, 2, lambda v: (v[:, None] + [-1, 1]) % n)
+    return _cayley((n,), [(1,), (n - 1,)])
 
 
 def petersen() -> Graph:
@@ -361,33 +402,7 @@ def steiner_block_graph(blocks: Sequence[Sequence[int]]) -> Graph:
                         lambda v: through[point[v]].reshape(len(v), -1))
 
 
-# -- antipodal folding ------------------------------------------------------
-
-
-def antipodal_quotient(g: Graph) -> Graph:
-    """Quotient on the antipodal classes (each vertex with the vertices at
-    distance D from it), read from the dense distance matrix (at most 6000
-    vertices); classes are numbered by their smallest vertex and adjacent iff
-    some members are adjacent."""
-    dm = g.distance_matrix()
-    closed = dm == dm.max()
-    np.fill_diagonal(closed, True)
-    first = closed.argmax(axis=1)
-    # each vertex must see exactly its first member's class at distance D
-    if not (closed == closed[first]).all():
-        raise InputError("not antipodal: distance-D relation is not an equivalence")
-    sizes = closed.sum(axis=1)
-    if sizes.min() != sizes.max() or sizes[0] == 1:
-        raise InputError("not antipodal: classes must have a common size >= 2")
-    is_first = first == np.arange(g.n)
-    cls = (np.cumsum(is_first) - 1)[first]
-    # the rows of the classes' first members, padded with the class itself
-    src, dst = g._src, g._dst
-    width = int(g.degrees()[is_first].max())
-    moves = np.repeat(np.arange(is_first.sum()), width).reshape(-1, width)
-    arc = np.flatnonzero(is_first[src])
-    moves[cls[src[arc]], arc - g._starts[src[arc]]] = cls[dst[arc]]
-    return _label_graph(len(moves), width, moves.__getitem__)
+# -- folded Johnson graphs --------------------------------------------------
 
 
 def folded_johnson(n: int, d: int) -> Graph:
@@ -395,39 +410,33 @@ def folded_johnson(n: int, d: int) -> Graph:
     if n != 2 * d or d < 1:
         raise InputError("folded Johnson graph is defined for J(2d, d), d >= 1")
     half = _check_cap(f"folded_johnson:{n},{d}", lambda: comb(n, d) // 2, d - 1)
-    moves, fold = _exchanges(n, d, half), _fold(2 * half)
-    return _label_graph(half, d * d, lambda v: fold(moves(v)))
+    moves = _exchanges(n, d, half)
 
-
-def folded_halved_cube(length: int) -> Graph:
-    """Halved cube of even length with each word identified with its
-    complement."""
-    if length < 2 or length % 2:
-        raise InputError("folded halved cube needs even length >= 2")
-    N = _check_cap(f"folded_halved_cube:{length}", lambda: 2 ** (length - 2), length - 2)
-    moves, fold = _even_words(length), _fold(2 * N)
-    return _label_graph(N, comb(length, 2), lambda v: fold(moves(v)))
+    def neighbours(v: np.ndarray) -> np.ndarray:
+        # complementation reverses the label order, so a class is numbered
+        # by its first label: rank r goes to min(r, 2 half - 1 - r)
+        r = moves(v)
+        return np.minimum(r, 2 * half - 1 - r)
+    return _label_graph(half, d * d, neighbours)
 
 
 _BUILDERS = {
-    "johnson": lambda spec: johnson(*spec.params),
-    "hamming": lambda spec: hamming(*spec.params),
-    "hypercube": lambda spec: hypercube(*spec.params),
-    "halved_cube": lambda spec: halved_cube(*spec.params),
-    "folded_johnson": lambda spec: folded_johnson(*spec.params),
-    "folded_halved_cube": lambda spec: folded_halved_cube(*spec.params),
-    "grid": lambda spec: grid(*spec.params),
-    "complete_multipartite": lambda spec: complete_multipartite(*spec.params),
-    "cocktail_party": lambda spec: cocktail_party(*spec.params),
-    "triangular": lambda spec: triangular(*spec.params),
-    "latin_square": lambda spec: (
-        latin_square_graph(oa=spec.data) if spec.data
-        else latin_square_graph(*spec.params)),
-    "steiner_block_graph": lambda spec: steiner_block_graph(spec.data),
-    "cycle": lambda spec: cycle(*spec.params),
-    "complete": lambda spec: complete(*spec.params),
-    "icosahedron": lambda spec: icosahedron(),
-    "petersen": lambda spec: petersen(),
+    "johnson": johnson,
+    "hamming": hamming,
+    "hypercube": hypercube,
+    "halved_cube": halved_cube,
+    "folded_johnson": folded_johnson,
+    "folded_halved_cube": folded_halved_cube,
+    "grid": grid,
+    "complete_multipartite": complete_multipartite,
+    "cocktail_party": cocktail_party,
+    "triangular": triangular,
+    "latin_square": lambda *params, data=None: latin_square_graph(*params, oa=data),
+    "steiner_block_graph": lambda data=None: steiner_block_graph(data),
+    "cycle": cycle,
+    "complete": complete,
+    "icosahedron": icosahedron,
+    "petersen": petersen,
 }
 
 
@@ -435,7 +444,8 @@ def build_family(spec: FamilySpec) -> Graph:
     builder = _BUILDERS.get(spec.name)
     if builder is None:
         raise InputError(f"unknown family {spec.name!r}; known: {sorted(_BUILDERS)}")
+    data = {} if spec.data is None else {"data": spec.data}
     try:
-        return builder(spec)
+        return builder(*spec.params, **data)
     except TypeError as exc:
         raise InputError(f"bad parameters for family {spec.name!r}: {exc}") from exc

@@ -840,17 +840,3 @@ def graph_spectrum(g: Graph) -> SpectrumReport:
     if g.n == 0:
         return SpectrumReport(())
     return SpectrumReport(tuple(real_roots(charpoly(g.adjacency_matrix().tolist()))))
-
-
-# -- clique unions -----------------------------------------------------------
-
-
-def clique_union_structure(g: Graph) -> Optional[Tuple[int, int]]:
-    """(s, t) if the graph is the disjoint union of t+1 cliques of size s:
-    then, and only then, all closed neighbourhoods have size s and each is
-    shared by all its members."""
-    closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
-    s = len(closed[0]) if closed else 0
-    if s == 0 or any(len(c) != s or any(closed[u] != c for u in c) for c in closed):
-        return None
-    return s, g.n // s - 1

@@ -26,7 +26,6 @@ import numpy as np
 
 from .arrays import IntersectionArray
 from .bounds import F_bound, G_bound
-from .cab import cab_partition_check
 from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require
 from .graph import (Graph, _check_pairs, _common_neighbourhoods,
@@ -124,16 +123,6 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     if witness is not None:
         return HomogeneityReport(i, False, witness=witness, mode=mode, pairs_checked=checked)
     return HomogeneityReport(i, True, labels, matrix, None, mode, checked)
-
-
-def cab_equivalence_check(g: Graph) -> bool:
-    """Confirm the 1-homogeneity verdict agrees with the full local
-    three-cell partition verdict, and return it."""
-    homog = check_i_homogeneous(g, 1, "exhaustive")
-    cab = cab_partition_check(g)
-    require(homog.holds == cab.holds,
-            "1-homogeneity and CAB verdicts disagree")
-    return homog.holds
 
 
 # -- near polygons ----------------------------------------------------------

@@ -8,10 +8,14 @@ order of the labels.  Folded graphs build the doubled parent and merge each
 label with its complement; classes are numbered by their smallest parent
 vertex.  Grids, complete multipartite graphs, cycles and the block graphs of
 orthogonal arrays and Steiner systems test every pair or neighbour directly.
-Every graph goes through the checked ``Graph(adjacency)``.
+``antipodal_quotient`` folds any antipodal graph by its distance matrix, so
+it checks the folded builders from their unfolded parents.  Every graph goes
+through the checked ``Graph(adjacency)``.
 """
 
 import itertools
+
+import numpy as np
 
 from drglab.errors import InputError
 from drglab.graph import Graph, InducedSubgraph
@@ -78,6 +82,31 @@ def fold(parent, labels, complement):
         for u in parent.neighbors(v):
             if cls_of[u] != cls_of[v]:
                 adj[cls_of[v]].add(cls_of[u])
+    return Graph([sorted(s) for s in adj])
+
+
+def antipodal_quotient(g):
+    """Quotient on the antipodal classes (each vertex with the vertices at
+    distance D from it), read from the dense distance matrix; classes are
+    numbered by their smallest vertex and adjacent iff some members are
+    adjacent."""
+    dm = g.distance_matrix()
+    closed = dm == dm.max()
+    np.fill_diagonal(closed, True)
+    first = closed.argmax(axis=1)
+    # each vertex must see exactly its first member's class at distance D
+    if not (closed == closed[first]).all():
+        raise InputError("not antipodal: distance-D relation is not an equivalence")
+    sizes = closed.sum(axis=1)
+    if sizes.min() != sizes.max() or sizes[0] == 1:
+        raise InputError("not antipodal: classes must have a common size >= 2")
+    is_first = first == np.arange(g.n)
+    cls = ((np.cumsum(is_first) - 1)[first]).tolist()
+    adj = [set() for _ in range(int(is_first.sum()))]
+    for u, v in g.edges():
+        if cls[u] != cls[v]:
+            adj[cls[u]].add(cls[v])
+            adj[cls[v]].add(cls[u])
     return Graph([sorted(s) for s in adj])
 
 

@@ -12,6 +12,10 @@
 - ``common_neighbourhoods`` is the pair-by-pair lambda- and mu-graph survey
   that ``graph._common_neighbourhoods`` replaced: one Python popcount per
   vertex of every common neighbourhood.
+- ``clique_union_structure`` tells whether a graph is a disjoint union of
+  equal cliques, on Python sets.  The lambda-graphs of a graph with a_1 > 0
+  are (a_1 - 1)-regular exactly when every local graph is such a union, the
+  case in which ``local_spectral_checks`` reads no mu-graph.
 
 The differential tests in ``test_local.py`` compare whole reports against
 them.
@@ -141,3 +145,14 @@ def common_neighbourhoods(g: Graph, i: int) -> Tuple[Optional[int], Optional[int
                 regular = False
                 break
     return size, valency if regular else None
+
+
+def clique_union_structure(g: Graph) -> Optional[Tuple[int, int]]:
+    """(s, t) if the graph is the disjoint union of t+1 cliques of size s:
+    then, and only then, all closed neighbourhoods have size s and each is
+    shared by all its members."""
+    closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
+    s = len(closed[0]) if closed else 0
+    if s == 0 or any(len(c) != s or any(closed[u] != c for u in c) for c in closed):
+        return None
+    return s, g.n // s - 1

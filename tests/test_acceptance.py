@@ -25,8 +25,7 @@ from drglab.classical import (ClassicalParams, beta_bound_check,
 from drglab.eigen import eigenvalues
 from drglab.families import folded_johnson
 from drglab.graph import check_distance_regular
-from drglab.homogeneous import (cab_equivalence_check, check_i_homogeneous,
-                                classify_main)
+from drglab.homogeneous import check_i_homogeneous, classify_main
 from drglab.srg import SrgParams, recognize_srg_family, sims_classify
 
 J105 = IntersectionArray((25, 16, 9, 4, 1), (1, 4, 9, 16, 25))
@@ -62,7 +61,7 @@ def test_criterion_01(j105, hc10, hc11, h53, fj126):
 def test_criterion_02(j105, hc10, h53, icosa):
     for g in (j105, hc10, h53):
         assert check_i_homogeneous(g, 1).holds
-    assert cab_equivalence_check(icosa)
+    assert check_i_homogeneous(icosa, 1).holds and cab_partition_check(icosa).holds
 
 
 @criterion(3, "local partition parameters match the recursion")

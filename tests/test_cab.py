@@ -22,7 +22,7 @@ from drglab.families import (complete, complete_multipartite, cycle,
                              johnson, triangular)
 from drglab.graph import (Graph, _common_neighbourhoods, c2_regularity_report,
                           triple_intersection_number)
-from drglab.homogeneous import cab_equivalence_check
+from drglab.homogeneous import check_i_homogeneous
 from drglab.scalars import exact_eq
 from test_equitability import relabel, switch
 from test_local import outcome, paley, shrikhande, taylor
@@ -187,7 +187,8 @@ def test_every_level_cap_matches_bitset_oracle(index, is_switched):
 
 def test_equivalence_check_refutes_a_switched_graph():
     g = switched(relabel(johnson(8, 4), random.Random(2)), random.Random(3))
-    assert cab_equivalence_check(g) is False
+    assert not check_i_homogeneous(g, 1).holds
+    assert not cab_partition_check(g).holds
 
 
 def test_local_srg_data_from_eigenvalues():

@@ -287,3 +287,11 @@ def test_verify_corpus_flags_a_failing_verdict(build, capsys):
     analyze = runpy.run_path(CORPUS_SCRIPT)["analyze"]
     assert analyze("g", build(), 0.0) is False
     assert capsys.readouterr().out.startswith("== g")
+
+
+def test_code_lines_script_counts_only_code(tmp_path):
+    (tmp_path / "m.py").write_text('"""A docstring."""\n\n# a comment\nx = 1\ny = x + 1\n')
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "code_lines.py"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2", "m.py", "2", "total"]

@@ -1,19 +1,25 @@
 """Family constructors: vertex counts, intersection arrays, design inputs,
-and the numpy arc builder against the list builders of ``family_oracle``."""
+the numpy arc builder against the list builders of ``family_oracle``, the
+size limits, and two Cayley graphs that share the array of a family without
+being in it."""
 
 import itertools
 import os
+import resource
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cab_oracle
 import family_oracle as oracle
+import homogeneity_oracle
 
 from drglab.arrays import IntersectionArray
+from drglab.cab import cab_partition_check
 from drglab.errors import InputError, ResourceError
-from drglab.families import (FamilySpec, antipodal_quotient, build_family,
+from drglab.families import (FamilySpec, _cayley, _of_weight, build_family,
                              complete, complete_multipartite, cycle,
                              folded_halved_cube, folded_johnson, grid,
                              halved_cube, hamming, hypercube, johnson,
@@ -21,7 +27,7 @@ from drglab.families import (FamilySpec, antipodal_quotient, build_family,
                              triangular, validate_orthogonal_array,
                              validate_steiner_blocks)
 from drglab.graph import check_distance_regular
-from drglab.homogeneous import check_i_homogeneous
+from drglab.homogeneous import check_i_homogeneous, recognize_named_family
 
 
 def _array(g):
@@ -77,7 +83,7 @@ def test_antipodal_quotient_fold_rule():
     # i < e and sets the last c to c_e + b_e
     parent = johnson(12, 6)
     pia = _array(parent)
-    folded = antipodal_quotient(parent)
+    folded = oracle.antipodal_quotient(parent)
     fia = _array(folded)
     e = pia.D // 2
     assert fia.b == pia.b[:e]
@@ -88,14 +94,14 @@ def test_antipodal_quotient_fold_rule():
 def test_antipodal_quotient_of_johnson_2d_d():
     # J(10,5) is 2-antipodal: complementary 5-sets are at distance 5.
     # Odd parent diameter folds to diameter 2, the SRG on 126 vertices.
-    folded = antipodal_quotient(johnson(10, 5))
+    folded = oracle.antipodal_quotient(johnson(10, 5))
     assert folded.n == 126
     assert _array(folded) == IntersectionArray((25, 16), (1, 4))
 
 
 def test_antipodal_quotient_rejects_nonantipodal():
     with pytest.raises(InputError):
-        antipodal_quotient(hamming(3, 3))  # distance-3 classes don't pair up
+        oracle.antipodal_quotient(hamming(3, 3))  # distance-3 classes don't pair up
 
 
 def test_orthogonal_array_validation():
@@ -234,12 +240,12 @@ def test_latin_square_cyclic_tables_match_oracle():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, pytest.param(7, marks=SLOW)])
 def test_folded_johnson_is_antipodal_quotient(d):
-    assert_same_graph(folded_johnson(2 * d, d), antipodal_quotient(johnson(2 * d, d)))
+    assert_same_graph(folded_johnson(2 * d, d), oracle.antipodal_quotient(johnson(2 * d, d)))
 
 
 @pytest.mark.parametrize("length", range(4, 13, 2))
 def test_folded_halved_cube_is_antipodal_quotient(length):
-    assert_same_graph(folded_halved_cube(length), antipodal_quotient(halved_cube(length)))
+    assert_same_graph(folded_halved_cube(length), oracle.antipodal_quotient(halved_cube(length)))
 
 
 @pytest.mark.parametrize("length", [3, 5, 11])
@@ -320,3 +326,54 @@ def test_malformed_vertex_cap_is_an_input_error(monkeypatch):
     monkeypatch.setenv("DRG_LAB_VERTEX_CAP", "lots")
     with pytest.raises(InputError, match="DRG_LAB_VERTEX_CAP"):
         cycle(5)
+
+
+@pytest.mark.parametrize("spec,n,width", [("complete:100000", 100000, 99999),
+                                          ("grid:1000,1000", 1000000, 1998)])
+def test_arcs_beyond_memory_are_refused_before_they_are_allocated(spec, n, width):
+    # 74.5 and 14.9 GiB of int32 arc arrays: under a 3 GB address-space
+    # limit the CLI exits 2 at once, not 3 on a MemoryError
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "drglab.cli", "build", spec], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"error: {n} vertices of width {width} need ")
+
+
+# -- Cayley graphs with the array of a family they are not in -------------------
+
+
+def doob_d13():
+    """Doob D(1,3) on Z_4^5: the Shrikhande moves +-(1,0), +-(0,1), +-(1,1)
+    on coordinates 0-1, and every nonzero digit on each of coordinates 2-4."""
+    shrikhande = [(a, b, 0, 0, 0) for a, b in ((1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3))]
+    return _cayley((4,) * 5, shrikhande + [(0, 0) + w for w in _of_weight((4,) * 3, 1)])
+
+
+def bilinear_forms_233():
+    """H_2(3,3): the 3 x 3 matrices over GF(2) as words of Z_2^9, adjacent
+    when they differ by one of the 49 rank-one matrices u v^T."""
+    nonzero = [u for u in itertools.product((0, 1), repeat=3) if any(u)]
+    return _cayley((2,) * 9, [tuple(a * b for a in u for b in v)
+                              for u in nonzero for v in nonzero])
+
+
+@pytest.mark.parametrize("build,array,named", [
+    (doob_d13, IntersectionArray((15, 12, 9, 6, 3), (1, 2, 3, 4, 5)), ["Hamming H(5,4)"]),
+    (bilinear_forms_233, IntersectionArray((49, 36, 16), (1, 6, 28)), [])],
+    ids=["Doob D(1,3)", "bilinear forms H_2(3,3)"])
+def test_cayley_look_alikes_are_refuted(build, array, named):
+    g = build()
+    ia = _array(g)
+    assert ia == array
+    # the name comes from the array alone: D(1,3) is not H(5,4)
+    assert recognize_named_family(ia) == named
+    # fresh copies, so that no side reads the other's caches
+    homog = check_i_homogeneous(build(), 1)
+    assert not homog.holds and homog == homogeneity_oracle.check_i_homogeneous(build(), 1)
+    cab = cab_partition_check(build())
+    assert not cab.holds and cab == cab_oracle.cab_partition_check(build())

