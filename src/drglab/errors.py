@@ -1,4 +1,9 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the one memory check."""
+
+import os
+import pathlib
+import resource
+from decimal import Decimal
 
 
 class DrgError(Exception):
@@ -26,7 +31,40 @@ class SingularityError(DrgError):
 
 
 class ResourceError(DrgError):
-    """Configured size cap exceeded."""
+    """A size limit refused the input.  This is the one list of them.
+
+    Memory: an input-sized allocation predicts its bytes before it is made,
+    and ``require_room`` refuses it when they exceed the room left to the
+    process: the lower of physical memory and the soft ``RLIMIT_AS`` (which
+    ``ulimit -v`` sets), less the address space already mapped.  Three
+    sites predict:
+
+    - the family builders (``families._vertices``): 8 bytes per arc slot of
+      n rows of the family's width, int32 sources and targets, plus the
+      per-vertex arrays, one block's scratch and any label or design table,
+      from the parameters, before any connection set, label table or
+      exponential count exists;
+    - the graph JSON (``Graph.to_json``): 48 bytes per arc and 160 per
+      vertex, for its lists and ints and the one copy the CLI makes;
+    - the distance rows of sampled pairs (``homogeneous._sampled_pairs``):
+      2 count n int16 entries, before the first draw.
+
+    Time: the dense distance matrix takes at most ``graph._DENSE_CAP`` (6000)
+    vertices, which bounds exhaustive 1-homogeneity, the triple intersection
+    number and the c2 report, and exact spectra at most
+    ``graph.SPECTRUM_EXACT_CAP`` (256).
+
+    Exactness: distances are int16, so at most 32766; CAB counts cells in
+    float32 products, exact below 2^24, so its valency is at most 4096; the
+    pair kernel's keys stay below 2^53 (float64) or 2^63 (int64), which
+    bounds the digits of a key word.
+
+    Block budgets, which bound working memory without refusing anything:
+    ``graph._PAIR_BUDGET`` entries per block of the pair kernel,
+    ``graph._LOCAL_BUDGET`` per block of the local-partition pass and
+    ``families._BLOCK`` per block of a family build.  ``graph._DENSE_KEYS_CAP``
+    and ``graph._LABEL_TABLE_CAP`` only choose a route.
+    """
 
 
 class UndecidableComparison(DrgError):
@@ -42,3 +80,23 @@ def require(condition: bool, message: str) -> None:
     check survives ``python -O``)."""
     if not condition:
         raise InternalError(message)
+
+
+def _room() -> int:
+    """Bytes this process may still map: the lower of physical memory and
+    the soft address-space limit, less the address space already mapped
+    (read from /proc/self/statm where it exists)."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    limits = [page * os.sysconf("SC_PHYS_PAGES"), resource.getrlimit(resource.RLIMIT_AS)[0]]
+    statm = pathlib.Path("/proc/self/statm")
+    mapped = int(statm.read_text().split()[0]) if statm.exists() else 0
+    return min(x for x in limits if x != resource.RLIM_INFINITY) - page * mapped
+
+
+def require_room(what: str, nbytes: int) -> None:
+    """Raise ResourceError when the ``nbytes`` predicted for ``what`` (a
+    plural noun phrase) exceed the room left to this process."""
+    room = _room()
+    if nbytes > room:
+        gib = [format(Decimal(b) / 2**30, ".3g") for b in (nbytes, room)]
+        raise ResourceError(f"{what} need {gib[0]} GiB; {gib[1]} GiB of memory is left")

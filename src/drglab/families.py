@@ -19,36 +19,29 @@ ranks are sums of binomial coefficients (a move exchanges an element for a
 non-element), the folded Johnson graph maps each rank to the first label of
 its antipodal class (complementation reverses the label order), and the
 block graphs of designs read the columns that share a symbol, or the blocks
-through a point, off one argsort.  No doubled parent is built.  The vertex
-cap (``DRG_LAB_VERTEX_CAP``) applies to the graph that is returned, and is
-checked against a lower bound from the parameters before an exponential
-count is computed; arc arrays larger than the memory of the machine are
-refused before they are allocated.
+through a point, off one argsort.  No doubled parent is built.
+
+Each builder predicts the bytes of the graph it returns from its parameters
+(``_vertices``): 8 per arc slot of its n rows of neighbours, int32 sources
+and targets, plus the per-vertex arrays, one block's scratch and any label
+or design table.  A folded graph counts its own vertices.
+``errors.require_room`` refuses a graph that does not fit in memory before
+any connection set, label table or exponential count exists: a count with
+a lower bound 2 ** b is first checked at 2 ** min(b, 64) vertices, so a
+count far beyond memory is never computed.  There is no vertex cap.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import resource
 from dataclasses import dataclass
 from math import comb, isqrt, prod
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, require_room
 from .graph import Graph
-
-DEFAULT_VERTEX_CAP = 2_000_000
-
-
-def vertex_cap() -> int:
-    env = os.environ.get("DRG_LAB_VERTEX_CAP")
-    try:
-        return int(env) if env else DEFAULT_VERTEX_CAP
-    except ValueError:
-        raise InputError(f"DRG_LAB_VERTEX_CAP must be an integer, not {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -75,14 +68,25 @@ class FamilySpec:
 _BLOCK = 1 << 18
 
 
-def _check_cap(spec: str, count: Callable[[], int], min_bits: int = 0) -> int:
-    """The vertex count ``count()`` of the family graph ``spec``, once it is
-    known to be within the cap.  2 ** min_bits is a lower bound on the count,
-    so a count far above the cap is refused before it is computed."""
-    cap = vertex_cap()
-    n = count() if min_bits < cap.bit_length() else cap + 1
-    if n > cap:
-        raise ResourceError(f"{spec} has more vertices than the cap {cap}")
+def _graph_bytes(n: int, width: int) -> int:
+    """Bytes to build a graph of n rows of ``width`` neighbours: the int32
+    sources and targets of every arc slot, 16 per vertex (degrees, offsets
+    and the index behind them) and 64 per entry of one block's scratch."""
+    return 8 * n * (width + 2) + 64 * max(_BLOCK, width)
+
+
+def _vertices(width: int, count: Callable[[], int], min_bits: int = 0,
+              tables: Callable[[int], int] = lambda n: 0) -> int:
+    """``count()``, the vertices of a family graph whose rows have ``width``
+    neighbours, once the graph and the builder's ``tables(n)`` bytes are
+    known to fit in memory.  2 ** min_bits is a lower bound on the count; it
+    is checked first, capped at 2 ** 64 vertices (more bytes than any
+    memory), so a count far beyond memory is refused before it is computed."""
+    if min_bits:
+        require_room(f"2^{min(min_bits, 64)} or more vertices of width {width}",
+                     _graph_bytes(1 << min(min_bits, 64), width))
+    n = count()
+    require_room(f"{n} vertices of width {width}", _graph_bytes(n, width) + tables(n))
     return n
 
 
@@ -93,18 +97,8 @@ def _label_graph(n: int, width: int,
     to, in any order.  Each row is sorted, and repeats and the vertex itself
     are dropped: a fold may send several moves to one class, or a move to
     the vertex's own class, and a design lists the vertex in each of its
-    lines.  Rows go ``_BLOCK`` entries at a time.  The int32
-    sources and targets of n * width arcs are refused before they are
-    allocated when they would not fit in physical memory, or in this
-    process's address-space limit if that is lower."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if limit != resource.RLIM_INFINITY:
-        memory = min(memory, limit)
-    need = 8 * n * width
-    if need > memory:
-        raise ResourceError(f"{n} vertices of width {width} need {need / 2**30:.1f} GiB "
-                            f"of arcs, more than the {memory / 2**30:.1f} GiB of memory")
+    lines.  Rows go ``_BLOCK`` entries at a time; the caller has checked
+    the room for ``_graph_bytes(n, width)``."""
     step = max(1, _BLOCK // max(width, 1))
     deg = np.empty(n, dtype=np.int32)
     dst = np.empty(n * width, dtype=np.int32)
@@ -170,10 +164,16 @@ def _exchanges(n: int, d: int, count: int) -> Callable[[np.ndarray], np.ndarray]
     return neighbours
 
 
+def _exchange_bytes(n: int, d: int) -> Callable[[int], int]:
+    """The bytes of ``_exchanges(n, d, count)``'s tables, as a function of
+    count: the labels and the binomial coefficients."""
+    return lambda count: count * d * np.min_scalar_type(n).itemsize + 8 * (n + 1) * (d + 2)
+
+
 def johnson(n: int, d: int) -> Graph:
     if not 1 <= d <= n:
         raise InputError("Johnson graph needs 1 <= d <= n")
-    N = _check_cap(f"johnson:{n},{d}", lambda: comb(n, d), min(d, n - d))
+    N = _vertices(d * (n - d), lambda: comb(n, d), min(d, n - d), _exchange_bytes(n, d))
     return _label_graph(N, d * (n - d), _exchanges(n, d, N))
 
 
@@ -220,7 +220,7 @@ def hamming(D: int, q: int) -> Graph:
     """Z_q^D; adjacent when the words differ in one coordinate."""
     if D < 1 or q < 2:
         raise InputError("Hamming graph needs D >= 1, q >= 2")
-    _check_cap(f"hamming:{D},{q}", lambda: q ** D, D)
+    _vertices(D * (q - 1), lambda: q ** D, D)
     return _cayley((q,) * D, _of_weight((q,) * D, 1))
 
 
@@ -233,17 +233,17 @@ def halved_cube(length: int) -> Graph:
     distance 2: Z_2^{length-1}, the words of weight 1 and 2."""
     if length < 2:
         raise InputError("halved cube needs length >= 2")
-    _check_cap(f"halved_cube:{length}", lambda: 2 ** (length - 1), length - 1)
+    _vertices(comb(length, 2), lambda: 2 ** (length - 1), length - 1)
     return _cayley((2,) * (length - 1), _of_weight((2,) * (length - 1), 1, 2))
 
 
 def folded_halved_cube(length: int) -> Graph:
     """Halved cube of even length with each word identified with its
     complement: Z_2^{length-2}, the words of weight 1, 2, length - 3 and
-    length - 2."""
+    length - 2 (at most C(length, 2) words)."""
     if length < 2 or length % 2:
         raise InputError("folded halved cube needs even length >= 2")
-    _check_cap(f"folded_halved_cube:{length}", lambda: 2 ** (length - 2), length - 2)
+    _vertices(comb(length, 2), lambda: 2 ** (length - 2), length - 2)
     radices = (2,) * (length - 2)
     return _cayley(radices, _of_weight(radices, 1, 2, length - 3, length - 2))
 
@@ -253,7 +253,7 @@ def grid(p: int, q: int) -> Graph:
     row i and of column j."""
     if p < 1 or q < 1:
         raise InputError("grid needs positive side lengths")
-    _check_cap(f"grid:{p},{q}", lambda: p * q)
+    _vertices(p + q - 2, lambda: p * q)
     return _cayley((p, q), _of_weight((p, q), 1))
 
 
@@ -262,7 +262,7 @@ def complete_multipartite(t: int, m: int) -> Graph:
     every vertex of the other parts."""
     if t < 2 or m < 1:
         raise InputError("complete multipartite needs t >= 2, m >= 1")
-    _check_cap(f"complete_multipartite:{t},{m}", lambda: t * m)
+    _vertices((t - 1) * m, lambda: t * m)
     return _cayley((t, m), itertools.product(range(1, t), range(m)))
 
 
@@ -277,14 +277,14 @@ def triangular(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise InputError("complete graph needs n >= 1")
-    _check_cap(f"complete:{n}", lambda: n)
+    _vertices(n - 1, lambda: n)
     return _cayley((n,), _of_weight((n,), 1))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs n >= 3")
-    _check_cap(f"cycle:{n}", lambda: n)
+    _vertices(2, lambda: n)
     return _cayley((n,), [(1,), (n - 1,)])
 
 
@@ -347,13 +347,13 @@ def latin_square_graph(m: int = None, n: int = None,
                 "cyclic construction only covers m in {2, 3}; supply OA data for larger m")
         if n < 2:
             raise InputError("latin square graph needs n >= 2")
-        _check_cap(f"latin_square:{m},{n}", lambda: n * n)
-        cols = list(itertools.product(range(n), repeat=2))
-        oa = [[x for x, _ in cols], [y for _, y in cols]]
-        if m == 3:
-            oa.append([(x + y) % n for x, y in cols])
-    m, n = validate_orthogonal_array(oa)
-    _check_cap(f"latin_square:{m},{n}", lambda: n * n)
+    else:
+        m, n = validate_orthogonal_array(oa)
+    # the cyclic rows, the rows as intp and their argsort
+    _vertices(m * n, lambda: n * n, tables=lambda N: 8 * (2 * m + 3) * N)
+    if oa is None:
+        x, y = np.divmod(np.arange(n * n), n)
+        oa = [x, y, (x + y) % n][:m]
     # two columns agree in at most one row of an OA, and each symbol fills n
     # columns of a row: the neighbours of v are, row by row, the columns
     # that share v's symbol
@@ -390,8 +390,10 @@ def validate_steiner_blocks(blocks: Sequence[Sequence[int]]) -> Tuple[int, int]:
 
 def steiner_block_graph(blocks: Sequence[Sequence[int]]) -> Graph:
     """Block graph of a Steiner system: blocks adjacent iff they share a point."""
-    m, _ = validate_steiner_blocks(blocks)
-    _check_cap("steiner_block_graph", lambda: len(blocks))
+    m, v = validate_steiner_blocks(blocks)
+    # each point lies on (v - 1) / (m - 1) blocks; the block table, the
+    # points and their sorts take 48 bytes per entry
+    _vertices(m * ((v - 1) // (m - 1)), lambda: len(blocks), tables=lambda N: 48 * m * N)
     # two blocks share at most one point, and each point lies on the same
     # number r of blocks: the neighbours of v are the blocks through its
     # points, with points ranked by value
@@ -409,7 +411,7 @@ def folded_johnson(n: int, d: int) -> Graph:
     """J(2d, d) with each d-set identified with its complement."""
     if n != 2 * d or d < 1:
         raise InputError("folded Johnson graph is defined for J(2d, d), d >= 1")
-    half = _check_cap(f"folded_johnson:{n},{d}", lambda: comb(n, d) // 2, d - 1)
+    half = _vertices(d * d, lambda: comb(n, d) // 2, d - 1, _exchange_bytes(n, d))
     moves = _exchanges(n, d, half)
 
     def neighbours(v: np.ndarray) -> np.ndarray:

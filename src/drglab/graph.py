@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .arrays import IntersectionArray
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, require_room
 from .polys import charpoly, real_roots
 from .scalars import ExactScalar
 
@@ -186,18 +186,19 @@ class Graph:
 
     # -- distances ---------------------------------------------------------
 
-    def _distance_rows(self, sources) -> np.ndarray:
-        """int16 rows d(s, .), -1 where unreachable.  One breadth-first search
-        serves 64 sources: bit j of a vertex's word means "reached from source
-        j".  A level with few frontier arcs pushes the frontier's words along
-        them (``np.bitwise_or.at``); any other level ORs every vertex's
-        neighbours' words (``np.bitwise_or.reduceat`` over all arcs).  The new
-        bits are decoded with ``np.unpackbits``."""
+    def _distance_rows(self, sources, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """int16 rows d(s, .), -1 where unreachable, written into ``out`` when
+        it is given.  One breadth-first search serves 64 sources: bit j of a
+        vertex's word means "reached from source j".  A level with few
+        frontier arcs pushes the frontier's words along them
+        (``np.bitwise_or.at``); any other level ORs every vertex's
+        neighbours' words (``np.bitwise_or.reduceat`` over all arcs).  The
+        new bits are decoded with ``np.unpackbits``."""
         sources = self._vertices(sources)
         dst = self._dst
         deg = self.degrees()
         owners, starts = np.flatnonzero(deg), self._starts[:-1][deg > 0]
-        rows = np.empty((len(sources), self.n), dtype=np.int16)
+        rows = np.empty((len(sources), self.n), dtype=np.int16) if out is None else out
         for lo in range(0, len(sources), 64):
             block = sources[lo:lo + 64]
             word = np.dtype(f"<u{1 << max(0, (len(block) - 1).bit_length() - 3)}")
@@ -275,6 +276,12 @@ class Graph:
         return cls._from_arcs(n, arcs // n, arcs % n)
 
     def to_json(self) -> dict:
+        """The "drg-graph-v1" object.  Its lists and ints, with the one copy
+        of the lists that the CLI makes, take up to 48 bytes per arc and 160
+        per vertex (tracemalloc peaks: 40-50 per arc on K_1000, H(6,3) and
+        J(12,6), 240 per vertex on a cycle); ``require_room`` checks those
+        bytes first."""
+        require_room(f"JSON lists of {len(self._dst)} arcs", 48 * len(self._dst) + 160 * self.n)
         dst, starts = self._dst.tolist(), self._starts.tolist()
         return {"format": GRAPH_FORMAT, "n": self.n,
                 "adj": [dst[starts[v]:starts[v + 1]] for v in range(self.n)]}
@@ -296,8 +303,11 @@ class Graph:
             return cls.from_json(json.load(fh))
 
     def dump(self, path: str) -> None:
+        """Write the JSON object to ``path``, which is opened only once the
+        object exists: a refused dump leaves the file as it was."""
+        obj = self.to_json()
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
+            json.dump(obj, fh)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"

@@ -27,7 +27,7 @@ import numpy as np
 from .arrays import IntersectionArray
 from .bounds import F_bound, G_bound
 from .eigen import b_parameter, eigenvalues
-from .errors import InputError, ScopeError, require
+from .errors import InputError, ScopeError, require, require_room
 from .graph import (Graph, _check_pairs, _common_neighbourhoods,
                     check_distance_regular, graph_spectrum, local_graph)
 from .scalars import exact_cmp
@@ -52,38 +52,35 @@ class HomogeneityReport:
 def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     """``count`` pairs at distance i, drawn with replacement: x uniformly,
     then y uniformly in the sorted Gamma_i(x).  Returns xs, ys and their
-    distance rows (row t of x, then row count + t of y).  A level-1 draw
-    reads Gamma(x) from the arcs and the rows of every x and y come from one
-    call of the distance engine; a draw above level 1 keeps the row of x it
-    drew from, and the y rows come from one call.  A row with an unreachable
-    vertex shows the graph is disconnected; only when no draw succeeds does
-    a one-source search tell that apart from a lack of pairs."""
+    distance rows, one (2 count, n) int16 array whose bytes are checked
+    before the first draw (row t of x, then row count + t of y).  A level-1
+    draw reads Gamma(x) from the arcs and the rows of every x and y come
+    from one call of the distance engine; a draw above level 1 searches
+    from x into x's row in place, and the y rows come from one call.  A row
+    with an unreachable vertex shows the graph is disconnected; only when
+    no draw succeeds does a one-source search tell that apart from a lack
+    of pairs."""
+    require_room(f"the distance rows of {count} sampled pairs", 4 * count * g.n)
+    rows = np.empty((2 * count, g.n), dtype=np.int16)
     disconnected = InputError("homogeneity is defined for connected graphs")
     rng = random.Random(seed)
-    dst, starts = g._dst, g._starts
-    xs: List[int] = []
-    ys: List[int] = []
-    x_rows = []
+    xs, ys = [], []
     for _ in range(50 * count):
         x = rng.randrange(g.n)
-        row = None if i == 1 else g._distance_rows([x])[0]
+        row = None if i == 1 else g._distance_rows([x], out=rows[len(xs):len(xs) + 1])[0]
         if row is not None and row.min() < 0:
             raise disconnected
-        at_i = dst[starts[x]:starts[x + 1]] if i == 1 else np.flatnonzero(row == i)
+        at_i = g._dst[g._starts[x]:g._starts[x + 1]] if i == 1 else np.flatnonzero(row == i)
         if len(at_i):
             xs.append(x)
             ys.append(int(rng.choice(at_i)))
-            x_rows.append(row)
             if len(xs) == count:
                 break
     else:
-        if not g.is_connected():
-            raise disconnected
-        raise InputError(f"could not sample pairs at distance {i}")
-    if i == 1:
-        rows = g._distance_rows(xs + ys)  # int16: 2 * count rows of n
-    else:
-        rows = np.concatenate([np.array(x_rows), g._distance_rows(ys)])
+        raise disconnected if not g.is_connected() else InputError(
+            f"could not sample pairs at distance {i}")
+    done = 0 if i == 1 else count  # the rows of x above level 1 are in place
+    g._distance_rows((xs + ys)[done:], out=rows[done:])
     if rows.min() < 0:
         raise disconnected
     return np.array(xs), np.array(ys), rows

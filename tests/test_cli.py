@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import sys
 import pytest
 
 from drglab.cli import main
-from drglab.families import FamilySpec, build_family, triangular
+from drglab.families import FamilySpec, build_family, hamming, triangular
+from drglab.graph import Graph
 from test_homogeneous import GOLDEN_GRAPHS, chorded_c4
 
 
@@ -295,3 +297,37 @@ def test_code_lines_script_counts_only_code(tmp_path):
                            str(tmp_path)], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["2", "m.py", "2", "total"]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "complete:2000000"],  # 32 TB of arcs, 2 million connection words
+    ["build", "complete:19600"],  # 3.07 GB of arcs
+    ["build", "complete:8000", "--out", "{out}"],  # 512 MB of arcs, 3 GB of JSON lists
+    ["build", "cycle:150000000"],  # 2.4 GB of arcs, as much again per vertex
+    ["homog", "{h83}", "--sample", "200000", "--seed", "1", "--i", "2"],  # 5.2 GB of rows
+], ids=["complete:2000000", "complete:19600", "complete:8000 --out", "cycle:150000000",
+        "H(8,3) --sample 200000 --i 2"])
+def test_oversized_commands_exit_typed_under_an_address_space_limit(tmp_path, argv):
+    # each command in its own process under a 3 GB address-space limit: the
+    # predicted bytes are refused (exit 2) before they are allocated, never a
+    # MemoryError (exit 3), a signal or a timeout; a refused dump leaves an
+    # existing file as it was
+    out = tmp_path / "out.json"
+    out.write_text("earlier contents\n")
+    h83 = tmp_path / "h83.json"
+    hamming(8, 3).dump(str(h83))
+    argv = [arg.format(out=out, h83=h83) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "drglab.cli", *argv], env=env,
+                          preexec_fn=_limit_address_space, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode in (0, 1, 2), done.stderr
+    if "--out" in argv and done.returncode == 0:
+        assert Graph.load(str(out)).n == 8000
+    else:
+        assert done.returncode == 2 and " GiB of memory is left" in done.stderr, done.stderr
+        assert out.read_text() == "earlier contents\n"

@@ -5,6 +5,7 @@ being in it."""
 
 import itertools
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import cab_oracle
 import family_oracle as oracle
 import homogeneity_oracle
 
+from drglab import errors, families
 from drglab.arrays import IntersectionArray
 from drglab.cab import cab_partition_check
 from drglab.errors import InputError, ResourceError
@@ -287,25 +289,40 @@ def test_folded_halved_cube_16_sampled_homogeneous():
                                      (lambda: halved_cube(6), 32),
                                      (lambda: folded_johnson(4, 2), 3)])
 def test_vertex_cap_counts_folded_vertices(monkeypatch, build, n):
-    # the lower bound 2^min_bits on a count must not refuse a graph of
-    # exactly cap vertices (C(4, 2)/2 = 3 < 2^2), and the count itself must
-    # refuse one more
-    monkeypatch.setenv("DRG_LAB_VERTEX_CAP", str(n))
+    # a folded graph predicts the bytes of its own vertices, and the lower
+    # bound 2^min_bits on a count (2^1 < C(4, 2)/2 = 3) does not refuse a
+    # graph that fits exactly: with the room patched to the predicted bytes
+    # the graph builds, and one byte less refuses it
+    asked = []
+    monkeypatch.setattr(families, "require_room", lambda what, nbytes: asked.append((what, nbytes)))
+    build()
+    what, need = asked[-1]
+    assert what.startswith(f"{n} vertices of width ")
+    monkeypatch.undo()
+    monkeypatch.setattr(errors, "_room", lambda: need)
     assert build().n == n
-    monkeypatch.setenv("DRG_LAB_VERTEX_CAP", str(n - 1))
-    with pytest.raises(ResourceError, match=f"cap {n - 1}$"):
+    monkeypatch.setattr(errors, "_room", lambda: need - 1)
+    with pytest.raises(ResourceError, match=rf"^({n}|2\^\d+ or more) vertices of width "):
         build()
 
 
-@pytest.mark.parametrize("spec", [
-    "hamming:99999999999999999999,2", "johnson:3000000,1500000",
-    "folded_johnson:100000000,50000000", "halved_cube:100000000",
-    "folded_halved_cube:100000000", "latin_square:3,100000000",
-    "cycle:3000000", "complete:3000000"])
+#: each oversized spec and the graph its refusal names
+OVERSIZED = {
+    "hamming:99999999999999999999,2": "2^64 or more vertices of width 99999999999999999999",
+    "johnson:3000000,1500000": "2^64 or more vertices of width 2250000000000",
+    "folded_johnson:100000000,50000000": "2^64 or more vertices of width 2500000000000000",
+    "halved_cube:100000000": "2^64 or more vertices of width 4999999950000000",
+    "folded_halved_cube:100000000": "2^64 or more vertices of width 4999999950000000",
+    "latin_square:3,100000000": "10000000000000000 vertices of width 300000000",
+    "complete:3000000": "3000000 vertices of width 2999999"}
+
+
+@pytest.mark.parametrize("spec", list(OVERSIZED))
 def test_oversized_family_is_refused_before_it_is_counted(spec):
-    # the cap is checked from the parameters, before a count with millions
-    # of digits, C(n, n/2) or a list of n^2 columns is computed; the timeout
-    # catches a builder that computes it first
+    # the bytes are predicted from the parameters, before a count with
+    # millions of digits, C(n, n/2), a connection set or a list of n^2
+    # columns is computed; the timeout catches a builder that computes it
+    # first
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys\n"
             "from drglab.errors import ResourceError\n"
@@ -314,18 +331,17 @@ def test_oversized_family_is_refused_before_it_is_counted(spec):
             "    build_family(FamilySpec.parse(sys.argv[1]))\n"
             "except ResourceError as exc:\n"
             "    print(exc)\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("DRG_LAB_VERTEX_CAP", None)
-    done = subprocess.run([sys.executable, "-c", code, spec], env=env,
+    done = subprocess.run([sys.executable, "-c", code, spec], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"{spec} has more vertices than the cap 2000000\n"
+    assert re.fullmatch(re.escape(OVERSIZED[spec]) + r" need \S+ GiB; \S+ GiB of memory is left\n",
+                        done.stdout), done.stdout
 
 
-def test_malformed_vertex_cap_is_an_input_error(monkeypatch):
-    monkeypatch.setenv("DRG_LAB_VERTEX_CAP", "lots")
-    with pytest.raises(InputError, match="DRG_LAB_VERTEX_CAP"):
-        cycle(5)
+def test_cycle_of_3000000_vertices_builds():
+    # 3 million vertices but 48 MB of arcs: bytes, not vertices, bound a build
+    g = cycle(3000000)
+    assert g.n == 3000000 and g.edge_count == 3000000
 
 
 @pytest.mark.parametrize("spec,n,width", [("complete:100000", 100000, 99999),

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import family_oracle as oracle
 import local_oracle
 
+from drglab import errors
 from drglab.arrays import IntersectionArray
-from drglab.errors import InputError
+from drglab.errors import InputError, ResourceError
 from drglab.families import (cocktail_party, complete, cycle, grid, hypercube,
                              icosahedron, johnson, petersen, triangular)
 from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
@@ -32,6 +33,18 @@ def test_graph_json_roundtrip(tmp_path):
     g.dump(str(path))
     h = Graph.load(str(path))
     assert h.n == g.n and sorted(h.edges()) == sorted(g.edges())
+
+
+def test_refused_dump_leaves_the_file_as_it_was(tmp_path, monkeypatch):
+    # the JSON lists are predicted and refused before the file is opened
+    path = tmp_path / "g.json"
+    petersen().dump(str(path))
+    before = path.read_bytes()
+    g = johnson(6, 3)
+    monkeypatch.setattr(errors, "_room", lambda: 1000)
+    with pytest.raises(ResourceError, match="^JSON lists of 180 arcs need "):
+        g.dump(str(path))
+    assert path.read_bytes() == before
 
 
 def test_from_edges_rejects_endpoints_outside_the_graph():
