@@ -36,16 +36,17 @@ class ResourceError(DrgError):
     Memory: an input-sized allocation predicts its bytes before it is made,
     and ``require_room`` refuses it when they exceed the room left to the
     process: the lower of physical memory and the soft ``RLIMIT_AS`` (which
-    ``ulimit -v`` sets), less the address space already mapped.  Three
+    ``ulimit -v`` sets), less the address space already mapped.  Four
     sites predict:
 
     - the family builders (``families._vertices``): 8 bytes per arc slot of
-      n rows of the family's width, int32 sources and targets, plus the
+      n rows of the family's width, the intp targets, plus the
       per-vertex arrays, one block's scratch and any label or design table,
       from the parameters, before any connection set, label table or
       exponential count exists;
     - the graph JSON (``Graph.to_json``): 48 bytes per arc and 160 per
       vertex, for its lists and ints and the one copy the CLI makes;
+    - a graph file read (``Graph.load``): 17 bytes per byte of the file;
     - the distance rows of sampled pairs (``homogeneous._sampled_pairs``):
       2 count n int16 entries, before the first draw.
 

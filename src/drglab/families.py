@@ -22,9 +22,10 @@ block graphs of designs read the columns that share a symbol, or the blocks
 through a point, off one argsort.  No doubled parent is built.
 
 Each builder predicts the bytes of the graph it returns from its parameters
-(``_vertices``): 8 per arc slot of its n rows of neighbours, int32 sources
-and targets, plus the per-vertex arrays, one block's scratch and any label
-or design table.  A folded graph counts its own vertices.
+(``_vertices``): 8 per arc slot of its n rows of neighbours, the intp
+targets (the graph keeps no sources), plus the per-vertex arrays, one
+block's scratch and any label or design table.  A folded graph counts its
+own vertices.
 ``errors.require_room`` refuses a graph that does not fit in memory before
 any connection set, label table or exponential count exists: a count with
 a lower bound 2 ** b is first checked at 2 ** min(b, 64) vertices, so a
@@ -69,9 +70,9 @@ _BLOCK = 1 << 18
 
 
 def _graph_bytes(n: int, width: int) -> int:
-    """Bytes to build a graph of n rows of ``width`` neighbours: the int32
-    sources and targets of every arc slot, 16 per vertex (degrees, offsets
-    and the index behind them) and 64 per entry of one block's scratch."""
+    """Bytes to build a graph of n rows of ``width`` neighbours: the intp
+    target of every arc slot, 16 per vertex (the offsets, and the degrees
+    a reader takes from them) and 64 per entry of one block's scratch."""
     return 8 * n * (width + 2) + 64 * max(_BLOCK, width)
 
 
@@ -100,19 +101,17 @@ def _label_graph(n: int, width: int,
     lines.  Rows go ``_BLOCK`` entries at a time; the caller has checked
     the room for ``_graph_bytes(n, width)``."""
     step = max(1, _BLOCK // max(width, 1))
-    deg = np.empty(n, dtype=np.int32)
-    dst = np.empty(n * width, dtype=np.int32)
-    m = 0
+    starts = np.zeros(n + 1, dtype=np.intp)
+    dst = np.empty(n * width, dtype=np.intp)
     for lo in range(0, n, step):
         v = np.arange(lo, min(n, lo + step), dtype=np.int32)
         nb = np.sort(neighbours(v), axis=1)
         keep = nb != v[:, None]
         keep[:, 1:] &= nb[:, 1:] != nb[:, :-1]
-        deg[v] = keep.sum(axis=1)
-        row = nb[keep]
-        dst[m:m + len(row)] = row
-        m += len(row)
-    return Graph._from_arcs(n, np.repeat(np.arange(n, dtype=np.int32), deg), dst[:m])
+        hi = lo + len(v)
+        starts[lo + 1:hi + 1] = starts[lo] + np.cumsum(keep.sum(axis=1))
+        dst[starts[lo]:starts[hi]] = nb[keep]
+    return Graph._from_arcs(n, starts, dst[:starts[n]])
 
 
 def _exchanges(n: int, d: int, count: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -173,6 +172,8 @@ def _exchange_bytes(n: int, d: int) -> Callable[[int], int]:
 def johnson(n: int, d: int) -> Graph:
     if not 1 <= d <= n:
         raise InputError("Johnson graph needs 1 <= d <= n")
+    if d == n:  # one vertex and no exchanges, so no table is predicted or built
+        return Graph._from_arcs(1, np.zeros(2, dtype=np.intp), np.empty(0, dtype=np.intp))
     N = _vertices(d * (n - d), lambda: comb(n, d), min(d, n - d), _exchange_bytes(n, d))
     return _label_graph(N, d * (n - d), _exchanges(n, d, N))
 

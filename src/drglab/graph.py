@@ -2,32 +2,33 @@
 partitions, equitable quotients, distance-regularity testing, local and
 mu-graphs, and exact spectra of at most ``SPECTRUM_EXACT_CAP`` vertices.
 
-A graph is stored as its arc arrays (``Graph(adjacency)`` checks outside
-input).  The arcs feed the one distance engine (``Graph._distance_rows``, a
-bit-parallel breadth-first search behind every distance row and the dense
-distance matrix of at most ``_DENSE_CAP`` vertices), the per-cell kernel
-(``_cell_counts``) behind equitable quotients, and the pair kernel
-(``_check_pairs``), which tests the joint distance partitions pi(x, y) of a
-block of pairs at once, for 1-homogeneity and for distance-regularity, its
-case x = y, by exact keys: float64 products with the adjacency matrix (below
-2**53) or int64 sums over the arcs (below 2**63), as ``_dense_keys``
-chooses.  Every dense reader derives from one read-only view
-(``Graph._padded``): the uint8 adjacency and the neighbour table, padded
-with a vertex n adjacent to none.  The one local-partition pass
-(``_local_blocks``) reads the pairs (x, y) that an (n, n) selection marks,
-in blocks of centres y: the distances from x to Gamma(y), which split it
-into the cells C, A and B, and the local graphs at y, by which each caller
-counts cells in one stacked float32 product, exact below 2**24.  It is
-behind the local (C, A, B) check in ``cab``, the lambda- and mu-graph
-valencies, the mu-graph report and the triple intersection number.  A
-spectrum is the real roots of the integer characteristic polynomial
-(``polys.charpoly``), with no floating point.
+A graph is stored as one arc index, intp targets and offsets
+(``Graph(adjacency)`` checks outside input).  The arcs feed the one
+distance engine (``Graph._distance_rows``, a bit-parallel breadth-first
+search behind every distance row and the dense distance matrix of at most
+``_DENSE_CAP`` vertices), the per-cell kernel (``_cell_counts``) behind
+equitable quotients, and the pair kernel (``_check_pairs``), which tests
+the joint distance partitions pi(x, y) of a block of pairs at once, for
+1-homogeneity and for distance-regularity, its case x = y, by exact keys:
+float64 products with the adjacency matrix (below 2**53) or int64 sums
+over the arcs (below 2**63), as ``_dense_keys`` chooses.  Every dense
+reader derives from one read-only view (``Graph._padded``): the uint8
+adjacency and the neighbour table, padded with a vertex n adjacent to none.
+The one local-partition pass (``_local_blocks``) reads the pairs (x, y)
+that an (n, n) selection marks, in blocks of centres y: the distances from
+x to Gamma(y), which split it into the cells C, A and B, and the local
+graphs at y, by which each caller counts cells in one stacked float32
+product, exact below 2**24.  It is behind the local (C, A, B) check in
+``cab``, the lambda- and mu-graph valencies, the mu-graph report and the
+triple intersection number.  A spectrum is the real roots of the integer
+characteristic polynomial (``polys.charpoly``), with no floating point.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -45,7 +46,7 @@ GRAPH_FORMAT = "drg-graph-v1"
 #: vertices takes about 2 s
 SPECTRUM_EXACT_CAP = 256
 _DENSE_CAP = 6000
-#: a frontier with under 1 / _PUSH_SHARE of all arcs pushes (~30 bytes per arc it holds)
+#: a frontier with under 1 / _PUSH_SHARE of all arcs pushes (~33 bytes per arc it holds)
 _PUSH_SHARE = 16
 
 
@@ -65,7 +66,7 @@ def _validate_arcs(n: int, src: np.ndarray, dst: np.ndarray):
             raise InputError(f"loop at vertex {v}")
         raise InputError(f"neighbor list of {v} not strictly ascending")
     # rows ascend, so the keys of the arcs are sorted and distinct
-    keys = src.astype(np.int64) * n + dst
+    keys = src * n + dst
     back = dst * n + src
     found = keys[np.minimum(np.searchsorted(keys, back), len(keys) - 1)] == back
     for t in np.flatnonzero(~found)[:1].tolist():
@@ -79,39 +80,43 @@ def _row_ints(bits: np.ndarray) -> List[int]:
 
 
 class Graph:
-    """Immutable simple graph stored as its arc arrays: int32 ``src`` and
-    ``dst`` grouped by source in vertex order with targets ascending, and
-    the n + 1 offsets ``starts`` of each vertex's arcs."""
+    """Immutable simple graph stored as one arc index: the intp targets
+    ``dst`` of every arc, grouped by source in vertex order with targets
+    ascending, and the n + 1 intp offsets ``starts`` of each vertex's arcs,
+    8 bytes per arc.  The source of an arc is its position's row, derived
+    on demand (``_sources``); no sources array is kept."""
 
-    __slots__ = ("n", "_src", "_dst", "_starts", "_adj", "_dm")
+    __slots__ = ("n", "_dst", "_starts", "_adj", "_dm")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
+        starts = np.zeros(n + 1, dtype=np.intp)
         try:
-            deg = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
+            starts[1:] = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
             dst = np.fromiter(map(operator.index, chain.from_iterable(adjacency)),
-                              dtype=np.int64, count=int(deg.sum()))
+                              dtype=np.intp, count=int(starts.sum()))
         except OverflowError:
             raise InputError("neighbor out of range") from None
         except (TypeError, ValueError) as exc:
             raise InputError(f"adjacency must be lists of integers: {exc}") from None
-        src = np.repeat(np.arange(n, dtype=np.int32), deg)
-        _validate_arcs(n, src, dst)
-        self._set_arcs(n, src, dst.astype(np.int32))
+        self._set_arcs(n, np.cumsum(starts, out=starts), dst)
+        _validate_arcs(n, self._sources(), dst)
 
     @classmethod
-    def _from_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "Graph":
-        """The graph on arcs already grouped by source with targets ascending
-        and symmetric, with no check."""
+    def _from_arcs(cls, n: int, starts: np.ndarray, dst: np.ndarray) -> "Graph":
+        """The graph on the intp targets ``dst``, grouped by source with
+        targets ascending and symmetric, and the intp offsets ``starts`` of
+        each vertex's arcs, with no check."""
         g = cls.__new__(cls)
-        g._set_arcs(n, src.astype(np.int32, copy=False), dst.astype(np.int32, copy=False))
+        g._set_arcs(n, starts, dst)
         return g
 
-    def _set_arcs(self, n: int, src: np.ndarray, dst: np.ndarray):
-        self.n, self._src, self._dst = n, src, dst
-        self._starts = np.searchsorted(src, np.arange(n + 1, dtype=src.dtype))
-        self._adj = None
-        self._dm = None
+    def _set_arcs(self, n: int, starts: np.ndarray, dst: np.ndarray):
+        self.n, self._starts, self._dst, self._adj, self._dm = n, starts, dst, None, None
+
+    def _sources(self) -> np.ndarray:
+        """The intp source of every arc, built on each call."""
+        return np.repeat(np.arange(self.n), self.degrees())
 
     # -- accessors ---------------------------------------------------------
 
@@ -137,8 +142,9 @@ class Graph:
         return len(self._dst) // 2
 
     def edges(self):
-        up = self._dst > self._src
-        return zip(self._src[up].tolist(), self._dst[up].tolist())
+        src = self._sources()
+        up = self._dst > src
+        return zip(src[up].tolist(), self._dst[up].tolist())
 
     def _padded(self) -> Tuple[np.ndarray, np.ndarray]:
         """The dense view, built once and read-only: the uint8 (n + 1, n + 1)
@@ -146,7 +152,7 @@ class Graph:
         zero, and the (n + 1, k) neighbour table, k the largest degree: row v
         is Gamma(v) ascending, padded with n."""
         if self._adj is None:
-            n, src, dst = self.n, self._src, self._dst
+            n, src, dst = self.n, self._sources(), self._dst
             adj = np.zeros((n + 1, n + 1), dtype=np.uint8)
             adj[src, dst] = 1
             nb = np.full((n + 1, int(self.degrees().max(initial=0))), n, dtype=np.intp)
@@ -271,9 +277,9 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             raise InputError(f"loop at vertex {u}")
-        u, v = e.astype(np.int64).T
+        u, v = e.astype(np.intp).T
         arcs = np.unique(np.concatenate([u * n + v, v * n + u]))
-        return cls._from_arcs(n, arcs // n, arcs % n)
+        return cls._from_arcs(n, np.searchsorted(arcs, np.arange(n + 1) * n), arcs % n)
 
     def to_json(self) -> dict:
         """The "drg-graph-v1" object.  Its lists and ints, with the one copy
@@ -299,6 +305,11 @@ class Graph:
 
     @classmethod
     def load(cls, path: str) -> "Graph":
+        """The graph in the JSON file at ``path``.  Reading it peaks at up to
+        17 times the file's bytes (tracemalloc peaks of ``json.load`` and
+        ``from_json``: 14.8-16.8 on H(6,3), K_1000 and C_200000);
+        ``require_room`` checks those bytes before the file is opened."""
+        require_room(f"the JSON lists of graph file {path}", 17 * os.path.getsize(path))
         with open(path) as fh:
             return cls.from_json(json.load(fh))
 
@@ -366,7 +377,7 @@ def distance_partition(g: Graph, x: int, y: int) -> VertexPartition:
 def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
     """Row v counts the neighbours of v in each cell; cell[u] is the cell of
     vertex u, or -1 when u lies in no cell."""
-    rows, target = g._src, cell[g._dst]
+    rows, target = g._sources(), cell[g._dst]
     if target.min(initial=0) < 0:
         inside = target >= 0
         rows, target = rows[inside], target[inside]
@@ -539,12 +550,8 @@ def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
     if table:
         a, b = np.divmod(np.arange(span * span), span)
         wl = wf[:, (3 * a + b) % 9]
-    if dense:
-        adj = g._padded()[0][:n, :n].astype(np.float64)
-        most = max(1, _PAIR_BUDGET // (4 * n))
-    else:
-        adj = None
-        most = max(1, _PAIR_BUDGET // len(g._dst))
+    adj = g._padded()[0][:n, :n].astype(np.float64) if dense else None
+    most = max(1, _PAIR_BUDGET // (4 * n if dense else len(g._dst)))
     cells = quotient = None
     lo, step = 0, 1
     while lo < len(xs):
@@ -638,10 +645,11 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> InducedSubgraph:
     vs = np.unique(g._vertices(vertices))
     inside = np.zeros(g.n, dtype=bool)
     inside[vs] = True
-    src, dst = g._src, g._dst
-    keep = inside[src] & inside[dst]
+    keep = inside[g._sources()] & inside[g._dst]
     rank = np.cumsum(inside) - 1  # monotone, so rows stay grouped and ascending
-    return InducedSubgraph(Graph._from_arcs(len(vs), rank[src[keep]], rank[dst[keep]]),
+    # the kept arcs of vs[j] are those between its offsets
+    kept = np.r_[0, np.cumsum(keep)][np.r_[g._starts[vs], len(keep)]]
+    return InducedSubgraph(Graph._from_arcs(len(vs), kept, rank[g._dst[keep]]),
                            tuple(vs.tolist()))
 
 

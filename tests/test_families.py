@@ -4,6 +4,7 @@ size limits, and two Cayley graphs that share the array of a family without
 being in it."""
 
 import itertools
+import json
 import os
 import re
 import resource
@@ -181,11 +182,13 @@ CASES = (
 
 
 def assert_same_graph(g, expected):
-    """The same neighbour lists and the same int32 arc arrays."""
+    """The same neighbour lists and the same intp arc index: targets and
+    offsets, with no sources array."""
     assert g.to_json() == expected.to_json()
-    for got, want in ((g._src, expected._src), (g._dst, expected._dst)):
-        assert got.dtype == want.dtype == np.int32
+    for got, want in ((g._dst, expected._dst), (g._starts, expected._starts)):
+        assert got.dtype == want.dtype == np.intp
         assert np.array_equal(got, want)
+    assert not hasattr(g, "_src") and not hasattr(expected, "_src")
 
 
 @pytest.mark.parametrize("name,params", CASES)
@@ -347,17 +350,31 @@ def test_cycle_of_3000000_vertices_builds():
 @pytest.mark.parametrize("spec,n,width", [("complete:100000", 100000, 99999),
                                           ("grid:1000,1000", 1000000, 1998)])
 def test_arcs_beyond_memory_are_refused_before_they_are_allocated(spec, n, width):
-    # 74.5 and 14.9 GiB of int32 arc arrays: under a 3 GB address-space
+    # 74.5 and 14.9 GiB of intp arc targets: under a 3 GB address-space
     # limit the CLI exits 2 at once, not 3 on a MemoryError
+    done = _build_under_3gb(spec)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"error: {n} vertices of width {width} need ")
+
+
+def test_one_vertex_johnson_predicts_no_binomial_table():
+    # J(n, n) has one vertex and no exchanges, so no (n + 1) x (n + 2)
+    # table is predicted (74.5 GiB here) or built
+    done = _build_under_3gb("johnson:100000,100000")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["n"] == 1
+    assert johnson(3, 3).to_json()["adj"] == [[]]
+
+
+def _build_under_3gb(spec):
+    """``drglab build spec`` under a 3 GB address-space limit."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "drglab.cli", "build", spec], env=env,
+    return subprocess.run([sys.executable, "-m", "drglab.cli", "build", spec], env=env,
                           preexec_fn=limit, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith(f"error: {n} vertices of width {width} need ")
 
 
 # -- Cayley graphs with the array of a family they are not in -------------------

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 import family_oracle as oracle
 import local_oracle
 
-from drglab import errors
+from drglab import errors, families
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError, ResourceError
-from drglab.families import (cocktail_party, complete, cycle, grid, hypercube,
-                             icosahedron, johnson, petersen, triangular)
+from drglab.families import (FamilySpec, build_family, cocktail_party,
+                             complete, cycle, grid, hypercube, icosahedron,
+                             johnson, petersen, triangular)
 from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
-                          VertexPartition, c2_regularity_report,
+                          VertexPartition, _cell_counts, c2_regularity_report,
                           check_distance_regular, distance_partition,
                           equitable_quotient, graph_spectrum,
                           induced_subgraph, local_graph, max_coclique,
@@ -33,6 +35,81 @@ def test_graph_json_roundtrip(tmp_path):
     g.dump(str(path))
     h = Graph.load(str(path))
     assert h.n == g.n and sorted(h.edges()) == sorted(g.edges())
+
+
+def test_load_predicts_its_bytes(tmp_path, monkeypatch):
+    # reading a graph file is predicted at 17 times its bytes, before the
+    # file is opened
+    path = tmp_path / "g.json"
+    petersen().dump(str(path))
+    need = 17 * path.stat().st_size
+    monkeypatch.setattr(errors, "_room", lambda: need - 1)
+    with pytest.raises(ResourceError, match="^the JSON lists of graph file .* need "):
+        Graph.load(str(path))
+    monkeypatch.setattr(errors, "_room", lambda: need)
+    assert sorted(Graph.load(str(path)).edges()) == sorted(petersen().edges())
+
+
+def _one_index(g):
+    """g, once its arcs are checked to be one intp index: targets and
+    offsets, with no sources array."""
+    assert g._dst.dtype == g._starts.dtype == np.intp
+    assert len(g._starts) == g.n + 1 and g._starts[-1] == len(g._dst)
+    assert not hasattr(g, "_src")
+    return g
+
+
+#: a small graph from every family builder
+SMALL_FAMILIES = {"johnson": (5, 2), "hamming": (3, 3), "hypercube": (3,),
+                  "halved_cube": (5,), "folded_johnson": (6, 3),
+                  "folded_halved_cube": (6,), "grid": (3, 4),
+                  "complete_multipartite": (3, 2), "cocktail_party": (3,),
+                  "triangular": (5,), "latin_square": (3, 3), "cycle": (5,),
+                  "complete": (4,), "icosahedron": (), "petersen": ()}
+
+
+def test_every_constructor_keeps_one_intp_arc_index(tmp_path):
+    assert set(SMALL_FAMILIES) | {"steiner_block_graph"} == set(families._BUILDERS)
+    built = [build_family(FamilySpec(name, params)) for name, params in SMALL_FAMILIES.items()]
+    fano = [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]]
+    built.append(build_family(FamilySpec("steiner_block_graph", data=tuple(map(tuple, fano)))))
+    g = johnson(7, 3)
+    g.dump(str(tmp_path / "g.json"))
+    built += [Graph([[1], [0, 2], [1]]), Graph([]), Graph.from_edges(4, [(0, 1), (2, 1)]),
+              Graph.from_edges(0, []), induced_subgraph(g, [0, 1, 5, 20]).graph,
+              induced_subgraph(g, []).graph, local_graph(g, 3).graph,
+              mu_graph(g, *map(int, np.argwhere(g.distance_matrix() == 2)[0])).graph,
+              Graph.load(str(tmp_path / "g.json"))]
+    for h in built:
+        _one_index(h)
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_edges_and_cell_counts_match_neighbour_lists(switched):
+    # edges() and _cell_counts find each arc's source from the offsets:
+    # compare them with the oracle's neighbour lists, relabelled (and
+    # switched: edges ab, cd become ad, cb) in Python
+    rng = random.Random(8)
+    base = oracle.johnson(7, 3)[0]
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    lists = [set() for _ in range(base.n)]
+    for v in range(base.n):
+        lists[perm[v]] = {perm[u] for u in base.neighbors(v)}
+    if switched:
+        while True:
+            a, c = rng.sample(range(base.n), 2)
+            b, d = rng.choice(sorted(lists[a])), rng.choice(sorted(lists[c]))
+            if len({a, b, c, d}) == 4 and d not in lists[a] and b not in lists[c]:
+                break
+        for u, v, w in ((a, b, d), (c, d, b), (b, a, c), (d, c, a)):
+            lists[u] ^= {v, w}  # u drops v and gains w
+    edges = sorted((u, v) for u in range(base.n) for v in lists[u] if u < v)
+    g = _one_index(Graph.from_edges(base.n, edges))
+    assert sorted(g.edges()) == edges
+    cell = np.array([rng.randrange(-1, 4) for _ in range(g.n)])
+    want = [[sum(cell[u] == c for u in lists[v]) for c in range(4)] for v in range(g.n)]
+    assert _cell_counts(g, cell, 4).tolist() == want
 
 
 def test_refused_dump_leaves_the_file_as_it_was(tmp_path, monkeypatch):
