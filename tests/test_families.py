@@ -347,6 +347,17 @@ def test_cycle_of_3000000_vertices_builds():
     assert g.n == 3000000 and g.edge_count == 3000000
 
 
+def _build_under_3gb(spec):
+    """``drglab build spec`` under a 3 GB address-space limit."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "drglab.cli", "build", spec], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("spec,n,width", [("complete:100000", 100000, 99999),
                                           ("grid:1000,1000", 1000000, 1998)])
 def test_arcs_beyond_memory_are_refused_before_they_are_allocated(spec, n, width):
@@ -364,17 +375,6 @@ def test_one_vertex_johnson_predicts_no_binomial_table():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["n"] == 1
     assert johnson(3, 3).to_json()["adj"] == [[]]
-
-
-def _build_under_3gb(spec):
-    """``drglab build spec`` under a 3 GB address-space limit."""
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "drglab.cli", "build", spec], env=env,
-                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
 
 
 # -- Cayley graphs with the array of a family they are not in -------------------
