@@ -61,10 +61,13 @@ class ResourceError(DrgError):
     bounds the digits of a key word.
 
     Block budgets, which bound working memory without refusing anything:
-    ``graph._PAIR_BUDGET`` entries per block of the pair kernel,
-    ``graph._LOCAL_BUDGET`` per block of the local-partition pass and
-    ``families._BLOCK`` per block of a family build.  ``graph._DENSE_KEYS_CAP``
-    and ``graph._LABEL_TABLE_CAP`` only choose a route.
+    ``graph._PAIR_BUDGET`` entries per block of the pair kernel (a block of
+    one pair on more arcs than that splits its arcs into ranges of
+    consecutive vertices, each within the budget or of one vertex) and per
+    range of the distance engine's pull step, ``graph._LOCAL_BUDGET`` per
+    block of the local-partition pass and ``families._BLOCK`` per block of a
+    family build.  ``graph._DENSE_KEYS_CAP`` and ``graph._LABEL_TABLE_CAP``
+    only choose a route.
     """
 
 

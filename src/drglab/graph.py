@@ -11,9 +11,13 @@ equitable quotients, and the pair kernel (``_check_pairs``), which tests
 the joint distance partitions pi(x, y) of a block of pairs at once, for
 1-homogeneity and for distance-regularity, its case x = y, by exact keys:
 float64 products with the adjacency matrix (below 2**53) or int64 sums
-over the arcs (below 2**63), as ``_dense_keys`` chooses.  Every dense
-reader derives from one read-only view (``Graph._padded``): the uint8
-adjacency and the neighbour table, padded with a vertex n adjacent to none.
+over the arcs (below 2**63), as ``_dense_keys`` chooses.  The two gathers
+over all arcs, the sparse keys and the engine's pull, read them in ranges of
+consecutive vertices (``_ranges``) within ``_PAIR_BUDGET`` entries, or of
+one vertex, so no block holds an entry for every arc of a large graph.
+Every dense reader derives from one read-only view (``Graph._padded``): the
+uint8 adjacency and the neighbour table, padded with a vertex n adjacent to
+none.
 The one local-partition pass (``_local_blocks``) reads the pairs (x, y)
 that an (n, n) selection marks, in blocks of centres y: the distances from
 x to Gamma(y), which split it into the cells C, A and B, and the local
@@ -77,6 +81,18 @@ def _row_ints(bits: np.ndarray) -> List[int]:
     """Each row of a 0/1 matrix as a Python int: bit u is set when entry u is."""
     return [int.from_bytes(row.tobytes(), "little")
             for row in np.packbits(bits, axis=-1, bitorder="little")]
+
+
+def _ranges(offsets: np.ndarray, most: int) -> List[Tuple[int, int]]:
+    """Consecutive ranges (i0, i1) of the segments between the ascending
+    ``offsets`` (m + 1 of them) that cover all m: each takes as many
+    segments as hold at most ``most`` entries in all, and at least one."""
+    cuts, i0, m = [], 0, len(offsets) - 1
+    while i0 < m:
+        i1 = max(i0 + 1, int(np.searchsorted(offsets, offsets[i0] + most, "right")) - 1)
+        cuts.append((i0, i1))
+        i0 = i1
+    return cuts
 
 
 class Graph:
@@ -197,13 +213,17 @@ class Graph:
         it is given.  One breadth-first search serves 64 sources: bit j of a
         vertex's word means "reached from source j".  A level with few
         frontier arcs pushes the frontier's words along them
-        (``np.bitwise_or.at``); any other level ORs every vertex's
-        neighbours' words (``np.bitwise_or.reduceat`` over all arcs).  The
-        new bits are decoded with ``np.unpackbits``."""
+        (``np.bitwise_or.at``); any other level pulls: it ORs every vertex's
+        neighbours' words (``np.bitwise_or.reduceat``), gathered over the
+        arcs of consecutive vertices, ``_PAIR_BUDGET`` arcs at a time or one
+        vertex's.  The new bits are decoded with ``np.unpackbits``."""
         sources = self._vertices(sources)
         dst = self._dst
         deg = self.degrees()
-        owners, starts = np.flatnonzero(deg), self._starts[:-1][deg > 0]
+        owners = np.flatnonzero(deg)
+        offsets = np.append(self._starts[owners], len(dst))
+        pulls = [(owners[i0:i1], offsets[i0], offsets[i1], offsets[i0:i1] - offsets[i0])
+                 for i0, i1 in _ranges(offsets, _PAIR_BUDGET)]
         rows = np.empty((len(sources), self.n), dtype=np.int16) if out is None else out
         for lo in range(0, len(sources), 64):
             block = sources[lo:lo + 64]
@@ -232,7 +252,8 @@ class Graph:
                     hit = to[np.diff(to, prepend=-1) != 0]  # the new vertices, once each
                 else:
                     reach = np.zeros_like(frontier)
-                    reach[owners] = np.bitwise_or.reduceat(frontier[dst], starts)
+                    for who, a, b, seg in pulls:
+                        reach[who] = np.bitwise_or.reduceat(np.take(frontier, dst[a:b]), seg)
                     frontier = reach & ~seen
                     hit = np.flatnonzero(frontier)
                 seen[hit] |= frontier[hit]
@@ -425,7 +446,10 @@ def equitable_quotient(g: Graph, p: VertexPartition
 #: entries one block of the pair kernel may hold: (pair, arc) entries on the
 #: sparse route; on the dense one, (pair, vertex) entries count four each, for
 #: its labels, weights, keys and reference keys.  A block takes as many pairs
-#: as fit, and at least one
+#: as fit, and at least one; the sparse route gathers a block's arcs in
+#: ranges of consecutive vertices that fit, and at least one vertex each (a
+#: pair on more arcs than the budget splits them).  The engine's pull reads
+#: the arcs in ranges of the same size
 _PAIR_BUDGET = 1 << 18
 #: vertex cap of the dense route: its float64 adjacency takes 8 n^2 bytes
 _DENSE_KEYS_CAP = 1024
@@ -472,17 +496,21 @@ def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray
     nine around v, and v's count row is one key per word: the digit weights
     of its neighbours, summed.  On the dense route (``adj`` the float64
     adjacency) that is one product per word, w @ adj; on the sparse route
-    (``adj`` None) an int64 gather over every arc and a reduction over each
-    vertex's arcs."""
+    (``adj`` None), for each range of consecutive vertices whose arcs times
+    p fit ``_PAIR_BUDGET`` (or of one vertex), an int64 gather over the
+    range's arcs and a reduction over each vertex's arcs."""
     if adj is not None:
         return w @ adj
-    dst, starts = g._dst, g._starts[:-1]
-    p, n = w.shape[1:]
+    dst, starts = g._dst, g._starts
+    keys = np.empty(w.shape, dtype=w.dtype)
     # every vertex has an arc (the graph is connected), so the segments of
-    # the reduction are the arcs of each vertex
-    seg = (np.arange(p)[:, None] * len(dst) + starts).ravel()
-    return np.stack([np.add.reduceat(np.take(word, dst, axis=1).ravel(), seg).reshape(p, n)
-                     for word in w])
+    # each reduction are the arcs of each vertex in the range
+    for i0, i1 in _ranges(starts, _PAIR_BUDGET // w.shape[1]):
+        a, b = starts[i0], starts[i1]
+        for word, out in zip(w, keys):
+            np.add.reduceat(np.take(word, dst[a:b], axis=1), starts[i0:i1] - a, axis=1,
+                            out=out[:, i0:i1])
+    return keys
 
 
 def _quotient(cells: np.ndarray, span: int, keys: np.ndarray, weights: np.ndarray):

@@ -8,7 +8,10 @@ block of pairs to a call: each vertex's neighbour counts over the cells of
 pi(x, y) are packed into exact keys for the whole block at once, by float64
 products with the adjacency matrix or by int64 sums over the arcs, as
 ``graph._dense_keys`` chooses.  A pair holds when each vertex's key is the
-first pair's key for its cell, with no sort.
+first pair's key for its cell, with no sort.  pi(y, x) is pi(x, y) with the
+coordinates of its labels swapped, so an exhaustive check reads each
+unordered pair once and reports ordered counts, unless the first pair's
+quotient is not symmetric.
 ``graph.check_distance_regular`` runs the same kernel on the pairs (x, x),
 whose partitions are the distance partitions.  The size policy follows from
 the mode: exhaustive checks read both distance rows from the dense distance
@@ -86,21 +89,39 @@ def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     return np.array(xs), np.array(ys), rows
 
 
+def _swap_symmetric(labels, matrix) -> bool:
+    """Whether the quotient of pi(x, y) is that of pi(y, x): its labels
+    (a, b) are closed under the swap (b, a), with the same counts."""
+    at = {lab: j for j, lab in enumerate(labels)}
+    swap = [at.get((b, a), -1) for a, b in labels]
+    q = np.array(matrix)
+    return -1 not in swap and bool((q[np.ix_(swap, swap)] == q).all())
+
+
 def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
                         seed: Optional[int] = None,
                         count: Optional[int] = None) -> HomogeneityReport:
     """Verify the joint distance partition pi(x, y) is equitable with the
     same parameters for every ordered pair at distance i.
 
-    Exhaustive mode reads every pair, in lexicographic order, and both
-    distance rows from the dense distance matrix, so above its cap it raises
-    ResourceError.  Sampled mode draws ``count`` pairs with replacement with
-    the given seed and takes their rows from one bit-parallel search at any
-    n (a draw above level 1 runs a one-source search, whose row it keeps);
-    it can refute but only exhaustive mode confirms.  Both run their pairs
-    through the one pair kernel, as many to a call as
-    ``graph._PAIR_BUDGET`` allows, on the route ``graph._dense_keys``
-    chooses; both routes give the same report, witness and pair count.
+    Exhaustive mode reads both distance rows from the dense distance
+    matrix, so above its cap it raises ResourceError.  It runs the pairs
+    x < y, in lexicographic order: the quotient of pi(y, x) is that of
+    pi(x, y) with its labels (a, b) swapped, so when the first pair's
+    quotient, the reference, is symmetric (``_swap_symmetric``), (x, y) and
+    (y, x) hold or fail together, and the first failing ordered pair is the
+    first failing pair x < y.  The report is that of the scan of every
+    ordered pair in lexicographic order: the witness of that pair, and as
+    ``pairs_checked`` its rank among the ordered pairs, or their count when
+    the check holds.  A reference that is not symmetric fails at (y, x), and
+    the ordered pairs are scanned again.  Sampled mode draws ``count`` pairs
+    with replacement with the given seed and takes their rows from one
+    bit-parallel search at any n (a draw above level 1 runs a one-source
+    search, whose row it keeps); it can refute but only exhaustive mode
+    confirms.  Both run their pairs through the one pair kernel, as many to
+    a call as ``graph._PAIR_BUDGET`` allows, on the route
+    ``graph._dense_keys`` chooses; both routes give the same report,
+    witness and pair count.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
@@ -108,15 +129,22 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
         if seed is None or count is None or count < 1:
             raise InputError("sampled mode requires a seed and a positive count")
         xs, ys, rows = _sampled_pairs(g, i, seed, count)
-        at_x, at_y = np.arange(count), count + np.arange(count)
+        checked, witness, (labels, matrix) = _check_pairs(
+            g, xs, ys, rows, np.arange(count), count + np.arange(count))
     else:
         rows = g.distance_matrix()
         if rows.min() < 0:
             raise InputError("homogeneity is defined for connected graphs")
-        xs, ys = at_x, at_y = np.nonzero(rows == i)
+        xs, ys = np.nonzero(rows == i)
         if not len(xs):
             raise InputError(f"no pair of vertices at distance {i}")
-    checked, witness, (labels, matrix) = _check_pairs(g, xs, ys, rows, at_x, at_y)
+        ux, uy = xs[xs < ys], ys[xs < ys]
+        checked, witness, (labels, matrix) = _check_pairs(g, ux, uy, rows, ux, uy)
+        if not _swap_symmetric(labels, matrix):
+            checked, witness, (labels, matrix) = _check_pairs(g, xs, ys, rows, xs, ys)
+        else:  # the failing pair's rank among the ordered pairs, or their count
+            checked = len(xs) if witness is None else 1 + int(
+                np.searchsorted(xs * g.n + ys, witness[0] * g.n + witness[1]))
     if witness is not None:
         return HomogeneityReport(i, False, witness=witness, mode=mode, pairs_checked=checked)
     return HomogeneityReport(i, True, labels, matrix, None, mode, checked)

@@ -1,0 +1,113 @@
+"""The block budget ``graph._PAIR_BUDGET`` on every arc-sized gather: the
+sparse keys of the pair kernel (``graph._pair_keys``) and the pull step of
+the distance engine (``Graph._distance_rows``) read the arcs of consecutive
+vertex ranges (``graph._ranges``), within the budget or of one vertex each.
+
+The keys are compared with the whole-arc gather they replaced
+(``pair_keys_oracle``), and the rows with the queue search (``bfs_oracle``),
+under budgets small enough that every block splits, on relabelled and
+switched corpus graphs and on K_{40,40}, where one vertex's arcs exceed the
+budget.  ``tracemalloc`` holds both to the budget on the halved 14-cube.
+"""
+
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import drglab.graph as graph
+import pair_keys_oracle
+from bfs_oracle import bfs_distances
+from drglab.families import complete_multipartite, halved_cube
+from test_distance_engine import path, union
+from test_equitability import BASES, relabel, switch
+
+BUDGETS = pytest.mark.parametrize("budget", [1, 7, 64])
+
+
+def corpus():
+    """Every base relabelled and switched, and K_{40,40} (valency 40)."""
+    rng = random.Random(26)
+    graphs = [complete_multipartite(2, 40)]
+    for base in BASES:
+        graphs += [relabel(base, rng), switch(relabel(base, rng), rng)]
+    return graphs
+
+
+CORPUS = corpus()
+
+
+@pytest.mark.parametrize("most", [0, 1, 7, 64, 1 << 18])
+def test_ranges_take_the_most_segments_within_the_budget(most):
+    offsets = [g._starts for g in CORPUS[:3]] + [np.array([0, 0, 3, 3, 10, 10, 11]),
+                                                 np.array([0])]
+    for off in offsets:
+        cuts = graph._ranges(off, most)
+        m = len(off) - 1
+        # consecutive, from 0 to m
+        assert [i0 for i0, _ in cuts] + [m] == [0] + [i1 for _, i1 in cuts]
+        for i0, i1 in cuts:
+            assert i1 == i0 + 1 or off[i1] - off[i0] <= most
+            # no further segment fits
+            assert i1 == m or off[i1 + 1] - off[i0] > most
+
+
+@BUDGETS
+@pytest.mark.parametrize("pairs", [1, 3])
+def test_blocked_keys_match_the_whole_arc_gather(monkeypatch, budget, pairs):
+    monkeypatch.setattr(graph, "_PAIR_BUDGET", budget)
+    rng = np.random.default_rng(budget * 10 + pairs)
+    for g in CORPUS:
+        for words in (1, 2):
+            w = rng.integers(0, 1 << 40, size=(words, pairs, g.n))
+            got = graph._pair_keys(g, None, w)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, pair_keys_oracle.pair_keys(g, w))
+
+
+@BUDGETS
+def test_distance_rows_match_the_oracle(monkeypatch, budget):
+    # 9, 16 and 64 sources take words of one, two and eight bytes; 70 makes
+    # two blocks; isolated vertices and a path leave some vertices out of
+    # the pull and make it push
+    monkeypatch.setattr(graph, "_PAIR_BUDGET", budget)
+    rng = random.Random(budget)
+    for g in CORPUS + [union(CORPUS[1], path(30), graph.Graph([[]]))]:
+        for count in (1, 9, 16, 64, 70):
+            sources = [rng.randrange(g.n) for _ in range(count)]
+            want = np.array([bfs_distances(g, s) for s in sources], dtype=np.int16)
+            assert np.array_equal(g._distance_rows(sources), want)
+
+
+def traced_peak(call):
+    """The call's result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def hc14():
+    # 8192 vertices and 745472 arcs: a whole-arc gather of int64 takes 6 MB
+    return halved_cube(14)
+
+
+def test_sparse_keys_stay_within_the_budget(hc14):
+    w = np.ones((1, 1, hc14.n), dtype=np.int64)
+    keys, peak = traced_peak(lambda: graph._pair_keys(hc14, None, w))
+    assert np.array_equal(keys, pair_keys_oracle.pair_keys(hc14, w))
+    # one range's gather is 2 MiB (2^18 int64 entries)
+    assert peak - keys.nbytes < 3 << 20
+
+
+def test_pull_stays_within_the_budget(hc14):
+    rows, peak = traced_peak(lambda: hc14._distance_rows(range(64)))
+    assert np.array_equal(rows[0], bfs_distances(hc14, 0))
+    # per vertex: three uint64 words (frontier, seen, reach) and the degree,
+    # 64 decoded bits of a byte each, and its 64 int16 distances three times
+    # over (the block, the bits times the level, the rows of the hits)
+    assert peak - rows.nbytes - hc14.n * (4 * 8 + 64 + 3 * 128) < 3 << 20
