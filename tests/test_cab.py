@@ -13,7 +13,8 @@ import cab_oracle as oracle
 import drglab.graph
 from drglab.cab import (CabLevelParams, LocalSrgData, c2_bound,
                         cab2_closed_form, cab_formula_params,
-                        cab_partition_check, predict_cab2)
+                        cab_partition_check, predict_cab2, quotient_matrix,
+                        quotient_spectrum)
 from drglab.errors import (DomainError, InputError, PreconditionError,
                            ResourceError, SingularityError)
 from drglab.families import (complete, complete_multipartite, cycle,
@@ -25,6 +26,25 @@ from drglab.homogeneous import check_i_homogeneous
 from drglab.scalars import exact_eq
 from test_equitability import relabel, switch
 from test_local import outcome, paley, shrikhande, taylor
+
+J105_LEVELS = [(0, 1, 4, 2), (2, 2, 3, 4), (4, 3, 2, 6), (6, 4, 1, 8)]
+
+
+def test_empirical_levels_on_johnson(j105):
+    rep = cab_partition_check(j105)
+    assert rep.holds
+    assert [p.as_tuple() for p in rep.levels[:4]] == [
+        tuple(Fraction(t) for t in lv) for lv in J105_LEVELS]
+    # at the top level i = D the B cell is empty
+    top = rep.levels[4]
+    assert top.gamma == 8 and top.alpha is None
+
+
+def test_empirical_level2_on_halved_cube(hc10):
+    rep = cab_partition_check(hc10, i_max=2)
+    assert rep.holds
+    assert rep.levels[1].as_tuple() == (4, 3, 5, 8)
+
 
 def test_icosahedron_cab_holds(icosa):
     rep = cab_partition_check(icosa)
@@ -180,6 +200,36 @@ def test_local_srg_data_from_eigenvalues():
 def test_local_srg_data_from_params_roundtrip():
     loc = LocalSrgData.from_params(25, 8, 3, 2)
     assert (loc.r, loc.s) == (Fraction(3), Fraction(-2))
+
+
+def test_recursion_reproduces_johnson_levels():
+    loc = LocalSrgData.from_eigenvalues(8, 3, -2)
+    levels, b_pred = cab_formula_params(loc, [1, 4, 9, 16, 25], levels=4)
+    assert [p.as_tuple() for p in levels] == [
+        tuple(Fraction(t) for t in lv) for lv in J105_LEVELS]
+    assert b_pred == [Fraction(x) for x in (16, 9, 4, 1)]
+
+
+def test_recursion_on_halved_cube_prefix():
+    loc = LocalSrgData.from_eigenvalues(16, 6, -2)
+    levels, b_pred = cab_formula_params(loc, [1, 6], levels=2)
+    assert levels[1].as_tuple() == (4, 3, 5, 8)
+    assert b_pred[1] == 15
+
+
+def test_trace_identity():
+    loc = LocalSrgData.from_eigenvalues(8, 3, -2)
+    levels, _ = cab_formula_params(loc, [1, 4, 9, 16, 25], levels=4)
+    for p in levels:
+        assert p.alpha + p.beta + p.delta - p.gamma == 8 - 3 - (-2)
+
+
+def test_quotient_spectra_match_local_spectrum():
+    loc = LocalSrgData.from_eigenvalues(8, 3, -2)
+    levels, _ = cab_formula_params(loc, [1, 4, 9, 16, 25], levels=4)
+    for p in levels:
+        spec = quotient_spectrum(quotient_matrix(8, p))
+        assert [int(v) for v in spec] == [8, 3, -2]
 
 
 def test_closed_form_predictions():
