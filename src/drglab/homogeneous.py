@@ -106,16 +106,17 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
 
     Exhaustive mode reads both distance rows from the dense distance
     matrix, so above its cap it raises ResourceError.  It runs the pairs
-    x < y, in lexicographic order: the quotient of pi(y, x) is that of
+    x <= y, in lexicographic order: the quotient of pi(y, x) is that of
     pi(x, y) with its labels (a, b) swapped, so when the first pair's
     quotient, the reference, is symmetric (``_swap_symmetric``), (x, y) and
     (y, x) hold or fail together, and the first failing ordered pair is the
-    first failing pair x < y.  The report is that of the scan of every
+    first failing pair x <= y.  The report is that of the scan of every
     ordered pair in lexicographic order: the witness of that pair, and as
     ``pairs_checked`` its rank among the ordered pairs, or their count when
-    the check holds.  A reference that is not symmetric fails at (y, x), and
-    the ordered pairs are scanned again.  Sampled mode draws ``count`` pairs
-    with replacement with the given seed and takes their rows from one
+    the check holds.  The reference is read first, from the first pair
+    alone; one that is not symmetric fails at (y, x), so the ordered pairs
+    are scanned instead.  Sampled mode draws ``count`` pairs with
+    replacement with the given seed and takes their rows from one
     bit-parallel search at any n (a draw above level 1 runs a one-source
     search, whose row it keeps); it can refute but only exhaustive mode
     confirms.  Both run their pairs through the one pair kernel, as many to
@@ -138,11 +139,13 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
         xs, ys = np.nonzero(rows == i)
         if not len(xs):
             raise InputError(f"no pair of vertices at distance {i}")
-        ux, uy = xs[xs < ys], ys[xs < ys]
-        checked, witness, (labels, matrix) = _check_pairs(g, ux, uy, rows, ux, uy)
-        if not _swap_symmetric(labels, matrix):
+        # the first ordered pair has x <= y, so both scans share its reference
+        if not _swap_symmetric(*_check_pairs(g, xs[:1], ys[:1], rows, xs[:1], ys[:1])[2]):
             checked, witness, (labels, matrix) = _check_pairs(g, xs, ys, rows, xs, ys)
-        else:  # the failing pair's rank among the ordered pairs, or their count
+        else:
+            ux, uy = xs[xs <= ys], ys[xs <= ys]
+            checked, witness, (labels, matrix) = _check_pairs(g, ux, uy, rows, ux, uy)
+            # the failing pair's rank among the ordered pairs, or their count
             checked = len(xs) if witness is None else 1 + int(
                 np.searchsorted(xs * g.n + ys, witness[0] * g.n + witness[1]))
     if witness is not None:

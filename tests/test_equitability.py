@@ -293,16 +293,19 @@ def test_long_cycles_look_labels_up_among_the_first_pair_cells():
 
 
 def test_route_rule():
-    # an exhaustive level-1 check (one pair per edge, x < y) goes dense on
-    # every graph of at most 1024 vertices and n / 32 average valency; a few
-    # sampled pairs do not pay for the adjacency matrix
+    # an exhaustive check (one pair per arc) goes dense on every graph of
+    # at most 1024 vertices and n / 32 average valency, and so does its half
+    # scan at level 1 (one pair per edge); a few sampled pairs do not pay
+    # for the adjacency matrix
     for g in (johnson(10, 5), hamming(5, 3), petersen(), cocktail_party(65),
               halved_cube(11)):
+        arcs = 2 * g.edge_count
+        assert graph._dense_keys(g, arcs)
         assert graph._dense_keys(g, g.edge_count)
         assert not graph._dense_keys(g, 4)
     # thin or large graphs keep the sums over the arcs
     for g in (cycle(1000), hypercube(10), hamming(6, 3), hamming(7, 3), halved_cube(12)):
-        assert not graph._dense_keys(g, g.edge_count)
+        assert not graph._dense_keys(g, 2 * g.edge_count)
 
 
 def test_long_cycle_is_one_homogeneous():
@@ -332,15 +335,15 @@ def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
         monkeypatch.setattr(graph, "_pair_keys", counted)
         monkeypatch.setattr(graph, "_dense_keys", lambda g, pairs: dense)
         monkeypatch.setattr(graph, "_PAIR_BUDGET", budget)
-        # the kernel reads the 560 unordered pairs; the report counts the
-        # 1120 ordered ones
+        # the kernel reads the reference pair, then the 560 unordered pairs;
+        # the report counts the 1120 ordered ones
         rep = check_i_homogeneous(g, 1)
         assert rep.holds and rep.pairs_checked == 1120
-        assert 1 <= len(calls) <= g.n and sum(calls) == 560
+        assert 1 <= len(calls) <= g.n and sum(calls) == 1 + 560
         calls.clear()
         monkeypatch.setattr(graph, "_PAIR_BUDGET", 1)
         assert check_i_homogeneous(g, 1) == rep
-        assert calls == [1] * 560
+        assert calls == [1] * (1 + 560)
 
 
 @pytest.fixture
@@ -357,43 +360,46 @@ def scans(monkeypatch):
 
 
 def test_half_pair_scan_matches_the_pair_by_pair_oracle(scans):
-    # every level of every base, relabelled and switched; a symmetric
-    # reference scans the pairs x < y once, and its first failure is the
-    # first failing ordered pair, whose rank is the pair count
+    # every level of every base, relabelled and switched, level 0 (the pairs
+    # (x, x)) included; after the one-pair call for the reference, a
+    # symmetric one scans the pairs x <= y, whose first failure is the first
+    # failing ordered pair, whose rank is the pair count
     seen = set()
     for index, base in enumerate(BASES):
         rng = random.Random(300 + index)
         for g in (relabel(base, rng), switch(relabel(base, rng), rng)):
             dm = g.distance_matrix()
-            for i in range(1, int(dm.max()) + 1):
+            for i in range(0, int(dm.max()) + 1):
                 scans.clear()
                 got = outcome(lambda: check_i_homogeneous(g, i))
                 assert got == outcome(lambda: homogeneity_oracle.check_i_homogeneous(g, i))
                 if scans:
-                    ordered = np.count_nonzero(dm == i)
-                    assert scans[0] == ordered // 2 and scans[1:] in ([], [ordered])
-                    seen.add((got.holds, len(scans)))
-    # holding, failing on the half scan, and failing on the ordered rescan
-    assert seen == {(True, 1), (False, 1), (False, 2)}
+                    half = np.count_nonzero(np.triu(dm == i))
+                    assert scans in ([1, half], [1, np.count_nonzero(dm == i)])
+                    seen.add((got.holds, i > 0, scans[1] == half))
+    # holding and failing at level 0, holding, failing on the half scan, and
+    # failing on the ordered scan above it
+    assert seen == {(True, False, True), (False, False, True), (True, True, True),
+                    (False, True, True), (False, True, False)}
 
 
 @pytest.mark.parametrize("n", range(4, 13))
-def test_paths_rescan_the_ordered_pairs(scans, n):
+def test_paths_scan_the_ordered_pairs(scans, n):
     # the first pair (0, i) of the path P_n has the cell (i + 1, 1) and, for
     # i < n - 1, no cell (1, i + 1): its quotient is not that of (i, 0), so
-    # the level fails and the ordered pairs are scanned again
+    # the level fails and the ordered pairs are scanned, not the pairs x < y
     g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
     for i in range(1, n):
         scans.clear()
         rep = check_i_homogeneous(g, i)
         assert rep == homogeneity_oracle.check_i_homogeneous(g, i)
         pairs = 2 * (n - i)
-        assert scans == ([pairs // 2, pairs] if i < n - 1 else [1])
+        assert scans == [1, pairs if i < n - 1 else 1]
         assert rep.holds == (i == n - 1)
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (3, 4)])
-def test_unequal_counts_rescan_the_ordered_pairs(scans, m, n):
+def test_unequal_counts_scan_the_ordered_pairs(scans, m, n):
     # K_{m,n}, the part of m first: every pair x < y is (a, b), a in the
     # first part, with one quotient, whose labels are closed under the swap
     # but whose counts are not (a has n - 1 neighbours in the cell (1, 2), b
@@ -401,7 +407,7 @@ def test_unequal_counts_rescan_the_ordered_pairs(scans, m, n):
     g = Graph.from_edges(m + n, [(a, m + b) for a in range(m) for b in range(n)])
     rep = check_i_homogeneous(g, 1)
     assert rep == homogeneity_oracle.check_i_homogeneous(g, 1)
-    assert scans == [m * n, 2 * m * n]
+    assert scans == [1, 2 * m * n]
     assert not rep.holds and rep.witness[:2] == (m, 0) and rep.pairs_checked == m * n + 1
 
 
