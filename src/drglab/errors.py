@@ -60,14 +60,20 @@ class ResourceError(DrgError):
     pair kernel's keys stay below 2^53 (float64) or 2^63 (int64), which
     bounds the digits of a key word.
 
-    Block budgets, which bound working memory without refusing anything:
-    ``graph._PAIR_BUDGET`` entries per block of the pair kernel (a block of
-    one pair on more arcs than that splits its arcs into ranges of
-    consecutive vertices, each within the budget or of one vertex) and per
-    range of the distance engine's pull step, ``graph._LOCAL_BUDGET`` per
-    block of the local-partition pass and ``families._BLOCK`` per block of a
-    family build.  ``graph._DENSE_KEYS_CAP`` and ``graph._LABEL_TABLE_CAP``
-    only choose a route.
+    Block budget, which bounds working memory without refusing anything:
+    ``graph._BUDGET`` (2^18) entries per block of every blocked pass.  A
+    block takes as many items as fit, and at least one
+    (``graph._per_block``); a gather over the arcs reads the arcs of
+    consecutive vertices, within the budget or of one vertex
+    (``graph._ranges``).  The passes: the pair kernel's blocks of pairs and
+    its sparse arc ranges (``graph._check_pairs``, ``graph._pair_keys``),
+    the distance engine's pull (``Graph._distance_rows``), the per-cell
+    counts (``graph._cell_counts``), the local-partition pass and its
+    mu-graph patterns (``graph._local_blocks``, ``graph._patterns``) and
+    the rows of a family build (``families._label_graph``, whose scratch
+    ``families._graph_bytes`` predicts).  The pair kernel reads its labels
+    from tables of every label while span^2 fits the budget.
+    ``graph._DENSE_KEYS_CAP`` only chooses a route.
     """
 
 

@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, require_room
-from .graph import Graph
+from .graph import _BUDGET, Graph, _per_block
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,11 @@ class FamilySpec:
         return cls(name.strip().lower().replace("-", "_"), params, data)
 
 
-#: neighbour entries per block of rows while a family graph is built
-_BLOCK = 1 << 18
-
-
 def _graph_bytes(n: int, width: int) -> int:
     """Bytes to build a graph of n rows of ``width`` neighbours: the intp
     target of every arc slot, 16 per vertex (the offsets, and the degrees
     a reader takes from them) and 64 per entry of one block's scratch."""
-    return 8 * n * (width + 2) + 64 * max(_BLOCK, width)
+    return 8 * n * (width + 2) + 64 * max(_BUDGET, width)
 
 
 def _vertices(width: int, count: Callable[[], int], min_bits: int = 0,
@@ -98,9 +94,9 @@ def _label_graph(n: int, width: int,
     to, in any order.  Each row is sorted, and repeats and the vertex itself
     are dropped: a fold may send several moves to one class, or a move to
     the vertex's own class, and a design lists the vertex in each of its
-    lines.  Rows go ``_BLOCK`` entries at a time; the caller has checked
-    the room for ``_graph_bytes(n, width)``."""
-    step = max(1, _BLOCK // max(width, 1))
+    lines.  Rows go ``graph._BUDGET`` entries at a time; the caller has
+    checked the room for ``_graph_bytes(n, width)``."""
+    step = _per_block(width)
     starts = np.zeros(n + 1, dtype=np.intp)
     dst = np.empty(n * width, dtype=np.intp)
     for lo in range(0, n, step):

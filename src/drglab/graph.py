@@ -11,10 +11,11 @@ equitable quotients, and the pair kernel (``_check_pairs``), which tests
 the joint distance partitions pi(x, y) of a block of pairs at once, for
 1-homogeneity and for distance-regularity, its case x = y, by exact keys:
 float64 products with the adjacency matrix (below 2**53) or int64 sums
-over the arcs (below 2**63), as ``_dense_keys`` chooses.  The two gathers
-over all arcs, the sparse keys and the engine's pull, read them in ranges of
-consecutive vertices (``_ranges``) within ``_PAIR_BUDGET`` entries, or of
-one vertex, so no block holds an entry for every arc of a large graph.
+over the arcs (below 2**63), as ``_dense_keys`` chooses.  The gathers over
+all arcs (the sparse keys, the engine's pull and the per-cell counts) read
+them in ranges of consecutive vertices (``_ranges``) within the block
+budget ``_BUDGET`` (``errors.ResourceError`` lists its passes), or of one
+vertex, so no block holds an entry for every arc of a large graph.
 Every dense reader derives from one read-only view (``Graph._padded``): the
 uint8 adjacency and the neighbour table, padded with a vertex n adjacent to
 none.
@@ -52,6 +53,9 @@ SPECTRUM_EXACT_CAP = 256
 _DENSE_CAP = 6000
 #: a frontier with under 1 / _PUSH_SHARE of all arcs pushes (~33 bytes per arc it holds)
 _PUSH_SHARE = 16
+#: entries one block of a blocked pass may hold (``errors.ResourceError``
+#: lists the passes)
+_BUDGET = 1 << 18
 
 
 def _validate_arcs(n: int, src: np.ndarray, dst: np.ndarray):
@@ -93,6 +97,12 @@ def _ranges(offsets: np.ndarray, most: int) -> List[Tuple[int, int]]:
         cuts.append((i0, i1))
         i0 = i1
     return cuts
+
+
+def _per_block(size: int) -> int:
+    """How many items of ``size`` entries one block takes: as many as fit
+    in ``_BUDGET``, and at least one; items of no entries count one each."""
+    return max(1, _BUDGET // max(size, 1))
 
 
 class Graph:
@@ -215,7 +225,7 @@ class Graph:
         frontier arcs pushes the frontier's words along them
         (``np.bitwise_or.at``); any other level pulls: it ORs every vertex's
         neighbours' words (``np.bitwise_or.reduceat``), gathered over the
-        arcs of consecutive vertices, ``_PAIR_BUDGET`` arcs at a time or one
+        arcs of consecutive vertices, ``_BUDGET`` arcs at a time or one
         vertex's.  The new bits are decoded with ``np.unpackbits``."""
         sources = self._vertices(sources)
         dst = self._dst
@@ -223,7 +233,7 @@ class Graph:
         owners = np.flatnonzero(deg)
         offsets = np.append(self._starts[owners], len(dst))
         pulls = [(owners[i0:i1], offsets[i0], offsets[i1], offsets[i0:i1] - offsets[i0])
-                 for i0, i1 in _ranges(offsets, _PAIR_BUDGET)]
+                 for i0, i1 in _ranges(offsets, _BUDGET)]
         rows = np.empty((len(sources), self.n), dtype=np.int16) if out is None else out
         for lo in range(0, len(sources), 64):
             block = sources[lo:lo + 64]
@@ -397,13 +407,20 @@ def distance_partition(g: Graph, x: int, y: int) -> VertexPartition:
 
 def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
     """Row v counts the neighbours of v in each cell; cell[u] is the cell of
-    vertex u, or -1 when u lies in no cell."""
-    rows, target = g._sources(), cell[g._dst]
-    if target.min(initial=0) < 0:
-        inside = target >= 0
-        rows, target = rows[inside], target[inside]
-    return np.bincount(rows * ncells + target,
-                       minlength=g.n * ncells).reshape(g.n, ncells)
+    vertex u, or -1 when u lies in no cell.  The arcs are read in ranges of
+    consecutive vertices within ``_BUDGET`` arcs, or of one vertex, one
+    ``bincount`` per range."""
+    counts = np.empty((g.n, ncells), dtype=np.intp)
+    starts = g._starts
+    for i0, i1 in _ranges(starts, _BUDGET):
+        rows = np.repeat(np.arange(i1 - i0), np.diff(starts[i0:i1 + 1]))
+        target = cell[g._dst[starts[i0]:starts[i1]]]
+        if target.min(initial=0) < 0:
+            inside = target >= 0
+            rows, target = rows[inside], target[inside]
+        counts[i0:i1] = np.bincount(rows * ncells + target,
+                                    minlength=(i1 - i0) * ncells).reshape(-1, ncells)
+    return counts
 
 
 def _equitable(g: Graph, cell: np.ndarray, labels: Tuple[object, ...]
@@ -443,18 +460,8 @@ def equitable_quotient(g: Graph, p: VertexPartition
 # -- the pair kernel -------------------------------------------------------
 
 
-#: entries one block of the pair kernel may hold: (pair, arc) entries on the
-#: sparse route; on the dense one, (pair, vertex) entries count four each, for
-#: its labels, weights, keys and reference keys.  A block takes as many pairs
-#: as fit, and at least one; the sparse route gathers a block's arcs in
-#: ranges of consecutive vertices that fit, and at least one vertex each (a
-#: pair on more arcs than the budget splits them).  The engine's pull reads
-#: the arcs in ranges of the same size
-_PAIR_BUDGET = 1 << 18
 #: vertex cap of the dense route: its float64 adjacency takes 8 n^2 bytes
 _DENSE_KEYS_CAP = 1024
-#: cap on span^2 (span = largest distance + 1) for the pair kernel's label tables
-_LABEL_TABLE_CAP = 1 << 18
 
 
 def _dense_keys(g: Graph, pairs: int) -> bool:
@@ -497,15 +504,17 @@ def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray
     of its neighbours, summed.  On the dense route (``adj`` the float64
     adjacency) that is one product per word, w @ adj; on the sparse route
     (``adj`` None), for each range of consecutive vertices whose arcs times
-    p fit ``_PAIR_BUDGET`` (or of one vertex), an int64 gather over the
-    range's arcs and a reduction over each vertex's arcs."""
+    p fit ``_BUDGET`` (or of one vertex), an int64 gather over the range's
+    arcs and a reduction over each vertex's arcs."""
     if adj is not None:
         return w @ adj
     dst, starts = g._dst, g._starts
+    if not len(dst):  # the one-vertex graph: no neighbour, so every key is 0
+        return np.zeros_like(w)
     keys = np.empty(w.shape, dtype=w.dtype)
-    # every vertex has an arc (the graph is connected), so the segments of
-    # each reduction are the arcs of each vertex in the range
-    for i0, i1 in _ranges(starts, _PAIR_BUDGET // w.shape[1]):
+    # every other connected graph has an arc at each vertex, so the segments
+    # of each reduction are the arcs of each vertex in the range
+    for i0, i1 in _ranges(starts, _BUDGET // w.shape[1]):
         a, b = starts[i0], starts[i1]
         for word, out in zip(w, keys):
             np.add.reduceat(np.take(word, dst[a:b], axis=1), starts[i0:i1] - a, axis=1,
@@ -551,35 +560,37 @@ def _witness(x: int, y: int, lab: np.ndarray, keys: np.ndarray, span: int):
 def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
                  at_x: np.ndarray, at_y: np.ndarray):
     """Run the pairs (xs[t], ys[t]), whose distance rows are rows[at_x[t]]
-    and rows[at_y[t]], through the pair kernel in order, blocks of
-    ``_PAIR_BUDGET`` entries at a time.  The first pair's quotient is the
-    reference: for each of its cells, the key of the cell's first vertex.
-    A pair refutes when some vertex's key differs from the reference key
-    of its label (a label the first pair lacks has none, so it differs
-    too), and counts as checked.  Equal keys under equal labels are equal
-    count rows, and the quotient is connected, so a pair that does not
-    refute is equitable with the reference quotient.  Blocks start at one
-    pair and double up to the budget, so a refutation reads about as many
-    pairs as it needs.  Returns the pairs checked, the witness (x, y, cell
-    label, vertex_a, vertex_b) of the refuting pair (None in the last three
-    when only its quotient differs) or None, and the reference (labels,
-    matrix)."""
+    and rows[at_y[t]], through the pair kernel in order, as many to a block
+    as ``_BUDGET`` entries hold (``_per_block``): (pair, arc) entries on
+    the sparse route; on the dense one, (pair, vertex) entries count four
+    each, for its labels, weights, keys and reference keys.  The first
+    pair's quotient is the reference: for each of its cells, the key of the
+    cell's first vertex.  A pair refutes when some vertex's key differs
+    from the reference key of its label (a label the first pair lacks has
+    none, so it differs too), and counts as checked.  Equal keys under
+    equal labels are equal count rows, and the quotient is connected, so a
+    pair that does not refute is equitable with the reference quotient.
+    Blocks start at one pair and double up to the budget, so a refutation
+    reads about as many pairs as it needs.  Returns the pairs checked, the
+    witness (x, y, cell label, vertex_a, vertex_b) of the refuting pair
+    (None in the last three when only its quotient differs) or None, and
+    the reference (labels, matrix)."""
     n = g.n
     dense = _dense_keys(g, len(xs))
     weights = _digit_weights(g, 1 << 53 if dense else 1 << 63)
     wf = weights.astype(np.float64) if dense else weights
     span = int(rows.max()) + 1
-    # while span^2 is small, a label a * span + b reads its digit weight and
-    # its reference key from tables of every label (one read per entry, a
-    # third of a binary search's cost); past that the tables would grow with
-    # the square of the diameter, so the digit is computed and the reference
-    # found among the first pair's cells
-    table = span * span <= _LABEL_TABLE_CAP
+    # while span^2 fits the budget, a label a * span + b reads its digit
+    # weight and its reference key from tables of every label (one read per
+    # entry, a third of a binary search's cost); past that the tables would
+    # grow with the square of the diameter, so the digit is computed and the
+    # reference found among the first pair's cells
+    table = span * span <= _BUDGET
     if table:
         a, b = np.divmod(np.arange(span * span), span)
         wl = wf[:, (3 * a + b) % 9]
     adj = g._padded()[0][:n, :n].astype(np.float64) if dense else None
-    most = max(1, _PAIR_BUDGET // (4 * n if dense else len(g._dst)))
+    most = _per_block(4 * n if dense else len(g._dst))
     cells = quotient = None
     lo, step = 0, 1
     while lo < len(xs):
@@ -735,10 +746,6 @@ def max_coclique(g: Graph) -> int:
 # -- local partitions --------------------------------------------------------
 
 
-#: entries a block of the local-partition pass may hold: k per partner, k^2 per centre
-_LOCAL_BUDGET = 1 << 17
-
-
 def _local_blocks(g: Graph, select: np.ndarray, first: int = 0, grow: bool = False):
     """The pairs (x, y) that ``select``, int8 (n, m), marks nonzero at
     [y, x - first], in blocks of centres y ascending: (ys, xs, dist,
@@ -747,8 +754,8 @@ def _local_blocks(g: Graph, select: np.ndarray, first: int = 0, grow: bool = Fal
     d(xs[b, t], v) at [b, a, t] for v the a-th neighbour of ys[b] (-1 for
     padding v), so that the v at distance i - 1, i and i + 1 from x are the
     cells C, A and B of d(x, y) = i; and the uint8 local graphs at ys.  A
-    block holds ``_LOCAL_BUDGET`` entries, or one centre; ``grow`` starts
-    at one centre and doubles."""
+    block holds ``_BUDGET`` entries, k per partner and k^2 per centre, or
+    one centre; ``grow`` starts at one centre and doubles."""
     dm, nb = g.distance_matrix(), g._padded()[1]
     n, k = g.n, nb.shape[1]
     count = np.count_nonzero(select, axis=1)
@@ -757,7 +764,7 @@ def _local_blocks(g: Graph, select: np.ndarray, first: int = 0, grow: bool = Fal
     reach = np.maximum.accumulate(count[centres][::-1])[::-1]
     lo, step = 0, 1 if grow else len(centres)
     while lo < len(centres):
-        step = min(step, max(1, _LOCAL_BUDGET // ((int(reach[lo]) + k) * k)))
+        step = min(step, _per_block((int(reach[lo]) + k) * k))
         ys = centres[lo:lo + step]
         lo, step = lo + step, 2 * step
         nby, cnt = nb[ys], count[ys]
@@ -809,13 +816,13 @@ def _patterns(local: np.ndarray, dist: np.ndarray, size: int):
     """The distinct adjacency patterns of the graphs on the members (the v
     at distance 1 from x) of a block's pairs: the bits above the diagonal
     (on it when size = 1), packed, as one integer, which sorts faster, when
-    they fit in 8 bytes; at most ``_LOCAL_BUDGET`` bits at a time."""
+    they fit in 8 bytes; at most ``_BUDGET`` bits at a time."""
     _, k, p = dist.shape
     at = np.flatnonzero(dist.transpose(0, 2, 1) == 1)  # (b, t, a) order
     col = (at % k).reshape(-1, size)  # each pair's members, ascending
     row = col * k + (at[::size] // (p * k) * k * k)[:, None]
     u, w = np.triu_indices(size, size > 1)
-    step = max(1, _LOCAL_BUDGET // len(u))
+    step = _per_block(len(u))
     for lo in range(0, len(col), step):
         keys = np.packbits(np.take(local, row[lo:lo + step, u] + col[lo:lo + step, w]), axis=1)
         width = keys.shape[1]

@@ -120,9 +120,9 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     bit-parallel search at any n (a draw above level 1 runs a one-source
     search, whose row it keeps); it can refute but only exhaustive mode
     confirms.  Both run their pairs through the one pair kernel, as many to
-    a call as ``graph._PAIR_BUDGET`` allows, on the route
-    ``graph._dense_keys`` chooses; both routes give the same report,
-    witness and pair count.
+    a call as the block budget allows (``errors.ResourceError`` states it),
+    on the route ``graph._dense_keys`` chooses; both routes give the same
+    report, witness and pair count.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")

@@ -151,18 +151,6 @@ class Surd:
             return self._invert() * Fraction(other)
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out: Union[Fraction, "Surd"] = Fraction(1)
-        base: Union[Fraction, "Surd"] = self
-        while n:
-            if n & 1:
-                out = base * out
-            base = base * base
-            n >>= 1
-        return out
-
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:

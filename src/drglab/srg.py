@@ -124,14 +124,13 @@ def recognize_srg_family(p: SrgParams) -> List[str]:
         m = int(-eig.s)
         if isinstance(eig.r, Fraction) and eig.r.denominator == 1:
             n = int(eig.r) + m
-            if n >= 1 and p.as_tuple() == (n * n, m * (n - 1),
-                                           (m - 1) * (m - 2) + n - 2, m * (m - 1)):
-                tags.append(f"LatinSquare(m={m},n={n})")
-            try:
-                if n >= 1 and p.as_tuple() == steiner_graph_params(m, n).as_tuple():
-                    tags.append(f"SteinerGraph(m={m},n={n})")
-            except InputError:
-                pass
+            for name, params in (("LatinSquare", latin_square_params),
+                                 ("SteinerGraph", steiner_graph_params)):
+                try:
+                    if n >= 1 and p.as_tuple() == params(m, n).as_tuple():
+                        tags.append(f"{name}(m={m},n={n})")
+                except InputError:
+                    pass
             # block graph of S(2, m, n'): mu = m^2, k = m(n'-m)/(m-1)
             if p.mu == m * m and m >= 2:
                 num = p.k * (m - 1)

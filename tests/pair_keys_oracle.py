@@ -5,7 +5,7 @@ Each key word is gathered over every arc of the graph at once, for every
 pair of the block, and summed over each vertex's arcs by one reduction, so a
 block of one pair holds an int64 entry per arc however many arcs there are.
 The kernel now gathers the arcs of consecutive vertex ranges, within
-``graph._PAIR_BUDGET`` entries each; ``test_pair_budget.py`` compares its
+``graph._BUDGET`` entries each; ``test_pair_budget.py`` compares its
 keys with these.
 """
 

@@ -163,7 +163,7 @@ def test_one_base_vertex_per_block_gives_the_same_reports(index, monkeypatch):
     graphs = [relabel(LOCAL_BASES[index], rng)]
     graphs.append(switched(graphs[0], rng))
     wide = [[outcome(check, g) for check in LOCAL_CHECKS] for g in graphs]
-    monkeypatch.setattr(drglab.graph, "_LOCAL_BUDGET", 1)
+    monkeypatch.setattr(drglab.graph, "_BUDGET", 1)
     assert [[outcome(check, g) for check in LOCAL_CHECKS] for g in graphs] == wide
     assert [reports[0] for reports in wide] == [oracle.cab_partition_check(g) for g in graphs]
 

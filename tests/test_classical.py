@@ -115,6 +115,16 @@ def test_classify_tight():
         classify_tight(H53)
 
 
+def test_classify_tight_falls_back_to_the_F_bound(monkeypatch):
+    # a tight array no named family matches is locally connected with
+    # k <= F(b); J(10,5) has b = 1 and F(1) = 861
+    monkeypatch.setattr(classical, "_named_branches", lambda ia, evidence: [])
+    out = classify_tight(J105)
+    assert (out.branch, out.name, out.branches) == (
+        "iii", "locally connected with k <= F(b)", ("iii",))
+    assert out.evidence[-1].rule == "F-bound" and out.evidence[-1].values == (25, 861)
+
+
 # -- recognition: the cubic-root search against the b-scan oracle ------------
 
 SETTINGS = settings(derandomize=True, deadline=None,

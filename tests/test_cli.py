@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import homogeneity_oracle
 from drglab.cli import main
 from drglab.families import FamilySpec, build_family, hamming, triangular
 from drglab.graph import Graph
@@ -57,6 +58,24 @@ def test_homog_exit_codes(capsys, tmp_path):
     assert code == 0 and out["holds"]
     code, _, err = run_cli(capsys, "homog", path, "--i", "1", "--sample", "5")
     assert code == 2 and "seed" in err
+
+
+@pytest.mark.parametrize("spec", ["complete:1", "johnson:4,4", "grid:1,1"])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_homog_level_zero_of_one_vertex(capsys, tmp_path, spec, mode):
+    # a graph with no arc: its one pair (0, 0) holds with the oracle's report
+    path = str(tmp_path / "g.json")
+    run_cli(capsys, "build", spec, "--out", path)
+    sampled = ["--sample", "3", "--seed", "1"] if mode == "sampled" else []
+    code, out, _ = run_cli(capsys, "homog", path, "--i", "0", *sampled)
+    want = homogeneity_oracle.check_i_homogeneous(Graph.load(path), 0, mode, seed=1, count=3)
+    assert code == 0
+    assert out == {"schema": "drg-lab-v1", "level": 0, "holds": True, "mode": mode,
+                   "pairs_checked": want.pairs_checked,
+                   "cells": [list(l) for l in want.labels],
+                   "quotient": [list(r) for r in want.matrix]}
+    assert out["cells"] == [[0, 0]] and out["quotient"] == [[0]]
+    assert out["pairs_checked"] == (3 if mode == "sampled" else 1)
 
 
 def test_homog_refutation_reports_pairs_checked(capsys, tmp_path):

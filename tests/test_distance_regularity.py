@@ -52,7 +52,7 @@ def assert_matches_oracle(g: Graph):
     """Equal to the oracle, and again with one pair to a kernel call."""
     want = outcome(dr_oracle.check_distance_regular, g)
     assert outcome(check_distance_regular, g) == want
-    with mock.patch.object(graph, "_PAIR_BUDGET", 1):
+    with mock.patch.object(graph, "_BUDGET", 1):
         assert outcome(check_distance_regular, g) == want
 
 

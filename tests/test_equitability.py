@@ -23,8 +23,9 @@ import drglab.graph as graph
 import drglab.homogeneous as homogeneous
 import homogeneity_oracle
 from drglab.errors import InputError, ResourceError
-from drglab.families import (cocktail_party, cycle, folded_johnson, halved_cube, hamming,
-                             hypercube, icosahedron, johnson, petersen, triangular)
+from drglab.families import (cocktail_party, complete, cycle, folded_johnson, grid,
+                             halved_cube, hamming, hypercube, icosahedron, johnson,
+                             petersen, triangular)
 from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
                           VertexPartition, check_distance_regular,
                           distance_partition, equitable_quotient)
@@ -253,9 +254,10 @@ def test_both_routes_match_the_oracles(route, dense, index):
 @ROUTES
 @pytest.mark.parametrize("index", [1, 2, 4])
 def test_cell_search_matches_the_oracles(monkeypatch, route, dense, index):
-    # past _LABEL_TABLE_CAP (diameter 512 or more) each vertex's label is
-    # found among the first pair's cells by binary search; forced here
-    monkeypatch.setattr(graph, "_LABEL_TABLE_CAP", 0)
+    # once span^2 passes _BUDGET (diameter 512 or more) each vertex's label
+    # is found among the first pair's cells by binary search; forced here,
+    # which also makes every block one item
+    monkeypatch.setattr(graph, "_BUDGET", 0)
     assert_base_matches_the_oracles(index)
 
 
@@ -281,10 +283,10 @@ def test_keys_at_the_float64_word_boundary(route, dense, parts, words, cut):
 
 
 def test_long_cycles_look_labels_up_among_the_first_pair_cells():
-    # span 516: a table of every label a * span + b would pass the cap
+    # span 516: a table of every label a * span + b would pass the budget
     rng = random.Random(1030)
     g = relabel(cycle(1030), rng)
-    assert 516 * 516 > graph._LABEL_TABLE_CAP
+    assert 516 * 516 > graph._BUDGET
     chorded = Graph.from_edges(g.n, sorted(g.edges()) + [(0, 500)])
     for h in (g, chorded):
         for i in (1, 2):
@@ -322,7 +324,7 @@ def test_cycles_match_the_pair_by_pair_oracle():
 
 
 def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
-    kernel, budget = graph._pair_keys, graph._PAIR_BUDGET
+    kernel, budget = graph._pair_keys, graph._BUDGET
     g = relabel(johnson(8, 4), random.Random(8))
     for dense in (True, False):
         calls = []
@@ -334,14 +336,14 @@ def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
 
         monkeypatch.setattr(graph, "_pair_keys", counted)
         monkeypatch.setattr(graph, "_dense_keys", lambda g, pairs: dense)
-        monkeypatch.setattr(graph, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(graph, "_BUDGET", budget)
         # the kernel reads the reference pair, then the 560 unordered pairs;
         # the report counts the 1120 ordered ones
         rep = check_i_homogeneous(g, 1)
         assert rep.holds and rep.pairs_checked == 1120
         assert 1 <= len(calls) <= g.n and sum(calls) == 1 + 560
         calls.clear()
-        monkeypatch.setattr(graph, "_PAIR_BUDGET", 1)
+        monkeypatch.setattr(graph, "_BUDGET", 1)
         assert check_i_homogeneous(g, 1) == rep
         assert calls == [1] * (1 + 560)
 
@@ -364,19 +366,21 @@ def test_half_pair_scan_matches_the_pair_by_pair_oracle(scans):
     # (x, x)) included; after the one-pair call for the reference, a
     # symmetric one scans the pairs x <= y, whose first failure is the first
     # failing ordered pair, whose rank is the pair count
-    seen = set()
+    seen, graphs = set(), []
     for index, base in enumerate(BASES):
         rng = random.Random(300 + index)
-        for g in (relabel(base, rng), switch(relabel(base, rng), rng)):
-            dm = g.distance_matrix()
-            for i in range(0, int(dm.max()) + 1):
-                scans.clear()
-                got = outcome(lambda: check_i_homogeneous(g, i))
-                assert got == outcome(lambda: homogeneity_oracle.check_i_homogeneous(g, i))
-                if scans:
-                    half = np.count_nonzero(np.triu(dm == i))
-                    assert scans in ([1, half], [1, np.count_nonzero(dm == i)])
-                    seen.add((got.holds, i > 0, scans[1] == half))
+        graphs += [relabel(base, rng), switch(relabel(base, rng), rng)]
+    # one vertex and no arc: level 0 is the one pair (0, 0)
+    for g in graphs + [complete(1), johnson(4, 4), grid(1, 1)]:
+        dm = g.distance_matrix()
+        for i in range(0, int(dm.max()) + 1):
+            scans.clear()
+            got = outcome(lambda: check_i_homogeneous(g, i))
+            assert got == outcome(lambda: homogeneity_oracle.check_i_homogeneous(g, i))
+            if scans:
+                half = np.count_nonzero(np.triu(dm == i))
+                assert scans in ([1, half], [1, np.count_nonzero(dm == i)])
+                seen.add((got.holds, i > 0, scans[1] == half))
     # holding and failing at level 0, holding, failing on the half scan, and
     # failing on the ordered scan above it
     assert seen == {(True, False, True), (False, False, True), (True, True, True),
@@ -416,5 +420,5 @@ def test_one_pair_per_kernel_call_gives_the_same_reports(monkeypatch, index):
     rng = random.Random(index)
     graphs = [relabel(BASES[index], rng), switch(relabel(BASES[index], rng), rng)]
     want = [outcome(lambda: check_i_homogeneous(g, 1)) for g in graphs]
-    monkeypatch.setattr(graph, "_PAIR_BUDGET", 1)
+    monkeypatch.setattr(graph, "_BUDGET", 1)
     assert [outcome(lambda: check_i_homogeneous(g, 1)) for g in graphs] == want

@@ -1,8 +1,11 @@
 """Core graph machinery: distances, partitions, quotients, local structure."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 import family_oracle as oracle
 import local_oracle
 
+import drglab
 from drglab import errors, families
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError, ResourceError
@@ -374,3 +378,18 @@ def test_methods_wrapped_by_the_benchmark_tracer_exist():
     assert len(names) == 1 and names[0]
     for name in names[0]:
         assert name in vars(Graph), name
+
+
+def test_names_in_the_list_of_size_limits_exist():
+    # the ResourceError docstring is the one list of size limits; each
+    # dotted name it cites is a module of drglab or a name drglab exports,
+    # then attributes
+    names = re.findall(r"``(\w+(?:\.\w+)+)``", errors.ResourceError.__doc__)
+    assert {"graph._BUDGET", "graph._DENSE_CAP", "families._vertices", "Graph.load"} <= set(names)
+    for name in names:
+        head, *rest = name.split(".")
+        obj = (importlib.import_module(f"drglab.{head}")
+               if importlib.util.find_spec(f"drglab.{head}") else getattr(drglab, head))
+        for part in rest:
+            assert hasattr(obj, part), name
+            obj = getattr(obj, part)

@@ -269,5 +269,5 @@ def test_one_row_per_step_gives_the_same_reports(monkeypatch, name):
                 outcome(local_spectral_checks, g))
 
     want = reports()
-    monkeypatch.setattr(drglab.graph, "_LOCAL_BUDGET", 1)
+    monkeypatch.setattr(drglab.graph, "_BUDGET", 1)
     assert reports() == want

@@ -1,13 +1,16 @@
-"""The block budget ``graph._PAIR_BUDGET`` on every arc-sized gather: the
-sparse keys of the pair kernel (``graph._pair_keys``) and the pull step of
-the distance engine (``Graph._distance_rows``) read the arcs of consecutive
-vertex ranges (``graph._ranges``), within the budget or of one vertex each.
+"""The block budget ``graph._BUDGET`` on every arc-sized gather: the sparse
+keys of the pair kernel (``graph._pair_keys``), the pull step of the
+distance engine (``Graph._distance_rows``) and the per-cell counts
+(``graph._cell_counts``) read the arcs of consecutive vertex ranges
+(``graph._ranges``), within the budget or of one vertex each.
 
-The keys are compared with the whole-arc gather they replaced
-(``pair_keys_oracle``), and the rows with the queue search (``bfs_oracle``),
-under budgets small enough that every block splits, on relabelled and
-switched corpus graphs and on K_{40,40}, where one vertex's arcs exceed the
-budget.  ``tracemalloc`` holds both to the budget on the halved 14-cube.
+The keys and the counts are compared with the whole-arc gathers they
+replaced (``pair_keys_oracle``, ``cell_counts_oracle``), and the rows with
+the queue search (``bfs_oracle``), under budgets small enough that every
+block splits, on relabelled and switched corpus graphs and on K_{40,40},
+where one vertex's arcs exceed the budget.  ``tracemalloc`` holds the keys
+and the rows to the budget on the halved 14-cube, and the counts on the
+halved 16-cube.
 """
 
 import random
@@ -16,10 +19,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cell_counts_oracle
 import drglab.graph as graph
 import pair_keys_oracle
 from bfs_oracle import bfs_distances
-from drglab.families import complete_multipartite, halved_cube
+from drglab.families import complete, complete_multipartite, halved_cube
 from test_distance_engine import path, union
 from test_equitability import BASES, relabel, switch
 
@@ -56,7 +60,7 @@ def test_ranges_take_the_most_segments_within_the_budget(most):
 @BUDGETS
 @pytest.mark.parametrize("pairs", [1, 3])
 def test_blocked_keys_match_the_whole_arc_gather(monkeypatch, budget, pairs):
-    monkeypatch.setattr(graph, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(graph, "_BUDGET", budget)
     rng = np.random.default_rng(budget * 10 + pairs)
     for g in CORPUS:
         for words in (1, 2):
@@ -66,12 +70,30 @@ def test_blocked_keys_match_the_whole_arc_gather(monkeypatch, budget, pairs):
             assert np.array_equal(got, pair_keys_oracle.pair_keys(g, w))
 
 
+def test_sparse_keys_over_no_arcs_are_zero():
+    # the one-vertex graph, whose level 0 is the pair (0, 0)
+    w = np.ones((2, 3, 1), dtype=np.int64)
+    assert np.array_equal(graph._pair_keys(complete(1), None, w), np.zeros_like(w))
+
+
+@BUDGETS
+def test_blocked_cell_counts_match_the_whole_arc_gather(monkeypatch, budget):
+    # cells with and without vertices outside them (cell -1)
+    monkeypatch.setattr(graph, "_BUDGET", budget)
+    rng = np.random.default_rng(budget)
+    for g in CORPUS:
+        for ncells, low in ((1, 0), (5, 0), (5, -1)):
+            cell = rng.integers(low, ncells, size=g.n)
+            got = graph._cell_counts(g, cell, ncells)
+            assert np.array_equal(got, cell_counts_oracle.cell_counts(g, cell, ncells))
+
+
 @BUDGETS
 def test_distance_rows_match_the_oracle(monkeypatch, budget):
     # 9, 16 and 64 sources take words of one, two and eight bytes; 70 makes
     # two blocks; isolated vertices and a path leave some vertices out of
     # the pull and make it push
-    monkeypatch.setattr(graph, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(graph, "_BUDGET", budget)
     rng = random.Random(budget)
     for g in CORPUS + [union(CORPUS[1], path(30), graph.Graph([[]]))]:
         for count in (1, 9, 16, 64, 70):
@@ -102,6 +124,17 @@ def test_sparse_keys_stay_within_the_budget(hc14):
     assert np.array_equal(keys, pair_keys_oracle.pair_keys(hc14, w))
     # one range's gather is 2 MiB (2^18 int64 entries)
     assert peak - keys.nbytes < 3 << 20
+
+
+def test_cell_counts_stay_within_the_budget():
+    # 32768 vertices and 3932160 arcs: the whole-arc gather peaked at 95.8 MiB
+    g = halved_cube(16)
+    cell = np.unique(g._distance_rows([0, 1]).T, axis=0, return_inverse=True)[1].ravel()
+    ncells = int(cell.max()) + 1
+    counts, peak = traced_peak(lambda: graph._cell_counts(g, cell, ncells))
+    assert np.array_equal(counts, cell_counts_oracle.cell_counts(g, cell, ncells))
+    # one range's arcs take 2 MiB per intp entry: rows, target cells, keys
+    assert peak - counts.nbytes < 8 << 20
 
 
 def test_pull_stays_within_the_budget(hc14):
