@@ -12,10 +12,13 @@ B = those at distance i+1.  The level-i parameters are
     delta_i : neighbours inside A of a B-vertex.
 
 The empirical check reads the local-partition pass of ``graph``
-(``graph._local_blocks``), a few centres y at a time.  One stacked float32
-product of the neighbours' cell weights (C 1, A 0, B k + 1) with the local
-graphs gives C + (k + 1) B for every (x, y, v), exact as every entry is below
-k^2 <= 2^24, so the valency is at most 4096; v's local degree gives A.
+(``graph._local_blocks``), a few centres y at a time.  One stacked product
+of the neighbours' cell weights (C 1, A 0, B k + 1, each plus (k + 1)^2)
+with the local graphs gives the key C + (k + 1) B + (k + 1)^2 (C + A + B)
+of v's count row for every (x, y, v), in float32, exact while (k + 1)^3 is
+at most 2^22, or in float64.  With m = -1, 0, 1 for v in C, A and B, the
+weight and the key that a pair's cell expects are both quadratics in m,
+computed by Horner's rule, so no table is looked up per entry.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     if not k or not set(g.neighbors(0)).intersection(g.neighbors(g.neighbors(0)[0])):
         raise PreconditionError("a_1 = 0: local graphs are edgeless, partition degenerates")
     if k > 1 << 12:
-        raise ResourceError("valency above 4096: float32 cell counts are no longer exact")
+        raise ResourceError("valency above 4096: the CAB check takes at most 4096")
     D = g.diameter()
     i_max = D if i_max is None else i_max
     if not 1 <= i_max <= D:
@@ -142,32 +145,57 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     # every pair (x, y) at distance 1..i_max, read at [y, x]
     select = ((dm > 0) & (dm <= i_max)).view(np.int8)
     base = k + 1  # a count row (C, A, B) is the key C + base B + base^2 (C + A + B)
-    key_type = np.int32 if base ** 3 <= np.iinfo(np.int32).max else np.int64
-    weight = np.tile(np.array([1, 0, base], dtype=np.float32), i_max + 1)  # C, A, B by level
-    refs = np.full(len(weight), -1, dtype=key_type)  # -1 until seen
+    # keys, their partial sums and the expected keys' coefficients are
+    # integers or halves below base^3: float32 holds them exactly below 2^22
+    key_type = np.dtype(np.float32 if base ** 3 <= 1 << 22 else np.float64)
+    half = (base - 1) / 2
+    refs = np.full(3 * (i_max + 1), -1, dtype=key_type)  # by 3 level + cell; -1 until seen
+    # by level, the coefficients of the quadratic in m = -1, 0, 1 through
+    # the level's reference keys in C, A and B
+    coefs = np.empty((3, i_max + 1), dtype=key_type)
+
+    def fit():
+        rc, ra, rb = refs.reshape(-1, 3).T
+        coefs[:] = ra, (rb - rc) / 2, (rb + rc) / 2 - ra
+
+    def quadratic(m, c0, c1, c2):
+        """c0 + c1 m + c2 m^2 in key_type, by Horner."""
+        out = np.multiply(m, c2, dtype=key_type)
+        out += c1
+        out *= m
+        out += c0
+        return out
 
     def check(dist, local, top: int):
-        """(level, at, key, bad): each pair's level, 3 level + cell and key
-        of each (v, pair), and the pairs at levels 1..top with a key not
-        their cell's, whose first (y, v) sets it when still unseen."""
+        """(level, m, key, bad): each pair's level, m = -1, 0, 1 for each
+        (v, pair) in C, A and B, its key, and the pairs at levels 1..top
+        with a key not their cell's, whose first (y, v) sets it when still
+        unseen.  The weight of a neighbour in the product is 1, 0 or base
+        in C, A and B, plus base^2, which counts the local degree; both it
+        and the key a pair's cell expects are quadratics in m."""
         level = dist.min(axis=1) + 1  # a neighbour of y on a geodesic to x
-        at = np.add(dist, (2 * level + 1)[:, None, :], out=dist)
-        # np.take reads a small table faster than indexing does
-        key = np.matmul(local.astype(np.float32), np.take(weight, at)).astype(key_type)
-        key += (local.sum(axis=2, dtype=key_type) * key_type(base ** 2))[:, :, None]
+        m = np.subtract(dist, level[:, None, :], out=dist)
+        key = np.matmul(local.astype(key_type), quadratic(m, base ** 2, half, half + 1))
         on = level <= top
-        bad = (key != np.take(refs, at)).any(axis=1) & on
+        bad = (key != quadratic(m, *coefs[:, level][:, :, None])).any(axis=1) & on
         if bad.any():
-            met = (np.bincount(at.ravel(), minlength=len(refs)) > 0) & (refs < 0)
+            at = (m + (3 * level + 1)[:, None, :]).ravel()
+            met = (np.bincount(at, minlength=len(refs)) > 0) & (refs < 0)
             for j in np.flatnonzero(met):
-                refs[j] = key.ravel()[np.argmax(at.ravel() == j)]
-            bad = (key != np.take(refs, at)).any(axis=1) & on
-        return level, at, key, bad
+                refs[j] = key.ravel()[np.argmax(at == j)]
+            fit()
+            bad = (key != quadratic(m, *coefs[:, level][:, :, None])).any(axis=1) & on
+        return level, m, key, bad
 
-    pairs = np.bincount(dm.ravel(), minlength=i_max + 1)
+    fit()
+
     top = i_max  # the levels above top fail
+    # bytes written per entry: an int16 distance, a weight, a key and an
+    # expected key, their bool comparison, and at most one of the gather's
+    # index (the local graphs' k^2 entries take fewer)
+    width = 4 + 3 * key_type.itemsize
     # blocks grow from one centre, so a bad centre early in the order stops the pass early
-    for _, _, dist, local in _local_blocks(g, select, grow=True):
+    for _, _, dist, local in _local_blocks(g, select, width, grow=True):
         level, _, _, bad = check(dist, local, top)
         if bad.any():
             top = int(level[bad].min()) - 1
@@ -177,23 +205,25 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     out_levels = tuple(CabLevelParams(i, rows[3 * i][0] or 0, rows[3 * i + 1][0],
                                       rows[3 * i + 1][2], rows[3 * i + 2][1])
                        for i in range(1, top + 1))
-    checked = int(pairs[1:top + 1].sum())
+    checked = int(np.count_nonzero((dm > 0) & (dm <= top)))
     if top == i_max:
         return CabReport(True, out_levels, None, checked)
     # level i fails: its references go by scan order, one x at a time
     i = top + 1
     refs[3 * i:3 * i + 3] = -1
+    fit()
     on = dm == i
     for x in np.flatnonzero(on.any(axis=0)).tolist():
-        for ys, _, dist, local in _local_blocks(g, on[:, x:x + 1].view(np.int8), x):
-            _, at, key, bad = check(dist, local, i)
+        for ys, _, dist, local in _local_blocks(g, on[:, x:x + 1].view(np.int8), width, x):
+            _, m, key, bad = check(dist, local, i)
             if bad.any():
-                b, at, key = int(np.argmax(bad[:, 0])), at[:, :, 0], key[:, :, 0]
+                b = int(np.argmax(bad[:, 0]))
+                at, key = m[b, :, 0] + 3 * i + 1, key[b, :, 0]
                 # the pair's first bad row in (cell, v) order
-                a = int(np.argmin(np.where(key[b] != refs[at[b]], at[b], len(refs))))
-                j = at[b, a]
+                a = int(np.argmin(np.where(key != refs[at], at, len(refs))))
+                j = at[a]
                 return CabReport(False, out_levels, CabDeviation(
-                    i, x, int(ys[b]), int(nb[ys[b], a]), _unpack(key[b, a], base),
+                    i, x, int(ys[b]), int(nb[ys[b], a]), _unpack(key[a], base),
                     _unpack(refs[j], base), f"counts differ within cell {'CAB'[j % 3]}"),
                     checked + b + 1)
             checked += len(ys)

@@ -52,28 +52,35 @@ class ResourceError(DrgError):
 
     Time: the dense distance matrix takes at most ``graph._DENSE_CAP`` (6000)
     vertices, which bounds exhaustive 1-homogeneity, the triple intersection
-    number and the c2 report, and exact spectra at most
-    ``graph.SPECTRUM_EXACT_CAP`` (256).
+    number and the c2 report; exact spectra take at most
+    ``graph.SPECTRUM_EXACT_CAP`` (256); the CAB check takes a valency of at
+    most 4096.
 
-    Exactness: distances are int16, so at most 32766; CAB counts cells in
-    float32 products, exact below 2^24, so its valency is at most 4096; the
-    pair kernel's keys stay below 2^53 (float64) or 2^63 (int64), which
-    bounds the digits of a key word.
+    Exactness: distances are int16, so at most 32766; CAB's cell-count keys
+    are float sums below (k + 1)^3, in float32 while that is at most 2^22
+    and in float64 above; the pair kernel's keys stay below 2^53 (float64)
+    or 2^63 (int64), which bounds the digits of a key word.
 
     Block budget, which bounds working memory without refusing anything:
-    ``graph._BUDGET`` (2^18) entries per block of every blocked pass.  A
-    block takes as many items as fit, and at least one
-    (``graph._per_block``); a gather over the arcs reads the arcs of
-    consecutive vertices, within the budget or of one vertex
-    (``graph._ranges``).  The passes: the pair kernel's blocks of pairs and
-    its sparse arc ranges (``graph._check_pairs``, ``graph._pair_keys``),
-    the distance engine's pull (``Graph._distance_rows``), the per-cell
-    counts (``graph._cell_counts``), the local-partition pass and its
-    mu-graph patterns (``graph._local_blocks``, ``graph._patterns``) and
-    the rows of a family build (``families._label_graph``, whose scratch
-    ``families._graph_bytes`` predicts).  The pair kernel reads its labels
-    from tables of every label while span^2 fits the budget.
-    ``graph._DENSE_KEYS_CAP`` only chooses a route.
+    ``graph._BUDGET`` (2 MiB, the L2 cache of the 2-core machine the passes
+    were timed on) bytes per block of every blocked pass.  Each pass states
+    at its call the bytes it holds per entry, its width; a block takes as
+    many items as fit, and at least one (``graph._per_block``), and a
+    gather over the arcs reads the arcs of consecutive vertices, within the
+    budget or of one vertex (``graph._ranges``).  The passes and their
+    widths: the pair kernel's blocks of pairs (``graph._check_pairs``: 8
+    bytes per (pair, arc) on the sparse route, 32 per (pair, vertex) on the
+    dense one), its sparse arc ranges (``graph._pair_keys``, 8 per (pair,
+    arc)) and its tables of every label (8 per label, taken while span^2
+    labels fit); the distance engine's pull (``Graph._distance_rows``, 8
+    per arc); the per-cell counts (``graph._cell_counts``, 32 per arc); the
+    local-partition pass (``graph._local_blocks``: 16 per entry for the CAB
+    check, 28 with float64 keys, 14 for the lambda- and mu-graphs, 18 for
+    the triple intersection number) and its mu-graph patterns
+    (``graph._patterns``, 25 per bit); and the rows of a family build
+    (``families._label_graph``, ``families._SCRATCH`` (48) per entry, which
+    ``families._graph_bytes`` predicts).  ``graph._DENSE_KEYS_CAP`` only
+    chooses a route.
     """
 
 

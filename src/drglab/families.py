@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, require_room
-from .graph import _BUDGET, Graph, _per_block
+from .graph import Graph, _per_block
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,18 @@ class FamilySpec:
         return cls(name.strip().lower().replace("-", "_"), params, data)
 
 
+#: bytes of scratch per entry of a build block's rows: the Johnson exchanges
+#: peaked at 44-46 (tracemalloc), the Cayley builds at 15-19
+_SCRATCH = 48
+
+
 def _graph_bytes(n: int, width: int) -> int:
     """Bytes to build a graph of n rows of ``width`` neighbours: the intp
     target of every arc slot, 16 per vertex (the offsets, and the degrees
-    a reader takes from them) and 64 per entry of one block's scratch."""
-    return 8 * n * (width + 2) + 64 * max(_BUDGET, width)
+    a reader takes from them), the scratch of one block of
+    ``_label_graph``'s rows, and 288 per neighbour of a row for the Python
+    tuples of a Cayley connection set (108-284 per word, tracemalloc)."""
+    return 8 * n * (width + 2) + width * (_SCRATCH * _per_block(width, _SCRATCH) + 288)
 
 
 def _vertices(width: int, count: Callable[[], int], min_bits: int = 0,
@@ -94,9 +101,10 @@ def _label_graph(n: int, width: int,
     to, in any order.  Each row is sorted, and repeats and the vertex itself
     are dropped: a fold may send several moves to one class, or a move to
     the vertex's own class, and a design lists the vertex in each of its
-    lines.  Rows go ``graph._BUDGET`` entries at a time; the caller has
-    checked the room for ``_graph_bytes(n, width)``."""
-    step = _per_block(width)
+    lines.  Rows go as many at a time as ``graph._BUDGET`` bytes hold at
+    ``_SCRATCH`` bytes per entry; the caller has checked the room for
+    ``_graph_bytes(n, width)``."""
+    step = _per_block(width, _SCRATCH)
     starts = np.zeros(n + 1, dtype=np.intp)
     dst = np.empty(n * width, dtype=np.intp)
     for lo in range(0, n, step):

@@ -11,22 +11,25 @@ equitable quotients, and the pair kernel (``_check_pairs``), which tests
 the joint distance partitions pi(x, y) of a block of pairs at once, for
 1-homogeneity and for distance-regularity, its case x = y, by exact keys:
 float64 products with the adjacency matrix (below 2**53) or int64 sums
-over the arcs (below 2**63), as ``_dense_keys`` chooses.  The gathers over
-all arcs (the sparse keys, the engine's pull and the per-cell counts) read
-them in ranges of consecutive vertices (``_ranges``) within the block
-budget ``_BUDGET`` (``errors.ResourceError`` lists its passes), or of one
-vertex, so no block holds an entry for every arc of a large graph.
+over the arcs (below 2**63), as ``_dense_keys`` chooses.  Every blocked
+pass holds at most ``_BUDGET`` bytes a block, or one item, and states at
+its call the bytes it holds per entry (``errors.ResourceError`` lists the
+passes and their widths).  The gathers over all arcs (the sparse keys, the
+engine's pull and the per-cell counts) read them in ranges of consecutive
+vertices (``_ranges``) within the budget, or of one vertex, so no block
+holds an entry for every arc of a large graph.
 Every dense reader derives from one read-only view (``Graph._padded``): the
 uint8 adjacency and the neighbour table, padded with a vertex n adjacent to
 none.
 The one local-partition pass (``_local_blocks``) reads the pairs (x, y)
 that an (n, n) selection marks, in blocks of centres y: the distances from
 x to Gamma(y), which split it into the cells C, A and B, and the local
-graphs at y, by which each caller counts cells in one stacked float32
-product, exact below 2**24.  It is behind the local (C, A, B) check in
-``cab``, the lambda- and mu-graph valencies, the mu-graph report and the
-triple intersection number.  A spectrum is the real roots of the integer
-characteristic polynomial (``polys.charpoly``), with no floating point.
+graphs at y, both gathered from the distance matrix, by which each caller
+counts cells in one stacked float product, exact below 2**24 in float32.
+It is behind the local (C, A, B) check in ``cab``, the lambda- and
+mu-graph valencies, the mu-graph report and the triple intersection
+number.  A spectrum is the real roots of the integer characteristic
+polynomial (``polys.charpoly``), with no floating point.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ SPECTRUM_EXACT_CAP = 256
 _DENSE_CAP = 6000
 #: a frontier with under 1 / _PUSH_SHARE of all arcs pushes (~33 bytes per arc it holds)
 _PUSH_SHARE = 16
-#: entries one block of a blocked pass may hold (``errors.ResourceError``
-#: lists the passes)
-_BUDGET = 1 << 18
+#: bytes one block of a blocked pass may hold (``errors.ResourceError``
+#: lists the passes and the bytes each holds per entry)
+_BUDGET = 1 << 21
 
 
 def _validate_arcs(n: int, src: np.ndarray, dst: np.ndarray):
@@ -99,10 +102,11 @@ def _ranges(offsets: np.ndarray, most: int) -> List[Tuple[int, int]]:
     return cuts
 
 
-def _per_block(size: int) -> int:
-    """How many items of ``size`` entries one block takes: as many as fit
-    in ``_BUDGET``, and at least one; items of no entries count one each."""
-    return max(1, _BUDGET // max(size, 1))
+def _per_block(size: int, width: int) -> int:
+    """How many items of ``size`` entries of ``width`` bytes one block
+    takes: as many as fit in ``_BUDGET``, and at least one; items of no
+    entries count one entry each."""
+    return max(1, _BUDGET // (max(size, 1) * width))
 
 
 class Graph:
@@ -195,14 +199,6 @@ class Graph:
         """A fresh int64 (n, n) 0/1 adjacency matrix."""
         return self._padded()[0][:self.n, :self.n].astype(np.int64)
 
-    def _local_adjacency(self, vs) -> np.ndarray:
-        """uint8 (len(vs), k, k) 0/1 adjacency of the local graph at each v, k
-        the largest degree, in neighbour order: entry (a, b) is 1 when the
-        a-th and b-th neighbours of v are adjacent, and 0 past deg v."""
-        adj, nb = self._padded()
-        nbv = nb[vs]
-        return np.take(adj.reshape(-1), nbv[:, :, None] * (self.n + 1) + nbv[:, None, :])
-
     def _vertices(self, vs) -> np.ndarray:
         """vs as an intp array; InputError names the first vertex out of range."""
         vs = np.asarray(vs, dtype=np.intp).reshape(-1)
@@ -225,15 +221,17 @@ class Graph:
         frontier arcs pushes the frontier's words along them
         (``np.bitwise_or.at``); any other level pulls: it ORs every vertex's
         neighbours' words (``np.bitwise_or.reduceat``), gathered over the
-        arcs of consecutive vertices, ``_BUDGET`` arcs at a time or one
-        vertex's.  The new bits are decoded with ``np.unpackbits``."""
+        arcs of consecutive vertices, as many as ``_BUDGET`` bytes hold at 8
+        per arc (a word), or one vertex's.  The new bits are decoded with
+        ``np.unpackbits``."""
         sources = self._vertices(sources)
         dst = self._dst
         deg = self.degrees()
         owners = np.flatnonzero(deg)
         offsets = np.append(self._starts[owners], len(dst))
+        # a word of at most 8 bytes per arc
         pulls = [(owners[i0:i1], offsets[i0], offsets[i1], offsets[i0:i1] - offsets[i0])
-                 for i0, i1 in _ranges(offsets, _BUDGET)]
+                 for i0, i1 in _ranges(offsets, _BUDGET // 8)]
         rows = np.empty((len(sources), self.n), dtype=np.int16) if out is None else out
         for lo in range(0, len(sources), 64):
             block = sources[lo:lo + 64]
@@ -412,7 +410,8 @@ def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
     ``bincount`` per range."""
     counts = np.empty((g.n, ncells), dtype=np.intp)
     starts = g._starts
-    for i0, i1 in _ranges(starts, _BUDGET):
+    # 32 bytes per arc: intp rows, target cells and keys, and a mask
+    for i0, i1 in _ranges(starts, _BUDGET // 32):
         rows = np.repeat(np.arange(i1 - i0), np.diff(starts[i0:i1 + 1]))
         target = cell[g._dst[starts[i0]:starts[i1]]]
         if target.min(initial=0) < 0:
@@ -503,9 +502,10 @@ def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray
     nine around v, and v's count row is one key per word: the digit weights
     of its neighbours, summed.  On the dense route (``adj`` the float64
     adjacency) that is one product per word, w @ adj; on the sparse route
-    (``adj`` None), for each range of consecutive vertices whose arcs times
-    p fit ``_BUDGET`` (or of one vertex), an int64 gather over the range's
-    arcs and a reduction over each vertex's arcs."""
+    (``adj`` None), for each range of consecutive vertices whose arcs fit
+    ``_BUDGET`` bytes at 8 p bytes an arc, an int64 per pair (or of one
+    vertex), an int64 gather over the range's arcs and a reduction over
+    each vertex's arcs."""
     if adj is not None:
         return w @ adj
     dst, starts = g._dst, g._starts
@@ -514,7 +514,7 @@ def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray
     keys = np.empty(w.shape, dtype=w.dtype)
     # every other connected graph has an arc at each vertex, so the segments
     # of each reduction are the arcs of each vertex in the range
-    for i0, i1 in _ranges(starts, _BUDGET // w.shape[1]):
+    for i0, i1 in _ranges(starts, _BUDGET // (8 * w.shape[1])):
         a, b = starts[i0], starts[i1]
         for word, out in zip(w, keys):
             np.add.reduceat(np.take(word, dst[a:b], axis=1), starts[i0:i1] - a, axis=1,
@@ -561,15 +561,16 @@ def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
                  at_x: np.ndarray, at_y: np.ndarray):
     """Run the pairs (xs[t], ys[t]), whose distance rows are rows[at_x[t]]
     and rows[at_y[t]], through the pair kernel in order, as many to a block
-    as ``_BUDGET`` entries hold (``_per_block``): (pair, arc) entries on
-    the sparse route; on the dense one, (pair, vertex) entries count four
-    each, for its labels, weights, keys and reference keys.  The first
-    pair's quotient is the reference: for each of its cells, the key of the
-    cell's first vertex.  A pair refutes when some vertex's key differs
-    from the reference key of its label (a label the first pair lacks has
-    none, so it differs too), and counts as checked.  Equal keys under
-    equal labels are equal count rows, and the quotient is connected, so a
-    pair that does not refute is equitable with the reference quotient.
+    as ``_BUDGET`` bytes hold (``_per_block``): 8 bytes per (pair, arc)
+    entry on the sparse route, its int64 key; on the dense one, 32 per
+    (pair, vertex) entry, 8 each for its label, weight, key and reference
+    key.  The first pair's quotient is the reference: for each of its
+    cells, the key of the cell's first vertex.  A pair refutes when some
+    vertex's key differs from the reference key of its label (a label the
+    first pair lacks has none, so it differs too), and counts as checked.
+    Equal keys under equal labels are equal count rows, and the quotient is
+    connected, so a pair that does not refute is equitable with the
+    reference quotient.
     Blocks start at one pair and double up to the budget, so a refutation
     reads about as many pairs as it needs.  Returns the pairs checked, the
     witness (x, y, cell label, vertex_a, vertex_b) of the refuting pair
@@ -580,17 +581,17 @@ def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
     weights = _digit_weights(g, 1 << 53 if dense else 1 << 63)
     wf = weights.astype(np.float64) if dense else weights
     span = int(rows.max()) + 1
-    # while span^2 fits the budget, a label a * span + b reads its digit
-    # weight and its reference key from tables of every label (one read per
-    # entry, a third of a binary search's cost); past that the tables would
-    # grow with the square of the diameter, so the digit is computed and the
-    # reference found among the first pair's cells
-    table = span * span <= _BUDGET
+    # while span^2 labels of 8 bytes fit the budget, a label a * span + b
+    # reads its digit weight and its reference key from tables of every
+    # label (one read per entry, a third of a binary search's cost); past
+    # that the tables would grow with the square of the diameter, so the
+    # digit is computed and the reference found among the first pair's cells
+    table = 8 * span * span <= _BUDGET
     if table:
         a, b = np.divmod(np.arange(span * span), span)
         wl = wf[:, (3 * a + b) % 9]
     adj = g._padded()[0][:n, :n].astype(np.float64) if dense else None
-    most = _per_block(4 * n if dense else len(g._dst))
+    most = _per_block(n, 32) if dense else _per_block(len(g._dst), 8)
     cells = quotient = None
     lo, step = 0, 1
     while lo < len(xs):
@@ -746,47 +747,78 @@ def max_coclique(g: Graph) -> int:
 # -- local partitions --------------------------------------------------------
 
 
-def _local_blocks(g: Graph, select: np.ndarray, first: int = 0, grow: bool = False):
+def _local_blocks(g: Graph, select: np.ndarray, width: int, first: int = 0,
+                  grow: bool = False):
     """The pairs (x, y) that ``select``, int8 (n, m), marks nonzero at
     [y, x - first], in blocks of centres y ascending: (ys, xs, dist,
     local), the centres ys (B,) with partners; their partners xs (B, p),
     ascending, a short list repeating its last; dist (B, k, p) int16,
     d(xs[b, t], v) at [b, a, t] for v the a-th neighbour of ys[b] (-1 for
     padding v), so that the v at distance i - 1, i and i + 1 from x are the
-    cells C, A and B of d(x, y) = i; and the uint8 local graphs at ys.  A
-    block holds ``_BUDGET`` entries, k per partner and k^2 per centre, or
-    one centre; ``grow`` starts at one centre and doubles."""
+    cells C, A and B of d(x, y) = i; and the uint8 local graphs at ys, 1
+    where two neighbours are at distance 1.  Both are read from the rows of
+    the distance matrix at each centre's neighbours, at its neighbours and
+    partners, in gathers of as many centres as keep the intp index within
+    an eighth of the budget, so no index spans a full block.  A block holds
+    ``_BUDGET`` bytes at the caller's ``width`` bytes per entry, k per
+    partner and k^2 per centre, or one centre; ``grow`` starts at one
+    centre and doubles."""
     dm, nb = g.distance_matrix(), g._padded()[1]
-    n, k = g.n, nb.shape[1]
+    n, k, m = g.n, nb.shape[1], select.shape[1]
+    flat = dm.reshape(-1)
     count = np.count_nonzero(select, axis=1)
     centres = np.flatnonzero(count)
     # the longest list from a centre on bounds the lists of a block from it
     reach = np.maximum.accumulate(count[centres][::-1])[::-1]
     lo, step = 0, 1 if grow else len(centres)
     while lo < len(centres):
-        step = min(step, _per_block((int(reach[lo]) + k) * k))
+        step = min(step, _per_block((int(reach[lo]) + k) * k, width))
         ys = centres[lo:lo + step]
         lo, step = lo + step, 2 * step
         nby, cnt = nb[ys], count[ys]
         at = np.minimum(np.arange(int(cnt.max())), cnt[:, None] - 1)
-        xs = np.nonzero(select[ys])[1][at + (np.cumsum(cnt) - cnt)[:, None]] + first
-        dist = np.take(dm.reshape(-1), (nby * n)[:, :, None] + xs[:, None, :], mode="clip")
-        if (nby == n).any():
-            np.copyto(dist, -1, where=(nby == n)[:, :, None])
-        yield ys, xs, dist, g._local_adjacency(ys)
+        # the columns of the marks of the rows ys, by a flat scan (a 2-d
+        # np.nonzero takes about 4 ns an entry, a flat bool scan 0.6)
+        marks = np.flatnonzero(select[ys].view(bool))
+        xs = marks[at + (np.cumsum(cnt) - cnt)[:, None]] % m + first
+        cols = np.concatenate([nby, xs], axis=1)
+        rows = np.empty((len(ys), k, cols.shape[1]), dtype=np.int16)
+        # as many centres to a gather as keep its intp index within an
+        # eighth of the budget: 64 bytes an entry
+        per = _per_block(k * cols.shape[1], 64)
+        for b in range(0, len(ys), per):
+            flat.take((nby[b:b + per] * n)[:, :, None] + cols[b:b + per, None],
+                      mode="clip", out=rows[b:b + per])
+        pad = nby == n
+        if pad.any():  # row n and column n of the padded graph: no vertex
+            rows[pad] = -1
+            np.copyto(rows[:, :, :k], -1, where=pad[:, None, :])
+        yield ys, xs, rows[:, :, k:], (rows[:, :, :k] == 1).view(np.uint8)
 
 
-def _bounds(local: np.ndarray, cell: np.ndarray, where: np.ndarray) -> tuple:
-    """Each pair's cell size in a block (``cell``, bool (B, k, p)), and the
-    least and largest count of a v's neighbours in the cell where ``where``
-    holds, by one stacked product of the local graphs and a row of ones."""
-    weights = np.concatenate([local, np.ones_like(local[:, :1])], axis=1).astype(np.float32)
-    buf = cell.astype(np.float32)
-    counts = np.matmul(weights, buf)
-    inside, top = counts[:, :-1], local.shape[1] + 1  # a count less top is negative
-    hi = int(np.multiply(inside, where, out=buf).max())
-    inside -= top
-    return counts[:, -1], int(np.multiply(inside, where, out=buf).min()) + top, hi
+def _bounds(local: np.ndarray, cell: np.ndarray, where: Optional[np.ndarray] = None):
+    """Each pair's size of the cell ``cell`` (bool (B, k, p)) in a block,
+    and the count of a v's neighbours in the cell that every v where
+    ``where`` holds (the cell itself by default) has, or None when the
+    counts differ: one stacked float32 product of the local graphs, with a
+    row of ones for the sizes.  A v of ``where`` counts less top = k + 1,
+    below zero, so the least count is the least entry plus top: for the
+    cell itself by -top on the diagonal of the local graphs, which are 0
+    there, otherwise by a subtraction."""
+    B, k, _ = local.shape
+    top = k + 1
+    weights = np.ones((B, k + 1, k), dtype=np.float32)
+    weights[:, :k] = local
+    if where is None:
+        where = cell
+        weights[:, np.arange(k), np.arange(k)] = -top
+    counts = np.matmul(weights, cell.astype(np.float32))
+    if where is not cell:
+        counts[:, :-1] -= where * np.float32(top)
+    inside = counts[:, :-1]
+    least = inside.min(initial=0)
+    same = np.count_nonzero(inside == least) == np.count_nonzero(where)
+    return counts[:, -1], int(least) + top if same else None
 
 
 def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
@@ -798,31 +830,38 @@ def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
     level 1 and the C cell at level 2.  Raises InputError when the size
     varies.  A list ``patterns`` gets each block's distinct patterns."""
     size, valencies = None, set()
-    for _, _, dist, local in _local_blocks(g, np.triu(g.distance_matrix() == i, 1).view(np.int8)):
+    select = np.triu(g.distance_matrix() == i, 1).view(np.int8)
+    # bytes written per entry: an int16 distance, a bool member, its float32
+    # weight and count, a bool comparison, the member's copy in pair order
+    # (for the patterns) and at most one of the gather's index
+    for _, _, dist, local in _local_blocks(g, select, 14):
         member = dist == 1
-        sizes, *bounds = _bounds(local, member, member)
+        sizes, valency = _bounds(local, member)
         size = int(sizes.flat[0]) if size is None else size
         if (sizes != size).any():
             kind = ("lambda", "mu")[i - 1]
             raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
         if size:
-            valencies.update(bounds)
+            valencies.add(valency)
             if patterns is not None:
-                patterns.extend(_patterns(local, dist, size))
+                patterns.extend(_patterns(local, member, size))
     return size, valencies.pop() if len(valencies) == 1 else None
 
 
-def _patterns(local: np.ndarray, dist: np.ndarray, size: int):
-    """The distinct adjacency patterns of the graphs on the members (the v
-    at distance 1 from x) of a block's pairs: the bits above the diagonal
-    (on it when size = 1), packed, as one integer, which sorts faster, when
-    they fit in 8 bytes; at most ``_BUDGET`` bits at a time."""
-    _, k, p = dist.shape
-    at = np.flatnonzero(dist.transpose(0, 2, 1) == 1)  # (b, t, a) order
-    col = (at % k).reshape(-1, size)  # each pair's members, ascending
-    row = col * k + (at[::size] // (p * k) * k * k)[:, None]
+def _patterns(local: np.ndarray, member: np.ndarray, size: int):
+    """The distinct adjacency patterns of the graphs on the members
+    (``member``, bool (B, k, p): the v at distance 1 from x) of a block's
+    pairs: the bits above the diagonal (on it when size = 1), packed, as
+    one integer, which sorts faster, when they fit in 8 bytes; at most
+    ``_BUDGET`` bytes at a time, 25 per bit: three intp arrays (the row and
+    column of each bit, and their sum) and the bit."""
+    _, k, p = member.shape
+    # the members in (b, t, a) order: each pair's, ascending
+    pair, col = np.divmod(np.flatnonzero(member.transpose(0, 2, 1)), k)
+    col = col.reshape(-1, size)
+    row = col * k + (pair[::size] // p * (k * k))[:, None]
     u, w = np.triu_indices(size, size > 1)
-    step = _per_block(len(u))
+    step = _per_block(len(u), 25)
     for lo in range(0, len(col), step):
         keys = np.packbits(np.take(local, row[lo:lo + step, u] + col[lo:lo + step, w]), axis=1)
         width = keys.shape[1]
@@ -862,10 +901,13 @@ def triple_intersection_number(g: Graph) -> Optional[int]:
     in the A cell at level 2.  Requires at least one such triple, and reads
     the dense distance matrix, so at most ``_DENSE_CAP`` vertices."""
     found = set()
-    for _, _, dist, local in _local_blocks(g, (g.distance_matrix() == 2).view(np.int8)):
+    # bytes written per entry: an int16 distance, two bool cells, float32
+    # weights, counts and their correction, a bool comparison and at most one
+    # of the gather's index
+    for _, _, dist, local in _local_blocks(g, (g.distance_matrix() == 2).view(np.int8), 18):
         if (dist == 2).any():
-            found.update(_bounds(local, dist == 1, dist == 2)[1:])
-            if len(found) > 1:
+            found.add(_bounds(local, dist == 1, dist == 2)[1])
+            if None in found or len(found) > 1:
                 return None
     if not found:
         raise InputError("no triple (x~y, z at distance 2 from both) exists")

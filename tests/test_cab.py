@@ -138,12 +138,20 @@ def cocktail_party(m: int) -> Graph:
 
 @pytest.mark.parametrize("is_switched", [False, True])
 def test_widest_key_matches_bitset_oracle(is_switched):
-    # k = 128 gives the widest packed key of the corpus, (k + 1)^3 > 2^21
+    # k = 128 gives the widest float32 key of the corpus, 2^21 < (k + 1)^3
+    # <= 2^22
     rng = random.Random(65)
     g = relabel(cocktail_party(65), rng)
     if is_switched:
         g = switched(g, rng)
     assert g.degree(0) == 128
+    assert cab_partition_check(g) == oracle.cab_partition_check(g)
+
+
+def test_float64_keys_match_bitset_oracle():
+    # k = 162 is the least valency of float64 keys, (k + 1)^3 > 2^22
+    g = relabel(cocktail_party(82), random.Random(82))
+    assert g.degree(0) == 162
     assert cab_partition_check(g) == oracle.cab_partition_check(g)
 
 
@@ -157,8 +165,9 @@ LOCAL_CHECKS = [cab_partition_check, lambda g: _common_neighbourhoods(g, 1),
 def test_one_base_vertex_per_block_gives_the_same_reports(index, monkeypatch):
     # the CAB check, the lambda- and mu-graph passes, the c2 report and the
     # triple intersection number all read graph._local_blocks; a budget of
-    # one entry puts one base vertex (a centre y, whose local graph is read)
-    # in every block and one pair in every pattern step
+    # one byte, less than any item takes, puts one base vertex (a centre y,
+    # whose local graph is read) in every block and one pair in every
+    # pattern step
     rng = random.Random(100 + index)
     graphs = [relabel(LOCAL_BASES[index], rng)]
     graphs.append(switched(graphs[0], rng))

@@ -1,6 +1,7 @@
 """The one dense adjacency view of a graph (``Graph._padded``) and what is
-read from it: ``bitrows``, ``adjacency_matrix`` and the local graphs
-``Graph._local_adjacency``, against Python sets built from the arcs; the
+read from it: ``bitrows``, ``adjacency_matrix`` and, with the distance
+matrix, the local graphs of the local-partition pass
+(``graph._local_blocks``), against Python sets built from the arcs; the
 read-only cached arrays; and a guard that the arcs become a dense 0/1 matrix,
 and bit rows become Python ints, in one place each."""
 
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 from drglab.arrays import IntersectionArray
 from drglab.families import johnson, petersen
-from drglab.graph import Graph, check_distance_regular
+from drglab.graph import Graph, _local_blocks, check_distance_regular
 from test_local import varying_degree_graphs
 from test_spectrum import library_sources
 
@@ -54,8 +55,10 @@ def test_the_dense_view_matches_the_neighbour_sets(g):
     again = g.adjacency_matrix()
     assert again.tolist() == want and not np.shares_memory(first, again)
     k = max(map(len, nbrs), default=0)
-    vs = np.arange(g.n)[::-1]
-    local = g._local_adjacency(vs)
+    # every pair selected, so every vertex is a centre; one byte an entry
+    blocks = list(_local_blocks(g, np.ones((g.n, g.n), dtype=np.int8), 1))
+    vs = np.concatenate([ys for ys, _, _, _ in blocks] + [np.empty(0, dtype=np.intp)])
+    local = np.concatenate([b[3] for b in blocks] + [np.empty((0, k, k), dtype=np.uint8)])
     assert local.dtype == np.uint8 and local.shape == (g.n, k, k)
     assert (local == oracle_local(nbrs, vs.tolist(), k)).all()
 

@@ -49,7 +49,8 @@ def outcome(check, g: Graph):
 
 
 def assert_matches_oracle(g: Graph):
-    """Equal to the oracle, and again with one pair to a kernel call."""
+    """Equal to the oracle, and again with one pair to a kernel call: a
+    budget of one byte, less than any pair takes."""
     want = outcome(dr_oracle.check_distance_regular, g)
     assert outcome(check_distance_regular, g) == want
     with mock.patch.object(graph, "_BUDGET", 1):

@@ -254,8 +254,9 @@ def test_both_routes_match_the_oracles(route, dense, index):
 @ROUTES
 @pytest.mark.parametrize("index", [1, 2, 4])
 def test_cell_search_matches_the_oracles(monkeypatch, route, dense, index):
-    # once span^2 passes _BUDGET (diameter 512 or more) each vertex's label
-    # is found among the first pair's cells by binary search; forced here,
+    # once the label tables' 8 span^2 bytes pass _BUDGET (span above 512,
+    # so diameter 512 or more) each vertex's label is found among the first
+    # pair's cells by binary search; forced here by a budget of no bytes,
     # which also makes every block one item
     monkeypatch.setattr(graph, "_BUDGET", 0)
     assert_base_matches_the_oracles(index)
@@ -283,10 +284,11 @@ def test_keys_at_the_float64_word_boundary(route, dense, parts, words, cut):
 
 
 def test_long_cycles_look_labels_up_among_the_first_pair_cells():
-    # span 516: a table of every label a * span + b would pass the budget
+    # span 516: a table of every label a * span + b, 8 bytes a label, would
+    # pass the budget
     rng = random.Random(1030)
     g = relabel(cycle(1030), rng)
-    assert 516 * 516 > graph._BUDGET
+    assert 8 * 516 * 516 > graph._BUDGET
     chorded = Graph.from_edges(g.n, sorted(g.edges()) + [(0, 500)])
     for h in (g, chorded):
         for i in (1, 2):
@@ -343,6 +345,7 @@ def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
         assert rep.holds and rep.pairs_checked == 1120
         assert 1 <= len(calls) <= g.n and sum(calls) == 1 + 560
         calls.clear()
+        # one byte, less than any pair takes: one pair to a call
         monkeypatch.setattr(graph, "_BUDGET", 1)
         assert check_i_homogeneous(g, 1) == rep
         assert calls == [1] * (1 + 560)
@@ -420,5 +423,6 @@ def test_one_pair_per_kernel_call_gives_the_same_reports(monkeypatch, index):
     rng = random.Random(index)
     graphs = [relabel(BASES[index], rng), switch(relabel(BASES[index], rng), rng)]
     want = [outcome(lambda: check_i_homogeneous(g, 1)) for g in graphs]
+    # one byte, less than any pair takes
     monkeypatch.setattr(graph, "_BUDGET", 1)
     assert [outcome(lambda: check_i_homogeneous(g, 1)) for g in graphs] == want

@@ -175,7 +175,8 @@ def mu_patterns(g: Graph) -> set:
     neighbours of its centre y at distance 1 from its partner x."""
     adj, nb = g._padded()
     found = set()
-    for ys, xs, dist, _ in _local_blocks(g, np.triu(g.distance_matrix() == 2, 1).view(np.int8)):
+    # one byte per entry: the fewest blocks
+    for ys, xs, dist, _ in _local_blocks(g, np.triu(g.distance_matrix() == 2, 1).view(np.int8), 1):
         for b, t in np.ndindex(xs.shape):
             m = nb[ys[b], dist[b, :, t] == 1]
             found.add(adj[np.ix_(m, m)].tobytes())
@@ -257,9 +258,10 @@ def test_mu_graphs_with_several_patterns_match_the_oracle(name):
 
 @pytest.mark.parametrize("name", ["folded J(8,4)", "Shrikhande", "Taylor(Paley(13))"])
 def test_one_row_per_step_gives_the_same_reports(monkeypatch, name):
-    # a budget of one entry reads one pair per block and packs one mu-graph
-    # pattern per step, so the patterns are merged across many blocks; the
-    # budget test in test_cab compares the reports of the other callers
+    # a budget of one byte, less than any item takes, reads one centre per
+    # block and packs one mu-graph pattern per step, so the patterns are
+    # merged across many blocks; the budget test in test_cab compares the
+    # reports of the other callers
     g = relabel(BASES[name], random.Random(3))
 
     def reports():

@@ -1,16 +1,18 @@
-"""The block budget ``graph._BUDGET`` on every arc-sized gather: the sparse
-keys of the pair kernel (``graph._pair_keys``), the pull step of the
-distance engine (``Graph._distance_rows``) and the per-cell counts
-(``graph._cell_counts``) read the arcs of consecutive vertex ranges
-(``graph._ranges``), within the budget or of one vertex each.
+"""The block budget ``graph._BUDGET``, in bytes, on every arc-sized gather
+and on the local-partition pass: the sparse keys of the pair kernel
+(``graph._pair_keys``), the pull step of the distance engine
+(``Graph._distance_rows``) and the per-cell counts (``graph._cell_counts``)
+read the arcs of consecutive vertex ranges (``graph._ranges``), within the
+budget or of one vertex each.
 
 The keys and the counts are compared with the whole-arc gathers they
 replaced (``pair_keys_oracle``, ``cell_counts_oracle``), and the rows with
 the queue search (``bfs_oracle``), under budgets small enough that every
 block splits, on relabelled and switched corpus graphs and on K_{40,40},
 where one vertex's arcs exceed the budget.  ``tracemalloc`` holds the keys
-and the rows to the budget on the halved 14-cube, and the counts on the
-halved 16-cube.
+and the rows to the budget on the halved 14-cube, the counts on the
+halved 16-cube, and the CAB check and the c2 report on folded J(12,6); the
+ranges of the passes that large sampled runs take are pinned at 2^18 arcs.
 """
 
 import random
@@ -23,10 +25,14 @@ import cell_counts_oracle
 import drglab.graph as graph
 import pair_keys_oracle
 from bfs_oracle import bfs_distances
-from drglab.families import complete, complete_multipartite, halved_cube
+from drglab.cab import cab_partition_check
+from drglab.families import complete, complete_multipartite, folded_johnson, halved_cube
 from test_distance_engine import path, union
 from test_equitability import BASES, relabel, switch
 
+# in int64 entries of 8 bytes: the budget in bytes is 8 budget, which the
+# sparse keys and the pull read as 1, 7 and 64 arcs a range, and the
+# per-cell counts (32 bytes an arc) as 0, 1 and 16
 BUDGETS = pytest.mark.parametrize("budget", [1, 7, 64])
 
 
@@ -60,7 +66,7 @@ def test_ranges_take_the_most_segments_within_the_budget(most):
 @BUDGETS
 @pytest.mark.parametrize("pairs", [1, 3])
 def test_blocked_keys_match_the_whole_arc_gather(monkeypatch, budget, pairs):
-    monkeypatch.setattr(graph, "_BUDGET", budget)
+    monkeypatch.setattr(graph, "_BUDGET", 8 * budget)
     rng = np.random.default_rng(budget * 10 + pairs)
     for g in CORPUS:
         for words in (1, 2):
@@ -79,7 +85,7 @@ def test_sparse_keys_over_no_arcs_are_zero():
 @BUDGETS
 def test_blocked_cell_counts_match_the_whole_arc_gather(monkeypatch, budget):
     # cells with and without vertices outside them (cell -1)
-    monkeypatch.setattr(graph, "_BUDGET", budget)
+    monkeypatch.setattr(graph, "_BUDGET", 8 * budget)
     rng = np.random.default_rng(budget)
     for g in CORPUS:
         for ncells, low in ((1, 0), (5, 0), (5, -1)):
@@ -93,7 +99,7 @@ def test_distance_rows_match_the_oracle(monkeypatch, budget):
     # 9, 16 and 64 sources take words of one, two and eight bytes; 70 makes
     # two blocks; isolated vertices and a path leave some vertices out of
     # the pull and make it push
-    monkeypatch.setattr(graph, "_BUDGET", budget)
+    monkeypatch.setattr(graph, "_BUDGET", 8 * budget)
     rng = random.Random(budget)
     for g in CORPUS + [union(CORPUS[1], path(30), graph.Graph([[]]))]:
         for count in (1, 9, 16, 64, 70):
@@ -144,3 +150,37 @@ def test_pull_stays_within_the_budget(hc14):
     # 64 decoded bits of a byte each, and its 64 int16 distances three times
     # over (the block, the bits times the level, the rows of the hits)
     assert peak - rows.nbytes - hc14.n * (4 * 8 + 64 + 3 * 128) < 3 << 20
+
+
+def test_local_pass_stays_within_the_budget():
+    # 462 vertices of valency 36; the distance matrix and the dense view are
+    # built first, so what is traced is the pass: one block within the
+    # budget, the gather's index within an eighth of it, and the (n, n)
+    # selections, 0.2 MiB each here (blocks of 2^18 entries, whatever their
+    # bytes, peaked at 4.4 MiB in the CAB check and 4.0 in the c2 report)
+    g = folded_johnson(12, 6)
+    g.distance_matrix()
+    g._padded()
+    for check in (cab_partition_check, graph.c2_regularity_report):
+        _, peak = traced_peak(lambda: check(g))
+        assert peak < 3 * graph._BUDGET // 2
+
+
+def test_large_sampled_passes_keep_their_arc_ranges(monkeypatch, hc14):
+    # the sparse keys of one pair and the engine's pull read 2^18 arcs a
+    # range at the default budget, 8 bytes an arc
+    seen = []
+
+    def recorded(offsets, most):
+        cuts = ranges(offsets, most)
+        seen.append((most, [int(offsets[i1] - offsets[i0]) for i0, i1 in cuts]))
+        return cuts
+
+    ranges = graph._ranges
+    monkeypatch.setattr(graph, "_ranges", recorded)
+    graph._pair_keys(hc14, None, np.ones((1, 1, hc14.n), dtype=np.int64))
+    hc14._distance_rows([0])
+    # 91 arcs a vertex: 2880 vertices to a range, and the last takes the rest
+    assert [most for most, _ in seen] == [1 << 18, 1 << 18]
+    for _, arcs in seen:
+        assert arcs == [2880 * 91] * 2 + [745472 - 2 * 2880 * 91]
