@@ -31,8 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (DomainError, InputError, PreconditionError, ResourceError,
-                     SingularityError, require)
-from .graph import Graph, _local_blocks
+                     SingularityError, require, require_room)
+from .graph import _BUDGET, Graph, _local_blocks
 from .polys import charpoly, quadratic_roots, real_roots
 from .scalars import ExactScalar, as_exact, exact_eq
 
@@ -141,9 +141,11 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     i_max = D if i_max is None else i_max
     if not 1 <= i_max <= D:
         raise InputError(f"level {i_max} outside 1..{D}")
-    dm, nb = g.distance_matrix(), g._padded()[1]
-    # every pair (x, y) at distance 1..i_max, read at [y, x]
-    select = ((dm > 0) & (dm <= i_max)).view(np.int8)
+    dm = g.distance_matrix()
+    # 3 bytes per (n, n) entry, a pair selection and its two bool operands,
+    # and two budgets for the blocks (tracemalloc peaks 2.2-2.6 n^2 on H(7,3)
+    # and the halved 11-cube, and below the prediction on smaller graphs)
+    require_room(f"the pair selections of {g.n} vertices", 3 * g.n * g.n + 2 * _BUDGET)
     base = k + 1  # a count row (C, A, B) is the key C + base B + base^2 (C + A + B)
     # keys, their partial sums and the expected keys' coefficients are
     # integers or halves below base^3: float32 holds them exactly below 2^22
@@ -194,13 +196,16 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     # expected key, their bool comparison, and at most one of the gather's
     # index (the local graphs' k^2 entries take fewer)
     width = 4 + 3 * key_type.itemsize
-    # blocks grow from one centre, so a bad centre early in the order stops the pass early
+    # every pair (x, y) at distance 1..i_max, read at [y, x]; blocks grow
+    # from one centre, so a bad centre early in the order stops the pass early
+    select = ((dm > 0) & (dm <= i_max)).view(np.int8)
     for _, _, dist, local in _local_blocks(g, select, width, grow=True):
         level, _, _, bad = check(dist, local, top)
         if bad.any():
             top = int(level[bad].min()) - 1
             if not top:
                 break
+    del select  # the count below takes 3 bytes per entry again
     rows = [_unpack(r, base) if r >= 0 else (None,) * 3 for r in refs]
     out_levels = tuple(CabLevelParams(i, rows[3 * i][0] or 0, rows[3 * i + 1][0],
                                       rows[3 * i + 1][2], rows[3 * i + 2][1])
@@ -223,7 +228,7 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
                 a = int(np.argmin(np.where(key != refs[at], at, len(refs))))
                 j = at[a]
                 return CabReport(False, out_levels, CabDeviation(
-                    i, x, int(ys[b]), int(nb[ys[b], a]), _unpack(key[a], base),
+                    i, x, int(ys[b]), g.neighbors(int(ys[b]))[a], _unpack(key[a], base),
                     _unpack(refs[j], base), f"counts differ within cell {'CAB'[j % 3]}"),
                     checked + b + 1)
             checked += len(ys)

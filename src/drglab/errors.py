@@ -1,7 +1,6 @@
 """Exception taxonomy shared across the package, and the one memory check."""
 
 import os
-import pathlib
 import resource
 from decimal import Decimal
 
@@ -36,8 +35,9 @@ class ResourceError(DrgError):
     Memory: an input-sized allocation predicts its bytes before it is made,
     and ``require_room`` refuses it when they exceed the room left to the
     process: the lower of physical memory and the soft ``RLIMIT_AS`` (which
-    ``ulimit -v`` sets), less the address space already mapped.  Four
-    sites predict:
+    ``ulimit -v`` sets), less the address space already mapped.  A
+    prediction that a blocked pass follows adds two block budgets (below)
+    for the pass's working set.  These sites predict:
 
     - the family builders (``families._vertices``): 8 bytes per arc slot of
       n rows of the family's width, the intp targets, plus the
@@ -48,7 +48,21 @@ class ResourceError(DrgError):
       vertex, for its lists and ints and the one copy the CLI makes;
     - a graph file read (``Graph.load``): 17 bytes per byte of the file;
     - the distance rows of sampled pairs (``homogeneous._sampled_pairs``):
-      2 count n int16 entries, before the first draw.
+      2 count n int16 entries, before the first draw;
+    - the distance matrix (``Graph.distance_matrix``), once: 2 bytes per
+      int16 entry and 768 per vertex for the engine's blocks;
+    - a dense adjacency (``Graph._adjacency``): an entry of its dtype per
+      vertex pair and 8 bytes per arc, for the dense pair route,
+      ``adjacency_matrix`` and ``bitrows``;
+    - the (n, n) selections and per-pair index arrays of each exhaustive
+      verdict that reads the distance matrix, once per verdict: 1 byte per
+      entry and 40 per pair at distance i for 1-homogeneity
+      (``homogeneous.check_i_homogeneous``, which counts the pairs a
+      budget's rows at a time first), 3 per entry for the CAB check
+      (``cab.cab_partition_check``) and for the lambda- and mu-graph
+      valencies and the mu-graph report
+      (``graph._common_neighbourhoods``), 1 per entry for the triple
+      intersection number (``graph.triple_intersection_number``).
 
     Time: the dense distance matrix takes at most ``graph._DENSE_CAP`` (6000)
     vertices, which bounds exhaustive 1-homogeneity, the triple intersection
@@ -102,11 +116,15 @@ def require(condition: bool, message: str) -> None:
 def _room() -> int:
     """Bytes this process may still map: the lower of physical memory and
     the soft address-space limit, less the address space already mapped
-    (read from /proc/self/statm where it exists)."""
+    (read from /proc/self/statm where it exists, unbuffered: about 8 us,
+    against 20-30 for a ``pathlib`` read)."""
     page = os.sysconf("SC_PAGE_SIZE")
     limits = [page * os.sysconf("SC_PHYS_PAGES"), resource.getrlimit(resource.RLIMIT_AS)[0]]
-    statm = pathlib.Path("/proc/self/statm")
-    mapped = int(statm.read_text().split()[0]) if statm.exists() else 0
+    try:
+        with open("/proc/self/statm", "rb", buffering=0) as fh:
+            mapped = int(fh.read().split()[0])
+    except FileNotFoundError:
+        mapped = 0
     return min(x for x in limits if x != resource.RLIM_INFINITY) - page * mapped
 
 

@@ -146,7 +146,7 @@ def _exchanges(n: int, d: int, count: int) -> Callable[[np.ndarray], np.ndarray]
         bits = (n - 1 - labels[v, ::-1]).astype(np.intp)  # ascending
         member = np.zeros((len(v), n), dtype=bool)
         member[rows, bits] = True
-        zeros = np.nonzero(~member)[1].reshape(len(v), n - d)
+        zeros = (np.flatnonzero(~member) % n).reshape(len(v), n - d)
         below = zeros - np.arange(n - d)  # bits below each non-element
         term = binom[bits, t + 1]
         # down[j]: sum over t < j of the change when bit t moves one place

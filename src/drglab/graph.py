@@ -18,9 +18,11 @@ passes and their widths).  The gathers over all arcs (the sparse keys, the
 engine's pull and the per-cell counts) read them in ranges of consecutive
 vertices (``_ranges``) within the budget, or of one vertex, so no block
 holds an entry for every arc of a large graph.
-Every dense reader derives from one read-only view (``Graph._padded``): the
-uint8 adjacency and the neighbour table, padded with a vertex n adjacent to
-none.
+A graph caches its arcs and, once built, its read-only distance matrix,
+nothing else: the three readers of an (n, n) 0/1 adjacency (the dense pair
+route, ``adjacency_matrix`` and ``bitrows``) each get a fresh one in the
+dtype they read, scattered from the arcs in one place
+(``Graph._adjacency``).
 The one local-partition pass (``_local_blocks``) reads the pairs (x, y)
 that an (n, n) selection marks, in blocks of centres y: the distances from
 x to Gamma(y), which split it into the cells C, A and B, and the local
@@ -116,7 +118,7 @@ class Graph:
     8 bytes per arc.  The source of an arc is its position's row, derived
     on demand (``_sources``); no sources array is kept."""
 
-    __slots__ = ("n", "_dst", "_starts", "_adj", "_dm")
+    __slots__ = ("n", "_dst", "_starts", "_dm")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
@@ -142,7 +144,7 @@ class Graph:
         return g
 
     def _set_arcs(self, n: int, starts: np.ndarray, dst: np.ndarray):
-        self.n, self._starts, self._dst, self._adj, self._dm = n, starts, dst, None, None
+        self.n, self._starts, self._dst, self._dm = n, starts, dst, None
 
     def _sources(self) -> np.ndarray:
         """The intp source of every arc, built on each call."""
@@ -176,28 +178,24 @@ class Graph:
         up = self._dst > src
         return zip(src[up].tolist(), self._dst[up].tolist())
 
-    def _padded(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The dense view, built once and read-only: the uint8 (n + 1, n + 1)
-        0/1 adjacency, whose row and column n (a vertex adjacent to none) are
-        zero, and the (n + 1, k) neighbour table, k the largest degree: row v
-        is Gamma(v) ascending, padded with n."""
-        if self._adj is None:
-            n, src, dst = self.n, self._sources(), self._dst
-            adj = np.zeros((n + 1, n + 1), dtype=np.uint8)
-            adj[src, dst] = 1
-            nb = np.full((n + 1, int(self.degrees().max(initial=0))), n, dtype=np.intp)
-            nb[src, np.arange(len(dst)) - self._starts[src]] = dst
-            adj.flags.writeable = nb.flags.writeable = False
-            self._adj = adj, nb
-        return self._adj
+    def _adjacency(self, dtype) -> np.ndarray:
+        """A fresh (n, n) 0/1 adjacency of ``dtype``, scattered from the arcs:
+        the one place where they become a dense matrix; nothing is cached.
+        ``require_room`` checks its bytes first: one entry of ``dtype`` per
+        vertex pair and the intp source of every arc."""
+        require_room(f"the dense adjacency entries of {self.n} vertices",
+                     np.dtype(dtype).itemsize * self.n * self.n + 8 * len(self._dst))
+        adj = np.zeros((self.n, self.n), dtype=dtype)
+        adj[self._sources(), self._dst] = 1
+        return adj
 
     def bitrows(self) -> List[int]:
         """Row v of the adjacency as a Python int: bit u is set when u ~ v."""
-        return _row_ints(self._padded()[0][:self.n, :self.n])
+        return _row_ints(self._adjacency(np.uint8))
 
     def adjacency_matrix(self) -> np.ndarray:
         """A fresh int64 (n, n) 0/1 adjacency matrix."""
-        return self._padded()[0][:self.n, :self.n].astype(np.int64)
+        return self._adjacency(np.int64)
 
     def _vertices(self, vs) -> np.ndarray:
         """vs as an intp array; InputError names the first vertex out of range."""
@@ -275,10 +273,17 @@ class Graph:
         return self._distance_rows([x])[0].tolist()
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense all-pairs distance matrix (-1 for unreachable), read-only."""
+        """Dense all-pairs distance matrix (-1 for unreachable), read-only.
+        ``require_room`` checks its bytes first: 2 per int16 entry, 768 per
+        vertex for the engine's 64-source blocks (tracemalloc peaks: 545-723
+        per vertex above the entries on H(6,3), H(7,3), J(10,5) and the
+        halved 11-cube), and two budgets for the blocks of the engine's
+        pull and of the verdict that reads the matrix."""
         if self._dm is None:
             if self.n > _DENSE_CAP:
                 raise ResourceError(f"dense distance matrix capped at {_DENSE_CAP} vertices")
+            require_room(f"the distance matrix entries of {self.n} vertices",
+                         2 * self.n * self.n + 768 * self.n + 2 * _BUDGET)
             self._dm = self._distance_rows(range(self.n))
             self._dm.flags.writeable = False
         return self._dm
@@ -288,7 +293,7 @@ class Graph:
 
     def diameter(self) -> int:
         dm = self.distance_matrix()
-        if (dm < 0).any():
+        if dm.min() < 0:
             raise InputError("diameter undefined for a disconnected graph")
         return int(dm.max())
 
@@ -590,7 +595,7 @@ def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
     if table:
         a, b = np.divmod(np.arange(span * span), span)
         wl = wf[:, (3 * a + b) % 9]
-    adj = g._padded()[0][:n, :n].astype(np.float64) if dense else None
+    adj = g._adjacency(np.float64) if dense else None
     most = _per_block(n, 32) if dense else _per_block(len(g._dst), 8)
     cells = quotient = None
     lo, step = 0, 1
@@ -756,17 +761,18 @@ def _local_blocks(g: Graph, select: np.ndarray, width: int, first: int = 0,
     d(xs[b, t], v) at [b, a, t] for v the a-th neighbour of ys[b] (-1 for
     padding v), so that the v at distance i - 1, i and i + 1 from x are the
     cells C, A and B of d(x, y) = i; and the uint8 local graphs at ys, 1
-    where two neighbours are at distance 1.  Both are read from the rows of
-    the distance matrix at each centre's neighbours, at its neighbours and
-    partners, in gathers of as many centres as keep the intp index within
-    an eighth of the budget, so no index spans a full block.  A block holds
-    ``_BUDGET`` bytes at the caller's ``width`` bytes per entry, k per
-    partner and k^2 per centre, or one centre; ``grow`` starts at one
-    centre and doubles."""
-    dm, nb = g.distance_matrix(), g._padded()[1]
-    n, k, m = g.n, nb.shape[1], select.shape[1]
+    where two neighbours are at distance 1.  A block's neighbour rows, k the
+    largest degree, are read from the arcs, short rows padded with n; both
+    arrays are read from the rows of the distance matrix at each centre's
+    neighbours, at its neighbours and partners, in gathers of as many
+    centres as keep the intp index within an eighth of the budget, so no
+    index spans a full block.  A block holds ``_BUDGET`` bytes at the
+    caller's ``width`` bytes per entry, k per partner and k^2 per centre,
+    or one centre; ``grow`` starts at one centre and doubles."""
+    dm, dst, starts = g.distance_matrix(), g._dst, g._starts
+    n, k, m = g.n, int(g.degrees().max(initial=0)), select.shape[1]
     flat = dm.reshape(-1)
-    count = np.count_nonzero(select, axis=1)
+    count = np.count_nonzero(select.view(bool), axis=1)  # an int8 one copies to bool
     centres = np.flatnonzero(count)
     # the longest list from a centre on bounds the lists of a block from it
     reach = np.maximum.accumulate(count[centres][::-1])[::-1]
@@ -775,7 +781,9 @@ def _local_blocks(g: Graph, select: np.ndarray, width: int, first: int = 0,
         step = min(step, _per_block((int(reach[lo]) + k) * k, width))
         ys = centres[lo:lo + step]
         lo, step = lo + step, 2 * step
-        nby, cnt = nb[ys], count[ys]
+        arc = starts[ys, None] + np.arange(k)
+        nby = np.where(arc < starts[ys + 1, None], dst.take(arc, mode="clip"), n)
+        cnt = count[ys]
         at = np.minimum(np.arange(int(cnt.max())), cnt[:, None] - 1)
         # the columns of the marks of the rows ys, by a flat scan (a 2-d
         # np.nonzero takes about 4 ns an entry, a flat bool scan 0.6)
@@ -790,7 +798,7 @@ def _local_blocks(g: Graph, select: np.ndarray, width: int, first: int = 0,
             flat.take((nby[b:b + per] * n)[:, :, None] + cols[b:b + per, None],
                       mode="clip", out=rows[b:b + per])
         pad = nby == n
-        if pad.any():  # row n and column n of the padded graph: no vertex
+        if pad.any():  # the padding n is no vertex
             rows[pad] = -1
             np.copyto(rows[:, :, :k], -1, where=pad[:, None, :])
         yield ys, xs, rows[:, :, k:], (rows[:, :, :k] == 1).view(np.uint8)
@@ -830,7 +838,12 @@ def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
     level 1 and the C cell at level 2.  Raises InputError when the size
     varies.  A list ``patterns`` gets each block's distinct patterns."""
     size, valencies = None, set()
-    select = np.triu(g.distance_matrix() == i, 1).view(np.int8)
+    dm = g.distance_matrix()
+    # 3 bytes per (n, n) entry, the bool selection, the mask of np.triu and
+    # its result, and two budgets for the blocks (tracemalloc peaks 3.0-3.1
+    # n^2 on H(7,3) and the halved 11-cube)
+    require_room(f"the pair selections of {g.n} vertices", 3 * g.n * g.n + 2 * _BUDGET)
+    select = np.triu(dm == i, 1).view(np.int8)
     # bytes written per entry: an int16 distance, a bool member, its float32
     # weight and count, a bool comparison, the member's copy in pair order
     # (for the patterns) and at most one of the gather's index
@@ -901,10 +914,14 @@ def triple_intersection_number(g: Graph) -> Optional[int]:
     in the A cell at level 2.  Requires at least one such triple, and reads
     the dense distance matrix, so at most ``_DENSE_CAP`` vertices."""
     found = set()
+    dm = g.distance_matrix()
+    # a byte per (n, n) entry, the selection, and two budgets for the blocks
+    # (tracemalloc peaks 1.4 n^2 on H(7,3) and 2.3 n^2 on the halved 11-cube)
+    require_room(f"the pair selection of {g.n} vertices", g.n * g.n + 2 * _BUDGET)
     # bytes written per entry: an int16 distance, two bool cells, float32
     # weights, counts and their correction, a bool comparison and at most one
     # of the gather's index
-    for _, _, dist, local in _local_blocks(g, (g.distance_matrix() == 2).view(np.int8), 18):
+    for _, _, dist, local in _local_blocks(g, (dm == 2).view(np.int8), 18):
         if (dist == 2).any():
             found.add(_bounds(local, dist == 1, dist == 2)[1])
             if None in found or len(found) > 1:

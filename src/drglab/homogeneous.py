@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from .arrays import IntersectionArray
 from .bounds import F_bound, G_bound
 from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require, require_room
-from .graph import (Graph, _check_pairs, _common_neighbourhoods,
+from .graph import (_BUDGET, Graph, _check_pairs, _common_neighbourhoods, _per_block,
                     check_distance_regular, graph_spectrum, local_graph)
 from .scalars import exact_cmp
 from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
@@ -133,10 +134,19 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
         checked, witness, (labels, matrix) = _check_pairs(
             g, xs, ys, rows, np.arange(count), count + np.arange(count))
     else:
-        rows = g.distance_matrix()
+        rows, n = g.distance_matrix(), g.n
         if rows.min() < 0:
             raise InputError("homogeneity is defined for connected graphs")
-        xs, ys = np.nonzero(rows == i)
+        # the pairs at distance i, counted a budget's rows at a time; then a
+        # byte per (n, n) entry for their selection, 40 per pair (the flat
+        # indices, the int64 xs and ys, the half scan's ux and uy and, for a
+        # failing pair, the int64 keys of its rank; tracemalloc peaks 8-29
+        # a pair) and two budgets for the pair kernel's blocks
+        step = _per_block(n, 1)
+        pairs = sum(int(np.count_nonzero(rows[a:a + step] == i)) for a in range(0, n, step))
+        require_room(f"the index arrays of {pairs} pairs at distance {i}",
+                     n * n + 40 * pairs + 2 * _BUDGET)
+        xs, ys = np.divmod(np.flatnonzero(rows == i), n)
         if not len(xs):
             raise InputError(f"no pair of vertices at distance {i}")
         # the first ordered pair has x <= y, so both scans share its reference
@@ -147,7 +157,7 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
             checked, witness, (labels, matrix) = _check_pairs(g, ux, uy, rows, ux, uy)
             # the failing pair's rank among the ordered pairs, or their count
             checked = len(xs) if witness is None else 1 + int(
-                np.searchsorted(xs * g.n + ys, witness[0] * g.n + witness[1]))
+                np.searchsorted(xs * n + ys, witness[0] * n + witness[1]))
     if witness is not None:
         return HomogeneityReport(i, False, witness=witness, mode=mode, pairs_checked=checked)
     return HomogeneityReport(i, True, labels, matrix, None, mode, checked)
@@ -284,9 +294,11 @@ def local_spectral_checks(g: Graph) -> dict:
     conference-local and grid-local flags.  The local graphs are all
     SRG(k, a_1, lambda', mu') exactly when every lambda-graph is
     lambda'-regular and every mu-graph mu'-regular with mu' > 0 (BCN 1.1), so
-    no local graph is built unless the graph is not locally SRG.  On a graph
-    that is not locally SRG, ``min_local_eig`` and ``min_local_eig_ok`` come
-    from the local graph of vertex 0 only."""
+    no local graph is built unless the graph is not locally SRG.  When
+    lambda' = a_1 - 1 > -1, every local graph is a disjoint union of
+    K_{a_1 + 1}, whose smallest eigenvalue is -1, so none is built then
+    either.  On any other graph that is not locally SRG, ``min_local_eig``
+    and ``min_local_eig_ok`` come from the local graph of vertex 0 only."""
     ia = check_distance_regular(g)
     if not isinstance(ia, IntersectionArray):
         raise InputError("graph is not distance-regular")
@@ -300,6 +312,7 @@ def local_spectral_checks(g: Graph) -> dict:
     params = SrgParams(ia.k, a1, lam, mu) if mu else None
     out["locally_srg"] = params is not None
     smallest = (srg_eigenvalues(params).s if params else
+                Fraction(-1) if a1 and lam == a1 - 1 else
                 graph_spectrum(local_graph(g, 0).graph).values[-1][0])
     out["min_local_eig"] = smallest
     # smallest local eigenvalue >= -1 - b

@@ -2,7 +2,6 @@
 
 import json
 import os
-import resource
 import runpy
 import subprocess
 import sys
@@ -318,8 +317,49 @@ def test_code_lines_script_counts_only_code(tmp_path):
     assert done.stdout.split() == ["2", "m.py", "2", "total"]
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+#: imports the CLI once, then runs each [argv, limit, relative] of the JSON
+#: list in sys.argv[1] through ``main`` in a child forked from it, under a
+#: soft and hard RLIMIT_AS of ``limit`` bytes, plus the address space the
+#: child has mapped when ``relative``, and skips the later runs of an argv
+#: once one has exited 0; prints a JSON list of [argv, exit status, stderr].
+#: With one OpenBLAS thread the driver runs no other thread, so it may fork
+LIMIT_DRIVER = r"""
+import io, json, os, resource, sys
+import drglab.cli
+runs = []
+for argv, limit, relative in json.loads(sys.argv[1]):
+    if [argv, 0] in [run[:2] for run in runs]:
+        continue
+    read, write = os.pipe()
+    pid = os.fork()
+    if not pid:
+        os.close(read)
+        if relative:
+            with open("/proc/self/statm") as fh:
+                limit += os.sysconf("SC_PAGE_SIZE") * int(fh.read().split()[0])
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        sys.stdout, sys.stderr = open(os.devnull, "w"), io.StringIO()
+        code = drglab.cli.main(argv)
+        os.write(write, sys.stderr.getvalue().encode())
+        os._exit(code)
+    os.close(write)
+    with os.fdopen(read, encoding="utf-8") as fh:
+        err = fh.read()
+    runs.append([argv, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), err])
+print(json.dumps(runs))
+"""
+
+
+def run_cli_under_limits(runs, timeout=60):
+    """[argv, exit status, stderr] of ``drglab`` run on each [argv, limit,
+    relative] under an address-space limit, up to the first success of each
+    argv, each in a fresh child of one process that has imported the CLI
+    (``LIMIT_DRIVER``)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", LIMIT_DRIVER, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -340,13 +380,30 @@ def test_oversized_commands_exit_typed_under_an_address_space_limit(tmp_path, ar
     h83 = tmp_path / "h83.json"
     hamming(8, 3).dump(str(h83))
     argv = [arg.format(out=out, h83=h83) for arg in argv]
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "drglab.cli", *argv], env=env,
-                          preexec_fn=_limit_address_space, capture_output=True, text=True,
-                          timeout=60)
-    assert done.returncode in (0, 1, 2), done.stderr
-    if "--out" in argv and done.returncode == 0:
+    [(_, code, err)] = run_cli_under_limits([[argv, 3 << 30, False]])
+    assert code in (0, 1, 2), err
+    if "--out" in argv and code == 0:
         assert Graph.load(str(out)).n == 8000
     else:
-        assert done.returncode == 2 and " GiB of memory is left" in done.stderr, done.stderr
+        assert code == 2 and " GiB of memory is left" in err, err
         assert out.read_text() == "earlier contents\n"
+
+
+def test_dense_verdicts_exit_typed_from_the_load_refusal_up_to_success(tmp_path):
+    # H(6,3): 729 vertices in a 44 KB file, whose load needs 0.7 MiB.  Each
+    # command runs under address-space limits 0.25, 0.75, 1.25, ... MiB above
+    # what the process has mapped once the CLI is imported, up to its first
+    # success: the graph file, the distance matrix, the pair selections and
+    # the index arrays predict their bytes, and those of the blocks that read
+    # them, before they are allocated, so every run below success is refused
+    # (exit 2), never a MemoryError (exit 3)
+    path = str(tmp_path / "h63.json")
+    hamming(6, 3).dump(path)
+    commands = [["analyze", path], ["cab", path], ["homog", path]]
+    extras = [(2 * t + 1) << 18 for t in range(40)]
+    runs = run_cli_under_limits([[argv, extra, True] for argv in commands for extra in extras])
+    for argv in commands:
+        codes = [(code, err) for got, code, err in runs if got == argv]
+        assert codes[0][1].startswith("error: the JSON lists of graph file"), codes[0]
+        assert codes[-1][0] == 0, codes[-1]
+        assert all(code == 2 and " GiB of memory is left" in err for code, err in codes[:-1]), codes

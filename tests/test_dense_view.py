@@ -1,20 +1,25 @@
-"""The one dense adjacency view of a graph (``Graph._padded``) and what is
-read from it: ``bitrows``, ``adjacency_matrix`` and, with the distance
-matrix, the local graphs of the local-partition pass
-(``graph._local_blocks``), against Python sets built from the arcs; the
-read-only cached arrays; and a guard that the arcs become a dense 0/1 matrix,
-and bit rows become Python ints, in one place each."""
+"""The dense readers of a graph against Python sets built from the arcs:
+``bitrows`` and ``adjacency_matrix``, each scattered fresh from the arcs by
+the one helper ``Graph._adjacency``, and the local graphs of the
+local-partition pass (``graph._local_blocks``), read from the distance
+matrix at neighbour rows taken from the arcs.  The local-pass verdicts never
+call the helper and leave nothing cached but the read-only distance matrix;
+a guard checks that the arcs become a dense 0/1 matrix, and bit rows become
+Python ints, in one place each."""
 
 import ast
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from drglab.arrays import IntersectionArray
-from drglab.families import johnson, petersen
-from drglab.graph import Graph, _local_blocks, check_distance_regular
+from drglab.cab import cab_partition_check
+from drglab.families import hamming, johnson, triangular
+from drglab.graph import (Graph, _local_blocks, c2_regularity_report, check_distance_regular,
+                          triple_intersection_number)
 from test_local import varying_degree_graphs
 from test_spectrum import library_sources
 
@@ -68,10 +73,38 @@ def test_cached_arrays_are_read_only():
     with pytest.raises(ValueError):
         g.distance_matrix()[0, 1] = 3
     assert check_distance_regular(g) == IntersectionArray((9, 4, 1), (1, 4, 9))
-    adj, nb = petersen()._padded()
-    for view in (adj, nb):
-        with pytest.raises(ValueError):
-            view[0, 0] = 1
+
+
+LOCAL_VERDICTS = (cab_partition_check, c2_regularity_report, triple_intersection_number)
+
+
+@pytest.mark.parametrize("verdict", LOCAL_VERDICTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("build", [lambda: johnson(7, 3), lambda: triangular(10)],
+                         ids=["J(7,3)", "T(10)"])
+def test_local_pass_verdicts_build_no_dense_adjacency(monkeypatch, verdict, build):
+    # T(10) is not CAB-regular, so its CAB check names a deviation vertex too
+    want = verdict(build())
+
+    def forbidden(*args):
+        raise AssertionError("the local pass built an (n, n) adjacency")
+
+    monkeypatch.setattr(Graph, "_adjacency", forbidden)
+    assert verdict(build()) == want
+
+
+def test_a_local_pass_verdict_leaves_only_the_distance_matrix_cached():
+    # 2187 vertices: a cached (n + 1)^2 uint8 adjacency would keep 4.8 MiB
+    g = hamming(7, 3)
+    g.distance_matrix()
+    triple_intersection_number(hamming(3, 3))  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert triple_intersection_number(g) == 1
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 << 10
 
 
 def places(pattern):
@@ -91,5 +124,5 @@ def places(pattern):
 def test_arcs_and_bit_rows_are_converted_in_one_place_each():
     # a 0/1 matrix indexed by the arcs, set by assignment or ufunc.at
     scatter = r"\[[^\]]*\b_?(src|dst)\b[^\]]*\]\s*=\s*(1|True)\b|\.at\([^)]*\b_?(src|dst)\b"
-    assert places(scatter) == [("graph.py", "_padded")]
+    assert places(scatter) == [("graph.py", "_adjacency")]
     assert places(r"int\.from_bytes") == [("graph.py", "_row_ints")]

@@ -144,8 +144,9 @@ def test_lambda_graphs_are_cliques_exactly_on_clique_union_locals(name):
         assert set(unions) == {(a1 + 1, g.degree(0) // (a1 + 1) - 1)}
 
 
-@pytest.mark.parametrize("build", [lambda: johnson(10, 5), lambda: taylor(paley(29))],
-                         ids=["J(10,5)", "Taylor(Paley(29))"])
+@pytest.mark.parametrize("build", [lambda: johnson(10, 5), lambda: taylor(paley(29)),
+                                   lambda: hamming(5, 3)],
+                         ids=["J(10,5)", "Taylor(Paley(29))", "H(5,3)"])
 def test_locally_srg_graphs_build_no_local_graph(monkeypatch, build):
     g = build()
     want = local_oracle.local_spectral_checks(Graph.from_json(g.to_json()))
@@ -173,12 +174,12 @@ def mu_patterns(g: Graph) -> set:
     """The distinct adjacency matrices of the mu-graphs, members ascending,
     read from the local-partition pass: the members of a pair are the
     neighbours of its centre y at distance 1 from its partner x."""
-    adj, nb = g._padded()
+    adj = g.adjacency_matrix()
     found = set()
     # one byte per entry: the fewest blocks
     for ys, xs, dist, _ in _local_blocks(g, np.triu(g.distance_matrix() == 2, 1).view(np.int8), 1):
         for b, t in np.ndindex(xs.shape):
-            m = nb[ys[b], dist[b, :, t] == 1]
+            m = np.array(g.neighbors(int(ys[b])))[dist[b, :, t] == 1]
             found.add(adj[np.ix_(m, m)].tobytes())
     return found
 

@@ -153,14 +153,13 @@ def test_pull_stays_within_the_budget(hc14):
 
 
 def test_local_pass_stays_within_the_budget():
-    # 462 vertices of valency 36; the distance matrix and the dense view are
-    # built first, so what is traced is the pass: one block within the
-    # budget, the gather's index within an eighth of it, and the (n, n)
-    # selections, 0.2 MiB each here (blocks of 2^18 entries, whatever their
-    # bytes, peaked at 4.4 MiB in the CAB check and 4.0 in the c2 report)
+    # 462 vertices of valency 36; the distance matrix is built first, so
+    # what is traced is the pass: one block within the budget, the gather's
+    # index within an eighth of it, and the (n, n) selections, 0.2 MiB each
+    # here (blocks of 2^18 entries, whatever their bytes, peaked at 4.4 MiB
+    # in the CAB check and 4.0 in the c2 report)
     g = folded_johnson(12, 6)
     g.distance_matrix()
-    g._padded()
     for check in (cab_partition_check, graph.c2_regularity_report):
         _, peak = traced_peak(lambda: check(g))
         assert peak < 3 * graph._BUDGET // 2
