@@ -59,10 +59,11 @@ class ResourceError(DrgError):
       entry and 40 per pair at distance i for 1-homogeneity
       (``homogeneous.check_i_homogeneous``, which counts the pairs a
       budget's rows at a time first), 3 per entry for the CAB check
-      (``cab.cab_partition_check``) and for the lambda- and mu-graph
-      valencies and the mu-graph report
-      (``graph._common_neighbourhoods``), 1 per entry for the triple
-      intersection number (``graph.triple_intersection_number``).
+      (``cab.cab_partition_check``), 1 per entry for the lambda- and
+      mu-graph valencies and the mu-graph report
+      (``graph._common_neighbourhoods``, which clears the selection's lower
+      triangle in place) and for the triple intersection number
+      (``graph.triple_intersection_number``).
 
     Time: the dense distance matrix takes at most ``graph._DENSE_CAP`` (6000)
     vertices, which bounds exhaustive 1-homogeneity, the triple intersection

@@ -839,11 +839,15 @@ def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
     varies.  A list ``patterns`` gets each block's distinct patterns."""
     size, valencies = None, set()
     dm = g.distance_matrix()
-    # 3 bytes per (n, n) entry, the bool selection, the mask of np.triu and
-    # its result, and two budgets for the blocks (tracemalloc peaks 3.0-3.1
-    # n^2 on H(7,3) and the halved 11-cube)
-    require_room(f"the pair selections of {g.n} vertices", 3 * g.n * g.n + 2 * _BUDGET)
-    select = np.triu(dm == i, 1).view(np.int8)
+    # a byte per (n, n) entry, the selection, and two budgets for the blocks
+    require_room(f"the pair selection of {g.n} vertices", g.n * g.n + 2 * _BUDGET)
+    select = dm == i
+    # the pairs x < y: the lower triangle cleared in place, a budget's rows
+    # at a time
+    cols, step = np.arange(g.n), _per_block(g.n, 1)
+    for lo in range(0, g.n, step):
+        select[lo:lo + step] &= cols > np.arange(lo, min(lo + step, g.n))[:, None]
+    select = select.view(np.int8)
     # bytes written per entry: an int16 distance, a bool member, its float32
     # weight and count, a bool comparison, the member's copy in pair order
     # (for the patterns) and at most one of the gather's index

@@ -63,16 +63,16 @@ def _clear_denominators(coeffs: Sequence) -> List[int]:
     return [int(f * den) for f in fracs]
 
 
-def _interval_root(root) -> Interval:
-    def refiner(width: Fraction) -> Tuple[Fraction, Fraction]:
-        dx = sympy.Rational(width.numerator, 2 * width.denominator)
-        mid = root.eval_rational(dx=dx)
-        mid = Fraction(int(mid.p), int(mid.q))
-        half = width / 2
-        return mid - half, mid + half
+def _interval_root(fac: sympy.Poly, lo, hi) -> Interval:
+    """The root of the irreducible ``fac`` in its isolating interval
+    (lo, hi), refined by ``Poly.refine_root`` from the last enclosure."""
+    box = [lo, hi]
 
-    lo, hi = refiner(ROOT_WIDTH)
-    return Interval(lo, hi, refiner)
+    def refiner(width: Fraction) -> Tuple[Fraction, Fraction]:
+        box[:] = fac.refine_root(*box, eps=sympy.Rational(width.numerator, width.denominator))
+        return tuple(Fraction(int(x.p), int(x.q)) for x in box)
+
+    return Interval(*refiner(ROOT_WIDTH), refiner)
 
 
 def real_roots(coeffs: Sequence) -> List[Tuple[ExactScalar, int]]:
@@ -101,11 +101,10 @@ def real_roots(coeffs: Sequence) -> List[Tuple[ExactScalar, int]]:
             out.append((Surd(-b, 1, disc, 2 * a), mult))
             out.append((Surd(-b, -1, disc, 2 * a), mult))
         else:
-            # CRootOf indexes the real roots of an irreducible factor first,
-            # in increasing order, and supports exact rational refinement.
-            for idx in range(fac.count_roots()):
-                r = sympy.CRootOf(fac.as_expr(), idx)
-                out.append((_interval_root(r), mult))
+            # rational isolating intervals of the real roots, none of them
+            # rational, refined exactly on demand
+            for (lo, hi), _ in fac.intervals():
+                out.append((_interval_root(fac, lo, hi), mult))
     sort_desc(out)
     return out
 

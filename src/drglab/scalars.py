@@ -3,9 +3,16 @@
 Every quantity that enters a verdict is one of:
 
 * a :class:`fractions.Fraction` (or plain ``int``),
-* a :class:`Surd` ``(p + q*sqrt(d))/e`` with integer components, or
+* a :class:`Surd` ``a + b*sqrt(d)`` with Fraction parts ``a`` and
+  ``b != 0`` and a squarefree integer ``d > 1``, or
 * an :class:`Interval` with rational endpoints and an optional refiner;
   intervals have arithmetic with every exact scalar, refined on demand.
+
+Surds over one radical form a field, so their arithmetic stays exact.  A
+result that would need two radicals, such as a sum of surds over sqrt(2)
+and sqrt(3), is an Interval over the operands' enclosures.  ``exact_cmp``
+takes the sign of the exact difference when it is rational or a surd, and
+refines the operands otherwise.
 
 No floating point is used anywhere in this module.
 """
@@ -16,7 +23,7 @@ import operator
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, gcd, isqrt
+from math import ceil, isqrt, lcm
 from numbers import Rational
 from typing import Callable, Optional, Tuple, Union
 
@@ -47,68 +54,65 @@ def _squarefree_split(d: int) -> Tuple[int, int]:
 
 
 class Surd:
-    """The real number ``(p + q*sqrt(d))/e``.
+    """The real number ``a + b*sqrt(d)``: Fractions ``a`` and ``b != 0`` and
+    a squarefree integer ``d > 1``.
 
-    Normalized so that ``d`` is squarefree and > 1, ``q != 0``, ``e > 0`` and
-    ``gcd(p, q, e) == 1``.  Constructing a surd whose radical part vanishes
-    (``q == 0`` or ``d`` a perfect square) yields a plain ``Fraction``.
+    Built as ``Surd(p, q, d, e)``, the value ``(p + q*sqrt(d))/e`` for
+    integers with ``e != 0`` and ``d >= 0``; a value whose radical part
+    vanishes (``q == 0`` or ``d`` a perfect square) is a plain ``Fraction``.
+    Read back, ``p``, ``q`` and ``e`` are the least such integers with
+    ``e > 0``.  Arithmetic with a rational or a surd over the same radical is
+    exact; with a surd over another radical, or an ``Interval``, it gives an
+    ``Interval`` (``_combine``).
     """
 
-    __slots__ = ("p", "q", "d", "e")
+    __slots__ = ("a", "b", "d")
 
     def __new__(cls, p: int, q: int, d: int, e: int = 1):
-        if e == 0:
-            raise ZeroDivisionError("surd denominator is zero")
         if d < 0:
             raise DomainError("negative discriminant in a real surd")
         s, f = _squarefree_split(d)
-        q, d = q * s, f
-        if d == 1:
-            p, q = p + q, 0
-        if q == 0 or d == 0:
-            return Fraction(p, e)
-        if e < 0:
-            p, q, e = -p, -q, -e
-        g = gcd(gcd(abs(p), abs(q)), e)
-        obj = object.__new__(cls)
-        obj.p, obj.q, obj.d, obj.e = p // g, q // g, d, e // g
-        return obj
-
-    # -- helpers -----------------------------------------------------------
-
-    def _ab(self) -> Tuple[Fraction, Fraction]:
-        """The pair (A, B) of rationals with value A + B*sqrt(d)."""
-        return Fraction(self.p, self.e), Fraction(self.q, self.e)
+        if f <= 1:  # d is 0 or a perfect square
+            return Fraction(p + q * s * f, e)
+        return cls._of(Fraction(p, e), Fraction(q * s, e), f)
 
     @staticmethod
-    def _from_ab(a: Fraction, b: Fraction, d: int):
-        if b == 0:
+    def _of(a: Fraction, b: Fraction, d: int):
+        """``a + b*sqrt(d)`` for d squarefree and > 1: ``a`` when b = 0."""
+        if not b:
             return a
-        den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-        return Surd(a.numerator * (den // a.denominator),
-                    b.numerator * (den // b.denominator), d, den)
+        obj = object.__new__(Surd)
+        obj.a, obj.b, obj.d = a, b, d
+        return obj
+
+    @property
+    def e(self) -> int:
+        return lcm(self.a.denominator, self.b.denominator)
+
+    @property
+    def p(self) -> int:
+        return int(self.a * self.e)
+
+    @property
+    def q(self) -> int:
+        return int(self.b * self.e)
 
     def conjugate(self) -> "Surd":
-        return Surd(self.p, -self.q, self.d, self.e)
+        return Surd._of(self.a, -self.b, self.d)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                raise DomainError("cannot mix surds over distinct radicals")
-            a1, b1 = self._ab()
-            a2, b2 = other._ab()
-            return Surd._from_ab(a1 + a2, b1 + b2, self.d)
-        if isinstance(other, (int, Rational)):
-            a, b = self._ab()
-            return Surd._from_ab(a + Fraction(other), b, self.d)
-        return NotImplemented
+        if isinstance(other, Rational):
+            return Surd._of(self.a + Fraction(other), self.b, self.d)
+        if isinstance(other, Surd) and other.d == self.d:
+            return Surd._of(self.a + other.a, self.b + other.b, self.d)
+        return _combine(operator.add, self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.p, -self.q, self.d, self.e)
+        return Surd._of(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-other)
@@ -117,76 +121,45 @@ class Surd:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                raise DomainError("cannot mix surds over distinct radicals")
-            a1, b1 = self._ab()
-            a2, b2 = other._ab()
-            return Surd._from_ab(a1 * a2 + b1 * b2 * self.d,
-                                 a1 * b2 + a2 * b1, self.d)
-        if isinstance(other, (int, Rational)):
+        if isinstance(other, Rational):
             f = Fraction(other)
-            if f == 0:
-                return Fraction(0)
-            a, b = self._ab()
-            return Surd._from_ab(a * f, b * f, self.d)
-        return NotImplemented
+            return Surd._of(self.a * f, self.b * f, self.d)
+        if isinstance(other, Surd) and other.d == self.d:
+            a, b, c, e = self.a, self.b, other.a, other.b
+            return Surd._of(a * c + b * e * self.d, a * e + b * c, self.d)
+        return _combine(operator.mul, self, other)
 
     __rmul__ = __mul__
 
     def _invert(self):
-        a, b = self._ab()
-        norm = a * a - b * b * self.d  # nonzero: sqrt(d) irrational
-        return Surd._from_ab(a / norm, -b / norm, self.d)
+        norm = self.a * self.a - self.b * self.b * self.d  # nonzero: sqrt(d) irrational
+        return Surd._of(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
-        if isinstance(other, Surd):
-            return self * other._invert()
-        if isinstance(other, (int, Rational)):
+        if isinstance(other, Rational):
             return self * (1 / Fraction(other))
-        return NotImplemented
+        if isinstance(other, Surd) and other.d == self.d:
+            return self * other._invert()
+        return _combine(operator.truediv, self, other)
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Rational)):
-            return self._invert() * Fraction(other)
-        return NotImplemented
+        return self._invert() * other
 
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the value."""
-        p, q = self.p, self.q
-        if p >= 0 and q > 0:
-            return 1
-        if p <= 0 and q < 0:
-            return -1
-        # p and q have opposite signs; compare p^2 with q^2 d
-        lhs, rhs = p * p, q * q * self.d
-        if lhs == rhs:  # would mean sqrt(d) rational
-            raise DomainError("degenerate surd")
-        if q > 0:  # p < 0
-            return 1 if rhs > lhs else -1
-        return 1 if lhs > rhs else -1
-
-    def _cmp(self, other) -> int:
-        if isinstance(other, Surd) and other.d != self.d:
-            # 1, sqrt(d) and sqrt(d') are independent over Q, so the values
-            # differ and their enclosures separate
-            prec = 1
-            while True:
-                (alo, ahi), (blo, bhi) = self.bounds(prec), other.bounds(prec)
-                if ahi < blo or bhi < alo:
-                    return -1 if ahi < blo else 1
-                prec *= 2
-        diff = self - other
-        if isinstance(diff, Surd):
-            return diff.sign()
-        return (diff > 0) - (diff < 0)
+        """Exact sign of the value: that of b when a has it too or
+        b^2 d > a^2, else that of a (b^2 d = a^2 would make sqrt(d)
+        rational)."""
+        a, b = self.a, self.b
+        if (a >= 0) == (b > 0) or b * b * self.d > a * a:
+            return 1 if b > 0 else -1
+        return 1 if a > 0 else -1
 
     def __eq__(self, other):
         if isinstance(other, Surd):
-            return (self.p, self.q, self.d, self.e) == (other.p, other.q, other.d, other.e)
-        if isinstance(other, (int, Rational)):
+            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+        if isinstance(other, Rational):
             return False  # surds are irrational
         return NotImplemented
 
@@ -194,16 +167,16 @@ class Surd:
         return hash((self.p, self.q, self.d, self.e))
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return exact_cmp(self, other) < 0
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return exact_cmp(self, other) <= 0
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return exact_cmp(self, other) > 0
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return exact_cmp(self, other) >= 0
 
     # -- approximation -----------------------------------------------------
 
@@ -211,13 +184,9 @@ class Surd:
         """Rational enclosure of width <= 10**-prec."""
         scale = 10 ** (prec + 2)
         root_lo = Fraction(isqrt(self.d * scale * scale), scale)
-        root_hi = root_lo + Fraction(1, scale)
-        a, b = self._ab()
-        if b >= 0:
-            lo, hi = a + b * root_lo, a + b * root_hi
-        else:
-            lo, hi = a + b * root_hi, a + b * root_lo
-        return lo, hi
+        ends = (self.a + self.b * root_lo,
+                self.a + self.b * (root_lo + Fraction(1, scale)))
+        return min(ends), max(ends)
 
     def __float__(self):
         lo, hi = self.bounds(17)
@@ -227,9 +196,10 @@ class Surd:
         return f"Surd(({self.p}{self.q:+d}*sqrt({self.d}))/{self.e})"
 
     def __str__(self):
-        if self.e == 1:
-            return f"{self.p}{self.q:+d}*sqrt({self.d})"
-        return f"({self.p}{self.q:+d}*sqrt({self.d}))/{self.e}"
+        p, q, e = self.p, self.q, self.e
+        if e == 1:
+            return f"{p}{q:+d}*sqrt({self.d})"
+        return f"({p}{q:+d}*sqrt({self.d}))/{e}"
 
 
 class Interval:
@@ -350,29 +320,28 @@ def exact_eq(a: ExactScalar, b: ExactScalar) -> bool:
     zero-width case; otherwise equality with an interval is resolved by
     separation (False) or raises :class:`UndecidableComparison`.
     """
-    if not isinstance(a, Interval) and not isinstance(b, Interval):
-        if isinstance(a, Surd) or isinstance(b, Surd):
-            return a == b
-        return Fraction(a) == Fraction(b)
-    return exact_cmp(a, b) == 0
+    if isinstance(a, Interval) or isinstance(b, Interval):
+        return exact_cmp(a, b) == 0
+    return a == b
 
 
 def exact_cmp(a: ExactScalar, b: ExactScalar) -> int:
-    """Exact three-way comparison with adaptive interval refinement.
+    """Exact three-way comparison: the sign of ``a - b`` when that is
+    rational or a surd, else adaptive refinement of the operands.
 
-    A scalar equals itself.  Two distinct enclosures of one irrational value
-    never separate, so refinement stops at ``REFINEMENT_DIGITS`` digits and
-    raises :class:`UndecidableComparison`.
+    A scalar equals itself.  Surds over distinct radicals differ (1,
+    sqrt(d) and sqrt(d') are independent over Q), so their enclosures
+    separate.  Two distinct enclosures of one irrational value never
+    separate, so refinement stops at ``REFINEMENT_DIGITS`` digits and raises
+    :class:`UndecidableComparison`.
     """
     if a is b:
         return 0
-    if not isinstance(a, Interval) and not isinstance(b, Interval):
-        if isinstance(a, Surd):
-            return a._cmp(b)
-        if isinstance(b, Surd):
-            return -b._cmp(a)
-        fa, fb = Fraction(a), Fraction(b)
-        return (fa > fb) - (fa < fb)
+    diff = a - b
+    if isinstance(diff, Surd):
+        return diff.sign()
+    if not isinstance(diff, Interval):
+        return (diff > 0) - (diff < 0)
     prec = 1
     while prec <= REFINEMENT_DIGITS:
         alo, ahi = scalar_bounds(a, prec)

@@ -20,6 +20,7 @@ from drglab.classical import (ClassicalParams, a1_zero_criterion,
 from drglab.cli import main
 from drglab.eigen import eigenvalues
 from drglab.errors import InputError, PreconditionError
+from drglab.scalars import Interval, exact_cmp
 
 J105 = IntersectionArray((25, 16, 9, 4, 1), (1, 4, 9, 16, 25))
 HC10 = IntersectionArray((45, 28, 15, 6, 1), (1, 6, 15, 28, 45))
@@ -93,6 +94,17 @@ def test_fundamental_bound_strict_case():
     assert not rep.tight
     assert rep.lhs > rep.rhs
     assert rep.lhs == Fraction(0) and rep.rhs == Fraction(-20)
+
+
+@pytest.mark.parametrize("text", ["3,2,1,1;1,1,2,3", "4,2,2,1;1,1,2,4"])
+def test_fundamental_bound_over_distinct_radicals(text):
+    # theta_1 and theta_D lie over distinct radicals, so lhs is an interval
+    ia = IntersectionArray.parse(text)
+    ev = eigenvalues(ia)
+    assert ev[1].d != ev[ia.D].d
+    rep = fundamental_bound(ia)
+    assert isinstance(rep.lhs, Interval)
+    assert exact_cmp(rep.lhs, rep.rhs) >= 0 and not rep.tight
 
 
 def test_classify_classical_branches():

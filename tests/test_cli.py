@@ -251,6 +251,15 @@ def test_biggs_smith_array_classifies_with_intervals(capsys):
     assert out["fundamental_bound"]["r"].startswith("[")
 
 
+@pytest.mark.parametrize("ia", ["3,2,1,1;1,1,2,3", "4,2,2,1;1,1,2,4", "6,5,4;1,2,2"])
+def test_classify_arrays_with_mixed_radicals_or_a_rescaled_cubic(capsys, ia):
+    # theta_1 and theta_D of the first two lie over distinct radicals; the
+    # third has a cubic factor that sympy's CRootOf rescales
+    code, out, err = run_cli(capsys, "classify", "--ia", ia)
+    assert code == 0 and err == ""
+    assert not out["fundamental_bound"]["tight"]
+
+
 def test_internal_errors_exit_three(capsys, monkeypatch):
     # a ValueError is a defect too: every parse site turns bad input into
     # InputError, so main maps only DrgError and OSError to exit 2

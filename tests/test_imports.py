@@ -26,3 +26,10 @@ def test_package_imports_only_numpy_sympy_and_the_standard_library():
     assert sources
     assert not {(path.name, name) for path in sources for name in imported_modules(path)
                 if name not in ALLOWED}
+
+
+def test_only_polys_imports_sympy():
+    # factoring and root isolation are the one use of sympy; an exact
+    # algebraic-number type would replace it in this module alone
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in sources if "sympy" in imported_modules(path)] == ["polys.py"]

@@ -26,7 +26,8 @@ import drglab.graph as graph
 import pair_keys_oracle
 from bfs_oracle import bfs_distances
 from drglab.cab import cab_partition_check
-from drglab.families import complete, complete_multipartite, folded_johnson, halved_cube
+from drglab.families import (complete, complete_multipartite, folded_johnson, halved_cube,
+                             hamming)
 from test_distance_engine import path, union
 from test_equitability import BASES, relabel, switch
 
@@ -163,6 +164,16 @@ def test_local_pass_stays_within_the_budget():
     for check in (cab_partition_check, graph.c2_regularity_report):
         _, peak = traced_peak(lambda: check(g))
         assert peak < 3 * graph._BUDGET // 2
+
+
+def test_c2_report_holds_one_pair_selection():
+    # 2187 vertices: the selection is 4.6 MiB of bools, its lower triangle
+    # cleared in place; np.triu's mask and result held two more (3.0 n^2)
+    g = hamming(7, 3)
+    g.distance_matrix()
+    report, peak = traced_peak(lambda: graph.c2_regularity_report(g))
+    assert report.c2 == 2
+    assert peak < g.n * g.n + 2 * graph._BUDGET
 
 
 def test_large_sampled_passes_keep_their_arc_ranges(monkeypatch, hc14):

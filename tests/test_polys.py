@@ -12,7 +12,7 @@ from drglab.arrays import IntersectionArray
 from drglab.classical import ClassicalParams, classical_array, gaussian_binomial
 from drglab.polys import (_roots_above, charpoly, charpoly_tridiagonal, eval_poly, poly_mul,
                           real_roots, tridiagonal_roots)
-from drglab.scalars import Surd, exact_cmp, exact_eq, scalar_bounds
+from drglab.scalars import Interval, Surd, exact_cmp, exact_eq, scalar_bounds
 
 coeff = st.integers(min_value=-9, max_value=9)
 
@@ -71,6 +71,20 @@ def test_cubic_root_is_bracketing_interval():
     assert eval_poly([-2, 0, 0, 1], lo) < 0 < eval_poly([-2, 0, 0, 1], hi)
 
 
+def test_roots_of_a_cubic_sympy_would_rescale_refine_with_sign_changes():
+    # CRootOf(x^3 - 10x^2 + 88, i) is 2*CRootOf(x^3 - 5x^2 + 11, i), which
+    # has no rational refinement; the isolating intervals need no CRootOf
+    coeffs = [88, 0, -10, 1]
+    roots = real_roots(coeffs)
+    assert [m for _, m in roots] == [1, 1, 1]
+    for root, _ in roots:
+        assert isinstance(root, Interval) and root.width <= polys.ROOT_WIDTH
+        for prec in (9, 50):
+            lo, hi = scalar_bounds(root, prec)
+            assert hi - lo <= Fraction(1, 10 ** prec)
+            assert eval_poly(coeffs, lo) * eval_poly(coeffs, hi) < 0
+
+
 # -- tridiagonal_roots against real_roots(charpoly_tridiagonal(...)) ----------
 
 SETTINGS = settings(derandomize=True, deadline=None,
@@ -112,6 +126,8 @@ def tridiagonal_arrays(draw):
 
 @settings(SETTINGS, max_examples=60)
 @given(tridiagonal_arrays())
+# its leftover x^3 - 10x^2 + 88 is a cubic that sympy's CRootOf rescales
+@example(([0, 6, 5, 9], [2, 4, 1], [10, 2, 1]))
 def test_tridiagonal_roots_match_factoring(array):
     assert_matches_reference(*array)
 

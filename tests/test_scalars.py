@@ -5,9 +5,10 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surd_oracle
 from drglab.errors import DomainError, UndecidableComparison
 from drglab.polys import real_roots
 from drglab.scalars import (REFINEMENT_DIGITS, Interval, Surd, exact_cmp,
@@ -243,3 +244,95 @@ def test_scalar_json_encodes_nested_dataclasses_field_by_field():
     # a dataclass type is not a report
     with pytest.raises(DomainError):
         scalar_json(_Leaf)
+
+
+# -- the (p, q, d, e) class it replaced, as an oracle ------------------------
+
+ORACLE_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+
+# radicands with square parts and perfect squares too, so the constructor's
+# split and its collapse to a Fraction are compared
+oracle_radicands = st.sampled_from([0, 1, 2, 3, 4, 5, 8, 12, 13, 18, 50, 75])
+components = st.integers(min_value=-30, max_value=30)
+nonzero = components.filter(bool)
+
+
+@st.composite
+def oracle_operands(draw, d):
+    """A surd over d, or a rational, built by both classes from one
+    (p, q, d, e)."""
+    p, e = draw(components), draw(nonzero)
+    q = draw(components) if draw(st.booleans()) else 0
+    return Surd(p, q, d, e), surd_oracle.Surd(p, q, d, e)
+
+
+def assert_same(new, old):
+    """``new`` is the oracle's ``old``: equal Fractions, or surds with the
+    same components, str, repr and hash."""
+    if isinstance(old, Fraction):
+        assert isinstance(new, Fraction) and new == old
+        return
+    assert isinstance(new, Surd)
+    assert (new.p, new.q, new.d, new.e) == (old.p, old.q, old.d, old.e)
+    assert (str(new), repr(new), hash(new)) == (str(old), repr(old), hash(old))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@ORACLE_SETTINGS
+@given(oracle_radicands.flatmap(lambda d: st.tuples(oracle_operands(d), oracle_operands(d))))
+def test_surd_matches_the_pqe_oracle_over_one_radical(pair):
+    (x, x_old), (y, y_old) = pair
+    assert_same(x, x_old)
+    for a, b, a_old, b_old in ((x, y, x_old, y_old), (y, x, y_old, x_old)):
+        for op in OPS.values():
+            got, want = outcome(op, a, b), outcome(op, a_old, b_old)
+            if want is ZeroDivisionError:
+                assert got is ZeroDivisionError
+            else:
+                assert_same(got, want)
+        assert (a == b) == (a_old == b_old)
+        assert (a < b, a <= b, a > b, a >= b) == (
+            a_old < b_old, a_old <= b_old, a_old > b_old, a_old >= b_old)
+        assert exact_cmp(a, b) == (a_old > b_old) - (a_old < b_old)
+    if isinstance(x_old, surd_oracle.Surd):
+        assert_same(-x, -x_old)
+        assert_same(x.conjugate(), x_old.conjugate())
+        assert x.sign() == x_old.sign()
+        assert (x.a, x.b) == (Fraction(x.p, x.e), Fraction(x.q, x.e))
+
+
+# -- surds over distinct radicals --------------------------------------------
+
+squarefree = st.sampled_from([2, 3, 5, 6, 7, 10, 13, 17])
+distinct_radicals = st.tuples(squarefree, squarefree).filter(lambda t: t[0] != t[1])
+
+
+@st.composite
+def mixed_surd_pairs(draw):
+    d1, d2 = draw(distinct_radicals)
+    return tuple(Surd(draw(small_ints), draw(small_ints.filter(bool)), d, draw(denominators))
+                 for d in (d1, d2))
+
+
+@ORACLE_SETTINGS
+@given(mixed_surd_pairs())
+def test_arithmetic_over_distinct_radicals_gives_enclosing_intervals(pair):
+    a, b = pair
+    for x, y in (pair, pair[::-1]):
+        for op in OPS.values():
+            got = op(x, y)
+            assert isinstance(got, Interval)
+            lo, hi = scalar_bounds(got, 20)
+            want = op(float(x), float(y))
+            slack = 1e-9 * (1 + abs(want))
+            assert float(lo) - slack <= want <= float(hi) + slack
+    if abs(float(a) - float(b)) > 1e-9:
+        assert exact_cmp(a, b) == (1 if float(a) > float(b) else -1)
+        assert (a < b) == (float(a) < float(b))
+    assert exact_cmp(a, b) == -exact_cmp(b, a) != 0
