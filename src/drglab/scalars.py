@@ -150,11 +150,12 @@ class Surd:
     def sign(self) -> int:
         """Exact sign of the value: that of b when a has it too or
         b^2 d > a^2, else that of a (b^2 d = a^2 would make sqrt(d)
-        rational)."""
-        a, b = self.a, self.b
-        if (a >= 0) == (b > 0) or b * b * self.d > a * a:
-            return 1 if b > 0 else -1
-        return 1 if a > 0 else -1
+        rational); in integers, over the common denominator."""
+        an, ad = self.a.numerator, self.a.denominator
+        bn, bd = self.b.numerator, self.b.denominator
+        if (an >= 0) == (bn > 0) or (bn * ad) ** 2 * self.d > (an * bd) ** 2:
+            return 1 if bn > 0 else -1
+        return 1 if an > 0 else -1
 
     def __eq__(self, other):
         if isinstance(other, Surd):
@@ -337,11 +338,12 @@ def exact_cmp(a: ExactScalar, b: ExactScalar) -> int:
     """
     if a is b:
         return 0
-    diff = a - b
-    if isinstance(diff, Surd):
-        return diff.sign()
-    if not isinstance(diff, Interval):
-        return (diff > 0) - (diff < 0)
+    if not isinstance(a, Interval) and not isinstance(b, Interval):
+        diff = a - b
+        if isinstance(diff, Surd):
+            return diff.sign()
+        if not isinstance(diff, Interval):
+            return (diff > 0) - (diff < 0)
     prec = 1
     while prec <= REFINEMENT_DIGITS:
         alo, ahi = scalar_bounds(a, prec)
