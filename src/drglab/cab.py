@@ -31,8 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (DomainError, InputError, PreconditionError, ResourceError,
-                     SingularityError, require, require_room)
-from .graph import _BUDGET, Graph, _local_blocks
+                     SingularityError, require)
+from .graph import Graph, _local_blocks, _marked
 from .polys import charpoly, quadratic_roots, real_roots
 from .scalars import ExactScalar, as_exact, exact_eq
 
@@ -142,10 +142,11 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     if not 1 <= i_max <= D:
         raise InputError(f"level {i_max} outside 1..{D}")
     dm = g.distance_matrix()
-    # 3 bytes per (n, n) entry, a pair selection and its two bool operands,
-    # and two budgets for the blocks (tracemalloc peaks 2.2-2.6 n^2 on H(7,3)
-    # and the halved 11-cube, and below the prediction on smaller graphs)
-    require_room(f"the pair selections of {g.n} vertices", 3 * g.n * g.n + 2 * _BUDGET)
+
+    def upto(top: int):
+        """The marks of the pairs (x, y) at distance 1..top, read at [y, x]."""
+        return lambda ys: ((d := dm[ys]) > 0) & (d <= top)
+
     base = k + 1  # a count row (C, A, B) is the key C + base B + base^2 (C + A + B)
     # keys, their partial sums and the expected keys' coefficients are
     # integers or halves below base^3: float32 holds them exactly below 2^22
@@ -196,30 +197,28 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     # expected key, their bool comparison, and at most one of the gather's
     # index (the local graphs' k^2 entries take fewer)
     width = 4 + 3 * key_type.itemsize
-    # every pair (x, y) at distance 1..i_max, read at [y, x]; blocks grow
-    # from one centre, so a bad centre early in the order stops the pass early
-    select = ((dm > 0) & (dm <= i_max)).view(np.int8)
-    for _, _, dist, local in _local_blocks(g, select, width, grow=True):
+    # every pair (x, y) at distance 1..i_max; blocks grow from one centre,
+    # so a bad centre early in the order stops the pass early
+    for _, _, dist, local in _local_blocks(g, upto(i_max), width, grow=True):
         level, _, _, bad = check(dist, local, top)
         if bad.any():
             top = int(level[bad].min()) - 1
             if not top:
                 break
-    del select  # the count below takes 3 bytes per entry again
     rows = [_unpack(r, base) if r >= 0 else (None,) * 3 for r in refs]
     out_levels = tuple(CabLevelParams(i, rows[3 * i][0] or 0, rows[3 * i + 1][0],
                                       rows[3 * i + 1][2], rows[3 * i + 2][1])
                        for i in range(1, top + 1))
-    checked = int(np.count_nonzero((dm > 0) & (dm <= top)))
+    checked = int(_marked(upto(top), g.n, width)[0].sum())
     if top == i_max:
         return CabReport(True, out_levels, None, checked)
-    # level i fails: its references go by scan order, one x at a time
+    # level i fails: its references go by scan order, one x at a time, over
+    # the x of eccentricity at least i
     i = top + 1
     refs[3 * i:3 * i + 3] = -1
     fit()
-    on = dm == i
-    for x in np.flatnonzero(on.any(axis=0)).tolist():
-        for ys, _, dist, local in _local_blocks(g, on[:, x:x + 1].view(np.int8), width, x):
+    for x in np.flatnonzero(dm.max(axis=1) >= i).tolist():
+        for ys, _, dist, local in _local_blocks(g, lambda ys: dm[ys, x:x + 1] == i, width, x):
             _, m, key, bad = check(dist, local, i)
             if bad.any():
                 b = int(np.argmax(bad[:, 0]))

@@ -47,23 +47,22 @@ class ResourceError(DrgError):
     - the graph JSON (``Graph.to_json``): 48 bytes per arc and 160 per
       vertex, for its lists and ints and the one copy the CLI makes;
     - a graph file read (``Graph.load``): 17 bytes per byte of the file;
-    - the distance rows of sampled pairs (``homogeneous._sampled_pairs``):
-      2 count n int16 entries, before the first draw;
     - the distance matrix (``Graph.distance_matrix``), once: 2 bytes per
-      int16 entry and 768 per vertex for the engine's blocks;
+      int16 entry, 768 per vertex for the engine's blocks and two budgets,
+      one for the engine's pull and one for the verdict that reads it;
     - a dense adjacency (``Graph._adjacency``): an entry of its dtype per
       vertex pair and 8 bytes per arc, for the dense pair route,
-      ``adjacency_matrix`` and ``bitrows``;
-    - the (n, n) selections and per-pair index arrays of each exhaustive
-      verdict that reads the distance matrix, once per verdict: 1 byte per
-      entry and 40 per pair at distance i for 1-homogeneity
-      (``homogeneous.check_i_homogeneous``, which counts the pairs a
-      budget's rows at a time first), 3 per entry for the CAB check
-      (``cab.cab_partition_check``), 1 per entry for the lambda- and
-      mu-graph valencies and the mu-graph report
-      (``graph._common_neighbourhoods``, which clears the selection's lower
-      triangle in place) and for the triple intersection number
-      (``graph.triple_intersection_number``).
+      ``adjacency_matrix`` and ``bitrows``.
+
+    These two are the only predictions that grow with n^2, and none grows
+    with a sample count: every pair scan reads its pairs as a stream, a
+    budget at a time.  Exhaustive 1-homogeneity reads the pairs at distance
+    i from a budget's rows of the distance matrix at a time
+    (``graph._pairs_at``), sampled mode draws batches of at most 32 pairs
+    whose 64 rows come from one call of the distance engine
+    (``homogeneous._sampled_pairs``), and the local-partition pass counts
+    and reads its pairs through the caller's ``marks(ys)``, a budget's rows
+    at a time (``graph._marked``), so no (n, n) selection exists.
 
     Time: the dense distance matrix takes at most ``graph._DENSE_CAP`` (6000)
     vertices, which bounds exhaustive 1-homogeneity, the triple intersection
@@ -87,12 +86,15 @@ class ResourceError(DrgError):
     bytes per (pair, arc) on the sparse route, 32 per (pair, vertex) on the
     dense one), its sparse arc ranges (``graph._pair_keys``, 8 per (pair,
     arc)) and its tables of every label (8 per label, taken while span^2
-    labels fit); the distance engine's pull (``Graph._distance_rows``, 8
-    per arc); the per-cell counts (``graph._cell_counts``, 32 per arc); the
-    local-partition pass (``graph._local_blocks``: 16 per entry for the CAB
-    check, 28 with float64 keys, 14 for the lambda- and mu-graphs, 18 for
-    the triple intersection number) and its mu-graph patterns
-    (``graph._patterns``, 25 per bit); and the rows of a family build
+    labels fit); the chunks of exhaustive 1-homogeneity (``graph._pairs_at``:
+    3 per distance-matrix entry and 24 per pair) and its pair count (3 per
+    entry); the distance engine's pull (``Graph._distance_rows``, 8 per
+    arc); the per-cell counts (``graph._cell_counts``, 32 per arc); the
+    local-partition pass (``graph._local_blocks``, whose blocks count each
+    centre's row of marks too: 16 per entry for the CAB check, 28 with
+    float64 keys, 14 for the lambda- and mu-graphs, 18 for the triple
+    intersection number) and its mu-graph patterns (``graph._patterns``, 25
+    per bit); and the rows of a family build
     (``families._label_graph``, ``families._SCRATCH`` (48) per entry, which
     ``families._graph_bytes`` predicts).  ``graph._DENSE_KEYS_CAP`` only
     chooses a route.

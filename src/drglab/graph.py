@@ -11,7 +11,12 @@ equitable quotients, and the pair kernel (``_check_pairs``), which tests
 the joint distance partitions pi(x, y) of a block of pairs at once, for
 1-homogeneity and for distance-regularity, its case x = y, by exact keys:
 float64 products with the adjacency matrix (below 2**53) or int64 sums
-over the arcs (below 2**63), as ``_dense_keys`` chooses.  Every blocked
+over the arcs (below 2**63), as ``_dense_keys`` chooses.  The kernel reads
+its pairs as a stream of chunks, each with the distance rows it names, and
+asks for the next chunk only while every pair so far holds: one chunk for
+distance-regularity, a budget's rows of the distance matrix at a time for
+exhaustive 1-homogeneity (``_pairs_at``), batches of sampled draws for
+sampled mode, so no scan holds all of its pairs at once.  Every blocked
 pass holds at most ``_BUDGET`` bytes a block, or one item, and states at
 its call the bytes it holds per entry (``errors.ResourceError`` lists the
 passes and their widths).  The gathers over all arcs (the sparse keys, the
@@ -24,9 +29,11 @@ route, ``adjacency_matrix`` and ``bitrows``) each get a fresh one in the
 dtype they read, scattered from the arcs in one place
 (``Graph._adjacency``).
 The one local-partition pass (``_local_blocks``) reads the pairs (x, y)
-that an (n, n) selection marks, in blocks of centres y: the distances from
-x to Gamma(y), which split it into the cells C, A and B, and the local
-graphs at y, both gathered from the distance matrix, by which each caller
+that the caller's ``marks(ys)`` marks in the rows of the centres ys,
+counted a budget's rows at a time (``_marked``), in blocks of centres y:
+the distances from x to Gamma(y), which split it into the cells C, A and
+B, and the local graphs at y, both gathered from the distance matrix, by
+which each caller
 counts cells in one stacked float product, exact below 2**24 in float32.
 It is behind the local (C, A, B) check in ``cab``, the lambda- and
 mu-graph valencies, the mu-graph report and the triple intersection
@@ -212,16 +219,15 @@ class Graph:
 
     # -- distances ---------------------------------------------------------
 
-    def _distance_rows(self, sources, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """int16 rows d(s, .), -1 where unreachable, written into ``out`` when
-        it is given.  One breadth-first search serves 64 sources: bit j of a
-        vertex's word means "reached from source j".  A level with few
-        frontier arcs pushes the frontier's words along them
-        (``np.bitwise_or.at``); any other level pulls: it ORs every vertex's
-        neighbours' words (``np.bitwise_or.reduceat``), gathered over the
-        arcs of consecutive vertices, as many as ``_BUDGET`` bytes hold at 8
-        per arc (a word), or one vertex's.  The new bits are decoded with
-        ``np.unpackbits``."""
+    def _distance_rows(self, sources) -> np.ndarray:
+        """int16 rows d(s, .), -1 where unreachable.  One breadth-first
+        search serves 64 sources: bit j of a vertex's word means "reached
+        from source j".  A level with few frontier arcs pushes the
+        frontier's words along them (``np.bitwise_or.at``); any other level
+        pulls: it ORs every vertex's neighbours' words
+        (``np.bitwise_or.reduceat``), gathered over the arcs of consecutive
+        vertices, as many as ``_BUDGET`` bytes hold at 8 per arc (a word),
+        or one vertex's.  The new bits are decoded with ``np.unpackbits``."""
         sources = self._vertices(sources)
         dst = self._dst
         deg = self.degrees()
@@ -230,7 +236,7 @@ class Graph:
         # a word of at most 8 bytes per arc
         pulls = [(owners[i0:i1], offsets[i0], offsets[i1], offsets[i0:i1] - offsets[i0])
                  for i0, i1 in _ranges(offsets, _BUDGET // 8)]
-        rows = np.empty((len(sources), self.n), dtype=np.int16) if out is None else out
+        rows = np.empty((len(sources), self.n), dtype=np.int16)
         for lo in range(0, len(sources), 64):
             block = sources[lo:lo + 64]
             word = np.dtype(f"<u{1 << max(0, (len(block) - 1).bit_length() - 3)}")
@@ -562,12 +568,14 @@ def _witness(x: int, y: int, lab: np.ndarray, keys: np.ndarray, span: int):
     return x, y, divmod(int(lab[order[j]]), span), int(first[j]), int(order[j])
 
 
-def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
-                 at_x: np.ndarray, at_y: np.ndarray):
-    """Run the pairs (xs[t], ys[t]), whose distance rows are rows[at_x[t]]
-    and rows[at_y[t]], through the pair kernel in order, as many to a block
-    as ``_BUDGET`` bytes hold (``_per_block``): 8 bytes per (pair, arc)
-    entry on the sparse route, its int64 key; on the dense one, 32 per
+def _check_pairs(g: Graph, total: int, span: int, chunks):
+    """Run the pairs of the stream ``chunks`` through the pair kernel in
+    order: each chunk (xs, ys, rows, at_x, at_y) holds the pairs (xs[t],
+    ys[t]), whose distance rows are rows[at_x[t]] and rows[at_y[t]], every
+    distance below ``span``; ``total``, the pairs of the whole stream,
+    chooses the route (``_dense_keys``).  A block takes as many pairs of a
+    chunk as ``_BUDGET`` bytes hold (``_per_block``): 8 bytes per (pair,
+    arc) entry on the sparse route, its int64 key; on the dense one, 32 per
     (pair, vertex) entry, 8 each for its label, weight, key and reference
     key.  The first pair's quotient is the reference: for each of its
     cells, the key of the cell's first vertex.  A pair refutes when some
@@ -576,16 +584,16 @@ def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
     Equal keys under equal labels are equal count rows, and the quotient is
     connected, so a pair that does not refute is equitable with the
     reference quotient.
-    Blocks start at one pair and double up to the budget, so a refutation
-    reads about as many pairs as it needs.  Returns the pairs checked, the
-    witness (x, y, cell label, vertex_a, vertex_b) of the refuting pair
-    (None in the last three when only its quotient differs) or None, and
-    the reference (labels, matrix)."""
-    n = g.n
-    dense = _dense_keys(g, len(xs))
+    Blocks start at one pair and double up to the budget, the step carried
+    from one chunk to the next, and the next chunk is read only while every
+    pair so far holds, so a refutation reads about as many pairs as it
+    needs.  Returns the pairs checked, the witness (x, y, cell label,
+    vertex_a, vertex_b) of the refuting pair (None in the last three when
+    only its quotient differs) or None, and the reference (labels,
+    matrix)."""
+    dense = _dense_keys(g, total)
     weights = _digit_weights(g, 1 << 53 if dense else 1 << 63)
     wf = weights.astype(np.float64) if dense else weights
-    span = int(rows.max()) + 1
     # while span^2 labels of 8 bytes fit the budget, a label a * span + b
     # reads its digit weight and its reference key from tables of every
     # label (one read per entry, a third of a binary search's cost); past
@@ -596,33 +604,48 @@ def _check_pairs(g: Graph, xs: np.ndarray, ys: np.ndarray, rows: np.ndarray,
         a, b = np.divmod(np.arange(span * span), span)
         wl = wf[:, (3 * a + b) % 9]
     adj = g._adjacency(np.float64) if dense else None
-    most = _per_block(n, 32) if dense else _per_block(len(g._dst), 8)
-    cells = quotient = None
-    lo, step = 0, 1
-    while lo < len(xs):
-        dx = rows[at_x[lo:lo + step]].astype(np.intp)
-        dy = rows[at_y[lo:lo + step]]
-        lab = dx * span + dy
-        keys = _pair_keys(g, adj, wl[:, lab] if table else wf[:, (3 * dx + dy) % 9])
-        if cells is None:
-            cells, first = np.unique(lab[0], return_index=True)
-            ref = keys[:, 0, first]
-            quotient = _quotient(cells, span, ref, weights)
+    most = _per_block(g.n, 32) if dense else _per_block(len(g._dst), 8)
+    cells, quotient, done, step = None, None, 0, 1
+    for xs, ys, rows, at_x, at_y in chunks:
+        lo = 0
+        while lo < len(xs):
+            dx = rows[at_x[lo:lo + step]].astype(np.intp)
+            dy = rows[at_y[lo:lo + step]]
+            lab = dx * span + dy
+            keys = _pair_keys(g, adj, wl[:, lab] if table else wf[:, (3 * dx + dy) % 9])
+            if cells is None:
+                cells, first = np.unique(lab[0], return_index=True)
+                ref = keys[:, 0, first]
+                quotient = _quotient(cells, span, ref, weights)
+                if table:
+                    ref = np.full(wl.shape, -1, dtype=wl.dtype)
+                    ref[:, cells] = keys[:, 0, first]
             if table:
-                ref = np.full(wl.shape, -1, dtype=wl.dtype)
-                ref[:, cells] = keys[:, 0, first]
-        if table:
-            fails = keys != ref[:, lab]
-        else:
-            at = np.minimum(np.searchsorted(cells, lab), len(cells) - 1)
-            fails = keys != np.where(cells[at] == lab, ref[:, at], -1)
-        fails = fails.any(axis=(0, 2))
-        if fails.any():
-            t = int(np.argmax(fails))
-            witness = _witness(int(xs[lo + t]), int(ys[lo + t]), lab[t], keys[:, t], span)
-            return lo + t + 1, witness, quotient
-        lo, step = lo + step, min(2 * step, most)
-    return len(xs), None, quotient
+                fails = keys != ref[:, lab]
+            else:
+                at = np.minimum(np.searchsorted(cells, lab), len(cells) - 1)
+                fails = keys != np.where(cells[at] == lab, ref[:, at], -1)
+            fails = fails.any(axis=(0, 2))
+            if fails.any():
+                t = int(np.argmax(fails))
+                witness = _witness(int(xs[lo + t]), int(ys[lo + t]), lab[t], keys[:, t], span)
+                return done + lo + t + 1, witness, quotient
+            lo, step = lo + step, min(2 * step, most)
+        done += len(xs)
+    return done, None, quotient
+
+
+def _pairs_at(dm: np.ndarray, i: int, count: np.ndarray, half: bool):
+    """The pairs (x, y) at distance i of the distance matrix ``dm``, x <= y
+    when ``half``, in lexicographic order, as chunks for ``_check_pairs``:
+    the rows of as many x as a budget holds at 3 bytes per entry (two bool
+    conditions and their conjunction) and 24 per pair (the flat indices, xs
+    and ys), or of one x; ``count`` holds the pairs of each row."""
+    n = len(dm)
+    for x0, x1 in _ranges(np.r_[0, np.cumsum(3 * n + 24 * count)], _BUDGET):
+        on = (dm[x0:x1] == i) & (np.arange(n) >= half * np.arange(x0, x1)[:, None])
+        xs, ys = np.divmod(np.flatnonzero(on) + x0 * n, n)
+        yield xs, ys, dm, xs, ys
 
 
 # -- distance-regularity ----------------------------------------------------
@@ -656,7 +679,8 @@ def check_distance_regular(g: Graph
     if D == 0:
         raise InputError("single-vertex graph has no intersection array")
     every = np.arange(g.n)
-    checked, witness, (labels, matrix) = _check_pairs(g, every, every, dm, every, every)
+    checked, witness, (labels, matrix) = _check_pairs(g, g.n, D + 1,
+                                                      [(every, every, dm, every, every)])
     # row j + 1 of q holds the counts of layer j around vertex 0 in layers
     # j - 1, j and j + 1; when ecc(0) < D, b at level ecc(0) is 0 here but
     # positive on a geodesic to a diametral vertex, so some pair refutes
@@ -752,33 +776,47 @@ def max_coclique(g: Graph) -> int:
 # -- local partitions --------------------------------------------------------
 
 
-def _local_blocks(g: Graph, select: np.ndarray, width: int, first: int = 0,
-                  grow: bool = False):
-    """The pairs (x, y) that ``select``, int8 (n, m), marks nonzero at
-    [y, x - first], in blocks of centres y ascending: (ys, xs, dist,
-    local), the centres ys (B,) with partners; their partners xs (B, p),
-    ascending, a short list repeating its last; dist (B, k, p) int16,
-    d(xs[b, t], v) at [b, a, t] for v the a-th neighbour of ys[b] (-1 for
-    padding v), so that the v at distance i - 1, i and i + 1 from x are the
-    cells C, A and B of d(x, y) = i; and the uint8 local graphs at ys, 1
-    where two neighbours are at distance 1.  A block's neighbour rows, k the
-    largest degree, are read from the arcs, short rows padded with n; both
-    arrays are read from the rows of the distance matrix at each centre's
-    neighbours, at its neighbours and partners, in gathers of as many
-    centres as keep the intp index within an eighth of the budget, so no
-    index spans a full block.  A block holds ``_BUDGET`` bytes at the
-    caller's ``width`` bytes per entry, k per partner and k^2 per centre,
-    or one centre; ``grow`` starts at one centre and doubles."""
-    dm, dst, starts = g.distance_matrix(), g._dst, g._starts
-    n, k, m = g.n, int(g.degrees().max(initial=0)), select.shape[1]
-    flat = dm.reshape(-1)
-    count = np.count_nonzero(select.view(bool), axis=1)  # an int8 one copies to bool
+def _marked(marks, n: int, width: int) -> Tuple[np.ndarray, int]:
+    """(count, m): the marks of each row y, of ``marks(ys)``, a bool
+    (len(ys), m) array, read a budget's rows at a time at ``width`` bytes
+    per entry; the first call reads one row, which tells m."""
+    count, lo, step = np.zeros(n, dtype=np.intp), 0, 1
+    while lo < n:
+        got = marks(np.arange(lo, min(lo + step, n)))
+        count[lo:lo + step] = np.count_nonzero(got, axis=1)
+        lo, step = lo + step, _per_block(got.shape[1], width)
+    return count, got.shape[1] if n else 0
+
+
+def _local_blocks(g: Graph, marks, width: int, first: int = 0, grow: bool = False):
+    """The pairs (x, y) that ``marks`` marks, in blocks of centres y
+    ascending: ``marks(ys)``, for intp centres ys, is a bool (len(ys), m)
+    array, true at [b, x - first] when (x, ys[b]) is a pair.  Yields (ys,
+    xs, dist, local): the centres ys (B,) with partners; their partners xs
+    (B, p), ascending, a short list repeating its last; dist (B, k, p)
+    int16, d(xs[b, t], v) at [b, a, t] for v the a-th neighbour of ys[b]
+    (-1 for padding v), so that the v at distance i - 1, i and i + 1 from x
+    are the cells C, A and B of d(x, y) = i; and the uint8 local graphs at
+    ys, 1 where two neighbours are at distance 1.  The partners of every
+    centre are counted first, a budget's rows of marks at a time
+    (``_marked``), and a block's marks are read again, so no (n, m) array
+    is held.  A block's neighbour rows, k the largest degree, are read from
+    the arcs, short rows padded with n; both arrays are read from the rows
+    of the distance matrix at each centre's neighbours, at its neighbours
+    and partners, in gathers of as many centres as keep the intp index
+    within an eighth of the budget, so no index spans a full block.  A
+    block holds ``_BUDGET`` bytes at the caller's ``width`` bytes per entry,
+    k per partner and k^2 and its m marks per centre, or one centre;
+    ``grow`` starts at one centre and doubles."""
+    flat, dst, starts = g.distance_matrix().reshape(-1), g._dst, g._starts
+    n, k = g.n, int(g.degrees().max(initial=0))
+    count, m = _marked(marks, n, width)
     centres = np.flatnonzero(count)
     # the longest list from a centre on bounds the lists of a block from it
     reach = np.maximum.accumulate(count[centres][::-1])[::-1]
     lo, step = 0, 1 if grow else len(centres)
     while lo < len(centres):
-        step = min(step, _per_block((int(reach[lo]) + k) * k, width))
+        step = min(step, _per_block((int(reach[lo]) + k) * k + m, width))
         ys = centres[lo:lo + step]
         lo, step = lo + step, 2 * step
         arc = starts[ys, None] + np.arange(k)
@@ -787,8 +825,7 @@ def _local_blocks(g: Graph, select: np.ndarray, width: int, first: int = 0,
         at = np.minimum(np.arange(int(cnt.max())), cnt[:, None] - 1)
         # the columns of the marks of the rows ys, by a flat scan (a 2-d
         # np.nonzero takes about 4 ns an entry, a flat bool scan 0.6)
-        marks = np.flatnonzero(select[ys].view(bool))
-        xs = marks[at + (np.cumsum(cnt) - cnt)[:, None]] % m + first
+        xs = np.flatnonzero(marks(ys))[at + (np.cumsum(cnt) - cnt)[:, None]] % m + first
         cols = np.concatenate([nby, xs], axis=1)
         rows = np.empty((len(ys), k, cols.shape[1]), dtype=np.int16)
         # as many centres to a gather as keep its intp index within an
@@ -838,20 +875,13 @@ def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
     level 1 and the C cell at level 2.  Raises InputError when the size
     varies.  A list ``patterns`` gets each block's distinct patterns."""
     size, valencies = None, set()
-    dm = g.distance_matrix()
-    # a byte per (n, n) entry, the selection, and two budgets for the blocks
-    require_room(f"the pair selection of {g.n} vertices", g.n * g.n + 2 * _BUDGET)
-    select = dm == i
-    # the pairs x < y: the lower triangle cleared in place, a budget's rows
-    # at a time
-    cols, step = np.arange(g.n), _per_block(g.n, 1)
-    for lo in range(0, g.n, step):
-        select[lo:lo + step] &= cols > np.arange(lo, min(lo + step, g.n))[:, None]
-    select = select.view(np.int8)
+    dm, cols = g.distance_matrix(), np.arange(g.n)
     # bytes written per entry: an int16 distance, a bool member, its float32
     # weight and count, a bool comparison, the member's copy in pair order
-    # (for the patterns) and at most one of the gather's index
-    for _, _, dist, local in _local_blocks(g, select, 14):
+    # (for the patterns) and at most one of the gather's index; the pairs
+    # x > y, read at their centre y
+    for _, _, dist, local in _local_blocks(
+            g, lambda ys: (dm[ys] == i) & (cols > ys[:, None]), 14):
         member = dist == 1
         sizes, valency = _bounds(local, member)
         size = int(sizes.flat[0]) if size is None else size
@@ -919,13 +949,10 @@ def triple_intersection_number(g: Graph) -> Optional[int]:
     the dense distance matrix, so at most ``_DENSE_CAP`` vertices."""
     found = set()
     dm = g.distance_matrix()
-    # a byte per (n, n) entry, the selection, and two budgets for the blocks
-    # (tracemalloc peaks 1.4 n^2 on H(7,3) and 2.3 n^2 on the halved 11-cube)
-    require_room(f"the pair selection of {g.n} vertices", g.n * g.n + 2 * _BUDGET)
     # bytes written per entry: an int16 distance, two bool cells, float32
     # weights, counts and their correction, a bool comparison and at most one
     # of the gather's index
-    for _, _, dist, local in _local_blocks(g, (dm == 2).view(np.int8), 18):
+    for _, _, dist, local in _local_blocks(g, lambda ys: dm[ys] == 2, 18):
         if (dist == 2).any():
             found.add(_bounds(local, dist == 1, dist == 2)[1])
             if None in found or len(found) > 1:

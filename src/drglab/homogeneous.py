@@ -13,10 +13,13 @@ coordinates of its labels swapped, so an exhaustive check reads each
 unordered pair once and reports ordered counts, unless the first pair's
 quotient is not symmetric.
 ``graph.check_distance_regular`` runs the same kernel on the pairs (x, x),
-whose partitions are the distance partitions.  The size policy follows from
-the mode: exhaustive checks read both distance rows from the dense distance
-matrix (at most ``graph._DENSE_CAP`` vertices); sampled checks take every
-row from one call of the distance engine, at any size.
+whose partitions are the distance partitions.  The kernel reads a stream of
+pairs and stops at the first refutation.  The size policy follows from the
+mode: exhaustive checks read both distance rows from the dense distance
+matrix (at most ``graph._DENSE_CAP`` vertices), its pairs a budget's rows
+at a time; sampled checks work at any size, and draw their pairs in
+batches of at most 32, each batch's 64 rows from one call of the distance
+engine, a batch only when every pair before it holds.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -31,8 +35,8 @@ import numpy as np
 from .arrays import IntersectionArray
 from .bounds import F_bound, G_bound
 from .eigen import b_parameter, eigenvalues
-from .errors import InputError, ScopeError, require, require_room
-from .graph import (_BUDGET, Graph, _check_pairs, _common_neighbourhoods, _per_block,
+from .errors import InputError, ScopeError, require
+from .graph import (Graph, _check_pairs, _common_neighbourhoods, _marked, _pairs_at,
                     check_distance_regular, graph_spectrum, local_graph)
 from .scalars import exact_cmp
 from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
@@ -55,39 +59,35 @@ class HomogeneityReport:
 
 def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     """``count`` pairs at distance i, drawn with replacement: x uniformly,
-    then y uniformly in the sorted Gamma_i(x).  Returns xs, ys and their
-    distance rows, one (2 count, n) int16 array whose bytes are checked
-    before the first draw (row t of x, then row count + t of y).  A level-1
-    draw reads Gamma(x) from the arcs and the rows of every x and y come
-    from one call of the distance engine; a draw above level 1 searches
-    from x into x's row in place, and the y rows come from one call.  A row
-    with an unreachable vertex shows the graph is disconnected; only when
-    no draw succeeds does a one-source search tell that apart from a lack
-    of pairs."""
-    require_room(f"the distance rows of {count} sampled pairs", 4 * count * g.n)
-    rows = np.empty((2 * count, g.n), dtype=np.int16)
+    then y uniformly in the sorted Gamma_i(x), in at most 50 count draws of
+    x.  Yields them for ``graph._check_pairs`` in batches of at most 32
+    pairs, drawn only when asked for: each batch's xs, ys and their distance
+    rows, from one call of the distance engine (row t of x, then row
+    len(xs) + t of y), with the indices of those rows.  A level-1 draw reads
+    Gamma(x) from the arcs; a draw above level 1 reads it from a one-source
+    search from x.  A row with an unreachable vertex shows the graph is
+    disconnected; only when the draws run out does a one-source search tell
+    that apart from a lack of pairs."""
     disconnected = InputError("homogeneity is defined for connected graphs")
-    rng = random.Random(seed)
-    xs, ys = [], []
+    rng, xs, ys = random.Random(seed), [], []
     for _ in range(50 * count):
         x = rng.randrange(g.n)
-        row = None if i == 1 else g._distance_rows([x], out=rows[len(xs):len(xs) + 1])[0]
-        if row is not None and row.min() < 0:
-            raise disconnected
-        at_i = g._dst[g._starts[x]:g._starts[x + 1]] if i == 1 else np.flatnonzero(row == i)
+        at_i = (g._dst[g._starts[x]:g._starts[x + 1]] if i == 1
+                else np.flatnonzero(g._distance_rows([x])[0] == i))
         if len(at_i):
             xs.append(x)
             ys.append(int(rng.choice(at_i)))
-            if len(xs) == count:
-                break
-    else:
-        raise disconnected if not g.is_connected() else InputError(
-            f"could not sample pairs at distance {i}")
-    done = 0 if i == 1 else count  # the rows of x above level 1 are in place
-    g._distance_rows((xs + ys)[done:], out=rows[done:])
-    if rows.min() < 0:
-        raise disconnected
-    return np.array(xs), np.array(ys), rows
+            count -= 1
+            if len(xs) == 32 or not count:
+                rows = g._distance_rows(xs + ys)
+                if rows.min() < 0:
+                    raise disconnected
+                yield np.array(xs), np.array(ys), rows, *np.arange(2 * len(xs)).reshape(2, -1)
+                if not count:
+                    return
+                xs, ys = [], []
+    raise disconnected if not g.is_connected() else InputError(
+        f"could not sample pairs at distance {i}")
 
 
 def _swap_symmetric(labels, matrix) -> bool:
@@ -117,9 +117,11 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     the check holds.  The reference is read first, from the first pair
     alone; one that is not symmetric fails at (y, x), so the ordered pairs
     are scanned instead.  Sampled mode draws ``count`` pairs with
-    replacement with the given seed and takes their rows from one
-    bit-parallel search at any n (a draw above level 1 runs a one-source
-    search, whose row it keeps); it can refute but only exhaustive mode
+    replacement with the given seed, in batches of at most 32 whose rows
+    come from one bit-parallel search at any n (a draw above level 1 runs a
+    one-source search for Gamma_i(x)); it reads the next batch only while
+    every pair so far holds, so when the draws run out after a refuting
+    batch it reports that pair.  It can refute but only exhaustive mode
     confirms.  Both run their pairs through the one pair kernel, as many to
     a call as the block budget allows (``errors.ResourceError`` states it),
     on the route ``graph._dense_keys`` chooses; both routes give the same
@@ -130,34 +132,34 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     if mode == "sampled":
         if seed is None or count is None or count < 1:
             raise InputError("sampled mode requires a seed and a positive count")
-        xs, ys, rows = _sampled_pairs(g, i, seed, count)
+        batches = _sampled_pairs(g, i, seed, count)
+        first = next(batches)
+        # every distance is at most twice the eccentricity of the first x
         checked, witness, (labels, matrix) = _check_pairs(
-            g, xs, ys, rows, np.arange(count), count + np.arange(count))
+            g, count, 2 * int(first[2][0].max()) + 1, chain([first], batches))
     else:
-        rows, n = g.distance_matrix(), g.n
-        if rows.min() < 0:
+        dm, n = g.distance_matrix(), g.n
+        if dm.min() < 0:
             raise InputError("homogeneity is defined for connected graphs")
-        # the pairs at distance i, counted a budget's rows at a time; then a
-        # byte per (n, n) entry for their selection, 40 per pair (the flat
-        # indices, the int64 xs and ys, the half scan's ux and uy and, for a
-        # failing pair, the int64 keys of its rank; tracemalloc peaks 8-29
-        # a pair) and two budgets for the pair kernel's blocks
-        step = _per_block(n, 1)
-        pairs = sum(int(np.count_nonzero(rows[a:a + step] == i)) for a in range(0, n, step))
-        require_room(f"the index arrays of {pairs} pairs at distance {i}",
-                     n * n + 40 * pairs + 2 * _BUDGET)
-        xs, ys = np.divmod(np.flatnonzero(rows == i), n)
-        if not len(xs):
+        span = int(dm.max()) + 1
+        # the pairs at distance i in each row, counted a budget's rows at a
+        # time: an int16 copy and a bool comparison per entry
+        count = _marked(lambda xs: dm[xs] == i, n, 3)[0]
+        ordered = int(count.sum())
+        if not ordered:
             raise InputError(f"no pair of vertices at distance {i}")
         # the first ordered pair has x <= y, so both scans share its reference
-        if not _swap_symmetric(*_check_pairs(g, xs[:1], ys[:1], rows, xs[:1], ys[:1])[2]):
-            checked, witness, (labels, matrix) = _check_pairs(g, xs, ys, rows, xs, ys)
-        else:
-            ux, uy = xs[xs <= ys], ys[xs <= ys]
-            checked, witness, (labels, matrix) = _check_pairs(g, ux, uy, rows, ux, uy)
-            # the failing pair's rank among the ordered pairs, or their count
-            checked = len(xs) if witness is None else 1 + int(
-                np.searchsorted(xs * n + ys, witness[0] * n + witness[1]))
+        x = int(np.argmax(count > 0))
+        first = np.array([[x], [int(np.argmax(dm[x] == i))]])
+        half = _swap_symmetric(*_check_pairs(g, 1, span, [(*first, dm, *first)])[2])
+        # the pairs x <= y: every pair x < y once each way, and at level 0
+        # the pairs (x, x)
+        total = (ordered + n * (i == 0)) // 2 if half else ordered
+        checked, witness, (labels, matrix) = _check_pairs(
+            g, total, span, _pairs_at(dm, i, count, half))
+        # the failing pair's rank among the ordered pairs, or their count
+        checked = ordered if witness is None else 1 + int(count[:witness[0]].sum()) + int(
+            np.count_nonzero(dm[witness[0], :witness[1]] == i))
     if witness is not None:
         return HomogeneityReport(i, False, witness=witness, mode=mode, pairs_checked=checked)
     return HomogeneityReport(i, True, labels, matrix, None, mode, checked)

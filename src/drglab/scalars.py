@@ -182,8 +182,10 @@ class Surd:
     # -- approximation -----------------------------------------------------
 
     def bounds(self, prec: int) -> Tuple[Fraction, Fraction]:
-        """Rational enclosure of width <= 10**-prec."""
-        scale = 10 ** (prec + 2)
+        """Rational enclosure of width <= 10**-prec: sqrt(d) to within
+        1/scale, with scale 10**(prec + 2) times ceil(|b|/100), so b times
+        it is within 10**-prec."""
+        scale = 10 ** (prec + 2) * ceil(abs(self.b) / 100)
         root_lo = Fraction(isqrt(self.d * scale * scale), scale)
         ends = (self.a + self.b * root_lo,
                 self.a + self.b * (root_lo + Fraction(1, scale)))
@@ -338,7 +340,10 @@ def exact_cmp(a: ExactScalar, b: ExactScalar) -> int:
     """
     if a is b:
         return 0
-    if not isinstance(a, Interval) and not isinstance(b, Interval):
+    # the difference of surds over distinct radicals is an interval, so only
+    # the operands are refined
+    mixed = isinstance(a, Surd) and isinstance(b, Surd) and a.d != b.d
+    if not (mixed or isinstance(a, Interval) or isinstance(b, Interval)):
         diff = a - b
         if isinstance(diff, Surd):
             return diff.sign()

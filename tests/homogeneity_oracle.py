@@ -6,15 +6,46 @@ counting kernel (``graph._equitable``): the cells are labelled
 (d(x, v), d(y, v)), ordered lexicographically, and every vertex is counted
 against every cell.  Exhaustive mode reads every pair in
 ``np.nonzero(dm == i)`` order; sampled mode reads the pairs and rows that
-``homogeneous._sampled_pairs`` draws.  The differential tests in
-``test_equitability.py`` compare whole reports against it.
+``sampled_pairs`` draws, all of them before the first pair is read, as the
+library did before it streamed its draws in batches.  The differential tests
+in ``test_equitability.py`` compare whole reports against it.
 """
+
+import random
 
 import numpy as np
 
 from drglab.errors import InputError
 from drglab.graph import EquitabilityWitness, Graph, _equitable
-from drglab.homogeneous import HomogeneityReport, _sampled_pairs
+from drglab.homogeneous import HomogeneityReport
+
+
+def sampled_pairs(g: Graph, i: int, seed: int, count: int):
+    """``count`` pairs at distance i, drawn with replacement in at most 50
+    count draws of x: x uniformly, then y uniformly in the sorted
+    Gamma_i(x).  Returns xs, ys and their distance rows, one (2 count, n)
+    int16 array (row t of x, then row count + t of y)."""
+    disconnected = InputError("homogeneity is defined for connected graphs")
+    rng = random.Random(seed)
+    xs, ys = [], []
+    for _ in range(50 * count):
+        x = rng.randrange(g.n)
+        row = None if i == 1 else g._distance_rows([x])[0]
+        if row is not None and row.min() < 0:
+            raise disconnected
+        at_i = np.array(g.neighbors(x)) if i == 1 else np.flatnonzero(row == i)
+        if len(at_i):
+            xs.append(x)
+            ys.append(int(rng.choice(at_i)))
+            if len(xs) == count:
+                break
+    else:
+        raise disconnected if not g.is_connected() else InputError(
+            f"could not sample pairs at distance {i}")
+    rows = g._distance_rows(xs + ys)
+    if rows.min() < 0:
+        raise disconnected
+    return np.array(xs), np.array(ys), rows
 
 
 def _pair_quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
@@ -28,7 +59,7 @@ def _pair_quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
 def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
                         seed=None, count=None) -> HomogeneityReport:
     if mode == "sampled":
-        xs, ys, rows = _sampled_pairs(g, i, seed, count)
+        xs, ys, rows = sampled_pairs(g, i, seed, count)
         pairs = ((xs[t], ys[t], rows[t], rows[count + t]) for t in range(count))
     else:
         dm = g.distance_matrix()

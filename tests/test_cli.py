@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import homogeneity_oracle
 from drglab.cli import main
 from drglab.families import FamilySpec, build_family, hamming, triangular
 from drglab.graph import Graph
+from drglab.homogeneous import check_i_homogeneous
 from test_homogeneous import GOLDEN_GRAPHS, chorded_c4
 
 
@@ -376,14 +378,17 @@ def run_cli_under_limits(runs, timeout=60):
     ["build", "complete:19600"],  # 3.07 GB of arcs
     ["build", "complete:8000", "--out", "{out}"],  # 512 MB of arcs, 3 GB of JSON lists
     ["build", "cycle:150000000"],  # 2.4 GB of arcs, as much again per vertex
-    ["homog", "{h83}", "--sample", "200000", "--seed", "1", "--i", "2"],  # 5.2 GB of rows
+    # 5.2 GB of rows if every draw's rows were held at once
+    ["homog", "{h83}", "--sample", "200000", "--seed", "1", "--i", "2"],
 ], ids=["complete:2000000", "complete:19600", "complete:8000 --out", "cycle:150000000",
         "H(8,3) --sample 200000 --i 2"])
 def test_oversized_commands_exit_typed_under_an_address_space_limit(tmp_path, argv):
     # each command in its own process under a 3 GB address-space limit: the
     # predicted bytes are refused (exit 2) before they are allocated, never a
     # MemoryError (exit 3), a signal or a timeout; a refused dump leaves an
-    # existing file as it was
+    # existing file as it was.  The sampled draws stream in batches, so
+    # H(8,3) reports the first draw's refutation (exit 1) with the witness
+    # that 10 draws give
     out = tmp_path / "out.json"
     out.write_text("earlier contents\n")
     h83 = tmp_path / "h83.json"
@@ -393,19 +398,39 @@ def test_oversized_commands_exit_typed_under_an_address_space_limit(tmp_path, ar
     assert code in (0, 1, 2), err
     if "--out" in argv and code == 0:
         assert Graph.load(str(out)).n == 8000
+    elif argv[0] == "homog":
+        assert code == 1, err
+        done = run_under_3gb(argv)
+        assert done.returncode == 1, done.stderr
+        report = json.loads(done.stdout)
+        assert report["witness"] == [1100, 1586, [2, 2], 614, 776]
+        assert report["pairs_checked"] == 1
+        rep = check_i_homogeneous(hamming(8, 3), 2, "sampled", seed=1, count=10)
+        assert rep.witness == (1100, 1586, (2, 2), 614, 776)
     else:
         assert code == 2 and " GiB of memory is left" in err, err
         assert out.read_text() == "earlier contents\n"
+
+
+def run_under_3gb(argv):
+    """``drglab argv`` in a fresh process under a 3 GB address-space limit,
+    its stdout captured."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "drglab.cli", *argv], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
 
 
 def test_dense_verdicts_exit_typed_from_the_load_refusal_up_to_success(tmp_path):
     # H(6,3): 729 vertices in a 44 KB file, whose load needs 0.7 MiB.  Each
     # command runs under address-space limits 0.25, 0.75, 1.25, ... MiB above
     # what the process has mapped once the CLI is imported, up to its first
-    # success: the graph file, the distance matrix, the pair selections and
-    # the index arrays predict their bytes, and those of the blocks that read
-    # them, before they are allocated, so every run below success is refused
-    # (exit 2), never a MemoryError (exit 3)
+    # success: the graph file and the distance matrix predict their bytes,
+    # and those of the blocks that read them, before they are allocated, and
+    # the verdicts stream their pairs within those blocks, so every run below
+    # success is refused (exit 2), never a MemoryError (exit 3)
     path = str(tmp_path / "h63.json")
     hamming(6, 3).dump(path)
     commands = [["analyze", path], ["cab", path], ["homog", path]]

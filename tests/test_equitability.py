@@ -103,8 +103,11 @@ def relabel(g: Graph, rng: random.Random) -> Graph:
 
 
 def switch(g: Graph, rng: random.Random) -> Graph:
-    """Replace edges ab, cd by ad, cb (both new edges absent before)."""
+    """Replace edges ab, cd by ad, cb (both new edges absent before).  A
+    complete graph has no such edges and is returned as it is."""
     edges = sorted(g.edges())
+    if 2 * len(edges) == g.n * (g.n - 1):
+        return g
     while True:
         (a, b), (c, d) = rng.sample(edges, 2)
         if len({a, b, c, d}) == 4 and not g.is_adjacent(a, d) \
@@ -177,6 +180,42 @@ def test_both_modes_match_the_pair_by_pair_oracle(index, seed, switched, level, 
     assert outcome(lambda: check_i_homogeneous(g, level, "sampled", seed=seed, count=count)) == \
         outcome(lambda: homogeneity_oracle.check_i_homogeneous(
             g, level, "sampled", seed=seed, count=count))
+
+
+@SETTINGS
+@given(st.sampled_from(range(len(BASES))), st.integers(0, 2 ** 32), st.booleans(),
+       st.integers(1, 4), st.sampled_from([1, 31, 32, 33, 65]))
+def test_sampled_batches_match_the_all_at_once_oracle(index, seed, switched, level, count):
+    # the draws stream in batches of at most 32 pairs, and the counts cross
+    # the batch edges; the oracle draws every pair and its rows first.  A
+    # level above the diameter has no pair: both run out of draws
+    rng = random.Random(seed)
+    g = relabel(BASES[index], rng)
+    if switched:
+        g = switch(g, rng)
+    level = min(level, g.diameter() + 1)
+    got = outcome(lambda: check_i_homogeneous(g, level, "sampled", seed=seed, count=count))
+    assert got == outcome(lambda: homogeneity_oracle.check_i_homogeneous(
+        g, level, "sampled", seed=seed, count=count))
+    if level > g.diameter():
+        assert got == ("InputError", f"could not sample pairs at distance {level}")
+
+
+def test_a_refuting_batch_is_reported_before_the_draws_run_out():
+    # K_194 with the path a - v1 - 0 - v3 and two leaves at v3: only a and
+    # the two leaves are at distance 4 from some vertex, so 3250 draws find
+    # about 49 of the 65 pairs.  The first batch of 32 refutes, and its
+    # witness is reported; drawn all at once, the pairs run out first
+    m = 194
+    a, v1, v3, b1, b2 = range(m, m + 5)
+    edges = [(u, w) for u in range(m) for w in range(u + 1, m)]
+    g = Graph.from_edges(m + 5, edges + [(a, v1), (v1, 0), (0, v3), (v3, b1), (v3, b2)])
+    rep = check_i_homogeneous(g, 4, "sampled", seed=0, count=65)
+    # pi(b1, a) has the cell (2, 4) of b2, which no pair (a, b) has
+    assert rep.witness == (b1, a, None, None, None) and rep.pairs_checked == 2
+    assert not check_i_homogeneous(g, 4).holds
+    with pytest.raises(InputError, match="could not sample pairs at distance 4"):
+        homogeneity_oracle.check_i_homogeneous(g, 4, "sampled", seed=0, count=65)
 
 
 @pytest.mark.parametrize("cut", [False, True], ids=["K_65x2", "K_65x2 less an edge"])
@@ -353,12 +392,13 @@ def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Record the pairs of every scan ``check_i_homogeneous`` runs."""
+    """Record the pairs of every scan ``check_i_homogeneous`` runs: the
+    total of its stream."""
     scans, check = [], homogeneous._check_pairs
 
-    def recorded(g, xs, *rest):
-        scans.append(len(xs))
-        return check(g, xs, *rest)
+    def recorded(g, total, *rest):
+        scans.append(total)
+        return check(g, total, *rest)
 
     monkeypatch.setattr(homogeneous, "_check_pairs", recorded)
     return scans

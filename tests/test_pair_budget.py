@@ -11,8 +11,11 @@ the queue search (``bfs_oracle``), under budgets small enough that every
 block splits, on relabelled and switched corpus graphs and on K_{40,40},
 where one vertex's arcs exceed the budget.  ``tracemalloc`` holds the keys
 and the rows to the budget on the halved 14-cube, the counts on the
-halved 16-cube, and the CAB check and the c2 report on folded J(12,6); the
-ranges of the passes that large sampled runs take are pinned at 2^18 arcs.
+halved 16-cube, and the CAB check and the c2 report on folded J(12,6).  With
+the distance matrix built, the exhaustive pair scans hold no (n, n)
+selection and stay within three budgets, and sampled draws hold one batch
+of rows, however many there are.  The ranges of the passes that large
+sampled runs take are pinned at 2^18 arcs.
 """
 
 import random
@@ -26,8 +29,9 @@ import drglab.graph as graph
 import pair_keys_oracle
 from bfs_oracle import bfs_distances
 from drglab.cab import cab_partition_check
-from drglab.families import (complete, complete_multipartite, folded_johnson, halved_cube,
-                             hamming)
+from drglab.families import (complete, complete_multipartite, cycle, folded_johnson,
+                             halved_cube, hamming)
+from drglab.homogeneous import check_i_homogeneous
 from test_distance_engine import path, union
 from test_equitability import BASES, relabel, switch
 
@@ -156,9 +160,9 @@ def test_pull_stays_within_the_budget(hc14):
 def test_local_pass_stays_within_the_budget():
     # 462 vertices of valency 36; the distance matrix is built first, so
     # what is traced is the pass: one block within the budget, the gather's
-    # index within an eighth of it, and the (n, n) selections, 0.2 MiB each
-    # here (blocks of 2^18 entries, whatever their bytes, peaked at 4.4 MiB
-    # in the CAB check and 4.0 in the c2 report)
+    # index within an eighth of it, and a budget's rows of marks while the
+    # partners are counted (blocks of 2^18 entries, whatever their bytes,
+    # peaked at 4.4 MiB in the CAB check and 4.0 in the c2 report)
     g = folded_johnson(12, 6)
     g.distance_matrix()
     for check in (cab_partition_check, graph.c2_regularity_report):
@@ -166,14 +170,37 @@ def test_local_pass_stays_within_the_budget():
         assert peak < 3 * graph._BUDGET // 2
 
 
-def test_c2_report_holds_one_pair_selection():
-    # 2187 vertices: the selection is 4.6 MiB of bools, its lower triangle
-    # cleared in place; np.triu's mask and result held two more (3.0 n^2)
-    g = hamming(7, 3)
+def test_pair_scans_stay_within_three_budgets():
+    # with the distance matrix built, what is traced is the scan: chunks of
+    # its rows, blocks of pairs or centres and their marks, and no (n, n)
+    # selection.  On H(7,3) (2187 vertices) the selections made exhaustive
+    # 1-homogeneity, CAB, the c2 report and the triple number peak at 4.8,
+    # 9.9, 6.9 and 6.2 MiB; on cycle(4000) the lambda pass read every
+    # centre in one block and copied its selection rows, 30.9 MiB
+    g, c = hamming(7, 3), cycle(4000)
     g.distance_matrix()
-    report, peak = traced_peak(lambda: graph.c2_regularity_report(g))
-    assert report.c2 == 2
-    assert peak < g.n * g.n + 2 * graph._BUDGET
+    c.distance_matrix()
+    checks = [(lambda: check_i_homogeneous(g, 1).holds, True),
+              (lambda: cab_partition_check(g).holds, True),
+              (lambda: graph.c2_regularity_report(g).c2, 2),
+              (lambda: graph.triple_intersection_number(g), 1),
+              (lambda: graph._common_neighbourhoods(c, 1), (0, None))]
+    for check, want in checks:
+        got, peak = traced_peak(check)
+        assert got == want
+        assert peak < 3 * graph._BUDGET
+
+
+def test_sampled_draws_hold_one_batch_of_rows():
+    # a batch's 64 rows, not a row per draw: 30 times the draws peak
+    # within a batch's rows more (H(6,3): 729 vertices, 93 KiB a batch)
+    g = hamming(6, 3)
+    peaks = []
+    for count in (100, 3000):
+        rep, peak = traced_peak(lambda: check_i_homogeneous(g, 1, "sampled", seed=3, count=count))
+        assert rep.holds and rep.pairs_checked == count
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 64 * 2 * g.n
 
 
 def test_large_sampled_passes_keep_their_arc_ranges(monkeypatch, hc14):

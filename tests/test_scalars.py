@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drglab.scalars as scalars
 import surd_oracle
 from drglab.errors import DomainError, UndecidableComparison
 from drglab.polys import real_roots
@@ -336,3 +337,41 @@ def test_arithmetic_over_distinct_radicals_gives_enclosing_intervals(pair):
         assert exact_cmp(a, b) == (1 if float(a) > float(b) else -1)
         assert (a < b) == (float(a) < float(b))
     assert exact_cmp(a, b) == -exact_cmp(b, a) != 0
+
+
+@ORACLE_SETTINGS
+@given(mixed_surd_pairs(), st.integers(min_value=1, max_value=8))
+def test_mixed_comparisons_refine_the_operands_alone(pair, scale):
+    # surds over distinct radicals, some with |b| above 100: their
+    # difference would be an interval over both enclosures, so exact_cmp
+    # never builds it and refines the operands; the sign is the float order
+    def combined(*args):
+        raise AssertionError("exact_cmp built the difference of mixed surds")
+
+    a, b = pair[0] * 37 ** (scale - 1), pair[1]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scalars, "_combine", combined)
+        got = exact_cmp(a, b), exact_cmp(b, a)
+    assert got == ((1, -1) if float(a) > float(b) else (-1, 1))
+
+
+@ORACLE_SETTINGS
+@given(st.fractions(max_denominator=50), st.integers(-10 ** 6, 10 ** 6).filter(bool),
+       denominators, squarefree, st.integers(min_value=0, max_value=12))
+def test_surd_bounds_are_at_most_the_width_they_name(a, q, e, d, prec):
+    # |b| from 1/12 to 10^6: the enclosure is 10^-prec wide at most, and
+    # holds the value
+    x = Surd(0, q, d, e) + a
+    lo, hi = x.bounds(prec)
+    assert 0 < hi - lo <= Fraction(1, 10 ** prec)
+    # lo <= a + b sqrt(d) <= hi, compared through t |t|, which is monotone
+    assert (lo - x.a) * abs(lo - x.a) <= x.b * abs(x.b) * d <= (hi - x.a) * abs(hi - x.a)
+
+
+def test_surd_bounds_of_a_large_coefficient():
+    # sqrt(2) to within 10^-3 times 1000 was 1.0 wide; ceil(|b| / 100) more
+    # digits of sqrt(d) keep the width that was asked for
+    lo, hi = Surd(0, 1000, 2).bounds(1)
+    assert hi - lo <= Fraction(1, 10) and lo < 1000 * 2 ** 0.5 < hi
+    # |b| <= 100 gives the enclosure it always gave
+    assert Surd(1, 3, 5, 2).bounds(3) == (Fraction(385409, 100000), Fraction(770821, 200000))
