@@ -201,6 +201,21 @@ def test_sampled_batches_match_the_all_at_once_oracle(index, seed, switched, lev
         assert got == ("InputError", f"could not sample pairs at distance {level}")
 
 
+def test_a_refutation_in_a_later_batch_counts_every_pair_before_it():
+    # K_5 with 60 leaves at distance 4 from one leaf b: a draw from a leaf
+    # gives (a, b), one from b gives (b, a), whose quotient differs.  With
+    # seeds 0 and 8 the first pair is (a, b) and the first (b, a) comes in
+    # the second batch, so the count runs through every pair of the first
+    m, p = 5, 60
+    v1, v3, b = m, m + 1 + p, m + 2 + p
+    edges = [(u, w) for u in range(m) for w in range(u + 1, m)] + [(v1, 0), (v3, 0), (v3, b)]
+    g = Graph.from_edges(b + 1, edges + [(v1, a) for a in range(m + 1, m + 1 + p)])
+    for seed, checked in ((0, 36), (8, 52)):
+        rep = check_i_homogeneous(g, 4, "sampled", seed=seed, count=65)
+        assert rep.witness[0] == b and rep.pairs_checked == checked
+        assert rep == homogeneity_oracle.check_i_homogeneous(g, 4, "sampled", seed=seed, count=65)
+
+
 def test_a_refuting_batch_is_reported_before_the_draws_run_out():
     # K_194 with the path a - v1 - 0 - v3 and two leaves at v3: only a and
     # the two leaves are at distance 4 from some vertex, so 3250 draws find
@@ -443,6 +458,19 @@ def test_paths_scan_the_ordered_pairs(scans, n):
         pairs = 2 * (n - i)
         assert scans == [1, pairs if i < n - 1 else 1]
         assert rep.holds == (i == n - 1)
+
+
+def test_a_refutation_in_a_later_chunk_keeps_its_rank(monkeypatch):
+    # a budget of one byte makes each row of the distance matrix a chunk of
+    # its own; on paths and K_{m,n} the ordered scan fails in a later row,
+    # whose pair is ranked among the pairs of every row
+    monkeypatch.setattr(graph, "_BUDGET", 1)
+    graphs = [Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]) for n in (5, 8)]
+    graphs += [Graph.from_edges(5, [(a, 2 + b) for a in range(2) for b in range(3)])]
+    for g in graphs:
+        for i in range(1, g.diameter() + 1):
+            rep = check_i_homogeneous(g, i)
+            assert rep == homogeneity_oracle.check_i_homogeneous(g, i)
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (3, 4)])
