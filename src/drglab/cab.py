@@ -12,7 +12,9 @@ B = those at distance i+1.  The level-i parameters are
     delta_i : neighbours inside A of a B-vertex.
 
 The empirical check reads the local-partition pass of ``graph``
-(``graph._local_blocks``), a few centres y at a time.  One stacked product
+(``graph._local_blocks``), a few centres y at a time, and reads a failing
+level again through its local gather (``graph._local_gather``), a block of
+pairs (x, y) at a time in scan order.  One stacked product
 of the neighbours' cell weights (C 1, A 0, B k + 1, each plus (k + 1)^2)
 with the local graphs gives the key C + (k + 1) B + (k + 1)^2 (C + A + B)
 of v's count row for every (x, y, v), in float32, exact while (k + 1)^3 is
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import (DomainError, InputError, PreconditionError, ResourceError,
                      SingularityError, require)
-from .graph import Graph, _local_blocks, _marked
+from .graph import Graph, _local_blocks, _local_gather, _marked, _per_block
 from .polys import charpoly, quadratic_roots, real_roots
 from .scalars import ExactScalar, as_exact, exact_eq
 
@@ -115,6 +117,28 @@ class LocalSrgData:
 # -- empirical check --------------------------------------------------------
 
 
+def _has_triangle(g: Graph, k: int) -> bool:
+    """Whether some edge of the k-regular g lies in a triangle: an AND of
+    the packed rows of its ends in the adjacency (the distance matrix's 1
+    entries), the edges of a budget's consecutive vertices at a time, 3
+    bytes per (edge, packed byte) for the two rows and their AND.  The
+    packed rows take n^2 / 8 bytes, below the 768 bytes per vertex that the
+    distance matrix predicts for its engine's blocks (n <= 6000)."""
+    dm, n = g.distance_matrix(), g.n
+    bits = np.empty((n, -(-n // 8)), dtype=np.uint8)
+    step = _per_block(n, 2)  # a bool comparison and its packed bit per entry
+    for lo in range(0, n, step):
+        bits[lo:lo + step] = np.packbits(dm[lo:lo + step] == 1, axis=1)
+    step = _per_block(k * bits.shape[1], 3)
+    for lo in range(0, n, step):
+        u = np.arange(lo, min(lo + step, n)).repeat(k)
+        v = g._dst[lo * k:(lo + step) * k]
+        up = v > u  # each edge once
+        if (bits[u[up]] & bits[v[up]]).any():
+            return True
+    return False
+
+
 def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     """Check the three-cell local partitions are equitable with
     pair-independent parameters at every level 1..i_max.
@@ -126,17 +150,18 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     cell, and the deviation is the first row that differs.  A level fails
     when one of its cells holds two different rows, in any order, so one
     pass of growing blocks of centres y finds the lowest failing level, and
-    only that level is read again, one x at a time, for its first
-    deviation.
+    only that level is read again, in (x, y) order a block of pairs of one
+    x at a time, for its first deviation.  A graph in which no edge lies in
+    a triangle (a_1 = 0) is refused before any pair is read.
     """
     deg = g.degrees()
     k = int(deg[0]) if g.n else 0
     if (deg != k).any():
         raise PreconditionError("graph is not regular")
-    if not k or not set(g.neighbors(0)).intersection(g.neighbors(g.neighbors(0)[0])):
-        raise PreconditionError("a_1 = 0: local graphs are edgeless, partition degenerates")
     if k > 1 << 12:
         raise ResourceError("valency above 4096: the CAB check takes at most 4096")
+    if not k or not _has_triangle(g, k):
+        raise PreconditionError("a_1 = 0: local graphs are edgeless, partition degenerates")
     D = g.diameter()
     i_max = D if i_max is None else i_max
     if not 1 <= i_max <= D:
@@ -209,17 +234,21 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     out_levels = tuple(CabLevelParams(i, rows[3 * i][0] or 0, rows[3 * i + 1][0],
                                       rows[3 * i + 1][2], rows[3 * i + 2][1])
                        for i in range(1, top + 1))
-    checked = int(_marked(upto(top), g.n, width)[0].sum())
+    checked = int(_marked(upto(top), g.n, width).sum())
     if top == i_max:
         return CabReport(True, out_levels, None, checked)
-    # level i fails: its references go by scan order, one x at a time, over
-    # the x of eccentricity at least i
+    # level i fails: its references go by scan order, read again in (x, y)
+    # order, a block of pairs at a time, each pair one centre y with one
+    # partner x
     i = top + 1
     refs[3 * i:3 * i + 3] = -1
     fit()
-    for x in np.flatnonzero(dm.max(axis=1) >= i).tolist():
-        for ys, _, dist, local in _local_blocks(g, lambda ys: dm[ys, x:x + 1] == i, width, x):
-            _, m, key, bad = check(dist, local, i)
+    step = _per_block((k + 1) * k, width)
+    for x in range(g.n):
+        row = np.flatnonzero(dm[x] == i)
+        for lo in range(0, len(row), step):
+            ys = row[lo:lo + step]
+            _, m, key, bad = check(*_local_gather(g, ys, np.full((len(ys), 1), x)), i)
             if bad.any():
                 b = int(np.argmax(bad[:, 0]))
                 at, key = m[b, :, 0] + 3 * i + 1, key[b, :, 0]
@@ -229,8 +258,8 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
                 return CabReport(False, out_levels, CabDeviation(
                     i, x, int(ys[b]), g.neighbors(int(ys[b]))[a], _unpack(key[a], base),
                     _unpack(refs[j], base), f"counts differ within cell {'CAB'[j % 3]}"),
-                    checked + b + 1)
-            checked += len(ys)
+                    checked + lo + b + 1)
+        checked += len(row)
     raise AssertionError("a failing level has a deviation")
 
 

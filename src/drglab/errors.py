@@ -62,7 +62,11 @@ class ResourceError(DrgError):
     whose 64 rows come from one call of the distance engine
     (``homogeneous._sampled_pairs``), and the local-partition pass counts
     and reads its pairs through the caller's ``marks(ys)``, a budget's rows
-    at a time (``graph._marked``), so no (n, n) selection exists.
+    at a time (``graph._marked``), so no (n, n) selection exists; the CAB
+    check reads a failing level again from one row of the distance matrix
+    at a time.  The CAB check's packed adjacency rows (its triangle test,
+    n^2 / 8 bytes) fit in the 768 bytes per vertex that the distance matrix
+    predicts for its engine's blocks, freed by then, since n <= 6000.
 
     Time: the dense distance matrix takes at most ``graph._DENSE_CAP`` (6000)
     vertices, which bounds exhaustive 1-homogeneity, the triple intersection
@@ -94,9 +98,15 @@ class ResourceError(DrgError):
     centre's row of marks too: 16 per entry for the CAB check, 28 with
     float64 keys, 14 for the lambda- and mu-graphs, 18 for the triple
     intersection number) and its mu-graph patterns (``graph._patterns``, 25
-    per bit); and the rows of a family build
-    (``families._label_graph``, ``families._SCRATCH`` (48) per entry, which
-    ``families._graph_bytes`` predicts).  ``graph._DENSE_KEYS_CAP`` only
+    per bit); the local gather under it (``graph._local_gather``), whose
+    sub-gathers keep their index within an eighth of the budget (64 per
+    index entry); the CAB check's re-read of a failing level (blocks of
+    pairs of one x, (k + 1) k entries a pair at the same 16 or 28, passed
+    straight to the gather) and its triangle test (``cab._has_triangle``: 2
+    per distance-matrix entry to pack the adjacency rows, which take n^2 / 8
+    bytes in all, and 3 per (edge, packed byte)); and the rows of a family
+    build (``families._label_graph``, ``families._SCRATCH`` (48) per entry,
+    which ``families._graph_bytes`` predicts).  ``graph._DENSE_KEYS_CAP`` only
     chooses a route.
     """
 

@@ -28,17 +28,19 @@ nothing else: the three readers of an (n, n) 0/1 adjacency (the dense pair
 route, ``adjacency_matrix`` and ``bitrows``) each get a fresh one in the
 dtype they read, scattered from the arcs in one place
 (``Graph._adjacency``).
-The one local-partition pass (``_local_blocks``) reads the pairs (x, y)
-that the caller's ``marks(ys)`` marks in the rows of the centres ys,
-counted a budget's rows at a time (``_marked``), in blocks of centres y:
-the distances from x to Gamma(y), which split it into the cells C, A and
-B, and the local graphs at y, both gathered from the distance matrix, by
-which each caller
-counts cells in one stacked float product, exact below 2**24 in float32.
-It is behind the local (C, A, B) check in ``cab``, the lambda- and
-mu-graph valencies, the mu-graph report and the triple intersection
-number.  A spectrum is the real roots of the integer characteristic
-polynomial (``polys.charpoly``), with no floating point.
+The one local gather (``_local_gather``) takes any list of centres y,
+each with a row of partners x: the distances from x to Gamma(y), which
+split it into the cells C, A and B, and the local graphs at y, both
+gathered from the distance matrix, by which each caller counts cells in one
+stacked float product, exact below 2**24 in float32.  The one
+local-partition pass (``_local_blocks``) feeds it the pairs (x, y) that the
+caller's ``marks(ys)`` marks in the rows of the centres ys, counted a
+budget's rows at a time (``_marked``), in blocks of centres y.  The pass is
+behind the local (C, A, B) check in ``cab``, which reads its failing level
+again through the gather alone, in (x, y) order, the lambda- and mu-graph
+valencies, the mu-graph report and the triple intersection number.  A
+spectrum is the real roots of the integer characteristic polynomial
+(``polys.charpoly``), with no floating point.
 """
 
 from __future__ import annotations
@@ -776,69 +778,73 @@ def max_coclique(g: Graph) -> int:
 # -- local partitions --------------------------------------------------------
 
 
-def _marked(marks, n: int, width: int) -> Tuple[np.ndarray, int]:
-    """(count, m): the marks of each row y, of ``marks(ys)``, a bool
-    (len(ys), m) array, read a budget's rows at a time at ``width`` bytes
-    per entry; the first call reads one row, which tells m."""
-    count, lo, step = np.zeros(n, dtype=np.intp), 0, 1
-    while lo < n:
-        got = marks(np.arange(lo, min(lo + step, n)))
-        count[lo:lo + step] = np.count_nonzero(got, axis=1)
-        lo, step = lo + step, _per_block(got.shape[1], width)
-    return count, got.shape[1] if n else 0
+def _marked(marks, n: int, width: int) -> np.ndarray:
+    """The count of marks in each row y of ``marks(ys)``, a bool (len(ys),
+    n) array, read a budget's rows at a time at ``width`` bytes per entry."""
+    count, step = np.zeros(n, dtype=np.intp), _per_block(n, width)
+    for lo in range(0, n, step):
+        count[lo:lo + step] = np.count_nonzero(marks(np.arange(lo, min(lo + step, n))), axis=1)
+    return count
 
 
-def _local_blocks(g: Graph, marks, width: int, first: int = 0, grow: bool = False):
-    """The pairs (x, y) that ``marks`` marks, in blocks of centres y
-    ascending: ``marks(ys)``, for intp centres ys, is a bool (len(ys), m)
-    array, true at [b, x - first] when (x, ys[b]) is a pair.  Yields (ys,
-    xs, dist, local): the centres ys (B,) with partners; their partners xs
-    (B, p), ascending, a short list repeating its last; dist (B, k, p)
-    int16, d(xs[b, t], v) at [b, a, t] for v the a-th neighbour of ys[b]
-    (-1 for padding v), so that the v at distance i - 1, i and i + 1 from x
-    are the cells C, A and B of d(x, y) = i; and the uint8 local graphs at
-    ys, 1 where two neighbours are at distance 1.  The partners of every
-    centre are counted first, a budget's rows of marks at a time
-    (``_marked``), and a block's marks are read again, so no (n, m) array
-    is held.  A block's neighbour rows, k the largest degree, are read from
-    the arcs, short rows padded with n; both arrays are read from the rows
-    of the distance matrix at each centre's neighbours, at its neighbours
-    and partners, in gathers of as many centres as keep the intp index
-    within an eighth of the budget, so no index spans a full block.  A
-    block holds ``_BUDGET`` bytes at the caller's ``width`` bytes per entry,
-    k per partner and k^2 and its m marks per centre, or one centre;
-    ``grow`` starts at one centre and doubles."""
+def _local_gather(g: Graph, ys: np.ndarray, xs: np.ndarray):
+    """(dist, local) for the centres ys (B,), repeats allowed, and their
+    partner rows xs (B, p): dist (B, k, p) int16, d(xs[b, t], v) at [b, a,
+    t] for v the a-th neighbour of ys[b] (-1 for padding v), so that the v
+    at distance i - 1, i and i + 1 from x are the cells C, A and B of
+    d(x, y) = i; and the uint8 local graphs at ys, 1 where two neighbours
+    are at distance 1.  The neighbour rows, k the largest degree, are read
+    from the arcs, short rows padded with n; both arrays are read from the
+    rows of the distance matrix at each centre's neighbours, at its
+    neighbours and partners, in gathers of as many centres as keep the intp
+    index within an eighth of the budget, so no index spans a full block."""
     flat, dst, starts = g.distance_matrix().reshape(-1), g._dst, g._starts
     n, k = g.n, int(g.degrees().max(initial=0))
-    count, m = _marked(marks, n, width)
+    arc = starts[ys, None] + np.arange(k)
+    nby = np.where(arc < starts[ys + 1, None], dst.take(arc, mode="clip"), n)
+    cols = np.concatenate([nby, xs], axis=1)
+    rows = np.empty((len(ys), k, cols.shape[1]), dtype=np.int16)
+    # as many centres to a gather as keep its intp index within an eighth
+    # of the budget: 64 bytes an entry
+    per = _per_block(k * cols.shape[1], 64)
+    for b in range(0, len(ys), per):
+        flat.take((nby[b:b + per] * n)[:, :, None] + cols[b:b + per, None],
+                  mode="clip", out=rows[b:b + per])
+    pad = nby == n
+    if pad.any():  # the padding n is no vertex
+        rows[pad] = -1
+        np.copyto(rows[:, :, :k], -1, where=pad[:, None, :])
+    return rows[:, :, k:], (rows[:, :, :k] == 1).view(np.uint8)
+
+
+def _local_blocks(g: Graph, marks, width: int, grow: bool = False):
+    """The pairs (x, y) that ``marks`` marks, in blocks of centres y
+    ascending: ``marks(ys)``, for intp centres ys, is a bool (len(ys), n)
+    array, true at [b, x] when (x, ys[b]) is a pair.  Yields (ys, xs, dist,
+    local): the centres ys (B,) with partners; their partners xs (B, p),
+    ascending, a short list repeating its last; and ``_local_gather``'s
+    (dist, local) for them.  The partners of every centre are counted
+    first, a budget's rows of marks at a time (``_marked``), and a block's
+    marks are read again, so no (n, n) array is held.  A block holds
+    ``_BUDGET`` bytes at the caller's ``width`` bytes per entry, k per
+    partner and k^2 and its n marks per centre, or one centre; ``grow``
+    starts at one centre and doubles."""
+    n, k = g.n, int(g.degrees().max(initial=0))
+    count = _marked(marks, n, width)
     centres = np.flatnonzero(count)
     # the longest list from a centre on bounds the lists of a block from it
     reach = np.maximum.accumulate(count[centres][::-1])[::-1]
     lo, step = 0, 1 if grow else len(centres)
     while lo < len(centres):
-        step = min(step, _per_block((int(reach[lo]) + k) * k + m, width))
+        step = min(step, _per_block((int(reach[lo]) + k) * k + n, width))
         ys = centres[lo:lo + step]
         lo, step = lo + step, 2 * step
-        arc = starts[ys, None] + np.arange(k)
-        nby = np.where(arc < starts[ys + 1, None], dst.take(arc, mode="clip"), n)
         cnt = count[ys]
         at = np.minimum(np.arange(int(cnt.max())), cnt[:, None] - 1)
         # the columns of the marks of the rows ys, by a flat scan (a 2-d
         # np.nonzero takes about 4 ns an entry, a flat bool scan 0.6)
-        xs = np.flatnonzero(marks(ys))[at + (np.cumsum(cnt) - cnt)[:, None]] % m + first
-        cols = np.concatenate([nby, xs], axis=1)
-        rows = np.empty((len(ys), k, cols.shape[1]), dtype=np.int16)
-        # as many centres to a gather as keep its intp index within an
-        # eighth of the budget: 64 bytes an entry
-        per = _per_block(k * cols.shape[1], 64)
-        for b in range(0, len(ys), per):
-            flat.take((nby[b:b + per] * n)[:, :, None] + cols[b:b + per, None],
-                      mode="clip", out=rows[b:b + per])
-        pad = nby == n
-        if pad.any():  # the padding n is no vertex
-            rows[pad] = -1
-            np.copyto(rows[:, :, :k], -1, where=pad[:, None, :])
-        yield ys, xs, rows[:, :, k:], (rows[:, :, :k] == 1).view(np.uint8)
+        xs = np.flatnonzero(marks(ys))[at + (np.cumsum(cnt) - cnt)[:, None]] % n
+        yield (ys, xs, *_local_gather(g, ys, xs))
 
 
 def _bounds(local: np.ndarray, cell: np.ndarray, where: Optional[np.ndarray] = None):

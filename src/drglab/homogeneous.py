@@ -144,7 +144,7 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
         span = int(dm.max()) + 1
         # the pairs at distance i in each row, counted a budget's rows at a
         # time: an int16 copy and a bool comparison per entry
-        count = _marked(lambda xs: dm[xs] == i, n, 3)[0]
+        count = _marked(lambda xs: dm[xs] == i, n, 3)
         ordered = int(count.sum())
         if not ordered:
             raise InputError(f"no pair of vertices at distance {i}")

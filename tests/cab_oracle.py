@@ -36,8 +36,7 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     deg0 = g.degree(0)
     if any(g.degree(v) != deg0 for v in range(g.n)):
         raise PreconditionError("graph is not regular")
-    a1 = (rows[0] & rows[g.neighbors(0)[0]]).bit_count()
-    if a1 == 0:
+    if not any(rows[u] & rows[v] for u, v in g.edges()):
         raise PreconditionError("a_1 = 0: local graphs are edgeless, partition degenerates")
     D = g.diameter()
     levels = list(range(1, (i_max if i_max is not None else D) + 1))

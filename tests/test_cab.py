@@ -1,5 +1,6 @@
 """Three-cell local partitions: empirical checks, recursion, closed forms."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cab_oracle as oracle
+import drglab.cab
 import drglab.graph
 from drglab.cab import (CabLevelParams, LocalSrgData, c2_bound,
                         cab2_closed_form, cab_formula_params,
@@ -54,13 +56,34 @@ def test_icosahedron_cab_holds(icosa):
 A1_ZERO = "a_1 = 0: local graphs are edgeless, partition degenerates"
 
 
-def test_requires_positive_a1():
+def test_requires_positive_a1(monkeypatch):
+    # no edge lies in a triangle, decided before any pair is read
+    def forbidden(*args):
+        raise AssertionError("a pair was read")
+
+    monkeypatch.setattr(drglab.cab, "_local_gather", forbidden)
+    monkeypatch.setattr(drglab.cab, "_local_blocks", forbidden)
     with pytest.raises(PreconditionError, match=A1_ZERO):
         cab_partition_check(cycle(6))  # a1 = 0
     with pytest.raises(PreconditionError, match=A1_ZERO):
         cab_partition_check(Graph([]))  # no vertex, so no edge either
     with pytest.raises(PreconditionError, match=A1_ZERO):
         cab_partition_check(Graph([[], []]))  # regular of valency 0
+    with pytest.raises(PreconditionError, match=A1_ZERO):
+        cab_partition_check(complete_multipartite(2, 1000))  # K_{1000,1000}
+
+
+PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+
+
+def test_every_labelling_of_the_prism_gives_one_outcome():
+    # two triangles joined by three rungs: a_1 is 1 on the triangles' edges
+    # and 0 on the rungs, whichever edge vertex 0 meets first
+    for perm in itertools.permutations(range(6)):
+        g = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in PRISM])
+        rep = cab_partition_check(g)
+        assert not rep.holds and rep.deviation.level == 1
+        assert rep == oracle.cab_partition_check(g)
 
 
 @pytest.mark.parametrize("i_max", [0, -3, 5])
@@ -96,11 +119,20 @@ CAB_BASES = [johnson(8, 4), hamming(4, 3), folded_johnson(8, 4), icosahedron(),
 
 
 def switched(g, rng):
-    """An edge switch of g that keeps it connected."""
-    while True:
+    """An edge switch of g that keeps it connected; ValueError when 100
+    switches per edge leave it disconnected."""
+    for _ in range(100 * g.edge_count):
         h = switch(g, rng)
         if h.is_connected():
             return h
+    raise ValueError(f"no connected edge switch of the graph on {g.n} vertices with edges "
+                     f"{sorted(g.edges())} in {100 * g.edge_count} switches")
+
+
+def test_switched_gives_up_when_every_switch_disconnects():
+    # every switch of two disjoint edges gives two disjoint edges
+    with pytest.raises(ValueError, match="no connected edge switch of the graph on 4 vertices"):
+        switched(Graph.from_edges(4, [(0, 1), (2, 3)]), random.Random(0))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None,
@@ -192,6 +224,22 @@ def test_every_level_cap_matches_bitset_oracle(index, is_switched):
         if rep.holds:
             # a holding report covers every ordered pair at distance 1..i_max
             assert rep.pairs_checked == np.count_nonzero((dm > 0) & (dm <= i_max))
+
+
+@pytest.mark.parametrize("index,seed", [(1, 4), (4, 3)], ids=["H(4,3)", "halved 8-cube"])
+def test_a_deviation_past_the_first_block_keeps_its_rank(monkeypatch, index, seed):
+    # the failing level is read again in blocks of two pairs (k + 1) k
+    # entries each at 16 bytes (float32 keys); the deviation is the fourth or
+    # sixth pair of its x, in a later block, and x is not the first vertex
+    rng = random.Random(seed)
+    g = switched(relabel(CAB_BASES[index], rng), rng)
+    k = g.degree(0)
+    monkeypatch.setattr(drglab.graph, "_BUDGET", 2 * (k + 1) * k * 16)
+    rep = cab_partition_check(g)
+    dev = rep.deviation
+    assert dev.x > 0
+    assert np.flatnonzero(g.distance_matrix()[dev.x] == dev.level).tolist().index(dev.y) >= 2
+    assert rep == oracle.cab_partition_check(g)
 
 
 def test_equivalence_check_refutes_a_switched_graph():

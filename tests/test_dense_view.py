@@ -1,7 +1,8 @@
 """The dense readers of a graph against Python sets built from the arcs:
 ``bitrows`` and ``adjacency_matrix``, each scattered fresh from the arcs by
-the one helper ``Graph._adjacency``, and the local graphs of the
-local-partition pass (``graph._local_blocks``), read from the distance
+the one helper ``Graph._adjacency``, and the local graphs and partner
+distances of the local gather (``graph._local_gather``, behind the
+local-partition pass ``graph._local_blocks``), read from the distance
 matrix at neighbour rows taken from the arcs.  The local-pass verdicts never
 call the helper and leave nothing cached but the read-only distance matrix;
 a guard checks that the arcs become a dense 0/1 matrix, and bit rows become
@@ -10,16 +11,20 @@ Python ints, in one place each."""
 import ast
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import drglab.graph
+from bfs_oracle import bfs_distances
 from drglab.arrays import IntersectionArray
 from drglab.cab import cab_partition_check
 from drglab.families import hamming, johnson, triangular
-from drglab.graph import (Graph, _local_blocks, c2_regularity_report, check_distance_regular,
-                          triple_intersection_number)
+from drglab.graph import (Graph, _local_blocks, _local_gather, c2_regularity_report,
+                          check_distance_regular, triple_intersection_number)
 from test_local import varying_degree_graphs
 from test_spectrum import library_sources
 
@@ -66,6 +71,30 @@ def test_the_dense_view_matches_the_neighbour_sets(g):
     local = np.concatenate([b[3] for b in blocks] + [np.empty((0, k, k), dtype=np.uint8)])
     assert local.dtype == np.uint8 and local.shape == (g.n, k, k)
     assert (local == oracle_local(nbrs, vs.tolist(), k)).all()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(varying_degree_graphs(), st.data())
+def test_the_gather_reads_any_pair_list(g, data):
+    # centres may repeat and take several partners each; a centre of less
+    # than the largest degree pads its rows.  A budget of one byte puts one
+    # centre in every sub-gather
+    nbrs = neighbour_sets(g)
+    k = max(map(len, nbrs), default=0)
+    vertex = st.integers(0, g.n - 1)
+    ys = data.draw(st.lists(vertex, min_size=1, max_size=8), label="ys")
+    p = data.draw(st.integers(1, 4), label="p")
+    xs = data.draw(st.lists(st.lists(vertex, min_size=p, max_size=p),
+                            min_size=len(ys), max_size=len(ys)), label="xs")
+    with mock.patch.object(drglab.graph, "_BUDGET", data.draw(st.sampled_from([1, 1 << 21]))):
+        dist, local = _local_gather(g, np.array(ys, dtype=np.intp), np.array(xs, dtype=np.intp))
+    assert local.dtype == np.uint8 and local.shape == (len(ys), k, k)
+    assert (local == oracle_local(nbrs, ys, k)).all()
+    bfs = {x: bfs_distances(g, x) for row in xs for x in row}
+    want = [[[bfs[x][v] for x in row] for v in sorted(nbrs[y])] + [[-1] * p] * (k - len(nbrs[y]))
+            for y, row in zip(ys, xs)]
+    assert dist.dtype == np.int16 and dist.tolist() == want
 
 
 def test_cached_arrays_are_read_only():

@@ -104,16 +104,26 @@ def relabel(g: Graph, rng: random.Random) -> Graph:
 
 def switch(g: Graph, rng: random.Random) -> Graph:
     """Replace edges ab, cd by ad, cb (both new edges absent before).  A
-    complete graph has no such edges and is returned as it is."""
+    complete graph has no such edges and is returned as it is; ValueError
+    when 100 draws per edge find none (a star has none either)."""
     edges = sorted(g.edges())
     if 2 * len(edges) == g.n * (g.n - 1):
         return g
-    while True:
+    for _ in range(100 * len(edges)):
         (a, b), (c, d) = rng.sample(edges, 2)
         if len({a, b, c, d}) == 4 and not g.is_adjacent(a, d) \
                 and not g.is_adjacent(c, b):
             kept = set(edges) - {(a, b), (c, d)}
             return Graph.from_edges(g.n, kept | {(a, d), (c, b)})
+    raise ValueError(f"no edge switch of the graph on {g.n} vertices with edges {edges} "
+                     f"in {100 * len(edges)} draws")
+
+
+def test_switch_gives_up_on_a_star():
+    # every two edges of K_{1,3} meet, so no draw is a switch
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(ValueError, match=r"no edge switch of the graph on 4 vertices"):
+        switch(star, random.Random(0))
 
 
 @SETTINGS
