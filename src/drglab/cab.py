@@ -13,8 +13,9 @@ B = those at distance i+1.  The level-i parameters are
 
 The empirical check reads the local-partition pass of ``graph``
 (``graph._local_blocks``), a few centres y at a time, and reads a failing
-level again through its local gather (``graph._local_gather``), a block of
-pairs (x, y) at a time in scan order.  One stacked product
+level again in scan order from the pair stream of the distance matrix
+(``graph._pairs_at``), a block of pairs (x, y) at a time through the local
+gather (``graph._local_gather``).  One stacked product
 of the neighbours' cell weights (C 1, A 0, B k + 1, each plus (k + 1)^2)
 with the local graphs gives the key C + (k + 1) B + (k + 1)^2 (C + A + B)
 of v's count row for every (x, y, v), in float32, exact while (k + 1)^3 is
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import (DomainError, InputError, PreconditionError, ResourceError,
                      SingularityError, require)
-from .graph import Graph, _local_blocks, _local_gather, _marked, _per_block
+from .graph import Graph, _at, _counts, _local_blocks, _local_gather, _pairs_at, _per_block
 from .polys import charpoly, quadratic_roots, real_roots
 from .scalars import ExactScalar, as_exact, exact_eq
 
@@ -126,9 +127,9 @@ def _has_triangle(g: Graph, k: int) -> bool:
     distance matrix predicts for its engine's blocks (n <= 6000)."""
     dm, n = g.distance_matrix(), g.n
     bits = np.empty((n, -(-n // 8)), dtype=np.uint8)
-    step = _per_block(n, 2)  # a bool comparison and its packed bit per entry
+    step = _per_block(n, 2)  # a bool selection and its packed bit per entry
     for lo in range(0, n, step):
-        bits[lo:lo + step] = np.packbits(dm[lo:lo + step] == 1, axis=1)
+        bits[lo:lo + step] = np.packbits(_at(dm, slice(lo, lo + step), 1, 1, False), axis=1)
     step = _per_block(k * bits.shape[1], 3)
     for lo in range(0, n, step):
         u = np.arange(lo, min(lo + step, n)).repeat(k)
@@ -150,9 +151,10 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     cell, and the deviation is the first row that differs.  A level fails
     when one of its cells holds two different rows, in any order, so one
     pass of growing blocks of centres y finds the lowest failing level, and
-    only that level is read again, in (x, y) order a block of pairs of one
-    x at a time, for its first deviation.  A graph in which no edge lies in
-    a triangle (a_1 = 0) is refused before any pair is read.
+    only that level is read again, in (x, y) order from the pair stream
+    (``graph._pairs_at``), a block of pairs at a time, for its first
+    deviation.  A graph in which no edge lies in a triangle (a_1 = 0) is
+    refused before any pair is read.
     """
     deg = g.degrees()
     k = int(deg[0]) if g.n else 0
@@ -167,11 +169,6 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     if not 1 <= i_max <= D:
         raise InputError(f"level {i_max} outside 1..{D}")
     dm = g.distance_matrix()
-
-    def upto(top: int):
-        """The marks of the pairs (x, y) at distance 1..top, read at [y, x]."""
-        return lambda ys: ((d := dm[ys]) > 0) & (d <= top)
-
     base = k + 1  # a count row (C, A, B) is the key C + base B + base^2 (C + A + B)
     # keys, their partial sums and the expected keys' coefficients are
     # integers or halves below base^3: float32 holds them exactly below 2^22
@@ -224,7 +221,7 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     width = 4 + 3 * key_type.itemsize
     # every pair (x, y) at distance 1..i_max; blocks grow from one centre,
     # so a bad centre early in the order stops the pass early
-    for _, _, dist, local in _local_blocks(g, upto(i_max), width, grow=True):
+    for _, _, dist, local in _local_blocks(g, 1, i_max, False, width, grow=True):
         level, _, _, bad = check(dist, local, top)
         if bad.any():
             top = int(level[bad].min()) - 1
@@ -234,21 +231,20 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
     out_levels = tuple(CabLevelParams(i, rows[3 * i][0] or 0, rows[3 * i + 1][0],
                                       rows[3 * i + 1][2], rows[3 * i + 2][1])
                        for i in range(1, top + 1))
-    checked = int(_marked(upto(top), g.n, width).sum())
+    checked = int(_counts(dm, 1, top, False).sum())
     if top == i_max:
         return CabReport(True, out_levels, None, checked)
     # level i fails: its references go by scan order, read again in (x, y)
-    # order, a block of pairs at a time, each pair one centre y with one
-    # partner x
+    # order from the pair stream, a block of pairs at a time, each pair one
+    # centre y with one partner x
     i = top + 1
     refs[3 * i:3 * i + 3] = -1
     fit()
     step = _per_block((k + 1) * k, width)
-    for x in range(g.n):
-        row = np.flatnonzero(dm[x] == i)
-        for lo in range(0, len(row), step):
-            ys = row[lo:lo + step]
-            _, m, key, bad = check(*_local_gather(g, ys, np.full((len(ys), 1), x)), i)
+    for xs, ys, *_ in _pairs_at(dm, i, i, False):
+        for lo in range(0, len(xs), step):
+            x, y = xs[lo:lo + step], ys[lo:lo + step]
+            _, m, key, bad = check(*_local_gather(g, y, x[:, None]), i)
             if bad.any():
                 b = int(np.argmax(bad[:, 0]))
                 at, key = m[b, :, 0] + 3 * i + 1, key[b, :, 0]
@@ -256,10 +252,10 @@ def cab_partition_check(g: Graph, i_max: Optional[int] = None) -> CabReport:
                 a = int(np.argmin(np.where(key != refs[at], at, len(refs))))
                 j = at[a]
                 return CabReport(False, out_levels, CabDeviation(
-                    i, x, int(ys[b]), g.neighbors(int(ys[b]))[a], _unpack(key[a], base),
+                    i, int(x[b]), int(y[b]), g.neighbors(int(y[b]))[a], _unpack(key[a], base),
                     _unpack(refs[j], base), f"counts differ within cell {'CAB'[j % 3]}"),
                     checked + lo + b + 1)
-        checked += len(row)
+        checked += len(xs)
     raise AssertionError("a failing level has a deviation")
 
 

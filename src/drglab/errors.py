@@ -56,15 +56,16 @@ class ResourceError(DrgError):
 
     These two are the only predictions that grow with n^2, and none grows
     with a sample count: every pair scan reads its pairs as a stream, a
-    budget at a time.  Exhaustive 1-homogeneity reads the pairs at distance
-    i from a budget's rows of the distance matrix at a time
-    (``graph._pairs_at``), sampled mode draws batches of at most 32 pairs
-    whose 64 rows come from one call of the distance engine
-    (``homogeneous._sampled_pairs``), and the local-partition pass counts
-    and reads its pairs through the caller's ``marks(ys)``, a budget's rows
-    at a time (``graph._marked``), so no (n, n) selection exists; the CAB
-    check reads a failing level again from one row of the distance matrix
-    at a time.  The CAB check's packed adjacency rows (its triangle test,
+    budget at a time.  One rule selects the pairs of some rows of the
+    distance matrix whose distance lies in a range (``graph._at``), and
+    every scan of the matrix reads its pairs through it: exhaustive
+    1-homogeneity and the CAB check's re-read of a failing level stream
+    them in chunks of rows (``graph._pairs_at``), and the local-partition
+    pass counts its pairs a budget's rows at a time (``graph._counts``) and
+    selects a block's rows again, so no (n, n) selection exists; sampled
+    mode draws batches of at most 32 pairs whose 64 rows come from one
+    call of the distance engine (``homogeneous._sampled_pairs``).  The CAB
+    check's packed adjacency rows (its triangle test,
     n^2 / 8 bytes) fit in the 768 bytes per vertex that the distance matrix
     predicts for its engine's blocks, freed by then, since n <= 6000.
 
@@ -90,21 +91,27 @@ class ResourceError(DrgError):
     bytes per (pair, arc) on the sparse route, 32 per (pair, vertex) on the
     dense one), its sparse arc ranges (``graph._pair_keys``, 8 per (pair,
     arc)) and its tables of every label (8 per label, taken while span^2
-    labels fit); the chunks of exhaustive 1-homogeneity (``graph._pairs_at``:
-    3 per distance-matrix entry and 24 per pair) and its pair count (3 per
-    entry); the distance engine's pull (``Graph._distance_rows``, 8 per
-    arc); the per-cell counts (``graph._cell_counts``, 32 per arc); the
-    local-partition pass (``graph._local_blocks``, whose blocks count each
-    centre's row of marks too: 16 per entry for the CAB check, 28 with
-    float64 keys, 14 for the lambda- and mu-graphs, 18 for the triple
-    intersection number) and its mu-graph patterns (``graph._patterns``, 25
-    per bit); the local gather under it (``graph._local_gather``), whose
-    sub-gathers keep their index within an eighth of the budget (64 per
-    index entry); the CAB check's re-read of a failing level (blocks of
-    pairs of one x, (k + 1) k entries a pair at the same 16 or 28, passed
-    straight to the gather) and its triangle test (``cab._has_triangle``: 2
-    per distance-matrix entry to pack the adjacency rows, which take n^2 / 8
-    bytes in all, and 3 per (edge, packed byte)); and the rows of a family
+    labels fit); the pair selection (``graph._at``: at most 3 per
+    distance-matrix entry, and 2 more for the int16 copy of indexed rows);
+    the per-row pair counts (``graph._counts``, 3 per entry); the pair
+    stream of exhaustive 1-homogeneity and of the CAB check's re-read
+    (``graph._pairs_at``: chunks of one row, then twice as many rows as the
+    chunk before, up to what the budget holds at 27 per entry, 3 for the
+    selection and 24 per pair); the distance engine's pull
+    (``Graph._distance_rows``, 8 per arc); the per-cell counts
+    (``graph._cell_counts``, 32 per arc); the local-partition pass
+    (``graph._local_blocks``, whose blocks count each centre's selected row
+    too: 16 per entry for the CAB check, 28 with float64 keys, 14 for the
+    lambda- and mu-graphs, 18 for the triple intersection number) and its
+    mu-graph patterns (``graph._patterns``, 25 per bit); the local gather
+    under it (``graph._local_gather``), whose sub-gathers keep their index
+    within an eighth of the budget (64 per index entry); the CAB check's
+    re-read of a failing level (blocks of pairs from ``graph._pairs_at``,
+    (k + 1) k entries a pair at the same 16 or 28, passed straight to the
+    gather) and its triangle test (``cab._has_triangle``: 2 per
+    distance-matrix entry to pack the adjacency rows selected by
+    ``graph._at``, which take n^2 / 8 bytes in all, and 3 per (edge, packed
+    byte)); and the rows of a family
     build (``families._label_graph``, ``families._SCRATCH`` (48) per entry,
     which ``families._graph_bytes`` predicts).  ``graph._DENSE_KEYS_CAP`` only
     chooses a route.

@@ -14,9 +14,14 @@ float64 products with the adjacency matrix (below 2**53) or int64 sums
 over the arcs (below 2**63), as ``_dense_keys`` chooses.  The kernel reads
 its pairs as a stream of chunks, each with the distance rows it names, and
 asks for the next chunk only while every pair so far holds: one chunk for
-distance-regularity, a budget's rows of the distance matrix at a time for
-exhaustive 1-homogeneity (``_pairs_at``), batches of sampled draws for
-sampled mode, so no scan holds all of its pairs at once.  Every blocked
+distance-regularity, rows of the distance matrix for exhaustive
+1-homogeneity (``_pairs_at``, one row first, then twice as many each time
+up to a budget's), batches of sampled draws for sampled mode, so no scan
+holds all of its pairs at once.  One rule (``_at``) says which pairs of
+the distance matrix a scan reads: those of some rows with
+lo <= d(x, y) <= hi, and y >= x when the scan asks; ``_counts`` counts
+them in each row, ``_pairs_at`` streams them, and the local pass selects
+its centres' rows with it.  Every blocked
 pass holds at most ``_BUDGET`` bytes a block, or one item, and states at
 its call the bytes it holds per entry (``errors.ResourceError`` lists the
 passes and their widths).  The gathers over all arcs (the sparse keys, the
@@ -33,12 +38,13 @@ each with a row of partners x: the distances from x to Gamma(y), which
 split it into the cells C, A and B, and the local graphs at y, both
 gathered from the distance matrix, by which each caller counts cells in one
 stacked float product, exact below 2**24 in float32.  The one
-local-partition pass (``_local_blocks``) feeds it the pairs (x, y) that the
-caller's ``marks(ys)`` marks in the rows of the centres ys, counted a
-budget's rows at a time (``_marked``), in blocks of centres y.  The pass is
-behind the local (C, A, B) check in ``cab``, which reads its failing level
-again through the gather alone, in (x, y) order, the lambda- and mu-graph
-valencies, the mu-graph report and the triple intersection number.  A
+local-partition pass (``_local_blocks``) feeds it the pairs (x, y) whose
+distance lies in the caller's range, selected from the rows of the centres
+y (``_at``) and counted first (``_counts``), in blocks of centres y.  The
+pass is behind the local (C, A, B) check in ``cab``, which reads its
+failing level again from the pair stream (``_pairs_at``) through the gather
+alone, in (x, y) order, the lambda- and mu-graph valencies, the mu-graph
+report and the triple intersection number.  A
 spectrum is the real roots of the integer characteristic polynomial
 (``polys.charpoly``), with no floating point.
 """
@@ -637,17 +643,38 @@ def _check_pairs(g: Graph, total: int, span: int, chunks):
     return done, None, quotient
 
 
-def _pairs_at(dm: np.ndarray, i: int, count: np.ndarray, half: bool):
-    """The pairs (x, y) at distance i of the distance matrix ``dm``, x <= y
-    when ``half``, in lexicographic order, as chunks for ``_check_pairs``:
-    the rows of as many x as a budget holds at 3 bytes per entry (two bool
-    conditions and their conjunction) and 24 per pair (the flat indices, xs
-    and ys), or of one x; ``count`` holds the pairs of each row."""
-    n = len(dm)
-    for x0, x1 in _ranges(np.r_[0, np.cumsum(3 * n + 24 * count)], _BUDGET):
-        on = (dm[x0:x1] == i) & (np.arange(n) >= half * np.arange(x0, x1)[:, None])
-        xs, ys = np.divmod(np.flatnonzero(on) + x0 * n, n)
+def _at(dm: np.ndarray, rows, lo: int, hi: int, upper: bool) -> np.ndarray:
+    """The one pair selection of every scan: the pairs (x, y) of the rows
+    ``rows`` (a slice or intp indices) of the distance matrix ``dm`` with
+    lo <= d(x, y) <= hi, and y >= x when ``upper``, as a bool (rows, n)
+    array, true at [t, y] for x the t-th row.  It holds at most 3 bytes per
+    entry (two bool comparisons, or the selection and the upper mask, and
+    their conjunction), and 2 more for the int16 copy of indexed rows."""
+    d = dm[rows]
+    on = d == lo if lo == hi else (d >= lo) & (d <= hi)
+    return on & (np.arange(len(dm)) >= np.arange(len(dm))[rows][:, None]) if upper else on
+
+
+def _counts(dm: np.ndarray, lo: int, hi: int, upper: bool) -> np.ndarray:
+    """The pairs that ``_at`` selects in each row of ``dm``, counted a
+    budget's rows at a time at its 3 bytes per entry."""
+    count, step = np.zeros(len(dm), dtype=np.intp), _per_block(len(dm), 3)
+    for x0 in range(0, len(dm), step):
+        count[x0:x0 + step] = np.count_nonzero(_at(dm, slice(x0, x0 + step), lo, hi, upper), 1)
+    return count
+
+
+def _pairs_at(dm: np.ndarray, lo: int, hi: int, upper: bool):
+    """The pairs (x, y) that ``_at`` selects in ``dm``, in lexicographic
+    order, as chunks for ``_check_pairs``: the rows of one x first, then of
+    twice as many x as the chunk before, up to as many as a budget holds at
+    27 bytes per entry (3 for the selection and 24 per pair: the flat
+    indices, xs and ys), so an early refutation reads few rows."""
+    n, x0, step = len(dm), 0, 1
+    while x0 < n:
+        xs, ys = np.divmod(np.flatnonzero(_at(dm, slice(x0, x0 + step), lo, hi, upper)) + x0 * n, n)
         yield xs, ys, dm, xs, ys
+        x0, step = x0 + step, min(2 * step, _per_block(n, 27))
 
 
 # -- distance-regularity ----------------------------------------------------
@@ -778,15 +805,6 @@ def max_coclique(g: Graph) -> int:
 # -- local partitions --------------------------------------------------------
 
 
-def _marked(marks, n: int, width: int) -> np.ndarray:
-    """The count of marks in each row y of ``marks(ys)``, a bool (len(ys),
-    n) array, read a budget's rows at a time at ``width`` bytes per entry."""
-    count, step = np.zeros(n, dtype=np.intp), _per_block(n, width)
-    for lo in range(0, n, step):
-        count[lo:lo + step] = np.count_nonzero(marks(np.arange(lo, min(lo + step, n))), axis=1)
-    return count
-
-
 def _local_gather(g: Graph, ys: np.ndarray, xs: np.ndarray):
     """(dist, local) for the centres ys (B,), repeats allowed, and their
     partner rows xs (B, p): dist (B, k, p) int16, d(xs[b, t], v) at [b, a,
@@ -817,33 +835,32 @@ def _local_gather(g: Graph, ys: np.ndarray, xs: np.ndarray):
     return rows[:, :, k:], (rows[:, :, :k] == 1).view(np.uint8)
 
 
-def _local_blocks(g: Graph, marks, width: int, grow: bool = False):
-    """The pairs (x, y) that ``marks`` marks, in blocks of centres y
-    ascending: ``marks(ys)``, for intp centres ys, is a bool (len(ys), n)
-    array, true at [b, x] when (x, ys[b]) is a pair.  Yields (ys, xs, dist,
-    local): the centres ys (B,) with partners; their partners xs (B, p),
-    ascending, a short list repeating its last; and ``_local_gather``'s
-    (dist, local) for them.  The partners of every centre are counted
-    first, a budget's rows of marks at a time (``_marked``), and a block's
-    marks are read again, so no (n, n) array is held.  A block holds
-    ``_BUDGET`` bytes at the caller's ``width`` bytes per entry, k per
-    partner and k^2 and its n marks per centre, or one centre; ``grow``
-    starts at one centre and doubles."""
-    n, k = g.n, int(g.degrees().max(initial=0))
-    count = _marked(marks, n, width)
+def _local_blocks(g: Graph, lo: int, hi: int, upper: bool, width: int, grow: bool = False):
+    """The pairs (x, y) with lo <= d(x, y) <= hi, and x >= y when ``upper``,
+    in blocks of centres y ascending, read from row y of the distance
+    matrix (``_at``).  Yields (ys, xs, dist, local): the centres ys (B,)
+    with partners; their partners xs (B, p), ascending, a short list
+    repeating its last; and ``_local_gather``'s (dist, local) for them.
+    The partners of every centre are counted first (``_counts``), and a
+    block's rows are selected again, so no (n, n) array is held.  A block
+    holds ``_BUDGET`` bytes at the caller's ``width`` bytes per entry, k
+    per partner and k^2 and its n selected entries per centre, or one
+    centre; ``grow`` starts at one centre and doubles."""
+    dm, n, k = g.distance_matrix(), g.n, int(g.degrees().max(initial=0))
+    count = _counts(dm, lo, hi, upper)
     centres = np.flatnonzero(count)
     # the longest list from a centre on bounds the lists of a block from it
     reach = np.maximum.accumulate(count[centres][::-1])[::-1]
-    lo, step = 0, 1 if grow else len(centres)
-    while lo < len(centres):
-        step = min(step, _per_block((int(reach[lo]) + k) * k + n, width))
-        ys = centres[lo:lo + step]
-        lo, step = lo + step, 2 * step
+    b0, step = 0, 1 if grow else len(centres)
+    while b0 < len(centres):
+        step = min(step, _per_block((int(reach[b0]) + k) * k + n, width))
+        ys = centres[b0:b0 + step]
+        b0, step = b0 + step, 2 * step
         cnt = count[ys]
         at = np.minimum(np.arange(int(cnt.max())), cnt[:, None] - 1)
-        # the columns of the marks of the rows ys, by a flat scan (a 2-d
+        # the columns selected in the rows ys, by a flat scan (a 2-d
         # np.nonzero takes about 4 ns an entry, a flat bool scan 0.6)
-        xs = np.flatnonzero(marks(ys))[at + (np.cumsum(cnt) - cnt)[:, None]] % n
+        xs = np.flatnonzero(_at(dm, ys, lo, hi, upper))[at + (np.cumsum(cnt) - cnt)[:, None]] % n
         yield (ys, xs, *_local_gather(g, ys, xs))
 
 
@@ -881,13 +898,11 @@ def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
     level 1 and the C cell at level 2.  Raises InputError when the size
     varies.  A list ``patterns`` gets each block's distinct patterns."""
     size, valencies = None, set()
-    dm, cols = g.distance_matrix(), np.arange(g.n)
     # bytes written per entry: an int16 distance, a bool member, its float32
     # weight and count, a bool comparison, the member's copy in pair order
     # (for the patterns) and at most one of the gather's index; the pairs
     # x > y, read at their centre y
-    for _, _, dist, local in _local_blocks(
-            g, lambda ys: (dm[ys] == i) & (cols > ys[:, None]), 14):
+    for _, _, dist, local in _local_blocks(g, i, i, True, 14):
         member = dist == 1
         sizes, valency = _bounds(local, member)
         size = int(sizes.flat[0]) if size is None else size
@@ -954,11 +969,10 @@ def triple_intersection_number(g: Graph) -> Optional[int]:
     in the A cell at level 2.  Requires at least one such triple, and reads
     the dense distance matrix, so at most ``_DENSE_CAP`` vertices."""
     found = set()
-    dm = g.distance_matrix()
     # bytes written per entry: an int16 distance, two bool cells, float32
     # weights, counts and their correction, a bool comparison and at most one
     # of the gather's index
-    for _, _, dist, local in _local_blocks(g, lambda ys: dm[ys] == 2, 18):
+    for _, _, dist, local in _local_blocks(g, 2, 2, False, 18):
         if (dist == 2).any():
             found.add(_bounds(local, dist == 1, dist == 2)[1])
             if None in found or len(found) > 1:

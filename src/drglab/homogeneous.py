@@ -16,10 +16,13 @@ quotient is not symmetric.
 whose partitions are the distance partitions.  The kernel reads a stream of
 pairs and stops at the first refutation.  The size policy follows from the
 mode: exhaustive checks read both distance rows from the dense distance
-matrix (at most ``graph._DENSE_CAP`` vertices), its pairs a budget's rows
-at a time; sampled checks work at any size, and draw their pairs in
-batches of at most 32, each batch's 64 rows from one call of the distance
-engine, a batch only when every pair before it holds.
+matrix (at most ``graph._DENSE_CAP`` vertices), counted per row
+(``graph._counts``) and streamed (``graph._pairs_at``) from one row up to a
+budget's rows at a time; sampled checks work at any size, and draw their
+pairs in batches of at most 32, each batch's 64 rows from one call of the
+distance engine, a batch only when every pair before it holds.  A sampled
+level that no pair can have (i < 0, or i above twice the eccentricity of
+a drawn x) is refused at once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .arrays import IntersectionArray
 from .bounds import F_bound, G_bound
 from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require
-from .graph import (Graph, _check_pairs, _common_neighbourhoods, _marked, _pairs_at,
+from .graph import (Graph, _check_pairs, _common_neighbourhoods, _counts, _pairs_at,
                     check_distance_regular, graph_spectrum, local_graph)
 from .scalars import exact_cmp
 from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
@@ -67,13 +70,17 @@ def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     Gamma(x) from the arcs; a draw above level 1 reads it from a one-source
     search from x.  A row with an unreachable vertex shows the graph is
     disconnected; only when the draws run out does a one-source search tell
-    that apart from a lack of pairs."""
+    that apart from a lack of pairs.  They run out at once when no pair can
+    be at distance i: i < 0, or i above 2 ecc(x) for a drawn x, since every
+    distance is at most that."""
     disconnected = InputError("homogeneity is defined for connected graphs")
     rng, xs, ys = random.Random(seed), [], []
-    for _ in range(50 * count):
+    for _ in range(50 * count if i >= 0 else 0):
         x = rng.randrange(g.n)
         at_i = (g._dst[g._starts[x]:g._starts[x + 1]] if i == 1
-                else np.flatnonzero(g._distance_rows([x])[0] == i))
+                else np.flatnonzero((row := g._distance_rows([x])[0]) == i))
+        if i > 1 and i > 2 * row.max():
+            break
         if len(at_i):
             xs.append(x)
             ys.append(int(rng.choice(at_i)))
@@ -142,9 +149,7 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
         if dm.min() < 0:
             raise InputError("homogeneity is defined for connected graphs")
         span = int(dm.max()) + 1
-        # the pairs at distance i in each row, counted a budget's rows at a
-        # time: an int16 copy and a bool comparison per entry
-        count = _marked(lambda xs: dm[xs] == i, n, 3)
+        count = _counts(dm, i, i, False)
         ordered = int(count.sum())
         if not ordered:
             raise InputError(f"no pair of vertices at distance {i}")
@@ -156,7 +161,7 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
         # the pairs (x, x)
         total = (ordered + n * (i == 0)) // 2 if half else ordered
         checked, witness, (labels, matrix) = _check_pairs(
-            g, total, span, _pairs_at(dm, i, count, half))
+            g, total, span, _pairs_at(dm, i, i, half))
         # the failing pair's rank among the ordered pairs, or their count
         checked = ordered if witness is None else 1 + int(count[:witness[0]].sum()) + int(
             np.count_nonzero(dm[witness[0], :witness[1]] == i))

@@ -15,8 +15,7 @@ import drglab.cab
 import drglab.graph
 from drglab.cab import (CabLevelParams, LocalSrgData, c2_bound,
                         cab2_closed_form, cab_formula_params,
-                        cab_partition_check, predict_cab2, quotient_matrix,
-                        quotient_spectrum)
+                        cab_partition_check, predict_cab2)
 from drglab.errors import (DomainError, InputError, PreconditionError,
                            ResourceError, SingularityError)
 from drglab.families import (complete, complete_multipartite, cycle,
@@ -242,6 +241,37 @@ def test_a_deviation_past_the_first_block_keeps_its_rank(monkeypatch, index, see
     assert rep == oracle.cab_partition_check(g)
 
 
+def nearest_last(base: Graph, seed: int) -> Graph:
+    """A connected edge switch of a relabelled ``base``, numbered by falling
+    distance from the ends of the switched edges (ties by label), so that
+    the pairs it breaks come late in the scan."""
+    rng = random.Random(seed)
+    g = relabel(base, rng)
+    h = switched(g, rng)
+    ends = sorted({v for e in set(g.edges()) ^ set(h.edges()) for v in e})
+    near = h.distance_matrix()[ends].min(axis=0)
+    label = {v: t for t, v in enumerate(sorted(range(h.n), key=lambda v: (-near[v], v)))}
+    return Graph.from_edges(h.n, [(label[u], label[v]) for u, v in h.edges()])
+
+
+@pytest.mark.parametrize("base,first", [(hamming(5, 3), 100), (johnson(10, 5), 15)],
+                         ids=["H(5,3)", "J(10,5)"])
+@pytest.mark.parametrize("budget", ["2 MiB", "four rows"])
+def test_a_late_deviation_keeps_its_rank_across_chunks(monkeypatch, base, first, budget):
+    # the failing level is read again from the pair stream, whose chunks
+    # start at one row and double (to 64 rows at 2 MiB); at four rows a
+    # chunk, and a few pairs to a gather, the rank crosses dozens of chunks
+    # and blocks.  Either way pairs_checked counts every pair before the
+    # deviation's chunk
+    g = nearest_last(base, 0)
+    want = oracle.cab_partition_check(g)
+    if budget == "four rows":
+        monkeypatch.setattr(drglab.graph, "_BUDGET", 4 * 27 * g.n)
+    rep = cab_partition_check(g)
+    assert rep.deviation.x >= first
+    assert rep == want
+
+
 def test_equivalence_check_refutes_a_switched_graph():
     g = switched(relabel(johnson(8, 4), random.Random(2)), random.Random(3))
     assert not check_i_homogeneous(g, 1).holds
@@ -272,21 +302,6 @@ def test_recursion_on_halved_cube_prefix():
     levels, b_pred = cab_formula_params(loc, [1, 6], levels=2)
     assert levels[1].as_tuple() == (4, 3, 5, 8)
     assert b_pred[1] == 15
-
-
-def test_trace_identity():
-    loc = LocalSrgData.from_eigenvalues(8, 3, -2)
-    levels, _ = cab_formula_params(loc, [1, 4, 9, 16, 25], levels=4)
-    for p in levels:
-        assert p.alpha + p.beta + p.delta - p.gamma == 8 - 3 - (-2)
-
-
-def test_quotient_spectra_match_local_spectrum():
-    loc = LocalSrgData.from_eigenvalues(8, 3, -2)
-    levels, _ = cab_formula_params(loc, [1, 4, 9, 16, 25], levels=4)
-    for p in levels:
-        spec = quotient_spectrum(quotient_matrix(8, p))
-        assert [int(v) for v in spec] == [8, 3, -2]
 
 
 def test_closed_form_predictions():

@@ -65,8 +65,9 @@ def test_the_dense_view_matches_the_neighbour_sets(g):
     again = g.adjacency_matrix()
     assert again.tolist() == want and not np.shares_memory(first, again)
     k = max(map(len, nbrs), default=0)
-    # every pair selected, so every vertex is a centre; one byte an entry
-    blocks = list(_local_blocks(g, lambda ys: np.ones((len(ys), g.n), dtype=bool), 1))
+    # every pair selected, unreachable ones (-1) too, so every vertex is a
+    # centre; one byte an entry
+    blocks = list(_local_blocks(g, -1, g.n, False, 1))
     vs = np.concatenate([ys for ys, _, _, _ in blocks] + [np.empty(0, dtype=np.intp)])
     local = np.concatenate([b[3] for b in blocks] + [np.empty((0, k, k), dtype=np.uint8)])
     assert local.dtype == np.uint8 and local.shape == (g.n, k, k)

@@ -12,6 +12,7 @@ Examples are derandomized, so runs are repeatable.
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +210,25 @@ def test_sampled_batches_match_the_all_at_once_oracle(index, seed, switched, lev
         g, level, "sampled", seed=seed, count=count))
     if level > g.diameter():
         assert got == ("InputError", f"could not sample pairs at distance {level}")
+
+
+@pytest.mark.parametrize("level", [-1, 13])
+@pytest.mark.parametrize("connected", [True, False])
+def test_an_impossible_sampled_level_is_refused_at_once(level, connected):
+    # H(6,3) has every eccentricity 6, so no pair lies at distance -1 or
+    # 13 > 2 ecc(x): the oracle runs out of its 50 count draws (about 0.4 ms
+    # each), the check stops before its second.  Beside a triangle the graph
+    # is disconnected, and both give the connected-graph error
+    g = hamming(6, 3)
+    if not connected:
+        g = Graph.from_edges(g.n + 3, list(g.edges()) + [(729, 730), (730, 731), (729, 731)])
+    want = outcome(lambda: homogeneity_oracle.check_i_homogeneous(
+        g, level, "sampled", seed=1, count=2))
+    start = time.perf_counter()
+    got = outcome(lambda: check_i_homogeneous(g, level, "sampled", seed=1, count=100000))
+    assert time.perf_counter() - start < 1
+    assert got == want == ("InputError", f"could not sample pairs at distance {level}"
+                           if connected else "homogeneity is defined for connected graphs")
 
 
 def test_a_refutation_in_a_later_batch_counts_every_pair_before_it():

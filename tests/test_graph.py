@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import pkgutil
 import random
 import re
 from fractions import Fraction
@@ -380,6 +381,22 @@ def test_methods_wrapped_by_the_benchmark_tracer_exist():
         assert name in vars(Graph), name
 
 
+def cited(name: str, module=drglab):
+    """The object that a dotted name in the docs cites, or None: its head is
+    the package, a module of drglab, a name of ``module`` or a name drglab
+    exports, and each further part an attribute."""
+    head, *rest = name.split(".")
+    if head == "drglab":
+        obj = drglab
+    elif importlib.util.find_spec(f"drglab.{head}"):
+        obj = importlib.import_module(f"drglab.{head}")
+    else:
+        obj = getattr(module, head, getattr(drglab, head, None))
+    for part in rest:
+        obj = getattr(obj, part, None)
+    return obj
+
+
 def test_names_in_the_list_of_size_limits_exist():
     # the ResourceError docstring is the one list of size limits; each
     # dotted name it cites is a module of drglab or a name drglab exports,
@@ -387,9 +404,22 @@ def test_names_in_the_list_of_size_limits_exist():
     names = re.findall(r"``(\w+(?:\.\w+)+)``", errors.ResourceError.__doc__)
     assert {"graph._BUDGET", "graph._DENSE_CAP", "families._vertices", "Graph.load"} <= set(names)
     for name in names:
-        head, *rest = name.split(".")
-        obj = (importlib.import_module(f"drglab.{head}")
-               if importlib.util.find_spec(f"drglab.{head}") else getattr(drglab, head))
-        for part in rest:
-            assert hasattr(obj, part), name
-            obj = getattr(obj, part)
+        assert cited(name) is not None, name
+
+
+def test_names_in_the_readme_and_the_module_docstrings_exist():
+    # README's dotted names headed by drglab, one of its modules or one of
+    # its exports (sympy's `Poly.intervals` is not checked), and every name
+    # that a module docstring cites with a dot or a leading underscore
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = re.findall(r"`(\w+(?:\.\w+)+)`", fh.read())
+    names = [(name, drglab) for name in readme if cited(name.split(".")[0]) is not None]
+    assert {"drglab.graph", "graph._BUDGET", "Graph._adjacency", "polys.charpoly"} <= {
+        name for name, _ in names}
+    for info in pkgutil.iter_modules(drglab.__path__):
+        module = importlib.import_module(f"drglab.{info.name}")
+        names += [(name, module) for name in re.findall(r"``(\w+(?:\.\w+)*)``", module.__doc__)
+                  if "." in name or name.startswith("_")]
+    assert ("_check_pairs", drglab.graph) in names
+    for name, module in names:
+        assert cited(name, module) is not None, (module.__name__, name)

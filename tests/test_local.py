@@ -174,12 +174,11 @@ def mu_patterns(g: Graph) -> set:
     """The distinct adjacency matrices of the mu-graphs, members ascending,
     read from the local-partition pass: the members of a pair are the
     neighbours of its centre y at distance 1 from its partner x."""
-    adj, dm = g.adjacency_matrix(), g.distance_matrix()
+    adj = g.adjacency_matrix()
     found = set()
     # the pairs x > y at distance 2, read at their centre y; one byte per
     # entry: the fewest blocks
-    for ys, xs, dist, _ in _local_blocks(
-            g, lambda ys: (dm[ys] == 2) & (np.arange(g.n) > ys[:, None]), 1):
+    for ys, xs, dist, _ in _local_blocks(g, 2, 2, True, 1):
         for b, t in np.ndindex(xs.shape):
             m = np.array(g.neighbors(int(ys[b])))[dist[b, :, t] == 1]
             found.add(adj[np.ix_(m, m)].tobytes())

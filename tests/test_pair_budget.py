@@ -15,14 +15,20 @@ halved 16-cube, and the CAB check and the c2 report on folded J(12,6).  With
 the distance matrix built, the exhaustive pair scans hold no (n, n)
 selection and stay within three budgets, and sampled draws hold one batch
 of rows, however many there are.  The ranges of the passes that large
-sampled runs take are pinned at 2^18 arcs.
+sampled runs take are pinned at 2^18 arcs.  The one pair selection of the
+scans (``graph._at``), its counts per row (``graph._counts``) and its
+stream of growing chunks (``graph._pairs_at``) are compared with a
+brute-force pair list from the queue search.
 """
 
+import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import cell_counts_oracle
 import drglab.graph as graph
@@ -34,6 +40,7 @@ from drglab.families import (complete, complete_multipartite, cycle, folded_john
 from drglab.homogeneous import check_i_homogeneous
 from test_distance_engine import path, union
 from test_equitability import BASES, relabel, switch
+from test_local import varying_degree_graphs
 
 # in int64 entries of 8 bytes: the budget in bytes is 8 budget, which the
 # sparse keys and the pull read as 1, 7 and 64 arcs a range, and the
@@ -79,6 +86,45 @@ def test_blocked_keys_match_the_whole_arc_gather(monkeypatch, budget, pairs):
             got = graph._pair_keys(g, None, w)
             assert got.dtype == np.int64
             assert np.array_equal(got, pair_keys_oracle.pair_keys(g, w))
+
+
+#: distance ranges (lo, hi) of the one pair selection: lo < hi, lo = hi,
+#: level 0, and every pair, unreachable ones (-1) too
+RANGES = [(1, 3), (0, 2), (1, 1), (2, 2), (0, 0), (-1, 16)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(varying_degree_graphs())
+def test_the_one_pair_selection_matches_a_brute_force_pair_list(g):
+    # every range, upper and not, under a budget of one byte (a row to every
+    # chunk and count step) and of 2 MiB; the chunks of the stream start at
+    # one row and at most double, within 27 bytes per entry
+    bfs = [bfs_distances(g, x) for x in range(g.n)]
+    dm = g.distance_matrix()
+    for budget, (lo, hi), upper in itertools.product([1, 1 << 21], RANGES, [False, True]):
+        want = [(x, y) for x in range(g.n) for y in range(g.n)
+                if lo <= bfs[x][y] <= hi and (y >= x or not upper)]
+        at = graph._at(dm, slice(0, g.n), lo, hi, upper)
+        assert at.shape == (g.n, g.n) and list(zip(*np.nonzero(at))) == want
+        order = np.arange(g.n)[::-1].copy()  # indexed rows, in any order
+        assert [(int(order[t]), int(y)) for t, y in zip(*np.nonzero(
+            graph._at(dm, order, lo, hi, upper)))] == sorted(want, key=lambda p: (-p[0], p[1]))
+        with mock.patch.object(graph, "_BUDGET", budget), \
+                mock.patch.object(graph, "_at", wraps=graph._at) as spy:
+            counts = graph._counts(dm, lo, hi, upper)
+            assert counts.tolist() == [sum(x == v for x, _ in want) for v in range(g.n)]
+            spy.reset_mock()
+            chunks = list(graph._pairs_at(dm, lo, hi, upper))
+        assert [(int(x), int(y)) for xs, ys, *_ in chunks for x, y in zip(xs, ys)] == want
+        assert all(rows is dm and at_x is xs and at_y is ys
+                   for xs, ys, rows, at_x, at_y in chunks)
+        spans = [call.args[1] for call in spy.call_args_list]
+        sizes = [min(s.stop, g.n) - s.start for s in spans]
+        assert [s.start for s in spans] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert sum(sizes) == g.n and sizes[:1] == [1][:g.n]
+        assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+        assert max(sizes, default=1) <= max(1, budget // (27 * g.n))
 
 
 def test_sparse_keys_over_no_arcs_are_zero():
@@ -160,8 +206,8 @@ def test_pull_stays_within_the_budget(hc14):
 def test_local_pass_stays_within_the_budget():
     # 462 vertices of valency 36; the distance matrix is built first, so
     # what is traced is the pass: one block within the budget, the gather's
-    # index within an eighth of it, and a budget's rows of marks while the
-    # partners are counted (blocks of 2^18 entries, whatever their bytes,
+    # index within an eighth of it, and a budget's rows of the selection
+    # while the partners are counted (blocks of 2^18 entries, whatever their bytes,
     # peaked at 4.4 MiB in the CAB check and 4.0 in the c2 report)
     g = folded_johnson(12, 6)
     g.distance_matrix()
@@ -172,7 +218,7 @@ def test_local_pass_stays_within_the_budget():
 
 def test_pair_scans_stay_within_three_budgets():
     # with the distance matrix built, what is traced is the scan: chunks of
-    # its rows, blocks of pairs or centres and their marks, and no (n, n)
+    # its rows, blocks of pairs or centres and their selected rows, and no (n, n)
     # selection.  On H(7,3) (2187 vertices) the selections made exhaustive
     # 1-homogeneity, CAB, the c2 report and the triple number peak at 4.8,
     # 9.9, 6.9 and 6.2 MiB; on cycle(4000) the lambda pass read every
