@@ -52,9 +52,13 @@ class ResourceError(DrgError):
       one for the engine's pull and one for the verdict that reads it;
     - a dense adjacency (``Graph._adjacency``): an entry of its dtype per
       vertex pair and 8 bytes per arc, for the dense pair route,
-      ``adjacency_matrix`` and ``bitrows``.
+      ``adjacency_matrix`` and ``bitrows``;
+    - the quotient that a pair scan reports (``graph._quotient``), the one
+      cells x cells matrix, counted from the arcs: 32 bytes per entry, for
+      its counts, its tuples and the two copies ``drglab homog`` makes (a
+      pair of the n-cycle has about n cells).
 
-    These two are the only predictions that grow with n^2, and none grows
+    These three are the only predictions that grow with n^2, and none grows
     with a sample count: every pair scan reads its pairs as a stream, a
     budget at a time.  One rule selects the pairs of some rows of the
     distance matrix whose distance lies in a range (``graph._at``), and

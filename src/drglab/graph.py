@@ -11,7 +11,10 @@ equitable quotients, and the pair kernel (``_check_pairs``), which tests
 the joint distance partitions pi(x, y) of a block of pairs at once, for
 1-homogeneity and for distance-regularity, its case x = y, by exact keys:
 float64 products with the adjacency matrix (below 2**53) or int64 sums
-over the arcs (below 2**63), as ``_dense_keys`` chooses.  The kernel reads
+over the arcs (below 2**63), as ``_dense_keys`` chooses.  Keys are only
+compared; the one quotient a check reports, its first pair's, is counted
+from the arcs of each cell's first vertex (``_quotient``), the one place
+that builds a cells x cells matrix, after ``require_room``.  The kernel reads
 its pairs as a stream of chunks, each with the distance rows it names, and
 asks for the next chunk only while every pair so far holds: one chunk for
 distance-regularity, rows of the distance matrix for exhaustive
@@ -303,11 +306,18 @@ class Graph:
         return self._dm
 
     def is_connected(self) -> bool:
-        return self.n == 0 or self._distance_rows([0]).min() >= 0
+        """Whether vertex 0 reaches every vertex, read from the distance
+        matrix once it is built.  The graph with no vertex is refused
+        (InputError): every verdict that needs a connected graph asks this
+        first, so this is where they all refuse it."""
+        if not self.n:
+            raise InputError("graph has no vertices")
+        row = self._distance_rows([0])[0] if self._dm is None else self._dm[0]
+        return bool(row.min() >= 0)
 
     def diameter(self) -> int:
         dm = self.distance_matrix()
-        if dm.min() < 0:
+        if not self.is_connected():
             raise InputError("diameter undefined for a disconnected graph")
         return int(dm.max())
 
@@ -502,7 +512,9 @@ def _digit_weights(g: Graph, limit: int) -> np.ndarray:
     3 d(x, u) + d(y, u) = r (mod 9), in base max degree + 1, as many digits
     to a word as base**digits <= limit allows (2**53 for float64 keys, 2**63
     for int64 ones).  The counts of a vertex sum to its degree, so no digit
-    carries and every key and partial sum stays below the limit."""
+    carries and every key and partial sum stays below the limit.  Keys are
+    only compared: equal keys are equal count rows, and nothing reads a
+    count back out of a key (``_quotient`` counts from the arcs)."""
     base = int(g.degrees().max(initial=0)) + 1
     per_word = max(t for t in range(1, 10) if base ** t <= limit)
     weights = np.zeros((-(-9 // per_word), 9), dtype=np.int64)
@@ -541,23 +553,22 @@ def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray
     return keys
 
 
-def _quotient(cells: np.ndarray, span: int, keys: np.ndarray, weights: np.ndarray):
-    """(labels, matrix) of pi(x, y) from its cell labels a * span + b in
-    order and their keys (words, cells)."""
-    labels = tuple(divmod(s, span) for s in cells.tolist())
-    column = {lab: j for j, lab in enumerate(labels)}
-    # the first word holds at least two digits, so its second weight is the base
-    per_word, base = np.count_nonzero(weights[0]), int(weights[0, 1])
-    matrix = []
-    for c, (a, b) in enumerate(labels):
-        row = [0] * len(labels)
-        for r in range(9):
-            count = int(keys[r // per_word, c]) // int(weights[r // per_word, r]) % base
-            if count:
-                o = (r - 3 * a - b + 4) % 9  # 3 (d(x, u) - a + 1) + d(y, u) - b + 1
-                row[column[(a + o // 3 - 1, b + o % 3 - 1)]] = count
-        matrix.append(tuple(row))
-    return labels, tuple(matrix)
+def _quotient(g: Graph, lab: np.ndarray, span: int):
+    """(labels, matrix) of pi(x, y) from the cell label a * span + b of
+    every vertex: the labels (a, b) ascending, and as row c the neighbours
+    of the first vertex of cell c in each cell, counted from its arcs, which
+    is the quotient when pi(x, y) is equitable.  ``require_room`` checks the
+    matrix's bytes first: 32 per cells x cells entry, for its int64 counts,
+    its tuples and the two copies ``drglab homog`` makes (tracemalloc peaks:
+    24.3-25.3 per entry for ``homog --sample`` on cycles of 1000-3000
+    vertices, 24.3-24.5 for exhaustive 1-homogeneity on cycles, whose
+    symmetry test holds two quotients)."""
+    cells, first, cell = np.unique(lab, return_index=True, return_inverse=True)
+    require_room(f"the quotient entries of {len(cells)} cells", 32 * len(cells) ** 2)
+    rows = [np.bincount(cell[g._dst[g._starts[v]:g._starts[v + 1]]], minlength=len(cells))
+            for v in first.tolist()]
+    return (tuple(divmod(s, span) for s in cells.tolist()),
+            tuple(tuple(row.tolist()) for row in rows))
 
 
 def _witness(x: int, y: int, lab: np.ndarray, keys: np.ndarray, span: int):
@@ -585,8 +596,9 @@ def _check_pairs(g: Graph, total: int, span: int, chunks):
     chunk as ``_BUDGET`` bytes hold (``_per_block``): 8 bytes per (pair,
     arc) entry on the sparse route, its int64 key; on the dense one, 32 per
     (pair, vertex) entry, 8 each for its label, weight, key and reference
-    key.  The first pair's quotient is the reference: for each of its
-    cells, the key of the cell's first vertex.  A pair refutes when some
+    key.  The first pair is the reference: for each of its cells, the key
+    of the cell's first vertex, and its quotient, counted from the arcs
+    (``_quotient``) for the report.  A pair refutes when some
     vertex's key differs from the reference key of its label (a label the
     first pair lacks has none, so it differs too), and counts as checked.
     Equal keys under equal labels are equal count rows, and the quotient is
@@ -624,7 +636,7 @@ def _check_pairs(g: Graph, total: int, span: int, chunks):
             if cells is None:
                 cells, first = np.unique(lab[0], return_index=True)
                 ref = keys[:, 0, first]
-                quotient = _quotient(cells, span, ref, weights)
+                quotient = _quotient(g, lab[0], span)
                 if table:
                     ref = np.full(wl.shape, -1, dtype=wl.dtype)
                     ref[:, cells] = keys[:, 0, first]
@@ -949,7 +961,7 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
     """mu-graph valency/completeness survey over all distance-2 pairs.  The
     largest coclique is searched once per distinct mu-graph adjacency
     pattern (mu-graphs with equal patterns are equal up to relabelling)."""
-    if int(g.distance_matrix().max()) < 2:
+    if int(g.distance_matrix().max(initial=0)) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")
     patterns: list = []
     c2, kappa = _common_neighbourhoods(g, 2, patterns)

@@ -8,10 +8,12 @@ block of pairs to a call: each vertex's neighbour counts over the cells of
 pi(x, y) are packed into exact keys for the whole block at once, by float64
 products with the adjacency matrix or by int64 sums over the arcs, as
 ``graph._dense_keys`` chooses.  A pair holds when each vertex's key is the
-first pair's key for its cell, with no sort.  pi(y, x) is pi(x, y) with the
-coordinates of its labels swapped, so an exhaustive check reads each
-unordered pair once and reports ordered counts, unless the first pair's
-quotient is not symmetric.
+first pair's key for its cell, with no sort: keys are only compared, and
+the reference quotient is counted from the arcs (``graph._quotient``).
+pi(y, x) is pi(x, y) with the coordinates of its labels swapped, so an
+exhaustive check reads each unordered pair once and reports ordered counts,
+unless the first pair's quotient is not symmetric; either way the check is
+one scan of the kernel.
 ``graph.check_distance_regular`` runs the same kernel on the pairs (x, x),
 whose partitions are the distance partitions.  The kernel reads a stream of
 pairs and stops at the first refutation.  The size policy follows from the
@@ -40,7 +42,7 @@ from .bounds import F_bound, G_bound
 from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require
 from .graph import (Graph, _check_pairs, _common_neighbourhoods, _counts, _pairs_at,
-                    check_distance_regular, graph_spectrum, local_graph)
+                    _quotient, check_distance_regular, graph_spectrum, local_graph)
 from .scalars import exact_cmp
 from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
 
@@ -72,10 +74,11 @@ def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     disconnected; only when the draws run out does a one-source search tell
     that apart from a lack of pairs.  They run out at once when no pair can
     be at distance i: i < 0, or i above 2 ecc(x) for a drawn x, since every
-    distance is at most that."""
+    distance is at most that, or the graph has no vertex, which that search
+    (``Graph.is_connected``) refuses."""
     disconnected = InputError("homogeneity is defined for connected graphs")
     rng, xs, ys = random.Random(seed), [], []
-    for _ in range(50 * count if i >= 0 else 0):
+    for _ in range(50 * count if i >= 0 and g.n else 0):
         x = rng.randrange(g.n)
         at_i = (g._dst[g._starts[x]:g._starts[x + 1]] if i == 1
                 else np.flatnonzero((row := g._distance_rows([x])[0]) == i))
@@ -97,15 +100,6 @@ def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
         f"could not sample pairs at distance {i}")
 
 
-def _swap_symmetric(labels, matrix) -> bool:
-    """Whether the quotient of pi(x, y) is that of pi(y, x): its labels
-    (a, b) are closed under the swap (b, a), with the same counts."""
-    at = {lab: j for j, lab in enumerate(labels)}
-    swap = [at.get((b, a), -1) for a, b in labels]
-    q = np.array(matrix)
-    return -1 not in swap and bool((q[np.ix_(swap, swap)] == q).all())
-
-
 def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
                         seed: Optional[int] = None,
                         count: Optional[int] = None) -> HomogeneityReport:
@@ -116,23 +110,24 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     matrix, so above its cap it raises ResourceError.  It runs the pairs
     x <= y, in lexicographic order: the quotient of pi(y, x) is that of
     pi(x, y) with its labels (a, b) swapped, so when the first pair's
-    quotient, the reference, is symmetric (``_swap_symmetric``), (x, y) and
-    (y, x) hold or fail together, and the first failing ordered pair is the
-    first failing pair x <= y.  The report is that of the scan of every
-    ordered pair in lexicographic order: the witness of that pair, and as
-    ``pairs_checked`` its rank among the ordered pairs, or their count when
-    the check holds.  The reference is read first, from the first pair
-    alone; one that is not symmetric fails at (y, x), so the ordered pairs
-    are scanned instead.  Sampled mode draws ``count`` pairs with
-    replacement with the given seed, in batches of at most 32 whose rows
-    come from one bit-parallel search at any n (a draw above level 1 runs a
-    one-source search for Gamma_i(x)); it reads the next batch only while
-    every pair so far holds, so when the draws run out after a refuting
-    batch it reports that pair.  It can refute but only exhaustive mode
-    confirms.  Both run their pairs through the one pair kernel, as many to
-    a call as the block budget allows (``errors.ResourceError`` states it),
-    on the route ``graph._dense_keys`` chooses; both routes give the same
-    report, witness and pair count.
+    quotient, the reference, is symmetric (equal to that of (y, x), whose
+    cells and their first vertices are the same), (x, y) and (y, x) hold or
+    fail together, and the first failing ordered pair is the first failing
+    pair x <= y.  The report is that of the scan of every ordered pair in
+    lexicographic order: the witness of that pair, and as ``pairs_checked``
+    its rank among the ordered pairs, or their count when the check holds.
+    Both quotients are counted first, from the arcs (``graph._quotient``),
+    so the kernel scans once; a reference that is not symmetric fails at
+    (y, x), so the ordered pairs are scanned instead.  Sampled mode draws
+    ``count`` pairs with replacement with the given seed, in batches of at
+    most 32 whose rows come from one bit-parallel search at any n (a draw
+    above level 1 runs a one-source search for Gamma_i(x)); it reads the
+    next batch only while every pair so far holds, so when the draws run
+    out after a refuting batch it reports that pair.  It can refute but
+    only exhaustive mode confirms.  Both run their pairs through the one
+    pair kernel, as many to a call as the block budget allows
+    (``errors.ResourceError`` states it), on the route ``graph._dense_keys``
+    chooses; both routes give the same report, witness and pair count.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
@@ -146,7 +141,7 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
             g, count, 2 * int(first[2][0].max()) + 1, chain([first], batches))
     else:
         dm, n = g.distance_matrix(), g.n
-        if dm.min() < 0:
+        if not g.is_connected():
             raise InputError("homogeneity is defined for connected graphs")
         span = int(dm.max()) + 1
         count = _counts(dm, i, i, False)
@@ -155,8 +150,8 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
             raise InputError(f"no pair of vertices at distance {i}")
         # the first ordered pair has x <= y, so both scans share its reference
         x = int(np.argmax(count > 0))
-        first = np.array([[x], [int(np.argmax(dm[x] == i))]])
-        half = _swap_symmetric(*_check_pairs(g, 1, span, [(*first, dm, *first)])[2])
+        dx, dy = dm[x].astype(np.intp), dm[np.argmax(dm[x] == i)].astype(np.intp)
+        half = _quotient(g, dx * span + dy, span) == _quotient(g, dy * span + dx, span)
         # the pairs x <= y: every pair x < y once each way, and at level 0
         # the pairs (x, x)
         total = (ordered + n * (i == 0)) // 2 if half else ordered

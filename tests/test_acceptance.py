@@ -71,6 +71,8 @@ def test_criterion_03(j105, hc10):
     assert rep.holds
     assert [p.as_tuple() for p in rep.levels[:4]] == [
         tuple(Fraction(t) for t in lv) for lv in expected]
+    # at the top level i = D the B cell is empty
+    assert rep.levels[4].gamma == 8 and rep.levels[4].alpha is None
     loc = LocalSrgData.from_eigenvalues(8, 3, -2)
     levels, b_pred = cab_formula_params(loc, [1, 4, 9, 16, 25], levels=4)
     assert [p.as_tuple() for p in levels] == [

@@ -10,8 +10,10 @@ import sys
 import pytest
 
 import homogeneity_oracle
+from drglab import errors
 from drglab.cli import main
-from drglab.families import FamilySpec, build_family, hamming, triangular
+from drglab.errors import ResourceError
+from drglab.families import FamilySpec, build_family, cycle, hamming, triangular
 from drglab.graph import Graph
 from drglab.homogeneous import check_i_homogeneous
 from test_homogeneous import GOLDEN_GRAPHS, chorded_c4
@@ -421,6 +423,22 @@ def run_under_3gb(argv):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "drglab.cli", *argv], env=env,
                           preexec_fn=limit, capture_output=True, text=True, timeout=60)
+
+
+def test_a_quotient_beyond_the_room_is_refused(tmp_path, monkeypatch):
+    # a pair of the n-cycle has about n cells, so its quotient has about n^2
+    # entries: cycle(20000)'s need 11.9 GiB, refused under a 3 GB limit
+    # (exit 2) before they are built, not a MemoryError (exit 3); in process,
+    # cycle(3000)'s 9 million entries are refused under a room of 100 MiB
+    path = str(tmp_path / "c20000.json")
+    cycle(20000).dump(path)
+    argv = ["homog", path, "--sample", "3", "--seed", "1", "--i", "1"]
+    [(_, code, err)] = run_cli_under_limits([[argv, 3 << 30, False]])
+    assert code == 2 and err.startswith("error: the quotient entries of 20000 cells need"), err
+    g = cycle(3000)
+    monkeypatch.setattr(errors, "_room", lambda: 100 << 20)
+    with pytest.raises(ResourceError, match="the quotient entries of 3000 cells need"):
+        check_i_homogeneous(g, 1, "sampled", seed=1, count=3)
 
 
 def test_dense_verdicts_exit_typed_from_the_load_refusal_up_to_success(tmp_path):

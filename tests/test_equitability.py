@@ -396,6 +396,34 @@ def test_route_rule():
         assert not graph._dense_keys(g, 2 * g.edge_count)
 
 
+def test_counted_quotient_matches_the_count_rows_and_the_oracle():
+    # the reference quotient is counted from the arcs: for each cell, the
+    # count row of its first vertex, on every pair (equitable or not), and
+    # the oracle's quotient on an equitable one; every pair of relabelled
+    # and switched bases, level 0 (x = y) and the one-vertex graph included,
+    # with the span of exhaustive mode (D + 1) and a wider one, as sampled
+    # mode's 2 ecc(x) + 1 can be
+    seen, graphs = set(), [complete(1)]
+    for index, base in enumerate(BASES):
+        rng = random.Random(400 + index)
+        graphs += [relabel(base, rng), switch(relabel(base, rng), rng)]
+    for g in graphs:
+        dm = g.distance_matrix().astype(np.intp)
+        for x, y in np.ndindex(g.n, g.n):
+            span = int(dm.max()) + 1 + (x + y) % 2 * int(dm[x].max())
+            lab = dm[x] * span + dm[y]
+            labels, matrix = graph._quotient(g, lab, span)
+            cells, first, cell = np.unique(lab, return_index=True, return_inverse=True)
+            assert labels == tuple(divmod(int(c), span) for c in cells)
+            rows = graph._cell_counts(g, cell, len(cells))[first]
+            assert matrix == tuple(map(tuple, rows.tolist()))
+            want = homogeneity_oracle._pair_quotient(g, dm[x], dm[y])
+            if isinstance(want, QuotientParameters):
+                assert (labels, matrix) == (want.labels, want.matrix)
+            seen.add((x == y, isinstance(want, QuotientParameters)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_long_cycle_is_one_homogeneous():
     # its pair partitions have about n cells each
     rep = check_i_homogeneous(cycle(1000), 1)
@@ -423,16 +451,16 @@ def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
         monkeypatch.setattr(graph, "_pair_keys", counted)
         monkeypatch.setattr(graph, "_dense_keys", lambda g, pairs: dense)
         monkeypatch.setattr(graph, "_BUDGET", budget)
-        # the kernel reads the reference pair, then the 560 unordered pairs;
-        # the report counts the 1120 ordered ones
+        # the reference is counted from the arcs, so the kernel reads the
+        # 560 unordered pairs once each; the report counts the 1120 ordered
         rep = check_i_homogeneous(g, 1)
         assert rep.holds and rep.pairs_checked == 1120
-        assert 1 <= len(calls) <= g.n and sum(calls) == 1 + 560
+        assert 1 <= len(calls) <= g.n and sum(calls) == 560
         calls.clear()
         # one byte, less than any pair takes: one pair to a call
         monkeypatch.setattr(graph, "_BUDGET", 1)
         assert check_i_homogeneous(g, 1) == rep
-        assert calls == [1] * (1 + 560)
+        assert calls == [1] * 560
 
 
 @pytest.fixture
@@ -451,9 +479,9 @@ def scans(monkeypatch):
 
 def test_half_pair_scan_matches_the_pair_by_pair_oracle(scans):
     # every level of every base, relabelled and switched, level 0 (the pairs
-    # (x, x)) included; after the one-pair call for the reference, a
-    # symmetric one scans the pairs x <= y, whose first failure is the first
-    # failing ordered pair, whose rank is the pair count
+    # (x, x)) included; each check is one scan: with a symmetric reference,
+    # of the pairs x <= y, whose first failure is the first failing ordered
+    # pair, whose rank is the pair count
     seen, graphs = set(), []
     for index, base in enumerate(BASES):
         rng = random.Random(300 + index)
@@ -467,8 +495,8 @@ def test_half_pair_scan_matches_the_pair_by_pair_oracle(scans):
             assert got == outcome(lambda: homogeneity_oracle.check_i_homogeneous(g, i))
             if scans:
                 half = np.count_nonzero(np.triu(dm == i))
-                assert scans in ([1, half], [1, np.count_nonzero(dm == i)])
-                seen.add((got.holds, i > 0, scans[1] == half))
+                assert scans in ([half], [np.count_nonzero(dm == i)])
+                seen.add((got.holds, i > 0, scans[0] == half))
     # holding and failing at level 0, holding, failing on the half scan, and
     # failing on the ordered scan above it
     assert seen == {(True, False, True), (False, False, True), (True, True, True),
@@ -486,7 +514,7 @@ def test_paths_scan_the_ordered_pairs(scans, n):
         rep = check_i_homogeneous(g, i)
         assert rep == homogeneity_oracle.check_i_homogeneous(g, i)
         pairs = 2 * (n - i)
-        assert scans == [1, pairs if i < n - 1 else 1]
+        assert scans == [pairs if i < n - 1 else 1]
         assert rep.holds == (i == n - 1)
 
 
@@ -512,7 +540,7 @@ def test_unequal_counts_scan_the_ordered_pairs(scans, m, n):
     g = Graph.from_edges(m + n, [(a, m + b) for a in range(m) for b in range(n)])
     rep = check_i_homogeneous(g, 1)
     assert rep == homogeneity_oracle.check_i_homogeneous(g, 1)
-    assert scans == [1, 2 * m * n]
+    assert scans == [2 * m * n]
     assert not rep.holds and rep.witness[:2] == (m, 0) and rep.pairs_checked == m * n + 1
 
 

@@ -29,8 +29,10 @@ from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
                           check_distance_regular, distance_partition,
                           equitable_quotient, graph_spectrum,
                           induced_subgraph, local_graph, max_coclique,
-                          mu_graph)
+                          mu_graph, triple_intersection_number)
+from drglab.homogeneous import check_i_homogeneous, local_spectral_checks
 from drglab.scalars import exact_eq
+from drglab.srg import srg_from_graph
 from test_families import assert_same_graph
 
 
@@ -233,6 +235,28 @@ def test_distances_and_diameter():
     assert g.diameter() == 3
     assert g.distances_from(0)[3] == 3
     assert petersen().diameter() == 2
+
+
+def test_every_verdict_refuses_the_graph_with_no_vertex():
+    # Graph([]) is a graph (the constructors, the distance matrix and the
+    # spectrum take it), but no verdict on distances: each asks
+    # ``Graph.is_connected``, which refuses it; the c2 report and the triple
+    # number, which take disconnected graphs, find no pair at distance 2,
+    # and CAB refuses it with a_1 = 0 (``test_cab.test_requires_positive_a1``)
+    g = Graph([])
+    verdicts = [check_distance_regular, Graph.diameter, Graph.is_connected,
+                local_spectral_checks, srg_from_graph,
+                lambda g: check_i_homogeneous(g, 1),
+                lambda g: check_i_homogeneous(g, 0),
+                lambda g: check_i_homogeneous(g, 1, "sampled", seed=1, count=3),
+                lambda g: check_i_homogeneous(g, -1, "sampled", seed=1, count=3)]
+    for verdict in verdicts:
+        with pytest.raises(InputError, match="graph has no vertices"):
+            verdict(g)
+    with pytest.raises(InputError, match="requires diameter >= 2"):
+        c2_regularity_report(g)
+    with pytest.raises(InputError, match="no triple"):
+        triple_intersection_number(g)
 
 
 def test_check_distance_regular_positive():
