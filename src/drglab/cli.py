@@ -174,6 +174,8 @@ def cmd_bounds(args) -> int:
         b = Fraction(args.b)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad --b: {exc}") from None
+    if args.mu is not None and args.m is None:
+        raise InputError("--mu needs --m")
     out = {"F": F_bound(b), "G": G_bound(b)}
     if args.m is not None:
         mu = args.mu if args.mu is not None else 1

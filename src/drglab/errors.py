@@ -56,9 +56,13 @@ class ResourceError(DrgError):
     - the quotient that a pair scan reports (``graph._quotient``), the one
       cells x cells matrix, counted from the arcs: 32 bytes per entry, for
       its counts, its tuples and the two copies ``drglab homog`` makes (a
-      pair of the n-cycle has about n cells).
+      pair of the n-cycle has about n cells);
+    - an equitable quotient (``graph.equitable_quotient``): 25 bytes per
+      (vertex, cell) entry for its counts, their copies and the comparison,
+      8 per cells x cells entry for the quotient's tuples, 64 per vertex and
+      one budget for the per-cell counts' arc ranges.
 
-    These three are the only predictions that grow with n^2, and none grows
+    These four are the only predictions that grow with n^2, and none grows
     with a sample count: every pair scan reads its pairs as a stream, a
     budget at a time.  One rule selects the pairs of some rows of the
     distance matrix whose distance lies in a range (``graph._at``), and
@@ -95,11 +99,12 @@ class ResourceError(DrgError):
     bytes per (pair, arc) on the sparse route, 32 per (pair, vertex) on the
     dense one), its sparse arc ranges (``graph._pair_keys``, 8 per (pair,
     arc)) and its tables of every label (8 per label, taken while span^2
-    labels fit); the pair selection (``graph._at``: at most 3 per
-    distance-matrix entry, and 2 more for the int16 copy of indexed rows);
-    the per-row pair counts (``graph._counts``, 3 per entry); the pair
-    stream of exhaustive 1-homogeneity and of the CAB check's re-read
-    (``graph._pairs_at``: chunks of one row, then twice as many rows as the
+    labels fit, where span = 2 ecc(x) + 1 for the x of the stream's first
+    pair, since every distance is at most 2 ecc(x)); the pair selection
+    (``graph._at``: at most 3 per distance-matrix entry, and 2 more for the
+    int16 copy of indexed rows); the per-row pair counts (``graph._counts``,
+    3 per entry); the pair stream of exhaustive 1-homogeneity and of the
+    CAB check's re-read (``graph._pairs_at``: chunks of one row, then twice as many rows as the
     chunk before, up to what the budget holds at 27 per entry, 3 for the
     selection and 24 per pair); the distance engine's pull
     (``Graph._distance_rows``, 8 per arc); the per-cell counts

@@ -16,15 +16,17 @@ compared; the one quotient a check reports, its first pair's, is counted
 from the arcs of each cell's first vertex (``_quotient``), the one place
 that builds a cells x cells matrix, after ``require_room``.  The kernel reads
 its pairs as a stream of chunks, each with the distance rows it names, and
-asks for the next chunk only while every pair so far holds: one chunk for
-distance-regularity, rows of the distance matrix for exhaustive
-1-homogeneity (``_pairs_at``, one row first, then twice as many each time
-up to a budget's), batches of sampled draws for sampled mode, so no scan
-holds all of its pairs at once.  One rule (``_at``) says which pairs of
-the distance matrix a scan reads: those of some rows with
-lo <= d(x, y) <= hi, and y >= x when the scan asks; ``_counts`` counts
-them in each row, ``_pairs_at`` streams them, and the local pass selects
-its centres' rows with it.  Every blocked
+labels the cells itself, bounded from the first pair's eccentricity, so a
+caller hands over pairs and rows only, and no verdict scans the distance
+matrix for the diameter.  It asks for the next chunk only while every pair so
+far holds: one chunk for distance-regularity, rows of the distance matrix
+for exhaustive 1-homogeneity (``_pairs_at``, one row first, then twice as
+many each time up to a budget's, empty for rows with no pair), batches of
+sampled draws for sampled mode, so no scan holds all of its pairs at
+once.  One rule (``_at``) says which pairs of the distance matrix a scan
+reads: those of some rows with lo <= d(x, y) <= hi, and y >= x when the scan
+asks; ``_counts`` counts them in each row, ``_pairs_at`` streams them, and
+the local pass selects its centres' rows with it.  Every blocked
 pass holds at most ``_BUDGET`` bytes a block, or one item, and states at
 its call the bytes it holds per entry (``errors.ResourceError`` lists the
 passes and their widths).  The gathers over all arcs (the sparse keys, the
@@ -451,13 +453,29 @@ def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
     return counts
 
 
-def _equitable(g: Graph, cell: np.ndarray, labels: Tuple[object, ...]
-               ) -> Union[QuotientParameters, EquitabilityWitness]:
-    """Quotient of the partition given by ``cell`` (one index per vertex,
-    -1 outside the ground set; every cell non-empty), or the witness of its
-    first inequitable cell: the cell's smallest vertex and the smallest
-    vertex in it whose count row differs."""
-    counts = _cell_counts(g, cell, len(labels))
+def equitable_quotient(g: Graph, p: VertexPartition
+                       ) -> Union[QuotientParameters, EquitabilityWitness]:
+    """Quotient parameters of p within the induced subgraph on its ground set,
+    or the lexicographically smallest witness of inequitability: the first
+    inequitable cell, its smallest vertex and the smallest vertex in it
+    whose count row differs.  ``require_room`` checks the bytes first: 25
+    per (vertex, cell) entry, for the int64 counts, their copy at the
+    members, the reference rows spread to the members and the comparison;
+    8 per cells x cells entry, the quotient's tuples; 64 per vertex; and a
+    budget for the arc ranges of ``_cell_counts`` (tracemalloc peaks: 33.0
+    per (vertex, cell) entry on cycles of 1000-3000 vertices, whose
+    distance partitions have n cells, 25.3-28.2 on cycles of 20000 and
+    200000 vertices in 10 and 100 cells)."""
+    ground = p.ground_set
+    if ground and (ground[0] < 0 or ground[-1] >= g.n):
+        raise InputError("partition has a vertex outside the graph")
+    ncells = len(p.cells)
+    require_room(f"the cell counts of {g.n} vertices in {ncells} cells",
+                 25 * g.n * ncells + 8 * ncells * ncells + 64 * g.n + _BUDGET)
+    cell = np.full(g.n, -1, dtype=np.intp)
+    for ci, members in enumerate(p.cells):
+        cell[list(members)] = ci
+    counts = _cell_counts(g, cell, ncells)
     members = np.flatnonzero(cell >= 0)
     member_cell = cell[members]
     _, first = np.unique(member_cell, return_index=True)
@@ -469,20 +487,7 @@ def _equitable(g: Graph, cell: np.ndarray, labels: Tuple[object, ...]
         v = int(members[bad & (member_cell == ci)][0])
         return EquitabilityWitness(ci, int(first[ci]), v,
                                    tuple(ref[ci].tolist()), tuple(counts[v].tolist()))
-    return QuotientParameters(tuple(map(tuple, ref.tolist())), labels)
-
-
-def equitable_quotient(g: Graph, p: VertexPartition
-                       ) -> Union[QuotientParameters, EquitabilityWitness]:
-    """Quotient parameters of p within the induced subgraph on its ground set,
-    or the lexicographically smallest witness of inequitability."""
-    ground = p.ground_set
-    if ground and (ground[0] < 0 or ground[-1] >= g.n):
-        raise InputError("partition has a vertex outside the graph")
-    cell = np.full(g.n, -1, dtype=np.intp)
-    for ci, members in enumerate(p.cells):
-        cell[list(members)] = ci
-    return _equitable(g, cell, p.labels)
+    return QuotientParameters(tuple(map(tuple, ref.tolist())), p.labels)
 
 
 # -- the pair kernel -------------------------------------------------------
@@ -553,57 +558,58 @@ def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray
     return keys
 
 
-def _quotient(g: Graph, lab: np.ndarray, span: int):
-    """(labels, matrix) of pi(x, y) from the cell label a * span + b of
-    every vertex: the labels (a, b) ascending, and as row c the neighbours
-    of the first vertex of cell c in each cell, counted from its arcs, which
-    is the quotient when pi(x, y) is equitable.  ``require_room`` checks the
-    matrix's bytes first: 32 per cells x cells entry, for its int64 counts,
-    its tuples and the two copies ``drglab homog`` makes (tracemalloc peaks:
-    24.3-25.3 per entry for ``homog --sample`` on cycles of 1000-3000
-    vertices, 24.3-24.5 for exhaustive 1-homogeneity on cycles, whose
-    symmetry test holds two quotients)."""
-    cells, first, cell = np.unique(lab, return_index=True, return_inverse=True)
-    require_room(f"the quotient entries of {len(cells)} cells", 32 * len(cells) ** 2)
-    rows = [np.bincount(cell[g._dst[g._starts[v]:g._starts[v + 1]]], minlength=len(cells))
+def _quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
+    """(labels, matrix) of pi(x, y) from the distance rows dx of x and dy of
+    y: the labels (d(x, v), d(y, v)) of its cells ascending, and as row c
+    the neighbours of the first vertex of cell c in each cell, counted from
+    its arcs, which is the quotient when pi(x, y) is equitable.
+    ``require_room`` checks the matrix's bytes first: 32 per cells x cells
+    entry, for its int64 counts, its tuples and the two copies ``drglab
+    homog`` makes (tracemalloc peaks: 24.3-25.3 per entry for ``homog
+    --sample`` on cycles of 1000-3000 vertices, 24.3-24.5 for exhaustive
+    1-homogeneity on cycles, whose symmetry test holds two quotients)."""
+    dx = dx.astype(np.intp)
+    _, first, cell = np.unique(dx * g.n + dy, return_index=True, return_inverse=True)
+    require_room(f"the quotient entries of {len(first)} cells", 32 * len(first) ** 2)
+    rows = [np.bincount(cell[g._dst[g._starts[v]:g._starts[v + 1]]], minlength=len(first))
             for v in first.tolist()]
-    return (tuple(divmod(s, span) for s in cells.tolist()),
+    return (tuple(zip(dx[first].tolist(), dy[first].tolist())),
             tuple(tuple(row.tolist()) for row in rows))
 
 
 def _witness(x: int, y: int, lab: np.ndarray, keys: np.ndarray, span: int):
     """The witness of a refuting pair from its labels (n,) and keys (words,
-    n): the first vertex, in (cell, vertex) order, whose key differs from
-    that of the first vertex of its cell, named with its cell label and that
-    first vertex; (x, y, None, None, None) when the pair is equitable and
-    only its quotient differs."""
-    order = np.argsort(lab, kind="stable")
-    head = np.r_[True, lab[order[1:]] != lab[order[:-1]]]
-    first = order[np.maximum.accumulate(np.where(head, np.arange(len(lab)), 0))]
-    differs = (keys[:, order] != keys[:, first]).any(axis=0)
-    if not differs.any():
+    n): the least (cell, vertex) whose key differs from that of the first
+    vertex of its cell, named with its cell label and that first vertex;
+    (x, y, None, None, None) when the pair is equitable and only its
+    quotient differs."""
+    _, first, cell = np.unique(lab, return_index=True, return_inverse=True)
+    differs = np.flatnonzero((keys != keys[:, first[cell]]).any(axis=0))
+    if not len(differs):
         return x, y, None, None, None
-    j = int(np.argmax(differs))
-    return x, y, divmod(int(lab[order[j]]), span), int(first[j]), int(order[j])
+    v = int(differs[np.argmin(cell[differs])])
+    return x, y, divmod(int(lab[v]), span), int(first[cell[v]]), v
 
 
-def _check_pairs(g: Graph, total: int, span: int, chunks):
+def _check_pairs(g: Graph, total: int, chunks):
     """Run the pairs of the stream ``chunks`` through the pair kernel in
     order: each chunk (xs, ys, rows, at_x, at_y) holds the pairs (xs[t],
-    ys[t]), whose distance rows are rows[at_x[t]] and rows[at_y[t]], every
-    distance below ``span``; ``total``, the pairs of the whole stream,
-    chooses the route (``_dense_keys``).  A block takes as many pairs of a
-    chunk as ``_BUDGET`` bytes hold (``_per_block``): 8 bytes per (pair,
-    arc) entry on the sparse route, its int64 key; on the dense one, 32 per
-    (pair, vertex) entry, 8 each for its label, weight, key and reference
-    key.  The first pair is the reference: for each of its cells, the key
-    of the cell's first vertex, and its quotient, counted from the arcs
-    (``_quotient``) for the report.  A pair refutes when some
-    vertex's key differs from the reference key of its label (a label the
-    first pair lacks has none, so it differs too), and counts as checked.
-    Equal keys under equal labels are equal count rows, and the quotient is
-    connected, so a pair that does not refute is equitable with the
-    reference quotient.
+    ys[t]), whose distance rows are rows[at_x[t]] and rows[at_y[t]];
+    ``total``, the pairs of the whole stream, chooses the route
+    (``_dense_keys``).  The cell of a vertex v is labelled
+    d(x, v) * span + d(y, v) within the kernel alone, span = 2 ecc(x0) + 1
+    for the first pair's x0: every distance is at most 2 ecc(x0).  A block
+    takes as many pairs of a chunk as ``_BUDGET`` bytes hold
+    (``_per_block``): 8 bytes per (pair, arc) entry on the sparse route,
+    its int64 key; on the dense one, 32 per (pair, vertex) entry, 8 each
+    for its label, weight, key and reference key.  The first pair is the
+    reference: for each of its cells, the key of the cell's first vertex,
+    and its quotient, counted from the arcs (``_quotient``) for the report.
+    A pair refutes when some vertex's key differs from the reference key of
+    its label (a label the first pair lacks has none, so it differs too),
+    and counts as checked.  Equal keys under equal labels are equal count
+    rows, and the quotient is connected, so a pair that does not refute is
+    equitable with the reference quotient.
     Blocks start at one pair and double up to the budget, the step carried
     from one chunk to the next, and the next chunk is read only while every
     pair so far holds, so a refutation reads about as many pairs as it
@@ -614,29 +620,32 @@ def _check_pairs(g: Graph, total: int, span: int, chunks):
     dense = _dense_keys(g, total)
     weights = _digit_weights(g, 1 << 53 if dense else 1 << 63)
     wf = weights.astype(np.float64) if dense else weights
-    # while span^2 labels of 8 bytes fit the budget, a label a * span + b
-    # reads its digit weight and its reference key from tables of every
-    # label (one read per entry, a third of a binary search's cost); past
-    # that the tables would grow with the square of the diameter, so the
-    # digit is computed and the reference found among the first pair's cells
-    table = 8 * span * span <= _BUDGET
-    if table:
-        a, b = np.divmod(np.arange(span * span), span)
-        wl = wf[:, (3 * a + b) % 9]
     adj = g._adjacency(np.float64) if dense else None
     most = _per_block(g.n, 32) if dense else _per_block(len(g._dst), 8)
-    cells, quotient, done, step = None, None, 0, 1
+    quotient, done, step = None, 0, 1
     for xs, ys, rows, at_x, at_y in chunks:
         lo = 0
         while lo < len(xs):
             dx = rows[at_x[lo:lo + step]].astype(np.intp)
             dy = rows[at_y[lo:lo + step]]
+            if quotient is None:
+                span = 2 * int(dx[0].max()) + 1
+                # while span^2 labels of 8 bytes fit the budget, a label
+                # reads its digit weight and its reference key from tables
+                # of every label (one read per entry, a third of a binary
+                # search's cost); past that the tables would grow with the
+                # square of the eccentricity, so the digit is computed and
+                # the reference found among the first pair's cells
+                table = 8 * span * span <= _BUDGET
+                if table:
+                    a, b = np.divmod(np.arange(span * span), span)
+                    wl = wf[:, (3 * a + b) % 9]
             lab = dx * span + dy
             keys = _pair_keys(g, adj, wl[:, lab] if table else wf[:, (3 * dx + dy) % 9])
-            if cells is None:
+            if quotient is None:
                 cells, first = np.unique(lab[0], return_index=True)
                 ref = keys[:, 0, first]
-                quotient = _quotient(g, lab[0], span)
+                quotient = _quotient(g, dx[0], dy[0])
                 if table:
                     ref = np.full(wl.shape, -1, dtype=wl.dtype)
                     ref[:, cells] = keys[:, 0, first]
@@ -709,29 +718,31 @@ def check_distance_regular(g: Graph
     The pair test of 1-homogeneity at x = y: pi(x, x) is the distance
     partition from x, its cells the layers (j, j), so the pairs (x, x) run
     through the pair kernel, and the array is read from the quotient of
-    pi(0, 0): b_j = matrix[j][j + 1], c_j = matrix[j][j - 1].  When x
-    refutes, y is the first vertex whose counts one layer down, in its own
-    layer and one layer up differ from those of the first vertex of its
-    layer around vertex 0; vertices farther from x than ecc(0) are skipped."""
+    pi(0, 0): b_j = matrix[j][j + 1], c_j = matrix[j][j - 1], its length
+    ecc(0), which is the diameter when the check holds.  When x refutes, y
+    is the first vertex whose counts one layer down, in its own layer and
+    one layer up differ from those of the first vertex of its layer around
+    vertex 0; vertices farther from x than ecc(0) are skipped.  Those three
+    layers are three distinct residues of d(x, .) mod 3, and a vertex has
+    no neighbour in any other layer, so the counts are read from the
+    neighbours of each vertex in the three residues."""
     if not g.is_connected():
         raise InputError("distance-regularity is defined for connected graphs")
-    dm = g.distance_matrix()
-    D = int(dm.max())
-    if D == 0:
+    if g.n == 1:
         raise InputError("single-vertex graph has no intersection array")
+    dm = g.distance_matrix()
     every = np.arange(g.n)
-    checked, witness, (labels, matrix) = _check_pairs(g, g.n, D + 1,
-                                                      [(every, every, dm, every, every)])
+    checked, witness, (labels, matrix) = _check_pairs(g, g.n, [(every, every, dm, every, every)])
     # row j + 1 of q holds the counts of layer j around vertex 0 in layers
     # j - 1, j and j + 1; when ecc(0) < D, b at level ecc(0) is 0 here but
     # positive on a geodesic to a diametral vertex, so some pair refutes
     q = np.pad(np.array(matrix), 1)
     c, a, b = q.diagonal(-1)[:-1], q.diagonal()[1:-1], q.diagonal(1)[1:]
     if witness is None:
-        return IntersectionArray(tuple(b[:D].tolist()), tuple(c[1:].tolist()))
+        return IntersectionArray(tuple(b[:-1].tolist()), tuple(c[1:].tolist()))
     x, ecc0 = checked - 1, len(labels) - 1
     dx = dm[x].astype(np.intp)
-    got = _cell_counts(g, dx, D + 2)[every[:, None], np.maximum(dx[:, None] + [-1, 0, 1], 0)]
+    got = _cell_counts(g, dx % 3, 3)[every[:, None], (dx[:, None] + [-1, 0, 1]) % 3]
     want = np.stack([c, a, b], axis=1)[np.minimum(dx, ecc0)]
     ok = (got == want).all(axis=1) | (dx > ecc0)
     ok[x] = True

@@ -16,15 +16,16 @@ unless the first pair's quotient is not symmetric; either way the check is
 one scan of the kernel.
 ``graph.check_distance_regular`` runs the same kernel on the pairs (x, x),
 whose partitions are the distance partitions.  The kernel reads a stream of
-pairs and stops at the first refutation.  The size policy follows from the
-mode: exhaustive checks read both distance rows from the dense distance
-matrix (at most ``graph._DENSE_CAP`` vertices), counted per row
-(``graph._counts``) and streamed (``graph._pairs_at``) from one row up to a
-budget's rows at a time; sampled checks work at any size, and draw their
-pairs in batches of at most 32, each batch's 64 rows from one call of the
-distance engine, a batch only when every pair before it holds.  A sampled
-level that no pair can have (i < 0, or i above twice the eccentricity of
-a drawn x) is refused at once.
+pairs and their distance rows, labels the cells itself and stops at the
+first refutation, so neither mode peeks at its pairs or scans the distance
+matrix for the diameter.  The size policy follows from the mode: exhaustive
+checks read both distance rows from the dense distance matrix (at most
+``graph._DENSE_CAP`` vertices), counted per row (``graph._counts``) and
+streamed (``graph._pairs_at``) from one row up to a budget's rows at a time;
+sampled checks work at any size, and draw their pairs in batches of at most
+32, each batch's 64 rows from one call of the distance engine, a batch only
+when every pair before it holds.  A sampled level that no pair can have
+(i < 0, or i above twice the eccentricity of a drawn x) is refused at once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -68,7 +68,9 @@ def _sampled_pairs(g: Graph, i: int, seed: int, count: int):
     x.  Yields them for ``graph._check_pairs`` in batches of at most 32
     pairs, drawn only when asked for: each batch's xs, ys and their distance
     rows, from one call of the distance engine (row t of x, then row
-    len(xs) + t of y), with the indices of those rows.  A level-1 draw reads
+    len(xs) + t of y), with the indices of those rows; the kernel reads the
+    first batch like any other, and bounds its cell labels from the first
+    x by the rule that refuses a level here, 2 ecc(x).  A level-1 draw reads
     Gamma(x) from the arcs; a draw above level 1 reads it from a one-source
     search from x.  A row with an unreachable vertex shows the graph is
     disconnected; only when the draws run out does a one-source search tell
@@ -116,47 +118,46 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     pair x <= y.  The report is that of the scan of every ordered pair in
     lexicographic order: the witness of that pair, and as ``pairs_checked``
     its rank among the ordered pairs, or their count when the check holds.
-    Both quotients are counted first, from the arcs (``graph._quotient``),
-    so the kernel scans once; a reference that is not symmetric fails at
-    (y, x), so the ordered pairs are scanned instead.  Sampled mode draws
-    ``count`` pairs with replacement with the given seed, in batches of at
-    most 32 whose rows come from one bit-parallel search at any n (a draw
-    above level 1 runs a one-source search for Gamma_i(x)); it reads the
-    next batch only while every pair so far holds, so when the draws run
-    out after a refuting batch it reports that pair.  It can refute but
-    only exhaustive mode confirms.  Both run their pairs through the one
+    Both quotients are counted first, from the arcs and the distance rows of
+    x and y (``graph._quotient``), so the kernel scans once; a reference
+    that is not symmetric fails at (y, x), so the ordered pairs are scanned
+    instead.  Sampled mode draws ``count`` pairs with replacement with the
+    given seed, in batches of at most 32 whose rows come from one
+    bit-parallel search at any n (a draw above level 1 runs a one-source
+    search for Gamma_i(x)); it reads the next batch only while every pair so
+    far holds, so when the draws run out after a refuting batch it reports
+    that pair.  It can refute but only exhaustive mode confirms.  Both run their pairs through the one
     pair kernel, as many to a call as the block budget allows
     (``errors.ResourceError`` states it), on the route ``graph._dense_keys``
     chooses; both routes give the same report, witness and pair count.
+    Neither mode hands the kernel more than its pairs and their distance
+    rows: the kernel labels their cells itself, so neither reads the
+    diameter.
     """
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
     if mode == "sampled":
         if seed is None or count is None or count < 1:
             raise InputError("sampled mode requires a seed and a positive count")
-        batches = _sampled_pairs(g, i, seed, count)
-        first = next(batches)
-        # every distance is at most twice the eccentricity of the first x
         checked, witness, (labels, matrix) = _check_pairs(
-            g, count, 2 * int(first[2][0].max()) + 1, chain([first], batches))
+            g, count, _sampled_pairs(g, i, seed, count))
     else:
         dm, n = g.distance_matrix(), g.n
         if not g.is_connected():
             raise InputError("homogeneity is defined for connected graphs")
-        span = int(dm.max()) + 1
         count = _counts(dm, i, i, False)
         ordered = int(count.sum())
         if not ordered:
             raise InputError(f"no pair of vertices at distance {i}")
         # the first ordered pair has x <= y, so both scans share its reference
         x = int(np.argmax(count > 0))
-        dx, dy = dm[x].astype(np.intp), dm[np.argmax(dm[x] == i)].astype(np.intp)
-        half = _quotient(g, dx * span + dy, span) == _quotient(g, dy * span + dx, span)
+        dx, dy = dm[x], dm[np.argmax(dm[x] == i)]
+        half = _quotient(g, dx, dy) == _quotient(g, dy, dx)
         # the pairs x <= y: every pair x < y once each way, and at level 0
         # the pairs (x, x)
         total = (ordered + n * (i == 0)) // 2 if half else ordered
         checked, witness, (labels, matrix) = _check_pairs(
-            g, total, span, _pairs_at(dm, i, i, half))
+            g, total, _pairs_at(dm, i, i, half))
         # the failing pair's rank among the ordered pairs, or their count
         checked = ordered if witness is None else 1 + int(count[:witness[0]].sum()) + int(
             np.count_nonzero(dm[witness[0], :witness[1]] == i))

@@ -2,12 +2,13 @@
 it replaced.
 
 The array is proposed from the first vertex of each layer around vertex 0.
-Then every base vertex x in turn gets one call of the per-cell counting
-kernel (``graph._cell_counts``) over its distance layers, and each vertex's
-counts one layer down, in its own layer and one layer up are compared with
-the proposal; the first x with a differing vertex refutes, and the witness
-names that vertex.  The differential tests in ``test_distance_regularity.py``
-compare arrays and witnesses against it.
+Then every base vertex x in turn gets one whole-arc count over its distance
+layers (``cell_counts_oracle.cell_counts``, not the library's per-cell
+kernel), and each vertex's counts one layer down, in its own layer and one
+layer up are compared with the proposal; the first x with a differing
+vertex refutes, and the witness names that vertex.  The differential tests
+in ``test_distance_regularity.py`` compare arrays and witnesses against
+it.
 """
 
 from typing import Union
@@ -16,7 +17,8 @@ import numpy as np
 
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError
-from drglab.graph import DistanceRegularityWitness, Graph, _cell_counts
+from cell_counts_oracle import cell_counts
+from drglab.graph import DistanceRegularityWitness, Graph
 
 
 def check_distance_regular(g: Graph
@@ -35,7 +37,7 @@ def check_distance_regular(g: Graph
         """d(x, .) and each vertex's neighbour counts one layer down, in its
         own layer, and one layer up."""
         dx = dm[x].astype(np.intp)
-        counts = _cell_counts(g, dx, D + 2)
+        counts = cell_counts(g, dx, D + 2)
         return (dx, counts[every, np.maximum(dx - 1, 0)], counts[every, dx],
                 counts[every, dx + 1])
 

@@ -1,14 +1,15 @@
 """Reference for ``homogeneous.check_i_homogeneous``: the pair-by-pair route
 it replaced.
 
-Each pair's joint distance partition gets its own call of the per-cell
-counting kernel (``graph._equitable``): the cells are labelled
-(d(x, v), d(y, v)), ordered lexicographically, and every vertex is counted
-against every cell.  Exhaustive mode reads every pair in
-``np.nonzero(dm == i)`` order; sampled mode reads the pairs and rows that
-``sampled_pairs`` draws, all of them before the first pair is read, as the
-library did before it streamed its draws in batches.  The differential tests
-in ``test_equitability.py`` compare whole reports against it.
+Each pair's joint distance partition gets its own whole-arc count
+(``cell_counts_oracle.cell_counts``, not the library's per-cell kernel):
+the cells are labelled (d(x, v), d(y, v)), ordered lexicographically, and
+every vertex is counted against every cell.  Exhaustive mode reads every
+pair in ``np.nonzero(dm == i)`` order; sampled mode reads the pairs and
+rows that ``sampled_pairs`` draws, all of them before the first pair is
+read, as the library did before it streamed its draws in batches.  The
+differential tests in ``test_equitability.py`` compare whole reports
+against it.
 """
 
 import random
@@ -16,7 +17,8 @@ import random
 import numpy as np
 
 from drglab.errors import InputError
-from drglab.graph import EquitabilityWitness, Graph, _equitable
+from cell_counts_oracle import cell_counts
+from drglab.graph import EquitabilityWitness, Graph, QuotientParameters
 from drglab.homogeneous import HomogeneityReport
 
 
@@ -49,11 +51,25 @@ def sampled_pairs(g: Graph, i: int, seed: int, count: int):
 
 
 def _pair_quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
+    """The quotient of pi(x, y) from the distance rows dx and dy, or the
+    witness of its first inequitable cell: the cell's smallest vertex and
+    the smallest vertex in it whose count row differs."""
     span = int(max(dx.max(), dy.max())) + 1
     keys = dx.astype(np.intp) * span + dy
     present = np.bincount(keys, minlength=span * span) > 0
     labels = tuple(divmod(int(key), span) for key in np.flatnonzero(present))
-    return _equitable(g, (np.cumsum(present) - 1)[keys], labels)
+    cell = (np.cumsum(present) - 1)[keys]
+    counts = cell_counts(g, cell, len(labels))
+    rows = []
+    for ci in range(len(labels)):
+        members = np.flatnonzero(cell == ci)
+        same = (counts[members] == counts[members[0]]).all(axis=1)
+        if not same.all():
+            v = int(members[np.argmin(same)])
+            return EquitabilityWitness(ci, int(members[0]), v, tuple(counts[members[0]].tolist()),
+                                       tuple(counts[v].tolist()))
+        rows.append(tuple(counts[members[0]].tolist()))
+    return QuotientParameters(tuple(rows), labels)
 
 
 def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",

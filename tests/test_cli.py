@@ -286,7 +286,8 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     (["build", "johnson:8,x"], "bad parameters or data"),
     (["build", "latin_square", "--data", "[[0, 1"], "bad --data JSON"),
     (["bounds", "--b", "1/0"], "bad --b"),
-    (["bounds", "--b", "one"], "bad --b")])
+    (["bounds", "--b", "one"], "bad --b"),
+    (["bounds", "--b", "2", "--mu", "5"], "--mu needs --m")])
 def test_malformed_input_is_an_input_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out is None

@@ -26,8 +26,9 @@ from drglab.errors import InputError
 from drglab.families import (cocktail_party, complete, cycle, folded_halved_cube,
                              folded_johnson, grid, halved_cube, hamming, hypercube,
                              icosahedron, johnson, petersen, triangular)
-from drglab.graph import Graph, check_distance_regular
+from drglab.graph import DistanceRegularityWitness, Graph, check_distance_regular
 from test_equitability import relabel, switch
+from test_pair_budget import traced_peak
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -121,6 +122,16 @@ def test_relabelled_paths_and_trees_match_the_layer_scan(n, tree, seed):
     assert_matches_oracle(g)
 
 
+def test_path_numbered_from_its_middle_matches_the_layer_scan():
+    # vertex 0 in the middle of the 9-vertex path: ecc(0) = 4 and D = 8, so
+    # the first pair (0, 0) bounds the kernel's labels by 2 ecc(0) + 1 = D + 1,
+    # which the end 1, in the second block, reaches
+    order = [1, 3, 5, 7, 0, 2, 4, 6, 8]
+    g = Graph.from_edges(9, zip(order, order[1:]))
+    assert not isinstance(check_distance_regular(g), IntersectionArray)
+    assert_matches_oracle(g)
+
+
 @pytest.mark.parametrize("n", range(3, 16))
 def test_cycles_match_the_layer_scan(n):
     assert_matches_oracle(relabel(cycle(n), random.Random(n)))
@@ -163,6 +174,19 @@ def test_no_per_vertex_layer_scan(monkeypatch):
     w = check_distance_regular(switch(g, random.Random(5)))
     assert not isinstance(w, IntersectionArray)
     assert len(calls) <= 2
+
+
+def test_witness_counts_three_residues_not_every_layer():
+    # C_3000 with the chord 0-1500, its distance matrix built: the witness
+    # counts each vertex's neighbours in the three residues of d(x, .) mod 3
+    # (one layer down, its own and one up), 13 MiB traced, where a count
+    # of every layer, an n x (D + 2) matrix, took 78 MiB
+    g = Graph.from_edges(3000, [(v, (v + 1) % 3000) for v in range(3000)] + [(0, 1500)])
+    g.distance_matrix()
+    w, peak = traced_peak(lambda: check_distance_regular(g))
+    assert w == DistanceRegularityWitness(0, 1500, 1, (1, 0, 2), (1, 0, 1),
+                                          "intersection numbers depend on the pair")
+    assert peak <= (78 << 20) // 3, peak
 
 
 # -- the benchmark's probe -------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import cell_counts_oracle
 import dr_oracle
 import drglab.graph as graph
 import drglab.homogeneous as homogeneous
@@ -400,22 +401,20 @@ def test_counted_quotient_matches_the_count_rows_and_the_oracle():
     # the reference quotient is counted from the arcs: for each cell, the
     # count row of its first vertex, on every pair (equitable or not), and
     # the oracle's quotient on an equitable one; every pair of relabelled
-    # and switched bases, level 0 (x = y) and the one-vertex graph included,
-    # with the span of exhaustive mode (D + 1) and a wider one, as sampled
-    # mode's 2 ecc(x) + 1 can be
+    # and switched bases, level 0 (x = y) and the one-vertex graph included
     seen, graphs = set(), [complete(1)]
     for index, base in enumerate(BASES):
         rng = random.Random(400 + index)
         graphs += [relabel(base, rng), switch(relabel(base, rng), rng)]
     for g in graphs:
-        dm = g.distance_matrix().astype(np.intp)
+        dm = g.distance_matrix()
         for x, y in np.ndindex(g.n, g.n):
-            span = int(dm.max()) + 1 + (x + y) % 2 * int(dm[x].max())
-            lab = dm[x] * span + dm[y]
-            labels, matrix = graph._quotient(g, lab, span)
-            cells, first, cell = np.unique(lab, return_index=True, return_inverse=True)
-            assert labels == tuple(divmod(int(c), span) for c in cells)
-            rows = graph._cell_counts(g, cell, len(cells))[first]
+            labels, matrix = graph._quotient(g, dm[x], dm[y])
+            pairs = np.stack([dm[x], dm[y]], axis=1)
+            cells, first, cell = np.unique(pairs, axis=0, return_index=True,
+                                           return_inverse=True)
+            assert labels == tuple(map(tuple, cells.tolist()))
+            rows = cell_counts_oracle.cell_counts(g, cell.reshape(-1), len(cells))[first]
             assert matrix == tuple(map(tuple, rows.tolist()))
             want = homogeneity_oracle._pair_quotient(g, dm[x], dm[y])
             if isinstance(want, QuotientParameters):
@@ -501,6 +500,26 @@ def test_half_pair_scan_matches_the_pair_by_pair_oracle(scans):
     # failing on the ordered scan above it
     assert seen == {(True, False, True), (False, False, True), (True, True, True),
                     (False, True, True), (False, True, False)}
+
+
+def test_path_numbered_from_its_middle_matches_the_pair_by_pair_oracle():
+    # the 9-vertex path numbered from its middle, vertex 0, so that
+    # ecc(0) = 4 and D = 8: its ends, 1 and 8, are the only pairs at
+    # distance 8, so exhaustive mode streams an empty chunk for row 0
+    # before its first pair, from whose x the kernel bounds its labels; the
+    # first pair (0, y) of level 4 bounds them by 2 ecc(0) + 1 = D + 1, and
+    # DR (in test_distance_regularity.py) reads (1, 1), whose distances
+    # reach D, in its second block
+    order = [1, 3, 5, 7, 0, 2, 4, 6, 8]
+    g = Graph.from_edges(9, zip(order, order[1:]))
+    assert check_i_homogeneous(g, 8).holds
+    for i in range(9):
+        assert outcome(lambda: check_i_homogeneous(g, i)) == outcome(
+            lambda: homogeneity_oracle.check_i_homogeneous(g, i))
+        for seed in range(3):
+            assert outcome(lambda: check_i_homogeneous(g, i, "sampled", seed=seed, count=5)
+                           ) == outcome(lambda: homogeneity_oracle.check_i_homogeneous(
+                               g, i, "sampled", seed=seed, count=5))
 
 
 @pytest.mark.parametrize("n", range(4, 13))

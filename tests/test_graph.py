@@ -310,6 +310,19 @@ def test_equitable_quotient_on_distance_cells():
         assert sum(row) == 3
 
 
+def test_cell_counts_beyond_the_room_are_refused(monkeypatch):
+    # the partition of cycle(3000) from an edge has 3000 cells: 9 million
+    # (vertex, cell) counts, refused under a room of 100 MiB before they
+    # are counted, not a MemoryError; its 10 residues mod 10 fit
+    g = cycle(3000)
+    monkeypatch.setattr(errors, "_room", lambda: 100 << 20)
+    with pytest.raises(ResourceError, match="the cell counts of 3000 vertices in 3000 cells need"):
+        equitable_quotient(g, distance_partition(g, 0, 1))
+    cells = tuple(tuple(range(r, 3000, 10)) for r in range(10))
+    q = equitable_quotient(g, VertexPartition(cells, tuple(range(10))))
+    assert q.matrix[0] == (0, 1, 0, 0, 0, 0, 0, 0, 0, 1)
+
+
 def test_equitable_quotient_witness():
     # star K_{1,3} with the two-cell split {center+leaf, other leaves}
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -431,19 +444,42 @@ def test_names_in_the_list_of_size_limits_exist():
         assert cited(name) is not None, name
 
 
+def docstrings(tree, owner=None):
+    """(class, docstring) of every module, function, class and method in
+    the syntax tree ``tree``, nested ones included: the class is the name of
+    the innermost class around the docstring, or that of the class itself,
+    or None."""
+    if isinstance(tree, ast.ClassDef):
+        owner = tree.name
+    if isinstance(tree, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield owner, ast.get_docstring(tree) or ""
+    for node in ast.iter_child_nodes(tree):
+        yield from docstrings(node, owner)
+
+
 def test_names_in_the_readme_and_the_module_docstrings_exist():
     # README's dotted names headed by drglab, one of its modules or one of
     # its exports (sympy's `Poly.intervals` is not checked), and every name
-    # that a module docstring cites with a dot or a leading underscore
+    # that a docstring of src/drglab (module, function, class or method)
+    # cites with a dot or a leading underscore: a dotted name by the same
+    # rule unless its head is external (``numpy.ma``), an underscore name
+    # in its module or in the docstring's class
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         readme = re.findall(r"`(\w+(?:\.\w+)+)`", fh.read())
-    names = [(name, drglab) for name in readme if cited(name.split(".")[0]) is not None]
+    names = [(name, drglab, None) for name in readme if cited(name.split(".")[0]) is not None]
     assert {"drglab.graph", "graph._BUDGET", "Graph._adjacency", "polys.charpoly"} <= {
-        name for name, _ in names}
+        name for name, _, _ in names}
     for info in pkgutil.iter_modules(drglab.__path__):
         module = importlib.import_module(f"drglab.{info.name}")
-        names += [(name, module) for name in re.findall(r"``(\w+(?:\.\w+)*)``", module.__doc__)
-                  if "." in name or name.startswith("_")]
-    assert ("_check_pairs", drglab.graph) in names
-    for name, module in names:
-        assert cited(name, module) is not None, (module.__name__, name)
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        for owner, doc in docstrings(tree):
+            names += [(name, module, owner) for name in re.findall(r"``(\w+(?:\.\w+)*)``", doc)
+                      if (cited(name.split(".")[0], module) is not None if "." in name
+                          else name.startswith("_"))]
+    assert ("_check_pairs", drglab.graph, None) in names
+    assert ("_sources", drglab.graph, "Graph") in names
+    for name, module, owner in names:
+        found = cited(name, module) is not None or (
+            "." not in name and hasattr(getattr(module, owner or "", None), name))
+        assert found, (module.__name__, owner, name)
