@@ -48,8 +48,9 @@ class ResourceError(DrgError):
       vertex, for its lists and ints and the one copy the CLI makes;
     - a graph file read (``Graph.load``): 17 bytes per byte of the file;
     - the distance matrix (``Graph.distance_matrix``), once: 2 bytes per
-      int16 entry, 768 per vertex for the engine's blocks and two budgets,
-      one for the engine's pull and one for the verdict that reads it;
+      int16 entry, 768 per vertex for the engine's blocks (221-563 traced)
+      and two budgets, one for the engine's pull and one for the verdict
+      that reads it;
     - a dense adjacency (``Graph._adjacency``): an entry of its dtype per
       vertex pair and 8 bytes per arc, for the dense pair route,
       ``adjacency_matrix`` and ``bitrows``;

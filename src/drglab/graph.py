@@ -124,6 +124,12 @@ def _ranges(offsets: np.ndarray, most: int) -> List[Tuple[int, int]]:
     return cuts
 
 
+def _bit_rows(words: np.ndarray, count: int) -> np.ndarray:
+    """(count, len(words)) uint8: row j holds bit j of each little-endian word."""
+    return np.unpackbits(words.view(np.uint8).reshape(len(words), -1).T, axis=0,
+                         bitorder="little")[:count]
+
+
 def _per_block(size: int, width: int) -> int:
     """How many items of ``size`` entries of ``width`` bytes one block
     takes: as many as fit in ``_BUDGET``, and at least one; items of no
@@ -240,7 +246,13 @@ class Graph:
         pulls: it ORs every vertex's neighbours' words
         (``np.bitwise_or.reduceat``), gathered over the arcs of consecutive
         vertices, as many as ``_BUDGET`` bytes hold at 8 per arc (a word),
-        or one vertex's.  The new bits are decoded with ``np.unpackbits``."""
+        or one vertex's.  The distances are kept bit-sliced, a few words per
+        vertex: word b has bit j set where bit b of d(block[j], v) is, so
+        each level ORs its new bits into the seen words and into the words
+        of the bits of its number, at its new vertices when they are few
+        enough to push and over every vertex otherwise.  The block decodes
+        them once at its end, one ``np.unpackbits`` per word
+        (bit_length(ecc) of them), and -1 where a bit was never reached."""
         sources = self._vertices(sources)
         dst = self._dst
         deg = self.degrees()
@@ -249,23 +261,32 @@ class Graph:
         # a word of at most 8 bytes per arc
         pulls = [(owners[i0:i1], offsets[i0], offsets[i1], offsets[i0:i1] - offsets[i0])
                  for i0, i1 in _ranges(offsets, _BUDGET // 8)]
-        rows = np.empty((len(sources), self.n), dtype=np.int16)
+        rows = np.zeros((len(sources), self.n), dtype=np.int16)
         for lo in range(0, len(sources), 64):
             block = sources[lo:lo + 64]
             word = np.dtype(f"<u{1 << max(0, (len(block) - 1).bit_length() - 3)}")
             bit = np.left_shift(np.ones(len(block), word), np.arange(len(block), dtype=word))
             frontier = np.zeros(self.n, word)
             np.bitwise_or.at(frontier, block, bit)
-            seen, every, hit = frontier.copy(), np.bitwise_or.reduce(bit), np.flatnonzero(frontier)
-            # column j of the vertex-major block holds d(block[j], .)
-            dist = np.full((self.n, 8 * word.itemsize), -1, dtype=np.int16)
-            for level in range((1 << 15) - 1):  # level + 1 must fit in int16
-                bits = np.unpackbits(frontier[hit, None].view(np.uint8), axis=1, bitorder="little")
-                dist[hit] += bits * np.int16(level + 1)  # -1 becomes level
+            seen, every = np.zeros_like(frontier), np.bitwise_or.reduce(bit)
+            hit = np.flatnonzero(frontier)
+            sliced = []  # word b: bit b of every distance reached so far
+            for level in range((1 << 15) - 1):  # level must fit in int16
+                if not len(hit):
+                    break
                 out = deg[hit]
                 push = out.sum() * _PUSH_SHARE < len(dst)
+                if level.bit_length() > len(sliced):
+                    sliced.append(np.zeros_like(frontier))
+                # a push's new bits lie at its few new vertices, a pull's anywhere
+                at = hit if push else slice(None)
+                new = frontier[at]
+                seen[at] |= new
+                for b in range(len(sliced)):
+                    if level >> b & 1:
+                        sliced[b][at] |= new
                 # a push past the last level is cheap (it finds no vertex), a pull is not
-                if not len(hit) or not push and (seen == every).all():
+                if not push and (seen == every).all():
                     break
                 if push:
                     ends = np.cumsum(out)
@@ -281,10 +302,13 @@ class Graph:
                         reach[who] = np.bitwise_or.reduceat(np.take(frontier, dst[a:b]), seg)
                     frontier = reach & ~seen
                     hit = np.flatnonzero(frontier)
-                seen[hit] |= frontier[hit]
             else:
                 raise ResourceError("distances above 32766 do not fit the int16 rows")
-            rows[lo:lo + len(block)] = dist[:, :len(block)].T
+            d = rows[lo:lo + len(block)]
+            for w in reversed(sliced):  # from the top bit down
+                d <<= 1
+                d |= _bit_rows(w, len(block))
+            d -= _bit_rows(every & ~seen, len(block))  # an unreached bit reads 0 - 1
         return rows
 
     def distances_from(self, x: int) -> List[int]:
@@ -294,7 +318,7 @@ class Graph:
     def distance_matrix(self) -> np.ndarray:
         """Dense all-pairs distance matrix (-1 for unreachable), read-only.
         ``require_room`` checks its bytes first: 2 per int16 entry, 768 per
-        vertex for the engine's 64-source blocks (tracemalloc peaks: 545-723
+        vertex for the engine's 64-source blocks (tracemalloc peaks: 221-563
         per vertex above the entries on H(6,3), H(7,3), J(10,5) and the
         halved 11-cube), and two budgets for the blocks of the engine's
         pull and of the verdict that reads the matrix."""
@@ -558,18 +582,29 @@ def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray
     return keys
 
 
+def _narrow(lab: np.ndarray, span: int) -> np.ndarray:
+    """Labels below span^2 as int16 when that is at most 2^15, for the sorts
+    of ``np.unique``: its stable sort is a radix sort at 16 bits, 4 to 7
+    times as fast as the merge sort of int64 (int32 gains little)."""
+    return lab.astype(np.int16) if span * span <= 1 << 15 else lab
+
+
 def _quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
     """(labels, matrix) of pi(x, y) from the distance rows dx of x and dy of
-    y: the labels (d(x, v), d(y, v)) of its cells ascending, and as row c
-    the neighbours of the first vertex of cell c in each cell, counted from
-    its arcs, which is the quotient when pi(x, y) is equitable.
+    y: the labels (d(x, v), d(y, v)) of its cells ascending, sorted by the
+    key d(x, v) * span + d(y, v) with span one above the largest distance
+    (``_narrow``), and as row c the neighbours of the first vertex of cell
+    c in each cell, counted from its arcs, which is the quotient when
+    pi(x, y) is equitable.
     ``require_room`` checks the matrix's bytes first: 32 per cells x cells
     entry, for its int64 counts, its tuples and the two copies ``drglab
     homog`` makes (tracemalloc peaks: 24.3-25.3 per entry for ``homog
     --sample`` on cycles of 1000-3000 vertices, 24.3-24.5 for exhaustive
     1-homogeneity on cycles, whose symmetry test holds two quotients)."""
     dx = dx.astype(np.intp)
-    _, first, cell = np.unique(dx * g.n + dy, return_index=True, return_inverse=True)
+    span = 1 + int(max(dx.max(), dy.max()))
+    _, first, cell = np.unique(_narrow(dx * span + dy, span), return_index=True,
+                               return_inverse=True)
     require_room(f"the quotient entries of {len(first)} cells", 32 * len(first) ** 2)
     rows = [np.bincount(cell[g._dst[g._starts[v]:g._starts[v + 1]]], minlength=len(first))
             for v in first.tolist()]
@@ -583,7 +618,7 @@ def _witness(x: int, y: int, lab: np.ndarray, keys: np.ndarray, span: int):
     vertex of its cell, named with its cell label and that first vertex;
     (x, y, None, None, None) when the pair is equitable and only its
     quotient differs."""
-    _, first, cell = np.unique(lab, return_index=True, return_inverse=True)
+    _, first, cell = np.unique(_narrow(lab, span), return_index=True, return_inverse=True)
     differs = np.flatnonzero((keys != keys[:, first[cell]]).any(axis=0))
     if not len(differs):
         return x, y, None, None, None
@@ -643,7 +678,7 @@ def _check_pairs(g: Graph, total: int, chunks):
             lab = dx * span + dy
             keys = _pair_keys(g, adj, wl[:, lab] if table else wf[:, (3 * dx + dy) % 9])
             if quotient is None:
-                cells, first = np.unique(lab[0], return_index=True)
+                cells, first = np.unique(_narrow(lab[0], span), return_index=True)
                 ref = keys[:, 0, first]
                 quotient = _quotient(g, dx[0], dy[0])
                 if table:

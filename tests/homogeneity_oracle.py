@@ -60,16 +60,15 @@ def _pair_quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
     labels = tuple(divmod(int(key), span) for key in np.flatnonzero(present))
     cell = (np.cumsum(present) - 1)[keys]
     counts = cell_counts(g, cell, len(labels))
-    rows = []
-    for ci in range(len(labels)):
-        members = np.flatnonzero(cell == ci)
-        same = (counts[members] == counts[members[0]]).all(axis=1)
-        if not same.all():
-            v = int(members[np.argmin(same)])
-            return EquitabilityWitness(ci, int(members[0]), v, tuple(counts[members[0]].tolist()),
-                                       tuple(counts[v].tolist()))
-        rows.append(tuple(counts[members[0]].tolist()))
-    return QuotientParameters(tuple(rows), labels)
+    # every vertex's count row against that of its cell's first member
+    first = np.unique(cell, return_index=True)[1]
+    differs = (counts != counts[first[cell]]).any(axis=1)
+    if differs.any():
+        ci = int(cell[differs].min())
+        v = int(np.flatnonzero(differs & (cell == ci))[0])
+        return EquitabilityWitness(ci, int(first[ci]), v, tuple(counts[first[ci]].tolist()),
+                                   tuple(counts[v].tolist()))
+    return QuotientParameters(tuple(map(tuple, counts[first].tolist())), labels)
 
 
 def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",

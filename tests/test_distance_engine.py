@@ -95,13 +95,30 @@ def path(n: int) -> Graph:
 
 @pytest.mark.parametrize("build", [
     lambda: path(2), lambda: path(700), lambda: cycle(3), lambda: cycle(2001),
-    lambda: union(path(300), cycle(400), path(1))],
-    ids=["path 2", "path 700", "cycle 3", "cycle 2001", "path + cycle + vertex"])
+    lambda: union(path(300), cycle(400), path(1)), lambda: path(4100)],
+    ids=["path 2", "path 700", "cycle 3", "cycle 2001", "path + cycle + vertex", "path 4100"])
 def test_long_thin_graphs_match_the_oracle(build):
-    # frontiers of one or two vertices per source: every level pushes
+    # frontiers of one or two vertices per source: every level pushes.  The
+    # sources include a path's two ends and its middle: an end of path 4100
+    # has eccentricity 4099, 13 bit-sliced words
     g = relabel(build(), random.Random(11))
-    for sources in ([0, g.n // 2, g.n - 1], range(0, g.n, 11)):
+    ends = np.flatnonzero(g.degrees() == 1)[:2].tolist()
+    middle = [int(np.argmax(oracle_rows(g, ends[:1])[0] == g.n // 2))] if ends else []
+    for sources in ([0, g.n // 2, g.n - 1], range(0, g.n, 11), ends + middle):
         assert (g._distance_rows(sources) == oracle_rows(g, sources)).all()
+
+
+@pytest.mark.parametrize("length", [9, 17, 33])
+def test_two_four_and_eight_byte_words_leave_unreached_bits_at_minus_one(length):
+    # 9, 17 and 33 sources take 2-, 4- and 8-byte words, of which bits 9-15,
+    # 17-31 and 33-63 belong to no source; in a disconnected union every
+    # source has unreached vertices
+    rng = random.Random(length)
+    g = relabel(union(petersen(), cycle(7), path(5), Graph([[]]), hamming(3, 3)), rng)
+    sources = rng.choices(range(g.n), k=length)
+    rows = g._distance_rows(sources)
+    assert (rows == -1).any(axis=1).all()
+    assert (rows == oracle_rows(g, sources)).all()
 
 
 @st.composite

@@ -381,6 +381,29 @@ def test_long_cycles_look_labels_up_among_the_first_pair_cells():
                 homogeneity_oracle.check_i_homogeneous(h, i, "sampled", seed=i, count=6)
 
 
+@pytest.mark.parametrize("n", [180, 182])
+def test_labels_narrow_to_int16_up_to_span_181(monkeypatch, n):
+    # span = 2 ecc(x) + 1: 181^2 = 32761 labels fit int16, 183^2 = 33489 do
+    # not; a relabelled cycle, a switched copy (one cycle or two) and a
+    # chorded copy, whose pairs refute and are named by the witness's sort
+    narrowed, narrow = set(), graph._narrow
+    monkeypatch.setattr(graph, "_narrow", lambda lab, span: narrowed.add(
+        (span, (out := narrow(lab, span)).dtype.itemsize)) or out)
+    rng = random.Random(n)
+    g = relabel(cycle(n), rng)
+    u, w = sorted(g.edges())[0]
+    chorded = Graph.from_edges(n, sorted(g.edges()) + [(v, w) for v in g.neighbors(u)
+                                                       if v != w][:1])
+    for h in (g, switch(g, rng), chorded):
+        for i in (1, 90):
+            assert outcome(lambda: check_i_homogeneous(h, i)) == \
+                outcome(lambda: homogeneity_oracle.check_i_homogeneous(h, i))
+            assert outcome(lambda: check_i_homogeneous(h, i, "sampled", seed=i, count=5)) == \
+                outcome(lambda: homogeneity_oracle.check_i_homogeneous(
+                    h, i, "sampled", seed=i, count=5))
+    assert ((181, 2) if n == 180 else (183, 8)) in narrowed
+
+
 def test_route_rule():
     # an exhaustive check (one pair per arc) goes dense on every graph of
     # at most 1024 vertices and n / 32 average valency, and so does its half
