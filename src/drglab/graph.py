@@ -303,7 +303,8 @@ class Graph:
                     frontier = reach & ~seen
                     hit = np.flatnonzero(frontier)
             else:
-                raise ResourceError("distances above 32766 do not fit the int16 rows")
+                if len(hit):  # a vertex at distance 32767
+                    raise ResourceError("distances above 32766 do not fit the int16 rows")
             d = rows[lo:lo + len(block)]
             for w in reversed(sliced):  # from the top bit down
                 d <<= 1

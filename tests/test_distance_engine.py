@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bfs_oracle import bfs_distances
-from drglab.errors import InputError
+from drglab.errors import InputError, ResourceError
 from drglab.families import (cycle, folded_halved_cube, folded_johnson, halved_cube,
                              hamming, icosahedron, johnson, petersen, triangular)
 from drglab.graph import Graph
@@ -121,6 +121,14 @@ def test_two_four_and_eight_byte_words_leave_unreached_bits_at_minus_one(length)
     rows = g._distance_rows(sources)
     assert (rows == -1).any(axis=1).all()
     assert (rows == oracle_rows(g, sources)).all()
+
+
+def test_distances_up_to_32766_fit_and_one_more_is_refused():
+    # the rows are int16 and the levels stop at 32766: the ends of
+    # path(32767) lie at 32766, those of path(32768) at 32767
+    assert path(32767)._distance_rows([0])[0].tolist() == list(range(32767))
+    with pytest.raises(ResourceError, match="distances above 32766"):
+        path(32768)._distance_rows([0])
 
 
 @st.composite
