@@ -2,21 +2,25 @@
 """Run the end-to-end benchmark and write the medians and quartiles of its
 bounded metrics.
 
-    python scripts/bench.py OUT.json [--seeds 1 2 3] [--runs 3] [--seconds 30]
+    python scripts/bench.py OUT.json
 
-For every workload that BENCHMARK.json declares, every seed and every run,
-the script starts ``perfbench/run.py --trace 0`` as a child process, with its
-result file in a temporary directory, and reads the run's end-to-end
-metrics from that file.  The runs go round by round (each round runs every
-workload and seed once), so a slow spell of the machine spreads over all of
-them.  OUT.json gets the commit of the tree, the settings, and per workload
-and seed the median, first and third quartiles and the samples of every
-metric that BENCHMARK.json bounds, and of the share of ops that failed.
-Figures are keyed by seed, since a seed fixes the relabelings and switched
-copies of a run: compare two files seed by seed.
+For every workload that BENCHMARK.json declares, each of the seeds 1, 2 and 3
+and each of 3 runs, the script starts ``perfbench/run.py --trace 0`` as a
+child process, with BENCHMARK.json's ``run_seconds`` as its ``--seconds`` and
+its result file in a temporary directory, and reads the run's end-to-end
+metrics from that file.  The seeds, the run count and the run length are
+fixed, so that any two files compare seed by seed.  The runs go round by
+round (each round runs every workload and seed once), so a slow spell of the
+machine spreads over all of them.  OUT.json gets the commit of the tree,
+whether the benchmarked files (src/, perfbench/, scripts/ and BENCHMARK.json)
+differ from it, the settings, and per workload and seed the median, first and
+third quartiles and the samples of every metric that BENCHMARK.json bounds,
+and of the share of ops that failed.  Figures are keyed by seed, since a seed
+fixes the relabelings and switched copies of a run.
 
 Exit codes: 0 every run succeeded, 1 a run exited non-zero (a wrong verdict
-or a crash; its output is printed).
+or a crash; its output is printed).  A failing git command stops the script
+before any run.
 """
 
 import argparse
@@ -28,14 +32,13 @@ import sys
 import tempfile
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+SEEDS = (1, 2, 3)
+RUNS = 3
 
 
 def git(*args: str) -> str:
-    try:
-        return subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True,
-                              check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return ""
+    return subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def summary(samples):
@@ -48,22 +51,23 @@ def summary(samples):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="file to write, e.g. BENCH_<n>.json at the repo root")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--runs", type=int, default=3, help="runs per workload and seed")
-    ap.add_argument("--seconds", type=float, default=30.0, help="--seconds of each run")
     args = ap.parse_args(argv)
+    commit = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--", "src", "perfbench", "scripts",
+                     "BENCHMARK.json"))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]] + ["fail_ratio"]
-    got = {w: {s: {m: [] for m in metrics} for s in args.seeds} for w in workloads}
+    got = {w: {s: {m: [] for m in metrics} for s in SEEDS} for w in workloads}
     with tempfile.TemporaryDirectory() as tmp:
-        for run in range(args.runs):
+        for run in range(RUNS):
             for w in workloads:
-                for s in args.seeds:
+                for s in SEEDS:
                     out = os.path.join(tmp, f"{w}-{s}-{run}.json")
                     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-                           "--workload", w, "--seed", str(s), "--seconds", str(args.seconds),
+                           "--workload", w, "--seed", str(s), "--seconds", str(seconds),
                            "--trace", "0", "--out", out]
                     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
                     if proc.returncode:
@@ -75,11 +79,10 @@ def main(argv=None) -> int:
                         e2e = json.load(fh)["end_to_end"]
                     for m in metrics:
                         got[w][s][m].append(e2e[m])
-                    print(f"run {run + 1}/{args.runs} {w} seed {s}: "
+                    print(f"run {run + 1}/{RUNS} {w} seed {s}: "
                           + ", ".join(f"{m} {e2e[m]:.4g}" for m in metrics), flush=True)
-    result = {"commit": git("rev-parse", "HEAD"),
-              "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
-              "seeds": args.seeds, "runs": args.runs, "seconds": args.seconds,
+    result = {"commit": commit, "dirty": dirty,
+              "seeds": list(SEEDS), "runs": RUNS, "seconds": seconds,
               "end_to_end": {w: {str(s): {m: summary(v) for m, v in by_seed.items()}
                                  for s, by_seed in per_seed.items()}
                              for w, per_seed in got.items()}}
