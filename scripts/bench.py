@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Run the end-to-end benchmark and write the medians and quartiles of its
-bounded metrics.
+"""Run the benchmark and write the medians and quartiles of its bounded
+metrics, and the per-layer figures of one traced run per workload.
 
     python scripts/bench.py OUT.json
 
@@ -11,12 +11,16 @@ its result file in a temporary directory, and reads the run's end-to-end
 metrics from that file.  The seeds, the run count and the run length are
 fixed, so that any two files compare seed by seed.  The runs go round by
 round (each round runs every workload and seed once), so a slow spell of the
-machine spreads over all of them.  OUT.json gets the commit of the tree,
+machine spreads over all of them.  Then each workload runs once more with
+``--trace 1`` on seed 1, for the same seconds, and its result's
+``per_layer`` block (the traced pass's seconds and calls by layer, as
+perfbench names them) is kept.  OUT.json gets the commit of the tree,
 whether the benchmarked files (src/, perfbench/, scripts/ and BENCHMARK.json)
-differ from it, the settings, and per workload and seed the median, first and
+differ from it, the settings, per workload and seed the median, first and
 third quartiles and the samples of every metric that BENCHMARK.json bounds,
-and of the share of ops that failed.  Figures are keyed by seed, since a seed
-fixes the relabelings and switched copies of a run.
+and of the share of ops that failed, and under ``per_layer`` each workload's
+block.  Figures are keyed by seed, since a seed fixes the relabelings and
+switched copies of a run.
 
 Exit codes: 0 every run succeeded, 1 a run exited non-zero (a wrong verdict
 or a crash; its output is printed).  A failing git command stops the script
@@ -41,6 +45,21 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
+def perfbench(workload: str, seed: int, seconds, trace: int, out: str):
+    """The result of one run of ``perfbench/run.py``, read from its file
+    OUT, or None when the run exits non-zero (its output is printed)."""
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace), "--out", out]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode:
+        print(proc.stdout, proc.stderr, sep="\n", file=sys.stderr)
+        print(f"error: {' '.join(cmd)} exited {proc.returncode}", file=sys.stderr)
+        return None
+    with open(out) as fh:
+        return json.load(fh)
+
+
 def summary(samples):
     """Median and quartiles (inclusive method) of the samples."""
     q1, median, q3 = (statistics.quantiles(samples, n=4, method="inclusive")
@@ -61,31 +80,32 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]] + ["fail_ratio"]
     got = {w: {s: {m: [] for m in metrics} for s in SEEDS} for w in workloads}
+    per_layer = {}
     with tempfile.TemporaryDirectory() as tmp:
         for run in range(RUNS):
             for w in workloads:
                 for s in SEEDS:
-                    out = os.path.join(tmp, f"{w}-{s}-{run}.json")
-                    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-                           "--workload", w, "--seed", str(s), "--seconds", str(seconds),
-                           "--trace", "0", "--out", out]
-                    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-                    if proc.returncode:
-                        print(proc.stdout, proc.stderr, sep="\n", file=sys.stderr)
-                        print(f"error: {' '.join(cmd)} exited {proc.returncode}",
-                              file=sys.stderr)
+                    res = perfbench(w, s, seconds, 0, os.path.join(tmp, f"{w}-{s}-{run}.json"))
+                    if res is None:
                         return 1
-                    with open(out) as fh:
-                        e2e = json.load(fh)["end_to_end"]
+                    e2e = res["end_to_end"]
                     for m in metrics:
                         got[w][s][m].append(e2e[m])
                     print(f"run {run + 1}/{RUNS} {w} seed {s}: "
                           + ", ".join(f"{m} {e2e[m]:.4g}" for m in metrics), flush=True)
+        for w in workloads:
+            res = perfbench(w, SEEDS[0], seconds, 1, os.path.join(tmp, f"{w}-traced.json"))
+            if res is None:
+                return 1
+            per_layer[w] = res["per_layer"]
+            print(f"traced {w} seed {SEEDS[0]}: {len(per_layer[w])} per-layer figures",
+                  flush=True)
     result = {"commit": commit, "dirty": dirty,
               "seeds": list(SEEDS), "runs": RUNS, "seconds": seconds,
               "end_to_end": {w: {str(s): {m: summary(v) for m, v in by_seed.items()}
                                  for s, by_seed in per_seed.items()}
-                             for w, per_seed in got.items()}}
+                             for w, per_seed in got.items()},
+              "per_layer": per_layer}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

@@ -2,11 +2,13 @@
 """Run the full analysis pipeline over the built-in graph corpus.
 
 For each graph: build it, certify distance-regularity, check 1-homogeneity
-and the local three-cell partitions, evaluate the fundamental bound, and run
-the applicable classifiers.  Prints one summary block per graph.  Every
-verdict is exhaustive: each pair at each distance is read.  Exits 1 when
-some graph is not distance-regular, not 1-homogeneous, or fails the local
-partition check.
+and the local three-cell partitions, and print from its array's
+classification report (``drglab.classical.classification_report``, what
+``drglab classify`` reports) the fundamental bound, the near polygon, the
+classical parameters and every classification that applies.  Prints one
+summary block per graph.  Every verdict is exhaustive: each pair at each
+distance is read.  Exits 1 when some graph is not distance-regular, not
+1-homogeneous, or fails the local partition check.
 
 Usage:
     python scripts/verify_corpus.py
@@ -17,13 +19,11 @@ import time
 
 from drglab.arrays import IntersectionArray
 from drglab.cab import cab_partition_check
-from drglab.classical import classify_tight, fundamental_bound, \
-    recognize_classical
+from drglab.classical import classification_report
 from drglab.eigen import b_parameter, eigenvalues
 from drglab.families import FamilySpec, build_family
 from drglab.graph import check_distance_regular
-from drglab.homogeneous import (check_i_homogeneous, classify_main,
-                                near_polygon_analysis, recognize_named_family)
+from drglab.homogeneous import check_i_homogeneous
 from drglab.scalars import scalar_str
 
 CORPUS = [
@@ -44,10 +44,11 @@ def analyze(spec_text: str, g, built_s: float) -> bool:
     if not isinstance(ia, IntersectionArray):
         print(f"   NOT distance-regular: {ia}")
         return False
+    report = classification_report(ia)
     print(f"   array {ia}   eigenvalues "
           f"{[scalar_str(v) for v in eigenvalues(ia)]}")
     print(f"   b = {scalar_str(b_parameter(ia))}   "
-          f"named: {recognize_named_family(ia) or '-'}")
+          f"named: {report['named_families'] or '-'}")
     homog = check_i_homogeneous(g, 1)
     print(f"   1-homogeneous: {homog.holds} "
           f"({homog.mode}, {homog.pairs_checked} pairs)")
@@ -58,24 +59,19 @@ def analyze(spec_text: str, g, built_s: float) -> bool:
                         for v in p.as_tuple()) for p in cab.levels]
         print(f"   local partitions: holds={cab.holds}  levels={levels}")
         holds = holds and cab.holds
-    if ia.D >= 3:
-        fb = fundamental_bound(ia)
+    if "fundamental_bound" in report:
+        fb = report["fundamental_bound"]
         print(f"   fundamental bound: lhs={scalar_str(fb.lhs)} "
               f"rhs={scalar_str(fb.rhs)} tight={fb.tight}")
-        if fb.tight and ia.D >= 5:
-            out = classify_tight(ia)
-            print(f"   tight classifier: branch {out.branch} ({out.name})")
-    npa = near_polygon_analysis(ia)
+    npa = report["near_polygon"]
     if npa["near_polygon"]:
         print(f"   near polygon: gon={npa['gon']} order={npa['order']} "
               f"refinement={npa['refinement']}")
-    cps = recognize_classical(ia) if ia.D >= 3 else []
-    for cp in cps:
+    for cp in report["classical_parameters"]:
         print(f"   classical (D,b,alpha,beta) = ({cp.D}, {cp.b}, "
               f"{scalar_str(cp.alpha)}, {scalar_str(cp.beta)})")
-    if ia.D >= 5 and ia.a_at(1) > 0:
-        out = classify_main(ia)
-        print(f"   main classifier: branch {out.branch} ({out.name})")
+    for out in report["classifications"]:
+        print(f"   {out.theorem} classifier: branch {out.branch} ({out.name})")
     return holds
 
 

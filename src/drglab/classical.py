@@ -1,6 +1,8 @@
 """Classical parameters (D, b, alpha, beta): generated arrays and spectra,
 recognition from arrays, the beta lower bound, the fundamental bound and
-tightness, and the classifiers for classical / tight arrays of diameter >= 5.
+tightness, the classifiers for classical / tight arrays of diameter >= 5, and
+the one classification report of an array, which decides which of the main,
+classical and tight classifiers apply to it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from .arrays import IntersectionArray
 from .bounds import F_bound
 from .eigen import EigenvalueList, b_parameter, eigenvalues
 from .errors import InputError, PreconditionError, ScopeError, require
-from .homogeneous import ClassificationOutcome, Evidence, _named_branches, _outcome
+from .homogeneous import (ClassificationOutcome, Evidence, _named_branches, _outcome,
+                          classify_main, near_polygon_analysis, recognize_named_family,
+                          small_diameter_lookup)
 from .scalars import ExactScalar, exact_cmp, exact_eq
 
 
@@ -264,3 +268,25 @@ def classify_tight(ia: IntersectionArray) -> ClassificationOutcome:
     out = _outcome("tight", [("iii", "locally connected with k <= F(b)")], evidence)
     # the F-bound evidence follows the sorted list
     return replace(out, evidence=out.evidence + (Evidence("F-bound", "k <= F(b)", (ia.k, F)),))
+
+
+def classification_report(ia: IntersectionArray) -> dict:
+    """Everything ``drglab classify`` reports on an array besides its
+    homogeneity: the named families, the near-polygon analysis, the
+    classical parameters, the fundamental bound (D >= 3) and the
+    classifications that apply.  With D >= 5 and a_1 > 0 these are the main
+    one, the classical one for each parameter set with b >= 1 and the tight
+    one when the bound is tight; otherwise none."""
+    out = {"named_families": recognize_named_family(ia) + small_diameter_lookup(ia),
+           "near_polygon": near_polygon_analysis(ia)}
+    cps = recognize_classical(ia) if ia.D >= 3 else []
+    out["classical_parameters"] = cps
+    if ia.D >= 3:
+        out["fundamental_bound"] = fundamental_bound(ia)
+    applied = out["classifications"] = []
+    if ia.D >= 5 and ia.a_at(1) > 0:
+        applied.append(classify_main(ia))
+        applied += [classify_classical(cp) for cp in cps if cp.b >= 1]
+        if out["fundamental_bound"].tight:
+            applied.append(classify_tight(ia))
+    return out

@@ -19,15 +19,12 @@ from typing import Optional
 from .arrays import IntersectionArray, basic_feasibility
 from .bounds import F_bound, G_bound, srg_bounds
 from .cab import cab_partition_check
-from .classical import (classify_classical, classify_tight, fundamental_bound,
-                        recognize_classical)
+from .classical import classification_report
 from .eigen import b_parameter, eigenvalues
 from .errors import DrgError, InputError
 from .families import FamilySpec, build_family
 from .graph import Graph, check_distance_regular
-from .homogeneous import (check_i_homogeneous, classify_main,
-                          near_polygon_analysis, recognize_named_family,
-                          small_diameter_lookup)
+from .homogeneous import check_i_homogeneous, recognize_named_family, small_diameter_lookup
 from .scalars import scalar_json
 from .srg import SrgParams, check_bounds, recognize_srg_family, sims_classify, \
     srg_eigenvalues, srg_from_graph
@@ -48,6 +45,12 @@ def _load_graph(path: str) -> Graph:
         return Graph.load(path)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot load graph from {path}: {exc}") from exc
+
+
+def _dr_witness(w) -> dict:
+    """The JSON of a distance-regularity witness, as analyze and classify
+    print it."""
+    return {f: getattr(w, f) for f in ("x", "y", "distance", "counts", "expected")}
 
 
 def cmd_build(args) -> int:
@@ -71,10 +74,7 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args.file)
     ia = check_distance_regular(g)
     if not isinstance(ia, IntersectionArray):  # the witness of a failure
-        return _emit({"distance_regular": False,
-                      "witness": {"x": ia.x, "y": ia.y, "distance": ia.distance,
-                                  "counts": list(ia.counts),
-                                  "expected": list(ia.expected)}}, 1)
+        return _emit({"distance_regular": False, "witness": _dr_witness(ia)}, 1)
     rep = basic_feasibility(ia)
     out = {"distance_regular": True, "ia": str(ia), "v": g.n,
            "diameter": ia.D, "k": ia.k, "a": list(ia.a),
@@ -124,27 +124,15 @@ def cmd_classify(args) -> int:
         g = _load_graph(args.file)
         ia = check_distance_regular(g)
         if not isinstance(ia, IntersectionArray):
-            return _emit({"error": "graph is not distance-regular"}, 1)
+            return _emit({"error": "graph is not distance-regular",
+                          "witness": _dr_witness(ia)}, 1)
         rep = check_i_homogeneous(g, 1)
         if not rep.holds:
             return _emit({"error": "graph is not 1-homogeneous", "ia": str(ia),
                           "witness": rep.witness}, 1)
         homogeneity = "verified"
-    out: dict = {"ia": str(ia), "homogeneity": homogeneity}
-    out["named_families"] = recognize_named_family(ia) + small_diameter_lookup(ia)
-    out["near_polygon"] = near_polygon_analysis(ia)
-    cps = recognize_classical(ia) if ia.D >= 3 else []
-    out["classical_parameters"] = cps
-    if ia.D >= 3:
-        out["fundamental_bound"] = fundamental_bound(ia)
-    classifications = []
-    if ia.D >= 5 and ia.a_at(1) > 0:
-        classifications.append(classify_main(ia))
-        classifications += [classify_classical(cp) for cp in cps if cp.b >= 1]
-        if out["fundamental_bound"].tight:
-            classifications.append(classify_tight(ia))
-    out["classifications"] = classifications
-    return _emit(out, 0)
+    return _emit({"ia": str(ia), "homogeneity": homogeneity,
+                  **classification_report(ia)}, 0)
 
 
 def cmd_srg(args) -> int:

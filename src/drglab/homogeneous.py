@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .arrays import IntersectionArray
-from .bounds import F_bound, G_bound
+from .bounds import homogeneity_bounds
 from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require
 from .graph import (Graph, _check_pairs, _common_neighbourhoods, _counts, _pairs_at,
@@ -405,10 +405,10 @@ def classify_main(ia: IntersectionArray) -> ClassificationOutcome:
         evidence.append(Evidence(
             "near-polygon", "a_i = c_i a_1 for all i",
             (npa.get("order"), npa.get("refinement"))))
-    F = F_bound(b)
+    F, G = homogeneity_bounds(b)
     k_le_F = exact_cmp(ia.k, F) <= 0
     evidence.append(Evidence("F-bound", "k <= F(b)", (ia.k, F, k_le_F)))
-    evidence.append(Evidence("G-bound", "G(b) < F(b)", (G_bound(b), F)))
+    evidence.append(Evidence("G-bound", "G(b) < F(b)", (G, F)))
     # branch order: (i) first, the structural families, the bound (vi) last
     if k_le_F:
         branches.append(("vi", "k <= F(b)"))

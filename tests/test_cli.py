@@ -1,7 +1,9 @@
 """Command-line interface: JSON schema, exit codes, argument validation."""
 
+import importlib.util
 import json
 import os
+import re
 import resource
 import runpy
 import subprocess
@@ -52,6 +54,21 @@ def test_analyze_non_drg_exits_one(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "analyze", path)
     assert code == 1
     assert not out["distance_regular"] and "witness" in out
+
+
+@pytest.mark.parametrize("build", [lambda: Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+                                   chorded_c4], ids=["P4", "chorded C4"])
+def test_classify_names_the_distance_regularity_witness(capsys, tmp_path, build):
+    # classify exits 1 on a graph that is not distance-regular with the
+    # witness that analyze prints for it
+    path = str(tmp_path / "g.json")
+    build().dump(path)
+    code, analyzed, _ = run_cli(capsys, "analyze", path)
+    assert code == 1
+    code, classified, _ = run_cli(capsys, "classify", path)
+    assert code == 1 and classified["error"] == "graph is not distance-regular"
+    assert classified["witness"] == analyzed["witness"]
+    assert sorted(classified["witness"]) == ["counts", "distance", "expected", "x", "y"]
 
 
 def test_homog_exit_codes(capsys, tmp_path):
@@ -298,8 +315,13 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CORPUS_SCRIPT = os.path.join(ROOT, "scripts", "verify_corpus.py")
 
 
-def test_verify_corpus_script_runs():
-    # one "==" header per corpus graph, every verdict exhaustive and holding
+CLASSIFIER_LINE = re.compile(r"   (\w+) classifier: branch (\S+) \((.*)\)$")
+
+
+def test_verify_corpus_script_runs(capsys):
+    # one "==" header per corpus graph, every verdict exhaustive and holding,
+    # and each graph's classifier lines the classifications, in order, that
+    # ``classify --ia`` reports for its array
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run([sys.executable, CORPUS_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -311,6 +333,23 @@ def test_verify_corpus_script_runs():
     homog = [line for line in lines if line.lstrip().startswith("1-homogeneous:")]
     assert len(homog) == len(corpus)
     assert all(line.split()[1:3] == ["True", "(exhaustive,"] for line in homog)
+    blocks = {}
+    for line in lines:
+        if line.startswith("== "):
+            block = blocks[line.split()[1]] = {"printed": []}
+        elif line.lstrip().startswith("array "):
+            block["ia"] = line.split()[1]
+        elif match := CLASSIFIER_LINE.match(line):
+            block["printed"].append(match.groups())
+    for spec, block in blocks.items():
+        code, out, _ = run_cli(capsys, "classify", "--ia", block["ia"])
+        assert code == 0
+        assert block["printed"] == [(c["theorem"], c["branch"], c["name"])
+                                    for c in out["classifications"]], spec
+    assert [p[:2] for p in blocks["johnson:10,5"]["printed"]] == [
+        ("main", "ii"), ("classical", "ii"), ("tight", "i")]
+    assert [p[:2] for p in blocks["hamming:5,3"]["printed"]] == [
+        ("main", "i"), ("classical", "i")]
 
 
 @pytest.mark.parametrize("build", [lambda: triangular(10), chorded_c4],
@@ -329,6 +368,52 @@ def test_code_lines_script_counts_only_code(tmp_path):
                            str(tmp_path)], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["2", "m.py", "2", "total"]
+
+
+def test_bench_script_runs_every_seed_and_one_traced_run_per_workload(
+        monkeypatch, tmp_path):
+    # git and the child runs are fakes that write canned result files: the
+    # end-to-end runs cover every workload, seed and run with --trace 0, then
+    # one --trace 1 run per workload on seed 1 gives its per-layer block
+    path = os.path.join(ROOT, "scripts", "bench.py")
+    spec = importlib.util.spec_from_file_location("bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
+    metrics = [m["name"] for m in declared["end_to_end"]] + ["fail_ratio"]
+    runs = []
+
+    def fake_run(cmd, **kwargs):
+        opts = dict(zip(cmd[2::2], cmd[3::2]))
+        runs.append(opts)
+        seed, trace = int(opts["--seed"]), int(opts["--trace"])
+        result = {"end_to_end": {m: seed + len(runs) / 1000 for m in metrics}}
+        if trace:
+            result["per_layer"] = {"cli.classify_s": seed, opts["--workload"]: 1}
+        with open(opts["--out"], "w") as fh:
+            json.dump(result, fh)
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench, "git", lambda *args: "")
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench.main([str(out)]) == 0
+    written = json.loads(out.read_text())
+    workloads = [w["name"] for w in declared["workloads"]]
+    plain = [r for r in runs if r["--trace"] == "0"]
+    assert sorted((r["--workload"], r["--seed"]) for r in plain) == sorted(
+        (w, s) for w in workloads for s in ("1", "2", "3") for _ in range(3))
+    assert all(r["--seconds"] == str(declared["run_seconds"]) for r in runs)
+    assert [(r["--workload"], r["--seed"], r["--trace"]) for r in runs[len(plain):]] == [
+        (w, "1", "1") for w in workloads]
+    assert written["seeds"] == [1, 2, 3] and written["runs"] == 3
+    for w in workloads:
+        for s in ("1", "2", "3"):
+            assert sorted(written["end_to_end"][w][s]) == sorted(metrics)
+            assert len(written["end_to_end"][w][s]["wall_s"]["samples"]) == 3
+            assert int(written["end_to_end"][w][s]["wall_s"]["median"]) == int(s)
+    assert written["per_layer"] == {w: {"cli.classify_s": 1, w: 1} for w in workloads}
 
 
 #: imports the CLI once, then runs each [argv, limit, relative] of the JSON
