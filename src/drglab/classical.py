@@ -17,8 +17,7 @@ from .bounds import F_bound
 from .eigen import EigenvalueList, b_parameter, eigenvalues
 from .errors import InputError, PreconditionError, ScopeError, require
 from .homogeneous import (ClassificationOutcome, Evidence, _named_branches, _outcome,
-                          classify_main, near_polygon_analysis, recognize_named_family,
-                          small_diameter_lookup)
+                          classify_main, named_families, near_polygon_analysis)
 from .scalars import ExactScalar, exact_cmp, exact_eq
 
 
@@ -277,7 +276,7 @@ def classification_report(ia: IntersectionArray) -> dict:
     classifications that apply.  With D >= 5 and a_1 > 0 these are the main
     one, the classical one for each parameter set with b >= 1 and the tight
     one when the bound is tight; otherwise none."""
-    out = {"named_families": recognize_named_family(ia) + small_diameter_lookup(ia),
+    out = {"named_families": named_families(ia),
            "near_polygon": near_polygon_analysis(ia)}
     cps = recognize_classical(ia) if ia.D >= 3 else []
     out["classical_parameters"] = cps

@@ -24,7 +24,7 @@ from .eigen import b_parameter, eigenvalues
 from .errors import DrgError, InputError
 from .families import FamilySpec, build_family
 from .graph import Graph, check_distance_regular
-from .homogeneous import check_i_homogeneous, recognize_named_family, small_diameter_lookup
+from .homogeneous import check_i_homogeneous, named_families
 from .scalars import scalar_json
 from .srg import SrgParams, check_bounds, recognize_srg_family, sims_classify, \
     srg_eigenvalues, srg_from_graph
@@ -82,7 +82,7 @@ def cmd_analyze(args) -> int:
            "eigenvalues": list(eigenvalues(ia).values)}
     if ia.D >= 2:
         out["b_parameter"] = b_parameter(ia)
-    out["named_families"] = recognize_named_family(ia) + small_diameter_lookup(ia)
+    out["named_families"] = named_families(ia)
     return _emit(out, 0)
 
 

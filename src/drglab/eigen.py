@@ -8,9 +8,9 @@ from functools import lru_cache
 from typing import Tuple
 
 from .arrays import IntersectionArray, basic_feasibility
-from .errors import InputError, InternalError
+from .errors import DomainError, InputError, InternalError, require
 from .polys import tridiagonal_roots
-from .scalars import ExactScalar, exact_cmp
+from .scalars import ExactScalar, Interval, Surd, exact_cmp
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,54 @@ def eigenvalues(ia: IntersectionArray) -> EigenvalueList:
 
 
 eigenvalues.cache_clear = _spectrum.cache_clear
+
+
+def _radical_sum(terms) -> ExactScalar:
+    """The sum of rationals and surds, the terms over each radical (its
+    conjugate pairs) summed first, so that a rational total is reached in
+    exact arithmetic; terms over two radicals would make an ``Interval``."""
+    parts: dict = {}
+    for t in terms:
+        d = t.d if isinstance(t, Surd) else 1
+        parts[d] = parts.get(d, 0) + t
+    return sum(parts.values(), Fraction(0))
+
+
+def multiplicities(ia: IntersectionArray) -> Tuple[int, ...]:
+    """The multiplicity of each eigenvalue of ``eigenvalues(ia)``, in its
+    order, when every eigenvalue is rational or a surd (BCN §4.1.B; Biggs,
+    *Algebraic Graph Theory*, ch. 21): m(theta) = n / sum_i k_i u_i(theta)^2,
+    where u_0 = 1, u_1 = theta / k and
+    c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta u_i.
+
+    For the array of a distance-regular graph each m is a positive integer,
+    sum m = n, sum m theta = 0 (the trace of A) and sum m theta^2 = n k (the
+    trace of A^2); each is checked with ``require``, so a failure is an
+    ``InternalError``, with the surd terms of the sums summed by radical
+    first.  An eigenvalue of degree 3 or more (an ``Interval``) is a
+    ``DomainError``: its multiplicity is not decided here."""
+    thetas = eigenvalues(ia).values
+    if any(isinstance(t, Interval) for t in thetas):
+        raise DomainError("multiplicities need rational or quadratic eigenvalues")
+    ks = basic_feasibility(ia).k_i
+    n, k = sum(ks), ia.k
+    out = []
+    for theta in thetas:
+        prev, u = 1, theta / k
+        norm = 1 + ks[1] * u * u
+        for i in range(1, ia.D):
+            prev, u = u, ((theta - ia.a_at(i)) * u - ia.c_at(i) * prev) / ia.b[i]
+            norm += ks[i + 1] * u * u
+        m = n / norm
+        require(isinstance(m, Fraction) and m.denominator == 1 and m > 0,
+                f"multiplicity {m} of eigenvalue {theta} is not a positive integer")
+        out.append(int(m))
+    require(sum(out) == n, "multiplicities do not sum to the number of vertices")
+    require(_radical_sum(m * t for m, t in zip(out, thetas)) == 0,
+            "eigenvalues times multiplicities do not sum to the trace 0")
+    require(_radical_sum(m * t * t for m, t in zip(out, thetas)) == n * k,
+            "squared eigenvalues times multiplicities do not sum to n k")
+    return tuple(out)
 
 
 def b_parameter(ia: IntersectionArray) -> ExactScalar:

@@ -58,10 +58,11 @@ class ResourceError(DrgError):
       cells x cells matrix, counted from the arcs: 32 bytes per entry, for
       its counts, its tuples and the two copies ``drglab homog`` makes (a
       pair of the n-cycle has about n cells);
-    - an equitable quotient (``graph.equitable_quotient``): 25 bytes per
-      (vertex, cell) entry for its counts, their copies and the comparison,
-      8 per cells x cells entry for the quotient's tuples, 64 per vertex and
-      one budget for the per-cell counts' arc ranges.
+    - an equitable quotient (``graph.equitable_quotient``): 8 bytes per
+      (vertex, cell) entry for its counts, 24 per cells x cells entry for
+      the reference rows and the quotient's lists and tuples, 64 per vertex
+      and two budgets, for the per-cell counts' arc ranges and the blocks
+      in which the count rows are compared with the reference rows.
 
     These four are the only predictions that grow with n^2, and none grows
     with a sample count: every pair scan reads its pairs as a stream, a
@@ -80,9 +81,11 @@ class ResourceError(DrgError):
 
     Time: the dense distance matrix takes at most ``graph._DENSE_CAP`` (6000)
     vertices, which bounds exhaustive 1-homogeneity, the triple intersection
-    number and the c2 report; exact spectra take at most
-    ``graph.SPECTRUM_EXACT_CAP`` (256); the CAB check takes a valency of at
-    most 4096.
+    number, the c2 report and the spectra that ``graph.graph_spectrum``
+    reads from the array of a certified distance-regular graph (H(5,3) in
+    about 3 ms); every other exact spectrum, the roots of a characteristic
+    polynomial, takes at most ``graph.SPECTRUM_EXACT_CAP`` (256) vertices
+    (about 1.2 s on H(5,3)); the CAB check takes a valency of at most 4096.
 
     Exactness: distances are int16, so at most 32766; CAB's cell-count keys
     are float sums below (k + 1)^3, in float32 while that is at most 2^22
@@ -109,7 +112,9 @@ class ResourceError(DrgError):
     chunk before, up to what the budget holds at 27 per entry, 3 for the
     selection and 24 per pair); the distance engine's pull
     (``Graph._distance_rows``, 8 per arc); the per-cell counts
-    (``graph._cell_counts``, 32 per arc); the local-partition pass
+    (``graph._cell_counts``, 32 per arc and 8 per (vertex, cell) count;
+    ``graph.equitable_quotient`` compares the count rows with the reference
+    rows at 17 per (vertex, cell) entry); the local-partition pass
     (``graph._local_blocks``, whose blocks count each centre's selected row
     too: 16 per entry for the CAB check, 28 with float64 keys, 14 for the
     lambda- and mu-graphs, 18 for the triple intersection number) and its

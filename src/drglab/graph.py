@@ -1,6 +1,8 @@
 """Graph representation and the empirical machinery: distances, distance
 partitions, equitable quotients, distance-regularity testing, local and
-mu-graphs, and exact spectra of at most ``SPECTRUM_EXACT_CAP`` vertices.
+mu-graphs, and exact spectra: from the intersection array for a certified
+distance-regular graph, and of at most ``SPECTRUM_EXACT_CAP`` vertices for
+any other graph.
 
 A graph is stored as one arc index, intp targets and offsets
 (``Graph(adjacency)`` checks outside input).  The arcs feed the one
@@ -49,9 +51,12 @@ y (``_at``) and counted first (``_counts``), in blocks of centres y.  The
 pass is behind the local (C, A, B) check in ``cab``, which reads its
 failing level again from the pair stream (``_pairs_at``) through the gather
 alone, in (x, y) order, the lambda- and mu-graph valencies, the mu-graph
-report and the triple intersection number.  A
+report and the triple intersection number.  The
+spectrum of a graph that ``check_distance_regular`` certifies is its
+array's eigenvalues with the multiplicities the array gives
+(``eigen.multiplicities``), when every one is rational or a surd; any other
 spectrum is the real roots of the integer characteristic polynomial
-(``polys.charpoly``), with no floating point.
+(``polys.charpoly``).  Neither route uses floating point.
 """
 
 from __future__ import annotations
@@ -60,20 +65,24 @@ import json
 import operator
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .arrays import IntersectionArray
+from .eigen import eigenvalues, multiplicities
 from .errors import InputError, ResourceError, require_room
 from .polys import charpoly, real_roots
-from .scalars import ExactScalar
+from .scalars import ExactScalar, Surd
 
 GRAPH_FORMAT = "drg-graph-v1"
 
-#: vertex cap for exact spectra: the characteristic polynomial of 256
-#: vertices takes about 2 s
+#: vertex cap for exact spectra from the characteristic polynomial (about
+#: 2 s at 256 vertices): every graph but a certified distance-regular one
+#: whose array's eigenvalues are all rational or surds, whose spectrum comes
+#: from the array at any size the dense distance matrix takes
 SPECTRUM_EXACT_CAP = 256
 _DENSE_CAP = 6000
 #: a frontier with under 1 / _PUSH_SHARE of all arcs pushes (~33 bytes per arc it holds)
@@ -462,12 +471,13 @@ def distance_partition(g: Graph, x: int, y: int) -> VertexPartition:
 def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
     """Row v counts the neighbours of v in each cell; cell[u] is the cell of
     vertex u, or -1 when u lies in no cell.  The arcs are read in ranges of
-    consecutive vertices within ``_BUDGET`` arcs, or of one vertex, one
+    consecutive vertices within ``_BUDGET`` bytes, or of one vertex, one
     ``bincount`` per range."""
     counts = np.empty((g.n, ncells), dtype=np.intp)
     starts = g._starts
-    # 32 bytes per arc: intp rows, target cells and keys, and a mask
-    for i0, i1 in _ranges(starts, _BUDGET // 32):
+    # 32 bytes per arc (intp rows, target cells and keys, and a mask) and 8
+    # per (vertex, cell) entry of the range's bincount
+    for i0, i1 in _ranges(32 * starts + 8 * ncells * np.arange(g.n + 1), _BUDGET):
         rows = np.repeat(np.arange(i1 - i0), np.diff(starts[i0:i1 + 1]))
         target = cell[g._dst[starts[i0]:starts[i1]]]
         if target.min(initial=0) < 0:
@@ -483,20 +493,22 @@ def equitable_quotient(g: Graph, p: VertexPartition
     """Quotient parameters of p within the induced subgraph on its ground set,
     or the lexicographically smallest witness of inequitability: the first
     inequitable cell, its smallest vertex and the smallest vertex in it
-    whose count row differs.  ``require_room`` checks the bytes first: 25
-    per (vertex, cell) entry, for the int64 counts, their copy at the
-    members, the reference rows spread to the members and the comparison;
-    8 per cells x cells entry, the quotient's tuples; 64 per vertex; and a
-    budget for the arc ranges of ``_cell_counts`` (tracemalloc peaks: 33.0
-    per (vertex, cell) entry on cycles of 1000-3000 vertices, whose
-    distance partitions have n cells, 25.3-28.2 on cycles of 20000 and
-    200000 vertices in 10 and 100 cells)."""
+    whose count row differs.  The count rows are compared with their
+    cell's reference rows in blocks of members within ``_BUDGET``, so no
+    copy of every member's row exists.  ``require_room`` checks the bytes
+    first: 8 per (vertex, cell) entry, for the int64 counts; 24 per
+    cells x cells entry, for the reference rows and the quotient's lists and
+    tuples; 64 per vertex; and two budgets, for the arc ranges of
+    ``_cell_counts`` and the blocks of the comparison (tracemalloc peaks:
+    9.4 per (vertex, cell) entry on cycle(20000) in 100 cells, 8.6 on
+    cycle(200000) in 100 cells, 32.1 on cycles of 1000 and 3000 vertices,
+    whose distance partitions have n cells)."""
     ground = p.ground_set
     if ground and (ground[0] < 0 or ground[-1] >= g.n):
         raise InputError("partition has a vertex outside the graph")
     ncells = len(p.cells)
     require_room(f"the cell counts of {g.n} vertices in {ncells} cells",
-                 25 * g.n * ncells + 8 * ncells * ncells + 64 * g.n + _BUDGET)
+                 8 * g.n * ncells + 24 * ncells * ncells + 64 * g.n + 2 * _BUDGET)
     cell = np.full(g.n, -1, dtype=np.intp)
     for ci, members in enumerate(p.cells):
         cell[list(members)] = ci
@@ -506,7 +518,12 @@ def equitable_quotient(g: Graph, p: VertexPartition
     _, first = np.unique(member_cell, return_index=True)
     first = members[first]
     ref = counts[first]
-    bad = (counts[members] != ref[member_cell]).any(axis=1)
+    bad = np.empty(len(members), dtype=bool)
+    # 17 bytes per entry: a block's count rows, its reference rows and the comparison
+    step = _per_block(ncells, 17)
+    for lo in range(0, len(members), step):
+        at = slice(lo, lo + step)
+        bad[at] = (counts[members[at]] != ref[member_cell[at]]).any(axis=1)
     if bad.any():
         ci = int(member_cell[bad].min())
         v = int(members[bad & (member_cell == ci)][0])
@@ -1051,12 +1068,34 @@ class SpectrumReport:
 
 
 def graph_spectrum(g: Graph) -> SpectrumReport:
-    """Exact adjacency spectrum with multiplicities (descending): the real
-    roots of the integer characteristic polynomial of the adjacency matrix,
-    for graphs of at most ``SPECTRUM_EXACT_CAP`` vertices.  ``charpoly``
-    finds it modulo primes of at most (63 - bitlength(n)) / 2 bits, enough
-    of them that their product exceeds twice the Hadamard bound
-    prod_v (1 + ceil(sqrt(deg v))), so the coefficients are exact."""
+    """Exact adjacency spectrum with multiplicities (descending), by one of
+    two routes.
+
+    A connected regular graph of 2 to ``_DENSE_CAP`` vertices is certified
+    first (``check_distance_regular``).  When it is distance-regular and
+    every eigenvalue of its array (``eigen.eigenvalues``) is rational or a
+    surd, those are the graph's eigenvalues, with the multiplicities that
+    the array gives (``eigen.multiplicities``, which checks them against n,
+    the trace and the trace of A^2), at any size the check reaches.  A
+    connected graph of valency 2 is a polygon, and the n-gon has the
+    eigenvalue 2 cos(2 pi / n) of degree phi(n) / 2 >= 3 once n > 12, so
+    such polygons skip the array, whose polynomial has degree about n / 2.
+
+    Every other graph (not distance-regular, disconnected, a single vertex,
+    or with an eigenvalue of degree 3 or more) takes the real roots of the
+    integer characteristic polynomial of its adjacency matrix, for at most
+    ``SPECTRUM_EXACT_CAP`` vertices.  ``charpoly`` finds it modulo primes of
+    at most (63 - bitlength(n)) / 2 bits, enough of them that their product
+    exceeds twice the Hadamard bound prod_v (1 + ceil(sqrt(deg v))), so the
+    coefficients are exact."""
+    deg = g.degrees()
+    if (2 <= g.n <= _DENSE_CAP and (deg == deg[0]).all() and (deg[0] != 2 or g.n <= 12)
+            and g.is_connected()):
+        ia = check_distance_regular(g)
+        if isinstance(ia, IntersectionArray):
+            thetas = eigenvalues(ia).values
+            if all(isinstance(t, (Fraction, Surd)) for t in thetas):
+                return SpectrumReport(tuple(zip(thetas, multiplicities(ia))))
     if g.n > SPECTRUM_EXACT_CAP:
         raise ResourceError(f"exact spectrum capped at {SPECTRUM_EXACT_CAP} vertices")
     if g.n == 0:

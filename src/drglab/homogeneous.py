@@ -288,6 +288,13 @@ def small_diameter_lookup(ia: IntersectionArray) -> List[str]:
     return tags
 
 
+def named_families(ia: IntersectionArray) -> List[str]:
+    """Every named-family tag of ia, as ``drglab analyze`` and ``drglab
+    classify`` report them: the family arrays of ``recognize_named_family``,
+    then the small-diameter arrays of ``small_diameter_lookup``."""
+    return recognize_named_family(ia) + small_diameter_lookup(ia)
+
+
 # -- local spectral checks --------------------------------------------------
 
 

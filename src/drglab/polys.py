@@ -9,7 +9,8 @@ Hessenberg reduction modulo word-size primes joined by Chinese remaindering
 coefficients, so the result is exact, not probable; a rational matrix is
 scaled by its common denominator first.
 
-Roots: factor over Q (sympy), then read roots off the irreducible factors.
+Roots: split into squarefree parts, factor each over Q (sympy), then read
+roots off the irreducible factors.
 Linear factors give rationals, quadratic factors give surds, higher-degree
 factors are isolated into certified rational intervals of width
 ``ROOT_WIDTH`` that refine on demand.  A tridiagonal matrix with positive
@@ -86,8 +87,12 @@ def real_roots(coeffs: Sequence) -> List[Tuple[ExactScalar, int]]:
     if len(ints) <= 1:
         raise ValueError("constant polynomial has no well-defined roots")
     poly = sympy.Poly(list(reversed(ints)), _X, domain="ZZ")
+    # squarefree parts first: a characteristic polynomial with repeated
+    # roots factors much faster part by part than whole
+    factors = [(fac, mult * inner) for part, mult in poly.sqf_list()[1]
+               for fac, inner in part.factor_list()[1]]
     out: List[Tuple[ExactScalar, int]] = []
-    for fac, mult in poly.factor_list()[1]:
+    for fac, mult in factors:
         cs = [int(c) for c in fac.all_coeffs()]  # descending
         deg = len(cs) - 1
         if deg == 1:

@@ -1,8 +1,13 @@
 """Exact spectra: ``graph_spectrum`` and ``polys.charpoly`` against the
 verification, interpolation and Berkowitz routes they replaced
 (``spectrum_oracle``), closed forms at ``SPECTRUM_EXACT_CAP``, the edge cases
-of the one route, and guards that keep floating-point linear algebra, sympy's
+of both routes, and guards that keep floating-point linear algebra, sympy's
 characteristic polynomial and bare ``assert`` statements out of the library.
+The array route of a certified distance-regular graph is checked against the
+characteristic polynomial of its adjacency and the oracle, its fallbacks
+against the polynomial, its answers above the cap against the closed forms
+of Hamming graphs and hypercubes, and its multiplicity checks against a
+planted wrong eigenvalue.
 
 Graphs are relabelled and edge-switched corpus graphs, random G(n, p) graphs
 with n <= 20 (some disconnected), and cycles and paths whose eigenvalues
@@ -21,12 +26,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import drglab.eigen
 import drglab.graph
-from drglab.errors import ResourceError
-from drglab.families import (complete, cycle, folded_johnson, hamming, hypercube,
-                             icosahedron, johnson, petersen, triangular)
+from drglab.arrays import IntersectionArray
+from drglab.eigen import EigenvalueList, eigenvalues, multiplicities
+from drglab.errors import DomainError, InternalError, ResourceError
+from drglab.families import (complete, cycle, folded_johnson, halved_cube, hamming,
+                             hypercube, icosahedron, johnson, petersen, triangular)
 from drglab.graph import SPECTRUM_EXACT_CAP, Graph, graph_spectrum
-from drglab.polys import _prime, charpoly, poly_mul
+from drglab.polys import _prime, charpoly, poly_mul, real_roots
 from drglab.scalars import Interval, exact_eq, scalar_bounds
 from spectrum_oracle import charpoly_berkowitz, charpoly_dense, oracle_spectrum
 from test_distance_engine import union
@@ -223,6 +231,122 @@ def test_empty_and_edgeless_graphs():
     assert rep.values == () and rep.exact
     assert graph_spectrum(Graph([[]])).values == ((0, 1),)
     assert graph_spectrum(Graph([[], []])).values == ((0, 2),)
+
+
+#: the distance-regular graphs of ``BASES`` (cycle(7) has cubic eigenvalues,
+#: so it takes the characteristic polynomial) and five more
+DRGS = {g_name: g for g_name, g in [
+    ("Petersen", BASES[0]), ("icosahedron", BASES[1]), ("J(6,3)", BASES[2]),
+    ("H(3,3)", BASES[3]), ("folded J(8,4)", BASES[4]), ("T(6)", BASES[5]),
+    ("C7", BASES[6]), ("3-cube", BASES[7]), ("K2", BASES[9]), ("K5", complete(5)),
+    ("T(10)", triangular(10)), ("J(8,4)", johnson(8, 4)),
+    ("halved 8-cube", halved_cube(8))]}
+
+#: the oracle's spectrum of each graph of ``DRGS``, computed on its first
+#: relabelled copy (a relabelling keeps the spectrum): the verification
+#: route takes about 9 s on the halved 8-cube
+_ORACLE = {}
+
+
+def assert_same_spectrum(got, want):
+    """Equal values, multiplicities and types; two enclosures of one root
+    of degree >= 3 only have to overlap."""
+    assert [(type(v), m) for v, m in got] == [(type(v), m) for v, m in want]
+    for (a, _), (b, _) in zip(got, want):
+        if isinstance(a, Interval):
+            (alo, ahi), (blo, bhi) = scalar_bounds(a, 12), scalar_bounds(b, 12)
+            assert alo <= bhi and blo <= ahi
+        else:
+            assert a == b
+
+
+def fail(*args):
+    raise AssertionError("characteristic polynomial or dense adjacency reached")
+
+
+@pytest.mark.parametrize("name", list(DRGS))
+@settings(derandomize=True, max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32))
+def test_distance_regular_spectra_match_the_charpoly_and_the_oracle(name, seed):
+    g = relabel(DRGS[name], random.Random(seed))
+    by_charpoly = real_roots(charpoly(g.adjacency_matrix().tolist()))
+    if not any(isinstance(v, Interval) for v, _ in by_charpoly):
+        # the array route answers without the characteristic polynomial
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drglab.graph, "charpoly", fail)
+            got = graph_spectrum(g).values
+    else:
+        got = graph_spectrum(g).values
+    if name not in _ORACLE:
+        _ORACLE[name] = oracle_spectrum(g)
+    assert_same_spectrum(got, by_charpoly)
+    assert_same_spectrum(got, _ORACLE[name])
+
+
+def two_triangles() -> Graph:
+    return union(complete(3), complete(3))
+
+
+@pytest.mark.parametrize("g", [cycle(7), switch(johnson(8, 4), random.Random(1)),
+                               two_triangles(), Graph([[]])],
+                         ids=["C7", "switched J(8,4)", "2K3", "K1"])
+def test_fallbacks_give_the_charpoly_answer(g, monkeypatch):
+    # cubic eigenvalues, a regular graph that is not distance-regular, a
+    # disconnected regular graph and a single vertex
+    calls = []
+    monkeypatch.setattr(drglab.graph, "charpoly", lambda rows: calls.append(1) or charpoly(rows))
+    got = graph_spectrum(g).values
+    assert calls == [1]
+    assert_same_spectrum(got, real_roots(charpoly(g.adjacency_matrix().tolist())))
+
+
+@pytest.mark.parametrize("D, q", [(6, 3), (9, 2)])
+def test_hamming_spectra_above_the_cap_come_from_the_array(D, q, monkeypatch):
+    # H(6,3) has 729 vertices and the 9-cube 512: theta_i = D(q - 1) - q i
+    # with multiplicity C(D, i) (q - 1)^i
+    g = hamming(D, q) if q > 2 else hypercube(D)
+    assert g.n > SPECTRUM_EXACT_CAP
+    monkeypatch.setattr(drglab.graph, "charpoly", fail)
+    monkeypatch.setattr(Graph, "_adjacency", fail)
+    got = graph_spectrum(g).values
+    want = [(Fraction(D * (q - 1) - q * i), comb(D, i) * (q - 1) ** i) for i in range(D + 1)]
+    assert_same_spectrum(got, want)
+
+
+def prism(m: int) -> Graph:
+    """C_m x K_2: cubic and connected, not distance-regular for m >= 5."""
+    return Graph.from_edges(2 * m, [(v, (v + 1) % m) for v in range(m)]
+                            + [(m + v, m + (v + 1) % m) for v in range(m)]
+                            + [(v, m + v) for v in range(m)])
+
+
+@pytest.mark.parametrize("g", [prism(129), cycle(SPECTRUM_EXACT_CAP + 1)], ids=["prism", "cycle"])
+def test_no_array_spectrum_above_the_cap_is_refused(g, monkeypatch):
+    # a graph that is not distance-regular, and one whose eigenvalues are
+    # cubic and above: no characteristic polynomial is tried
+    monkeypatch.setattr(drglab.graph, "charpoly", fail)
+    with pytest.raises(ResourceError):
+        graph_spectrum(g)
+
+
+def test_a_wrong_eigenvalue_fails_the_multiplicity_checks(monkeypatch):
+    # Petersen's eigenvalues are 3, 1, -2; with 1 replaced by 2 the
+    # multiplicities 1, 4, 4 no longer sum to 10
+    wrong = EigenvalueList((Fraction(3), Fraction(2), Fraction(-2)))
+    monkeypatch.setattr(drglab.eigen, "eigenvalues", lambda ia: wrong)
+    monkeypatch.setattr(drglab.graph, "eigenvalues", lambda ia: wrong)
+    with pytest.raises(InternalError):
+        graph_spectrum(relabel(petersen(), random.Random(0)))
+
+
+def test_multiplicities_of_arrays():
+    # the icosahedron's surd pair and J(8,4); cubic eigenvalues are refused
+    assert multiplicities(IntersectionArray((5, 2, 1), (1, 2, 5))) == (1, 3, 5, 3)
+    assert multiplicities(IntersectionArray((16, 9, 4, 1), (1, 4, 9, 16))) == (1, 7, 20, 28, 14)
+    with pytest.raises(DomainError):
+        multiplicities(IntersectionArray((2, 1, 1), (1, 1, 1)))
+    assert any(isinstance(v, Interval) for v in eigenvalues(IntersectionArray((2, 1, 1), (1, 1, 1))))
 
 
 def test_size_guard_comes_before_any_arithmetic(monkeypatch):
