@@ -854,8 +854,10 @@ class C2RegularityReport:
     t_max: int
 
 
-def _max_coclique_rows(rows: Sequence[int], universe: int) -> int:
-    best = 0
+def _max_coclique_rows(rows: Sequence[int], universe: int, best: int = 0) -> int:
+    """The larger of ``best`` and the largest coclique within ``universe``
+    (bit v set for vertex v, whose neighbours are ``rows[v]``); a known
+    ``best`` prunes every branch that cannot beat it."""
 
     def grow(candidates: int, size: int):
         nonlocal best
@@ -1030,11 +1032,16 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
     patterns: list = []
     c2, kappa = _common_neighbourhoods(g, 2, patterns)
     a, b = np.triu_indices(c2, c2 > 1)
+    # a coclique I of a kappa-regular graph on c2 vertices, kappa >= 1, sends
+    # its kappa |I| edges to the c2 - |I| others, so |I| <= c2 / 2
+    most = c2 // 2 if kappa else c2
     t_max = 0
     for pattern in _distinct(np.concatenate(patterns)):
+        if t_max >= most:
+            break
         bits = np.zeros((c2, c2), dtype=np.uint8)
         bits[a, b] = np.unpackbits(np.frombuffer(pattern.tobytes(), dtype=np.uint8))[:len(a)]
-        t_max = max(t_max, _max_coclique_rows(_row_ints(bits | bits.T), (1 << c2) - 1))
+        t_max = _max_coclique_rows(_row_ints(bits | bits.T), (1 << c2) - 1, t_max)
     return C2RegularityReport(c2, kappa is not None, kappa, kappa == c2 - 1, t_max)
 
 

@@ -18,7 +18,7 @@ import family_oracle as oracle
 import local_oracle
 
 import drglab
-from drglab import errors, families
+from drglab import errors, families, graph
 from drglab.arrays import IntersectionArray
 from drglab.errors import InputError, ResourceError
 from drglab.families import (FamilySpec, build_family, cocktail_party,
@@ -368,6 +368,24 @@ def test_c2_regularity_report():
     assert not rep.terwilliger
     rep = c2_regularity_report(hypercube(3))
     assert rep.c2 == 2 and rep.kappa == 0
+
+
+def test_c2_report_stops_searching_at_half_the_mu_graph(monkeypatch):
+    # the mu-graphs of folded J(8,4) are 2-regular on 8 vertices, so no
+    # coclique beats 4; relabelled, they have about 190 distinct patterns,
+    # and the first search that finds 4 is the last
+    g = families.folded_johnson(8, 4)
+    perm = list(range(g.n))
+    random.Random(5).shuffle(perm)
+    g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    searched = []
+    search = graph._max_coclique_rows
+    monkeypatch.setattr(graph, "_max_coclique_rows",
+                        lambda *args: searched.append(1) or search(*args))
+    rep = c2_regularity_report(g)
+    assert (rep.c2, rep.kappa, rep.t_max) == (8, 2, 4)
+    assert rep == local_oracle.c2_regularity_report(g)
+    assert len(searched) == 1
 
 
 def test_max_coclique():
