@@ -1026,15 +1026,18 @@ def _distinct(v: np.ndarray) -> np.ndarray:
 def c2_regularity_report(g: Graph) -> C2RegularityReport:
     """mu-graph valency/completeness survey over all distance-2 pairs.  The
     largest coclique is searched once per distinct mu-graph adjacency
-    pattern (mu-graphs with equal patterns are equal up to relabelling)."""
+    pattern (mu-graphs with equal patterns are equal up to relabelling),
+    each search pruned by the largest found so far, and no more once that
+    meets the bound of a kappa-regular mu-graph, min(c2 / 2, c2 - kappa)."""
     if int(g.distance_matrix().max(initial=0)) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")
     patterns: list = []
     c2, kappa = _common_neighbourhoods(g, 2, patterns)
     a, b = np.triu_indices(c2, c2 > 1)
     # a coclique I of a kappa-regular graph on c2 vertices, kappa >= 1, sends
-    # its kappa |I| edges to the c2 - |I| others, so |I| <= c2 / 2
-    most = c2 // 2 if kappa else c2
+    # its kappa |I| edges to the c2 - |I| others, so |I| <= c2 / 2, and the
+    # kappa neighbours of any one of its vertices lie outside it
+    most = min(c2 // 2, c2 - kappa) if kappa else c2
     t_max = 0
     for pattern in _distinct(np.concatenate(patterns)):
         if t_max >= most:
