@@ -1023,28 +1023,48 @@ def _distinct(v: np.ndarray) -> np.ndarray:
     return v[np.r_[True, v[1:] != v[:-1]][:len(v)]]
 
 
+def _coclique_bound(size: int, valency: Optional[int]) -> int:
+    """The largest coclique a graph on ``size`` vertices can have when it is
+    regular of ``valency`` (None: any graph): a coclique I of a
+    kappa-regular graph, kappa >= 1, sends its kappa |I| edges to the
+    size - |I| other vertices, and the kappa neighbours of any vertex of I
+    lie outside it, so |I| <= min(size / 2, size - kappa)."""
+    return min(size // 2, size - valency) if valency else size
+
+
 def c2_regularity_report(g: Graph) -> C2RegularityReport:
-    """mu-graph valency/completeness survey over all distance-2 pairs.  The
-    largest coclique is searched once per distinct mu-graph adjacency
-    pattern (mu-graphs with equal patterns are equal up to relabelling),
-    each search pruned by the largest found so far, and no more once that
-    meets the bound of a kappa-regular mu-graph, min(c2 / 2, c2 - kappa)."""
-    if int(g.distance_matrix().max(initial=0)) < 2:
+    """mu-graph valency/completeness survey over all distance-2 pairs, and
+    the largest coclique t_max of a mu-graph.  The mu-graph of the first
+    pair at distance 2 is searched first; when its largest coclique meets
+    the bound of a graph regular of its valency (``_coclique_bound``) and
+    every mu-graph turns out regular of that valency, that is t_max, and no
+    other mu-graph is searched.  Otherwise the largest coclique is searched
+    once per distinct mu-graph adjacency pattern (mu-graphs with equal
+    patterns are equal up to relabelling), each search pruned by the
+    largest found so far, and no more once that meets the bound."""
+    dm = g.distance_matrix()
+    if int(dm.max(initial=0)) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")
-    patterns: list = []
+    x = next(v for v in range(g.n) if (dm[v] == 2).any())
+    mu = mu_graph(g, x, int(np.argmax(dm[x] == 2))).graph
+    deg = mu.degrees()
+    first = int(deg[0]) if (deg == deg[0]).all() else None
+    t_max = _max_coclique_rows([sum(1 << u for u in mu.neighbors(v)) for v in range(mu.n)],
+                               (1 << mu.n) - 1)
+    patterns = [] if t_max < _coclique_bound(mu.n, first) else None
     c2, kappa = _common_neighbourhoods(g, 2, patterns)
-    a, b = np.triu_indices(c2, c2 > 1)
-    # a coclique I of a kappa-regular graph on c2 vertices, kappa >= 1, sends
-    # its kappa |I| edges to the c2 - |I| others, so |I| <= c2 / 2, and the
-    # kappa neighbours of any one of its vertices lie outside it
-    most = min(c2 // 2, c2 - kappa) if kappa else c2
-    t_max = 0
-    for pattern in _distinct(np.concatenate(patterns)):
-        if t_max >= most:
-            break
-        bits = np.zeros((c2, c2), dtype=np.uint8)
-        bits[a, b] = np.unpackbits(np.frombuffer(pattern.tobytes(), dtype=np.uint8))[:len(a)]
-        t_max = _max_coclique_rows(_row_ints(bits | bits.T), (1 << c2) - 1, t_max)
+    if patterns is None and kappa != first:
+        patterns = []
+        _common_neighbourhoods(g, 2, patterns)
+    if patterns is not None:
+        most = _coclique_bound(c2, kappa)
+        a, b = np.triu_indices(c2, c2 > 1)
+        for pattern in _distinct(np.concatenate(patterns)):
+            if t_max >= most:
+                break
+            bits = np.zeros((c2, c2), dtype=np.uint8)
+            bits[a, b] = np.unpackbits(np.frombuffer(pattern.tobytes(), dtype=np.uint8))[:len(a)]
+            t_max = _max_coclique_rows(_row_ints(bits | bits.T), (1 << c2) - 1, t_max)
     return C2RegularityReport(c2, kappa is not None, kappa, kappa == c2 - 1, t_max)
 
 

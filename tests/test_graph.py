@@ -370,10 +370,10 @@ def test_c2_regularity_report():
     assert rep.c2 == 2 and rep.kappa == 0
 
 
-def test_c2_report_stops_searching_at_half_the_mu_graph(monkeypatch):
+def test_c2_report_searches_one_mu_graph_that_meets_the_bound(monkeypatch):
     # the mu-graphs of folded J(8,4) are 2-regular on 8 vertices, so no
     # coclique beats 4; relabelled, they have about 190 distinct patterns,
-    # and the first search that finds 4 is the last
+    # and the first mu-graph's coclique of 4 is the only one searched
     g = families.folded_johnson(8, 4)
     perm = list(range(g.n))
     random.Random(5).shuffle(perm)
