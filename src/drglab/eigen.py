@@ -114,8 +114,8 @@ def multiplicities(ia: IntersectionArray) -> Tuple[int, ...]:
     thetas = eigenvalues(ia).values
     if any(isinstance(t, Interval) for t in thetas):
         raise DomainError("multiplicities need rational or quadratic eigenvalues")
-    ks = basic_feasibility(ia).k_i
-    n, k = sum(ks), ia.k
+    rep = basic_feasibility(ia)
+    ks, n, k = rep.k_i, rep.v, ia.k
     out = []
     for theta in thetas:
         prev, u = 1, theta / k
