@@ -54,6 +54,12 @@ class ResourceError(DrgError):
     - a dense adjacency (``Graph._adjacency``): an entry of its dtype per
       vertex pair and 8 bytes per arc, for the dense pair route,
       ``adjacency_matrix`` and ``bitrows``;
+    - the label tables of a pair scan (``graph._check_pairs``): 16 bytes
+      per label per key word, for a digit weight and a reference key, with
+      (2i + 1)(2 ecc(x) + 1) labels for the pair (x, y) that starts the
+      scan at distance i, since every distance is at most 2 ecc(x) and the
+      two distances of a vertex differ by at most i (about n^2 / 2 on the
+      n-cycle at level n / 2, 3 (n + 1) at level 1);
     - the quotient that a pair scan reports (``graph._quotient``), the one
       cells x cells matrix, counted from the arcs: 32 bytes per entry, for
       its counts, its tuples and the two copies ``drglab homog`` makes (a
@@ -64,7 +70,7 @@ class ResourceError(DrgError):
       and two budgets, for the per-cell counts' arc ranges and the blocks
       in which the count rows are compared with the reference rows.
 
-    These four are the only predictions that grow with n^2, and none grows
+    These five are the only predictions that grow with n^2, and none grows
     with a sample count: every pair scan reads its pairs as a stream, a
     budget at a time.  One rule selects the pairs of some rows of the
     distance matrix whose distance lies in a range (``graph._at``), and
@@ -101,14 +107,12 @@ class ResourceError(DrgError):
     budget or of one vertex (``graph._ranges``).  The passes and their
     widths: the pair kernel's blocks of pairs (``graph._check_pairs``: 8
     bytes per (pair, arc) on the sparse route, 32 per (pair, vertex) on the
-    dense one), its sparse arc ranges (``graph._pair_keys``, 8 per (pair,
-    arc)) and its tables of every label (8 per label, taken while span^2
-    labels fit, where span = 2 ecc(x) + 1 for the x of the stream's first
-    pair, since every distance is at most 2 ecc(x)); the pair selection
-    (``graph._at``: at most 3 per distance-matrix entry, and 2 more for the
-    int16 copy of indexed rows); the per-row pair counts (``graph._counts``,
-    3 per entry); the pair stream of exhaustive 1-homogeneity and of the
-    CAB check's re-read (``graph._pairs_at``: chunks of one row, then twice as many rows as the
+    dense one) and its sparse arc ranges (``graph._pair_keys``, 8 per
+    (pair, arc)); the pair selection (``graph._at``: at most 3 per
+    distance-matrix entry, and 2 more for the int16 copy of indexed rows);
+    the per-row pair counts (``graph._counts``, 3 per entry); the pair
+    stream of exhaustive 1-homogeneity and of the CAB check's re-read
+    (``graph._pairs_at``: chunks of one row, then twice as many rows as the
     chunk before, up to what the budget holds at 27 per entry, 3 for the
     selection and 24 per pair); the distance engine's pull
     (``Graph._distance_rows``, 8 per arc); the per-cell counts

@@ -18,7 +18,9 @@ compared; the one quotient a check reports, its first pair's, is counted
 from the arcs of each cell's first vertex (``_quotient``), the one place
 that builds a cells x cells matrix, after ``require_room``.  The kernel reads
 its pairs as a stream of chunks, each with the distance rows it names, and
-labels the cells itself, bounded from the first pair's eccentricity, so a
+labels the cells itself, relative to the pair: every pair is at the distance
+i of the first pair (x0, y0), so a cell D^h_j(x, y) has |j - h| <= i, and
+one table of (2i + 1)(2 ecc(x0) + 1) labels serves every scan.  So a
 caller hands over pairs and rows only, and no verdict scans the distance
 matrix for the diameter.  It asks for the next chunk only while every pair so
 far holds: one chunk for distance-regularity, rows of the distance matrix
@@ -73,7 +75,7 @@ import numpy as np
 
 from .arrays import IntersectionArray
 from .eigen import eigenvalues, multiplicities
-from .errors import InputError, ResourceError, require_room
+from .errors import InputError, ResourceError, require, require_room
 from .polys import charpoly, real_roots
 from .scalars import ExactScalar, Surd
 
@@ -600,11 +602,11 @@ def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray
     return keys
 
 
-def _narrow(lab: np.ndarray, span: int) -> np.ndarray:
-    """Labels below span^2 as int16 when that is at most 2^15, for the sorts
-    of ``np.unique``: its stable sort is a radix sort at 16 bits, 4 to 7
-    times as fast as the merge sort of int64 (int32 gains little)."""
-    return lab.astype(np.int16) if span * span <= 1 << 15 else lab
+def _narrow(lab: np.ndarray, count: int) -> np.ndarray:
+    """Labels below ``count`` as int16 when that is at most 2^15, for the
+    sorts of ``np.unique``: its stable sort is a radix sort at 16 bits, 4 to
+    7 times as fast as the merge sort of int64 (int32 gains little)."""
+    return lab.astype(np.int16) if count <= 1 << 15 else lab
 
 
 def _quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
@@ -621,7 +623,7 @@ def _quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
     1-homogeneity on cycles, whose symmetry test holds two quotients)."""
     dx = dx.astype(np.intp)
     span = 1 + int(max(dx.max(), dy.max()))
-    _, first, cell = np.unique(_narrow(dx * span + dy, span), return_index=True,
+    _, first, cell = np.unique(_narrow(dx * span + dy, span * span), return_index=True,
                                return_inverse=True)
     require_room(f"the quotient entries of {len(first)} cells", 32 * len(first) ** 2)
     rows = [np.bincount(cell[g._dst[g._starts[v]:g._starts[v + 1]]], minlength=len(first))
@@ -630,18 +632,20 @@ def _quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
             tuple(tuple(row.tolist()) for row in rows))
 
 
-def _witness(x: int, y: int, lab: np.ndarray, keys: np.ndarray, span: int):
-    """The witness of a refuting pair from its labels (n,) and keys (words,
-    n): the least (cell, vertex) whose key differs from that of the first
-    vertex of its cell, named with its cell label and that first vertex;
+def _witness(x: int, y: int, dx: np.ndarray, dy: np.ndarray, lab: np.ndarray,
+             keys: np.ndarray, count: int):
+    """The witness of a refuting pair from its distance rows dx and dy, its
+    labels (n,) below ``count`` and its keys (words, n): the least (cell,
+    vertex) whose key differs from that of the first vertex of its cell,
+    named with its cell label (d(x, v), d(y, v)) and that first vertex;
     (x, y, None, None, None) when the pair is equitable and only its
     quotient differs."""
-    _, first, cell = np.unique(_narrow(lab, span), return_index=True, return_inverse=True)
+    _, first, cell = np.unique(_narrow(lab, count), return_index=True, return_inverse=True)
     differs = np.flatnonzero((keys != keys[:, first[cell]]).any(axis=0))
     if not len(differs):
         return x, y, None, None, None
     v = int(differs[np.argmin(cell[differs])])
-    return x, y, divmod(int(lab[v]), span), int(first[cell[v]]), v
+    return x, y, (int(dx[v]), int(dy[v])), int(first[cell[v]]), v
 
 
 def _check_pairs(g: Graph, total: int, chunks):
@@ -649,20 +653,25 @@ def _check_pairs(g: Graph, total: int, chunks):
     order: each chunk (xs, ys, rows, at_x, at_y) holds the pairs (xs[t],
     ys[t]), whose distance rows are rows[at_x[t]] and rows[at_y[t]];
     ``total``, the pairs of the whole stream, chooses the route
-    (``_dense_keys``).  The cell of a vertex v is labelled
-    d(x, v) * span + d(y, v) within the kernel alone, span = 2 ecc(x0) + 1
-    for the first pair's x0: every distance is at most 2 ecc(x0).  A block
-    takes as many pairs of a chunk as ``_BUDGET`` bytes hold
-    (``_per_block``): 8 bytes per (pair, arc) entry on the sparse route,
-    its int64 key; on the dense one, 32 per (pair, vertex) entry, 8 each
-    for its label, weight, key and reference key.  The first pair is the
-    reference: for each of its cells, the key of the cell's first vertex,
-    and its quotient, counted from the arcs (``_quotient``) for the report.
-    A pair refutes when some vertex's key differs from the reference key of
-    its label (a label the first pair lacks has none, so it differs too),
-    and counts as checked.  Equal keys under equal labels are equal count
-    rows, and the quotient is connected, so a pair that does not refute is
-    equitable with the reference quotient.
+    (``_dense_keys``).  Every pair of a stream is at the distance i of its
+    first pair (x0, y0), which each block checks (``require``): then
+    |d(y, v) - d(x, v)| <= i and d(x, v) <= 2 ecc(x0) for every vertex v,
+    so the kernel alone labels v's cell 2i d(x, v) + d(y, v) + i, its place
+    in the (d(x, v), d(y, v) - d(x, v) + i) grid read row by row, below
+    (2i + 1)(2 ecc(x0) + 1) labels, in the order of (d(x, v), d(y, v)).  A
+    label reads its digit weight and its reference key from two tables of
+    every label, whose bytes, 16 per label per key word, ``require_room``
+    checks first.  A block takes as many pairs of a chunk as ``_BUDGET``
+    bytes hold (``_per_block``): 8 bytes per (pair, arc) entry on the
+    sparse route, its int64 key; on the dense one, 32 per (pair, vertex)
+    entry, 8 each for its label, weight, key and reference key.  The first
+    pair is the reference: for each of its cells, the key of the cell's
+    first vertex, and its quotient, counted from the arcs (``_quotient``)
+    for the report.  A pair refutes when some vertex's key differs from the
+    reference key of its label (a label the first pair lacks has none, so
+    it differs too), and counts as checked.  Equal keys under equal labels
+    are equal count rows, and the quotient is connected, so a pair that
+    does not refute is equitable with the reference quotient.
     Blocks start at one pair and double up to the budget, the step carried
     from one chunk to the next, and the next chunk is read only while every
     pair so far holds, so a refutation reads about as many pairs as it
@@ -682,35 +691,26 @@ def _check_pairs(g: Graph, total: int, chunks):
             dx = rows[at_x[lo:lo + step]].astype(np.intp)
             dy = rows[at_y[lo:lo + step]]
             if quotient is None:
-                span = 2 * int(dx[0].max()) + 1
-                # while span^2 labels of 8 bytes fit the budget, a label
-                # reads its digit weight and its reference key from tables
-                # of every label (one read per entry, a third of a binary
-                # search's cost); past that the tables would grow with the
-                # square of the eccentricity, so the digit is computed and
-                # the reference found among the first pair's cells
-                table = 8 * span * span <= _BUDGET
-                if table:
-                    a, b = np.divmod(np.arange(span * span), span)
-                    wl = wf[:, (3 * a + b) % 9]
-            lab = dx * span + dy
-            keys = _pair_keys(g, adj, wl[:, lab] if table else wf[:, (3 * dx + dy) % 9])
+                i, height = int(dx[0, ys[0]]), 2 * int(dx[0].max()) + 1
+                count = (2 * i + 1) * height
+                require_room(f"the tables of {count} cell labels", 16 * count * len(wf))
+                # grid cell (a, e) has d(x, v) = a and d(y, v) = a + e - i,
+                # so its digit (3 d(x, v) + d(y, v)) mod 9 is (4a + e - i) mod 9
+                wl = wf[:, ((4 * np.arange(height)[:, None] + np.arange(-i, i + 1)) % 9).ravel()]
+            require(bool((dx[np.arange(len(dx)), ys[lo:lo + step]] == i).all()),
+                    "every pair of a pair stream is at the distance of its first pair")
+            lab = 2 * i * dx + dy + i
+            keys = _pair_keys(g, adj, wl[:, lab])
             if quotient is None:
-                cells, first = np.unique(_narrow(lab[0], span), return_index=True)
-                ref = keys[:, 0, first]
+                cells, first = np.unique(_narrow(lab[0], count), return_index=True)
+                ref = np.full(wl.shape, -1, dtype=wl.dtype)
+                ref[:, cells] = keys[:, 0, first]
                 quotient = _quotient(g, dx[0], dy[0])
-                if table:
-                    ref = np.full(wl.shape, -1, dtype=wl.dtype)
-                    ref[:, cells] = keys[:, 0, first]
-            if table:
-                fails = keys != ref[:, lab]
-            else:
-                at = np.minimum(np.searchsorted(cells, lab), len(cells) - 1)
-                fails = keys != np.where(cells[at] == lab, ref[:, at], -1)
-            fails = fails.any(axis=(0, 2))
+            fails = (keys != ref[:, lab]).any(axis=(0, 2))
             if fails.any():
                 t = int(np.argmax(fails))
-                witness = _witness(int(xs[lo + t]), int(ys[lo + t]), lab[t], keys[:, t], span)
+                witness = _witness(int(xs[lo + t]), int(ys[lo + t]), dx[t], dy[t], lab[t],
+                                   keys[:, t], count)
                 return done + lo + t + 1, witness, quotient
             lo, step = lo + step, min(2 * step, most)
         done += len(xs)
@@ -876,8 +876,11 @@ def _max_coclique_rows(rows: Sequence[int], universe: int, best: int = 0) -> int
 
 
 def max_coclique(g: Graph) -> int:
-    """Exact maximum coclique size, branch-and-bound with a greedy bound."""
-    return _max_coclique_rows(g.bitrows(), (1 << g.n) - 1)
+    """Exact maximum coclique size, branch-and-bound with a greedy bound,
+    over neighbour rows read from the arcs, so that no dense adjacency is
+    built (the c2 report searches its first mu-graph with it)."""
+    return _max_coclique_rows([sum(1 << u for u in g.neighbors(v)) for v in range(g.n)],
+                              (1 << g.n) - 1)
 
 
 # -- local partitions --------------------------------------------------------
@@ -1049,8 +1052,7 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
     mu = mu_graph(g, x, int(np.argmax(dm[x] == 2))).graph
     deg = mu.degrees()
     first = int(deg[0]) if (deg == deg[0]).all() else None
-    t_max = _max_coclique_rows([sum(1 << u for u in mu.neighbors(v)) for v in range(mu.n)],
-                               (1 << mu.n) - 1)
+    t_max = max_coclique(mu)
     patterns = [] if t_max < _coclique_bound(mu.n, first) else None
     c2, kappa = _common_neighbourhoods(g, 2, patterns)
     if patterns is None and kappa != first:

@@ -527,6 +527,25 @@ def test_a_quotient_beyond_the_room_is_refused(tmp_path, monkeypatch):
         check_i_homogeneous(g, 1, "sampled", seed=1, count=3)
 
 
+def test_label_tables_beyond_the_room_are_refused(tmp_path, monkeypatch):
+    # a pair at distance i of the n-cycle labels its cells below
+    # (2i + 1)(2 ecc + 1), about n^2 at i = n / 2, and its label tables take
+    # 16 bytes a label: cycle(20000)'s at level 10000 need 5.96 GiB, refused
+    # under a 3 GB limit (exit 2) before they are built, not a MemoryError
+    # (exit 3); in process, cycle(3000)'s 9 million labels at level 1500 are
+    # refused under a room of 100 MiB, before its quotient's
+    path = str(tmp_path / "c20000.json")
+    cycle(20000).dump(path)
+    argv = ["homog", path, "--sample", "3", "--seed", "1", "--i", "10000"]
+    [(_, code, err)] = run_cli_under_limits([[argv, 3 << 30, False]])
+    assert code == 2 and err.startswith(
+        "error: the tables of 400040001 cell labels need 5.96 GiB"), err
+    g = cycle(3000)
+    monkeypatch.setattr(errors, "_room", lambda: 100 << 20)
+    with pytest.raises(ResourceError, match="the tables of 9006001 cell labels need"):
+        check_i_homogeneous(g, 1500, "sampled", seed=1, count=3)
+
+
 def test_dense_verdicts_exit_typed_from_the_load_refusal_up_to_success(tmp_path):
     # H(6,3): 729 vertices in a 44 KB file, whose load needs 0.7 MiB.  Each
     # command runs under address-space limits 0.25, 0.75, 1.25, ... MiB above

@@ -24,7 +24,7 @@ import dr_oracle
 import drglab.graph as graph
 import drglab.homogeneous as homogeneous
 import homogeneity_oracle
-from drglab.errors import InputError, ResourceError
+from drglab.errors import InputError, InternalError, ResourceError
 from drglab.families import (cocktail_party, complete, cycle, folded_johnson, grid,
                              halved_cube, hamming, hypercube, icosahedron, johnson,
                              petersen, triangular)
@@ -338,11 +338,8 @@ def test_both_routes_match_the_oracles(route, dense, index):
 
 @ROUTES
 @pytest.mark.parametrize("index", [1, 2, 4])
-def test_cell_search_matches_the_oracles(monkeypatch, route, dense, index):
-    # once the label tables' 8 span^2 bytes pass _BUDGET (span above 512,
-    # so diameter 512 or more) each vertex's label is found among the first
-    # pair's cells by binary search; forced here by a budget of no bytes,
-    # which also makes every block one item
+def test_one_item_blocks_match_the_oracles(monkeypatch, route, dense, index):
+    # a budget of no bytes makes every block of every pass one item
     monkeypatch.setattr(graph, "_BUDGET", 0)
     assert_base_matches_the_oracles(index)
 
@@ -368,27 +365,43 @@ def test_keys_at_the_float64_word_boundary(route, dense, parts, words, cut):
     assert {w.shape for _, _, w in route} == {(words if dense else 1, 9)}
 
 
-def test_long_cycles_look_labels_up_among_the_first_pair_cells():
-    # span 516: a table of every label a * span + b, 8 bytes a label, would
-    # pass the budget
+def test_long_cycles_match_the_oracles(monkeypatch):
+    # ecc 515: a pair at distance i labels its cells below (2i + 1) 1031,
+    # so level 0 (distance-regularity) and the sampled levels 1 and 2 each
+    # fill tables of a few thousand labels
+    counts, narrow = set(), graph._narrow
+    monkeypatch.setattr(graph, "_narrow",
+                        lambda lab, count: counts.add(count) or narrow(lab, count))
     rng = random.Random(1030)
     g = relabel(cycle(1030), rng)
-    assert 8 * 516 * 516 > graph._BUDGET
     chorded = Graph.from_edges(g.n, sorted(g.edges()) + [(0, 500)])
     for h in (g, chorded):
         for i in (1, 2):
             assert check_i_homogeneous(h, i, "sampled", seed=i, count=6) == \
                 homogeneity_oracle.check_i_homogeneous(h, i, "sampled", seed=i, count=6)
+    assert check_distance_regular(g) == dr_oracle.check_distance_regular(g)
+    assert {1031, 3 * 1031, 5 * 1031} <= counts
+
+
+def test_a_stream_that_leaves_its_first_distance_is_refused():
+    # cell labels relative to the pair are distinct only at the first pair's
+    # distance: a second pair at another distance raises InternalError
+    # rather than merging its cells
+    g = cycle(12)
+    xs, ys = np.array([0, 0]), np.array([1, 2])
+    with pytest.raises(InternalError, match="at the distance of its first pair"):
+        graph._check_pairs(g, 2, [(xs, ys, g.distance_matrix(), xs, ys)])
 
 
 @pytest.mark.parametrize("n", [180, 182])
 def test_labels_narrow_to_int16_up_to_span_181(monkeypatch, n):
-    # span = 2 ecc(x) + 1: 181^2 = 32761 labels fit int16, 183^2 = 33489 do
-    # not; a relabelled cycle, a switched copy (one cycle or two) and a
-    # chorded copy, whose pairs refute and are named by the witness's sort
+    # span = 2 ecc(x) + 1, and a pair at distance 90 has 181 span labels:
+    # 181 * 181 = 32761 fit int16, 181 * 183 = 33123 do not; a relabelled
+    # cycle, a switched copy (one cycle or two) and a chorded copy, whose
+    # pairs refute and are named by the witness's sort
     narrowed, narrow = set(), graph._narrow
-    monkeypatch.setattr(graph, "_narrow", lambda lab, span: narrowed.add(
-        (span, (out := narrow(lab, span)).dtype.itemsize)) or out)
+    monkeypatch.setattr(graph, "_narrow", lambda lab, count: narrowed.add(
+        (count, (out := narrow(lab, count)).dtype.itemsize)) or out)
     rng = random.Random(n)
     g = relabel(cycle(n), rng)
     u, w = sorted(g.edges())[0]
@@ -401,7 +414,7 @@ def test_labels_narrow_to_int16_up_to_span_181(monkeypatch, n):
             assert outcome(lambda: check_i_homogeneous(h, i, "sampled", seed=i, count=5)) == \
                 outcome(lambda: homogeneity_oracle.check_i_homogeneous(
                     h, i, "sampled", seed=i, count=5))
-    assert ((181, 2) if n == 180 else (183, 8)) in narrowed
+    assert ((32761, 2) if n == 180 else (33123, 8)) in narrowed
 
 
 def test_route_rule():
