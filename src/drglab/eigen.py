@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Tuple
 
 from .arrays import IntersectionArray, basic_feasibility
@@ -47,26 +46,6 @@ def intersection_matrix(ia: IntersectionArray):
     return rows
 
 
-#: spectra kept by :func:`eigenvalues`; one ``drglab classify`` call asks
-#: for the spectrum of its array up to five times
-SPECTRUM_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _spectrum(ia: IntersectionArray) -> EigenvalueList:
-    rep = basic_feasibility(ia)
-    if not rep.passed:
-        raise InputError(f"infeasible intersection array: {rep.witness}")
-    D = ia.D
-    diag = [ia.a_at(i) for i in range(D + 1)]
-    lower = [ia.c_at(i) for i in range(1, D + 1)]
-    upper = [ia.b_at(i) for i in range(D)]
-    roots = tridiagonal_roots(diag, lower, upper)
-    if sum(m for _, m in roots) != D + 1 or any(m != 1 for _, m in roots):
-        raise InternalError("tridiagonal intersection matrix must have D+1 simple roots")
-    return EigenvalueList(tuple(r for r, _ in roots))
-
-
 def eigenvalues(ia: IntersectionArray) -> EigenvalueList:
     """Exact spectrum of the tridiagonal intersection matrix.
 
@@ -74,17 +53,26 @@ def eigenvalues(ia: IntersectionArray) -> EigenvalueList:
     as certified intervals of width ``polys.ROOT_WIDTH`` that refine on
     demand.  Integer eigenvalues are found by exact Sturm bisection
     (``polys.tridiagonal_roots``), and only the irrational ones are left to
-    factoring.  The array and the result are immutable, so the last
-    ``SPECTRUM_CACHE_SIZE`` spectra are kept and each array's spectrum is
-    computed once however many analyses read it.  The cache sits on
-    ``_spectrum`` and this stays a plain function: perfbench's tracer wraps
-    only plain functions (``inspect.isfunction``), so an ``lru_cache`` object
-    here would leave ``eigen.eigenvalues`` untimed and uncounted.
+    factoring.  The array and the result are immutable, so the array keeps
+    its spectrum, in its instance ``__dict__`` as ``functools.cached_property``
+    would and not as a dataclass field (``fields``, ``==``, ``hash`` and
+    ``scalar_json`` do not see it): each array object's spectrum is computed
+    once however many analyses read it, and an equal array parsed apart
+    computes its own.  An infeasible array raises each time.  This stays a
+    plain function: perfbench's tracer wraps only plain functions
+    (``inspect.isfunction``), so a cached property or an ``lru_cache`` object
+    would leave ``eigen.eigenvalues`` untimed and uncounted.
     """
-    return _spectrum(ia)
-
-
-eigenvalues.cache_clear = _spectrum.cache_clear
+    if "_eigenvalues" not in ia.__dict__:
+        rep = basic_feasibility(ia)
+        if not rep.passed:
+            raise InputError(f"infeasible intersection array: {rep.witness}")
+        # the rows (c_i, a_i, b_i): a_0..a_D, c_1..c_D and b_0..b_{D-1}
+        roots = tridiagonal_roots(ia.a, ia.c, ia.b)
+        if sum(m for _, m in roots) != ia.D + 1 or any(m != 1 for _, m in roots):
+            raise InternalError("tridiagonal intersection matrix must have D+1 simple roots")
+        ia.__dict__["_eigenvalues"] = EigenvalueList(tuple(r for r, _ in roots))
+    return ia.__dict__["_eigenvalues"]
 
 
 def _radical_sum(terms) -> ExactScalar:

@@ -62,8 +62,8 @@ class ResourceError(DrgError):
       n-cycle at level n / 2, 3 (n + 1) at level 1);
     - the quotient that a pair scan reports (``graph._quotient``), the one
       cells x cells matrix, counted from the arcs: 32 bytes per entry, for
-      its counts, its tuples and the two copies ``drglab homog`` makes (a
-      pair of the n-cycle has about n cells);
+      its intp counts, the report's tuples and the two copies ``drglab
+      homog`` makes (a pair of the n-cycle has about n cells);
     - an equitable quotient (``graph.equitable_quotient``): 8 bytes per
       (vertex, cell) entry for its counts, 24 per cells x cells entry for
       the reference rows and the quotient's lists and tuples, 64 per vertex

@@ -16,9 +16,10 @@ float64 products with the adjacency matrix (below 2**53) or int64 sums
 over the arcs (below 2**63), as ``_dense_keys`` chooses.  Keys are only
 compared; the one quotient a check reports, its first pair's, is counted
 from the arcs of each cell's first vertex (``_quotient``), the one place
-that builds a cells x cells matrix, after ``require_room``.  The kernel reads
-its pairs as a stream of chunks, each with the distance rows it names, and
-labels the cells itself, relative to the pair: every pair is at the distance
+that builds a cells x cells matrix, after ``require_room``, as an int array
+that only a report turns into tuples.  The kernel reads its pairs as a
+stream of chunks, each with the distance rows it names, and labels the
+cells itself, relative to the pair: every pair is at the distance
 i of the first pair (x0, y0), so a cell D^h_j(x, y) has |j - h| <= i, and
 one table of (2i + 1)(2 ecc(x0) + 1) labels serves every scan.  So a
 caller hands over pairs and rows only, and no verdict scans the distance
@@ -37,8 +38,12 @@ passes and their widths).  The gathers over all arcs (the sparse keys, the
 engine's pull and the per-cell counts) read them in ranges of consecutive
 vertices (``_ranges``) within the budget, or of one vertex, so no block
 holds an entry for every arc of a large graph.
-A graph caches its arcs and, once built, its read-only distance matrix,
-nothing else: the three readers of an (n, n) 0/1 adjacency (the dense pair
+A graph caches its arcs, once built its read-only distance matrix, and
+once certified its distance-regularity verdict (``Graph._dr``, written only
+by ``check_distance_regular``), nothing else: the arcs never change, so
+nothing invalidates either, and every reader of the verdict (the spectrum,
+the local spectral checks, the SRG parameters) shares one scan of the pairs
+(x, x).  The three readers of an (n, n) 0/1 adjacency (the dense pair
 route, ``adjacency_matrix`` and ``bitrows``) each get a fresh one in the
 dtype they read, scattered from the arcs in one place
 (``Graph._adjacency``).
@@ -153,9 +158,11 @@ class Graph:
     ``dst`` of every arc, grouped by source in vertex order with targets
     ascending, and the n + 1 intp offsets ``starts`` of each vertex's arcs,
     8 bytes per arc.  The source of an arc is its position's row, derived
-    on demand (``_sources``); no sources array is kept."""
+    on demand (``_sources``); no sources array is kept.  ``_dm`` keeps the
+    distance matrix once built and ``_dr`` the distance-regularity verdict
+    once certified."""
 
-    __slots__ = ("n", "_dst", "_starts", "_dm")
+    __slots__ = ("n", "_dst", "_starts", "_dm", "_dr")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
@@ -181,7 +188,7 @@ class Graph:
         return g
 
     def _set_arcs(self, n: int, starts: np.ndarray, dst: np.ndarray):
-        self.n, self._starts, self._dst, self._dm = n, starts, dst, None
+        self.n, self._starts, self._dst, self._dm, self._dr = n, starts, dst, None, None
 
     def _sources(self) -> np.ndarray:
         """The intp source of every arc, built on each call."""
@@ -611,25 +618,25 @@ def _narrow(lab: np.ndarray, count: int) -> np.ndarray:
 
 def _quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
     """(labels, matrix) of pi(x, y) from the distance rows dx of x and dy of
-    y: the labels (d(x, v), d(y, v)) of its cells ascending, sorted by the
-    key d(x, v) * span + d(y, v) with span one above the largest distance
-    (``_narrow``), and as row c the neighbours of the first vertex of cell
-    c in each cell, counted from its arcs, which is the quotient when
-    pi(x, y) is equitable.
+    y, as int arrays: the labels (cells, 2), (d(x, v), d(y, v)) of its cells
+    ascending, sorted by the key d(x, v) * span + d(y, v) with span one above
+    the largest distance (``_narrow``), and the matrix (cells, cells), as
+    row c the neighbours of the first vertex of cell c in each cell, counted
+    from its arcs, which is the quotient when pi(x, y) is equitable.
     ``require_room`` checks the matrix's bytes first: 32 per cells x cells
-    entry, for its int64 counts, its tuples and the two copies ``drglab
-    homog`` makes (tracemalloc peaks: 24.3-25.3 per entry for ``homog
-    --sample`` on cycles of 1000-3000 vertices, 24.3-24.5 for exhaustive
-    1-homogeneity on cycles, whose symmetry test holds two quotients)."""
+    entry, for its intp counts, the tuples of the report
+    (``homogeneous.HomogeneityReport``) and the two copies ``drglab homog``
+    makes (tracemalloc peaks: 24.3-25.3 per entry for ``homog --sample`` on
+    cycles of 1000-3000 vertices, 24.3-24.5 for exhaustive 1-homogeneity on
+    cycles, whose symmetry test holds two quotients)."""
     dx = dx.astype(np.intp)
     span = 1 + int(max(dx.max(), dy.max()))
     _, first, cell = np.unique(_narrow(dx * span + dy, span * span), return_index=True,
                                return_inverse=True)
     require_room(f"the quotient entries of {len(first)} cells", 32 * len(first) ** 2)
-    rows = [np.bincount(cell[g._dst[g._starts[v]:g._starts[v + 1]]], minlength=len(first))
-            for v in first.tolist()]
-    return (tuple(zip(dx[first].tolist(), dy[first].tolist())),
-            tuple(tuple(row.tolist()) for row in rows))
+    return np.stack([dx[first], dy[first]], axis=1), np.array(
+        [np.bincount(cell[g._dst[g._starts[v]:g._starts[v + 1]]], minlength=len(first))
+         for v in first.tolist()])
 
 
 def _witness(x: int, y: int, dx: np.ndarray, dy: np.ndarray, lab: np.ndarray,
@@ -767,6 +774,9 @@ class DistanceRegularityWitness:
 def check_distance_regular(g: Graph
                            ) -> Union[IntersectionArray, DistanceRegularityWitness]:
     """The intersection array, or the first (lex smallest) violating pair.
+    The graph keeps the verdict (``Graph._dr``, written only here), so its
+    pairs are scanned once however many verdicts read it; an exception is
+    not kept, so a refused graph is refused again on every call.
 
     The pair test of 1-homogeneity at x = y: pi(x, x) is the distance
     partition from x, its cells the layers (j, j), so the pairs (x, x) run
@@ -779,6 +789,13 @@ def check_distance_regular(g: Graph
     layers are three distinct residues of d(x, .) mod 3, and a vertex has
     no neighbour in any other layer, so the counts are read from the
     neighbours of each vertex in the three residues."""
+    if g._dr is None:
+        g._dr = _distance_regularity(g)
+    return g._dr
+
+
+def _distance_regularity(g: Graph) -> Union[IntersectionArray, DistanceRegularityWitness]:
+    """``check_distance_regular``'s verdict, computed on each call."""
     if not g.is_connected():
         raise InputError("distance-regularity is defined for connected graphs")
     if g.n == 1:
@@ -789,7 +806,7 @@ def check_distance_regular(g: Graph
     # row j + 1 of q holds the counts of layer j around vertex 0 in layers
     # j - 1, j and j + 1; when ecc(0) < D, b at level ecc(0) is 0 here but
     # positive on a geodesic to a diametral vertex, so some pair refutes
-    q = np.pad(np.array(matrix), 1)
+    q = np.pad(matrix, 1)
     c, a, b = q.diagonal(-1)[:-1], q.diagonal()[1:-1], q.diagonal(1)[1:]
     if witness is None:
         return IntersectionArray(tuple(b[:-1].tolist()), tuple(c[1:].tolist()))

@@ -1,5 +1,6 @@
 """Classical parameters, the valency bound, and the tight classifier."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -18,9 +19,9 @@ from drglab.classical import (ClassicalParams, a1_zero_criterion,
                               classify_tight, fundamental_bound,
                               gaussian_binomial, recognize_classical)
 from drglab.cli import main
-from drglab.eigen import eigenvalues
+from drglab.eigen import b_parameter, eigenvalues, multiplicities
 from drglab.errors import InputError, PreconditionError
-from drglab.scalars import Interval, exact_cmp
+from drglab.scalars import Interval, exact_cmp, scalar_json
 
 J105 = IntersectionArray((25, 16, 9, 4, 1), (1, 4, 9, 16, 25))
 HC10 = IntersectionArray((45, 28, 15, 6, 1), (1, 6, 15, 28, 45))
@@ -283,7 +284,9 @@ def test_recognition_builds_at_most_three_candidates(monkeypatch):
     assert 1 <= len(calls) <= 3
 
 
-def test_classify_factors_the_spectrum_once(monkeypatch, capsys):
+@pytest.fixture
+def roots_calls(monkeypatch):
+    """The arguments of every ``tridiagonal_roots`` call that ``eigen`` makes."""
     calls = []
     tridiagonal_roots = drglab.eigen.tridiagonal_roots
 
@@ -291,11 +294,38 @@ def test_classify_factors_the_spectrum_once(monkeypatch, capsys):
         calls.append(args)
         return tridiagonal_roots(*args)
 
-    eigenvalues.cache_clear()
     monkeypatch.setattr(drglab.eigen, "tridiagonal_roots", counted)
+    return calls
+
+
+def test_classify_factors_the_spectrum_once(roots_calls, capsys):
     assert main(["classify", "--ia", "25,16,9,4,1;1,4,9,16,25"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(roots_calls) == 1
+
+
+def test_each_array_object_keeps_its_spectrum(roots_calls):
+    # every reader of one array object shares one computation; an equal
+    # array parsed apart computes its own
+    ia, twin = (IntersectionArray.parse("25,16,9,4,1;1,4,9,16,25") for _ in range(2))
+    spectrum = eigenvalues(ia)
+    assert eigenvalues(ia) is spectrum
+    assert multiplicities(ia) == (1, 9, 35, 75, 90, 42)
+    assert b_parameter(ia) == 1
+    assert len(roots_calls) == 1
+    assert eigenvalues(twin) == spectrum and eigenvalues(twin) is not spectrum
+    assert len(roots_calls) == 2
+    # kept outside the fields: the fields, ==, hash, repr and JSON are the
+    # array's alone
+    assert [f.name for f in dataclasses.fields(IntersectionArray)] == ["b", "c"]
+    assert ia == twin == J105 and hash(ia) == hash(J105) and repr(ia) == repr(J105)
+    assert scalar_json(ia) == {"b": [25, 16, 9, 4, 1], "c": [1, 4, 9, 16, 25]}
+    # an infeasible array is refused on every call, before any root is sought
+    bad = IntersectionArray((2, 2), (1, 3))
+    for _ in range(2):
+        with pytest.raises(InputError, match="infeasible"):
+            eigenvalues(bad)
+    assert len(roots_calls) == 2
 
 
 @pytest.mark.parametrize("text", ["25,16,9,4,1;1,4,9,16,25",  # J(10,5)
@@ -304,7 +334,6 @@ def test_classify_an_integral_spectrum_without_factoring(monkeypatch, capsys, te
     def refuse(*args, **kwargs):
         raise AssertionError("factor_list called on an integral spectrum")
 
-    eigenvalues.cache_clear()
     monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
     monkeypatch.setattr(sympy, "factor_list", refuse)
     assert main(["classify", "--ia", text]) == 0

@@ -5,8 +5,9 @@ through the pair kernel, against the per-vertex layer scan it replaced
 Arrays and witnesses are compared by ``==``, on family graphs and their
 relabelled and edge-switched copies, rotated and relabelled paths, trees,
 cycles, random connected graphs and the benchmark's eccentric switch of the
-icosahedron; each case runs again with one pair to a kernel call.  Examples
-are derandomized, so runs are repeatable.
+icosahedron; each case runs again with one pair to a kernel call, through
+``graph._distance_regularity``, since the graph keeps its first verdict.
+Examples are derandomized, so runs are repeatable.
 """
 
 import importlib
@@ -15,6 +16,7 @@ import random
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,10 @@ from drglab.errors import InputError
 from drglab.families import (cocktail_party, complete, cycle, folded_halved_cube,
                              folded_johnson, grid, halved_cube, hamming, hypercube,
                              icosahedron, johnson, petersen, triangular)
-from drglab.graph import DistanceRegularityWitness, Graph, check_distance_regular
+from drglab.graph import (DistanceRegularityWitness, Graph, check_distance_regular,
+                          graph_spectrum)
+from drglab.homogeneous import local_spectral_checks
+from drglab.srg import srg_from_graph
 from test_equitability import relabel, switch
 from test_pair_budget import traced_peak
 
@@ -51,11 +56,12 @@ def outcome(check, g: Graph):
 
 def assert_matches_oracle(g: Graph):
     """Equal to the oracle, and again with one pair to a kernel call: a
-    budget of one byte, less than any pair takes."""
+    budget of one byte, less than any pair takes.  The graph keeps its
+    verdict, so the second check computes it again without the kept one."""
     want = outcome(dr_oracle.check_distance_regular, g)
     assert outcome(check_distance_regular, g) == want
     with mock.patch.object(graph, "_BUDGET", 1):
-        assert outcome(check_distance_regular, g) == want
+        assert outcome(graph._distance_regularity, g) == want
 
 
 def random_connected(n: int, extra: float, rng: random.Random) -> Graph:
@@ -153,6 +159,60 @@ def test_eccentric_switch_of_icosahedron_matches_the_layer_scan():
     w = check_distance_regular(g)
     assert not isinstance(w, IntersectionArray)
     assert_matches_oracle(g)
+
+
+# -- one certification per graph ---------------------------------------------
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """For every scan of the pair kernel from ``graph``, its graph and
+    whether its pairs are the pairs (x, x) of distance-regularity: one
+    chunk with xs = ys."""
+    scans, check = [], graph._check_pairs
+
+    def recorded(g, total, chunks):
+        (xs, ys, *_), = chunks
+        scans.append((g, np.array_equal(xs, ys)))
+        return check(g, total, chunks)
+
+    monkeypatch.setattr(graph, "_check_pairs", recorded)
+    return scans
+
+
+def test_each_graph_is_certified_once(scans):
+    # every reader of the verdict (the spectrum, the local spectral checks
+    # and the SRG parameters, each refusing a graph of the wrong diameter
+    # after the check) reads the one the graph keeps; the local checks of
+    # J(7,3), whose local graph K_3 x K_4 is not strongly regular, certify
+    # that local graph too, once
+    rng = random.Random(41)
+    for g, refused in ((relabel(johnson(7, 3), rng), [srg_from_graph]),
+                       (relabel(petersen(), rng), [local_spectral_checks])):
+        scans.clear()
+        ia = check_distance_regular(g)
+        assert isinstance(ia, IntersectionArray)
+        for verdict in (local_spectral_checks, graph_spectrum, srg_from_graph):
+            got = outcome(verdict, g)
+            refusal = isinstance(got, tuple) and got[0] == "InputError"
+            assert refusal == (verdict in refused), (verdict, got)
+        assert check_distance_regular(g) is ia
+        assert [x_is_y for h, x_is_y in scans if h is g] == [True]
+        assert len({id(h) for h, _ in scans}) == len(scans)
+
+
+def test_a_witness_is_kept_and_an_error_is_not(scans):
+    rng = random.Random(42)
+    g = switch(relabel(johnson(7, 3), rng), rng)
+    w = check_distance_regular(g)
+    assert isinstance(w, DistanceRegularityWitness) and scans == [(g, True)]
+    assert check_distance_regular(g) is w and scans == [(g, True)]
+    # a refusal is raised again on every call, and no pair is scanned
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(InputError, match="connected graphs"):
+            check_distance_regular(g)
+    assert len(scans) == 1
 
 
 # -- no per-vertex scan --------------------------------------------------------

@@ -445,7 +445,8 @@ def test_counted_quotient_matches_the_count_rows_and_the_oracle():
     for g in graphs:
         dm = g.distance_matrix()
         for x, y in np.ndindex(g.n, g.n):
-            labels, matrix = graph._quotient(g, dm[x], dm[y])
+            labels, matrix = (tuple(map(tuple, q.tolist()))
+                              for q in graph._quotient(g, dm[x], dm[y]))
             pairs = np.stack([dm[x], dm[y]], axis=1)
             cells, first, cell = np.unique(pairs, axis=0, return_index=True,
                                            return_inverse=True)
