@@ -34,6 +34,7 @@ CORPUS = [
     "halved_cube:10",
     "halved_cube:11",
     "folded_johnson:12,6",
+    "complete:5",
 ]
 
 
@@ -47,8 +48,9 @@ def analyze(spec_text: str, g, built_s: float) -> bool:
     report = classification_report(ia)
     print(f"   array {ia}   eigenvalues "
           f"{[scalar_str(v) for v in eigenvalues(ia)]}")
-    print(f"   b = {scalar_str(b_parameter(ia))}   "
-          f"named: {report['named_families'] or '-'}")
+    # as ``drglab analyze``: b = b_1 / (theta_1 + 1) needs diameter at least 2
+    b = f"b = {scalar_str(b_parameter(ia))}   " if ia.D >= 2 else ""
+    print(f"   {b}named: {report['named_families'] or '-'}")
     homog = check_i_homogeneous(g, 1)
     print(f"   1-homogeneous: {homog.holds} "
           f"({homog.mode}, {homog.pairs_checked} pairs)")

@@ -60,10 +60,13 @@ class ResourceError(DrgError):
       scan at distance i, since every distance is at most 2 ecc(x) and the
       two distances of a vertex differ by at most i (about n^2 / 2 on the
       n-cycle at level n / 2, 3 (n + 1) at level 1);
-    - the quotient that a pair scan reports (``graph._quotient``), the one
-      cells x cells matrix, counted from the arcs: 32 bytes per entry, for
-      its intp counts, the report's tuples and the two copies ``drglab
-      homog`` makes (a pair of the n-cycle has about n cells);
+    - the quotient that a verdict reports (``graph._quotient``), the one
+      cells x cells matrix, counted from the arcs once per verdict (never
+      by the pair scan, and not at all by a refuting sampled check): 32
+      bytes per entry, for its intp counts, the report's tuples and the two
+      copies ``drglab homog`` makes, or the copy in swapped-label order
+      that exhaustive 1-homogeneity compares it with (a pair of the n-cycle
+      has about n cells);
     - an equitable quotient (``graph.equitable_quotient``): 8 bytes per
       (vertex, cell) entry for its counts, 24 per cells x cells entry for
       the reference rows and the quotient's lists and tuples, 64 per vertex

@@ -14,12 +14,15 @@ the joint distance partitions pi(x, y) of a block of pairs at once, for
 1-homogeneity and for distance-regularity, its case x = y, by exact keys:
 float64 products with the adjacency matrix (below 2**53) or int64 sums
 over the arcs (below 2**63), as ``_dense_keys`` chooses.  Keys are only
-compared; the one quotient a check reports, its first pair's, is counted
-from the arcs of each cell's first vertex (``_quotient``), the one place
-that builds a cells x cells matrix, after ``require_room``, as an int array
-that only a report turns into tuples.  The kernel reads its pairs as a
-stream of chunks, each with the distance rows it names, and labels the
-cells itself, relative to the pair: every pair is at the distance
+compared, and the kernel counts no quotient: it returns its first pair's
+distance rows, and each verdict counts the one quotient it reports, of its
+reference pair, once, from the arcs of each cell's first vertex
+(``_quotient``), the one place that builds a cells x cells matrix, after
+``require_room``, as an int array that only a report turns into tuples:
+distance-regularity from the pair (0, 0), exhaustive 1-homogeneity before
+its scan, sampled 1-homogeneity only when its pairs hold.  The kernel reads
+its pairs as a stream of chunks, each with the distance rows it names, and
+labels the cells itself, relative to the pair: every pair is at the distance
 i of the first pair (x0, y0), so a cell D^h_j(x, y) has |j - h| <= i, and
 one table of (2i + 1)(2 ecc(x0) + 1) labels serves every scan.  So a
 caller hands over pairs and rows only, and no verdict scans the distance
@@ -627,8 +630,10 @@ def _quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
     entry, for its intp counts, the tuples of the report
     (``homogeneous.HomogeneityReport``) and the two copies ``drglab homog``
     makes (tracemalloc peaks: 24.3-25.3 per entry for ``homog --sample`` on
-    cycles of 1000-3000 vertices, 24.3-24.5 for exhaustive 1-homogeneity on
-    cycles, whose symmetry test holds two quotients)."""
+    cycles of 1000-3000 vertices; 17.0 in process for exhaustive
+    1-homogeneity on cycles, whose symmetry test holds the quotient and one
+    copy of its matrix in the order of the swapped labels).  The pair kernel
+    counts none; each verdict calls this once for the quotient it reports."""
     dx = dx.astype(np.intp)
     span = 1 + int(max(dx.max(), dy.max()))
     _, first, cell = np.unique(_narrow(dx * span + dy, span * span), return_index=True,
@@ -673,8 +678,7 @@ def _check_pairs(g: Graph, total: int, chunks):
     sparse route, its int64 key; on the dense one, 32 per (pair, vertex)
     entry, 8 each for its label, weight, key and reference key.  The first
     pair is the reference: for each of its cells, the key of the cell's
-    first vertex, and its quotient, counted from the arcs (``_quotient``)
-    for the report.  A pair refutes when some vertex's key differs from the
+    first vertex.  A pair refutes when some vertex's key differs from the
     reference key of its label (a label the first pair lacks has none, so
     it differs too), and counts as checked.  Equal keys under equal labels
     are equal count rows, and the quotient is connected, so a pair that
@@ -684,20 +688,21 @@ def _check_pairs(g: Graph, total: int, chunks):
     pair so far holds, so a refutation reads about as many pairs as it
     needs.  Returns the pairs checked, the witness (x, y, cell label,
     vertex_a, vertex_b) of the refuting pair (None in the last three when
-    only its quotient differs) or None, and the reference (labels,
-    matrix)."""
+    only its quotient differs) or None, and the reference pair's distance
+    rows (dx, dy).  No quotient is counted here: the caller counts the one
+    it reports (``_quotient``)."""
     dense = _dense_keys(g, total)
     weights = _digit_weights(g, 1 << 53 if dense else 1 << 63)
     wf = weights.astype(np.float64) if dense else weights
     adj = g._adjacency(np.float64) if dense else None
     most = _per_block(g.n, 32) if dense else _per_block(len(g._dst), 8)
-    quotient, done, step = None, 0, 1
+    reference, done, step = None, 0, 1
     for xs, ys, rows, at_x, at_y in chunks:
         lo = 0
         while lo < len(xs):
             dx = rows[at_x[lo:lo + step]].astype(np.intp)
             dy = rows[at_y[lo:lo + step]]
-            if quotient is None:
+            if reference is None:
                 i, height = int(dx[0, ys[0]]), 2 * int(dx[0].max()) + 1
                 count = (2 * i + 1) * height
                 require_room(f"the tables of {count} cell labels", 16 * count * len(wf))
@@ -708,20 +713,20 @@ def _check_pairs(g: Graph, total: int, chunks):
                     "every pair of a pair stream is at the distance of its first pair")
             lab = 2 * i * dx + dy + i
             keys = _pair_keys(g, adj, wl[:, lab])
-            if quotient is None:
+            if reference is None:
                 cells, first = np.unique(_narrow(lab[0], count), return_index=True)
                 ref = np.full(wl.shape, -1, dtype=wl.dtype)
                 ref[:, cells] = keys[:, 0, first]
-                quotient = _quotient(g, dx[0], dy[0])
+                reference = dx[0], dy[0]
             fails = (keys != ref[:, lab]).any(axis=(0, 2))
             if fails.any():
                 t = int(np.argmax(fails))
                 witness = _witness(int(xs[lo + t]), int(ys[lo + t]), dx[t], dy[t], lab[t],
                                    keys[:, t], count)
-                return done + lo + t + 1, witness, quotient
+                return done + lo + t + 1, witness, reference
             lo, step = lo + step, min(2 * step, most)
         done += len(xs)
-    return done, None, quotient
+    return done, None, reference
 
 
 def _at(dm: np.ndarray, rows, lo: int, hi: int, upper: bool) -> np.ndarray:
@@ -802,7 +807,8 @@ def _distance_regularity(g: Graph) -> Union[IntersectionArray, DistanceRegularit
         raise InputError("single-vertex graph has no intersection array")
     dm = g.distance_matrix()
     every = np.arange(g.n)
-    checked, witness, (labels, matrix) = _check_pairs(g, g.n, [(every, every, dm, every, every)])
+    checked, witness, _ = _check_pairs(g, g.n, [(every, every, dm, every, every)])
+    labels, matrix = _quotient(g, dm[0], dm[0])
     # row j + 1 of q holds the counts of layer j around vertex 0 in layers
     # j - 1, j and j + 1; when ecc(0) < D, b at level ecc(0) is 0 here but
     # positive on a geodesic to a diametral vertex, so some pair refutes
@@ -987,14 +993,17 @@ def _bounds(local: np.ndarray, cell: np.ndarray, where: Optional[np.ndarray] = N
     return counts[:, -1], int(least) + top if same else None
 
 
-def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
+def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None,
+                           known: Optional[int] = None
                            ) -> Tuple[Optional[int], Optional[int]]:
     """(size, valency) over the unordered pairs {x, y} at distance i (1 or 2):
     the common size |Gamma(x) n Gamma(y)|, and the valency of the graphs
     induced on it (the lambda- or mu-graphs), None unless they are all
     regular with one valency and have vertices.  At y it is the A cell at
     level 1 and the C cell at level 2.  Raises InputError when the size
-    varies.  A list ``patterns`` gets each block's distinct patterns."""
+    varies.  A list ``patterns`` gets the distinct patterns of each block
+    whose graphs are not all regular of valency ``known`` (of every block
+    when ``known`` is None)."""
     size, valencies = None, set()
     # bytes written per entry: an int16 distance, a bool member, its float32
     # weight and count, a bool comparison, the member's copy in pair order
@@ -1009,7 +1018,7 @@ def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None
             raise InputError(f"graph is not distance-regular: |{kind}-graph| varies")
         if size:
             valencies.add(valency)
-            if patterns is not None:
+            if patterns is not None and (known is None or valency != known):
                 patterns.extend(_patterns(local, member, size))
     return size, valencies.pop() if len(valencies) == 1 else None
 
@@ -1033,14 +1042,7 @@ def _patterns(local: np.ndarray, member: np.ndarray, size: int):
         width = keys.shape[1]
         keys = (np.concatenate([keys, np.zeros((len(keys), 8 - width), np.uint8)], 1).view("<u8")
                 if width <= 8 else keys.view(np.dtype((np.void, width))))
-        yield _distinct(keys.ravel())
-
-
-def _distinct(v: np.ndarray) -> np.ndarray:
-    """The distinct entries of a 1-d array, sorted (by a sort, since
-    ``np.unique`` imports ``numpy.ma`` on its first call)."""
-    v = np.sort(v)
-    return v[np.r_[True, v[1:] != v[:-1]][:len(v)]]
+        yield np.unique(keys.ravel())
 
 
 def _coclique_bound(size: int, valency: Optional[int]) -> int:
@@ -1054,14 +1056,15 @@ def _coclique_bound(size: int, valency: Optional[int]) -> int:
 
 def c2_regularity_report(g: Graph) -> C2RegularityReport:
     """mu-graph valency/completeness survey over all distance-2 pairs, and
-    the largest coclique t_max of a mu-graph.  The mu-graph of the first
-    pair at distance 2 is searched first; when its largest coclique meets
-    the bound of a graph regular of its valency (``_coclique_bound``) and
-    every mu-graph turns out regular of that valency, that is t_max, and no
-    other mu-graph is searched.  Otherwise the largest coclique is searched
-    once per distinct mu-graph adjacency pattern (mu-graphs with equal
-    patterns are equal up to relabelling), each search pruned by the
-    largest found so far, and no more once that meets the bound."""
+    the largest coclique t_max of a mu-graph, in one pass over the pairs.
+    The mu-graph of the first pair at distance 2 is searched first; when
+    its largest coclique meets the bound of a graph regular of its valency
+    (``_coclique_bound``), no mu-graph regular of that valency can beat it,
+    so the pass collects patterns only from blocks whose mu-graphs are not
+    all of that valency, and none when every mu-graph is.  The largest
+    coclique is searched once per distinct pattern collected (mu-graphs
+    with equal patterns are equal up to relabelling), each search pruned by
+    the largest found so far, and no more once that meets the bound."""
     dm = g.distance_matrix()
     if int(dm.max(initial=0)) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")
@@ -1069,21 +1072,17 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
     mu = mu_graph(g, x, int(np.argmax(dm[x] == 2))).graph
     deg = mu.degrees()
     first = int(deg[0]) if (deg == deg[0]).all() else None
-    t_max = max_coclique(mu)
-    patterns = [] if t_max < _coclique_bound(mu.n, first) else None
-    c2, kappa = _common_neighbourhoods(g, 2, patterns)
-    if patterns is None and kappa != first:
-        patterns = []
-        _common_neighbourhoods(g, 2, patterns)
-    if patterns is not None:
-        most = _coclique_bound(c2, kappa)
-        a, b = np.triu_indices(c2, c2 > 1)
-        for pattern in _distinct(np.concatenate(patterns)):
-            if t_max >= most:
-                break
-            bits = np.zeros((c2, c2), dtype=np.uint8)
-            bits[a, b] = np.unpackbits(np.frombuffer(pattern.tobytes(), dtype=np.uint8))[:len(a)]
-            t_max = _max_coclique_rows(_row_ints(bits | bits.T), (1 << c2) - 1, t_max)
+    t_max, patterns = max_coclique(mu), []
+    known = first if t_max >= _coclique_bound(mu.n, first) else None
+    c2, kappa = _common_neighbourhoods(g, 2, patterns, known)
+    most = _coclique_bound(c2, kappa)
+    a, b = np.triu_indices(c2, c2 > 1)
+    for pattern in np.unique(np.concatenate(patterns)) if patterns else ():
+        if t_max >= most:
+            break
+        bits = np.zeros((c2, c2), dtype=np.uint8)
+        bits[a, b] = np.unpackbits(np.frombuffer(pattern.tobytes(), dtype=np.uint8))[:len(a)]
+        t_max = _max_coclique_rows(_row_ints(bits | bits.T), (1 << c2) - 1, t_max)
     return C2RegularityReport(c2, kappa is not None, kappa, kappa == c2 - 1, t_max)
 
 

@@ -9,11 +9,13 @@ pi(x, y) are packed into exact keys for the whole block at once, by float64
 products with the adjacency matrix or by int64 sums over the arcs, as
 ``graph._dense_keys`` chooses.  A pair holds when each vertex's key is the
 first pair's key for its cell, with no sort: keys are only compared, and
-the reference quotient is counted from the arcs (``graph._quotient``).
-pi(y, x) is pi(x, y) with the coordinates of its labels swapped, so an
-exhaustive check reads each unordered pair once and reports ordered counts,
-unless the first pair's quotient is not symmetric; either way the check is
-one scan of the kernel.
+the kernel counts no quotient.  Each check counts the one it reports, its
+first pair's, once from the arcs (``graph._quotient``): exhaustive mode
+before its scan, sampled mode only when its pairs hold.  pi(y, x) is
+pi(x, y) with the coordinates of its labels swapped, so an exhaustive check
+reads each unordered pair once and reports ordered counts, unless the first
+pair's quotient, read in the order of its swapped labels, is not the same;
+either way the check is one scan of the kernel.
 ``graph.check_distance_regular`` runs the same kernel on the pairs (x, x),
 whose partitions are the distance partitions.  The kernel reads a stream of
 pairs and their distance rows, labels the cells itself and stops at the
@@ -121,15 +123,19 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     pair x <= y.  The report is that of the scan of every ordered pair in
     lexicographic order: the witness of that pair, and as ``pairs_checked``
     its rank among the ordered pairs, or their count when the check holds.
-    Both quotients are counted first, from the arcs and the distance rows of
-    x and y (``graph._quotient``), so the kernel scans once; a reference
-    that is not symmetric fails at (y, x), so the ordered pairs are scanned
-    instead.  Sampled mode draws ``count`` pairs with replacement with the
-    given seed, in batches of at most 32 whose rows come from one
-    bit-parallel search at any n (a draw above level 1 runs a one-source
-    search for Gamma_i(x)); it reads the next batch only while every pair so
-    far holds, so when the draws run out after a refuting batch it reports
-    that pair.  It can refute but only exhaustive mode confirms.  Both run their pairs through the one
+    The reference is counted once, before the scan, from the arcs and the
+    distance rows of x and y (``graph._quotient``), and the quotient of
+    (y, x) is read off it: the same matrix with its rows and columns in the
+    order of the swapped labels (``np.lexsort``), so the kernel scans once;
+    a reference that is not symmetric fails at (y, x), so the ordered pairs
+    are scanned instead.  Sampled mode draws ``count`` pairs with
+    replacement with the given seed, in batches of at most 32 whose rows
+    come from one bit-parallel search at any n (a draw above level 1 runs a
+    one-source search for Gamma_i(x)); it reads the next batch only while
+    every pair so far holds, so when the draws run out after a refuting
+    batch it reports that pair, and it counts the reference only when every
+    drawn pair holds, so a refuting check counts none.  It can refute but
+    only exhaustive mode confirms.  Both run their pairs through the one
     pair kernel, as many to a call as the block budget allows
     (``errors.ResourceError`` states it), on the route ``graph._dense_keys``
     chooses; both routes give the same report, witness and pair count.
@@ -142,8 +148,9 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     if mode == "sampled":
         if seed is None or count is None or count < 1:
             raise InputError("sampled mode requires a seed and a positive count")
-        checked, witness, (labels, matrix) = _check_pairs(
-            g, count, _sampled_pairs(g, i, seed, count))
+        checked, witness, rows = _check_pairs(g, count, _sampled_pairs(g, i, seed, count))
+        if witness is None:
+            labels, matrix = _quotient(g, *rows)
     else:
         dm, n = g.distance_matrix(), g.n
         if not g.is_connected():
@@ -154,13 +161,16 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
             raise InputError(f"no pair of vertices at distance {i}")
         # the first ordered pair has x <= y, so both scans share its reference
         x = int(np.argmax(count > 0))
-        dx, dy = dm[x], dm[np.argmax(dm[x] == i)]
-        half = all(map(np.array_equal, _quotient(g, dx, dy), _quotient(g, dy, dx)))
+        labels, matrix = _quotient(g, dm[x], dm[np.argmax(dm[x] == i)])
+        # pi(y, x) has the cells of pi(x, y) with their labels swapped, so
+        # its quotient is this one in the order of the swapped labels
+        swap = np.lexsort(labels.T)
+        half = (np.array_equal(labels[swap, ::-1], labels)
+                and np.array_equal(matrix[np.ix_(swap, swap)], matrix))
         # the pairs x <= y: every pair x < y once each way, and at level 0
         # the pairs (x, x)
         total = (ordered + n * (i == 0)) // 2 if half else ordered
-        checked, witness, (labels, matrix) = _check_pairs(
-            g, total, _pairs_at(dm, i, i, half))
+        checked, witness, _ = _check_pairs(g, total, _pairs_at(dm, i, i, half))
         # the failing pair's rank among the ordered pairs, or their count
         checked = ordered if witness is None else 1 + int(count[:witness[0]].sum()) + int(
             np.count_nonzero(dm[witness[0], :witness[1]] == i))
@@ -186,7 +196,7 @@ def near_polygon_analysis(ia: IntersectionArray) -> dict:
     s = a1 + 1
     out["order"] = (s, ia.k // s - 1) if s > 0 and ia.k % s == 0 else None
     refinement = None
-    if gon == 2 * D:
+    if gon == 2 * D and D >= 2:
         if ia.c_at(2) >= 3:
             refinement = "dual polar"
         elif D >= 3 and ia.c_at(2) == 2 and ia.c_at(3) == 3:
@@ -225,9 +235,11 @@ def _halved_cube_array(length: int) -> Optional[IntersectionArray]:
 
 
 def _folded_array(parent: IntersectionArray) -> Optional[IntersectionArray]:
-    """Quotient rule for a 2-antipodal parent of even diameter 2e:
-    b and c are inherited below level e, and c_e picks up b_e."""
-    if parent.D % 2:
+    """Quotient rule for a 2-antipodal parent of even diameter 2e >= 4:
+    b and c are inherited below level e, and c_e picks up b_e.  A
+    2-antipodal graph of diameter 2 is a cocktail party graph, whose fold is
+    no cover, so it has none."""
+    if parent.D % 2 or parent.D < 4:
         return None
     e = parent.D // 2
     b = parent.b[:e]

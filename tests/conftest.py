@@ -28,7 +28,7 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
-#: seconds a test call may take; the slowest tier-1 test takes about 3 s
+#: seconds a test call may take; the slowest tier-1 test takes about 15 s
 WALL_LIMIT = 300
 
 

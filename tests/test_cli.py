@@ -13,11 +13,13 @@ import pytest
 
 import homogeneity_oracle
 from drglab import errors
+from drglab.arrays import IntersectionArray
+from drglab.classical import classification_report
 from drglab.cli import main
 from drglab.errors import ResourceError
 from drglab.families import FamilySpec, build_family, cycle, hamming, triangular
 from drglab.graph import Graph
-from drglab.homogeneous import check_i_homogeneous
+from drglab.homogeneous import check_i_homogeneous, named_families
 from test_homogeneous import GOLDEN_GRAPHS, chorded_c4
 
 
@@ -140,6 +142,21 @@ def test_classify_near_polygon_of_small_or_negative_arrays(capsys, ia, gon, orde
     assert code == 0 and "Traceback" not in err
     assert out["near_polygon"] == {"near_polygon": True, "gon": gon,
                                    "order": order, "refinement": None}
+
+
+def test_complete_graphs_analyze_and_classify(capsys, tmp_path):
+    # diameter 1: the folded families have no diameter-2 parent (the fold of
+    # a cocktail party graph is no cover), and the near polygon reads no c_2
+    for k in range(1, 8):
+        ia = IntersectionArray((k,), (1,))
+        assert f"Johnson J({k + 1},1)" in named_families(ia)
+        assert classification_report(ia)["classifications"] == []
+    path = str(tmp_path / "k5.json")
+    run_cli(capsys, "build", "complete:5", "--out", path)
+    for argv in (["analyze", path], ["classify", path], ["classify", "--ia", "4;1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert "Johnson J(5,1)" in out["named_families"]
 
 
 def test_classify_infeasible_array_is_an_input_error(capsys):

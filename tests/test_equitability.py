@@ -460,6 +460,34 @@ def test_counted_quotient_matches_the_count_rows_and_the_oracle():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_each_verdict_counts_one_quotient(monkeypatch):
+    # the pair kernel only compares keys; each verdict counts the quotient
+    # it reports once: exhaustive 1-homogeneity before its scan (its
+    # symmetry test reads pi(y, x) off that count), distance-regularity from
+    # (0, 0), and sampled mode only when its pairs hold
+    calls, count = [], graph._quotient
+
+    def counted(*args):
+        calls.append(1)
+        return count(*args)
+
+    for module in (graph, homogeneous):
+        monkeypatch.setattr(module, "_quotient", counted)
+    g = relabel(johnson(8, 4), random.Random(42))
+    g.distance_matrix()
+    rep = check_i_homogeneous(g, 1)
+    assert rep.holds and rep == homogeneity_oracle.check_i_homogeneous(g, 1)
+    assert len(calls) == 1
+    calls.clear()
+    h = folded_johnson(10, 5)
+    rep = check_i_homogeneous(h, 1, "sampled", seed=1, count=4)
+    assert not rep.holds and calls == []
+    assert rep == homogeneity_oracle.check_i_homogeneous(h, 1, "sampled", seed=1, count=4)
+    want = dr_oracle.check_distance_regular(g)
+    calls.clear()
+    assert graph._distance_regularity(g) == want and len(calls) == 1
+
+
 def test_long_cycle_is_one_homogeneous():
     # its pair partitions have about n cells each
     rep = check_i_homogeneous(cycle(1000), 1)

@@ -27,7 +27,7 @@ import triple_oracle
 from drglab.errors import DrgError
 from drglab.families import (cycle, folded_johnson, halved_cube, hamming, hypercube,
                              icosahedron, johnson, petersen, triangular)
-from drglab.graph import (Graph, _common_neighbourhoods, _distinct, _local_blocks,
+from drglab.graph import (Graph, _common_neighbourhoods, _local_blocks,
                           c2_regularity_report, local_graph,
                           triple_intersection_number)
 from drglab.homogeneous import local_spectral_checks
@@ -243,12 +243,6 @@ def test_triple_intersection_number_matches_the_bitset_oracle(name, seed, switch
         outcome(triple_oracle.triple_intersection_number, Graph.from_json(g.to_json()))
 
 
-def test_distinct_accepts_an_empty_array():
-    # an empty array has no first entry to keep, and no distinct entries
-    assert _distinct(np.array([], dtype=np.int64)).tolist() == []
-    assert _distinct(np.array([3, 1, 3, 2])).tolist() == [1, 2, 3]
-
-
 @pytest.mark.parametrize("name", ["folded J(8,4)", "Shrikhande"])
 def test_mu_graphs_with_several_patterns_match_the_oracle(name):
     # the largest coclique is searched once per pattern, so the report must
@@ -256,6 +250,22 @@ def test_mu_graphs_with_several_patterns_match_the_oracle(name):
     g = relabel(BASES[name], random.Random(7))
     assert len(mu_patterns(g)) > 1
     assert c2_regularity_report(g) == local_oracle.c2_regularity_report(g)
+
+
+def test_c2_report_reads_the_mu_graphs_once(monkeypatch):
+    # the mu-graphs of Shrikhande's graph are an edge or two non-adjacent
+    # vertices, so the first one's coclique meets the bound for its valency
+    # while the others do not all share it: one pass collects the patterns
+    # of the blocks whose mu-graphs are not all of that valency
+    passes, common = [], drglab.graph._common_neighbourhoods
+    monkeypatch.setattr(drglab.graph, "_common_neighbourhoods",
+                        lambda *args: passes.append(1) or common(*args))
+    for seed in range(5):
+        g = relabel(BASES["Shrikhande"], random.Random(seed))
+        passes.clear()
+        rep = c2_regularity_report(g)
+        assert passes == [1] and not rep.regular
+        assert rep == local_oracle.c2_regularity_report(g)
 
 
 @pytest.mark.parametrize("name", ["folded J(8,4)", "Shrikhande", "Taylor(Paley(13))"])
@@ -269,7 +279,7 @@ def test_one_row_per_step_gives_the_same_reports(monkeypatch, name):
     def reports():
         patterns: list = []
         _common_neighbourhoods(g, 2, patterns)
-        return (mu_patterns(g), _distinct(np.concatenate(patterns)).tobytes(),
+        return (mu_patterns(g), np.unique(np.concatenate(patterns)).tobytes(),
                 outcome(local_spectral_checks, g))
 
     want = reports()
