@@ -222,7 +222,7 @@ def classify_classical(cp: ClassicalParams) -> ClassificationOutcome:
                              (ab, ab.denominator == 1 and ab >= 0)))
     if cp.alpha == 0:
         return _outcome("classical", [("i", "alpha = 0")], evidence)
-    branches = _named_branches(ia, evidence)
+    branches = _named_branches(ia, evidence, "main")
     if branches:
         return _outcome("classical", branches, evidence)
     if cp.b >= 2:
@@ -252,15 +252,13 @@ def classify_tight(ia: IntersectionArray) -> ClassificationOutcome:
                  (rep.r, rep.s)),
     ]
     require(rep.a_D == 0, "a tight array must have a_D = 0")
-    # with a_D = 0 the only branch families left are J(2D, D) (main branch
-    # ii) and the halved 2D-cube (iii): J(n, D) has a_D = D(n - 2D), the
-    # halved (2D+1)-cube 2D and the folded families 2D^2 and 4D^2
-    branches = _named_branches(ia, evidence)
+    # with a_D = 0 the only branch families left are J(2D, D) and the halved
+    # 2D-cube, the two the tight theorem names: J(n, D) has a_D = D(n - 2D),
+    # the halved (2D+1)-cube 2D and the folded families 2D^2 and 4D^2
+    branches = _named_branches(ia, evidence, "tight")
     if branches:
-        branch, t = branches[0]
-        require(branch in ("ii", "iii"), "a tight family is J(2D,D) or a halved 2D-cube")
-        tight = "i" if branch == "ii" else "ii"
-        return _outcome("tight", [(tight, t)], evidence)
+        require(branches[0][0] is not None, "a tight family is J(2D,D) or a halved 2D-cube")
+        return _outcome("tight", branches[:1], evidence)
     b = b_parameter(ia)
     F = F_bound(b)
     require(exact_cmp(ia.k, F) <= 0, "k <= F(b) must hold in the fallback branch")

@@ -115,9 +115,10 @@ class ResourceError(DrgError):
     distance-matrix entry, and 2 more for the int16 copy of indexed rows);
     the per-row pair counts (``graph._counts``, 3 per entry); the pair
     stream of exhaustive 1-homogeneity and of the CAB check's re-read
-    (``graph._pairs_at``: chunks of one row, then twice as many rows as the
-    chunk before, up to what the budget holds at 27 per entry, 3 for the
-    selection and 24 per pair); the distance engine's pull
+    (``graph._pairs_at``: chunks of as many rows as the budget holds at 27
+    per entry, 3 for the selection and 24 per pair; the early exit of a scan
+    is the pair kernel's blocks, which start at one pair and double); the
+    distance engine's pull
     (``Graph._distance_rows``, 8 per arc); the per-cell counts
     (``graph._cell_counts``, 32 per arc and 8 per (vertex, cell) count;
     ``graph.equitable_quotient`` compares the count rows with the reference

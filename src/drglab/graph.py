@@ -28,16 +28,17 @@ one table of (2i + 1)(2 ecc(x0) + 1) labels serves every scan.  So a
 caller hands over pairs and rows only, and no verdict scans the distance
 matrix for the diameter.  It asks for the next chunk only while every pair so
 far holds: one chunk for distance-regularity, rows of the distance matrix
-for exhaustive 1-homogeneity (``_pairs_at``, one row first, then twice as
-many each time up to a budget's, empty for rows with no pair), batches of
-sampled draws for sampled mode, so no scan holds all of its pairs at
-once.  One rule (``_at``) says which pairs of the distance matrix a scan
-reads: those of some rows with lo <= d(x, y) <= hi, and y >= x when the scan
-asks; ``_counts`` counts them in each row, ``_pairs_at`` streams them, and
-the local pass selects its centres' rows with it.  Every blocked
-pass holds at most ``_BUDGET`` bytes a block, or one item, and states at
-its call the bytes it holds per entry (``errors.ResourceError`` lists the
-passes and their widths).  The gathers over all arcs (the sparse keys, the
+for exhaustive 1-homogeneity (``_pairs_at``, a budget's rows at a time,
+empty for rows with no pair), batches of sampled draws for sampled mode, so
+no scan holds all of its pairs at once; the kernel's blocks, which start at
+one pair and double, are the one early-exit schedule of every scan.  One
+rule (``_at``) says which pairs of the distance matrix a scan reads: those
+of some rows with lo <= d(x, y) <= hi, and y >= x when the scan asks;
+``_counts`` counts them in each row, ``_pairs_at`` streams them, and the
+local pass selects its centres' rows with it.  Every blocked pass holds
+at most ``_BUDGET`` bytes a block, or one item, and states at its call the
+bytes it holds per entry (``errors.ResourceError`` lists the passes and
+their widths).  The gathers over all arcs (the sparse keys, the
 engine's pull and the per-cell counts) read them in ranges of consecutive
 vertices (``_ranges``) within the budget, or of one vertex, so no block
 holds an entry for every arc of a large graph.
@@ -752,15 +753,16 @@ def _counts(dm: np.ndarray, lo: int, hi: int, upper: bool) -> np.ndarray:
 
 def _pairs_at(dm: np.ndarray, lo: int, hi: int, upper: bool):
     """The pairs (x, y) that ``_at`` selects in ``dm``, in lexicographic
-    order, as chunks for ``_check_pairs``: the rows of one x first, then of
-    twice as many x as the chunk before, up to as many as a budget holds at
-    27 bytes per entry (3 for the selection and 24 per pair: the flat
-    indices, xs and ys), so an early refutation reads few rows."""
-    n, x0, step = len(dm), 0, 1
-    while x0 < n:
+    order, as chunks for ``_check_pairs``: the rows of as many x as a budget
+    holds at 27 bytes per entry (3 for the selection and 24 per pair: the
+    flat indices, xs and ys), every chunk but the last alike.  The stream
+    has no schedule of its own: the kernel's blocks, which start at one pair
+    and double, are what lets an early refutation read few pairs."""
+    n = len(dm)
+    step = _per_block(n, 27)
+    for x0 in range(0, n, step):
         xs, ys = np.divmod(np.flatnonzero(_at(dm, slice(x0, x0 + step), lo, hi, upper)) + x0 * n, n)
         yield xs, ys, dm, xs, ys
-        x0, step = x0 + step, min(2 * step, _per_block(n, 27))
 
 
 # -- distance-regularity ----------------------------------------------------

@@ -23,11 +23,18 @@ first refutation, so neither mode peeks at its pairs or scans the distance
 matrix for the diameter.  The size policy follows from the mode: exhaustive
 checks read both distance rows from the dense distance matrix (at most
 ``graph._DENSE_CAP`` vertices), counted per row (``graph._counts``) and
-streamed (``graph._pairs_at``) from one row up to a budget's rows at a time;
-sampled checks work at any size, and draw their pairs in batches of at most
-32, each batch's 64 rows from one call of the distance engine, a batch only
-when every pair before it holds.  A sampled level that no pair can have
-(i < 0, or i above twice the eccentricity of a drawn x) is refused at once.
+streamed (``graph._pairs_at``) a budget's rows at a time, which the kernel
+reads in blocks that start at one pair and double; sampled checks work at
+any size, and draw their pairs in batches of at most 32, each batch's 64
+rows from one call of the distance engine, a batch only when every pair
+before it holds.  A sampled level that no pair can have (i < 0, or i above
+twice the eccentricity of a drawn x) is refused at once.
+
+A family is named from its array alone: the family generators give plain
+(b, c) tuples, compared with the array's own, so naming builds no
+``IntersectionArray``.  ``FAMILY_BRANCH`` is the one family-to-branch table:
+each family's branch under the main theorem, which the classical classifier
+reads too, and under the tight theorem.
 """
 
 from __future__ import annotations
@@ -208,97 +215,91 @@ def near_polygon_analysis(ia: IntersectionArray) -> dict:
 # -- named families from arrays ---------------------------------------------
 
 
-def _johnson_array(n: int, d: int) -> Optional[IntersectionArray]:
+def _johnson_array(n: int, d: int) -> Tuple[tuple, tuple]:
     D = min(d, n - d)
-    if D < 1:
-        return None
-    return IntersectionArray(
-        tuple((d - i) * (n - d - i) for i in range(D)),
-        tuple((i + 1) ** 2 for i in range(D)))
+    return (tuple((d - i) * (n - d - i) for i in range(D)),
+            tuple((i + 1) ** 2 for i in range(D)))
 
 
-def _hamming_array(D: int, q: int) -> IntersectionArray:
-    return IntersectionArray(
-        tuple((D - i) * (q - 1) for i in range(D)),
-        tuple(range(1, D + 1)))
+def _hamming_array(D: int, q: int) -> Tuple[tuple, tuple]:
+    return tuple((D - i) * (q - 1) for i in range(D)), tuple(range(1, D + 1))
 
 
-def _halved_cube_array(length: int) -> Optional[IntersectionArray]:
+def _halved_cube_array(length: int) -> Tuple[tuple, tuple]:
     D = length // 2
-    if D < 1:
-        return None
-    b = tuple((length - 2 * i) * (length - 2 * i - 1) // 2 for i in range(D))
-    c = tuple(i * (2 * i - 1) for i in range(1, D + 1))
-    if any(x <= 0 for x in b):
-        return None
-    return IntersectionArray(b, c)
+    return (tuple((length - 2 * i) * (length - 2 * i - 1) // 2 for i in range(D)),
+            tuple(i * (2 * i - 1) for i in range(1, D + 1)))
 
 
-def _folded_array(parent: IntersectionArray) -> Optional[IntersectionArray]:
-    """Quotient rule for a 2-antipodal parent of even diameter 2e >= 4:
-    b and c are inherited below level e, and c_e picks up b_e.  A
+def _folded_array(b: tuple, c: tuple) -> Optional[Tuple[tuple, tuple]]:
+    """Quotient rule for a 2-antipodal parent (b, c) of even diameter
+    2e >= 4: b and c are inherited below level e, and c_e picks up b_e.  A
     2-antipodal graph of diameter 2 is a cocktail party graph, whose fold is
     no cover, so it has none."""
-    if parent.D % 2 or parent.D < 4:
+    if len(b) % 2 or len(b) < 4:
         return None
-    e = parent.D // 2
-    b = parent.b[:e]
-    c = list(parent.c[:e])
-    c[e - 1] = parent.c[e - 1] + parent.b[e]
-    return IntersectionArray(tuple(b), tuple(c))
+    e = len(b) // 2
+    return b[:e], c[:e - 1] + (c[e - 1] + b[e],)
 
 
 def recognize_named_family(ia: IntersectionArray) -> List[str]:
     """Tags among Johnson J(2D,D), Hamming, halved cubes, folded Johnson,
-    and folded halved cubes whose generated arrays equal ia."""
+    and folded halved cubes whose generated arrays equal ia.  The generators
+    give plain (b, c) tuples, so no array is built to be compared."""
     tags = []
-    D, k = ia.D, ia.k
+    D, k, bc = ia.D, ia.k, (ia.b, ia.c)
     # Johnson J(n, D): k = D(n - D)
     if k % D == 0:
         n = k // D + D
-        if _johnson_array(n, D) == ia:
+        if _johnson_array(n, D) == bc:
             tags.append(f"Johnson J({n},{D})")
     # Hamming H(D, q)
-    if k % D == 0 and _hamming_array(D, k // D + 1) == ia:
+    if k % D == 0 and _hamming_array(D, k // D + 1) == bc:
         tags.append(f"Hamming H({D},{k // D + 1})")
     for length in (2 * D, 2 * D + 1):
-        if _halved_cube_array(length) == ia:
+        if _halved_cube_array(length) == bc:
             tags.append(f"halved {length}-cube")
-    fj = _johnson_array(4 * D, 2 * D)
-    if fj is not None and _folded_array(fj) == ia:
+    if _folded_array(*_johnson_array(4 * D, 2 * D)) == bc:
         tags.append(f"folded Johnson J({4 * D},{2 * D})")
-    fh = _halved_cube_array(4 * D)
-    if fh is not None and _folded_array(fh) == ia:
+    if _folded_array(*_halved_cube_array(4 * D)) == bc:
         tags.append(f"folded halved {4 * D}-cube")
     return tags
 
 
-#: the branch of the main theorem that each named family lands in, keyed by
+#: the branch that each named family lands in under each theorem, keyed by
 #: the family words of its tag ("folded Johnson J(20,10)" -> "folded
-#: Johnson"); Hamming graphs are regular near polygons, branch (i)
-FAMILY_BRANCH = {"Johnson": "ii", "halved": "iii", "folded Johnson": "iv",
-                 "folded halved": "v"}
+#: Johnson"): under the main theorem, which the classical classifier reads
+#: too, and under the tight theorem, which names J(2D,D) and the halved
+#: 2D-cube and no folded family.  Hamming graphs are regular near polygons,
+#: main branch (i).
+FAMILY_BRANCH = {"Johnson": {"main": "ii", "tight": "i"},
+                 "halved": {"main": "iii", "tight": "ii"},
+                 "folded Johnson": {"main": "iv", "tight": None},
+                 "folded halved": {"main": "v", "tight": None}}
 BRANCH_ORDER = ("i", "ii", "iii", "iv", "v", "vi")
 
 
-def family_branches(tags: List[str]) -> List[Tuple[str, str]]:
-    """(branch, tag) for each tag naming a branch family, by branch order."""
+def family_branches(tags: List[str], theorem: str = "main") -> List[Tuple[Optional[str], str]]:
+    """(branch, tag) under ``theorem`` for each tag naming a branch family,
+    in the order of the main theorem's branches; the branch is None for a
+    family the theorem does not name."""
     found = ((FAMILY_BRANCH.get(t.rsplit(" ", 1)[0]), t) for t in tags)
-    return sorted((p for p in found if p[0]), key=lambda p: BRANCH_ORDER.index(p[0]))
+    ranked = sorted((p for p in found if p[0]), key=lambda p: BRANCH_ORDER.index(p[0]["main"]))
+    return [(row[theorem], t) for row, t in ranked]
 
 
 #: diameter-2/3 arrays from the classification of graphs whose c2-graphs are
 #: Cocktail Party graphs: K_{t x 2} itself, the Schlafli graph, the Gosset
 #: graph (the remaining branches are covered by recognize_named_family)
 def small_diameter_lookup(ia: IntersectionArray) -> List[str]:
-    tags = []
+    tags, bc = [], (ia.b, ia.c)
     if ia.D == 2 and ia.k % 2 == 0:
         t = ia.k // 2 + 1
-        if ia == IntersectionArray((2 * t - 2, 1), (1, 2 * t - 2)):
+        if bc == ((2 * t - 2, 1), (1, 2 * t - 2)):
             tags.append(f"Cocktail Party K_{{{t}x2}}")
-    if ia == IntersectionArray((16, 5), (1, 8)):
+    if bc == ((16, 5), (1, 8)):
         tags.append("Schlafli graph")
-    if ia == IntersectionArray((27, 10, 1), (1, 10, 27)):
+    if bc == ((27, 10, 1), (1, 10, 27)):
         tags.append("Gosset graph")
     return tags
 
@@ -388,13 +389,14 @@ def _outcome(theorem: str, ranked: List[Tuple[str, str]],
                                  tuple(bid for bid, _ in ranked), evidence)
 
 
-def _named_branches(ia: IntersectionArray, evidence: List[Evidence]) -> List[Tuple[str, str]]:
-    """The family branches of ia's named-family tags, which join the
-    evidence when there are any."""
+def _named_branches(ia: IntersectionArray, evidence: List[Evidence],
+                    theorem: str) -> List[Tuple[Optional[str], str]]:
+    """The branches under ``theorem`` of ia's named-family tags
+    (``family_branches``), which join the evidence when there are any."""
     tags = recognize_named_family(ia)
     if tags:
         evidence.append(Evidence("family", "named-family array match", tuple(tags)))
-    return family_branches(tags)
+    return family_branches(tags, theorem)
 
 
 def classify_main(ia: IntersectionArray) -> ClassificationOutcome:
@@ -417,7 +419,7 @@ def classify_main(ia: IntersectionArray) -> ClassificationOutcome:
     evidence.append(Evidence(
         "quadrangle", "theta_1 <= b_1 - 1",
         (theta1, ia.b[1] - 1, exact_cmp(theta1, ia.b[1] - 1) <= 0)))
-    branches = _named_branches(ia, evidence)
+    branches = _named_branches(ia, evidence, "main")
     npa = near_polygon_analysis(ia)
     if npa["near_polygon"] and npa.get("gon") == 2 * ia.D:
         name = f"regular near {2 * ia.D}-gon"

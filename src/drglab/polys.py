@@ -10,7 +10,11 @@ coefficients, so the result is exact, not probable; a rational matrix is
 scaled by its common denominator first.
 
 Roots: split into squarefree parts, factor each over Q (sympy), then read
-roots off the irreducible factors.
+roots off the irreducible factors.  sympy is imported on first use, by the
+functions that factor, isolate or find primes (``real_roots``,
+``_interval_root``, ``_prime``), so a process that never factors, such as
+``classify --ia`` of an array whose eigenvalues are all integers, never loads
+it.
 Linear factors give rationals, quadratic factors give surds, higher-degree
 factors are isolated into certified rational intervals of width
 ``ROOT_WIDTH`` that refine on demand.  A tridiagonal matrix with positive
@@ -28,12 +32,9 @@ from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy
 
 from .errors import require
 from .scalars import ExactScalar, Interval, Surd, sort_desc
-
-_X = sympy.Symbol("x")
 
 #: width of the first enclosure of a root of degree 3 or more
 ROOT_WIDTH = Fraction(1, 10 ** 9)
@@ -64,9 +65,12 @@ def _clear_denominators(coeffs: Sequence) -> List[int]:
     return [int(f * den) for f in fracs]
 
 
-def _interval_root(fac: sympy.Poly, lo, hi) -> Interval:
-    """The root of the irreducible ``fac`` in its isolating interval
-    (lo, hi), refined by ``Poly.refine_root`` from the last enclosure."""
+def _interval_root(fac, lo, hi) -> Interval:
+    """The root of the irreducible sympy ``Poly`` ``fac`` in its isolating
+    interval (lo, hi), refined by ``Poly.refine_root`` from the last
+    enclosure."""
+    import sympy
+
     box = [lo, hi]
 
     def refiner(width: Fraction) -> Tuple[Fraction, Fraction]:
@@ -86,7 +90,9 @@ def real_roots(coeffs: Sequence) -> List[Tuple[ExactScalar, int]]:
         ints.pop()
     if len(ints) <= 1:
         raise ValueError("constant polynomial has no well-defined roots")
-    poly = sympy.Poly(list(reversed(ints)), _X, domain="ZZ")
+    import sympy
+
+    poly = sympy.Poly(list(reversed(ints)), sympy.Symbol("x"), domain="ZZ")
     # squarefree parts first: a characteristic polynomial with repeated
     # roots factors much faster part by part than whole
     factors = [(fac, mult * inner) for part, mult in poly.sqf_list()[1]
@@ -267,6 +273,8 @@ _PRIMES: Dict[int, List[int]] = {}
 
 def _prime(bits: int, i: int) -> int:
     """The (i + 1)-th largest prime below 2^bits."""
+    import sympy
+
     found = _PRIMES.setdefault(bits, [])
     while len(found) <= i:
         found.append(int(sympy.prevprime(found[-1] if found else 1 << bits)))

@@ -144,6 +144,12 @@ def recognize_srg_family(p: SrgParams) -> List[str]:
     return tags
 
 
+#: the Sims branch of each shape that ``recognize_srg_family`` names, in the
+#: order the branches are tried; a shape not here (Conference) names none
+SHAPE_BRANCH = {"CompleteMultipartite": "CompleteMultipartite", "LatinSquare": "LatinSquare",
+                "SteinerGraph": "Steiner", "SteinerSystemBlockGraph": "Steiner"}
+
+
 def sims_classify(p: SrgParams) -> dict:
     """Classify by smallest eigenvalue -m: complete multipartite, Latin-square
     shape, Steiner shape, or a finite exceptional range with mu <= m^3(2m-3).
@@ -153,24 +159,16 @@ def sims_classify(p: SrgParams) -> dict:
         raise PreconditionError(
             f"smallest eigenvalue {eig.s} is not an integer; classification needs -m with m integral")
     m = int(-eig.s)
-    out = {"m": m, "parameters": p.as_tuple(), "branch": None, "tags": recognize_srg_family(p)}
-    if m == 1:
-        out["branch"] = "Complete"
-        return out
-    if any(t.startswith("CompleteMultipartite") for t in out["tags"]):
-        out["branch"] = "CompleteMultipartite"
-        return out
-    if any(t.startswith("LatinSquare") for t in out["tags"]):
-        out["branch"] = "LatinSquare"
-        return out
-    if any(t.startswith(("SteinerGraph", "SteinerSystemBlockGraph")) for t in out["tags"]):
-        out["branch"] = "Steiner"
-        return out
-    out["branch"] = "Sporadic"
-    out["mu_bound"] = mu_bound(m)
-    out["mu_within_bound"] = p.mu <= mu_bound(m)
-    out["vertex_bound"] = phi(m)
-    out["v_within_bound"] = p.v <= phi(m)
+    tags = recognize_srg_family(p)
+    shapes = {t.split("(")[0] for t in tags}
+    branch = "Complete" if m == 1 else next(
+        (b for shape, b in SHAPE_BRANCH.items() if shape in shapes), "Sporadic")
+    out = {"m": m, "parameters": p.as_tuple(), "branch": branch, "tags": tags}
+    if branch == "Sporadic":
+        out["mu_bound"] = mu_bound(m)
+        out["mu_within_bound"] = p.mu <= mu_bound(m)
+        out["vertex_bound"] = phi(m)
+        out["v_within_bound"] = p.v <= phi(m)
     return out
 
 

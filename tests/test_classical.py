@@ -131,7 +131,7 @@ def test_classify_tight():
 def test_classify_tight_falls_back_to_the_F_bound(monkeypatch):
     # a tight array no named family matches is locally connected with
     # k <= F(b); J(10,5) has b = 1 and F(1) = 861
-    monkeypatch.setattr(classical, "_named_branches", lambda ia, evidence: [])
+    monkeypatch.setattr(classical, "_named_branches", lambda ia, evidence, theorem: [])
     out = classify_tight(J105)
     assert (out.branch, out.name, out.branches) == (
         "iii", "locally connected with k <= F(b)", ("iii",))

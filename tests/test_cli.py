@@ -391,7 +391,8 @@ def test_bench_script_runs_every_seed_and_one_traced_run_per_workload(
         monkeypatch, tmp_path):
     # git and the child runs are fakes that write canned result files: the
     # end-to-end runs cover every workload, seed and run with --trace 0, then
-    # one --trace 1 run per workload on seed 1 gives its per-layer block
+    # one --trace 1 run per workload on seed 1, TRACE_LENGTH runs long, gives
+    # its per-layer block and the rounds it traced
     path = os.path.join(ROOT, "scripts", "bench.py")
     spec = importlib.util.spec_from_file_location("bench", path)
     bench = importlib.util.module_from_spec(spec)
@@ -408,6 +409,7 @@ def test_bench_script_runs_every_seed_and_one_traced_run_per_workload(
         result = {"end_to_end": {m: seed + len(runs) / 1000 for m in metrics}}
         if trace:
             result["per_layer"] = {"cli.classify_s": seed, opts["--workload"]: 1}
+            result["trace"] = {"rounds": 8}
         with open(opts["--out"], "w") as fh:
             json.dump(result, fh)
         return subprocess.CompletedProcess(cmd, 0, "", "")
@@ -421,9 +423,10 @@ def test_bench_script_runs_every_seed_and_one_traced_run_per_workload(
     plain = [r for r in runs if r["--trace"] == "0"]
     assert sorted((r["--workload"], r["--seed"]) for r in plain) == sorted(
         (w, s) for w in workloads for s in ("1", "2", "3") for _ in range(3))
-    assert all(r["--seconds"] == str(declared["run_seconds"]) for r in runs)
-    assert [(r["--workload"], r["--seed"], r["--trace"]) for r in runs[len(plain):]] == [
-        (w, "1", "1") for w in workloads]
+    assert all(r["--seconds"] == str(declared["run_seconds"]) for r in plain)
+    assert [(r["--workload"], r["--seed"], r["--trace"], r["--seconds"])
+            for r in runs[len(plain):]] == [
+        (w, "1", "1", str(bench.TRACE_LENGTH * declared["run_seconds"])) for w in workloads]
     assert written["seeds"] == [1, 2, 3] and written["runs"] == 3
     for w in workloads:
         for s in ("1", "2", "3"):
@@ -431,6 +434,7 @@ def test_bench_script_runs_every_seed_and_one_traced_run_per_workload(
             assert len(written["end_to_end"][w][s]["wall_s"]["samples"]) == 3
             assert int(written["end_to_end"][w][s]["wall_s"]["median"]) == int(s)
     assert written["per_layer"] == {w: {"cli.classify_s": 1, w: 1} for w in workloads}
+    assert written["trace_rounds"] == {w: 8 for w in workloads}
 
 
 #: imports the CLI once, then runs each [argv, limit, relative] of the JSON

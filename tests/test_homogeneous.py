@@ -16,9 +16,10 @@ from drglab.errors import InputError, ScopeError
 from drglab.families import (cycle, folded_halved_cube, folded_johnson, hamming,
                              johnson, petersen, triangular)
 from drglab.graph import Graph
-from drglab.homogeneous import (check_i_homogeneous, classify_main,
-                                family_branches, local_spectral_checks, near_polygon_analysis,
-                                recognize_named_family, small_diameter_lookup)
+from drglab.homogeneous import (FAMILY_BRANCH, check_i_homogeneous, classify_main,
+                                family_branches, local_spectral_checks, named_families,
+                                near_polygon_analysis, recognize_named_family,
+                                small_diameter_lookup)
 
 J105 = IntersectionArray((25, 16, 9, 4, 1), (1, 4, 9, 16, 25))
 HC10 = IntersectionArray((45, 28, 15, 6, 1), (1, 6, 15, 28, 45))
@@ -261,3 +262,30 @@ def test_family_branch_table():
     assert family_branches(tags) == [
         ("ii", "Johnson J(10,5)"), ("iii", "halved 11-cube"),
         ("iv", "folded Johnson J(20,10)"), ("v", "folded halved 20-cube")]
+
+
+def test_naming_a_family_builds_no_array(monkeypatch):
+    # the family generators give plain (b, c) tuples, compared with the
+    # array's own, so no IntersectionArray is built or validated to name one
+    named = {J105: ["Johnson J(10,5)"], HC11: ["halved 11-cube"],
+             IntersectionArray((100, 81, 64, 49, 36), (1, 4, 9, 16, 50)):
+                 ["folded Johnson J(20,10)"],
+             IntersectionArray((6, 1), (1, 6)): ["halved 4-cube", "Cocktail Party K_{4x2}"],
+             IntersectionArray((27, 10, 1), (1, 10, 27)): ["Gosset graph"]}
+    built = []
+    validate = IntersectionArray.__post_init__
+    monkeypatch.setattr(IntersectionArray, "__post_init__",
+                        lambda self: (built.append(self), validate(self))[1])
+    assert {ia: named_families(ia) for ia in named} == named
+    assert built == []
+
+
+def test_the_tight_column_names_two_families():
+    # the tight theorem's branches (i) J(2D,D) and (ii) the halved 2D-cube
+    # come from the one family table, and no folded family has one
+    assert family_branches(named_families(J105) + named_families(HC10), "tight") == [
+        ("i", "Johnson J(10,5)"), ("ii", "halved 10-cube")]
+    assert family_branches(["folded halved 20-cube", "folded Johnson J(20,10)"], "tight") == [
+        (None, "folded Johnson J(20,10)"), (None, "folded halved 20-cube")]
+    assert {f: row["tight"] for f, row in FAMILY_BRANCH.items()} == {
+        "Johnson": "i", "halved": "ii", "folded Johnson": None, "folded halved": None}

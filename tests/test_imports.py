@@ -4,7 +4,9 @@ undeclared package (scipy, say) would import here and fail for a user, and
 would add its import time to every start."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "drglab"
@@ -33,3 +35,16 @@ def test_only_polys_imports_sympy():
     # algebraic-number type would replace it in this module alone
     sources = sorted(PACKAGE.glob("*.py"))
     assert [path.name for path in sources if "sympy" in imported_modules(path)] == ["polys.py"]
+
+
+def test_an_array_with_integer_eigenvalues_never_loads_sympy():
+    # sympy is imported on first use, to factor: J(10,5)'s eigenvalues are
+    # all integers, found by Sturm bisection, so classifying it loads none
+    script = ("import sys\n"
+              "from drglab.cli import main\n"
+              "code = main(['classify', '--ia', '25,16,9,4,1;1,4,9,16,25'])\n"
+              "print(code, 'sympy' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stderr.split() == ["0", "False"], done.stderr

@@ -98,8 +98,8 @@ RANGES = [(1, 3), (0, 2), (1, 1), (2, 2), (0, 0), (-1, 16)]
 @given(varying_degree_graphs())
 def test_the_one_pair_selection_matches_a_brute_force_pair_list(g):
     # every range, upper and not, under a budget of one byte (a row to every
-    # chunk and count step) and of 2 MiB; the chunks of the stream start at
-    # one row and at most double, within 27 bytes per entry
+    # chunk and count step) and of 2 MiB; every chunk of the stream but the
+    # last holds a budget's rows at 27 bytes per entry
     bfs = [bfs_distances(g, x) for x in range(g.n)]
     dm = g.distance_matrix()
     for budget, (lo, hi), upper in itertools.product([1, 1 << 21], RANGES, [False, True]):
@@ -122,8 +122,8 @@ def test_the_one_pair_selection_matches_a_brute_force_pair_list(g):
         spans = [call.args[1] for call in spy.call_args_list]
         sizes = [min(s.stop, g.n) - s.start for s in spans]
         assert [s.start for s in spans] == np.cumsum([0] + sizes[:-1]).tolist()
-        assert sum(sizes) == g.n and sizes[:1] == [1][:g.n]
-        assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+        assert sum(sizes) == g.n
+        assert all(size == max(1, budget // (27 * g.n)) for size in sizes[:-1])
         assert max(sizes, default=1) <= max(1, budget // (27 * g.n))
 
 
