@@ -54,12 +54,13 @@ class ResourceError(DrgError):
     - a dense adjacency (``Graph._adjacency``): an entry of its dtype per
       vertex pair and 8 bytes per arc, for the dense pair route,
       ``adjacency_matrix`` and ``bitrows``;
-    - the label tables of a pair scan (``graph._check_pairs``): 16 bytes
-      per label per key word, for a digit weight and a reference key, with
-      (2i + 1)(2 ecc(x) + 1) labels for the pair (x, y) that starts the
-      scan at distance i, since every distance is at most 2 ecc(x) and the
-      two distances of a vertex differ by at most i (about n^2 / 2 on the
-      n-cycle at level n / 2, 3 (n + 1) at level 1);
+    - the label tables of a pair scan (``graph._check_pairs``): two key
+      entries (4 or 8 bytes each) per label per key word, for a digit
+      weight and a reference key, with (2i + 1)(2 ecc(x) + 1) labels for
+      the pair (x, y) that starts the scan at distance i, since every
+      distance is at most 2 ecc(x) and the two distances of a vertex
+      differ by at most i (about n^2 / 2 on the n-cycle at level n / 2,
+      3 (n + 1) at level 1);
     - the quotient that a verdict reports (``graph._quotient``), the one
       cells x cells matrix, counted from the arcs once per verdict (never
       by the pair scan, and not at all by a refuting sampled check): 32
@@ -98,8 +99,11 @@ class ResourceError(DrgError):
 
     Exactness: distances are int16, so at most 32766; CAB's cell-count keys
     are float sums below (k + 1)^3, in float32 while that is at most 2^22
-    and in float64 above; the pair kernel's keys stay below 2^53 (float64)
-    or 2^63 (int64), which bounds the digits of a key word.
+    and in float64 above; the pair kernel's keys stay below 2^24 (float32),
+    2^53 (float64) or 2^63 (int64), which bounds the digits of a key word.
+    A dense key is float32 when one word holds all of its digits, below
+    (k + 1)^3 <= 2^24 for the three digits of distance-regularity (k at
+    most 255), and float64 otherwise; a sparse key is int64.
 
     Block budget, which bounds working memory without refusing anything:
     ``graph._BUDGET`` (2 MiB, the L2 cache of the 2-core machine the passes
@@ -108,9 +112,12 @@ class ResourceError(DrgError):
     many items as fit, and at least one (``graph._per_block``), and a
     gather over the arcs reads the arcs of consecutive vertices, within the
     budget or of one vertex (``graph._ranges``).  The passes and their
-    widths: the pair kernel's blocks of pairs (``graph._check_pairs``: 8
-    bytes per (pair, arc) on the sparse route, 32 per (pair, vertex) on the
-    dense one) and its sparse arc ranges (``graph._pair_keys``, 8 per
+    widths: the pair kernel's blocks of pairs (``graph._check_pairs``, one
+    set of buffers a scan, which every block writes into: per (pair,
+    vertex) entry an int16 distance and an intp label, 10 bytes, and per
+    key word a weight, a key and their comparison, 9 more for a float32
+    word and 17 for a float64 or int64 one, and on the sparse route 8 per
+    (pair, arc) too) and its sparse arc ranges (``graph._pair_keys``, 8 per
     (pair, arc)); the pair selection (``graph._at``: at most 3 per
     distance-matrix entry, and 2 more for the int16 copy of indexed rows);
     the per-row pair counts (``graph._counts``, 3 per entry); the pair

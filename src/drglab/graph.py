@@ -12,13 +12,16 @@ search behind every distance row and the dense distance matrix of at most
 equitable quotients, and the pair kernel (``_check_pairs``), which tests
 the joint distance partitions pi(x, y) of a block of pairs at once, for
 1-homogeneity and for distance-regularity, its case x = y, by exact keys:
-float64 products with the adjacency matrix (below 2**53) or int64 sums
-over the arcs (below 2**63), as ``_dense_keys`` chooses.  Keys are only
-compared, and the kernel counts no quotient: it returns its first pair's
-distance rows, and each verdict counts the one quotient it reports, of its
-reference pair, once, from the arcs of each cell's first vertex
-(``_quotient``), the one place that builds a cells x cells matrix, after
-``require_room``, as an int array that only a report turns into tuples:
+float32 or float64 products with the adjacency matrix of the same dtype
+(below 2**24 or 2**53) or int64 sums over the arcs (below 2**63), as
+``_dense_keys`` chooses, of nine digits a key, or three at x = y.  A scan
+allocates one set of buffers for a block of pairs, and every block writes
+into it.  Keys are only compared, and the kernel counts no quotient: it
+returns its first pair's distance rows, and each verdict counts the one
+quotient it reports, of its reference pair, once, from the arcs of each
+cell's first vertex (``_quotient``), the one place that builds a cells x
+cells matrix, after ``require_room``, as an int array that only a report
+turns into tuples:
 distance-regularity from the pair (0, 0), exhaustive 1-homogeneity before
 its scan, sampled 1-homogeneity only when its pairs hold.  The kernel reads
 its pairs as a stream of chunks, each with the distance rows it names, and
@@ -42,12 +45,15 @@ their widths).  The gathers over all arcs (the sparse keys, the
 engine's pull and the per-cell counts) read them in ranges of consecutive
 vertices (``_ranges``) within the budget, or of one vertex, so no block
 holds an entry for every arc of a large graph.
-A graph caches its arcs, once built its read-only distance matrix, and
-once certified its distance-regularity verdict (``Graph._dr``, written only
-by ``check_distance_regular``), nothing else: the arcs never change, so
-nothing invalidates either, and every reader of the verdict (the spectrum,
-the local spectral checks, the SRG parameters) shares one scan of the pairs
-(x, x).  The three readers of an (n, n) 0/1 adjacency (the dense pair
+A graph caches its arcs, once built its read-only distance matrix, once
+certified its distance-regularity verdict (``Graph._dr``, written only by
+``check_distance_regular``), and once read the (size, valency) of its
+lambda- and mu-graphs (``Graph._common``, written only by
+``_common_neighbourhoods``), nothing else: the arcs never change, so
+nothing invalidates any of them, every reader of the verdict (the
+spectrum, the local spectral checks, the SRG parameters) shares one scan of
+the pairs (x, x), and the c2 report and the local spectral checks share one
+mu-graph pass.  The three readers of an (n, n) 0/1 adjacency (the dense pair
 route, ``adjacency_matrix`` and ``bitrows``) each get a fresh one in the
 dtype they read, scattered from the arcs in one place
 (``Graph._adjacency``).
@@ -163,10 +169,12 @@ class Graph:
     ascending, and the n + 1 intp offsets ``starts`` of each vertex's arcs,
     8 bytes per arc.  The source of an arc is its position's row, derived
     on demand (``_sources``); no sources array is kept.  ``_dm`` keeps the
-    distance matrix once built and ``_dr`` the distance-regularity verdict
-    once certified."""
+    distance matrix once built, ``_dr`` the distance-regularity verdict
+    once certified, and ``_common`` the (size, valency) of the lambda- and
+    mu-graphs, by level 1 or 2, once a pass has read them
+    (``_common_neighbourhoods``); an exception is kept in none of them."""
 
-    __slots__ = ("n", "_dst", "_starts", "_dm", "_dr")
+    __slots__ = ("n", "_dst", "_starts", "_dm", "_dr", "_common")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         n = len(adjacency)
@@ -192,7 +200,8 @@ class Graph:
         return g
 
     def _set_arcs(self, n: int, starts: np.ndarray, dst: np.ndarray):
-        self.n, self._starts, self._dst, self._dm, self._dr = n, starts, dst, None, None
+        self.n, self._starts, self._dst, self._dm, self._dr, self._common = (
+            n, starts, dst, None, None, {})
 
     def _sources(self) -> np.ndarray:
         """The intp source of every arc, built on each call."""
@@ -548,12 +557,14 @@ def equitable_quotient(g: Graph, p: VertexPartition
 # -- the pair kernel -------------------------------------------------------
 
 
-#: vertex cap of the dense route: its float64 adjacency takes 8 n^2 bytes
+#: vertex cap of the dense route: its adjacency takes at most 8 n^2 bytes
 _DENSE_KEYS_CAP = 1024
+#: the key dtype whose integers are exact below each word limit
+_KEY_DTYPE = {1 << 24: np.float32, 1 << 53: np.float64, 1 << 63: np.int64}
 
 
 def _dense_keys(g: Graph, pairs: int) -> bool:
-    """Whether the pair kernel sums the keys of ``pairs`` pairs by a float64
+    """Whether the pair kernel sums the keys of ``pairs`` pairs by a float
     product with the adjacency matrix (an n^2 fill, then n^2 work per pair)
     rather than over the arcs (one gather per arc and pair).  The dense
     route is taken when n <= 1024, n^2 <= 32 arcs and
@@ -566,50 +577,56 @@ def _dense_keys(g: Graph, pairs: int) -> bool:
     return n <= _DENSE_KEYS_CAP and n * n <= 32 * arcs and 4 * n * n <= pairs * arcs
 
 
-def _digit_weights(g: Graph, limit: int) -> np.ndarray:
-    """(words, 9) int64 weights that pack nine neighbour counts of a vertex
-    into exact words: digit r counts the neighbours u with
-    3 d(x, u) + d(y, u) = r (mod 9), in base max degree + 1, as many digits
-    to a word as base**digits <= limit allows (2**53 for float64 keys, 2**63
-    for int64 ones).  The counts of a vertex sum to its degree, so no digit
-    carries and every key and partial sum stays below the limit.  Keys are
-    only compared: equal keys are equal count rows, and nothing reads a
-    count back out of a key (``_quotient`` counts from the arcs)."""
+def _digit_weights(g: Graph, limit: int, digits: int = 9) -> np.ndarray:
+    """(words, digits) weights, in the dtype whose integers are exact below
+    ``limit`` (``_KEY_DTYPE``: float32 below 2**24, float64 below 2**53,
+    int64 below 2**63), that pack the neighbour counts of a vertex v into
+    exact words: digit r counts the neighbours u of v in the cells of
+    residue r, (3 d(x, u) + d(y, u)) mod 9 with nine digits and
+    d(x, u) mod 3 with three, which suffice when x = y (a neighbour of v
+    lies in the layers d(x, v) - 1, d(x, v) and d(x, v) + 1, three
+    residues), in base max degree + 1, as many digits to a word as
+    base**digits <= limit allows.  The counts of a vertex sum to its
+    degree, so no digit carries and every key and partial sum stays below
+    the limit.  Keys are only compared: equal keys are equal count rows,
+    and nothing reads a count back out of a key (``_quotient`` counts from
+    the arcs)."""
     base = int(g.degrees().max(initial=0)) + 1
-    per_word = max(t for t in range(1, 10) if base ** t <= limit)
-    weights = np.zeros((-(-9 // per_word), 9), dtype=np.int64)
-    for r in range(9):
+    per_word = max(t for t in range(1, digits + 1) if base ** t <= limit)
+    weights = np.zeros((-(-digits // per_word), digits), dtype=_KEY_DTYPE[limit])
+    for r in range(digits):
         weights[r // per_word, r] = base ** (r % per_word)
     return weights
 
 
-def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray) -> np.ndarray:
+def _pair_keys(g: Graph, adj: Optional[np.ndarray], w: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """The pair kernel: the keys (words, p, n) of the count rows of every
     vertex in pi(x, y) for a block of p pairs, from the digit weight
-    w (words, p, n) of every vertex.
+    w (words, p, n) of every vertex, written to ``out`` when given.
 
     A neighbour u of v has d(x, u) - d(x, v) and d(y, u) - d(y, v) in
-    {-1, 0, 1}, so 3 d(x, u) + d(y, u) mod 9 names the cell of u among the
-    nine around v, and v's count row is one key per word: the digit weights
-    of its neighbours, summed.  On the dense route (``adj`` the float64
-    adjacency) that is one product per word, w @ adj; on the sparse route
-    (``adj`` None), for each range of consecutive vertices whose arcs fit
-    ``_BUDGET`` bytes at 8 p bytes an arc, an int64 per pair (or of one
-    vertex), an int64 gather over the range's arcs and a reduction over
-    each vertex's arcs."""
+    {-1, 0, 1}, so the residue of u's cell (``_digit_weights``) names it
+    among the cells around v, and v's count row is one key per word: the
+    digit weights of its neighbours, summed.  On the dense route (``adj``
+    the float adjacency, of the weights' dtype) that is one product per
+    word, w @ adj; on the sparse route (``adj`` None), for each range of
+    consecutive vertices whose arcs fit ``_BUDGET`` bytes at 8 p bytes an
+    arc, an int64 per pair (or of one vertex), an int64 gather over the
+    range's arcs and a reduction over each vertex's arcs."""
     if adj is not None:
-        return w @ adj
+        return np.matmul(w, adj, out=out)
+    keys = np.empty(w.shape, dtype=w.dtype) if out is None else out
     dst, starts = g._dst, g._starts
     if not len(dst):  # the one-vertex graph: no neighbour, so every key is 0
-        return np.zeros_like(w)
-    keys = np.empty(w.shape, dtype=w.dtype)
+        return np.multiply(w, 0, out=keys)
     # every other connected graph has an arc at each vertex, so the segments
     # of each reduction are the arcs of each vertex in the range
     for i0, i1 in _ranges(starts, _BUDGET // (8 * w.shape[1])):
         a, b = starts[i0], starts[i1]
-        for word, out in zip(w, keys):
+        for word, out_word in zip(w, keys):
             np.add.reduceat(np.take(word, dst[a:b], axis=1), starts[i0:i1] - a, axis=1,
-                            out=out[:, i0:i1])
+                            out=out_word[:, i0:i1])
     return keys
 
 
@@ -669,19 +686,28 @@ def _check_pairs(g: Graph, total: int, chunks):
     (``_dense_keys``).  Every pair of a stream is at the distance i of its
     first pair (x0, y0), which each block checks (``require``): then
     |d(y, v) - d(x, v)| <= i and d(x, v) <= 2 ecc(x0) for every vertex v,
-    so the kernel alone labels v's cell 2i d(x, v) + d(y, v) + i, its place
-    in the (d(x, v), d(y, v) - d(x, v) + i) grid read row by row, below
-    (2i + 1)(2 ecc(x0) + 1) labels, in the order of (d(x, v), d(y, v)).  A
-    label reads its digit weight and its reference key from two tables of
-    every label, whose bytes, 16 per label per key word, ``require_room``
-    checks first.  A block takes as many pairs of a chunk as ``_BUDGET``
-    bytes hold (``_per_block``): 8 bytes per (pair, arc) entry on the
-    sparse route, its int64 key; on the dense one, 32 per (pair, vertex)
-    entry, 8 each for its label, weight, key and reference key.  The first
-    pair is the reference: for each of its cells, the key of the cell's
-    first vertex.  A pair refutes when some vertex's key differs from the
-    reference key of its label (a label the first pair lacks has none, so
-    it differs too), and counts as checked.  Equal keys under equal labels
+    so the kernel alone labels v's cell 2i d(x, v) + d(y, v), that is
+    (2i + 1) d(x, v) + (d(y, v) - d(x, v)), distinct, at least 0 and below
+    (2i + 1)(2 ecc(x0) + 1), in the order of (d(x, v), d(y, v)).  At i = 0
+    (x = y) the label is d(x, v) itself, read from the one row with no
+    arithmetic, and the key has three digits, not nine
+    (``_digit_weights``).  A dense key is float32 when one word holds every
+    key below 2**24 ((k + 1)^3 <= 2**24 at i = 0, k <= 255), float64
+    otherwise, and the adjacency takes the same dtype; a sparse key is
+    int64.  A label reads its digit weight and its reference key from two
+    tables of every label, whose bytes, two keys per label per key word,
+    ``require_room`` checks first.  The scan allocates one set of buffers,
+    for as many pairs as a block takes, and each block writes into it
+    (``out=``): per (pair, vertex) entry an int16 distance, an intp label
+    and, per key word, its digit weight (then its reference key), its key
+    and their comparison, 10 + 9 bytes for one float32 word, 10 + 17 for one
+    float64 or int64 word, the width it states to ``_per_block``.  A block
+    takes as many pairs of a chunk as ``_BUDGET`` bytes hold at that width,
+    and on the sparse route at 8 bytes per (pair, arc) entry too, its int64
+    gather.  The first pair is the reference: for each of its cells, the
+    key of the cell's first vertex.  A pair refutes when some vertex's key
+    differs from the reference key of its label (a label the first pair
+    lacks has none, so it differs too), and counts as checked.  Equal keys under equal labels
     are equal count rows, and the quotient is connected, so a pair that
     does not refute is equitable with the reference quotient.
     Blocks start at one pair and double up to the budget, the step carried
@@ -692,40 +718,59 @@ def _check_pairs(g: Graph, total: int, chunks):
     only its quotient differs) or None, and the reference pair's distance
     rows (dx, dy).  No quotient is counted here: the caller counts the one
     it reports (``_quotient``)."""
-    dense = _dense_keys(g, total)
-    weights = _digit_weights(g, 1 << 53 if dense else 1 << 63)
-    wf = weights.astype(np.float64) if dense else weights
-    adj = g._adjacency(np.float64) if dense else None
-    most = _per_block(g.n, 32) if dense else _per_block(len(g._dst), 8)
+    dense, n = _dense_keys(g, total), g.n
     reference, done, step = None, 0, 1
     for xs, ys, rows, at_x, at_y in chunks:
         lo = 0
         while lo < len(xs):
-            dx = rows[at_x[lo:lo + step]].astype(np.intp)
-            dy = rows[at_y[lo:lo + step]]
             if reference is None:
-                i, height = int(dx[0, ys[0]]), 2 * int(dx[0].max()) + 1
-                count = (2 * i + 1) * height
-                require_room(f"the tables of {count} cell labels", 16 * count * len(wf))
-                # grid cell (a, e) has d(x, v) = a and d(y, v) = a + e - i,
-                # so its digit (3 d(x, v) + d(y, v)) mod 9 is (4a + e - i) mod 9
-                wl = wf[:, ((4 * np.arange(height)[:, None] + np.arange(-i, i + 1)) % 9).ravel()]
-            require(bool((dx[np.arange(len(dx)), ys[lo:lo + step]] == i).all()),
+                reference = rows[at_x[0]], rows[at_y[0]]
+                i, height = int(reference[0][ys[0]]), 2 * int(reference[0].max()) + 1
+                count, digits = (2 * i + 1) * height, 9 if i else 3
+                # a dense key is float32 when one word holds all its digits
+                wide = (int(g.degrees().max(initial=0)) + 1) ** digits > 1 << 24
+                wf = _digit_weights(g, 1 << (53 if wide else 24) if dense else 1 << 63, digits)
+                require_room(f"the tables of {count} cell labels", 2 * count * wf.nbytes // digits)
+                # at i = 0 the digit of label a is a mod 3; otherwise label
+                # (2i + 1) a + e - i, grid cell (a, e), has d(x, v) = a and
+                # d(y, v) = a + e - i, so its digit (3 d(x, v) + d(y, v)) mod 9
+                # is (4a + e - i) mod 9
+                wl = wf[:, ((4 * np.arange(height)[:, None] + np.arange(-i, i + 1)) % 9)
+                        .ravel()[i:] if i else np.arange(height) % 3]
+                adj = g._adjacency(wf.dtype) if dense else None
+                width = 10 + len(wf) * (2 * wf.itemsize + 1)
+                # the sparse route's gathers hold 8 bytes per (pair, arc) too
+                most = min(total, _per_block(n, width),
+                           total if dense else _per_block(len(g._dst), 8))
+                dist, lab = np.empty((most, n), np.int16), np.empty((most, n), np.intp)
+                flat = [np.empty(len(wf) * most * n, t) for t in (wf.dtype, wf.dtype, bool)]
+            s = min(step, len(xs) - lo)
+            d, lb = dist[:s], lab[:s]
+            np.take(rows, at_x[lo:lo + s], axis=0, out=d, mode="clip")
+            np.copyto(lb, d)
+            if i:
+                lb *= 2 * i
+                np.take(rows, at_y[lo:lo + s], axis=0, out=d, mode="clip")
+                lb += d
+            # v = y has the label 2i^2 exactly when d(x, y) = i
+            require(bool((lb[np.arange(s), ys[lo:lo + s]] == 2 * i * i).all()),
                     "every pair of a pair stream is at the distance of its first pair")
-            lab = 2 * i * dx + dy + i
-            keys = _pair_keys(g, adj, wl[:, lab])
-            if reference is None:
-                cells, first = np.unique(_narrow(lab[0], count), return_index=True)
-                ref = np.full(wl.shape, -1, dtype=wl.dtype)
+            w, keys, differ = (f[:f.size // most * s].reshape(-1, s, n) for f in flat)
+            np.take(wl, lb, axis=1, out=w, mode="clip")
+            _pair_keys(g, adj, w, keys)
+            if not done and not lo:  # the first pair: its cells' first keys
+                cells, first = np.unique(_narrow(lb[0], count), return_index=True)
+                ref = np.full_like(wl, -1)
                 ref[:, cells] = keys[:, 0, first]
-                reference = dx[0], dy[0]
-            fails = (keys != ref[:, lab]).any(axis=(0, 2))
+            # the weights are read, so their buffer takes the reference keys
+            np.take(ref, lb, axis=1, out=w, mode="clip")
+            fails = np.not_equal(keys, w, out=differ).any(axis=(0, 2))
             if fails.any():
                 t = int(np.argmax(fails))
-                witness = _witness(int(xs[lo + t]), int(ys[lo + t]), dx[t], dy[t], lab[t],
-                                   keys[:, t], count)
+                witness = _witness(int(xs[lo + t]), int(ys[lo + t]), rows[at_x[lo + t]],
+                                   rows[at_y[lo + t]], lb[t], keys[:, t], count)
                 return done + lo + t + 1, witness, reference
-            lo, step = lo + step, min(2 * step, most)
+            lo, step = lo + s, min(2 * step, most)
         done += len(xs)
     return done, None, reference
 
@@ -1005,7 +1050,13 @@ def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None,
     level 1 and the C cell at level 2.  Raises InputError when the size
     varies.  A list ``patterns`` gets the distinct patterns of each block
     whose graphs are not all regular of valency ``known`` (of every block
-    when ``known`` is None)."""
+    when ``known`` is None).  The graph keeps the result (``Graph._common``,
+    written only here; an exception is not kept), which a later call reads
+    in place of the pass when it asks for no patterns, or when the kept
+    valency is ``known``, so that no block could give one."""
+    kept = g._common.get(i)
+    if kept and (patterns is None or known is not None and kept[1] == known):
+        return kept
     size, valencies = None, set()
     # bytes written per entry: an int16 distance, a bool member, its float32
     # weight and count, a bool comparison, the member's copy in pair order
@@ -1022,7 +1073,7 @@ def _common_neighbourhoods(g: Graph, i: int, patterns: Optional[list] = None,
             valencies.add(valency)
             if patterns is not None and (known is None or valency != known):
                 patterns.extend(_patterns(local, member, size))
-    return size, valencies.pop() if len(valencies) == 1 else None
+    return g._common.setdefault(i, (size, valencies.pop() if len(valencies) == 1 else None))
 
 
 def _patterns(local: np.ndarray, member: np.ndarray, size: int):
@@ -1066,7 +1117,11 @@ def c2_regularity_report(g: Graph) -> C2RegularityReport:
     all of that valency, and none when every mu-graph is.  The largest
     coclique is searched once per distinct pattern collected (mu-graphs
     with equal patterns are equal up to relabelling), each search pruned by
-    the largest found so far, and no more once that meets the bound."""
+    the largest found so far, and no more once that meets the bound.  A
+    graph whose kept mu-graph pass (``Graph._common``, from the local
+    spectral checks or an earlier report) found every mu-graph regular of
+    the first one's valency, when that one's coclique meets the bound,
+    makes no pass: no pattern could beat it."""
     dm = g.distance_matrix()
     if int(dm.max(initial=0)) < 2:
         raise InputError("c2-graph analysis requires diameter >= 2")

@@ -5,9 +5,9 @@ parameters ("1-homogeneous" graphs).
 
 Every pair goes through the pair kernel of ``graph`` (``_check_pairs``), a
 block of pairs to a call: each vertex's neighbour counts over the cells of
-pi(x, y) are packed into exact keys for the whole block at once, by float64
-products with the adjacency matrix or by int64 sums over the arcs, as
-``graph._dense_keys`` chooses.  A pair holds when each vertex's key is the
+pi(x, y) are packed into exact keys for the whole block at once, by float32
+or float64 products with the adjacency matrix or by int64 sums over the
+arcs, as ``graph._dense_keys`` chooses.  A pair holds when each vertex's key is the
 first pair's key for its cell, with no sort: keys are only compared, and
 the kernel counts no quotient.  Each check counts the one it reports, its
 first pair's, once from the arcs (``graph._quotient``): exhaustive mode

@@ -27,7 +27,7 @@ is factored, when some root is irrational.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -201,17 +201,20 @@ def _roots_above(diag: Sequence[int], offs: Sequence[int], x: int) -> Tuple[int,
     q_{i+1}(x) = (x - diag[i]) q_i(x) - offs[i-1] q_{i-1}(x) with positive
     ``offs``, in exact integers.
 
-    Zeros are dropped before the sign changes are counted.  An inner zero
-    q_i(x) = 0 then makes one change, which is right whatever sign it is
-    given, as q_{i+1}(x) = -offs[i-1] q_{i-1}(x) has the opposite sign of
-    q_{i-1}(x).  A zero q_n(x), x a root, makes none: just above x, q_n has
-    the sign of q_{n-1}(x) by interlacing.
+    Zeros are skipped when the sign changes are counted: each minor is
+    compared with the last nonzero one, in the one pass that computes them
+    (q_0 = 1 and q_{-1} = 0).  An inner zero q_i(x) = 0 then makes one
+    change, which is right whatever sign it is given, as
+    q_{i+1}(x) = -offs[i-1] q_{i-1}(x) has the opposite sign of q_{i-1}(x).
+    A zero q_n(x), x a root, makes none: just above x, q_n has the sign of
+    q_{n-1}(x) by interlacing.
     """
-    minors = [1, x - diag[0]]
-    for a, off in zip(diag[1:], offs):
-        minors.append((x - a) * minors[-1] - off * minors[-2])
-    signs = [q > 0 for q in minors if q]
-    return sum(s != t for s, t in zip(signs, signs[1:])), minors[-1]
+    prev, q, last, changes = 0, 1, 1, 0
+    for a, off in zip(diag, chain((0,), offs)):
+        prev, q = q, (x - a) * q - off * prev
+        changes += q < 0 < last or last < 0 < q
+        last = q or last
+    return changes, q
 
 
 def _divide_linear(coeffs: Sequence[int], m: int) -> List[int]:

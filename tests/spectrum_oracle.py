@@ -28,25 +28,32 @@ from drglab.scalars import ExactScalar, Surd, sort_desc
 
 
 def rational_nullity(rows: Sequence[Sequence[int]]) -> int:
-    """Nullity of an integer matrix over Q (Gaussian elimination)."""
-    n = len(rows)
+    """Nullity of an integer matrix over Q, by fraction-free (Bareiss)
+    elimination: after each pivot every entry below it is a minor of the
+    matrix, so each division by the previous pivot is exact and no Fraction
+    is made."""
+    mat = [[int(v) for v in row] for row in rows]
+    n = len(mat)
     if n == 0:
         return 0
-    mat = [[Fraction(v) for v in row] for row in rows]
     ncols = len(mat[0])
-    rank = 0
+    rank, prev = 0, 1
     for col in range(ncols):
         pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
+        row_p = mat[rank]
+        pv = row_p[col]
+        # every row below, a zero in the pivot column included, is scaled,
+        # so that its entries stay minors
         for r in range(rank + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                row_r, row_p = mat[r], mat[rank]
-                for j in range(col, ncols):
-                    row_r[j] -= factor * row_p[j]
+            row_r = mat[r]
+            factor = row_r[col]
+            for j in range(col + 1, ncols):
+                row_r[j] = (row_r[j] * pv - factor * row_p[j]) // prev
+            row_r[col] = 0
+        prev = pv
         rank += 1
         if rank == n:
             break

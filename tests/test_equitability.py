@@ -289,28 +289,40 @@ ROUTES = pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"]
 @pytest.fixture
 def route(monkeypatch, dense):
     """Force the pair kernel's route, and record the digit weights of every
-    check with the word limit it asked for."""
+    check with the word limit and the digits it asked for; the weights come
+    in the dtype of their keys."""
     monkeypatch.setattr(graph, "_dense_keys", lambda g, pairs: dense)
     seen = []
     weights = graph._digit_weights
 
-    def recorded(g, limit):
-        w = weights(g, limit)
-        seen.append((int(g.degrees().max()) + 1, limit, w))
+    def recorded(g, limit, digits):
+        w = weights(g, limit, digits)
+        seen.append((int(g.degrees().max()) + 1, limit, digits, w))
         return w
 
     monkeypatch.setattr(graph, "_digit_weights", recorded)
     return seen
 
 
+#: the bound below which each key dtype holds every integer exactly
+EXACT = {np.dtype(np.float32): 1 << 24, np.dtype(np.float64): 1 << 53,
+         np.dtype(np.int64): 1 << 63}
+
+
 def assert_words_exact(seen, dense):
-    """Every key word stays below the route's exactness bound: 2**53 for
-    float64 products, 2**63 for int64 sums.  A word of t digits holds keys
-    below base**t, its largest weight times the base."""
-    limit = 1 << (53 if dense else 63)
+    """Every key word stays below its own dtype's exactness bound: 2**24 for
+    float32 and 2**53 for float64 products (the dense route), 2**63 for
+    int64 sums (the sparse one).  A word of t digits holds keys below
+    base**t, its largest weight times the base.  A float32 key is one word;
+    a scan keys three digits at level 0 (distance-regularity) and nine at
+    every other level."""
     assert seen
-    for base, asked, w in seen:
+    for base, asked, digits, w in seen:
+        limit = EXACT[w.dtype]
         assert asked == limit
+        assert (w.dtype != np.int64) == dense
+        assert w.shape[1] == digits and digits in (3, 9)
+        assert w.dtype != np.float32 or len(w) == 1
         assert all(int(top) * base <= limit for top in w.max(axis=1))
 
 
@@ -362,7 +374,41 @@ def test_keys_at_the_float64_word_boundary(route, dense, parts, words, cut):
             homogeneity_oracle.check_i_homogeneous(g, i, "sampled", seed=parts, count=9)
     assert check_distance_regular(g) == dr_oracle.check_distance_regular(g)
     assert_words_exact(route, dense)
-    assert {w.shape for _, _, w in route} == {(words if dense else 1, 9)}
+    assert {w.shape for _, _, digits, w in route if digits == 9} == {(words if dense else 1, 9)}
+
+
+@ROUTES
+@pytest.mark.parametrize("n", [256, 257], ids=["K_256", "K_257"])
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "less an edge"])
+def test_keys_at_the_float32_word_boundary(route, dense, n, cut):
+    # valency 255 has base 256 and 256**3 = 2**24: the three digits of a
+    # distance-regularity key fit one float32 word; valency 256 has base
+    # 257 and 257**3 > 2**24: one float64 word.  Less an edge, the largest
+    # valency stays, and every check refutes
+    rng = random.Random(n)
+    g = complete(n)
+    if cut:
+        edges = sorted(g.edges())
+        edges.remove(rng.choice(edges))
+        g = Graph.from_edges(n, edges)
+    assert check_distance_regular(g) == dr_oracle.check_distance_regular(g)
+    level0 = np.float32 if n == 256 else np.float64
+    assert {(w.dtype, w.shape) for _, _, digits, w in route if digits == 3} == \
+        {(np.dtype(level0 if dense else np.int64), (1, 3))}
+    assert check_i_homogeneous(g, 1, "sampled", seed=n, count=9) == \
+        homogeneity_oracle.check_i_homogeneous(g, 1, "sampled", seed=n, count=9)
+    if cut:
+        # the first pair refutes at level 1; level 2 is the one cut edge
+        for i in (1, 2):
+            assert check_i_homogeneous(g, i) == homogeneity_oracle.check_i_homogeneous(g, i)
+    elif dense:
+        # every ordered pair holds, with the quotient of the first one (the
+        # sparse route would gather 2 * 10^9 arcs, and keys int64 anyway)
+        rep, dm = check_i_homogeneous(g, 1), g.distance_matrix()
+        want = homogeneity_oracle._pair_quotient(g, dm[0], dm[1])
+        assert rep.holds and rep.pairs_checked == n * (n - 1)
+        assert (rep.labels, rep.matrix) == (want.labels, want.matrix)
+    assert_words_exact(route, dense)
 
 
 def test_long_cycles_match_the_oracles(monkeypatch):
@@ -507,10 +553,10 @@ def test_exhaustive_check_calls_the_kernel_at_most_once_per_vertex(monkeypatch):
     for dense in (True, False):
         calls = []
 
-        def counted(g, adj, w):
+        def counted(g, adj, w, out=None):
             assert (adj is not None) == dense
             calls.append(w.shape[1])
-            return kernel(g, adj, w)
+            return kernel(g, adj, w, out)
 
         monkeypatch.setattr(graph, "_pair_keys", counted)
         monkeypatch.setattr(graph, "_dense_keys", lambda g, pairs: dense)

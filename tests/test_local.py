@@ -268,6 +268,23 @@ def test_c2_report_reads_the_mu_graphs_once(monkeypatch):
         assert rep == local_oracle.c2_regularity_report(g)
 
 
+@pytest.mark.parametrize("order", [CHECKS, CHECKS[::-1]], ids=["local first", "c2 first"])
+def test_c2_report_and_local_checks_share_one_mu_pass(monkeypatch, order):
+    # the graph keeps the (size, valency) of its lambda- and mu-graph passes
+    # (Graph._common): the local checks read the c2 report's mu pass, and the
+    # c2 report skips its pass after the local checks' when every mu-graph
+    # is regular of the first one's valency (a 4-cycle on J(10,5)) and the
+    # first one's coclique meets the bound
+    g = relabel(johnson(10, 5), random.Random(10))
+    wants = [oracle(Graph.from_json(g.to_json())) for _, oracle in order]
+    passes, blocks = [], drglab.graph._local_blocks
+    monkeypatch.setattr(drglab.graph, "_local_blocks",
+                        lambda g, lo, *rest: passes.append(lo) or blocks(g, lo, *rest))
+    for (check, _), want in zip(order, wants):
+        assert_same(check(g), want)
+    assert passes.count(2) == 1 and "mu_prime" in wants[order.index(CHECKS[0])]
+
+
 @pytest.mark.parametrize("name", ["folded J(8,4)", "Shrikhande", "Taylor(Paley(13))"])
 def test_one_row_per_step_gives_the_same_reports(monkeypatch, name):
     # a budget of one byte, less than any item takes, reads one centre per

@@ -36,7 +36,7 @@ import pair_keys_oracle
 from bfs_oracle import bfs_distances
 from drglab.cab import cab_partition_check
 from drglab.families import (complete, complete_multipartite, cycle, folded_johnson,
-                             halved_cube, hamming)
+                             halved_cube, hamming, johnson)
 from drglab.homogeneous import check_i_homogeneous
 from test_distance_engine import path, union
 from test_equitability import BASES, relabel, switch
@@ -237,6 +237,35 @@ def test_pair_scans_stay_within_three_budgets():
         got, peak = traced_peak(check)
         assert got == want
         assert peak < 3 * graph._BUDGET
+
+
+def test_dense_scans_hold_their_adjacency_and_one_block(monkeypatch):
+    # the dense route allocates one set of buffers a scan, for as many
+    # pairs as a block takes at the width it states (``_per_block``), and
+    # every block writes into it: above its adjacency a scan holds that
+    # block, the label tables and the 64 KiB buffers of a ufunc's casts.
+    # Level 0 (distance-regularity) keys float32 words at 19 bytes an
+    # entry, level 1 float64 ones at 27; blocks that allocated their
+    # temporaries held 42-44 bytes an entry against a stated 32
+    widths, per_block = [], graph._per_block
+    monkeypatch.setattr(graph, "_per_block",
+                        lambda size, width: widths.append(width) or per_block(size, width))
+    adjacency, build = [], graph.Graph._adjacency
+    monkeypatch.setattr(graph.Graph, "_adjacency",
+                        lambda g, dtype: adjacency.append(adj := build(g, dtype)) or adj)
+    for g in (johnson(10, 5), halved_cube(10)):
+        dm, every = g.distance_matrix(), np.arange(g.n)
+        for level, chunks in enumerate([[(every, every, dm, every, every)],
+                                        list(graph._pairs_at(dm, 1, 1, True))]):
+            total = sum(len(xs) for xs, *_ in chunks)
+            widths.clear()
+            adjacency.clear()
+            (checked, witness, _), peak = traced_peak(
+                lambda: graph._check_pairs(g, total, chunks))
+            assert (checked, witness) == (total, None)
+            (width,), (adj,) = widths, adjacency
+            assert (width, adj.dtype) == ((19, np.float32), (27, np.float64))[level]
+            assert peak - adj.nbytes < width * min(total, per_block(g.n, width)) * g.n + (1 << 17)
 
 
 def test_sampled_draws_hold_one_batch_of_rows():
