@@ -5,9 +5,10 @@ The oracles are the earlier, independent implementations: a dense
 adjacency-times-one-hot product per pair for 1-homogeneity, the
 pair-by-pair counting route (``homogeneity_oracle``) for both modes, the
 per-vertex layer scan (``dr_oracle``), and a bitset loop for equitable
-quotients.  The pair kernel's two key routes (float64 products with the
-adjacency matrix, int64 sums over the arcs) are each forced in turn and
-held to the same oracles, at and across the float64 word boundary.
+quotients.  The pair kernel's two key routes (float32 or float64 products
+with the adjacency matrix, int64 sums over the arcs) are each forced in
+turn and held to the same oracles, at and across the float64 word boundary
+and the float32 one of distance-regularity's three-digit keys.
 Examples are derandomized, so runs are repeatable.
 """
 

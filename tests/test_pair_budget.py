@@ -13,8 +13,9 @@ where one vertex's arcs exceed the budget.  ``tracemalloc`` holds the keys
 and the rows to the budget on the halved 14-cube, the counts on the
 halved 16-cube, and the CAB check and the c2 report on folded J(12,6).  With
 the distance matrix built, the exhaustive pair scans hold no (n, n)
-selection and stay within three budgets, and sampled draws hold one batch
-of rows, however many there are.  The ranges of the passes that large
+selection and stay within three budgets, a dense pair scan holds its
+adjacency and one block of buffers at the width it states, and sampled
+draws hold one batch of rows, however many there are.  The ranges of the passes that large
 sampled runs take are pinned at 2^18 arcs.  The one pair selection of the
 scans (``graph._at``), its counts per row (``graph._counts``) and its
 stream of growing chunks (``graph._pairs_at``) are compared with a
