@@ -96,8 +96,7 @@ def cmd_homog(args) -> int:
     out = {"level": rep.level, "holds": rep.holds, "mode": rep.mode,
            "pairs_checked": rep.pairs_checked}
     if rep.holds:
-        out["cells"] = [list(l) for l in rep.labels]
-        out["quotient"] = [list(r) for r in rep.matrix]
+        out["cells"], out["quotient"] = rep.labels, rep.matrix
         return _emit(out, 0)
     out["witness"] = rep.witness
     return _emit(out, 1)

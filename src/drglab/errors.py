@@ -36,8 +36,8 @@ class ResourceError(DrgError):
     and ``require_room`` refuses it when they exceed the room left to the
     process: the lower of physical memory and the soft ``RLIMIT_AS`` (which
     ``ulimit -v`` sets), less the address space already mapped.  A
-    prediction that a blocked pass follows adds two block budgets (below)
-    for the pass's working set.  These sites predict:
+    prediction adds a block budget (below) for each blocked pass that
+    follows it, for the pass's working set.  These sites predict:
 
     - the family builders (``families._vertices``): 8 bytes per arc slot of
       n rows of the family's width, the intp targets, plus the
@@ -61,18 +61,19 @@ class ResourceError(DrgError):
       distance is at most 2 ecc(x) and the two distances of a vertex
       differ by at most i (about n^2 / 2 on the n-cycle at level n / 2,
       3 (n + 1) at level 1);
-    - the quotient that a verdict reports (``graph._quotient``), the one
-      cells x cells matrix, counted from the arcs once per verdict (never
-      by the pair scan, and not at all by a refuting sampled check): 32
-      bytes per entry, for its intp counts, the report's tuples and the two
-      copies ``drglab homog`` makes, or the copy in swapped-label order
-      that exhaustive 1-homogeneity compares it with (a pair of the n-cycle
-      has about n cells);
-    - an equitable quotient (``graph.equitable_quotient``): 8 bytes per
-      (vertex, cell) entry for its counts, 24 per cells x cells entry for
-      the reference rows and the quotient's lists and tuples, 64 per vertex
-      and two budgets, for the per-cell counts' arc ranges and the blocks
-      in which the count rows are compared with the reference rows.
+    - the quotient that a verdict reports (``graph._quotient``), a cells x
+      cells matrix, counted from the arcs once per verdict (never by the
+      pair scan, and not at all by a refuting sampled check): 24 bytes per
+      entry, for its intp counts, the report's tuples and the one copy
+      ``drglab homog`` makes, its JSON lists, or the copy in swapped-label
+      order that exhaustive 1-homogeneity compares it with (a pair of the
+      n-cycle has about n cells);
+    - an equitable quotient (``graph.equitable_quotient``): first 24 bytes
+      per cells x cells entry, for the quotient's intp rows and tuples,
+      which bounds its weight table too, then 16 per (key word, vertex)
+      entry, for its digit weights and keys, 48 per vertex and one budget,
+      for the arc ranges of its keys; a key word holds the digits of as
+      many cells as (k + 1)^cells <= 2^63 allows, k the largest degree.
 
     These five are the only predictions that grow with n^2, and none grows
     with a sample count: every pair scan reads its pairs as a stream, a
@@ -118,7 +119,8 @@ class ResourceError(DrgError):
     key word a weight, a key and their comparison, 9 more for a float32
     word and 17 for a float64 or int64 one, and on the sparse route 8 per
     (pair, arc) too) and its sparse arc ranges (``graph._pair_keys``, 8 per
-    (pair, arc)); the pair selection (``graph._at``: at most 3 per
+    (pair, arc), which an equitable quotient's keys read as one pair); the
+    pair selection (``graph._at``: at most 3 per
     distance-matrix entry, and 2 more for the int16 copy of indexed rows);
     the per-row pair counts (``graph._counts``, 3 per entry); the pair
     stream of exhaustive 1-homogeneity and of the CAB check's re-read
@@ -126,10 +128,7 @@ class ResourceError(DrgError):
     per entry, 3 for the selection and 24 per pair; the early exit of a scan
     is the pair kernel's blocks, which start at one pair and double); the
     distance engine's pull
-    (``Graph._distance_rows``, 8 per arc); the per-cell counts
-    (``graph._cell_counts``, 32 per arc and 8 per (vertex, cell) count;
-    ``graph.equitable_quotient`` compares the count rows with the reference
-    rows at 17 per (vertex, cell) entry); the local-partition pass
+    (``Graph._distance_rows``, 8 per arc); the local-partition pass
     (``graph._local_blocks``, whose blocks count each centre's selected row
     too: 16 per entry for the CAB check, 28 with float64 keys, 14 for the
     lambda- and mu-graphs, 18 for the triple intersection number) and its

@@ -8,20 +8,24 @@ A graph is stored as one arc index, intp targets and offsets
 (``Graph(adjacency)`` checks outside input).  The arcs feed the one
 distance engine (``Graph._distance_rows``, a bit-parallel breadth-first
 search behind every distance row and the dense distance matrix of at most
-``_DENSE_CAP`` vertices), the per-cell kernel (``_cell_counts``) behind
-equitable quotients, and the pair kernel (``_check_pairs``), which tests
+``_DENSE_CAP`` vertices) and the pair kernel (``_check_pairs``), which tests
 the joint distance partitions pi(x, y) of a block of pairs at once, for
 1-homogeneity and for distance-regularity, its case x = y, by exact keys:
 float32 or float64 products with the adjacency matrix of the same dtype
 (below 2**24 or 2**53) or int64 sums over the arcs (below 2**63), as
 ``_dense_keys`` chooses, of nine digits a key, or three at x = y.  A scan
 allocates one set of buffers for a block of pairs, and every block writes
-into it.  Keys are only compared, and the kernel counts no quotient: it
-returns its first pair's distance rows, and each verdict counts the one
-quotient it reports, of its reference pair, once, from the arcs of each
-cell's first vertex (``_quotient``), the one place that builds a cells x
-cells matrix, after ``require_room``, as an int array that only a report
-turns into tuples:
+into it.  Keys decide, and arcs report.  Keys decide every equitability
+question outside the local pass: the pairs of both verdicts, and the cells
+of an equitable quotient, which are the digits of each vertex's key,
+summed over its arcs (``_pair_keys``).  Keys are only compared, and the
+kernel counts no quotient: it returns its first pair's distance rows and
+its refuting pair, from which each verdict names its own witness.  The
+arcs report: a verdict counts only the rows it reports, one ``bincount``
+over a vertex's arcs each (``_count_rows``): the rows of its witness, or
+for its quotient, once, those of each cell's first vertex (``_quotient``,
+``equitable_quotient``, the only cells x cells matrices, built after
+``require_room`` as int arrays that only a report turns into tuples):
 distance-regularity from the pair (0, 0), exhaustive 1-homogeneity before
 its scan, sampled 1-homogeneity only when its pairs hold.  The kernel reads
 its pairs as a stream of chunks, each with the distance rows it names, and
@@ -41,10 +45,10 @@ of some rows with lo <= d(x, y) <= hi, and y >= x when the scan asks;
 local pass selects its centres' rows with it.  Every blocked pass holds
 at most ``_BUDGET`` bytes a block, or one item, and states at its call the
 bytes it holds per entry (``errors.ResourceError`` lists the passes and
-their widths).  The gathers over all arcs (the sparse keys, the
-engine's pull and the per-cell counts) read them in ranges of consecutive
-vertices (``_ranges``) within the budget, or of one vertex, so no block
-holds an entry for every arc of a large graph.
+their widths).  The gathers over all arcs (the sparse keys and the
+engine's pull) read them in ranges of consecutive vertices (``_ranges``)
+within the budget, or of one vertex, so no block holds an entry for every
+arc of a large graph.
 A graph caches its arcs, once built its read-only distance matrix, once
 certified its distance-regularity verdict (``Graph._dr``, written only by
 ``check_distance_regular``), and once read the (size, valency) of its
@@ -490,68 +494,56 @@ def distance_partition(g: Graph, x: int, y: int) -> VertexPartition:
     return VertexPartition(tuple(tuple(cells[k]) for k in keys), tuple(keys))
 
 
-def _cell_counts(g: Graph, cell: np.ndarray, ncells: int) -> np.ndarray:
-    """Row v counts the neighbours of v in each cell; cell[u] is the cell of
-    vertex u, or -1 when u lies in no cell.  The arcs are read in ranges of
-    consecutive vertices within ``_BUDGET`` bytes, or of one vertex, one
-    ``bincount`` per range."""
-    counts = np.empty((g.n, ncells), dtype=np.intp)
-    starts = g._starts
-    # 32 bytes per arc (intp rows, target cells and keys, and a mask) and 8
-    # per (vertex, cell) entry of the range's bincount
-    for i0, i1 in _ranges(32 * starts + 8 * ncells * np.arange(g.n + 1), _BUDGET):
-        rows = np.repeat(np.arange(i1 - i0), np.diff(starts[i0:i1 + 1]))
-        target = cell[g._dst[starts[i0]:starts[i1]]]
-        if target.min(initial=0) < 0:
-            inside = target >= 0
-            rows, target = rows[inside], target[inside]
-        counts[i0:i1] = np.bincount(rows * ncells + target,
-                                    minlength=(i1 - i0) * ncells).reshape(-1, ncells)
-    return counts
-
-
 def equitable_quotient(g: Graph, p: VertexPartition
                        ) -> Union[QuotientParameters, EquitabilityWitness]:
     """Quotient parameters of p within the induced subgraph on its ground set,
     or the lexicographically smallest witness of inequitability: the first
     inequitable cell, its smallest vertex and the smallest vertex in it
-    whose count row differs.  The count rows are compared with their
-    cell's reference rows in blocks of members within ``_BUDGET``, so no
-    copy of every member's row exists.  ``require_room`` checks the bytes
-    first: 8 per (vertex, cell) entry, for the int64 counts; 24 per
-    cells x cells entry, for the reference rows and the quotient's lists and
-    tuples; 64 per vertex; and two budgets, for the arc ranges of
-    ``_cell_counts`` and the blocks of the comparison (tracemalloc peaks:
-    9.4 per (vertex, cell) entry on cycle(20000) in 100 cells, 8.6 on
-    cycle(200000) in 100 cells, 32.1 on cycles of 1000 and 3000 vertices,
-    whose distance partitions have n cells)."""
-    ground = p.ground_set
-    if ground and (ground[0] < 0 or ground[-1] >= g.n):
+    whose count row differs.  The pair kernel decides: the cells are the
+    digits of the keys (``_digit_weights``), a vertex outside the ground set
+    weighs 0, each vertex's key sums its neighbours' weights over its arcs
+    (``_pair_keys``), and a member refutes when its key differs from that of
+    its cell's first member.  Only the rows that the result reports are
+    counted from the arcs (``_count_rows``): the first members' rows, or the
+    two rows of the witness.  ``require_room`` checks the bytes first: 24
+    per cells x cells entry, for the quotient's intp rows and tuples, which
+    bounds the weight table too (16.4-16.5 traced on the edge partitions of
+    cycles of 1000 and 3000 vertices); then 16 per (key word, vertex)
+    entry, for the weights and the keys, 48 per vertex and a budget for the
+    arc ranges of the keys (traced: 1.5 MiB on cycle(20000) in 100 residue
+    cells, 14.2 MiB on cycle(200000) and 4.0 MiB on the halved 16-cube's
+    edge partition, against 3.8, 20.3 and 5.0 MiB predicted).  A key word
+    holds the digits of as many cells as (k + 1)^cells <= 2^63 allows, k
+    the largest degree.  The partition with no cell has the empty
+    quotient."""
+    if any(min(members) < 0 or max(members) >= g.n for members in p.cells):
         raise InputError("partition has a vertex outside the graph")
     ncells = len(p.cells)
-    require_room(f"the cell counts of {g.n} vertices in {ncells} cells",
-                 8 * g.n * ncells + 24 * ncells * ncells + 64 * g.n + 2 * _BUDGET)
-    cell = np.full(g.n, -1, dtype=np.intp)
+    if not ncells:  # no digit to key
+        return QuotientParameters((), ())
+    # the quotient, counted only for an equitable p, bounds the weight table too
+    require_room(f"the quotient entries of {ncells} cells", 24 * ncells * ncells)
+    # cell ncells, outside the ground set, reads the zero column
+    weights = np.pad(_digit_weights(g, 1 << 63, ncells), ((0, 0), (0, 1)))
+    require_room(f"the keys of {g.n} vertices in {ncells} cells",
+                 16 * len(weights) * g.n + 48 * g.n + _BUDGET)
+    cell = np.full(g.n, ncells, dtype=np.intp)
     for ci, members in enumerate(p.cells):
         cell[list(members)] = ci
-    counts = _cell_counts(g, cell, ncells)
-    members = np.flatnonzero(cell >= 0)
-    member_cell = cell[members]
-    _, first = np.unique(member_cell, return_index=True)
+    keys = _pair_keys(g, None, weights[:, None, cell])[:, 0]
+    members = np.flatnonzero(cell < ncells)
+    _, first = np.unique(cell[members], return_index=True)
     first = members[first]
-    ref = counts[first]
-    bad = np.empty(len(members), dtype=bool)
-    # 17 bytes per entry: a block's count rows, its reference rows and the comparison
-    step = _per_block(ncells, 17)
-    for lo in range(0, len(members), step):
-        at = slice(lo, lo + step)
-        bad[at] = (counts[members[at]] != ref[member_cell[at]]).any(axis=1)
+    lead, bad = first[cell[members]], np.zeros(len(members), dtype=bool)
+    for word in keys:
+        bad |= word[members] != word[lead]
     if bad.any():
-        ci = int(member_cell[bad].min())
-        v = int(members[bad & (member_cell == ci)][0])
-        return EquitabilityWitness(ci, int(first[ci]), v,
-                                   tuple(ref[ci].tolist()), tuple(counts[v].tolist()))
-    return QuotientParameters(tuple(map(tuple, ref.tolist())), p.labels)
+        ci = int(cell[members[bad]].min())
+        v = int(members[bad & (cell[members] == ci)][0])
+        a, b = _count_rows(g, cell, [first[ci], v], ncells).tolist()
+        return EquitabilityWitness(ci, int(first[ci]), v, tuple(a), tuple(b))
+    rows = _count_rows(g, cell, first, ncells)
+    return QuotientParameters(tuple(tuple(r.tolist()) for r in rows), p.labels)
 
 
 # -- the pair kernel -------------------------------------------------------
@@ -581,18 +573,19 @@ def _digit_weights(g: Graph, limit: int, digits: int = 9) -> np.ndarray:
     """(words, digits) weights, in the dtype whose integers are exact below
     ``limit`` (``_KEY_DTYPE``: float32 below 2**24, float64 below 2**53,
     int64 below 2**63), that pack the neighbour counts of a vertex v into
-    exact words: digit r counts the neighbours u of v in the cells of
+    exact words, in base max degree + 1, as many digits to a word as
+    base**digits <= limit allows: digit r counts the neighbours u of v in
+    the cells of digit r.  For the pair kernel those are the cells of
     residue r, (3 d(x, u) + d(y, u)) mod 9 with nine digits and
     d(x, u) mod 3 with three, which suffice when x = y (a neighbour of v
     lies in the layers d(x, v) - 1, d(x, v) and d(x, v) + 1, three
-    residues), in base max degree + 1, as many digits to a word as
-    base**digits <= limit allows.  The counts of a vertex sum to its
-    degree, so no digit carries and every key and partial sum stays below
-    the limit.  Keys are only compared: equal keys are equal count rows,
-    and nothing reads a count back out of a key (``_quotient`` counts from
-    the arcs)."""
+    residues); for ``equitable_quotient`` each cell is its own digit.  The
+    counts of a vertex sum to at most its degree, so no digit carries and
+    every key and partial sum stays below the limit.  Keys are only
+    compared: equal keys are equal count rows, and nothing reads a count
+    back out of a key (``_count_rows`` counts from the arcs)."""
     base = int(g.degrees().max(initial=0)) + 1
-    per_word = max(t for t in range(1, digits + 1) if base ** t <= limit)
+    per_word = min(digits, max(t for t in range(1, 64) if base ** t <= limit))
     weights = np.zeros((-(-digits // per_word), digits), dtype=_KEY_DTYPE[limit])
     for r in range(digits):
         weights[r // per_word, r] = base ** (r % per_word)
@@ -637,40 +630,57 @@ def _narrow(lab: np.ndarray, count: int) -> np.ndarray:
     return lab.astype(np.int16) if count <= 1 << 15 else lab
 
 
-def _quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
-    """(labels, matrix) of pi(x, y) from the distance rows dx of x and dy of
-    y, as int arrays: the labels (cells, 2), (d(x, v), d(y, v)) of its cells
-    ascending, sorted by the key d(x, v) * span + d(y, v) with span one above
-    the largest distance (``_narrow``), and the matrix (cells, cells), as
-    row c the neighbours of the first vertex of cell c in each cell, counted
-    from its arcs, which is the quotient when pi(x, y) is equitable.
-    ``require_room`` checks the matrix's bytes first: 32 per cells x cells
-    entry, for its intp counts, the tuples of the report
-    (``homogeneous.HomogeneityReport``) and the two copies ``drglab homog``
-    makes (tracemalloc peaks: 24.3-25.3 per entry for ``homog --sample`` on
-    cycles of 1000-3000 vertices; 17.0 in process for exhaustive
-    1-homogeneity on cycles, whose symmetry test holds the quotient and one
-    copy of its matrix in the order of the swapped labels).  The pair kernel
-    counts none; each verdict calls this once for the quotient it reports."""
+def _count_rows(g: Graph, cell: np.ndarray, vs, ncells: int) -> np.ndarray:
+    """(len(vs), ncells) intp: row t counts the neighbours of vs[t] in each
+    cell, one ``bincount`` over its arcs; cell[u] is the cell of vertex u,
+    ncells when u lies in no cell.  The one place that counts a vertex's
+    row: the quotients that verdicts report, and the rows of a witness."""
+    rows = np.empty((len(vs), ncells), dtype=np.intp)
+    for t, v in enumerate(vs):
+        rows[t] = np.bincount(cell[g._dst[g._starts[v]:g._starts[v + 1]]],
+                              minlength=ncells + 1)[:ncells]
+    return rows
+
+
+def _cells(dx: np.ndarray, dy: np.ndarray):
+    """(first, cell) of pi(x, y) from the distance rows dx of x and dy of y:
+    its cells ascending by (d(x, v), d(y, v)), sorted by the key
+    d(x, v) * span + d(y, v) with span one above the largest distance
+    (``_narrow``), the first vertex of each and the cell of each vertex."""
     dx = dx.astype(np.intp)
     span = 1 + int(max(dx.max(), dy.max()))
     _, first, cell = np.unique(_narrow(dx * span + dy, span * span), return_index=True,
                                return_inverse=True)
-    require_room(f"the quotient entries of {len(first)} cells", 32 * len(first) ** 2)
-    return np.stack([dx[first], dy[first]], axis=1), np.array(
-        [np.bincount(cell[g._dst[g._starts[v]:g._starts[v + 1]]], minlength=len(first))
-         for v in first.tolist()])
+    return first, cell
 
 
-def _witness(x: int, y: int, dx: np.ndarray, dy: np.ndarray, lab: np.ndarray,
-             keys: np.ndarray, count: int):
-    """The witness of a refuting pair from its distance rows dx and dy, its
-    labels (n,) below ``count`` and its keys (words, n): the least (cell,
-    vertex) whose key differs from that of the first vertex of its cell,
-    named with its cell label (d(x, v), d(y, v)) and that first vertex;
-    (x, y, None, None, None) when the pair is equitable and only its
-    quotient differs."""
-    _, first, cell = np.unique(_narrow(lab, count), return_index=True, return_inverse=True)
+def _quotient(g: Graph, dx: np.ndarray, dy: np.ndarray):
+    """(labels, matrix) of pi(x, y) from the distance rows dx of x and dy of
+    y, as int arrays: the labels (cells, 2), (d(x, v), d(y, v)) of its cells
+    ascending (``_cells``), and the matrix (cells, cells), as row c the
+    neighbours of the first vertex of cell c in each cell, counted from its
+    arcs (``_count_rows``), which is the quotient when pi(x, y) is
+    equitable.  ``require_room`` checks the matrix's bytes first: 24 per
+    cells x cells entry, for its intp counts, the tuples of the report
+    (``homogeneous.HomogeneityReport``) and the one copy ``drglab homog``
+    makes, its JSON lists (tracemalloc peaks: 16.2-17.4 per entry for
+    ``homog --sample`` on cycles of 1000-3000 vertices; 17.0 in process for
+    exhaustive 1-homogeneity on cycles, whose symmetry test holds the
+    quotient and one copy of its matrix in the order of the swapped
+    labels).  The pair kernel counts none; each verdict calls this once for
+    the quotient it reports."""
+    first, cell = _cells(dx, dy)
+    require_room(f"the quotient entries of {len(first)} cells", 24 * len(first) ** 2)
+    return np.stack([dx[first], dy[first]], axis=1), _count_rows(g, cell, first, len(first))
+
+
+def _witness(x: int, y: int, dx: np.ndarray, dy: np.ndarray, keys: np.ndarray):
+    """The witness of the refuting pair (x, y) from its distance rows dx and
+    dy and its keys (words, n): the least (cell, vertex) whose key differs
+    from that of the first vertex of its cell (``_cells``), named with its
+    cell label (d(x, v), d(y, v)) and that first vertex; (x, y, None, None,
+    None) when the pair is equitable and only its quotient differs."""
+    first, cell = _cells(dx, dy)
     differs = np.flatnonzero((keys != keys[:, first[cell]]).any(axis=0))
     if not len(differs):
         return x, y, None, None, None
@@ -713,11 +723,13 @@ def _check_pairs(g: Graph, total: int, chunks):
     Blocks start at one pair and double up to the budget, the step carried
     from one chunk to the next, and the next chunk is read only while every
     pair so far holds, so a refutation reads about as many pairs as it
-    needs.  Returns the pairs checked, the witness (x, y, cell label,
-    vertex_a, vertex_b) of the refuting pair (None in the last three when
-    only its quotient differs) or None, and the reference pair's distance
-    rows (dx, dy).  No quotient is counted here: the caller counts the one
-    it reports (``_quotient``)."""
+    needs.  Returns the pairs checked, the refuting pair or None, and the
+    reference pair's distance rows (dx, dy).  The refuting pair is (x, y,
+    dx, dy, keys, differs): its distance rows, its keys (words, n) and
+    whether each vertex's key differs from the reference key of its label,
+    from which each verdict names its own witness (``_witness``,
+    ``check_distance_regular``).  No quotient is counted here: the caller
+    counts the one it reports (``_quotient``)."""
     dense, n = _dense_keys(g, total), g.n
     reference, done, step = None, 0, 1
     for xs, ys, rows, at_x, at_y in chunks:
@@ -767,9 +779,9 @@ def _check_pairs(g: Graph, total: int, chunks):
             fails = np.not_equal(keys, w, out=differ).any(axis=(0, 2))
             if fails.any():
                 t = int(np.argmax(fails))
-                witness = _witness(int(xs[lo + t]), int(ys[lo + t]), rows[at_x[lo + t]],
-                                   rows[at_y[lo + t]], lb[t], keys[:, t], count)
-                return done + lo + t + 1, witness, reference
+                return done + lo + t + 1, (
+                    int(xs[lo + t]), int(ys[lo + t]), rows[at_x[lo + t]], rows[at_y[lo + t]],
+                    keys[:, t], differ[:, t].any(axis=0)), reference
             lo, step = lo + s, min(2 * step, most)
         done += len(xs)
     return done, None, reference
@@ -834,13 +846,17 @@ def check_distance_regular(g: Graph
     partition from x, its cells the layers (j, j), so the pairs (x, x) run
     through the pair kernel, and the array is read from the quotient of
     pi(0, 0): b_j = matrix[j][j + 1], c_j = matrix[j][j - 1], its length
-    ecc(0), which is the diameter when the check holds.  When x refutes, y
-    is the first vertex whose counts one layer down, in its own layer and
-    one layer up differ from those of the first vertex of its layer around
-    vertex 0; vertices farther from x than ecc(0) are skipped.  Those three
+    ecc(0), which is the diameter when the check holds.  When x refutes,
+    its row in the kernel names y: the first vertex but x whose key differs
+    from the reference key of its layer, that is whose counts one layer
+    down, in its own layer and one layer up differ from those of the first
+    vertex of its layer around vertex 0; vertices farther from x than
+    ecc(0), whose layers the reference lacks, are skipped.  Those three
     layers are three distinct residues of d(x, .) mod 3, and a vertex has
-    no neighbour in any other layer, so the counts are read from the
-    neighbours of each vertex in the three residues."""
+    no neighbour in any other layer, so y's counts are read from its own
+    arcs in the three residues (``_count_rows``), and must differ
+    (``require``) from its layer's row of the quotient.  So the verdict
+    reads no distance row but those of the chunk it hands the kernel."""
     if g._dr is None:
         g._dr = _distance_regularity(g)
     return g._dr
@@ -852,26 +868,28 @@ def _distance_regularity(g: Graph) -> Union[IntersectionArray, DistanceRegularit
         raise InputError("distance-regularity is defined for connected graphs")
     if g.n == 1:
         raise InputError("single-vertex graph has no intersection array")
-    dm = g.distance_matrix()
     every = np.arange(g.n)
-    checked, witness, _ = _check_pairs(g, g.n, [(every, every, dm, every, every)])
-    labels, matrix = _quotient(g, dm[0], dm[0])
+    _, refuted, reference = _check_pairs(
+        g, g.n, [(every, every, g.distance_matrix(), every, every)])
+    labels, matrix = _quotient(g, *reference)
     # row j + 1 of q holds the counts of layer j around vertex 0 in layers
     # j - 1, j and j + 1; when ecc(0) < D, b at level ecc(0) is 0 here but
     # positive on a geodesic to a diametral vertex, so some pair refutes
     q = np.pad(matrix, 1)
     c, a, b = q.diagonal(-1)[:-1], q.diagonal()[1:-1], q.diagonal(1)[1:]
-    if witness is None:
+    if refuted is None:
         return IntersectionArray(tuple(b[:-1].tolist()), tuple(c[1:].tolist()))
-    x, ecc0 = checked - 1, len(labels) - 1
-    dx = dm[x].astype(np.intp)
-    got = _cell_counts(g, dx % 3, 3)[every[:, None], (dx[:, None] + [-1, 0, 1]) % 3]
-    want = np.stack([c, a, b], axis=1)[np.minimum(dx, ecc0)]
-    ok = (got == want).all(axis=1) | (dx > ecc0)
-    ok[x] = True
-    y = int(np.argmin(ok))
-    return DistanceRegularityWitness(x, y, int(dx[y]), tuple(got[y].tolist()),
-                                     tuple(want[y].tolist()),
+    x, _, dx, _, _, differs = refuted
+    # a vertex beyond ecc(0) has a label the reference lacks
+    differs &= dx < len(labels)
+    differs[x] = False
+    require(bool(differs.any()), "a refuting vertex of distance-regularity differs within ecc(0)")
+    y = int(np.argmax(differs))
+    d = int(dx[y])
+    got = _count_rows(g, dx % 3, [y], 3)[0, [(d - 1) % 3, d % 3, (d + 1) % 3]].tolist()
+    want = [int(c[d]), int(a[d]), int(b[d])]
+    require(got != want, "the witness's layer counts differ from its layer's row around 0")
+    return DistanceRegularityWitness(x, y, d, tuple(got), tuple(want),
                                      "intersection numbers depend on the pair")
 
 

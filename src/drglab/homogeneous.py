@@ -51,7 +51,8 @@ from .bounds import homogeneity_bounds
 from .eigen import b_parameter, eigenvalues
 from .errors import InputError, ScopeError, require
 from .graph import (Graph, _check_pairs, _common_neighbourhoods, _counts, _pairs_at,
-                    _quotient, check_distance_regular, graph_spectrum, local_graph)
+                    _quotient, _witness, check_distance_regular, graph_spectrum,
+                    local_graph)
 from .scalars import exact_cmp
 from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
 
@@ -155,8 +156,8 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     if mode == "sampled":
         if seed is None or count is None or count < 1:
             raise InputError("sampled mode requires a seed and a positive count")
-        checked, witness, rows = _check_pairs(g, count, _sampled_pairs(g, i, seed, count))
-        if witness is None:
+        checked, refuted, rows = _check_pairs(g, count, _sampled_pairs(g, i, seed, count))
+        if refuted is None:
             labels, matrix = _quotient(g, *rows)
     else:
         dm, n = g.distance_matrix(), g.n
@@ -177,12 +178,13 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
         # the pairs x <= y: every pair x < y once each way, and at level 0
         # the pairs (x, x)
         total = (ordered + n * (i == 0)) // 2 if half else ordered
-        checked, witness, _ = _check_pairs(g, total, _pairs_at(dm, i, i, half))
+        checked, refuted, _ = _check_pairs(g, total, _pairs_at(dm, i, i, half))
         # the failing pair's rank among the ordered pairs, or their count
-        checked = ordered if witness is None else 1 + int(count[:witness[0]].sum()) + int(
-            np.count_nonzero(dm[witness[0], :witness[1]] == i))
-    if witness is not None:
-        return HomogeneityReport(i, False, witness=witness, mode=mode, pairs_checked=checked)
+        checked = ordered if refuted is None else 1 + int(count[:refuted[0]].sum()) + int(
+            np.count_nonzero(dm[refuted[0], :refuted[1]] == i))
+    if refuted is not None:
+        return HomogeneityReport(i, False, witness=_witness(*refuted[:5]), mode=mode,
+                                 pairs_checked=checked)
     return HomogeneityReport(i, True, labels, matrix, None, mode, checked)
 
 

@@ -1,11 +1,13 @@
-"""Reference for the per-cell kernel (``graph._cell_counts``): the
-whole-arc gather it replaced.
+"""Reference for the count rows that the library reads from the arcs
+(``graph._count_rows``, behind ``graph._quotient`` and
+``graph.equitable_quotient``): every vertex's row in every cell, by one
+whole-arc gather.
 
 Every arc's source and target cell are gathered at once and counted by one
 ``bincount``, so a call holds several int64 entries per arc however many
-arcs there are.  The kernel now reads the arcs of consecutive vertex
-ranges, within ``graph._BUDGET`` arcs each; ``test_pair_budget.py``
-compares its counts with these.
+arcs there are.  The library counts only the rows that a result reports,
+each over its own vertex's arcs; ``test_equitability.py`` and
+``test_pair_budget.py`` compare those rows with these.
 """
 
 import numpy as np

@@ -3,8 +3,8 @@ it replaced.
 
 The array is proposed from the first vertex of each layer around vertex 0.
 Then every base vertex x in turn gets one whole-arc count over its distance
-layers (``cell_counts_oracle.cell_counts``, not the library's per-cell
-kernel), and each vertex's counts one layer down, in its own layer and one
+layers (``cell_counts_oracle.cell_counts``, not the library's own
+counts), and each vertex's counts one layer down, in its own layer and one
 layer up are compared with the proposal; the first x with a differing
 vertex refutes, and the witness names that vertex.  The differential tests
 in ``test_distance_regularity.py`` compare arrays and witnesses against

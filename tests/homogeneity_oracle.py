@@ -2,7 +2,7 @@
 it replaced.
 
 Each pair's joint distance partition gets its own whole-arc count
-(``cell_counts_oracle.cell_counts``, not the library's per-cell kernel):
+(``cell_counts_oracle.cell_counts``, not the library's own counts):
 the cells are labelled (d(x, v), d(y, v)), ordered lexicographically, and
 every vertex is counted against every cell.  Exhaustive mode reads every
 pair in ``np.nonzero(dm == i)`` order; sampled mode reads the pairs and

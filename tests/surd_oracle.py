@@ -1,11 +1,11 @@
 """Reference for ``scalars.Surd``: the class it replaced, which stored
 ``(p + q*sqrt(d))/e`` as four integers normalised by their gcd.
 
-Every result went through ``_ab``/``_from_ab`` (the rationals A and B of
-A + B*sqrt(d)) and the constructor, which split off the square part of d
-again; arithmetic over two distinct radicals raised ``DomainError``.  The
-differential test in ``test_scalars.py`` compares the library against it
-over one radical and the rationals.
+Every result went through ``Surd._ab``/``Surd._from_ab`` (the rationals A
+and B of A + B*sqrt(d)) and the constructor, which split off the square
+part of d again; arithmetic over two distinct radicals raised
+``DomainError``.  The differential test in ``test_scalars.py`` compares the
+library against it over one radical and the rationals.
 """
 
 from fractions import Fraction

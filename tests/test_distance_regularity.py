@@ -219,21 +219,30 @@ def test_a_witness_is_kept_and_an_error_is_not(scans):
 
 
 def test_no_per_vertex_layer_scan(monkeypatch):
+    # the kernel's keys decide; rows are counted from the arcs only for the
+    # reference quotient (the first vertex of each layer around 0) and, on
+    # a refutation, for the witness's y
     calls = []
-    counts = graph._cell_counts
+    count_rows = graph._count_rows
 
-    def counted(*args):
-        calls.append(args)
-        return counts(*args)
+    def counted(g, cell, vs, ncells):
+        calls.append(([int(v) for v in vs], ncells))
+        return count_rows(g, cell, vs, ncells)
 
-    monkeypatch.setattr(graph, "_cell_counts", counted)
+    monkeypatch.setattr(graph, "_count_rows", counted)
     g = relabel(johnson(10, 5), random.Random(10))
-    assert check_distance_regular(g) == IntersectionArray((25, 16, 9, 4, 1),
-                                                         (1, 4, 9, 16, 25))
-    assert not calls
-    w = check_distance_regular(switch(g, random.Random(5)))
-    assert not isinstance(w, IntersectionArray)
-    assert len(calls) <= 2
+    h = switch(g, random.Random(5))
+    for case, certified in ((g, True), (h, False)):
+        calls.clear()
+        got = check_distance_regular(case)
+        row = case.distance_matrix()[0]
+        first = [int(np.argmax(row == j)) for j in range(int(row.max()) + 1)]
+        if certified:
+            assert got == IntersectionArray((25, 16, 9, 4, 1), (1, 4, 9, 16, 25))
+            assert calls == [(first, len(first))]
+        else:
+            assert isinstance(got, DistanceRegularityWitness)
+            assert calls == [(first, len(first)), ([got.y], 3)]
 
 
 def test_witness_counts_three_residues_not_every_layer():

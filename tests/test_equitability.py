@@ -1,5 +1,5 @@
-"""Differential tests of the pair kernel behind ``check_i_homogeneous`` and
-the per-cell counting kernel behind ``equitable_quotient``.
+"""Differential tests of the pair kernel behind ``check_i_homogeneous``,
+``check_distance_regular`` and ``equitable_quotient``.
 
 The oracles are the earlier, independent implementations: a dense
 adjacency-times-one-hot product per pair for 1-homogeneity, the

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from drglab.families import (FamilySpec, build_family, cocktail_party,
                              complete, cycle, grid, hypercube, icosahedron,
                              johnson, petersen, triangular)
 from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
-                          VertexPartition, _cell_counts, c2_regularity_report,
+                          VertexPartition, c2_regularity_report,
                           check_distance_regular, distance_partition,
                           equitable_quotient, graph_spectrum,
                           induced_subgraph, local_graph, max_coclique,
@@ -33,6 +34,7 @@ from drglab.graph import (EquitabilityWitness, Graph, QuotientParameters,
 from drglab.homogeneous import check_i_homogeneous, local_spectral_checks
 from drglab.scalars import exact_eq
 from drglab.srg import srg_from_graph
+from test_equitability import oracle_quotient
 from test_families import assert_same_graph
 
 
@@ -93,9 +95,11 @@ def test_every_constructor_keeps_one_intp_arc_index(tmp_path):
 
 @pytest.mark.parametrize("switched", [False, True])
 def test_edges_and_cell_counts_match_neighbour_lists(switched):
-    # edges() and _cell_counts find each arc's source from the offsets:
-    # compare them with the oracle's neighbour lists, relabelled (and
-    # switched: edges ab, cd become ad, cb) in Python
+    # edges() finds each arc's source from the offsets, and
+    # equitable_quotient counts its rows over each vertex's arcs: compare
+    # them with the oracle's neighbour lists, relabelled (and switched:
+    # edges ab, cd become ad, cb) in Python, and with the bitset oracle on
+    # random cells, some vertices in none
     rng = random.Random(8)
     base = oracle.johnson(7, 3)[0]
     perm = list(range(base.n))
@@ -115,8 +119,9 @@ def test_edges_and_cell_counts_match_neighbour_lists(switched):
     g = _one_index(Graph.from_edges(base.n, edges))
     assert sorted(g.edges()) == edges
     cell = np.array([rng.randrange(-1, 4) for _ in range(g.n)])
-    want = [[sum(cell[u] == c for u in lists[v]) for c in range(4)] for v in range(g.n)]
-    assert _cell_counts(g, cell, 4).tolist() == want
+    p = VertexPartition(tuple(tuple(np.flatnonzero(cell == c).tolist()) for c in range(4)),
+                        tuple(range(4)))
+    assert equitable_quotient(g, p) == oracle_quotient(g, p)
 
 
 def test_refused_dump_leaves_the_file_as_it_was(tmp_path, monkeypatch):
@@ -311,13 +316,16 @@ def test_equitable_quotient_on_distance_cells():
 
 
 def test_cell_counts_beyond_the_room_are_refused(monkeypatch):
-    # the partition of cycle(3000) from an edge has 3000 cells: 9 million
-    # (vertex, cell) counts, refused under a room of 100 MiB before they
-    # are counted, not a MemoryError; its 10 residues mod 10 fit
+    # the partition of cycle(3000) from an edge has 3000 cells: a quotient
+    # of 9 million entries, refused under a room of 100 MiB before any row
+    # is counted, not a MemoryError; its 10 residues mod 10 fit
     g = cycle(3000)
+    p = distance_partition(g, 0, 1)
     monkeypatch.setattr(errors, "_room", lambda: 100 << 20)
-    with pytest.raises(ResourceError, match="the cell counts of 3000 vertices in 3000 cells need"):
-        equitable_quotient(g, distance_partition(g, 0, 1))
+    with monkeypatch.context() as patched:
+        patched.setattr(graph, "_count_rows", None)  # a counted row would raise TypeError
+        with pytest.raises(ResourceError, match="the quotient entries of 3000 cells need"):
+            equitable_quotient(g, p)
     cells = tuple(tuple(range(r, 3000, 10)) for r in range(10))
     q = equitable_quotient(g, VertexPartition(cells, tuple(range(10))))
     assert q.matrix[0] == (0, 1, 0, 0, 0, 0, 0, 0, 0, 1)
@@ -330,6 +338,11 @@ def test_equitable_quotient_witness():
     w = equitable_quotient(g, p)
     assert isinstance(w, EquitabilityWitness)
     assert w.cell_index == 0
+
+
+def test_the_empty_partition_has_the_empty_quotient():
+    # no cell, so no digit to key
+    assert equitable_quotient(petersen(), VertexPartition((), ())) == QuotientParameters((), ())
 
 
 def test_partition_validation():
@@ -478,17 +491,22 @@ def docstrings(tree, owner=None):
 def test_names_in_the_readme_and_the_module_docstrings_exist():
     # README's dotted names headed by drglab, one of its modules or one of
     # its exports (sympy's `Poly.intervals` is not checked), and every name
-    # that a docstring of src/drglab (module, function, class or method)
-    # cites with a dot or a leading underscore: a dotted name by the same
-    # rule unless its head is external (``numpy.ma``), an underscore name
-    # in its module or in the docstring's class
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+    # that a docstring of src/drglab or of tests/*.py (module, function,
+    # class or method) cites with a dot or a leading underscore: a dotted
+    # name by the same rule, or headed by a name its module imports, unless
+    # its head is external (``numpy.ma``), an underscore name in its module
+    # or in the docstring's class
+    tests = os.path.dirname(__file__)
+    with open(os.path.join(tests, os.pardir, "README.md")) as fh:
         readme = re.findall(r"`(\w+(?:\.\w+)+)`", fh.read())
     names = [(name, drglab, None) for name in readme if cited(name.split(".")[0]) is not None]
     assert {"drglab.graph", "graph._BUDGET", "Graph._adjacency", "polys.charpoly"} <= {
         name for name, _, _ in names}
-    for info in pkgutil.iter_modules(drglab.__path__):
-        module = importlib.import_module(f"drglab.{info.name}")
+    modules = [importlib.import_module(f"drglab.{info.name}")
+               for info in pkgutil.iter_modules(drglab.__path__)]
+    modules += [importlib.import_module(name[:-3]) for name in sorted(os.listdir(tests))
+                if name.endswith(".py") and name != "conftest.py"]
+    for module in modules:
         with open(module.__file__) as fh:
             tree = ast.parse(fh.read())
         for owner, doc in docstrings(tree):
@@ -497,6 +515,7 @@ def test_names_in_the_readme_and_the_module_docstrings_exist():
                           else name.startswith("_"))]
     assert ("_check_pairs", drglab.graph, None) in names
     assert ("_sources", drglab.graph, "Graph") in names
+    assert ("graph._pair_keys", sys.modules["pair_keys_oracle"], None) in names
     for name, module, owner in names:
         found = cited(name, module) is not None or (
             "." not in name and hasattr(getattr(module, owner or "", None), name))

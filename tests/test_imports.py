@@ -48,3 +48,25 @@ def test_an_array_with_integer_eigenvalues_never_loads_sympy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.stderr.split() == ["0", "False"], done.stderr
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a private module-level function or method that no code of the package
+    # names (as a name or an attribute) is a helper left behind by its last
+    # caller; the tests and the benchmark do not count as callers
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            scope = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined |= {f.name for f in scope
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and f.name.startswith("_") and not f.name.endswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert {"_check_pairs", "_sources"} <= defined
+    unused = sorted(defined - used)
+    assert not unused, unused

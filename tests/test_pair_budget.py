@@ -1,17 +1,17 @@
 """The block budget ``graph._BUDGET``, in bytes, on every arc-sized gather
 and on the local-partition pass: the sparse keys of the pair kernel
-(``graph._pair_keys``), the pull step of the distance engine
-(``Graph._distance_rows``) and the per-cell counts (``graph._cell_counts``)
-read the arcs of consecutive vertex ranges (``graph._ranges``), within the
-budget or of one vertex each.
+(``graph._pair_keys``) and the pull step of the distance engine
+(``Graph._distance_rows``) read the arcs of consecutive vertex ranges
+(``graph._ranges``), within the budget or of one vertex each.
 
-The keys and the counts are compared with the whole-arc gathers they
-replaced (``pair_keys_oracle``, ``cell_counts_oracle``), and the rows with
-the queue search (``bfs_oracle``), under budgets small enough that every
-block splits, on relabelled and switched corpus graphs and on K_{40,40},
-where one vertex's arcs exceed the budget.  ``tracemalloc`` holds the keys
-and the rows to the budget on the halved 14-cube, the counts on the
-halved 16-cube, and the CAB check and the c2 report on folded J(12,6).  With
+The keys are compared with the whole-arc gather they replaced
+(``pair_keys_oracle``), and the rows with the queue search
+(``bfs_oracle``), under budgets small enough that every block splits, on
+relabelled and switched corpus graphs and on K_{40,40}, where one vertex's
+arcs exceed the budget.  ``tracemalloc`` holds the keys and the rows to the
+budget on the halved 14-cube, an equitable quotient to its prediction on
+the halved 16-cube and to its keys on cycle(20000), and the CAB check and
+the c2 report on folded J(12,6).  With
 the distance matrix built, the exhaustive pair scans hold no (n, n)
 selection and stay within three budgets, a dense pair scan holds its
 adjacency and one block of buffers at the width it states, and sampled
@@ -44,8 +44,7 @@ from test_equitability import BASES, relabel, switch
 from test_local import varying_degree_graphs
 
 # in int64 entries of 8 bytes: the budget in bytes is 8 budget, which the
-# sparse keys and the pull read as 1, 7 and 64 arcs a range, and the
-# per-cell counts (32 bytes an arc) as 0, 1 and 16
+# sparse keys and the pull read as 1, 7 and 64 arcs a range
 BUDGETS = pytest.mark.parametrize("budget", [1, 7, 64])
 
 
@@ -135,18 +134,6 @@ def test_sparse_keys_over_no_arcs_are_zero():
 
 
 @BUDGETS
-def test_blocked_cell_counts_match_the_whole_arc_gather(monkeypatch, budget):
-    # cells with and without vertices outside them (cell -1)
-    monkeypatch.setattr(graph, "_BUDGET", 8 * budget)
-    rng = np.random.default_rng(budget)
-    for g in CORPUS:
-        for ncells, low in ((1, 0), (5, 0), (5, -1)):
-            cell = rng.integers(low, ncells, size=g.n)
-            got = graph._cell_counts(g, cell, ncells)
-            assert np.array_equal(got, cell_counts_oracle.cell_counts(g, cell, ncells))
-
-
-@BUDGETS
 def test_distance_rows_match_the_oracle(monkeypatch, budget):
     # 9, 16 and 64 sources take words of one, two and eight bytes; 70 makes
     # two blocks; isolated vertices and a path leave some vertices out of
@@ -185,14 +172,32 @@ def test_sparse_keys_stay_within_the_budget(hc14):
 
 
 def test_cell_counts_stay_within_the_budget():
-    # 32768 vertices and 3932160 arcs: the whole-arc gather peaked at 95.8 MiB
+    # 32768 vertices and 3932160 arcs, whose edge partition has 23 cells:
+    # the keys' arc ranges take one budget, and the peak stays within the
+    # bytes the call predicts; the quotient's rows are the whole-arc counts
+    # of each cell's first vertex, alike within each cell
     g = halved_cube(16)
-    cell = np.unique(g._distance_rows([0, 1]).T, axis=0, return_inverse=True)[1].ravel()
-    ncells = int(cell.max()) + 1
-    counts, peak = traced_peak(lambda: graph._cell_counts(g, cell, ncells))
-    assert np.array_equal(counts, cell_counts_oracle.cell_counts(g, cell, ncells))
-    # one range's arcs take 2 MiB per intp entry: rows, target cells, keys
-    assert peak - counts.nbytes < 8 << 20
+    p = graph.distance_partition(g, 0, 1)
+    asked = []
+    with mock.patch.object(graph, "require_room", lambda what, need: asked.append(need)):
+        q, peak = traced_peak(lambda: graph.equitable_quotient(g, p))
+    assert peak <= max(asked), (peak, asked)
+    cell = np.empty(g.n, dtype=np.intp)
+    for c, members in enumerate(p.cells):
+        cell[list(members)] = c
+    counts = cell_counts_oracle.cell_counts(g, cell, len(p.cells))
+    assert all((counts[list(members)] == row).all() for members, row in zip(p.cells, q.matrix))
+
+
+def test_an_equitable_quotient_holds_its_keys_not_its_counts():
+    # cycle(20000) in 100 residue cells: keys of three int64 words a
+    # vertex, where the (vertex, cell) counts peaked at 18.0 MiB
+    g = cycle(20000)
+    p = graph.VertexPartition(tuple(tuple(range(r, 20000, 100)) for r in range(100)),
+                              tuple(range(100)))
+    q, peak = traced_peak(lambda: graph.equitable_quotient(g, p))
+    assert q.matrix[0] == (0, 1) + (0,) * 97 + (1,)
+    assert peak <= 4 << 20, peak
 
 
 def test_pull_stays_within_the_budget(hc14):
