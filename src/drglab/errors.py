@@ -70,10 +70,11 @@ class ResourceError(DrgError):
       n-cycle has about n cells);
     - an equitable quotient (``graph.equitable_quotient``): first 24 bytes
       per cells x cells entry, for the quotient's intp rows and tuples,
-      which bounds its weight table too, then 16 per (key word, vertex)
-      entry, for its digit weights and keys, 48 per vertex and one budget,
-      for the arc ranges of its keys; a key word holds the digits of as
-      many cells as (k + 1)^cells <= 2^63 allows, k the largest degree.
+      which bounds its weight table too, then 17 per (vertex, key word)
+      entry, for its keys, the keys of each vertex's first member and
+      their comparison, 48 per vertex and one budget, for the arc ranges
+      of its keys; a key word holds the digits of as many cells as
+      (k + 1)^cells <= 2^53 allows, k the largest degree.
 
     These five are the only predictions that grow with n^2, and none grows
     with a sample count: every pair scan reads its pairs as a stream, a
@@ -119,19 +120,20 @@ class ResourceError(DrgError):
     key word a weight, a key and their comparison, 9 more for a float32
     word and 17 for a float64 or int64 one, and on the sparse route 8 per
     (pair, arc) too) and its sparse arc ranges (``graph._pair_keys``, 8 per
-    (pair, arc), which an equitable quotient's keys read as one pair); the
-    pair selection (``graph._at``: at most 3 per
+    (pair, arc)); an equitable quotient's arc ranges
+    (``graph.equitable_quotient``, 40 per arc and 8 per (vertex, key word)
+    entry); the pair selection (``graph._at``: at most 3 per
     distance-matrix entry, and 2 more for the int16 copy of indexed rows);
     the per-row pair counts (``graph._counts``, 3 per entry); the pair
     stream of exhaustive 1-homogeneity and of the CAB check's re-read
     (``graph._pairs_at``: chunks of as many rows as the budget holds at 27
     per entry, 3 for the selection and 24 per pair; the early exit of a scan
     is the pair kernel's blocks, which start at one pair and double); the
-    distance engine's pull
-    (``Graph._distance_rows``, 8 per arc); the local-partition pass
-    (``graph._local_blocks``, whose blocks count each centre's selected row
-    too: 16 per entry for the CAB check, 28 with float64 keys, 14 for the
-    lambda- and mu-graphs, 18 for the triple intersection number) and its
+    distance engine's pull (``Graph._distance_rows``, 8 per arc); the
+    local-partition pass (``graph._local_blocks``, whose blocks count each
+    centre's selected row too: 16 per entry for the CAB check, 28 with
+    float64 keys, 14 for the lambda- and mu-graphs, 18 for the triple
+    intersection number) and its
     mu-graph patterns (``graph._patterns``, 25 per bit); the local gather
     under it (``graph._local_gather``), whose sub-gathers keep their index
     within an eighth of the budget (64 per index entry); the CAB check's

@@ -18,9 +18,10 @@ allocates one set of buffers for a block of pairs, and every block writes
 into it.  Keys decide, and arcs report.  Keys decide every equitability
 question outside the local pass: the pairs of both verdicts, and the cells
 of an equitable quotient, which are the digits of each vertex's key,
-summed over its arcs (``_pair_keys``).  Keys are only compared, and the
-kernel counts no quotient: it returns its first pair's distance rows and
-its refuting pair, from which each verdict names its own witness.  The
+summed over its arcs by one ``bincount`` (``equitable_quotient``).  Keys
+are only compared, and the kernel counts no quotient: it returns its first
+pair's distance rows and its refuting pair, from which each verdict names
+its own witness.  The
 arcs report: a verdict counts only the rows it reports, one ``bincount``
 over a vertex's arcs each (``_count_rows``): the rows of its witness, or
 for its quotient, once, those of each cell's first vertex (``_quotient``,
@@ -45,10 +46,10 @@ of some rows with lo <= d(x, y) <= hi, and y >= x when the scan asks;
 local pass selects its centres' rows with it.  Every blocked pass holds
 at most ``_BUDGET`` bytes a block, or one item, and states at its call the
 bytes it holds per entry (``errors.ResourceError`` lists the passes and
-their widths).  The gathers over all arcs (the sparse keys and the
-engine's pull) read them in ranges of consecutive vertices (``_ranges``)
-within the budget, or of one vertex, so no block holds an entry for every
-arc of a large graph.
+their widths).  The gathers over all arcs (the sparse keys, the keys of
+an equitable quotient and the engine's pull) read them in ranges of
+consecutive vertices (``_ranges``) within the budget, or of one vertex, so
+no block holds an entry for every arc of a large graph.
 A graph caches its arcs, once built its read-only distance matrix, once
 certified its distance-regularity verdict (``Graph._dr``, written only by
 ``check_distance_regular``), and once read the (size, valency) of its
@@ -499,51 +500,60 @@ def equitable_quotient(g: Graph, p: VertexPartition
     """Quotient parameters of p within the induced subgraph on its ground set,
     or the lexicographically smallest witness of inequitability: the first
     inequitable cell, its smallest vertex and the smallest vertex in it
-    whose count row differs.  The pair kernel decides: the cells are the
-    digits of the keys (``_digit_weights``), a vertex outside the ground set
-    weighs 0, each vertex's key sums its neighbours' weights over its arcs
-    (``_pair_keys``), and a member refutes when its key differs from that of
-    its cell's first member.  Only the rows that the result reports are
-    counted from the arcs (``_count_rows``): the first members' rows, or the
-    two rows of the witness.  ``require_room`` checks the bytes first: 24
-    per cells x cells entry, for the quotient's intp rows and tuples, which
-    bounds the weight table too (16.4-16.5 traced on the edge partitions of
-    cycles of 1000 and 3000 vertices); then 16 per (key word, vertex)
-    entry, for the weights and the keys, 48 per vertex and a budget for the
-    arc ranges of the keys (traced: 1.5 MiB on cycle(20000) in 100 residue
-    cells, 14.2 MiB on cycle(200000) and 4.0 MiB on the halved 16-cube's
-    edge partition, against 3.8, 20.3 and 5.0 MiB predicted).  A key word
-    holds the digits of as many cells as (k + 1)^cells <= 2^63 allows, k
-    the largest degree.  The partition with no cell has the empty
-    quotient."""
-    if any(min(members) < 0 or max(members) >= g.n for members in p.cells):
+    whose count row differs.  Keys decide: the cells are the digits of the
+    keys (``_digit_weights``, float64 words exact below 2**53), and each
+    arc adds the digit weight of its target's cell to its source's key in
+    that cell's word, one ``bincount`` per range of consecutive vertices
+    (``_ranges``): one pass over the arcs, and one entry per (vertex, key
+    word), however many cells a word holds.  A vertex outside the ground
+    set weighs 0, and a vertex with no arc keys 0.  A member refutes when
+    its key differs from that of its cell's first member.  Only the rows
+    that the result reports are counted from the arcs (``_count_rows``):
+    the first members' rows, or the two rows of the witness.
+    ``require_room`` checks the bytes first: 24 per cells x cells entry,
+    for the quotient's intp rows and tuples, which bounds the weight table
+    too (16.5-16.7 traced on the edge partitions of cycles of 1000 and 3000
+    vertices); then 17 per (vertex, key word) entry, for the keys, the keys
+    of each vertex's first member and their comparison, 48 per vertex and
+    a budget for the arc ranges (traced: 2.2 MiB on cycle(20000) in 100
+    residue cells, 18.5 MiB on cycle(200000) and 3.2 MiB on the halved
+    16-cube's edge partition, against 4.2, 24.1 and 5.6 MiB predicted).  A key word holds the digits of as many cells as
+    (k + 1)^cells <= 2^53 allows, k the largest degree.  The partition with
+    no cell has the empty quotient."""
+    first = np.array([min(members) for members in p.cells], dtype=np.intp)
+    if first.min(initial=0) < 0 or any(max(members) >= g.n for members in p.cells):
         raise InputError("partition has a vertex outside the graph")
-    ncells = len(p.cells)
+    ncells = len(first)
     if not ncells:  # no digit to key
         return QuotientParameters((), ())
     # the quotient, counted only for an equitable p, bounds the weight table too
     require_room(f"the quotient entries of {ncells} cells", 24 * ncells * ncells)
-    # cell ncells, outside the ground set, reads the zero column
-    weights = np.pad(_digit_weights(g, 1 << 63, ncells), ((0, 0), (0, 1)))
-    require_room(f"the keys of {g.n} vertices in {ncells} cells",
-                 16 * len(weights) * g.n + 48 * g.n + _BUDGET)
-    cell = np.full(g.n, ncells, dtype=np.intp)
+    weights = _digit_weights(g, 1 << 53, ncells)
+    words, n, starts = len(weights), g.n, g._starts
+    require_room(f"the keys of {n} vertices in {ncells} cells", 17 * words * n + 48 * n + _BUDGET)
+    cell = np.full(n, ncells, dtype=np.intp)
     for ci, members in enumerate(p.cells):
         cell[list(members)] = ci
-    keys = _pair_keys(g, None, weights[:, None, cell])[:, 0]
-    members = np.flatnonzero(cell < ncells)
-    _, first = np.unique(cell[members], return_index=True)
-    first = members[first]
-    lead, bad = first[cell[members]], np.zeros(len(members), dtype=bool)
-    for word in keys:
-        bad |= word[members] != word[lead]
+    # each cell's digit lies in one word; cell ncells, outside the ground set, weighs 0
+    word = np.append(weights.argmax(axis=0), 0)[cell]
+    weight = np.append(weights.max(axis=0), 0)[cell]
+    keys = np.empty((n, words))
+    # 40 bytes per arc (its target's word and weight, its index, which is its
+    # source's row and its target's word, and the sum) and 8 per (vertex,
+    # word) entry of the range's keys
+    for i0, i1 in _ranges(40 * starts + 8 * words * np.arange(n + 1), _BUDGET):
+        target = g._dst[starts[i0]:starts[i1]]
+        index = np.repeat(np.arange(0, words * (i1 - i0), words), np.diff(starts[i0:i1 + 1]))
+        index += word[target]
+        keys[i0:i1] = np.bincount(index, weight[target], words * (i1 - i0)).reshape(-1, words)
+    bad = (keys != keys[np.append(first, 0)[cell]]).any(axis=1) & (cell < ncells)
     if bad.any():
-        ci = int(cell[members[bad]].min())
-        v = int(members[bad & (cell[members] == ci)][0])
+        v = int(np.flatnonzero(bad)[np.argmin(cell[bad])])
+        ci = int(cell[v])
         a, b = _count_rows(g, cell, [first[ci], v], ncells).tolist()
         return EquitabilityWitness(ci, int(first[ci]), v, tuple(a), tuple(b))
-    rows = _count_rows(g, cell, first, ncells)
-    return QuotientParameters(tuple(tuple(r.tolist()) for r in rows), p.labels)
+    return QuotientParameters(tuple(map(tuple, _count_rows(g, cell, first, ncells).tolist())),
+                              p.labels)
 
 
 # -- the pair kernel -------------------------------------------------------

@@ -161,6 +161,34 @@ def test_quotient_of_distance_partition_matches_oracle():
     assert isinstance(got, QuotientParameters) and got == oracle_quotient(g, p)
 
 
+def test_quotient_with_isolated_vertices_matches_oracle():
+    # a vertex with no arc keys 0, in the middle, at the end or at the start
+    # of the vertex range (``test_pair_budget`` gives it a range of its
+    # own); K_40 and an isolated vertex in single cells key 41 cells in
+    # five words
+    middle, end = Graph.from_edges(3, [(0, 2)]), Graph.from_edges(3, [(0, 1)])
+    split = VertexPartition(((0,), (1, 2)), ("a", "b"))
+    assert equitable_quotient(middle, split) == EquitabilityWitness(1, 1, 2, (0, 0), (1, 0))
+    assert equitable_quotient(end, split) == EquitabilityWitness(1, 1, 2, (1, 0), (0, 0))
+    k40 = Graph.from_edges(41, [(u, v) for v in range(40) for u in range(v)])
+    assert len(graph._digit_weights(k40, 1 << 53, 41)) == 5
+    cases = [(middle, split.cells), (end, split.cells),
+             (Graph.from_edges(3, [(1, 2)]), ((0, 1), (2,))),
+             (Graph.from_edges(4, []), ((0, 3), (1,), (2,))),
+             (k40, tuple((v,) for v in range(41)))]
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(3, 12)
+        joined = rng.sample(range(n), rng.randint(2, n - 1))
+        g = Graph.from_edges(n, {tuple(sorted(rng.sample(joined, 2))) for _ in range(n)})
+        ground = rng.sample(range(n), rng.randint(1, n))
+        ncells = rng.randint(1, len(ground))
+        cases.append((g, tuple(tuple(ground[c::ncells]) for c in range(ncells))))
+    for g, cells in cases:
+        p = VertexPartition(cells, tuple(range(len(cells))))
+        assert equitable_quotient(g, p) == oracle_quotient(g, p)
+
+
 def test_size_policy_between_the_dense_cap_and_twenty_thousand():
     g = hamming(9, 3)
     assert g.n == 19683

@@ -1,11 +1,13 @@
 """The block budget ``graph._BUDGET``, in bytes, on every arc-sized gather
 and on the local-partition pass: the sparse keys of the pair kernel
-(``graph._pair_keys``) and the pull step of the distance engine
+(``graph._pair_keys``), the keys of an equitable quotient
+(``graph.equitable_quotient``) and the pull step of the distance engine
 (``Graph._distance_rows``) read the arcs of consecutive vertex ranges
 (``graph._ranges``), within the budget or of one vertex each.
 
 The keys are compared with the whole-arc gather they replaced
-(``pair_keys_oracle``), and the rows with the queue search
+(``pair_keys_oracle``), the quotients with the bitset oracle
+(``test_equitability.oracle_quotient``), and the rows with the queue search
 (``bfs_oracle``), under budgets small enough that every block splits, on
 relabelled and switched corpus graphs and on K_{40,40}, where one vertex's
 arcs exceed the budget.  ``tracemalloc`` holds the keys and the rows to the
@@ -40,7 +42,7 @@ from drglab.families import (complete, complete_multipartite, cycle, folded_john
                              halved_cube, hamming, johnson)
 from drglab.homogeneous import check_i_homogeneous
 from test_distance_engine import path, union
-from test_equitability import BASES, relabel, switch
+from test_equitability import BASES, oracle_quotient, relabel, switch
 from test_local import varying_degree_graphs
 
 # in int64 entries of 8 bytes: the budget in bytes is 8 budget, which the
@@ -134,6 +136,26 @@ def test_sparse_keys_over_no_arcs_are_zero():
 
 
 @BUDGETS
+def test_blocked_quotients_match_the_oracle(monkeypatch, budget):
+    # an equitable quotient's keys read the arcs in ranges at 40 bytes an
+    # arc: budgets of 8, 56 and 512 bytes split them down to one vertex a
+    # range; random cells with and without vertices outside them (cell
+    # -1), and the partition from an edge, on the corpus and on a union
+    # with a path and an isolated vertex, whose vertices have no arc
+    monkeypatch.setattr(graph, "_BUDGET", 8 * budget)
+    rng = np.random.default_rng(budget)
+    for g in CORPUS + [union(CORPUS[1], path(30), graph.Graph([[]]))]:
+        parts = [graph.distance_partition(g, 0, g.neighbors(0)[0])] if g.is_connected() else []
+        for ncells, low in ((1, 0), (5, 0), (5, -1)):
+            cell = rng.integers(low, ncells, size=g.n)
+            cells = tuple(c for c in (tuple(np.flatnonzero(cell == c).tolist())
+                                      for c in range(ncells)) if c)
+            parts.append(graph.VertexPartition(cells, tuple(range(len(cells)))))
+        for p in parts:
+            assert graph.equitable_quotient(g, p) == oracle_quotient(g, p)
+
+
+@BUDGETS
 def test_distance_rows_match_the_oracle(monkeypatch, budget):
     # 9, 16 and 64 sources take words of one, two and eight bytes; 70 makes
     # two blocks; isolated vertices and a path leave some vertices out of
@@ -190,7 +212,7 @@ def test_cell_counts_stay_within_the_budget():
 
 
 def test_an_equitable_quotient_holds_its_keys_not_its_counts():
-    # cycle(20000) in 100 residue cells: keys of three int64 words a
+    # cycle(20000) in 100 residue cells: keys of four float64 words a
     # vertex, where the (vertex, cell) counts peaked at 18.0 MiB
     g = cycle(20000)
     p = graph.VertexPartition(tuple(tuple(range(r, 20000, 100)) for r in range(100)),
