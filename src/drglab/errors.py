@@ -105,7 +105,12 @@ class ResourceError(DrgError):
     2^53 (float64) or 2^63 (int64), which bounds the digits of a key word.
     A dense key is float32 when one word holds all of its digits, below
     (k + 1)^3 <= 2^24 for the three digits of distance-regularity (k at
-    most 255), and float64 otherwise; a sparse key is int64.
+    most 255), (k + 1)^4 <= 2^24 for the four digits of a graph that
+    carries its certified array at i >= 1 (k at most 63) and
+    (k + 1)^9 <= 2^24 for the nine of any other graph (k at most 5), and
+    float64 otherwise, where one word holds the four digits up to
+    k = 9740 and the nine up to k = 58; a sparse key is int64, one word
+    for four digits up to k = 55107 and for nine up to k = 127.
 
     Block budget, which bounds working memory without refusing anything:
     ``graph._BUDGET`` (2 MiB, the L2 cache of the 2-core machine the passes

@@ -13,7 +13,10 @@ the joint distance partitions pi(x, y) of a block of pairs at once, for
 1-homogeneity and for distance-regularity, its case x = y, by exact keys:
 float32 or float64 products with the adjacency matrix of the same dtype
 (below 2**24 or 2**53) or int64 sums over the arcs (below 2**63), as
-``_dense_keys`` chooses, of nine digits a key, or three at x = y.  A scan
+``_dense_keys`` chooses, of nine digits a key, three at x = y, and four on
+a graph that carries its certified intersection array (``Graph._dr``),
+whose margins fix the other five, so that its dense keys are float32 up to
+valency 63 (nine digits: 5).  A scan
 allocates one set of buffers for a block of pairs, and every block writes
 into it.  Keys decide, and arcs report.  Keys decide every equitability
 question outside the local pass: the pairs of both verdicts, and the cells
@@ -589,7 +592,10 @@ def _digit_weights(g: Graph, limit: int, digits: int = 9) -> np.ndarray:
     residue r, (3 d(x, u) + d(y, u)) mod 9 with nine digits and
     d(x, u) mod 3 with three, which suffice when x = y (a neighbour of v
     lies in the layers d(x, v) - 1, d(x, v) and d(x, v) + 1, three
-    residues); for ``equitable_quotient`` each cell is its own digit.  The
+    residues); with four, on a graph that carries its certified array,
+    digit 2 (d(x, u) mod 3) + (d(y, u) mod 3) counts the cells whose two
+    residues are 0 or 1, and no digit the rest (``_check_pairs``); for
+    ``equitable_quotient`` each cell is its own digit.  The
     counts of a vertex sum to at most its degree, so no digit carries and
     every key and partial sum stays below the limit.  Keys are only
     compared: equal keys are equal count rows, and nothing reads a count
@@ -711,8 +717,19 @@ def _check_pairs(g: Graph, total: int, chunks):
     (2i + 1)(2 ecc(x0) + 1), in the order of (d(x, v), d(y, v)).  At i = 0
     (x = y) the label is d(x, v) itself, read from the one row with no
     arithmetic, and the key has three digits, not nine
-    (``_digit_weights``).  A dense key is float32 when one word holds every
-    key below 2**24 ((k + 1)^3 <= 2**24 at i = 0, k <= 255), float64
+    (``_digit_weights``).  Above level 0 a graph that carries its
+    certified array (``Graph._dr``) keys four digits, not nine: the
+    neighbours of v lie in a 3 x 3 block of cells, rows d(x, v) - 1,
+    d(x, v), d(x, v) + 1 and columns likewise in d(y, v), whose row sums
+    are c, a and b at d(x, v) and whose column sums are those at d(y, v)
+    (BCN 4.1), the same for every vertex of v's cell; so the 2 x 2
+    sub-block of the rows and columns of residue 0 or 1 mod 3 fixes the
+    other five entries, and only its cells carry a digit weight (the other
+    labels read a zero column).  Equal keys under equal labels are still
+    equal count rows, so every report, witness and pair count is the nine
+    digits' own.  A dense key is float32 when one word holds every key
+    below 2**24 ((k + 1)^3 <= 2**24 at i = 0, k <= 255; (k + 1)^4 with
+    four digits, k <= 63; (k + 1)^9 with nine, k <= 5), float64
     otherwise, and the adjacency takes the same dtype; a sparse key is
     int64.  A label reads its digit weight and its reference key from two
     tables of every label, whose bytes, two keys per label per key word,
@@ -748,17 +765,23 @@ def _check_pairs(g: Graph, total: int, chunks):
             if reference is None:
                 reference = rows[at_x[0]], rows[at_y[0]]
                 i, height = int(reference[0][ys[0]]), 2 * int(reference[0].max()) + 1
-                count, digits = (2 * i + 1) * height, 9 if i else 3
+                # a certified array fixes the margins of each 3 x 3 block
+                four = i and isinstance(g._dr, IntersectionArray)
+                count, digits = (2 * i + 1) * height, 4 if four else 9 if i else 3
                 # a dense key is float32 when one word holds all its digits
                 wide = (int(g.degrees().max(initial=0)) + 1) ** digits > 1 << 24
                 wf = _digit_weights(g, 1 << (53 if wide else 24) if dense else 1 << 63, digits)
                 require_room(f"the tables of {count} cell labels", 2 * count * wf.nbytes // digits)
-                # at i = 0 the digit of label a is a mod 3; otherwise label
-                # (2i + 1) a + e - i, grid cell (a, e), has d(x, v) = a and
-                # d(y, v) = a + e - i, so its digit (3 d(x, v) + d(y, v)) mod 9
-                # is (4a + e - i) mod 9
-                wl = wf[:, ((4 * np.arange(height)[:, None] + np.arange(-i, i + 1)) % 9)
-                        .ravel()[i:] if i else np.arange(height) % 3]
+                # label (2i + 1) a + e - i, grid cell (a, e), has d(x, v) = a
+                # and d(y, v) = a + e - i, residues ra and rb mod 3; its digit
+                # is ra at i = 0, 2 ra + rb with four digits when ra, rb < 2
+                # (any other label reads the zero column, digit 4), and
+                # 3 ra + rb with nine
+                ra = np.arange(height)[:, None] % 3
+                rb = (ra + np.arange(-i, i + 1)) % 3
+                digit = (np.where((ra < 2) & (rb < 2), 2 * ra + rb, 4) if four
+                         else 3 * ra + rb if i else ra)
+                wl = np.pad(wf, ((0, 0), (0, 1)))[:, digit.ravel()[i:]]
                 adj = g._adjacency(wf.dtype) if dense else None
                 width = 10 + len(wf) * (2 * wf.itemsize + 1)
                 # the sparse route's gathers hold 8 bytes per (pair, arc) too

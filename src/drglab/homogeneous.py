@@ -147,6 +147,12 @@ def check_i_homogeneous(g: Graph, i: int, mode: str = "exhaustive",
     pair kernel, as many to a call as the block budget allows
     (``errors.ResourceError`` states it), on the route ``graph._dense_keys``
     chooses; both routes give the same report, witness and pair count.
+    On a graph that carries its certified array (``check_distance_regular``
+    has run on it, as ``drglab classify FILE`` runs it first) the kernel
+    keys four digits a vertex above level 0, not nine, so its dense keys
+    are float32 up to valency 63, with the same report, witness and pair
+    count.  The check does not certify the graph itself: a graph that is
+    not distance-regular would pay a distance-regularity scan for nothing.
     Neither mode hands the kernel more than its pairs and their distance
     rows: the kernel labels their cells itself, so neither reads the
     diameter.

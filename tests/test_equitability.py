@@ -8,7 +8,9 @@ per-vertex layer scan (``dr_oracle``), and a bitset loop for equitable
 quotients.  The pair kernel's two key routes (float32 or float64 products
 with the adjacency matrix, int64 sums over the arcs) are each forced in
 turn and held to the same oracles, at and across the float64 word boundary
-and the float32 one of distance-regularity's three-digit keys.
+and the float32 ones of distance-regularity's three-digit keys and of the
+four-digit keys of a graph that carries its certified array, whose
+reports are also held to those of an uncertified copy of the same arcs.
 Examples are derandomized, so runs are repeatable.
 """
 
@@ -25,6 +27,8 @@ import dr_oracle
 import drglab.graph as graph
 import drglab.homogeneous as homogeneous
 import homogeneity_oracle
+from drglab.arrays import IntersectionArray
+from drglab.cab import cab_partition_check
 from drglab.errors import InputError, InternalError, ResourceError
 from drglab.families import (cocktail_party, complete, cycle, folded_johnson, grid,
                              halved_cube, hamming, hypercube, icosahedron, johnson,
@@ -318,15 +322,17 @@ ROUTES = pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"]
 @pytest.fixture
 def route(monkeypatch, dense):
     """Force the pair kernel's route, and record the digit weights of every
-    check with the word limit and the digits it asked for; the weights come
-    in the dtype of their keys."""
+    check with the word limit and the digits it asked for, and whether the
+    graph carried a certified array when it asked; the weights come in the
+    dtype of their keys."""
     monkeypatch.setattr(graph, "_dense_keys", lambda g, pairs: dense)
     seen = []
     weights = graph._digit_weights
 
     def recorded(g, limit, digits):
         w = weights(g, limit, digits)
-        seen.append((int(g.degrees().max()) + 1, limit, digits, w))
+        certified = isinstance(g._dr, IntersectionArray)
+        seen.append((int(g.degrees().max()) + 1, limit, digits, w, certified))
         return w
 
     monkeypatch.setattr(graph, "_digit_weights", recorded)
@@ -343,14 +349,15 @@ def assert_words_exact(seen, dense):
     float32 and 2**53 for float64 products (the dense route), 2**63 for
     int64 sums (the sparse one).  A word of t digits holds keys below
     base**t, its largest weight times the base.  A float32 key is one word;
-    a scan keys three digits at level 0 (distance-regularity) and nine at
-    every other level."""
+    a scan keys three digits at level 0 (distance-regularity), and at every
+    other level four on a graph that carries a certified array and nine on
+    any other."""
     assert seen
-    for base, asked, digits, w in seen:
+    for base, asked, digits, w, certified in seen:
         limit = EXACT[w.dtype]
         assert asked == limit
         assert (w.dtype != np.int64) == dense
-        assert w.shape[1] == digits and digits in (3, 9)
+        assert w.shape[1] == digits and digits in ((3, 4) if certified else (3, 9))
         assert w.dtype != np.float32 or len(w) == 1
         assert all(int(top) * base <= limit for top in w.max(axis=1))
 
@@ -403,7 +410,7 @@ def test_keys_at_the_float64_word_boundary(route, dense, parts, words, cut):
             homogeneity_oracle.check_i_homogeneous(g, i, "sampled", seed=parts, count=9)
     assert check_distance_regular(g) == dr_oracle.check_distance_regular(g)
     assert_words_exact(route, dense)
-    assert {w.shape for _, _, digits, w in route if digits == 9} == {(words if dense else 1, 9)}
+    assert {w.shape for _, _, digits, w, _ in route if digits == 9} == {(words if dense else 1, 9)}
 
 
 @ROUTES
@@ -422,7 +429,7 @@ def test_keys_at_the_float32_word_boundary(route, dense, n, cut):
         g = Graph.from_edges(n, edges)
     assert check_distance_regular(g) == dr_oracle.check_distance_regular(g)
     level0 = np.float32 if n == 256 else np.float64
-    assert {(w.dtype, w.shape) for _, _, digits, w in route if digits == 3} == \
+    assert {(w.dtype, w.shape) for _, _, digits, w, _ in route if digits == 3} == \
         {(np.dtype(level0 if dense else np.int64), (1, 3))}
     assert check_i_homogeneous(g, 1, "sampled", seed=n, count=9) == \
         homogeneity_oracle.check_i_homogeneous(g, 1, "sampled", seed=n, count=9)
@@ -438,6 +445,107 @@ def test_keys_at_the_float32_word_boundary(route, dense, n, cut):
         assert rep.holds and rep.pairs_checked == n * (n - 1)
         assert (rep.labels, rep.matrix) == (want.labels, want.matrix)
     assert_words_exact(route, dense)
+
+
+@ROUTES
+@pytest.mark.parametrize("n", [64, 65], ids=["K_64", "K_65"])
+def test_certified_keys_at_the_float32_word_boundary(route, dense, n):
+    # on a graph that carries its certified array a level-1 key has four
+    # digits: valency 63 has base 64 and 64**4 = 2**24, one float32 word;
+    # valency 64 has base 65 and 65**4 > 2**24, one float64 word
+    g = relabel(complete(n), random.Random(n))
+    assert isinstance(check_distance_regular(g), IntersectionArray)
+    rep = check_i_homogeneous(g, 1)
+    assert rep.holds and rep.pairs_checked == n * (n - 1)
+    assert rep == homogeneity_oracle.check_i_homogeneous(g, 1)
+    assert check_i_homogeneous(g, 1, "sampled", seed=n, count=9) == \
+        homogeneity_oracle.check_i_homogeneous(g, 1, "sampled", seed=n, count=9)
+    level1 = np.float32 if n == 64 else np.float64
+    assert {(w.dtype, w.shape) for _, _, digits, w, _ in route if digits == 4} == \
+        {(np.dtype(level1 if dense else np.int64), (1, 4))}
+    assert_words_exact(route, dense)
+
+
+#: distance-regular graphs with a_1 > 0; only H(4,4) is 1-homogeneous
+CERTIFIED = [johnson(9, 4), johnson(8, 3), johnson(11, 4), triangular(7),
+             folded_johnson(10, 5), hamming(4, 4)]
+CERTIFIED_IDS = ["J(9,4)", "J(8,3)", "J(11,4)", "T(7)", "folded J(10,5)", "H(4,4)"]
+
+
+@ROUTES
+@pytest.mark.parametrize("index", range(len(CERTIFIED)), ids=CERTIFIED_IDS)
+def test_certified_graphs_report_as_uncertified_copies(route, dense, index):
+    # above level 0 a certified graph keys four digits, a fresh copy of the
+    # same arcs nine (both key three at level 0); reports, witnesses and
+    # pairs checked are the same
+    g = relabel(CERTIFIED[index], random.Random(index))
+    plain = Graph._from_arcs(g.n, g._starts, g._dst)
+    assert isinstance(check_distance_regular(g), IntersectionArray) and plain._dr is None
+    for i in range(g.diameter() + 1):
+        assert check_i_homogeneous(g, i) == check_i_homogeneous(plain, i)
+        assert check_i_homogeneous(g, i, "sampled", seed=i, count=40) == \
+            check_i_homogeneous(plain, i, "sampled", seed=i, count=40)
+    assert plain._dr is None
+    assert {digits for _, _, digits, _, certified in route if certified} == {3, 4}
+    assert {digits for _, _, digits, _, certified in route if not certified} == {3, 9}
+    assert_words_exact(route, dense)
+
+
+@ROUTES
+@pytest.mark.parametrize("index", range(len(CERTIFIED)), ids=CERTIFIED_IDS)
+def test_certified_keys_flag_the_vertices_that_nine_digits_flag(route, dense, index):
+    # a report names only the first differing vertex; here each of 80 pairs
+    # at levels 1 and 2 is scanned alone, and the vertices whose keys differ
+    # from that of the first vertex of their cell are the same under four
+    # digits as under nine
+    g = relabel(CERTIFIED[index], random.Random(index))
+    plain = Graph._from_arcs(g.n, g._starts, g._dst)
+    assert isinstance(check_distance_regular(g), IntersectionArray)
+    dm = g.distance_matrix()
+    for i in (1, 2):
+        for x, y in np.argwhere(dm == i)[::7][:80].tolist():
+            xs, ys = np.array([x]), np.array([y])
+            four, nine = (graph._check_pairs(h, 1, [(xs, ys, dm, xs, ys)])[1]
+                          for h in (g, plain))
+            assert (four is None) == (nine is None)
+            assert four is None or np.array_equal(four[5], nine[5])
+    assert {digits for _, _, digits, _, _ in route} == {3, 4, 9}
+
+
+def test_four_digits_weigh_the_cells_of_residues_zero_and_one(monkeypatch):
+    # the margins fix a 3 x 3 block from its 2 x 2 sub-block only when that
+    # sub-block's four residue classes (d(x, u) mod 3, d(y, u) mod 3) in
+    # {0, 1}^2 weigh four distinct digits and every other cell weighs 0.
+    # Giving (0, 1) and (1, 0) one digit leaves the reports and the flagged
+    # vertices of the graphs above unchanged, so this reads the weights
+    # themselves, from the first pair of each level
+    g = relabel(johnson(9, 4), random.Random(9))
+    assert isinstance(check_distance_regular(g), IntersectionArray)
+    dm, kernel, seen = g.distance_matrix(), graph._pair_keys, []
+    monkeypatch.setattr(graph, "_pair_keys",
+                        lambda g, adj, w, out=None: seen.append(w[:, 0].T.tolist()) or
+                        kernel(g, adj, w, out))
+    classes = {}
+    for i in range(1, 5):
+        xs, ys = (np.array([t]) for t in np.argwhere(dm == i)[0])
+        graph._check_pairs(g, 1, [(xs, ys, dm, xs, ys)])
+        for dx, dy, weight in zip(dm[xs[0]].tolist(), dm[ys[0]].tolist(), seen.pop()):
+            classes.setdefault((dx % 3, dy % 3), set()).add(tuple(weight))
+    assert len(classes) == 9 and all(len(w) == 1 for w in classes.values())
+    digits = sorted(map(tuple, graph._digit_weights(g, 1 << 63, 4).T.tolist()))
+    assert sorted(w for (r, s), (w,) in classes.items() if r < 2 and s < 2) == digits
+    assert all(not any(w) for (r, s), (w,) in classes.items() if r == 2 or s == 2)
+
+
+@pytest.mark.parametrize("index", range(len(CERTIFIED)), ids=CERTIFIED_IDS)
+def test_one_homogeneity_holds_exactly_when_cab_holds(index):
+    # Jurisic-Koolen (2000): a distance-regular graph with a_1 > 0 is
+    # 1-homogeneous exactly when its local (C, A, B) partitions are
+    # equitable with pair-independent parameters
+    g = relabel(CERTIFIED[index], random.Random(index))
+    assert check_distance_regular(g).a_at(1) > 0
+    assert check_i_homogeneous(g, 1).holds == cab_partition_check(g).holds
+    assert check_i_homogeneous(g, 1).holds == (CERTIFIED_IDS[index] == "H(4,4)")
 
 
 def test_long_cycles_match_the_oracles(monkeypatch):
