@@ -273,7 +273,11 @@ def classification_report(ia: IntersectionArray) -> dict:
     classical parameters, the fundamental bound (D >= 3) and the
     classifications that apply.  With D >= 5 and a_1 > 0 these are the main
     one, the classical one for each parameter set with b >= 1 and the tight
-    one when the bound is tight; otherwise none."""
+    one when the bound is tight; otherwise none.  An array that
+    ``basic_feasibility`` refuses raises ``InputError`` with its witness at
+    every D, first: the check is the one ``eigen.eigenvalues`` runs, and
+    the array keeps the spectrum it computes for the fundamental bound."""
+    eigenvalues(ia)
     out = {"named_families": named_families(ia),
            "near_polygon": near_polygon_analysis(ia)}
     cps = recognize_classical(ia) if ia.D >= 3 else []

@@ -10,16 +10,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import homogeneity_oracle
 from drglab import errors
-from drglab.arrays import IntersectionArray
+from drglab.arrays import IntersectionArray, basic_feasibility
 from drglab.classical import classification_report
 from drglab.cli import main
 from drglab.errors import ResourceError
 from drglab.families import FamilySpec, build_family, cycle, hamming, triangular
 from drglab.graph import Graph
-from drglab.homogeneous import check_i_homogeneous, named_families
+from drglab.homogeneous import check_i_homogeneous, named_families, near_polygon_analysis
 from test_homogeneous import GOLDEN_GRAPHS, chorded_c4
 
 
@@ -137,11 +139,21 @@ def test_cab_refutation_reports_the_first_deviation(capsys, tmp_path):
 @pytest.mark.parametrize("ia,gon,order", [("2,1;1,2", 4, [1, 1]),
                                           ("8,8;1,2", 5, None)])
 def test_classify_near_polygon_of_small_or_negative_arrays(capsys, ia, gon, order):
-    # D = 2 has no c_3, and a_1 = -1 leaves no line size a_1 + 1 to divide by
+    # D = 2 has no c_3, and a_1 = -1 leaves no line size a_1 + 1 to divide
+    # by; classify refuses the array with a_1 = -1 as infeasible, with its
+    # witness, before the analysis runs
+    array = IntersectionArray.parse(ia)
+    assert near_polygon_analysis(array) == {"near_polygon": True, "gon": gon,
+                                            "order": tuple(order) if order else None,
+                                            "refinement": None}
     code, out, err = run_cli(capsys, "classify", "--ia", ia)
-    assert code == 0 and "Traceback" not in err
-    assert out["near_polygon"] == {"near_polygon": True, "gon": gon,
-                                   "order": order, "refinement": None}
+    if array.a_at(1) < 0:
+        assert code == 2 and out is None
+        assert err == "error: infeasible intersection array: a_1 = -1 < 0\n"
+    else:
+        assert code == 0 and err == ""
+        assert out["near_polygon"] == {"near_polygon": True, "gon": gon,
+                                       "order": order, "refinement": None}
 
 
 def test_complete_graphs_analyze_and_classify(capsys, tmp_path):
@@ -163,6 +175,35 @@ def test_classify_infeasible_array_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, "classify", "--ia", "4,4,4;1,2,2")
     assert code == 2 and out is None
     assert err.startswith("error: infeasible intersection array")
+
+
+def test_classify_refuses_an_infeasible_array_of_diameter_two(capsys):
+    # k_2 = k b_1 / c_2 = 4 / 3: below D = 3 no fundamental bound asks for
+    # the eigenvalues, so the report runs their feasibility check itself
+    code, out, err = run_cli(capsys, "classify", "--ia", "4,1;1,3")
+    assert code == 2 and out is None
+    assert err == "error: infeasible intersection array: k_2 = 4/3 not an integer\n"
+
+
+@st.composite
+def arrays(draw):
+    """An intersection array of diameter 1-7 and valency at most 30, with
+    b_1..b_{D-1} and c_2..c_D each anywhere in 1..k."""
+    D, k = draw(st.integers(1, 7)), draw(st.integers(1, 30))
+    entries = st.lists(st.integers(1, k), min_size=D - 1, max_size=D - 1)
+    return IntersectionArray((k, *draw(entries)), (1, *draw(entries)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(arrays())
+def test_classify_exits_zero_only_on_arrays_that_pass_basic_feasibility(capsys, ia):
+    code, out, err = run_cli(capsys, "classify", "--ia", str(ia))
+    rep = basic_feasibility(ia)
+    assert code in (0, 2), err
+    if not rep.passed:
+        assert code == 2 and out is None
+        assert err == f"error: infeasible intersection array: {rep.witness}\n"
 
 
 def test_classify_by_array(capsys):
