@@ -172,17 +172,13 @@ def test_complete_graphs_analyze_and_classify(capsys, tmp_path):
 
 
 def test_classify_infeasible_array_is_an_input_error(capsys):
-    code, out, err = run_cli(capsys, "classify", "--ia", "4,4,4;1,2,2")
-    assert code == 2 and out is None
-    assert err.startswith("error: infeasible intersection array")
-
-
-def test_classify_refuses_an_infeasible_array_of_diameter_two(capsys):
-    # k_2 = k b_1 / c_2 = 4 / 3: below D = 3 no fundamental bound asks for
-    # the eigenvalues, so the report runs their feasibility check itself
-    code, out, err = run_cli(capsys, "classify", "--ia", "4,1;1,3")
-    assert code == 2 and out is None
-    assert err == "error: infeasible intersection array: k_2 = 4/3 not an integer\n"
+    # at D = 2, k_2 = k b_1 / c_2 = 4 / 3: below D = 3 no fundamental bound
+    # asks for the eigenvalues, so the report runs their feasibility check
+    # itself
+    for ia, witness in [("4,4,4;1,2,2", "a_1 = -1 < 0"), ("4,1;1,3", "k_2 = 4/3 not an integer")]:
+        code, out, err = run_cli(capsys, "classify", "--ia", ia)
+        assert code == 2 and out is None
+        assert err == f"error: infeasible intersection array: {witness}\n"
 
 
 @st.composite
