@@ -36,8 +36,8 @@ import numpy as np
 from .errors import (DomainError, InputError, PreconditionError, ResourceError,
                      SingularityError, require)
 from .graph import Graph, _at, _counts, _local_blocks, _local_gather, _pairs_at, _per_block
-from .polys import charpoly, quadratic_roots, real_roots
-from .scalars import ExactScalar, as_exact, exact_eq
+from .polys import quadratic_roots
+from .scalars import ExactScalar, as_exact, exact_eq, sort_desc
 
 
 def _div(a, b):
@@ -329,12 +329,24 @@ def quotient_matrix(a1: int, p: CabLevelParams) -> Tuple[Tuple[ExactScalar, ...]
 
 
 def quotient_spectrum(Q: Sequence[Sequence[ExactScalar]]) -> List[ExactScalar]:
-    """Exact eigenvalues of a 3x3 rational matrix, descending."""
-    roots = real_roots(charpoly(Q))
-    out = []
-    for val, mult in roots:
-        out.extend([val] * mult)
-    return out
+    """Exact real eigenvalues of a 3x3 rational matrix whose rows share the
+    sum a_1, such as a CAB quotient, descending with repeats.
+
+    The all-ones vector gives the eigenvalue a_1, so the characteristic
+    polynomial x^3 - tr x^2 + m x - det, m the sum of the principal 2x2
+    minors, is (x - a_1)(x^2 - t x + q) with t = tr - a_1 and
+    q = m - a_1 t (= det / a_1 when a_1 != 0); when x^2 - t x + q has no
+    real root, a_1 is the only one."""
+    (a, b, c), (d, e, f), (g, h, i) = (map(Fraction, row) for row in Q)
+    a1 = a + b + c
+    if d + e + f != a1 or g + h + i != a1:
+        raise DomainError("the rows of the quotient do not share one sum")
+    t = a + e + i - a1
+    minors = a * e - b * d + a * i - c * g + e * i - f * h
+    roots = quadratic_roots(t, a1 * t - minors) or ()
+    out = [(a1, None), *((r, None) for r in roots)]
+    sort_desc(out)
+    return [val for val, _ in out]
 
 
 # -- level-2 shapes ---------------------------------------------------------

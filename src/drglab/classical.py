@@ -195,7 +195,9 @@ def fundamental_bound(ia: IntersectionArray) -> TightReport:
     shift = Fraction(k, a1 + 1)
     lhs = (theta1 + shift) * (thetaD + shift)
     rhs = Fraction(-k * a1 * b1, (a1 + 1) ** 2)
-    require(exact_cmp(lhs, rhs) >= 0, "fundamental bound violated")
+    if exact_cmp(lhs, rhs) < 0:
+        raise InputError(f"infeasible intersection array: fundamental bound violated, "
+                         f"lhs = {lhs} < rhs = {rhs}")
     tight = (not ia.is_bipartite) and exact_eq(lhs, rhs)
     r = s = None
     if not exact_eq(thetaD + 1, 0):

@@ -22,7 +22,10 @@ class PreconditionError(DrgError):
 
 
 class ScopeError(DrgError):
-    """Input outside the scope of a classifier (e.g. diameter too small)."""
+    """Input outside the scope of a classifier (e.g. diameter too small), or
+    a graph whose exact spectrum has no route: one that is not
+    distance-regular, or whose array has an eigenvalue of degree 3 or more
+    (``graph.graph_spectrum``)."""
 
 
 class SingularityError(DrgError):
@@ -93,11 +96,10 @@ class ResourceError(DrgError):
 
     Time: the dense distance matrix takes at most ``graph._DENSE_CAP`` (6000)
     vertices, which bounds exhaustive 1-homogeneity, the triple intersection
-    number, the c2 report and the spectra that ``graph.graph_spectrum``
-    reads from the array of a certified distance-regular graph (H(5,3) in
-    about 3 ms); every other exact spectrum, the roots of a characteristic
-    polynomial, takes at most ``graph.SPECTRUM_EXACT_CAP`` (256) vertices
-    (about 1.2 s on H(5,3)); the CAB check takes a valency of at most 4096.
+    number, the c2 report and the distance-regularity certification, and
+    with it the spectra that ``graph.graph_spectrum`` reads from the array
+    of a certified distance-regular graph (H(5,3) in about 3 ms); the CAB
+    check takes a valency of at most 4096.
 
     Exactness: distances are int16, so at most 32766; CAB's cell-count keys
     are float sums below (k + 1)^3, in float32 while that is at most 2^22

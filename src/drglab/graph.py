@@ -1,8 +1,7 @@
 """Graph representation and the empirical machinery: distances, distance
 partitions, equitable quotients, distance-regularity testing, local and
-mu-graphs, and exact spectra: from the intersection array for a certified
-distance-regular graph, and of at most ``SPECTRUM_EXACT_CAP`` vertices for
-any other graph.
+mu-graphs, and exact spectra of certified distance-regular graphs, from
+their intersection arrays.
 
 A graph is stored as one arc index, intp targets and offsets
 (``Graph(adjacency)`` checks outside input).  The arcs feed the one
@@ -79,9 +78,8 @@ alone, in (x, y) order, the lambda- and mu-graph valencies, the mu-graph
 report and the triple intersection number.  The
 spectrum of a graph that ``check_distance_regular`` certifies is its
 array's eigenvalues with the multiplicities the array gives
-(``eigen.multiplicities``), when every one is rational or a surd; any other
-spectrum is the real roots of the integer characteristic polynomial
-(``polys.charpoly``).  Neither route uses floating point.
+(``eigen.multiplicities``), when every one is rational or a surd, with no
+floating point; every other graph is out of scope (``errors.ScopeError``).
 """
 
 from __future__ import annotations
@@ -98,17 +96,11 @@ import numpy as np
 
 from .arrays import IntersectionArray
 from .eigen import eigenvalues, multiplicities
-from .errors import InputError, ResourceError, require, require_room
-from .polys import charpoly, real_roots
+from .errors import InputError, ResourceError, ScopeError, require, require_room
 from .scalars import ExactScalar, Surd
 
 GRAPH_FORMAT = "drg-graph-v1"
 
-#: vertex cap for exact spectra from the characteristic polynomial (about
-#: 2 s at 256 vertices): every graph but a certified distance-regular one
-#: whose array's eigenvalues are all rational or surds, whose spectrum comes
-#: from the array at any size the dense distance matrix takes
-SPECTRUM_EXACT_CAP = 256
 _DENSE_CAP = 6000
 #: a frontier with under 1 / _PUSH_SHARE of all arcs pushes (~33 bytes per arc it holds)
 _PUSH_SHARE = 16
@@ -1224,36 +1216,26 @@ class SpectrumReport:
 
 
 def graph_spectrum(g: Graph) -> SpectrumReport:
-    """Exact adjacency spectrum with multiplicities (descending), by one of
-    two routes.
+    """Exact adjacency spectrum with multiplicities (descending) of a
+    certified distance-regular graph whose eigenvalues are all rational or
+    surds: the eigenvalues of its array (``eigen.eigenvalues``) with the
+    multiplicities that the array gives (``eigen.multiplicities``, which
+    checks them against n, the trace and the trace of A^2), at any size the
+    certification (``check_distance_regular``) reaches.
 
-    A connected regular graph of 2 to ``_DENSE_CAP`` vertices is certified
-    first (``check_distance_regular``).  When it is distance-regular and
-    every eigenvalue of its array (``eigen.eigenvalues``) is rational or a
-    surd, those are the graph's eigenvalues, with the multiplicities that
-    the array gives (``eigen.multiplicities``, which checks them against n,
-    the trace and the trace of A^2), at any size the check reaches.  A
-    connected graph of valency 2 is a polygon, and the n-gon has the
-    eigenvalue 2 cos(2 pi / n) of degree phi(n) / 2 >= 3 once n > 12, so
-    such polygons skip the array, whose polynomial has degree about n / 2.
-
-    Every other graph (not distance-regular, disconnected, a single vertex,
-    or with an eigenvalue of degree 3 or more) takes the real roots of the
-    integer characteristic polynomial of its adjacency matrix, for at most
-    ``SPECTRUM_EXACT_CAP`` vertices.  ``charpoly`` finds it modulo primes of
-    at most (63 - bitlength(n)) / 2 bits, enough of them that their product
-    exceeds twice the Hadamard bound prod_v (1 + ceil(sqrt(deg v))), so the
-    coefficients are exact."""
+    Every other graph raises ``ScopeError``: one that is not distance-regular
+    (not regular, disconnected, a single vertex or the empty graph, or
+    refuted by the certification), or whose array has an eigenvalue of
+    degree 3 or more.  A connected graph of valency 2 is a polygon, and the
+    n-gon has the eigenvalue 2 cos(2 pi / n) of degree phi(n) / 2 >= 3 once
+    n > 12, so such polygons are refused before any eigenvalue is found."""
     deg = g.degrees()
-    if (2 <= g.n <= _DENSE_CAP and (deg == deg[0]).all() and (deg[0] != 2 or g.n <= 12)
+    if (g.n >= 2 and (deg == deg[0]).all() and (deg[0] != 2 or g.n <= 12)
             and g.is_connected()):
         ia = check_distance_regular(g)
         if isinstance(ia, IntersectionArray):
             thetas = eigenvalues(ia).values
             if all(isinstance(t, (Fraction, Surd)) for t in thetas):
                 return SpectrumReport(tuple(zip(thetas, multiplicities(ia))))
-    if g.n > SPECTRUM_EXACT_CAP:
-        raise ResourceError(f"exact spectrum capped at {SPECTRUM_EXACT_CAP} vertices")
-    if g.n == 0:
-        return SpectrumReport(())
-    return SpectrumReport(tuple(real_roots(charpoly(g.adjacency_matrix().tolist()))))
+    raise ScopeError("an exact spectrum needs a distance-regular graph whose "
+                     "eigenvalues are all rational or surds")

@@ -49,10 +49,9 @@ import numpy as np
 from .arrays import IntersectionArray
 from .bounds import homogeneity_bounds
 from .eigen import b_parameter, eigenvalues
-from .errors import InputError, ScopeError, require
+from .errors import InputError, PreconditionError, ScopeError, require
 from .graph import (Graph, _check_pairs, _common_neighbourhoods, _counts, _pairs_at,
-                    _quotient, _witness, check_distance_regular, graph_spectrum,
-                    local_graph)
+                    _quotient, _witness, check_distance_regular)
 from .scalars import exact_cmp
 from .srg import SrgParams, recognize_srg_family, srg_eigenvalues
 
@@ -330,9 +329,9 @@ def local_spectral_checks(g: Graph) -> dict:
     lambda'-regular and every mu-graph mu'-regular with mu' > 0 (BCN 1.1), so
     no local graph is built unless the graph is not locally SRG.  When
     lambda' = a_1 - 1 > -1, every local graph is a disjoint union of
-    K_{a_1 + 1}, whose smallest eigenvalue is -1, so none is built then
-    either.  On any other graph that is not locally SRG, ``min_local_eig``
-    and ``min_local_eig_ok`` come from the local graph of vertex 0 only."""
+    K_{a_1 + 1}, whose smallest eigenvalue is -1.  Only these two closed
+    forms give ``min_local_eig`` and ``min_local_eig_ok``; any other graph
+    has neither key, and no local graph is built at all."""
     ia = check_distance_regular(g)
     if not isinstance(ia, IntersectionArray):
         raise InputError("graph is not distance-regular")
@@ -346,11 +345,11 @@ def local_spectral_checks(g: Graph) -> dict:
     params = SrgParams(ia.k, a1, lam, mu) if mu else None
     out["locally_srg"] = params is not None
     smallest = (srg_eigenvalues(params).s if params else
-                Fraction(-1) if a1 and lam == a1 - 1 else
-                graph_spectrum(local_graph(g, 0).graph).values[-1][0])
-    out["min_local_eig"] = smallest
-    # smallest local eigenvalue >= -1 - b
-    out["min_local_eig_ok"] = exact_cmp(smallest, -1 - b) >= 0
+                Fraction(-1) if a1 and lam == a1 - 1 else None)
+    if smallest is not None:
+        out["min_local_eig"] = smallest
+        # smallest local eigenvalue >= -1 - b
+        out["min_local_eig_ok"] = exact_cmp(smallest, -1 - b) >= 0
     if params is None:
         out["reason"] = "not locally SRG"
         return out
@@ -421,7 +420,10 @@ def classify_main(ia: IntersectionArray) -> ClassificationOutcome:
         return _outcome("main", [("c2=1", "c_2 = 1")], evidence)
     b = b_parameter(ia)
     evidence.append(Evidence("b-param", "b = b_1/(theta_1+1)", (b,)))
-    require(exact_cmp(b, 1) >= 0, "b >= 1 must hold when c_2 >= 2")
+    if exact_cmp(b, 1) < 0:
+        # the main theorem gives b >= 1 for a 1-homogeneous graph with c_2 >= 2
+        raise PreconditionError(f"array is not 1-homogeneous: b = {b} < 1 with "
+                                f"c_2 = {ia.c_at(2)} >= 2")
     theta1 = eigenvalues(ia)[1]
     # a quadrangle forces theta_1 <= b_1 - 1, i.e. b >= 1
     evidence.append(Evidence(

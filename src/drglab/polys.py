@@ -1,20 +1,17 @@
-"""Exact characteristic polynomials and their real roots.
+"""Exact characteristic polynomials of tridiagonal matrices and their real
+roots.
 
-A characteristic polynomial comes from one of two exact routes: the
-three-term recursion for tridiagonal matrices (the intersection matrices of
-the array layer), and, for any other square integer or rational matrix,
-Hessenberg reduction modulo word-size primes joined by Chinese remaindering
-(``charpoly``; Cohen, *A Course in Computational Algebraic Number Theory*,
-1993, ch. 2).  The number of primes follows from Hadamard's bound on the
-coefficients, so the result is exact, not probable; a rational matrix is
-scaled by its common denominator first.
+A characteristic polynomial comes from the three-term recursion for
+tridiagonal matrices (the intersection matrices of the array layer); a
+quadratic's roots come in closed form (``quadratic_roots``), which is all
+that the local eigenvalues of a strongly regular graph and the spectrum of
+a CAB quotient need.
 
 Roots: split into squarefree parts, factor each over Q (sympy), then read
 roots off the irreducible factors.  sympy is imported on first use, by the
-functions that factor, isolate or find primes (``real_roots``,
-``_interval_root``, ``_prime``), so a process that never factors, such as
-``classify --ia`` of an array whose eigenvalues are all integers, never loads
-it.
+functions that factor or isolate (``real_roots``, ``_interval_root``), so a
+process that never factors, such as ``classify --ia`` of an array whose
+eigenvalues are all integers, never loads it.
 Linear factors give rationals, quadratic factors give surds, higher-degree
 factors are isolated into certified rational intervals of width
 ``ROOT_WIDTH`` that refine on demand.  A tridiagonal matrix with positive
@@ -27,11 +24,9 @@ is factored, when some root is irrational.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count
-from math import gcd, isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from itertools import chain
+from math import isqrt, lcm
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import require
 from .scalars import ExactScalar, Interval, Surd, sort_desc
@@ -57,14 +52,6 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> List[int]:
     return out
 
 
-def _clear_denominators(coeffs: Sequence) -> List[int]:
-    fracs = [Fraction(c) for c in coeffs]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return [int(f * den) for f in fracs]
-
-
 def _interval_root(fac, lo, hi) -> Interval:
     """The root of the irreducible sympy ``Poly`` ``fac`` in its isolating
     interval (lo, hi), refined by ``Poly.refine_root`` from the last
@@ -80,12 +67,12 @@ def _interval_root(fac, lo, hi) -> Interval:
     return Interval(*refiner(ROOT_WIDTH), refiner)
 
 
-def real_roots(coeffs: Sequence) -> List[Tuple[ExactScalar, int]]:
-    """All real roots of the polynomial with ascending ``coeffs``.
+def real_roots(coeffs: Sequence[int]) -> List[Tuple[ExactScalar, int]]:
+    """All real roots of the polynomial with ascending integer ``coeffs``.
 
     Returns (root, multiplicity) pairs sorted strictly descending.
     """
-    ints = _clear_denominators(coeffs)
+    ints = list(coeffs)
     while ints and ints[-1] == 0:
         ints.pop()
     if len(ints) <= 1:
@@ -120,17 +107,22 @@ def real_roots(coeffs: Sequence) -> List[Tuple[ExactScalar, int]]:
     return out
 
 
-def quadratic_roots(t: int, c: int) -> Optional[Tuple[ExactScalar, ExactScalar]]:
-    """The real roots r >= s of x^2 - t x - c, exact: rationals when the
-    discriminant t^2 + 4c is a square, else conjugate surds; None when it is
-    negative."""
+def quadratic_roots(t, c) -> Optional[Tuple[ExactScalar, ExactScalar]]:
+    """The real roots r >= s of x^2 - t x - c for rational t and c, exact:
+    rationals when the discriminant t^2 + 4c is a square, else conjugate
+    surds; None when it is negative.  With m the lcm of the denominators of
+    t and c, y = m x is a root of y^2 - (m t) y - m^2 c, whose coefficients
+    are integers."""
+    t, c = Fraction(t), Fraction(c)
+    m = lcm(t.denominator, c.denominator)
+    t, c = int(t * m), int(c * m * m)
     disc = t * t + 4 * c
     if disc < 0:
         return None
     root = isqrt(disc)
     if root * root == disc:
-        return Fraction(t + root, 2), Fraction(t - root, 2)
-    return Surd(t, 1, disc, 2), Surd(t, -1, disc, 2)
+        return Fraction(t + root, 2 * m), Fraction(t - root, 2 * m)
+    return Surd(t, 1, disc, 2 * m), Surd(t, -1, disc, 2 * m)
 
 
 def charpoly_tridiagonal(diag: Sequence[int], lower: Sequence[int], upper: Sequence[int]) -> List[int]:
@@ -226,95 +218,3 @@ def _divide_linear(coeffs: Sequence[int], m: int) -> List[int]:
         out[i - 1] = acc
     require(acc * m + coeffs[0] == 0, "divided by a linear factor that does not divide")
     return out
-
-
-def charpoly(rows: Sequence[Sequence]) -> List:
-    """Characteristic polynomial det(xI - M) of a square integer or rational
-    matrix, ascending: ints for an integer matrix, else Fractions.
-
-    One exact route: with d the common denominator of the entries, the
-    coefficients c_j(dM) of the integer matrix dM are found modulo primes
-    (``_charpoly_mod``) and joined by Chinese remaindering, and
-    c_j(M) = c_j(dM) / d^(n - j).  The coefficient of x^(n - j) is +- the sum
-    of the j x j principal minors, so by Hadamard's inequality it is at most
-    B = prod_i (1 + ceil(|row_i|_2)) in absolute value; primes are taken until
-    their product exceeds 2B, and each coefficient is the symmetric residue.
-    The primes are the largest below 2^b, with b = (63 - bitlength(n)) // 2,
-    so that n (p - 1)^2 < 2^63: every int64 intermediate, the n-term dot
-    products included, stays below 2^63.
-    """
-    m = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    if n == 0:
-        return [1]
-    den = lcm(*(x.denominator for row in m for x in row if not isinstance(x, int)))
-    big = np.array([[int(x * den) for x in row] for row in m], dtype=object)
-    bound = 1
-    for sq in (big * big).sum(axis=1):
-        if sq:
-            bound *= isqrt(sq - 1) + 2  # 1 + ceil(sqrt(sq))
-    bits = (63 - n.bit_length()) // 2
-    coeffs, modulus = np.zeros(n + 1, dtype=object), 1
-    for i in count():
-        if modulus > 2 * bound:
-            break
-        p = _prime(bits, i)
-        require(n * (p - 1) ** 2 < 1 << 63, "int64 overflow in the modular charpoly")
-        residues = _charpoly_mod(np.remainder(big, p).astype(np.int64), p).astype(object)
-        coeffs += modulus * ((residues - coeffs) * pow(modulus, -1, p) % p)
-        modulus *= p
-    half = modulus // 2
-    ints = [int(c) - modulus if c > half else int(c) for c in coeffs]
-    if den == 1:
-        return ints
-    return [Fraction(c, den ** (n - j)) for j, c in enumerate(ints)]
-
-
-#: the largest primes below 2^bits, by bits, found as they are first needed
-_PRIMES: Dict[int, List[int]] = {}
-
-
-def _prime(bits: int, i: int) -> int:
-    """The (i + 1)-th largest prime below 2^bits."""
-    import sympy
-
-    found = _PRIMES.setdefault(bits, [])
-    while len(found) <= i:
-        found.append(int(sympy.prevprime(found[-1] if found else 1 << bits)))
-    return found[i]
-
-
-def _charpoly_mod(h: np.ndarray, p: int) -> np.ndarray:
-    """det(xI - H) mod p, ascending, of an int64 matrix with entries in
-    [0, p), which it overwrites.
-
-    H is reduced to upper Hessenberg form by similarity: for each column j
-    a nonzero pivot below the diagonal moves to row j + 1 (a column that is
-    zero there is skipped), and the rows beneath subtract multiples of it.
-    Then P_m = det(xI - H[:m, :m]) satisfies
-    P_m = (x - h[m-1, m-1]) P_{m-1}
-          - sum_{i < m-1} h[i, m-1] h[i+1, i] ... h[m-1, m-2] P_i,
-    whose subdiagonal products are one vector, updated per column.
-    """
-    n = len(h)
-    for j in range(n - 2):
-        below = np.flatnonzero(h[j + 1:, j])
-        if below.size == 0:
-            continue
-        r = j + 1 + int(below[0])
-        if r != j + 1:
-            h[[j + 1, r]] = h[[r, j + 1]]
-            h[:, [j + 1, r]] = h[:, [r, j + 1]]
-        u = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, p) % p
-        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(u, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ u) % p
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    prods = np.ones(n, dtype=np.int64)  # prods[i] = h[i+1, i] ... h[m-1, m-2]
-    for m in range(1, n + 1):
-        if m >= 2:
-            prods[:m - 1] = prods[:m - 1] * h[m - 1, m - 2] % p
-        tail = (h[:m - 1, m - 1] * prods[:m - 1] % p) @ polys[:m - 1, :m] % p
-        polys[m, 1:m + 1] = polys[m - 1, :m]
-        polys[m, :m] = (polys[m, :m] - h[m - 1, m - 1] * polys[m - 1, :m] - tail) % p
-    return polys[n]

@@ -1,11 +1,13 @@
 """Reference for ``homogeneous.local_spectral_checks`` and
 ``graph.c2_regularity_report``: the routes they replaced.
 
-- ``local_spectral_checks`` builds every local graph, certifies each one
-  with ``srg_from_graph`` (its own distance-regularity check), and reads the
-  smallest local eigenvalue from the characteristic polynomial of the local
-  graph at vertex 0, so it raises ResourceError above valency
-  ``SPECTRUM_EXACT_CAP``.
+- ``local_spectral_checks`` builds every local graph and certifies each
+  one with ``srg_from_graph`` (its own distance-regularity check).  When
+  they are all strongly regular with one parameter set, or all disjoint
+  unions of cliques of two or more vertices, it reads the smallest local
+  eigenvalue from the oracle spectrum of the local graph at vertex 0
+  (``spectrum_oracle.oracle_spectrum``); any other graph gets neither
+  ``min_local_eig`` nor ``min_local_eig_ok``.
 - ``c2_regularity_report`` lists each mu-graph's vertices and collects their
   degrees in the mu-graph with Python integers as bitsets, and searches a
   largest coclique of every mu-graph.
@@ -29,9 +31,10 @@ from drglab.arrays import IntersectionArray
 from drglab.eigen import b_parameter
 from drglab.errors import InputError
 from drglab.graph import (C2RegularityReport, Graph, _max_coclique_rows,
-                          check_distance_regular, graph_spectrum, local_graph)
+                          check_distance_regular, local_graph)
 from drglab.scalars import exact_cmp
 from drglab.srg import recognize_srg_family, srg_from_graph
+from spectrum_oracle import oracle_spectrum
 
 
 def local_spectral_checks(g: Graph) -> dict:
@@ -56,11 +59,13 @@ def local_spectral_checks(g: Graph) -> dict:
             params = None
             break
     out["locally_srg"] = params is not None
-    loc0 = local_graph(g, 0).graph
-    spec = graph_spectrum(loc0)
-    smallest = spec.values[-1][0]
-    out["min_local_eig"] = smallest
-    out["min_local_eig_ok"] = exact_cmp(smallest, -1 - b) >= 0
+    cliques = params is None and all(
+        (u := clique_union_structure(local_graph(g, x).graph)) and u[0] > 1
+        for x in range(g.n))
+    if params is not None or cliques:
+        smallest = oracle_spectrum(local_graph(g, 0).graph)[-1][0]
+        out["min_local_eig"] = smallest
+        out["min_local_eig_ok"] = exact_cmp(smallest, -1 - b) >= 0
     if params is None:
         out["reason"] = "not locally SRG"
         return out

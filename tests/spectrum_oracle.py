@@ -1,5 +1,5 @@
-"""Reference for exact spectra (``graph.graph_spectrum``, ``polys.charpoly``):
-the two routes they replaced.
+"""Reference for exact spectra (``graph.graph_spectrum``,
+``cab.quotient_spectrum``): the routes they replaced.
 
 - ``spectrum_by_verification``: floating-point eigenvalue hints, each
   certified by an exact rational nullity; accepted only when the certified
@@ -8,11 +8,13 @@ the two routes they replaced.
   fraction-free (Bareiss) determinants at t = 0..n.
 - ``charpoly_berkowitz``: Berkowitz's division-free algorithm (sympy
   ``DomainMatrix.charpoly``) over ZZ, or over QQ when some entry is not an
-  integer; ``polys.charpoly`` before its modular route.
+  integer.
 
 ``oracle_spectrum`` is the old ``graph_spectrum``: verification first, the
-interpolated characteristic polynomial when it fails.  The differential test
-in ``test_spectrum.py`` compares the library against both.
+interpolated characteristic polynomial when it fails.  The differential
+tests in ``test_spectrum.py`` compare the library against it and against
+the Berkowitz polynomial, and those of ``test_cab.py`` the closed-form
+quotient spectrum against the Berkowitz polynomial's roots.
 """
 
 from fractions import Fraction

@@ -1,13 +1,14 @@
 """Three-cell local partitions: empirical checks, recursion, closed forms."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import cab_oracle as oracle
@@ -15,16 +16,19 @@ import drglab.cab
 import drglab.graph
 from drglab.cab import (CabLevelParams, LocalSrgData, c2_bound,
                         cab2_closed_form, cab_formula_params,
-                        cab_partition_check, predict_cab2)
-from drglab.errors import (DomainError, InputError, PreconditionError,
+                        cab_partition_check, predict_cab2, quotient_matrix,
+                        quotient_spectrum)
+from drglab.errors import (DomainError, DrgError, InputError, PreconditionError,
                            ResourceError, SingularityError)
+from drglab.polys import real_roots
 from drglab.families import (complete, complete_multipartite, cycle,
                              folded_johnson, halved_cube, hamming, icosahedron,
                              johnson, triangular)
 from drglab.graph import (Graph, _common_neighbourhoods, c2_regularity_report,
                           triple_intersection_number)
 from drglab.homogeneous import check_i_homogeneous
-from drglab.scalars import exact_eq
+from drglab.scalars import Surd, exact_eq
+from spectrum_oracle import charpoly_berkowitz
 from test_equitability import relabel, switch
 from test_local import outcome, paley, shrikhande, taylor
 
@@ -311,6 +315,65 @@ def test_triple_intersection_follows_the_dense_size_policy(monkeypatch):
     assert triple_intersection_number(g) == 2
     with pytest.raises(ResourceError):
         triple_intersection_number(cycle(6001))
+
+
+def oracle_quotient_spectrum(Q) -> list:
+    """The real roots, with repeats, of the characteristic polynomial of Q by
+    Berkowitz's algorithm, its denominators cleared."""
+    coeffs = charpoly_berkowitz(Q)
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    return [v for v, m in real_roots([int(c * den) for c in coeffs]) for _ in range(m)]
+
+
+@st.composite
+def local_eigenvalues(draw):
+    """a_1 and local eigenvalues r > s: integers, or the conjugate roots of
+    x^2 - t x - c with a discriminant that is not a square."""
+    a1 = draw(st.integers(1, 40), label="a1")
+    if draw(st.booleans(), label="surd"):
+        t, c = draw(st.integers(-6, 6), label="t"), draw(st.integers(1, 40), label="c")
+        disc = t * t + 4 * c
+        assume(math.isqrt(disc) ** 2 != disc)
+        return a1, Surd(t, 1, disc, 2), Surd(t, -1, disc, 2)
+    r = draw(st.integers(0, 12), label="r")
+    return a1, r, draw(st.integers(-12, min(r - 1, -1)), label="s")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(local_eigenvalues(), st.lists(st.integers(1, 60), min_size=1, max_size=6, unique=True))
+def test_quotient_spectrum_matches_the_oracle_on_cab_levels(eigs, c):
+    try:
+        loc = LocalSrgData.from_eigenvalues(*eigs)
+        levels, _ = cab_formula_params(loc, [1, *sorted(c)])
+    except SingularityError:
+        assume(False)
+    for p in levels:
+        Q = quotient_matrix(loc.a1, p)
+        assert repr(quotient_spectrum(Q)) == repr(oracle_quotient_spectrum(Q))
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rationals, st.lists(rationals, min_size=6, max_size=6))
+def test_quotient_spectrum_matches_the_oracle_on_equal_row_sums(a1, entries):
+    # any 3x3 rational matrix whose rows sum to a_1: complex pairs and
+    # repeated roots occur, where a_1 may be the only real eigenvalue
+    Q = [[x, y, a1 - x - y] for x, y in zip(entries[::2], entries[1::2])]
+    assert repr(quotient_spectrum(Q)) == repr(oracle_quotient_spectrum(Q))
+
+
+def test_quotient_spectrum_cases():
+    # a 3-cycle's permutation matrix: x^2 + x + 1 has no real root
+    assert quotient_spectrum([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == [1]
+    # rows that sum to 2, with the other roots rational, then the surds
+    # (-1 +- sqrt 5) / 2
+    assert quotient_spectrum([[0, 2, 0], [1, 0, 1], [0, 2, 0]]) == [2, 0, -2]
+    assert quotient_spectrum([[0, 2, 0], [1, 0, 1], [0, 1, 1]]) == [
+        2, Surd(-1, 1, 5, 2), Surd(-1, -1, 5, 2)]
+    with pytest.raises(DrgError):
+        quotient_spectrum([[1, 1, 0], [1, 0, 1], [0, 1, 2]])
 
 
 def test_singularity_reported_at_top_level():

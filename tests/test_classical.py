@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,22 @@ def test_fundamental_bound_over_distinct_radicals(text):
     rep = fundamental_bound(ia)
     assert isinstance(rep.lhs, Interval)
     assert exact_cmp(rep.lhs, rep.rhs) >= 0 and not rep.tight
+
+
+def test_fundamental_bound_refuses_a_violating_array_as_infeasible():
+    # k = 16, a_1 = 12, b_1 = 3: rhs = -16 * 12 * 3 / 13^2; the bound holds
+    # for every DRG with D >= 3, so the input is at fault, not drglab
+    with pytest.raises(InputError, match=r"^infeasible intersection array: fundamental "
+                       r"bound violated, lhs = \[.*\] < rhs = -576/169$"):
+        fundamental_bound(IntersectionArray.parse("16,3,3;1,3,16"))
+
+
+def test_classify_exits_two_on_a_fundamental_bound_violation(capsys):
+    assert main(["classify", "--ia", "16,3,3;1,3,16"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: infeasible intersection array: fundamental bound "
+                        r"violated, lhs = \[.*\] < rhs = -576/169\n", err)
 
 
 def test_classify_classical_branches():

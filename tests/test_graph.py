@@ -500,7 +500,7 @@ def test_names_in_the_readme_and_the_module_docstrings_exist():
     with open(os.path.join(tests, os.pardir, "README.md")) as fh:
         readme = re.findall(r"`(\w+(?:\.\w+)+)`", fh.read())
     names = [(name, drglab, None) for name in readme if cited(name.split(".")[0]) is not None]
-    assert {"drglab.graph", "graph._BUDGET", "Graph._adjacency", "polys.charpoly"} <= {
+    assert {"drglab.graph", "graph._BUDGET", "Graph._adjacency", "polys.tridiagonal_roots"} <= {
         name for name, _, _ in names}
     modules = [importlib.import_module(f"drglab.{info.name}")
                for info in pkgutil.iter_modules(drglab.__path__)]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import drglab
+import drglab.cli
 from drglab.arrays import IntersectionArray
 from drglab.cab import cab_partition_check
-from drglab.errors import InputError, ScopeError
+from drglab.errors import InputError, PreconditionError, ScopeError
 from drglab.families import (cycle, folded_halved_cube, folded_johnson, hamming,
                              johnson, petersen, triangular)
 from drglab.graph import Graph
@@ -223,6 +225,18 @@ def test_classifier_scope():
     with pytest.raises(ScopeError):
         # a1 = 0
         classify_main(IntersectionArray((5, 4, 3, 2, 1), (1, 2, 3, 4, 5)))
+
+
+def test_classifier_refuses_an_array_that_contradicts_one_homogeneity(capsys):
+    # c_2 = 2 but b = b_1 / (theta_1 + 1) < 1, which no 1-homogeneous graph
+    # has: the asserted property fails, a precondition, not a defect
+    text = "12,10,3,3,3;1,2,2,3,10"
+    pattern = r"array is not 1-homogeneous: b = \[.*\] < 1 with c_2 = 2 >= 2"
+    with pytest.raises(PreconditionError, match=f"^{pattern}$"):
+        classify_main(IntersectionArray.parse(text))
+    assert drglab.cli.main(["classify", "--ia", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"error: {pattern}\n", err)
 
 
 def test_classifier_branches():

@@ -30,11 +30,30 @@ def test_package_imports_only_numpy_sympy_and_the_standard_library():
                 if name not in ALLOWED}
 
 
+def sympy_importers(path: pathlib.Path):
+    """(module, function) of every import of sympy in a source file: the
+    innermost function around it, or None at module level."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = ([alias.name for alias in child.names] if isinstance(child, ast.Import)
+                         else [child.module or ""] if child.level == 0 else [])
+                if any(name.split(".")[0] == "sympy" for name in names):
+                    yield path.name, owner
+            else:
+                yield from walk(child, owner)
+
+    return list(walk(ast.parse(path.read_text(), str(path)), None))
+
+
 def test_only_polys_imports_sympy():
-    # factoring and root isolation are the one use of sympy; an exact
-    # algebraic-number type would replace it in this module alone
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert [path.name for path in sources if "sympy" in imported_modules(path)] == ["polys.py"]
+    # factoring and root isolation are the one use of sympy, imported on
+    # first use in the two functions that do them; an exact
+    # algebraic-number type would replace it there alone
+    found = [site for path in sorted(PACKAGE.glob("*.py")) for site in sympy_importers(path)]
+    assert sorted(found) == [("polys.py", "_interval_root"), ("polys.py", "real_roots")]
 
 
 def test_an_array_with_integer_eigenvalues_never_loads_sympy():

@@ -161,6 +161,21 @@ def test_locally_srg_graphs_build_no_local_graph(monkeypatch, build):
     assert local_spectral_checks(g) == want
 
 
+@pytest.mark.parametrize("name", ["J(7,3)", "J(9,3)", "4-cube", "C7"])
+def test_other_graphs_build_no_local_graph_and_have_no_local_eigenvalue(monkeypatch, name):
+    # K_3 x K_4 and K_3 x K_6 are not strongly regular, and a graph with
+    # a_1 = 0 has edgeless local graphs: no closed form gives their smallest
+    # eigenvalue, so neither key is reported
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a local graph or a spectrum was computed")
+
+    for attr in ("local_graph", "graph_spectrum"):
+        monkeypatch.setattr(drglab.graph, attr, forbidden)
+    rep = local_spectral_checks(BASES[name])
+    assert not rep["locally_srg"] and rep["reason"] == "not locally SRG"
+    assert "min_local_eig" not in rep and "min_local_eig_ok" not in rep
+
+
 def test_taylor_graph_over_paley_257_has_a_full_report():
     # valency 257 is above the exact-spectrum cap, so the old route raised
     # ResourceError after certifying all 516 local graphs

@@ -1,4 +1,5 @@
-"""Exact polynomial roots and characteristic polynomials."""
+"""Exact polynomial roots, tridiagonal characteristic polynomials and
+quadratic roots in closed form."""
 
 from fractions import Fraction
 from unittest import mock
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 import drglab.polys as polys
 from drglab.arrays import IntersectionArray
 from drglab.classical import ClassicalParams, classical_array, gaussian_binomial
-from drglab.polys import (_roots_above, charpoly, charpoly_tridiagonal, eval_poly, poly_mul,
-                          real_roots, tridiagonal_roots)
+from drglab.polys import (_roots_above, charpoly_tridiagonal, eval_poly, poly_mul, real_roots,
+                          tridiagonal_roots)
 from drglab.scalars import Interval, Surd, exact_cmp, exact_eq, scalar_bounds
+from spectrum_oracle import charpoly_dense
 
 coeff = st.integers(min_value=-9, max_value=9)
 
@@ -49,9 +51,10 @@ def test_charpoly_tridiagonal_path_graph():
 
 def test_charpoly_dense_matches_tridiagonal():
     rows = [[1, 2, 0], [3, 4, 5], [0, 6, 7]]
-    assert charpoly(rows) == charpoly_tridiagonal([1, 4, 7], [3, 6], [2, 5])
-    half = [[Fraction(v, 2) for v in row] for row in rows]
-    assert charpoly(half) == charpoly_tridiagonal(
+    dense = charpoly_dense(rows)
+    assert dense == charpoly_tridiagonal([1, 4, 7], [3, 6], [2, 5])
+    # det(xI - M/2) = 2^-3 det((2x) I - M)
+    assert [Fraction(c * 2 ** k, 8) for k, c in enumerate(dense)] == charpoly_tridiagonal(
         [Fraction(1, 2), 2, Fraction(7, 2)], [Fraction(3, 2), 3], [1, Fraction(5, 2)])
 
 

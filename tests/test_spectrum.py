@@ -1,13 +1,12 @@
-"""Exact spectra: ``graph_spectrum`` and ``polys.charpoly`` against the
-verification, interpolation and Berkowitz routes they replaced
-(``spectrum_oracle``), closed forms at ``SPECTRUM_EXACT_CAP``, the edge cases
-of both routes, and guards that keep floating-point linear algebra, sympy's
+"""Exact spectra: ``graph_spectrum`` against the verification and
+interpolation routes it replaced (``spectrum_oracle``), its refusals
+(``ScopeError``) of every graph outside the array route, the edge cases of
+that route, and guards that keep floating-point linear algebra, sympy's
 characteristic polynomial and bare ``assert`` statements out of the library.
 The array route of a certified distance-regular graph is checked against the
-characteristic polynomial of its adjacency and the oracle, its fallbacks
-against the polynomial, its answers above the cap against the closed forms
-of Hamming graphs and hypercubes, and its multiplicity checks against a
-planted wrong eigenvalue.
+oracle and the oracle's characteristic polynomial, its answers on large
+Hamming graphs and hypercubes against their closed forms, and its
+multiplicity checks against a planted wrong eigenvalue.
 
 Graphs are relabelled and edge-switched corpus graphs, random G(n, p) graphs
 with n <= 20 (some disconnected), and cycles and paths whose eigenvalues
@@ -30,13 +29,14 @@ import drglab.eigen
 import drglab.graph
 from drglab.arrays import IntersectionArray
 from drglab.eigen import EigenvalueList, eigenvalues, multiplicities
-from drglab.errors import DomainError, InternalError, ResourceError
+from drglab.errors import DomainError, InternalError, ScopeError
 from drglab.families import (complete, cycle, folded_johnson, halved_cube, hamming,
                              hypercube, icosahedron, johnson, petersen, triangular)
-from drglab.graph import SPECTRUM_EXACT_CAP, Graph, graph_spectrum
-from drglab.polys import _prime, charpoly, poly_mul, real_roots
+from drglab.graph import Graph, graph_spectrum
+from drglab.polys import real_roots, tridiagonal_roots
 from drglab.scalars import Interval, scalar_bounds
-from spectrum_oracle import charpoly_berkowitz, charpoly_dense, oracle_spectrum
+import dr_oracle
+from spectrum_oracle import charpoly_berkowitz, oracle_spectrum
 from test_distance_engine import union
 from test_equitability import relabel, switch
 
@@ -88,12 +88,28 @@ def assert_same_spectrum(got, want):
             assert a == b
 
 
+def in_scope(want) -> bool:
+    """Whether ``graph_spectrum`` answers a graph whose exact spectrum is
+    ``want``: it does when the graph is distance-regular, and no eigenvalue
+    has degree 3 or more."""
+    return not any(isinstance(v, Interval) for v, _ in want)
+
+
+def fail(*args):
+    raise AssertionError("certification, eigenvalues or dense adjacency reached")
+
+
 def assert_spectra_agree(g: Graph):
-    rows = g.adjacency_matrix().tolist()
-    assert charpoly(rows) == charpoly_dense(rows)
-    got = graph_spectrum(g).values
-    assert sum(m for _, m in got) == g.n
-    assert_same_spectrum(got, oracle_spectrum(g))
+    want = oracle_spectrum(g)
+    dr = (g.n >= 2 and g.is_connected()
+          and isinstance(dr_oracle.check_distance_regular(g), IntersectionArray))
+    if dr and in_scope(want):
+        got = graph_spectrum(g).values
+        assert sum(m for _, m in got) == g.n
+        assert_same_spectrum(got, want)
+    else:
+        with pytest.raises(ScopeError):
+            graph_spectrum(g)
 
 
 @SETTINGS
@@ -111,134 +127,30 @@ def test_random_spectra_match_the_oracle(g):
 @pytest.mark.parametrize("g", [cycle(n) for n in (7, 9, 11, 13, 14, 18)]
                          + [path(n) for n in (6, 8, 10, 12)])
 def test_high_degree_eigenvalues_match_the_oracle(g):
-    assert any(isinstance(v, Interval) for v, _ in graph_spectrum(g).values)
-    assert_spectra_agree(g)
-
-
-@SETTINGS
-@given(st.integers(1, 7), st.integers(0, 2 ** 32), st.integers(1, 12))
-def test_charpoly_matches_the_oracle_on_integer_and_rational_matrices(n, seed, den):
-    rng = random.Random(seed)
-    rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-    want = charpoly_dense(rows)
-    assert charpoly(rows) == want
-    # det(xI - M/den) = den^-n det((den x) I - M)
-    scaled = charpoly([[Fraction(v, den) for v in row] for row in rows])
-    assert scaled == [Fraction(c * den ** k, den ** n) for k, c in enumerate(want)]
-
-
-def square(entries, sizes=st.integers(0, 12)):
-    return sizes.flatmap(lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
-                                            min_size=n, max_size=n))
-
-
-@st.composite
-def first_prime_multiples(draw):
-    """Entries p a + b with p the first prime ``charpoly`` reduces by and b
-    mostly 0, so the reduced matrix has zeros on and below the subdiagonal
-    that the integer matrix does not."""
-    n = draw(st.integers(1, 12), label="n")
-    p = _prime((63 - n.bit_length()) // 2, 0)
-    entry = st.builds(lambda a, b: p * a + b, st.integers(-3, 3),
-                      st.sampled_from([0, 0, 0, 0, 1, -1, 2]))
-    return draw(square(entry, st.just(n)), label="rows")
-
-
-@st.composite
-def triangular_and_nilpotent(draw):
-    """Triangular matrices, and strictly triangular (nilpotent) ones under a
-    random simultaneous permutation of rows and columns."""
-    n = draw(st.integers(1, 12), label="n")
-    rows = draw(square(st.integers(-6, 6), st.just(n)), label="rows")
-    nilpotent = draw(st.booleans(), label="nilpotent")
-    lower = draw(st.booleans(), label="lower")
-    tri = [[v if (j < i if lower else j > i) or (i == j and not nilpotent) else 0
-            for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    if not nilpotent:
-        return tri
-    perm = draw(st.permutations(range(n)), label="perm")
-    return [[tri[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-
-
-@SETTINGS
-@given(square(st.integers(-4, 4)))
-def test_charpoly_matches_berkowitz_on_small_integer_matrices(rows):
-    assert charpoly(rows) == charpoly_berkowitz(rows)
-
-
-@SETTINGS
-@given(square(st.integers(-2 ** 80, 2 ** 80), st.integers(1, 10)))
-def test_charpoly_matches_berkowitz_beyond_int64(rows):
-    assert charpoly(rows) == charpoly_berkowitz(rows)
-
-
-@SETTINGS
-@given(square(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10 ** 6)),
-              st.integers(1, 8)))
-def test_charpoly_matches_berkowitz_on_rational_matrices(rows):
-    assert charpoly(rows) == charpoly_berkowitz(rows)
-
-
-@SETTINGS
-@given(first_prime_multiples())
-def test_charpoly_matches_berkowitz_when_the_first_prime_divides_entries(rows):
-    assert charpoly(rows) == charpoly_berkowitz(rows)
-
-
-@SETTINGS
-@given(triangular_and_nilpotent())
-def test_charpoly_matches_berkowitz_on_triangular_and_nilpotent_matrices(rows):
-    assert charpoly(rows) == charpoly_berkowitz(rows)
-
-
-@pytest.mark.parametrize("rows", [[], [[0]], [[7]], [[-2 ** 80]], [[2 ** 80 + 1]],
-                                  [[Fraction(-3, 7)]], [[Fraction(10 ** 30, 3)]],
-                                  [[Fraction(4, 2)]]])
-def test_charpoly_of_the_empty_and_one_by_one_matrices(rows):
-    got = charpoly(rows)
-    assert got == charpoly_berkowitz(rows)
-    assert got == ([1] if not rows else [-rows[0][0], 1])
-    assert [type(c) for c in got] == [type(c) for c in charpoly_berkowitz(rows)]
-
-
-def linear_product(roots: dict) -> list:
-    """prod (x - r)^m over ``roots`` {r: m}, ascending."""
-    out = [1]
-    for r, m in roots.items():
-        for _ in range(m):
-            out = poly_mul(out, [-r, 1])
-    return out
-
-
-def test_charpoly_closed_forms_at_the_cap():
-    n = SPECTRUM_EXACT_CAP
-    assert charpoly(complete(n).adjacency_matrix().tolist()) == linear_product({n - 1: 1, -1: n - 1})
-    q8 = hypercube(8)
-    assert q8.n == n
-    assert charpoly(q8.adjacency_matrix().tolist()) == linear_product(
-        {8 - 2 * i: comb(8, i) for i in range(9)})
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 12, 31, 64, SPECTRUM_EXACT_CAP])
-def test_charpoly_of_cycles(n):
-    # det(xI - A(C_n)) = prod_k (x - 2 cos(2 pi k / n)) = L_n(x) - 2, where
-    # L_0 = 2, L_1 = x, L_m = x L_{m-1} - L_{m-2} (so L_m(2 cos t) = 2 cos mt)
-    prev, cur = [2], [0, 1]
-    for _ in range(n - 1):
-        prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0, 0])]
-    cur[0] -= 2
-    assert charpoly(cycle(n).adjacency_matrix().tolist()) == cur
+    # graph_spectrum refuses them; the exact routes that remain find them:
+    # the array's eigenvalues of a polygon, and the tridiagonal roots of a
+    # path's own adjacency
+    want = oracle_spectrum(g)
+    assert not in_scope(want)
+    with pytest.raises(ScopeError):
+        graph_spectrum(g)
+    if g.degree(0) == 2:
+        # 2 cos(2 pi j / n) has multiplicity 2 for every j but 0 and n / 2
+        got = [(v, 1 if isinstance(v, Fraction) and abs(v) == 2 else 2)
+               for v in eigenvalues(dr_oracle.check_distance_regular(g)).values]
+    else:
+        got = tridiagonal_roots([0] * g.n, [1] * (g.n - 1), [1] * (g.n - 1))
+    assert_same_spectrum(got, want)
 
 
 def test_empty_and_edgeless_graphs():
-    rep = graph_spectrum(Graph([]))
-    assert rep.values == () and rep.exact
-    assert graph_spectrum(Graph([[]])).values == ((0, 1),)
-    assert graph_spectrum(Graph([[], []])).values == ((0, 2),)
+    for g in (Graph([]), Graph([[]]), Graph([[], []])):
+        with pytest.raises(ScopeError):
+            graph_spectrum(g)
 
 
 #: the distance-regular graphs of ``BASES`` (cycle(7) has cubic eigenvalues,
-#: so it takes the characteristic polynomial) and five more
+#: so it is refused) and five more
 DRGS = {g_name: g for g_name, g in [
     ("Petersen", BASES[0]), ("icosahedron", BASES[1]), ("J(6,3)", BASES[2]),
     ("H(3,3)", BASES[3]), ("folded J(8,4)", BASES[4]), ("T(6)", BASES[5]),
@@ -246,14 +158,11 @@ DRGS = {g_name: g for g_name, g in [
     ("T(10)", triangular(10)), ("J(8,4)", johnson(8, 4)),
     ("halved 8-cube", halved_cube(8))]}
 
-#: the oracle's spectrum of each graph of ``DRGS``, computed on its first
-#: relabelled copy (a relabelling keeps the spectrum): the verification
-#: route takes about 9 s on the halved 8-cube
+#: the oracle's spectrum and the real roots of the oracle's (Berkowitz)
+#: characteristic polynomial of each graph of ``DRGS``, computed on its
+#: first relabelled copy (a relabelling keeps both): about 7 s in all on
+#: the halved 8-cube
 _ORACLE = {}
-
-
-def fail(*args):
-    raise AssertionError("characteristic polynomial or dense adjacency reached")
 
 
 @pytest.mark.parametrize("name", list(DRGS))
@@ -262,48 +171,21 @@ def fail(*args):
 @given(st.integers(0, 2 ** 32))
 def test_distance_regular_spectra_match_the_charpoly_and_the_oracle(name, seed):
     g = relabel(DRGS[name], random.Random(seed))
-    by_charpoly = real_roots(charpoly(g.adjacency_matrix().tolist()))
-    if not any(isinstance(v, Interval) for v, _ in by_charpoly):
-        # the array route answers without the characteristic polynomial
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(drglab.graph, "charpoly", fail)
-            got = graph_spectrum(g).values
-    else:
-        got = graph_spectrum(g).values
     if name not in _ORACLE:
-        _ORACLE[name] = oracle_spectrum(g)
+        _ORACLE[name] = (real_roots(charpoly_berkowitz(g.adjacency_matrix().tolist())),
+                         oracle_spectrum(g))
+    by_charpoly, want = _ORACLE[name]
+    if not in_scope(by_charpoly):
+        with pytest.raises(ScopeError):
+            graph_spectrum(g)
+        return
+    got = graph_spectrum(g).values
     assert_same_spectrum(got, by_charpoly)
-    assert_same_spectrum(got, _ORACLE[name])
+    assert_same_spectrum(got, want)
 
 
 def two_triangles() -> Graph:
     return union(complete(3), complete(3))
-
-
-@pytest.mark.parametrize("g", [cycle(7), switch(johnson(8, 4), random.Random(1)),
-                               two_triangles(), Graph([[]])],
-                         ids=["C7", "switched J(8,4)", "2K3", "K1"])
-def test_fallbacks_give_the_charpoly_answer(g, monkeypatch):
-    # cubic eigenvalues, a regular graph that is not distance-regular, a
-    # disconnected regular graph and a single vertex
-    calls = []
-    monkeypatch.setattr(drglab.graph, "charpoly", lambda rows: calls.append(1) or charpoly(rows))
-    got = graph_spectrum(g).values
-    assert calls == [1]
-    assert_same_spectrum(got, real_roots(charpoly(g.adjacency_matrix().tolist())))
-
-
-@pytest.mark.parametrize("D, q", [(6, 3), (9, 2)])
-def test_hamming_spectra_above_the_cap_come_from_the_array(D, q, monkeypatch):
-    # H(6,3) has 729 vertices and the 9-cube 512: theta_i = D(q - 1) - q i
-    # with multiplicity C(D, i) (q - 1)^i
-    g = hamming(D, q) if q > 2 else hypercube(D)
-    assert g.n > SPECTRUM_EXACT_CAP
-    monkeypatch.setattr(drglab.graph, "charpoly", fail)
-    monkeypatch.setattr(Graph, "_adjacency", fail)
-    got = graph_spectrum(g).values
-    want = [(Fraction(D * (q - 1) - q * i), comb(D, i) * (q - 1) ** i) for i in range(D + 1)]
-    assert_same_spectrum(got, want)
 
 
 def prism(m: int) -> Graph:
@@ -313,13 +195,41 @@ def prism(m: int) -> Graph:
                             + [(v, m + v) for v in range(m)])
 
 
-@pytest.mark.parametrize("g", [prism(129), cycle(SPECTRUM_EXACT_CAP + 1)], ids=["prism", "cycle"])
-def test_no_array_spectrum_above_the_cap_is_refused(g, monkeypatch):
-    # a graph that is not distance-regular, and one whose eigenvalues are
-    # cubic and above: no characteristic polynomial is tried
-    monkeypatch.setattr(drglab.graph, "charpoly", fail)
-    with pytest.raises(ResourceError):
+#: graphs outside the array route, each with the steps its refusal takes:
+#: none (not regular, disconnected or a polygon above 12 vertices), the
+#: certification that refutes it, or that and the array's eigenvalues,
+#: one of which is cubic
+REFUSED = {
+    "K1": (Graph([[]]), []), "2K3": (two_triangles(), []),
+    "C13": (cycle(13), []), "C257": (cycle(257), []),
+    "prism(5)": (prism(5), ["dr"]), "prism(129)": (prism(129), ["dr"]),
+    "switched J(8,4)": (switch(johnson(8, 4), random.Random(1)), ["dr"]),
+    "C7": (cycle(7), ["dr", "eigen"]),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED))
+def test_graphs_outside_the_array_route_are_refused(name, monkeypatch):
+    g, want = REFUSED[name]
+    steps = []
+    for step, attr in (("dr", "check_distance_regular"), ("eigen", "eigenvalues")):
+        real = getattr(drglab.graph, attr)
+        monkeypatch.setattr(drglab.graph, attr,
+                            lambda *a, step=step, real=real: steps.append(step) or real(*a))
+    with pytest.raises(ScopeError):
         graph_spectrum(g)
+    assert steps == want
+
+
+@pytest.mark.parametrize("D, q", [(6, 3), (9, 2)])
+def test_hamming_spectra_come_from_the_array_alone(D, q, monkeypatch):
+    # H(6,3) has 729 vertices and the 9-cube 512: theta_i = D(q - 1) - q i
+    # with multiplicity C(D, i) (q - 1)^i, with no dense adjacency
+    g = hamming(D, q) if q > 2 else hypercube(D)
+    monkeypatch.setattr(Graph, "_adjacency", fail)
+    got = graph_spectrum(g).values
+    want = [(Fraction(D * (q - 1) - q * i), comb(D, i) * (q - 1) ** i) for i in range(D + 1)]
+    assert_same_spectrum(got, want)
 
 
 def test_a_wrong_eigenvalue_fails_the_multiplicity_checks(monkeypatch):
@@ -342,14 +252,13 @@ def test_multiplicities_of_arrays():
 
 
 def test_size_guard_comes_before_any_arithmetic(monkeypatch):
-    def fail(*args):
-        raise AssertionError("characteristic polynomial or dense adjacency reached")
-
-    monkeypatch.setattr(drglab.graph, "charpoly", fail)
+    # 257 isolated vertices: refused before any certification, dense
+    # adjacency or eigenvalue
+    for name in ("check_distance_regular", "eigenvalues"):
+        monkeypatch.setattr(drglab.graph, name, fail)
     monkeypatch.setattr(Graph, "_adjacency", fail)
-    g = Graph([[] for _ in range(SPECTRUM_EXACT_CAP + 1)])
-    with pytest.raises(ResourceError):
-        graph_spectrum(g)
+    with pytest.raises(ScopeError):
+        graph_spectrum(Graph([[] for _ in range(257)]))
 
 
 def test_no_floating_point_linear_algebra_in_the_library():
